@@ -122,26 +122,30 @@ impl AcceptanceProfile {
         let top_k = top_k.max(1);
         // Reach probabilities under single-candidate acceptance, used to split the
         // verification budget across levels (levels more likely to be reached get a
-        // proportionally larger share of the tree's nodes).
-        let mut reach = Vec::with_capacity(depth);
-        let mut running = 1.0;
+        // proportionally larger share of the tree's nodes). The reach product is
+        // walked twice (once for its sum, once per level) instead of stored, so
+        // the function allocates nothing.
+        let mut reach_sum = 0.0;
+        let mut reach = 1.0;
         for i in 0..depth {
-            reach.push(running);
-            running *= self.rate_at(i);
+            reach_sum += reach;
+            reach *= self.rate_at(i);
         }
-        let reach_sum: f64 = reach.iter().sum::<f64>().max(f64::EPSILON);
+        let reach_sum = reach_sum.max(f64::EPSILON);
         // Candidates competing at each level along the accepted path: bounded below
         // by 1 (the chain always exists), above by the tree top-K, and by the level's
         // share of the verification budget.
         let mut total = 1.0;
         let mut running = 1.0;
-        for (i, &reach_i) in reach.iter().enumerate() {
-            let share = tokens_to_verify as f64 * reach_i / reach_sum;
+        let mut reach = 1.0;
+        for i in 0..depth {
+            let share = tokens_to_verify as f64 * reach / reach_sum;
             if share < 1.0 {
                 break;
             }
             let candidates = share.clamp(1.0, top_k as f64);
             let p = self.rate_at(i);
+            reach *= p;
             // Extra candidates are correlated with the top candidate, so their
             // marginal value diminishes (square-root law on the surplus).
             let exponent = 1.0 + 0.5 * (candidates - 1.0).max(0.0).sqrt();
@@ -257,6 +261,77 @@ mod tests {
             (6.0..11.0).contains(&table1),
             "table1-style accept len {table1}"
         );
+    }
+
+    /// The `Vec`-backed formulation `expected_accept_len_tree` had before it
+    /// became allocation-free; kept as the bit-identity reference.
+    fn accept_len_tree_reference(
+        p: &AcceptanceProfile,
+        depth: usize,
+        top_k: usize,
+        tokens_to_verify: usize,
+    ) -> f64 {
+        if depth == 0 || tokens_to_verify == 0 {
+            return 1.0;
+        }
+        let top_k = top_k.max(1);
+        let mut reach = Vec::with_capacity(depth);
+        let mut running = 1.0;
+        for i in 0..depth {
+            reach.push(running);
+            running *= p.rate_at(i);
+        }
+        let reach_sum: f64 = reach.iter().sum::<f64>().max(f64::EPSILON);
+        let mut total = 1.0;
+        let mut running = 1.0;
+        for (i, &reach_i) in reach.iter().enumerate() {
+            let share = tokens_to_verify as f64 * reach_i / reach_sum;
+            if share < 1.0 {
+                break;
+            }
+            let candidates = share.clamp(1.0, top_k as f64);
+            let exponent = 1.0 + 0.5 * (candidates - 1.0).max(0.0).sqrt();
+            let p_eff = 1.0 - (1.0 - p.rate_at(i)).powf(exponent);
+            running *= p_eff;
+            total += running;
+        }
+        total
+    }
+
+    #[test]
+    fn allocation_free_tree_accept_len_is_bit_identical_to_the_reference() {
+        let profiles = [
+            AcceptanceProfile::adaptive_drafter(),
+            AcceptanceProfile::stale_drafter(),
+            AcceptanceProfile::model_free_drafter(),
+            // Shorter than the depths below, so `rate_at` reuses its last entry.
+            AcceptanceProfile::parametric(0.9, 0.7, 3),
+        ];
+        // (top_k, tokens_to_verify): the four `SdStrategy::default_set()` entries
+        // of `tlt-rollout`, `SdStrategy::default()`, and the degenerate corners.
+        let shapes = [
+            (8, 64),
+            (8, 48),
+            (8, 32),
+            (8, 16),
+            (0, 64),
+            (1, 1),
+            (16, 0),
+            (4, 7),
+        ];
+        for profile in &profiles {
+            for &(top_k, verify) in &shapes {
+                for depth in 0..=12 {
+                    let got = profile.expected_accept_len_tree(depth, top_k, verify);
+                    let want = accept_len_tree_reference(profile, depth, top_k, verify);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "depth {depth} top_k {top_k} verify {verify}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   acceptance profiles, used to regenerate the throughput tables and figures.
 //!
 //! Shared infrastructure: the model-free n-gram drafter ([`ngram`]), the CUDAGraph
-//! capture planner ([`cudagraph`]), the BEG-MAB tuner ([`mab`]) and the Adaptive SD
-//! Manager ([`manager`]).
+//! capture planner ([`cudagraph`]), the BEG-MAB tuner ([`mab`]), the Adaptive SD
+//! Manager ([`manager`]) and the SD-step evaluator ([`sd_step`]) that both
+//! timing-level simulators (this crate's and `tlt-serve`'s) advance by.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,6 +23,7 @@ pub mod cudagraph;
 pub mod mab;
 pub mod manager;
 pub mod ngram;
+pub mod sd_step;
 pub mod sim_engine;
 pub mod spec;
 
@@ -29,9 +31,10 @@ pub use cudagraph::{default_batch_buckets, CaptureMode, CapturedGraph, CudaGraph
 pub use mab::{BegMabConfig, BegMabSelector, StepObservation};
 pub use manager::{AdaptiveSdManager, DrafterChoice, SdDecision, SdManagerConfig};
 pub use ngram::{NgramConfig, NgramDrafter};
+pub use sd_step::{expected_accept_len, SdMode, SdStep, SdStepEvaluator, SdStepModel};
 pub use sim_engine::{
     fixed_batch_speedup, simulate_rollout, simulate_rollout_batch, single_request_throughput,
-    RolloutProfile, SdMode, SimRolloutConfig, TimelinePoint,
+    RolloutProfile, SimRolloutConfig, TimelinePoint,
 };
 pub use spec::{
     batch_seed, generate_batch, generate_group, measure_acceptance, speculative_generate,

@@ -48,17 +48,32 @@ struct ArmHistory {
     accept_lens: VecDeque<f64>,
 }
 
+/// Appends `value`, keeping the newest `window` entries. The oldest entry leaves
+/// before the new one arrives, so a full window never outgrows its buffer.
+fn push_windowed(history: &mut VecDeque<f64>, value: f64, window: usize) {
+    if window == 0 {
+        return;
+    }
+    while history.len() >= window {
+        history.pop_front();
+    }
+    history.push_back(value);
+}
+
 /// The BEG-MAB selector.
 #[derive(Debug, Clone)]
 pub struct BegMabSelector {
     config: BegMabConfig,
-    /// Strategy groups ordered by descending `tokens_to_verify`; group `i` serves
-    /// batch sizes in `[thresholds[i], thresholds[i+1])`.
-    groups: Vec<Vec<SdStrategy>>,
+    /// Strategy groups ordered by descending `tokens_to_verify`, as arm indices
+    /// into `all_strategies` resolved once at construction; group `i` serves batch
+    /// sizes in `[thresholds[i], thresholds[i+1])`.
+    groups: Vec<Vec<usize>>,
     /// Ascending batch-size thresholds, one per group (`t_1 = 1`).
     thresholds: Vec<usize>,
     histories: Vec<ArmHistory>,
     all_strategies: Vec<SdStrategy>,
+    /// Reused sort buffer of `median_reward`.
+    scratch: Vec<f64>,
     selections: u64,
     explorations: u64,
 }
@@ -84,13 +99,15 @@ impl BegMabSelector {
             verify_values.len() <= thresholds.len(),
             "need a batch threshold per tokens_to_verify group"
         );
-        let groups: Vec<Vec<SdStrategy>> = verify_values
+        // A strategy listed twice is one arm: both entries resolve to the first.
+        let arm_of = |s: &SdStrategy| strategies.iter().position(|a| a == s);
+        let groups: Vec<Vec<usize>> = verify_values
             .iter()
             .map(|&v| {
                 strategies
                     .iter()
-                    .copied()
                     .filter(|s| s.tokens_to_verify == v)
+                    .map(|s| arm_of(s).expect("strategy is in its own set"))
                     .collect()
             })
             .collect();
@@ -102,6 +119,7 @@ impl BegMabSelector {
             thresholds: thresholds[..verify_values.len()].to_vec(),
             histories,
             all_strategies,
+            scratch: Vec::new(),
             selections: 0,
             explorations: 0,
         }
@@ -129,8 +147,10 @@ impl BegMabSelector {
     }
 
     /// Candidate strategies for a batch size.
-    pub fn candidates(&self, batch_size: usize) -> &[SdStrategy] {
-        &self.groups[self.group_for_batch(batch_size)]
+    pub fn candidates(&self, batch_size: usize) -> impl Iterator<Item = SdStrategy> + '_ {
+        self.groups[self.group_for_batch(batch_size)]
+            .iter()
+            .map(|&arm| self.all_strategies[arm])
     }
 
     /// Records the outcome of running `strategy` on a batch.
@@ -145,30 +165,30 @@ impl BegMabSelector {
             0.0
         };
         let history = &mut self.histories[idx];
-        history.rewards.push_back(reward);
-        history.accept_lens.push_back(accept_len);
-        while history.rewards.len() > self.config.window {
-            history.rewards.pop_front();
-        }
-        while history.accept_lens.len() > self.config.window {
-            history.accept_lens.pop_front();
-        }
+        push_windowed(&mut history.rewards, reward, self.config.window);
+        push_windowed(&mut history.accept_lens, accept_len, self.config.window);
     }
 
-    fn median_reward(&self, idx: usize) -> Option<f64> {
-        let h = &self.histories[idx];
-        if h.rewards.is_empty() {
+    /// Median of an arm's reward window, sorted in `scratch`.
+    fn median_reward(history: &ArmHistory, scratch: &mut Vec<f64>) -> Option<f64> {
+        if history.rewards.is_empty() {
             return None;
         }
-        let mut sorted: Vec<f64> = h.rewards.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        Some(sorted[sorted.len() / 2])
+        scratch.clear();
+        scratch.extend(history.rewards.iter().copied());
+        scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        Some(scratch[scratch.len() / 2])
     }
 
     /// Selects a strategy for the given batch size (Algorithm 1, SelectStrategy).
     pub fn select<R: Rng>(&mut self, batch_size: usize, rng: &mut R) -> SdStrategy {
         self.selections += 1;
         let group = self.group_for_batch(batch_size);
+        let arm = self.select_arm(group, rng);
+        self.all_strategies[arm]
+    }
+
+    fn select_arm<R: Rng>(&mut self, group: usize, rng: &mut R) -> usize {
         let candidates = &self.groups[group];
         if candidates.len() == 1 {
             return candidates[0];
@@ -179,14 +199,13 @@ impl BegMabSelector {
             return candidates[rng.gen_range(0..candidates.len())];
         }
         // Exploit: maximise median reward; unexplored arms are tried first.
-        let mut best: Option<(SdStrategy, f64)> = None;
-        for s in candidates {
-            let idx = self.arm_index(s).expect("candidate is a known arm");
-            match self.median_reward(idx) {
-                None => return *s, // untried arm: force exploration of it
+        let mut best: Option<(usize, f64)> = None;
+        for &arm in candidates {
+            match Self::median_reward(&self.histories[arm], &mut self.scratch) {
+                None => return arm, // untried arm: force exploration of it
                 Some(r) => {
                     if best.is_none_or(|(_, br)| r > br) {
-                        best = Some((*s, r));
+                        best = Some((arm, r));
                     }
                 }
             }
@@ -246,18 +265,9 @@ mod tests {
     fn batch_size_maps_to_verify_groups() {
         let selector = BegMabSelector::new(&strategies(), &[1, 8, 24], BegMabConfig::default());
         // Small batches -> deepest verification group (64 tokens).
-        assert!(selector
-            .candidates(1)
-            .iter()
-            .all(|s| s.tokens_to_verify == 64));
-        assert!(selector
-            .candidates(10)
-            .iter()
-            .all(|s| s.tokens_to_verify == 32));
-        assert!(selector
-            .candidates(100)
-            .iter()
-            .all(|s| s.tokens_to_verify == 16));
+        assert!(selector.candidates(1).all(|s| s.tokens_to_verify == 64));
+        assert!(selector.candidates(10).all(|s| s.tokens_to_verify == 32));
+        assert!(selector.candidates(100).all(|s| s.tokens_to_verify == 16));
     }
 
     #[test]
@@ -416,10 +426,82 @@ mod tests {
         assert_eq!(selector.select(1, &mut rng), b);
     }
 
+    /// A strategy set whose two smallest-batch groups each hold several
+    /// candidates, so exploit-phase median comparisons decide the arm.
+    fn multi_candidate_strategies() -> Vec<SdStrategy> {
+        [
+            (10, 8, 64),
+            (10, 4, 64),
+            (8, 6, 64),
+            (8, 8, 32),
+            (6, 8, 32),
+            (4, 8, 16),
+        ]
+        .into_iter()
+        .map(|(draft_depth, top_k, tokens_to_verify)| SdStrategy {
+            draft_depth,
+            top_k,
+            tokens_to_verify,
+        })
+        .collect()
+    }
+
+    /// Drives select/record for 210 steps over cycling batch sizes with
+    /// arm- and step-dependent rewards; returns the chosen arm per step.
+    fn selection_sequence(seed: u64) -> (String, (u64, u64)) {
+        let arms = multi_candidate_strategies();
+        let mut selector = BegMabSelector::new(
+            &arms,
+            &[1, 8, 24],
+            BegMabConfig {
+                epsilon: 0.25,
+                window: 5,
+            },
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sequence = String::new();
+        for i in 0..210usize {
+            let batch = [1, 3, 9, 12, 30, 5, 20][i % 7];
+            let chosen = selector.select(batch, &mut rng);
+            let arm = arms.iter().position(|s| *s == chosen).expect("known arm");
+            sequence.push(char::from(b'0' + arm as u8));
+            selector.record(
+                &chosen,
+                StepObservation {
+                    elapsed_s: 0.01 + 0.001 * ((i * 7 + arm) % 5) as f64,
+                    accepted_tokens: (chosen.draft_depth / 2 + (i + arm) % 3) as f64 * batch as f64,
+                    batch_size: batch,
+                },
+            );
+        }
+        (sequence, selector.stats())
+    }
+
+    /// The sequences below were produced by the selector as it stood before arm
+    /// indices were resolved at construction and the median moved to a reused
+    /// buffer: same arm at every step means same medians and same RNG draws.
+    #[test]
+    fn multi_candidate_selection_sequence_is_pinned() {
+        assert_eq!(
+            selection_sequence(11),
+            (
+                "013451321435141144513113351311435131144513113351311335131133513113351411335131133513113351311345131133513113351311335131133513113451322335130134513113351311335131134514124351311345232133523123352421335131134513".to_string(),
+                (210, 31)
+            )
+        );
+        assert_eq!(
+            selection_sequence(12),
+            (
+                "014352422435242143513113351311335232233523223351311445131133513013351311435131143513113351311335141233513113351310345131133513113351311335030233524223352302435232234523203452322345040144514013451311345132133513".to_string(),
+                (210, 46)
+            )
+        );
+    }
+
     #[test]
     fn default_strategy_selector_builds() {
         let selector = BegMabSelector::with_default_strategies(BegMabConfig::default());
-        assert!(!selector.candidates(1).is_empty());
-        assert!(!selector.candidates(64).is_empty());
+        assert!(selector.candidates(1).next().is_some());
+        assert!(selector.candidates(64).next().is_some());
     }
 }

@@ -9,34 +9,12 @@
 //! tables (2, 4), the hyperparameter sweeps (Figure 13, Table 1) and the adaptive-SD
 //! case study (Figure 14).
 
-use crate::mab::StepObservation;
-use crate::manager::{AdaptiveSdManager, DrafterChoice, SdDecision, SdManagerConfig};
+use crate::sd_step::{expected_accept_len, SdMode, SdStepEvaluator, SdStepModel};
 use crate::spec::SdStrategy;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tlt_draft::AcceptanceProfile;
 use tlt_gpusim::LlmCostModel;
 use tlt_model::DraftModelSpec;
-
-/// How the rollout engine uses speculative decoding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SdMode {
-    /// Vanilla decoding only (the VeRL-like baseline).
-    Disabled,
-    /// A single static strategy applied whenever the batch is below the threshold.
-    Static {
-        /// The strategy to apply.
-        strategy: SdStrategy,
-        /// Elastic activation threshold (requests).
-        threshold: usize,
-    },
-    /// Full adaptive behaviour: elastic activation + BEG-MAB strategy selection.
-    Adaptive {
-        /// Manager configuration.
-        config: SdManagerConfig,
-    },
-}
 
 /// Configuration of a simulated rollout.
 #[derive(Debug, Clone)]
@@ -77,6 +55,16 @@ impl SimRolloutConfig {
     pub fn with_sd_mode(mut self, mode: SdMode) -> Self {
         self.sd_mode = mode;
         self
+    }
+
+    /// The fixed inputs the SD-step evaluator costs this rollout's steps with.
+    pub fn step_model(&self) -> SdStepModel<'_> {
+        SdStepModel {
+            cost: &self.cost,
+            drafter: &self.drafter,
+            acceptance: &self.acceptance,
+            model_free_acceptance: &self.model_free_acceptance,
+        }
     }
 }
 
@@ -123,16 +111,21 @@ impl RolloutProfile {
 }
 
 /// Simulates decoding a batch of requests whose response lengths are given.
+///
+/// Only the requests still generating are kept, in their original order, and the
+/// set is compacted on the steps where a request finishes; every step is decided,
+/// costed and recorded by the [`SdStepEvaluator`]. Host cost is therefore
+/// proportional to the tokens simulated, not to steps x requests, and nothing is
+/// allocated per step.
 pub fn simulate_rollout(config: &SimRolloutConfig, response_lengths: &[usize]) -> RolloutProfile {
     assert!(!response_lengths.is_empty(), "need at least one request");
+    let requests = response_lengths.len();
+    // Per live request, in ascending request order (the order `avg_context` sums in).
     let mut remaining: Vec<f64> = response_lengths.iter().map(|&l| l.max(1) as f64).collect();
-    let mut generated: Vec<f64> = vec![0.0; remaining.len()];
+    let mut generated: Vec<f64> = vec![0.0; requests];
     let total_target_tokens: usize = response_lengths.iter().sum();
-    let mut manager = match &config.sd_mode {
-        SdMode::Adaptive { config: mc } => Some(AdaptiveSdManager::new(*mc)),
-        _ => None,
-    };
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let model = config.step_model();
+    let mut evaluator = SdStepEvaluator::new(&config.sd_mode, config.seed);
 
     let mut time_s = 0.0;
     let mut timeline = Vec::new();
@@ -143,103 +136,53 @@ pub fn simulate_rollout(config: &SimRolloutConfig, response_lengths: &[usize]) -
     let mut steps = 0u64;
 
     // Prompt prefill for the whole batch.
-    time_s += config.cost.prefill_time(remaining.len(), config.prompt_len);
+    time_s += config.cost.prefill_time(requests, config.prompt_len);
 
-    loop {
-        let active: Vec<usize> = remaining
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &r)| (r > 0.0).then_some(i))
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        let batch = active.len();
-        let avg_context = config.prompt_len
-            + (active.iter().map(|&i| generated[i]).sum::<f64>() / batch as f64) as usize;
+    while !remaining.is_empty() {
+        let batch = remaining.len();
+        let avg_context =
+            config.prompt_len + (generated.iter().sum::<f64>() / batch as f64) as usize;
 
-        // Decide how to decode this step.
-        let decision = match &config.sd_mode {
-            SdMode::Disabled => SdDecision::Vanilla,
-            SdMode::Static {
-                strategy,
-                threshold,
-            } => {
-                if batch <= *threshold {
-                    SdDecision::Speculative {
-                        drafter: DrafterChoice::Learned,
-                        strategy: *strategy,
-                    }
-                } else {
-                    SdDecision::Vanilla
-                }
+        let step = evaluator.step(&model, batch, batch, avg_context, 1.0);
+        if step.speculative {
+            accept_len_sum += step.tokens_per_seq;
+            accept_len_count += 1;
+            if sd_activation_time.is_none() {
+                sd_activation_time = Some(time_s);
             }
-            SdMode::Adaptive { .. } => manager
-                .as_mut()
-                .expect("manager present in adaptive mode")
-                .decide(batch, &mut rng),
-        };
-
-        let (step_time, tokens_per_seq, sd_active) = match decision {
-            SdDecision::Vanilla => (config.cost.decode_step_time(batch, avg_context), 1.0, false),
-            SdDecision::Speculative { drafter, strategy } => {
-                let profile = match drafter {
-                    DrafterChoice::Learned => &config.acceptance,
-                    DrafterChoice::ModelFree => &config.model_free_acceptance,
-                };
-                let accept = profile.expected_accept_len_tree(
-                    strategy.draft_depth,
-                    strategy.top_k,
-                    strategy.tokens_to_verify,
-                );
-                let t = config.cost.speculative_step_time(
-                    &config.drafter,
-                    batch,
-                    strategy.draft_depth,
-                    strategy.tokens_to_verify,
-                    avg_context,
-                );
-                if let Some(m) = manager.as_mut() {
-                    m.record(
-                        &strategy,
-                        StepObservation {
-                            elapsed_s: t,
-                            accepted_tokens: (accept - 1.0) * batch as f64,
-                            batch_size: batch,
-                        },
-                    );
-                }
-                accept_len_sum += accept;
-                accept_len_count += 1;
-                (t, accept, true)
-            }
-        };
-        if sd_active && sd_activation_time.is_none() {
-            sd_activation_time = Some(time_s);
         }
 
         // Idle accounting: requests already finished wait for the stragglers.
-        let finished = remaining.len() - batch;
-        idle_request_seconds += finished as f64 * step_time;
+        let finished = requests - batch;
+        idle_request_seconds += finished as f64 * step.time_s;
 
-        for &i in &active {
-            let committed = tokens_per_seq.min(remaining[i]);
-            remaining[i] -= committed;
-            generated[i] += committed;
+        let mut live = 0;
+        for i in 0..batch {
+            let committed = step.tokens_per_seq.min(remaining[i]);
+            let left = remaining[i] - committed;
+            if left > 0.0 {
+                remaining[live] = left;
+                generated[live] = generated[i] + committed;
+                live += 1;
+            }
         }
-        time_s += step_time;
+        remaining.truncate(live);
+        generated.truncate(live);
+        time_s += step.time_s;
         steps += 1;
 
         // Record a timeline point roughly every simulated second of progress (and on
         // every change of SD activation) to keep profiles compact.
         let record = timeline.last().is_none_or(|p: &TimelinePoint| {
-            time_s - p.time_s > 1.0 || p.sd_active != sd_active || p.running_requests != batch
+            time_s - p.time_s > 1.0
+                || p.sd_active != step.speculative
+                || p.running_requests != batch
         });
         if record {
             timeline.push(TimelinePoint {
                 time_s,
                 running_requests: batch,
-                sd_active,
+                sd_active: step.speculative,
             });
         }
         // Safety valve against pathological configurations.
@@ -293,11 +236,7 @@ pub fn fixed_batch_speedup(
     strategy: SdStrategy,
     context: usize,
 ) -> f64 {
-    let accept = acceptance.expected_accept_len_tree(
-        strategy.draft_depth,
-        strategy.top_k,
-        strategy.tokens_to_verify,
-    );
+    let accept = expected_accept_len(acceptance, &strategy);
     let vanilla_time_per_token = cost.decode_step_time(batch, context);
     let spec_time = cost.speculative_step_time(
         drafter,
@@ -346,7 +285,9 @@ pub fn single_request_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use crate::manager::SdManagerConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tlt_gpusim::GpuType;
     use tlt_model::ModelSpec;
     use tlt_workload::LengthDistribution;

@@ -11,7 +11,8 @@
 //! ([`replica`]) with an admission queue, KV-capacity-based admission, packed
 //! prefill / decode interleaving and optional preemption. Decode steps are costed
 //! by [`tlt_gpusim::LlmCostModel`], and the per-step speculative-decoding decision
-//! is delegated to the existing [`tlt_rollout::AdaptiveSdManager`] with the elastic
+//! is delegated to [`tlt_rollout::SdStepEvaluator`] (the SD step shared with the
+//! rollout engine, wrapping [`tlt_rollout::AdaptiveSdManager`]) with the elastic
 //! threshold driven by the live load (running batch + queue depth) — the paper's
 //! elastic-SD insight turned into a load-dependent serving policy. SLO metrics
 //! (TTFT / TPOT / E2E percentiles, goodput, utilisation) live in [`metrics`].

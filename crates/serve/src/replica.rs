@@ -3,9 +3,10 @@
 //! Each replica owns an admission queue and a running batch and alternates
 //! **prefill** steps (packed admission of queued requests, bounded by the KV token
 //! budget and a chunking limit) with **decode** steps (one committed token per
-//! sequence vanilla, or an expected accept length speculatively). Step durations
-//! come from [`tlt_gpusim::LlmCostModel`]; the per-step SD decision is delegated to the existing
-//! [`AdaptiveSdManager`], with the elastic threshold driven by the *live load*
+//! sequence vanilla, or an expected accept length speculatively). Every decode
+//! step is decided, costed on [`tlt_gpusim::LlmCostModel`] and fed back to the
+//! tuner by [`tlt_rollout::SdStepEvaluator`], the same evaluator the rollout
+//! engine advances by, with the elastic threshold driven by the *live load*
 //! (running batch plus queue depth), so speculation switches itself off exactly when
 //! a backlog guarantees large batches — the paper's elastic-SD insight applied to
 //! online serving.
@@ -21,12 +22,10 @@ use crate::balancer::ReplicaLoad;
 use crate::config::{KvAccounting, ServeConfig};
 use crate::metrics::{ReplicaMetrics, ReplicaStats};
 use crate::request::{CompletedRequest, ServeRequest};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 use tlt_model::paged_kv::{BlockLedger, PoolStats};
 use tlt_obs::{record, EventKind, ObsEvent, Track, NO_REQ};
-use tlt_rollout::{AdaptiveSdManager, DrafterChoice, SdDecision, SdMode, StepObservation};
+use tlt_rollout::{SdStepEvaluator, SdStepModel};
 
 /// A request waiting in the admission queue (possibly preempted mid-decode).
 #[derive(Debug, Clone)]
@@ -177,8 +176,9 @@ pub struct Replica {
     /// Block-granular accounting under [`KvAccounting::Paged`]; `None` keeps
     /// the legacy flat-token behaviour bit for bit.
     ledger: Option<BlockLedger>,
-    manager: Option<AdaptiveSdManager>,
-    rng: StdRng,
+    /// Decides, costs and records every decode step (shared with the rollout
+    /// engine of `tlt-rollout`).
+    sd: SdStepEvaluator,
     queue: VecDeque<QueuedEntry>,
     running: Vec<RunningEntry>,
     step: Option<PendingStep>,
@@ -218,10 +218,6 @@ impl Replica {
         let mut config = config.clone();
         config.cost = config.cost_for(index).clone();
         let config = &config;
-        let manager = match &config.sd_mode {
-            SdMode::Adaptive { config: mc } => Some(AdaptiveSdManager::new(*mc)),
-            _ => None,
-        };
         let kv_budget = config.kv_token_budget();
         let ledger = match config.kv_accounting {
             KvAccounting::Tokens => None,
@@ -234,8 +230,8 @@ impl Replica {
             index,
             kv_budget,
             ledger,
-            manager,
-            rng: StdRng::seed_from_u64(
+            sd: SdStepEvaluator::new(
+                &config.sd_mode,
                 config
                     .seed
                     .wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -1051,77 +1047,32 @@ impl Replica {
         // The elastic decision sees the *live load*: requests already decoding plus
         // the backlog that will join the batch as soon as capacity frees up.
         let live_load = batch + self.queue.len();
-        let decision = match &self.config.sd_mode {
-            SdMode::Disabled => SdDecision::Vanilla,
-            SdMode::Static {
-                strategy,
-                threshold,
-            } => {
-                if live_load <= *threshold {
-                    SdDecision::Speculative {
-                        drafter: DrafterChoice::Learned,
-                        strategy: *strategy,
-                    }
-                } else {
-                    SdDecision::Vanilla
-                }
-            }
-            SdMode::Adaptive { .. } => self
-                .manager
-                .as_mut()
-                .expect("manager present in adaptive mode")
-                .decide(live_load, &mut self.rng),
+        let model = SdStepModel {
+            cost: &self.config.cost,
+            drafter: &self.config.drafter,
+            acceptance: &self.config.acceptance,
+            model_free_acceptance: &self.config.model_free_acceptance,
         };
+        let step = self
+            .sd
+            .step(&model, live_load, batch, avg_context, self.slow_factor);
 
         self.metrics.inc_decode_steps();
-        let (duration, tokens_per_seq, speculative) = match decision {
-            SdDecision::Vanilla => (
-                self.config.cost.decode_step_time(batch, avg_context) * self.slow_factor,
-                1.0,
-                false,
-            ),
-            SdDecision::Speculative { drafter, strategy } => {
-                let profile = match drafter {
-                    DrafterChoice::Learned => &self.config.acceptance,
-                    DrafterChoice::ModelFree => &self.config.model_free_acceptance,
-                };
-                let accept = profile.expected_accept_len_tree(
-                    strategy.draft_depth,
-                    strategy.top_k,
-                    strategy.tokens_to_verify,
-                );
-                let t = self.config.cost.speculative_step_time(
-                    &self.config.drafter,
-                    batch,
-                    strategy.draft_depth,
-                    strategy.tokens_to_verify,
-                    avg_context,
-                ) * self.slow_factor;
-                if let Some(m) = self.manager.as_mut() {
-                    m.record(
-                        &strategy,
-                        StepObservation {
-                            elapsed_s: t,
-                            accepted_tokens: (accept - 1.0) * batch as f64,
-                            batch_size: batch,
-                        },
-                    );
-                }
-                self.metrics.observe_sd_step(accept);
-                // Quantise for the trace recorder: at least the bonus token is
-                // always produced, and the unary SD bitstream caps one step's
-                // accept length at 63 tokens.
-                self.sd_accepts.push(accept.round().clamp(1.0, 63.0) as u8);
-                (t, accept, true)
-            }
-        };
+        if step.speculative {
+            self.metrics.observe_sd_step(step.tokens_per_seq);
+            // Quantise for the trace recorder: at least the bonus token is
+            // always produced, and the unary SD bitstream caps one step's
+            // accept length at 63 tokens.
+            self.sd_accepts
+                .push(step.tokens_per_seq.round().clamp(1.0, 63.0) as u8);
+        }
         self.step = Some(PendingStep {
             work: StepWork::Decode {
-                tokens_per_seq,
-                speculative,
+                tokens_per_seq: step.tokens_per_seq,
+                speculative: step.speculative,
             },
-            finish_s: now + duration,
-            duration_s: duration,
+            finish_s: now + step.time_s,
+            duration_s: step.time_s,
         });
     }
 
@@ -1370,6 +1321,7 @@ mod tests {
     use super::*;
     use tlt_gpusim::{GpuType, LlmCostModel};
     use tlt_model::ModelSpec;
+    use tlt_rollout::SdMode;
 
     fn config() -> ServeConfig {
         ServeConfig::new(

@@ -138,8 +138,17 @@ fn sd_mode_for(system: SystemKind, config: &ExperimentConfig) -> SdMode {
 pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> ExperimentResult {
     let cluster = config.cluster;
     let gpu = cluster.gpu_spec();
-    let cost = LlmCostModel::new(config.model.clone(), gpu, cluster.tp);
-    let drafter = config.model.eagle_drafter();
+    // One rollout configuration serves every worker of every step; only the
+    // exploration seed differs between workers.
+    let mut sim = SimRolloutConfig {
+        cost: LlmCostModel::new(config.model.clone(), gpu, cluster.tp),
+        drafter: config.model.eagle_drafter(),
+        acceptance: acceptance_for(system),
+        model_free_acceptance: AcceptanceProfile::model_free_drafter(),
+        prompt_len: config.prompt_len,
+        sd_mode: sd_mode_for(system, config),
+        seed: config.seed,
+    };
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Open-R1-like separate placement: only half the cluster serves rollout and the
@@ -161,6 +170,9 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
     let mut idle_acc = 0.0;
     let mut accept_acc = 0.0;
     let mut accept_count = 0usize;
+    let mut wave_lengths: Vec<usize> = Vec::new();
+    let mut share: Vec<usize> = Vec::new();
+    let mut worker_profiles: Vec<RolloutProfile> = Vec::with_capacity(rollout_workers);
 
     for step in 0..config.num_steps {
         let lengths = config
@@ -174,38 +186,22 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
         let mut rollout_s = 0.0;
         let mut idle_gpu_seconds = 0.0;
         for wave in 0..rollout_waves {
-            let wave_lengths: Vec<usize> = lengths
-                .iter()
-                .skip(wave)
-                .step_by(rollout_waves)
-                .copied()
-                .collect();
+            wave_lengths.clear();
+            wave_lengths.extend(lengths.iter().skip(wave).step_by(rollout_waves));
             if wave_lengths.is_empty() {
                 continue;
             }
             // Distribute this wave's requests round-robin over the rollout workers and
             // simulate each worker independently; the wave ends when the slowest
             // worker finishes.
-            let mut worker_profiles: Vec<RolloutProfile> = Vec::with_capacity(rollout_workers);
+            worker_profiles.clear();
             for w in 0..rollout_workers {
-                let share: Vec<usize> = wave_lengths
-                    .iter()
-                    .skip(w)
-                    .step_by(rollout_workers)
-                    .copied()
-                    .collect();
+                share.clear();
+                share.extend(wave_lengths.iter().skip(w).step_by(rollout_workers));
                 if share.is_empty() {
                     continue;
                 }
-                let sim = SimRolloutConfig {
-                    cost: cost.clone(),
-                    drafter: drafter.clone(),
-                    acceptance: acceptance_for(system),
-                    model_free_acceptance: AcceptanceProfile::model_free_drafter(),
-                    prompt_len: config.prompt_len,
-                    sd_mode: sd_mode_for(system, config),
-                    seed: config.seed ^ (step as u64) << 8 ^ w as u64,
-                };
+                sim.seed = config.seed ^ (step as u64) << 8 ^ w as u64;
                 worker_profiles.push(simulate_rollout(&sim, &share));
             }
             let wave_end = worker_profiles
@@ -223,8 +219,8 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
         idle_acc += idle_gpu_seconds;
 
         // --- Inference + training stages ---
-        let inference_s = cost.inference_stage_time(total_tokens, rollout_workers);
-        let training_s = cost.training_stage_time(total_tokens, train_gpus);
+        let inference_s = sim.cost.inference_stage_time(total_tokens, rollout_workers);
+        let training_s = sim.cost.training_stage_time(total_tokens, train_gpus);
 
         // --- Other / transition overheads ---
         let compute_s = rollout_s + inference_s + training_s;
@@ -238,7 +234,10 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
 
         // --- Spot trainer: convert idle GPU time into drafter updates (TLT only) ---
         if system.uses_adaptive_drafter() {
-            let iter_time = cost.drafter_train_step_time(&drafter, 4096).max(1e-6);
+            let iter_time = sim
+                .cost
+                .drafter_train_step_time(&sim.drafter, 4096)
+                .max(1e-6);
             drafter_updates_acc += idle_gpu_seconds / (gpus_per_worker as f64 * iter_time);
         }
 

@@ -1,5 +1,7 @@
 //! Asserts the workspace decode path performs **zero heap allocations** in steady
-//! state, via a counting global allocator.
+//! state, via a counting global allocator; the same allocator pins the
+//! timing-level simulators' SD step (rollout engine, evaluator, serving replica)
+//! as allocation-free per step.
 //!
 //! The first decode step after a prefill may still grow workspace buffers (they
 //! are sized lazily); every subsequent step must allocate nothing: embeddings,
@@ -221,4 +223,111 @@ fn steady_state_streamed_trace_decode_allocates_nothing() {
         0,
         "streamed trace decode must not allocate after open()"
     );
+}
+
+/// Allocations the current thread performs while `f` runs.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocation_count();
+    let out = f();
+    (allocation_count() - before, out)
+}
+
+fn qwen7b_cost() -> tlt_gpusim::LlmCostModel {
+    use tlt_gpusim::{GpuType, LlmCostModel};
+    LlmCostModel::new(tlt_model::ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1)
+}
+
+fn adaptive_sd() -> tlt_rollout::SdMode {
+    tlt_rollout::SdMode::Adaptive {
+        config: tlt_rollout::SdManagerConfig::default(),
+    }
+}
+
+/// The timing-level rollout engine allocates per rollout (its two per-request
+/// arrays, the tuner's windows, the output timeline), never per simulated
+/// decode step: eight times the tokens is eight times the steps and the same
+/// number of allocations.
+#[test]
+fn simulated_rollout_allocations_do_not_grow_with_step_count() {
+    use tlt_rollout::{simulate_rollout, SimRolloutConfig};
+
+    let config = SimRolloutConfig::vanilla(qwen7b_cost()).with_sd_mode(adaptive_sd());
+    let short: Vec<usize> = (0..64).map(|i| 300 + (i * 37) % 1500).collect();
+    let long: Vec<usize> = short.iter().map(|&l| l * 8).collect();
+    let (short_allocs, short_profile) = allocations_during(|| simulate_rollout(&config, &short));
+    let (long_allocs, long_profile) = allocations_during(|| simulate_rollout(&config, &long));
+    // The timeline is output and grows by doubling; both runs end in the same
+    // capacity class, so its growth cancels out of the comparison.
+    for profile in [&short_profile, &long_profile] {
+        assert!((65..=128).contains(&profile.timeline.len()));
+    }
+    assert!(long_profile.total_time_s > 4.0 * short_profile.total_time_s);
+    assert_eq!(
+        long_allocs, short_allocs,
+        "rollout allocations must not depend on the number of simulated steps"
+    );
+}
+
+/// The SD-step evaluator allocates only while the tuner's reward windows fill:
+/// once every strategy has been stepped through its window, deciding, costing
+/// and recording a step is allocation-free in every batch bucket.
+#[test]
+fn sd_step_evaluator_allocates_nothing_once_every_strategy_is_warm() {
+    use tlt_rollout::{SdStepEvaluator, SimRolloutConfig};
+
+    let config = SimRolloutConfig::vanilla(qwen7b_cost());
+    let model = config.step_model();
+    let mut evaluator = SdStepEvaluator::new(&adaptive_sd(), 7);
+    let sweep = |evaluator: &mut SdStepEvaluator, rounds: usize| {
+        let mut speculative = 0;
+        for _ in 0..rounds {
+            for batch in 1..=32 {
+                let step = evaluator.step(&model, batch, batch, 2048, 1.0);
+                speculative += usize::from(step.speculative);
+            }
+        }
+        speculative
+    };
+    sweep(&mut evaluator, 20);
+    let (allocs, speculative) = allocations_during(|| sweep(&mut evaluator, 320));
+    assert_eq!(speculative, 10_240);
+    assert_eq!(allocs, 0, "warm SD steps must not allocate");
+}
+
+/// A serving replica's speculative steps go through the same evaluator. Over
+/// 10k of them the replica itself only appends to its SD accept stream, whose
+/// buffer the warm-up grows past the measured window, so the window allocates
+/// nothing at all.
+#[test]
+fn replica_speculative_steps_allocate_nothing() {
+    use tlt_serve::{Replica, ServeConfig, ServeRequest};
+
+    let mut config = ServeConfig::new(qwen7b_cost(), 1).with_sd_mode(adaptive_sd());
+    config.max_output_tokens = 400_000;
+    let mut replica = Replica::new(&config, 0);
+    for id in 0..2 {
+        replica.enqueue(
+            ServeRequest {
+                id,
+                arrival_s: 0.0,
+                prompt_len: 64,
+                output_len: 400_000,
+                prefix_id: 0,
+                prefix_len: 0,
+            },
+            0.0,
+        );
+    }
+    let step = |replica: &mut Replica, steps: usize| {
+        for _ in 0..steps {
+            assert!(replica.has_work(), "replica went idle");
+            replica.on_step_complete(replica.next_event_s());
+        }
+    };
+    // 16.4k appended accept lengths leave the stream's buffer at 32k entries.
+    step(&mut replica, 16_400);
+    let before = replica.sd_accept_trace().len();
+    let (allocs, ()) = allocations_during(|| step(&mut replica, 10_000));
+    assert_eq!(replica.sd_accept_trace().len() - before, 10_000);
+    assert_eq!(allocs, 0, "speculative replica steps must not allocate");
 }

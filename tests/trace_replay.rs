@@ -163,6 +163,54 @@ fn transformed_variants_replay_deterministically() {
     );
 }
 
+/// FNV-1a 64 over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `ServeSim` on the committed chat trace under `config`: digests of the whole
+/// report (its `Debug` rendering prints every float exactly) and of the
+/// per-step SD accept stream.
+fn chat_corpus_digests(config: &tlt_serve::ServeConfig) -> (u64, usize, u64) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/chat.tltr");
+    let trace = Trace::read_file(path).expect("committed chat trace");
+    let mut sim = tlt_serve::ServeSim::new(config);
+    for arrival in trace.arrivals() {
+        sim.advance_before(arrival.time_s());
+        sim.offer(tlt_serve::ServeRequest::from_arrival(arrival));
+    }
+    sim.run_until_drained();
+    let sd_accepts = sim.sd_accept_trace();
+    let report = format!("{:?}", sim.into_report());
+    (
+        fnv1a(report.as_bytes()),
+        sd_accepts.len(),
+        fnv1a(&sd_accepts),
+    )
+}
+
+/// The replica's SD step moved into `tlt-rollout`'s shared evaluator (with a
+/// memoised accept length); these digests were taken with the inline step it
+/// replaced, so report and SD accept stream are byte-identical across the move
+/// in both SD modes a replica dispatches on.
+#[test]
+fn chat_corpus_report_and_sd_accept_stream_are_pinned() {
+    assert_eq!(
+        chat_corpus_digests(&replay_deployment(2)),
+        (0xada4_945d_4dab_305a, 10_387, 0x91d3_1d05_8345_90aa)
+    );
+    let always_on = replay_deployment(2).with_sd_mode(tlt_rollout::SdMode::Static {
+        strategy: tlt_rollout::SdStrategy::default(),
+        threshold: 6,
+    });
+    assert_eq!(
+        chat_corpus_digests(&always_on),
+        (0x0b8f_9327_2063_b369, 12_728, 0xaf39_415e_1de1_5c7d)
+    );
+}
+
 /// Streamed decode must equal the in-memory decoder on arbitrary traces and
 /// arbitrary (tiny) chunk capacities — records and prefix back-references
 /// straddle refill boundaries at capacity 16.
