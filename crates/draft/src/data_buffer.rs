@@ -41,8 +41,13 @@ impl TrainingSample {
         request_id: u64,
     ) -> Self {
         assert!(tokens.len() >= 3, "sample too short for drafter training");
-        let (out, _) = target.prefill(tokens, true);
-        let features = source.extract(&out.layer_outputs.expect("hidden collection requested"));
+        let features = match source {
+            FeatureSource::LastLayer => target.prefill(tokens, false).0.last_hidden,
+            FeatureSource::MultiLayer => {
+                let (out, _) = target.prefill(tokens, true);
+                source.extract(&out.layer_outputs.expect("hidden collection requested"))
+            }
+        };
         TrainingSample {
             rl_step,
             request_id,

@@ -81,18 +81,25 @@ pub fn mean_sampled_kl(policy_logps: &[f32], ref_logps: &[f32], estimator: KlEst
 ///
 /// `dKL/dz_j = p_j * (log p_j - log q_j - KL)`.
 pub fn kl_grad_wrt_logits(p: &[f32], q: &[f32]) -> Vec<f32> {
-    assert_eq!(p.len(), q.len(), "distribution length mismatch");
-    let kl = kl_divergence(p, q) as f32;
-    p.iter()
-        .zip(q.iter())
-        .map(|(&pi, &qi)| {
-            if pi <= 0.0 {
-                0.0
-            } else {
-                pi * ((pi.max(1e-12)).ln() - (qi.max(1e-12)).ln() - kl)
-            }
-        })
-        .collect()
+    let mut grad = Vec::new();
+    kl_grad_wrt_logits_into(p, q, &mut grad);
+    grad
+}
+
+/// [`kl_grad_wrt_logits`] into a caller-owned buffer, reusing its capacity.
+/// Returns the exact `KL(p || q)` the gradient is built from.
+pub fn kl_grad_wrt_logits_into(p: &[f32], q: &[f32], out: &mut Vec<f32>) -> f64 {
+    let kl = kl_divergence(p, q);
+    let kl32 = kl as f32;
+    out.clear();
+    out.extend(p.iter().zip(q.iter()).map(|(&pi, &qi)| {
+        if pi <= 0.0 {
+            0.0
+        } else {
+            pi * ((pi.max(1e-12)).ln() - (qi.max(1e-12)).ln() - kl32)
+        }
+    }));
+    kl
 }
 
 #[cfg(test)]

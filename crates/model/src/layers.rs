@@ -11,10 +11,11 @@
 //!   causal forward with recorded intermediates and an exact manual backward pass,
 //!   used by drafter training and the last-layer policy-gradient update.
 
+use crate::attention;
 use crate::kv_cache::KvStore;
 use crate::ops::{
-    rmsnorm_backward, rmsnorm_forward, rmsnorm_into, silu, softmax_in_place, swiglu_backward,
-    swiglu_forward, RmsNormCache, SwiGluCache,
+    rmsnorm_backward, rmsnorm_forward, rmsnorm_into, silu, swiglu_backward, swiglu_forward,
+    RmsNormCache, SwiGluCache,
 };
 use crate::tensor::Mat;
 use crate::workspace::LayerScratch;
@@ -178,17 +179,28 @@ impl DecoderLayerGrads {
 /// Intermediates recorded during [`DecoderLayer::forward_train`].
 #[derive(Debug, Clone)]
 pub struct LayerTrainCache {
-    input: Mat,
     attn_norm_cache: RmsNormCache,
     normed_input: Mat,
     q: Mat,
     k: Mat,
     v: Mat,
-    /// Per-head attention probability matrices (row-major `T x T`).
-    attn_probs: Vec<Mat>,
+    /// Causal part of the attention probabilities, as kept by
+    /// [`attention::forward`]: row `i` holds `(i + 1) * num_heads` entries
+    /// indexed `key * num_heads + head`, rows back to back.
+    attn_probs: Vec<f32>,
     attn_concat: Mat,
     mlp_norm_cache: RmsNormCache,
     mlp_cache: SwiGluCache,
+}
+
+impl LayerTrainCache {
+    /// Recorded probability that position `query` attends to `key <= query` in
+    /// `head`.
+    pub fn attention_prob(&self, head: usize, query: usize, key: usize) -> f32 {
+        assert!(key <= query, "attention is causal");
+        let heads = self.attn_probs.len() / attention::kept_len(self.q.rows(), 1);
+        self.attn_probs[attention::kept_len(query, heads) + key * heads + head]
+    }
 }
 
 impl DecoderLayer {
@@ -270,45 +282,17 @@ impl DecoderLayer {
         scratch.normed.matmul_into(&self.wv, &mut scratch.v);
         kv.kv_append(layer, &scratch.k, &scratch.v);
 
-        let head_dim = cfg.head_dim();
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        scratch.attn_out.fill_zero();
-        // All heads are processed per cache row in a single pass, so every key and
-        // value row streams through the cache hierarchy exactly once per query.
-        // Per-element accumulation order (increasing j) matches the head-at-a-time
-        // loop bit for bit.
-        for i in 0..n_new {
-            let visible = past + i + 1;
-            let q_row = scratch.q.row(i);
-            let scores = &mut scratch.scores[..visible * cfg.num_heads];
-            for j in 0..visible {
-                let k_row = kv.kv_key(layer, j);
-                for (h, (qs, ks)) in q_row
-                    .chunks_exact(head_dim)
-                    .zip(k_row.chunks_exact(head_dim))
-                    .enumerate()
-                {
-                    scores[h * visible + j] = crate::tensor::dot(qs, ks) * scale;
-                }
-            }
-            for h in 0..cfg.num_heads {
-                softmax_in_place(&mut scores[h * visible..(h + 1) * visible]);
-            }
-            let out_row = scratch.attn_out.row_mut(i);
-            for j in 0..visible {
-                let v_row = kv.kv_value(layer, j);
-                for (h, (os, vs)) in out_row
-                    .chunks_exact_mut(head_dim)
-                    .zip(v_row.chunks_exact(head_dim))
-                    .enumerate()
-                {
-                    let w = scores[h * visible + j];
-                    for (o, &v) in os.iter_mut().zip(vs.iter()) {
-                        *o += w * v;
-                    }
-                }
-            }
-        }
+        let kv = &*kv;
+        attention::forward(
+            &scratch.q,
+            |j| kv.kv_key(layer, j),
+            |j| kv.kv_value(layer, j),
+            past,
+            cfg.num_heads,
+            &mut scratch.scores,
+            false,
+            &mut scratch.attn_out,
+        );
         scratch
             .attn_out
             .matmul_into(&self.wo, &mut scratch.attn_proj);
@@ -367,37 +351,18 @@ impl DecoderLayer {
         let k = normed_input.matmul(&self.wk);
         let v = normed_input.matmul(&self.wv);
 
-        let head_dim = cfg.head_dim();
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut attn_probs = Vec::with_capacity(cfg.num_heads);
+        let mut attn_probs = vec![0.0f32; attention::kept_len(t, cfg.num_heads)];
         let mut attn_concat = Mat::zeros(t, cfg.hidden);
-        // Score buffer reused across every (head, row) pair.
-        let mut scores = vec![0.0f32; t];
-        for h in 0..cfg.num_heads {
-            let off = h * head_dim;
-            let mut probs = Mat::zeros(t, t);
-            for i in 0..t {
-                let q_row = &q.row(i)[off..off + head_dim];
-                for (j, s) in scores.iter_mut().enumerate().take(i + 1) {
-                    let k_row = &k.row(j)[off..off + head_dim];
-                    *s = crate::tensor::dot(q_row, k_row) * scale;
-                }
-                softmax_in_place(&mut scores[..i + 1]);
-                scores[i + 1..t].fill(0.0);
-                probs.set_row(i, &scores);
-            }
-            for i in 0..t {
-                let out_row = attn_concat.row_mut(i);
-                let p_row = &probs.row(i)[..i + 1];
-                for (j, &w) in p_row.iter().enumerate() {
-                    let v_row = &v.row(j)[off..off + head_dim];
-                    for d in 0..head_dim {
-                        out_row[off + d] += w * v_row[d];
-                    }
-                }
-            }
-            attn_probs.push(probs);
-        }
+        attention::forward(
+            &q,
+            |j| k.row(j),
+            |j| v.row(j),
+            0,
+            cfg.num_heads,
+            &mut attn_probs,
+            true,
+            &mut attn_concat,
+        );
 
         let attn_proj = attn_concat.matmul(&self.wo);
         let resid1 = input.add(&attn_proj);
@@ -409,7 +374,6 @@ impl DecoderLayer {
         (
             output,
             LayerTrainCache {
-                input: input.clone(),
                 attn_norm_cache,
                 normed_input,
                 q,
@@ -429,9 +393,7 @@ impl DecoderLayer {
     /// gradients.
     pub fn backward(&self, cache: &LayerTrainCache, d_output: &Mat) -> (Mat, DecoderLayerGrads) {
         let cfg = &self.config;
-        let t = cache.input.rows();
-        let head_dim = cfg.head_dim();
-        let scale = 1.0 / (head_dim as f32).sqrt();
+        let t = cache.q.rows();
 
         // output = resid1 + mlp_out: the upstream gradient flows into both the MLP
         // block and the residual stream (no copies needed — f32 addition is
@@ -453,63 +415,20 @@ impl DecoderLayer {
         let d_wo = cache.attn_concat.transposed_matmul(&d_resid1);
         let d_attn_concat = d_resid1.matmul_transposed(&self.wo);
 
-        // Attention heads
         let mut d_q = Mat::zeros(t, cfg.hidden);
         let mut d_k = Mat::zeros(t, cfg.hidden);
         let mut d_v = Mat::zeros(t, cfg.hidden);
-        // Row-level temporaries reused across every (head, row) pair.
-        let mut d_probs_row = vec![0.0f32; t];
-        let mut d_scores = vec![0.0f32; t];
-        for h in 0..cfg.num_heads {
-            let off = h * head_dim;
-            let probs = &cache.attn_probs[h];
-            for i in 0..t {
-                // d_probs[i][j] = d_attn_concat[i, off..] . v[j, off..]
-                let d_out_row = &d_attn_concat.row(i)[off..off + head_dim];
-                let d_probs_row = &mut d_probs_row[..i + 1];
-                for (j, dp) in d_probs_row.iter_mut().enumerate() {
-                    let v_row = &cache.v.row(j)[off..off + head_dim];
-                    *dp = crate::tensor::dot(d_out_row, v_row);
-                }
-                // d_v[j] += probs[i][j] * d_out_row
-                let p_row = &probs.row(i)[..i + 1];
-                for (j, &w) in p_row.iter().enumerate() {
-                    let dv_row = &mut d_v.row_mut(j)[off..off + head_dim];
-                    for d in 0..head_dim {
-                        dv_row[d] += w * d_out_row[d];
-                    }
-                }
-                // softmax backward over the visible prefix
-                let inner: f32 = p_row
-                    .iter()
-                    .zip(d_probs_row.iter())
-                    .map(|(&p, &dp)| p * dp)
-                    .sum();
-                let d_scores = &mut d_scores[..i + 1];
-                for ((ds, &p), &dp) in d_scores
-                    .iter_mut()
-                    .zip(p_row.iter())
-                    .zip(d_probs_row.iter())
-                {
-                    *ds = p * (dp - inner);
-                }
-                // scores[i][j] = (q[i] . k[j]) * scale
-                let q_row = &cache.q.row(i)[off..off + head_dim];
-                let dq_row = &mut d_q.row_mut(i)[off..off + head_dim];
-                for (j, &ds) in d_scores.iter().enumerate() {
-                    let k_row = &cache.k.row(j)[off..off + head_dim];
-                    for d in 0..head_dim {
-                        dq_row[d] += ds * scale * k_row[d];
-                    }
-                }
-                for (j, &ds) in d_scores.iter().enumerate() {
-                    let dk_row = &mut d_k.row_mut(j)[off..off + head_dim];
-                    for d in 0..head_dim {
-                        dk_row[d] += ds * scale * q_row[d];
-                    }
-                }
-            }
-        }
+        attention::backward(
+            &cache.q,
+            &cache.k,
+            &cache.v,
+            &cache.attn_probs,
+            cfg.num_heads,
+            &d_attn_concat,
+            &mut d_q,
+            &mut d_k,
+            &mut d_v,
+        );
 
         // q = normed_input @ wq, etc.
         let d_wq = cache.normed_input.transposed_matmul(&d_q);

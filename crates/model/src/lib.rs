@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod attention;
 pub mod autotune;
 pub mod dispatch;
 pub mod kl;

@@ -153,9 +153,7 @@ impl Adam {
             grad.shape(),
             "matrix shape mismatch for {name}"
         );
-        // Split borrow: copy grad slice reference before mutable borrow of param data.
-        let grad_slice = grad.as_slice().to_vec();
-        self.update_slice(name, param.as_mut_slice(), &grad_slice);
+        self.update_slice(name, param.as_mut_slice(), grad.as_slice());
     }
 
     /// Applies an Adam update to every parameter of a decoder layer under the name
@@ -166,18 +164,20 @@ impl Adam {
         layer: &mut DecoderLayer,
         grads: &DecoderLayerGrads,
     ) {
-        let g_attn = grads.attn_norm.clone();
         self.update_slice(
             &format!("{prefix}.attn_norm"),
             &mut layer.attn_norm,
-            &g_attn,
+            &grads.attn_norm,
         );
         self.update_mat(&format!("{prefix}.wq"), &mut layer.wq, &grads.wq);
         self.update_mat(&format!("{prefix}.wk"), &mut layer.wk, &grads.wk);
         self.update_mat(&format!("{prefix}.wv"), &mut layer.wv, &grads.wv);
         self.update_mat(&format!("{prefix}.wo"), &mut layer.wo, &grads.wo);
-        let g_mlp = grads.mlp_norm.clone();
-        self.update_slice(&format!("{prefix}.mlp_norm"), &mut layer.mlp_norm, &g_mlp);
+        self.update_slice(
+            &format!("{prefix}.mlp_norm"),
+            &mut layer.mlp_norm,
+            &grads.mlp_norm,
+        );
         self.update_mat(
             &format!("{prefix}.w_gate"),
             &mut layer.w_gate,

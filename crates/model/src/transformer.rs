@@ -8,11 +8,11 @@
 //! staleness after policy updates, drafter recovery under continued training — are
 //! produced by this model rather than being hard-coded.
 
-use crate::kv_cache::{KvCache, KvStore};
+use crate::kv_cache::{KvCache, KvStore, LayerKvCache};
 use crate::layers::{DecoderLayer, DecoderLayerGrads, LayerConfig, LayerTrainCache};
 use crate::ops::{rmsnorm_backward, rmsnorm_forward, RmsNormCache};
 use crate::tensor::Mat;
-use crate::workspace::DecodeWorkspace;
+use crate::workspace::{DecodeWorkspace, LayerScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -102,8 +102,6 @@ pub struct ForwardOutput {
 /// final norm, LM head), produced by [`TinyLm::forward_for_update`].
 #[derive(Debug, Clone)]
 pub struct TrainableForward {
-    /// Input hidden states entering the last decoder layer (from frozen layers).
-    pub last_layer_input: Mat,
     last_layer_cache: LayerTrainCache,
     final_norm_cache: RmsNormCache,
     normed: Mat,
@@ -123,6 +121,15 @@ pub struct PolicyGrads {
 }
 
 impl PolicyGrads {
+    /// Accumulates `other` into `self`.
+    pub fn accumulate(&mut self, other: &PolicyGrads) {
+        self.last_layer.accumulate(&other.last_layer);
+        for (a, b) in self.final_norm.iter_mut().zip(&other.final_norm) {
+            *a += b;
+        }
+        self.lm_head.add_assign(&other.lm_head);
+    }
+
     /// Global L2 norm across all trainable-parameter gradients.
     pub fn global_norm(&self) -> f32 {
         let mut sq = self.last_layer.global_norm().powi(2);
@@ -297,27 +304,45 @@ impl TinyLm {
         cache: &mut K,
         collect_hidden: bool,
     ) -> ForwardOutput {
-        let start_pos = cache.kv_seq_len();
-        let mut hidden = self.embed(tokens, start_pos);
-        let mut layer_outputs = if collect_hidden {
-            Some(vec![hidden.clone()])
-        } else {
-            None
-        };
-        for (idx, layer) in self.layers.iter().enumerate() {
-            hidden = layer.forward_cached(&hidden, cache, idx);
+        let hidden = self.embed(tokens, cache.kv_seq_len());
+        let mut layer_outputs = collect_hidden.then(|| vec![hidden.clone()]);
+        let last_hidden = self.run_layers(&self.layers, hidden, cache, |out| {
             if let Some(outs) = layer_outputs.as_mut() {
-                outs.push(hidden.clone());
+                outs.push(out.clone());
             }
-        }
-        let last_hidden = hidden.clone();
-        let (normed, _) = rmsnorm_forward(&hidden, &self.final_norm);
-        let logits = normed.matmul(&self.lm_head);
+        });
+        let logits = self.project_hidden(&last_hidden);
         ForwardOutput {
             logits,
             last_hidden,
             layer_outputs,
         }
+    }
+
+    /// Runs `hidden` (one row per new position) through `layers` — a prefix of
+    /// this model's layers — over `cache`, on one scratch; `each` sees every
+    /// layer's output. Returns the last output.
+    fn run_layers<K: KvStore>(
+        &self,
+        layers: &[DecoderLayer],
+        mut hidden: Mat,
+        cache: &mut K,
+        mut each: impl FnMut(&Mat),
+    ) -> Mat {
+        let config = &self.config;
+        let positions = cache.kv_seq_len() + hidden.rows();
+        let mut scratch = LayerScratch::new(
+            config.hidden,
+            config.ffn_hidden,
+            positions * config.num_heads,
+        );
+        let mut next = Mat::zeros(0, config.hidden);
+        for (idx, layer) in layers.iter().enumerate() {
+            layer.forward_cached_into(&hidden, cache, idx, &mut scratch, &mut next);
+            each(&next);
+            std::mem::swap(&mut hidden, &mut next);
+        }
+        hidden
     }
 
     /// Allocation-free incremental forward pass into a [`DecodeWorkspace`].
@@ -389,33 +414,59 @@ impl TinyLm {
         result
     }
 
-    /// Forward pass exposing the trainable tail of the model (frozen layers →
-    /// last layer → final norm → LM head) with recorded intermediates, over a full
-    /// sequence. Used by the GRPO policy update.
-    pub fn forward_for_update(&self, tokens: &[TokenId]) -> TrainableForward {
-        assert!(
-            self.config.num_layers >= 1,
-            "model must have at least one layer"
-        );
-        let mut hidden = self.embed(tokens, 0);
-        // Frozen layers: everything except the last one, run in cached mode with a
-        // throwaway cache (full causal forward).
-        let mut scratch = self.new_cache();
-        for (idx, layer) in self.layers[..self.layers.len() - 1].iter().enumerate() {
-            hidden = layer.forward_cached(&hidden, &mut scratch, idx);
-        }
-        let last_layer_input = hidden.clone();
+    /// Hidden states leaving the frozen trunk (embedding plus every layer but
+    /// the last) over a full sequence: the input of the trainable tail. Equal
+    /// bit for bit to what [`TinyLm::forward`] feeds its last layer.
+    pub fn trunk_forward(&self, tokens: &[TokenId]) -> Mat {
+        let frozen = &self.layers[..self.layers.len() - 1];
+        // Throwaway cache, sized for this sequence only.
+        let mut kv = KvCache::new(frozen.len(), self.config.hidden);
+        kv.reserve(tokens.len());
+        self.run_layers(frozen, self.embed(tokens, 0), &mut kv, |_| {})
+    }
+
+    /// Whether `other` has this model's frozen trunk (same geometry, embedding,
+    /// positions and all layers but the last), so that one
+    /// [`TinyLm::trunk_forward`] serves both models.
+    pub fn shares_trunk_with(&self, other: &TinyLm) -> bool {
+        let frozen = self.layers.len() - 1;
+        self.config == other.config
+            && self.embedding == other.embedding
+            && self.pos_table == other.pos_table
+            && self.layers[..frozen] == other.layers[..frozen]
+    }
+
+    /// Logits of this model's tail (last layer, final norm, LM head) over the
+    /// trunk output of a full sequence, without recording anything: the logits
+    /// [`TinyLm::forward`] returns for that sequence.
+    pub fn tail_logits(&self, trunk: &Mat) -> Mat {
         let last = self.layers.last().expect("at least one layer");
-        let (last_out, last_layer_cache) = last.forward_train(&hidden);
+        let mut kv = LayerKvCache::new(self.config.hidden);
+        kv.reserve(trunk.rows());
+        self.project_hidden(&last.forward_cached(trunk, &mut kv, 0))
+    }
+
+    /// The trainable tail (last layer → final norm → LM head) over the trunk
+    /// output of a full sequence, with the intermediates
+    /// [`TinyLm::backward_for_update`] needs.
+    pub fn forward_tail_for_update(&self, trunk: &Mat) -> TrainableForward {
+        let last = self.layers.last().expect("at least one layer");
+        let (last_out, last_layer_cache) = last.forward_train(trunk);
         let (normed, final_norm_cache) = rmsnorm_forward(&last_out, &self.final_norm);
         let logits = normed.matmul(&self.lm_head);
         TrainableForward {
-            last_layer_input,
             last_layer_cache,
             final_norm_cache,
             normed,
             logits,
         }
+    }
+
+    /// Forward pass exposing the trainable tail of the model (frozen trunk →
+    /// last layer → final norm → LM head) with recorded intermediates, over a full
+    /// sequence. Used by the GRPO policy update.
+    pub fn forward_for_update(&self, tokens: &[TokenId]) -> TrainableForward {
+        self.forward_tail_for_update(&self.trunk_forward(tokens))
     }
 
     /// Backward pass matching [`TinyLm::forward_for_update`], given the gradient of

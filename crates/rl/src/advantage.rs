@@ -46,11 +46,15 @@ impl RlAlgorithm {
 ///
 /// `rewards_per_group[g][i]` is the reward of the `i`-th response to prompt `g`.
 /// The returned structure mirrors the input shape.
-pub fn compute_advantages(algorithm: RlAlgorithm, rewards_per_group: &[Vec<f32>]) -> Vec<Vec<f32>> {
+pub fn compute_advantages<G: AsRef<[f32]>>(
+    algorithm: RlAlgorithm,
+    rewards_per_group: &[G],
+) -> Vec<Vec<f32>> {
+    let groups = rewards_per_group.iter().map(AsRef::as_ref);
     match algorithm {
-        RlAlgorithm::Grpo => rewards_per_group.iter().map(|g| grpo_group(g)).collect(),
-        RlAlgorithm::Rloo => rewards_per_group.iter().map(|g| rloo_group(g)).collect(),
-        RlAlgorithm::Reinforce => rewards_per_group.to_vec(),
+        RlAlgorithm::Grpo => groups.map(grpo_group).collect(),
+        RlAlgorithm::Rloo => groups.map(rloo_group).collect(),
+        RlAlgorithm::Reinforce => groups.map(<[f32]>::to_vec).collect(),
         RlAlgorithm::ReinforcePlusPlus => global_normalised(rewards_per_group),
     }
 }
@@ -77,17 +81,20 @@ fn rloo_group(rewards: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-fn global_normalised(groups: &[Vec<f32>]) -> Vec<Vec<f32>> {
-    let all: Vec<f32> = groups.iter().flatten().copied().collect();
+fn global_normalised<G: AsRef<[f32]>>(groups: &[G]) -> Vec<Vec<f32>> {
+    let all: Vec<f32> = groups
+        .iter()
+        .flat_map(|g| g.as_ref().iter().copied())
+        .collect();
     if all.is_empty() {
-        return groups.to_vec();
+        return groups.iter().map(|g| g.as_ref().to_vec()).collect();
     }
     let mean = all.iter().sum::<f32>() / all.len() as f32;
     let var = all.iter().map(|r| (r - mean).powi(2)).sum::<f32>() / all.len() as f32;
     let std = var.sqrt().max(1e-6);
     groups
         .iter()
-        .map(|g| g.iter().map(|r| (r - mean) / std).collect())
+        .map(|g| g.as_ref().iter().map(|r| (r - mean) / std).collect())
         .collect()
 }
 

@@ -9,8 +9,10 @@
 
 use crate::advantage::{compute_advantages, RlAlgorithm};
 use serde::{Deserialize, Serialize};
-use tlt_model::kl::{kl_divergence, kl_grad_wrt_logits};
-use tlt_model::{probs_from_logits, Adam, AdamConfig, Mat, SamplingParams, TinyLm, TokenId};
+use tlt_model::kl::kl_grad_wrt_logits_into;
+use tlt_model::{
+    probs_from_logits_into, Adam, AdamConfig, Mat, PolicyGrads, SamplingParams, TinyLm, TokenId,
+};
 
 /// RL training configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,6 +84,12 @@ pub struct StepMetrics {
 }
 
 /// The policy trainer: owns the frozen reference model and the optimizer state.
+///
+/// Only the target's tail (last layer, final norm, LM head) is ever updated, so
+/// the target and the reference keep the same frozen trunk (embedding and all
+/// layers but the last) for the whole run. [`PolicyTrainer::train_step`] relies
+/// on that: it runs the trunk once per response and feeds the result to both
+/// tails. A target whose trunk differs from the reference's is rejected.
 #[derive(Debug)]
 pub struct PolicyTrainer {
     config: RlConfig,
@@ -124,12 +132,19 @@ impl PolicyTrainer {
     ///
     /// # Panics
     ///
-    /// Panics if any group fails validation.
+    /// Panics if any group fails validation, or if `target`'s frozen trunk is not
+    /// the reference's (see [`PolicyTrainer`]).
     pub fn train_step(&mut self, target: &mut TinyLm, groups: &[RolloutGroup]) -> StepMetrics {
         for g in groups {
             g.validate().expect("invalid rollout group");
         }
-        let rewards: Vec<Vec<f32>> = groups.iter().map(|g| g.rewards.clone()).collect();
+        assert!(
+            target.shares_trunk_with(&self.reference),
+            "target and reference trunks differ: the policy trainer updates only the \
+             target's last layer, final norm and LM head, and needs every other weight \
+             equal to the reference's"
+        );
+        let rewards: Vec<&[f32]> = groups.iter().map(|g| g.rewards.as_slice()).collect();
         let advantages = compute_advantages(self.config.algorithm, &rewards);
 
         let mut total_reward = 0.0f64;
@@ -138,7 +153,17 @@ impl PolicyTrainer {
         let mut num_responses = 0usize;
         let mut update_tokens = 0usize;
 
-        let mut accumulated: Option<tlt_model::PolicyGrads> = None;
+        let mut accumulated: Option<PolicyGrads> = None;
+        // Reused across every response and position of the step.
+        let mut tokens: Vec<TokenId> = Vec::new();
+        let mut d_logits = Mat::zeros(0, target.config.vocab_size);
+        let mut probs = Vec::with_capacity(target.config.vocab_size);
+        let mut ref_probs = Vec::with_capacity(target.config.vocab_size);
+        let mut kl_grad = Vec::with_capacity(target.config.vocab_size);
+        let full_distribution = SamplingParams {
+            temperature: 1.0,
+            top_k: None,
+        };
 
         for (group, advs) in groups.iter().zip(advantages.iter()) {
             for ((response, &reward), &advantage) in group
@@ -150,50 +175,38 @@ impl PolicyTrainer {
                 total_reward += reward as f64;
                 total_len += response.len() as f64;
                 num_responses += 1;
-                if response.is_empty() {
-                    continue;
-                }
 
                 // Full sequence (prompt + response), truncated for update cost.
-                let mut tokens: Vec<TokenId> = group.prompt.clone();
-                tokens.extend_from_slice(response);
-                let max_len =
-                    (group.prompt.len() + self.config.max_update_tokens).min(tokens.len());
-                tokens.truncate(max_len.min(target.config.max_seq_len));
-                if tokens.len() <= group.prompt.len() {
+                let prompt_len = group.prompt.len();
+                let len = (prompt_len + response.len().min(self.config.max_update_tokens))
+                    .min(target.config.max_seq_len);
+                if len <= prompt_len {
                     continue;
                 }
-                let response_positions = tokens.len() - group.prompt.len();
+                tokens.clear();
+                tokens.extend_from_slice(&group.prompt);
+                tokens.extend_from_slice(&response[..len - prompt_len]);
+                let response_positions = len - prompt_len;
 
-                // Inference stage: policy forward (trainable tail) + reference logits.
-                let fwd = target.forward_for_update(&tokens[..tokens.len() - 1]);
-                let (ref_out, _) = self.reference.prefill(&tokens[..tokens.len() - 1], false);
+                // Inference stage: one pass through the shared frozen trunk, then the
+                // policy tail (recorded for the update) and the reference tail.
+                let trunk = target.trunk_forward(&tokens[..len - 1]);
+                let fwd = target.forward_tail_for_update(&trunk);
+                let ref_logits = self.reference.tail_logits(&trunk);
 
                 // Training stage: policy-gradient + KL-penalty gradient on logits,
                 // applied only at response positions. The full policy/reference
                 // distributions needed for the KL gradient double as the source of
                 // the exact per-token KL reported in the metrics.
-                let mut d_logits = Mat::zeros(fwd.logits.rows(), fwd.logits.cols());
+                d_logits.set_rows(len - 1, target.config.vocab_size);
+                d_logits.fill_zero();
                 let norm = response_positions as f32;
                 let mut response_kl = 0.0f64;
-                for pos in group.prompt.len() - 1..tokens.len() - 1 {
+                for pos in prompt_len - 1..len - 1 {
                     let next = tokens[pos + 1] as usize;
-                    let probs = probs_from_logits(
-                        fwd.logits.row(pos),
-                        SamplingParams {
-                            temperature: 1.0,
-                            top_k: None,
-                        },
-                    );
-                    let ref_probs = probs_from_logits(
-                        ref_out.logits.row(pos),
-                        SamplingParams {
-                            temperature: 1.0,
-                            top_k: None,
-                        },
-                    );
-                    response_kl += kl_divergence(&probs, &ref_probs);
-                    let kl_grad = kl_grad_wrt_logits(&probs, &ref_probs);
+                    probs_from_logits_into(fwd.logits.row(pos), full_distribution, &mut probs);
+                    probs_from_logits_into(ref_logits.row(pos), full_distribution, &mut ref_probs);
+                    response_kl += kl_grad_wrt_logits_into(&probs, &ref_probs, &mut kl_grad);
                     let row = d_logits.row_mut(pos);
                     for v in 0..row.len() {
                         let indicator = if v == next { 1.0 } else { 0.0 };
@@ -208,13 +221,7 @@ impl PolicyTrainer {
 
                 let grads = target.backward_for_update(&fwd, &d_logits);
                 match accumulated.as_mut() {
-                    Some(acc) => {
-                        acc.last_layer.accumulate(&grads.last_layer);
-                        for (a, b) in acc.final_norm.iter_mut().zip(&grads.final_norm) {
-                            *a += b;
-                        }
-                        acc.lm_head.add_assign(&grads.lm_head);
-                    }
+                    Some(acc) => acc.accumulate(&grads),
                     None => accumulated = Some(grads),
                 }
             }
@@ -231,21 +238,16 @@ impl PolicyTrainer {
                 grads.scale(1.0 / grad_norm as f32);
             }
             self.adam.begin_step();
-            let lm_head_grad = grads.lm_head.clone();
             self.adam
-                .update_mat("policy.lm_head", &mut target.lm_head, &lm_head_grad);
-            let final_norm_grad = grads.final_norm.clone();
+                .update_mat("policy.lm_head", &mut target.lm_head, &grads.lm_head);
             self.adam.update_slice(
                 "policy.final_norm",
                 &mut target.final_norm,
-                &final_norm_grad,
+                &grads.final_norm,
             );
-            let last_idx = target.layers.len() - 1;
-            self.adam.update_decoder_layer(
-                "policy.last_layer",
-                &mut target.layers[last_idx],
-                &grads.last_layer,
-            );
+            let last = target.layers.last_mut().expect("at least one layer");
+            self.adam
+                .update_decoder_layer("policy.last_layer", last, &grads.last_layer);
         }
         self.steps += 1;
 

@@ -175,13 +175,14 @@ fn vanilla_continue<K: KvStore, R: Rng>(
         let next = sample_from_probs(&probs, rng) as TokenId;
         tokens.push(next);
         steps += 1;
-        if Some(next) == eos {
+        // The last token's logits are never sampled from, so it is not decoded.
+        if Some(next) == eos
+            || i + 1 == max_new
+            || cache.kv_seq_len() + 1 >= target.config.max_seq_len
+        {
             break;
         }
-        if cache.kv_seq_len() + 1 >= target.config.max_seq_len {
-            break;
-        }
-        target.forward_into(&[next], cache, ws);
+        target.decode_step(next, cache, ws);
     }
     GenerationResult {
         tokens,
@@ -401,9 +402,9 @@ fn speculative_continue<K: KvStore, R: Rng>(
                 }
             }
             SpecDrafter::ModelFree(ngram) => {
-                let mut context: Vec<TokenId> = all_tokens.clone();
-                context.push(pending);
-                let proposed = ngram.draft(&context);
+                all_tokens.push(pending);
+                let proposed = ngram.draft(&all_tokens);
+                all_tokens.pop();
                 for (d, tok) in proposed.into_iter().take(draft_len).enumerate() {
                     let one_hot = &mut draft_dists[d];
                     one_hot.clear();
@@ -465,9 +466,9 @@ fn speculative_continue<K: KvStore, R: Rng>(
         all_tokens.extend_from_slice(&draft_tokens[..accepted]);
         features.extend_rows_range(ws.last_hidden(), 0, committed_in_block);
 
-        for &tok in &draft_tokens[..accepted] {
-            generated.push(tok);
-        }
+        // Everything before this round's tokens was scanned for EOS already.
+        let round_start = generated.len();
+        generated.extend_from_slice(&draft_tokens[..accepted]);
         accept_lengths.push(accepted + 1);
         // Round-level observability. The standalone loop has no sim clock, so
         // its trace uses the SD round index as the time axis (one unit per
@@ -490,8 +491,8 @@ fn speculative_continue<K: KvStore, R: Rng>(
 
         // Early exit when an accepted token is EOS.
         if let Some(e) = eos {
-            if let Some(pos) = generated.iter().position(|&t| t == e) {
-                generated.truncate(pos + 1);
+            if let Some(pos) = generated[round_start..].iter().position(|&t| t == e) {
+                generated.truncate(round_start + pos + 1);
                 break;
             }
         }

@@ -331,3 +331,91 @@ fn replica_speculative_steps_allocate_nothing() {
     assert_eq!(replica.sd_accept_trace().len() - before, 10_000);
     assert_eq!(allocs, 0, "speculative replica steps must not allocate");
 }
+
+/// A speculative verification block (pending token plus drafts in one forward,
+/// then a rollback past the rejected suffix) runs out of the same workspace as
+/// a decode step: nothing is allocated once the block shape has been seen.
+#[test]
+fn steady_state_verify_blocks_allocate_nothing() {
+    use tlt_model::KvStore;
+
+    let model = TinyLm::new(ModelConfig::tiny(), 45);
+    let mut cache = model.new_cache();
+    let mut ws = DecodeWorkspace::new(&model.config);
+    model.forward_into(&[3, 1, 4, 1, 5, 9, 2, 6], &mut cache, &mut ws);
+    let block = [7u32, 1, 8, 2, 8];
+    model.forward_into(&block, &mut cache, &mut ws);
+    cache.kv_truncate(10);
+
+    let (allocs, ()) = allocations_during(|| {
+        for _ in 0..32 {
+            let before = cache.seq_len();
+            model.forward_into(&block, &mut cache, &mut ws);
+            assert_eq!(ws.logits().rows(), block.len());
+            cache.kv_truncate(before + 2);
+        }
+    });
+    assert_eq!(allocs, 0, "steady-state verify blocks must not allocate");
+}
+
+/// The drafter's incremental step shares the attention kernel and a
+/// `DraftScratch`; after the first step it allocates nothing.
+#[test]
+fn steady_state_draft_steps_allocate_nothing() {
+    use tlt_draft::{DraftModel, DraftScratch, FeatureSource};
+
+    let model = TinyLm::new(ModelConfig::tiny(), 46);
+    let drafter = DraftModel::new(&model, FeatureSource::LastLayer, 47);
+    let tokens = [3u32, 1, 4, 1, 5, 9];
+    let (out, _) = model.prefill(&tokens, false);
+    let mut scratch = DraftScratch::new(&model, drafter.feature_source);
+    let mut state = drafter.begin_draft_with(&model, &out.last_hidden, &tokens, &mut scratch);
+    let _ = drafter.draft_step_into(&model, &mut state, 2, &mut scratch);
+
+    let (allocs, ()) = allocations_during(|| {
+        for i in 0..32u32 {
+            let logits = drafter.draft_step_into(&model, &mut state, i % 90, &mut scratch);
+            assert_eq!(logits.len(), model.config.vocab_size);
+        }
+    });
+    assert_eq!(allocs, 0, "steady-state draft steps must not allocate");
+}
+
+/// `train_step` allocates per response (the recorded forward, the backward's
+/// temporaries and gradients), never per response position: the probability and
+/// KL-gradient buffers are reused across the whole step.
+#[test]
+fn train_step_allocations_are_bounded_per_response() {
+    use tlt_rl::{PolicyTrainer, RlConfig, RolloutGroup};
+
+    let run = |response_len: usize| {
+        let mut target = TinyLm::new(ModelConfig::tiny(), 48);
+        let mut trainer = PolicyTrainer::new(target.reference_copy(), RlConfig::default());
+        let response: Vec<u32> = (0..response_len as u32).map(|i| (i * 7 + 3) % 90).collect();
+        let groups: Vec<RolloutGroup> = (0..2)
+            .map(|g| RolloutGroup {
+                prompt: vec![1 + g, 2, 3, 4],
+                responses: vec![response.clone(); 4],
+                rewards: vec![1.0, 0.0, 0.5, 0.0],
+            })
+            .collect();
+        // The first step registers the optimizer's moment buffers.
+        trainer.train_step(&mut target, &groups);
+        let (allocs, metrics) = allocations_during(|| trainer.train_step(&mut target, &groups));
+        assert_eq!(metrics.update_tokens, 8 * response_len);
+        allocs
+    };
+    let (short, long) = (run(16), run(128));
+    eprintln!("train_step allocations: short {short} long {long}");
+    assert_eq!(
+        long, short,
+        "train_step allocations must not depend on the response length"
+    );
+    assert!(
+        long <= 8 * TRAIN_STEP_ALLOCS_PER_RESPONSE + 64,
+        "train_step allocated {long} times for 8 responses"
+    );
+}
+
+/// Upper bound on heap allocations per response inside `train_step`.
+const TRAIN_STEP_ALLOCS_PER_RESPONSE: u64 = 100;

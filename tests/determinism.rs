@@ -206,3 +206,79 @@ fn different_seeds_change_sampled_outputs() {
     }
     assert!(diverged, "sampled generation never consulted the rng");
 }
+
+/// FNV-1a 64 over everything a token-level experiment computes: the report's
+/// counters and curves and the trained weights of the target's tail and of the
+/// drafter, all by bit pattern.
+fn token_experiment_digest(config: &tlt::TokenExperimentConfig) -> u64 {
+    let (report, target, drafter) = tlt::run_token_experiment(config);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(report.generated_tokens as u64);
+    eat(report.rollout_target_steps as u64);
+    for curve in [
+        &report.reward_curve,
+        &report.kl_curve,
+        &report.response_len_curve,
+        &report.accept_length_curve,
+    ] {
+        eat(curve.len() as u64);
+        curve.iter().for_each(|v| eat(v.to_bits()));
+    }
+    for point in &report.drafter_accuracy {
+        eat(point.iteration);
+        eat(point.top3_accuracy.to_bits());
+        eat(u64::from(point.after_target_update));
+    }
+    let last = target.layers.last().expect("at least one layer");
+    for weights in [
+        target.lm_head.as_slice(),
+        &target.final_norm[..],
+        last.wq.as_slice(),
+        last.wk.as_slice(),
+        last.wv.as_slice(),
+        last.wo.as_slice(),
+        last.w_down.as_slice(),
+        drafter.fusion.weight.as_slice(),
+        drafter.layer.wq.as_slice(),
+        drafter.layer.w_up.as_slice(),
+    ] {
+        weights.iter().for_each(|v| eat(u64::from(v.to_bits())));
+    }
+    hash
+}
+
+#[test]
+fn token_experiments_reproduce_their_pinned_digests() {
+    // Taken at the commit before the attention kernels and the policy step's
+    // two model passes were merged into one each: rollouts, drafter training
+    // and the GRPO update must keep every bit.
+    use tlt::TokenExperimentConfig;
+    let one_step_tiny = TokenExperimentConfig {
+        model: ModelConfig::tiny(),
+        num_steps: 1,
+        prompts_per_step: 3,
+        max_new_tokens: 96,
+        ..TokenExperimentConfig::small(true, true)
+    };
+    for (name, config, pinned) in [
+        (
+            "small(false, false)",
+            TokenExperimentConfig::small(false, false),
+            0x88b3_4c5b_7724_f416u64,
+        ),
+        (
+            "small(true, true)",
+            TokenExperimentConfig::small(true, true),
+            0x5945_2c71_6bf4_82da,
+        ),
+        ("one-step tiny TLT", one_step_tiny, 0x9a20_c516_7304_f027),
+    ] {
+        let digest = token_experiment_digest(&config);
+        assert_eq!(digest, pinned, "{name}: digest {digest:#018x}");
+    }
+}
