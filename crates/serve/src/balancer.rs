@@ -77,52 +77,48 @@ impl LoadBalancer {
     ///
     /// Panics if `loads` is empty.
     pub fn pick(&mut self, loads: &[ReplicaLoad]) -> usize {
-        self.pick_among(loads, None)
+        self.pick_among(loads.len(), loads.iter().copied().enumerate())
+            .expect("need at least one replica")
     }
 
-    /// Picks among the eligible (up) replicas only: `eligible[i] == false` makes
-    /// replica `i` invisible to this dispatch, so crashed replicas receive no
-    /// traffic. Round-robin advances past ineligible slots (and keeps its cursor
+    /// Picks among the eligible replicas only, given as `(index, load)` pairs
+    /// in ascending index order out of a fleet of `replicas`: a replica that is
+    /// not listed (crashed, draining, still warming up) is invisible to this
+    /// dispatch. Round-robin advances past unlisted slots (and keeps its cursor
     /// moving, so routing stays deterministic across crash/restart sequences);
-    /// the load-based policies filter before taking their minimum. `None` means
-    /// every replica is eligible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is empty, if `eligible` has a different length, or if no
-    /// replica is eligible.
-    pub fn pick_among(&mut self, loads: &[ReplicaLoad], eligible: Option<&[bool]>) -> usize {
-        assert!(!loads.is_empty(), "need at least one replica");
-        if let Some(e) = eligible {
-            assert_eq!(e.len(), loads.len(), "eligibility mask length mismatch");
-            assert!(e.iter().any(|&up| up), "no eligible replica to route to");
-        }
-        let is_eligible = |i: usize| eligible.map(|e| e[i]).unwrap_or(true);
+    /// the load-based policies take their minimum over the listed pairs, ties
+    /// to the lowest index. `None` when nothing is eligible (the cursor stays
+    /// where it was).
+    pub fn pick_among(
+        &mut self,
+        replicas: usize,
+        eligible: impl IntoIterator<Item = (usize, ReplicaLoad)>,
+    ) -> Option<usize> {
+        let eligible = eligible.into_iter();
         match self.policy {
             BalancerPolicy::RoundRobin => {
-                for _ in 0..loads.len() {
-                    let idx = self.rr_next % loads.len();
-                    self.rr_next = (self.rr_next + 1) % loads.len();
-                    if is_eligible(idx) {
-                        return idx;
+                // The first listed slot at or after the cursor, else (wrapping
+                // around) the first listed slot of all.
+                let cursor = self.rr_next % replicas.max(1);
+                let mut first = None;
+                let mut at_or_after = None;
+                for (i, _) in eligible {
+                    first.get_or_insert(i);
+                    if i >= cursor {
+                        at_or_after = Some(i);
+                        break;
                     }
                 }
-                unreachable!("an eligible replica exists");
+                let idx = at_or_after.or(first)?;
+                self.rr_next = (idx + 1) % replicas;
+                Some(idx)
             }
-            BalancerPolicy::JoinShortestQueue => loads
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| is_eligible(*i))
+            BalancerPolicy::JoinShortestQueue => eligible
                 .min_by_key(|(i, l)| (l.total_requests(), *i))
-                .map(|(i, _)| i)
-                .expect("non-empty"),
-            BalancerPolicy::LeastOutstandingTokens => loads
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| is_eligible(*i))
+                .map(|(i, _)| i),
+            BalancerPolicy::LeastOutstandingTokens => eligible
                 .min_by_key(|(i, l)| (l.outstanding_tokens, *i))
-                .map(|(i, _)| i)
-                .expect("non-empty"),
+                .map(|(i, _)| i),
         }
     }
 }
@@ -176,25 +172,59 @@ mod tests {
         // Round-robin keeps cycling but never lands on the down replica, and
         // resumes including it once it is back.
         let mut rr = LoadBalancer::new(BalancerPolicy::RoundRobin);
-        let up = [true, false, true];
-        let picks: Vec<usize> = (0..4).map(|_| rr.pick_among(&loads, Some(&up))).collect();
-        assert_eq!(picks, vec![0, 2, 0, 2]);
+        let up = [(0, loads[0]), (2, loads[2])];
+        let picks: Vec<Option<usize>> = (0..4).map(|_| rr.pick_among(3, up)).collect();
+        assert_eq!(picks, vec![Some(0), Some(2), Some(0), Some(2)]);
         let resumed: Vec<usize> = (0..3).map(|_| rr.pick(&loads)).collect();
         assert_eq!(resumed, vec![0, 1, 2], "restart rejoins the rotation");
 
-        // Load-based policies filter before taking their minimum.
+        // Load-based policies take their minimum over the listed pairs only.
         let mut jsq = LoadBalancer::new(BalancerPolicy::JoinShortestQueue);
-        let skewed = vec![load(0, 0, 0), load(5, 5, 0), load(1, 1, 0)];
-        assert_eq!(jsq.pick_among(&skewed, Some(&[false, true, true])), 2);
+        assert_eq!(
+            jsq.pick_among(3, [(1, load(5, 5, 0)), (2, load(1, 1, 0))]),
+            Some(2)
+        );
         let mut lot = LoadBalancer::new(BalancerPolicy::LeastOutstandingTokens);
-        let tokens = vec![load(0, 0, 10), load(0, 0, 50), load(0, 0, 90)];
-        assert_eq!(lot.pick_among(&tokens, Some(&[false, true, true])), 1);
+        assert_eq!(
+            lot.pick_among(3, [(1, load(0, 0, 50)), (2, load(0, 0, 90))]),
+            Some(1)
+        );
+    }
+
+    /// The single-pass round-robin against the slot-by-slot cursor walk it
+    /// replaced, over every eligibility mask of a five-replica fleet.
+    #[test]
+    fn round_robin_matches_the_slot_by_slot_cursor_walk() {
+        let n = 5;
+        let mut lb = LoadBalancer::new(BalancerPolicy::RoundRobin);
+        let mut cursor = 0usize;
+        for step in 0..200usize {
+            let mask = (step * 7 + 3) % (1 << n);
+            let listed = (0..n)
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| (i, ReplicaLoad::default()));
+            let mut expected = None;
+            for _ in 0..n {
+                let idx = cursor;
+                if mask >> idx & 1 == 1 {
+                    cursor = (cursor + 1) % n;
+                    expected = Some(idx);
+                    break;
+                }
+                cursor = (cursor + 1) % n;
+            }
+            assert_eq!(lb.pick_among(n, listed), expected, "mask {mask:05b}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "no eligible replica")]
-    fn all_ineligible_panics() {
-        let loads = vec![ReplicaLoad::default(); 2];
-        LoadBalancer::new(BalancerPolicy::RoundRobin).pick_among(&loads, Some(&[false, false]));
+    fn nothing_eligible_picks_nothing_and_keeps_the_cursor() {
+        let mut rr = LoadBalancer::new(BalancerPolicy::RoundRobin);
+        assert_eq!(rr.pick(&[ReplicaLoad::default(); 2]), 0);
+        assert_eq!(rr.pick_among(2, []), None);
+        assert_eq!(rr.pick(&[ReplicaLoad::default(); 2]), 1);
+        for policy in BalancerPolicy::all() {
+            assert_eq!(LoadBalancer::new(policy).pick_among(4, []), None);
+        }
     }
 }

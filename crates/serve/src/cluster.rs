@@ -103,6 +103,27 @@ impl AutoscaleConfig {
             self.spawn_delay_s.is_finite() && self.spawn_delay_s >= 0.0,
             "spawn delay must be finite and non-negative"
         );
+        // A NaN threshold compares false both ways and silently pins its pool;
+        // low >= high drains and respawns on alternate ticks.
+        for threshold in [
+            self.prefill_queue_high,
+            self.prefill_queue_low,
+            self.decode_tokens_high,
+            self.decode_tokens_low,
+        ] {
+            assert!(
+                threshold.is_finite() && threshold >= 0.0,
+                "autoscale thresholds must be finite and non-negative"
+            );
+        }
+        assert!(
+            self.prefill_queue_low < self.prefill_queue_high,
+            "prefill_queue_low must be below prefill_queue_high"
+        );
+        assert!(
+            self.decode_tokens_low < self.decode_tokens_high,
+            "decode_tokens_low must be below decode_tokens_high"
+        );
     }
 }
 
@@ -213,17 +234,130 @@ struct PoolReplica {
     retired: bool,
     /// Spawn warm-up: takes no work before this time.
     ready_at_s: f64,
+    /// In-flight transfers bound for this (decode) replica, and the blocks
+    /// they reserved on it: kept in step with `ClusterSim::in_flight`.
+    bound_entries: usize,
+    bound_blocks: usize,
 }
 
 impl PoolReplica {
-    /// Eligible for new work right now.
-    fn accepting(&self, now: f64) -> bool {
-        self.replica.is_up() && !self.retired && !self.draining && now + 1e-12 >= self.ready_at_s
+    fn new(replica: Replica, ready_at_s: f64) -> Self {
+        PoolReplica {
+            replica,
+            draining: false,
+            retired: false,
+            ready_at_s,
+            bound_entries: 0,
+            bound_blocks: 0,
+        }
     }
 
-    /// Counts toward the provisioned-capacity cost.
-    fn provisioned(&self) -> bool {
-        !self.retired
+    /// Eligible for new work right now (asked of live members only).
+    fn accepting(&self, now: f64) -> bool {
+        self.replica.is_up() && !self.draining && now + 1e-12 >= self.ready_at_s
+    }
+}
+
+/// One pool: every member ever spawned — a retired replica keeps its index,
+/// track, RNG stream and statistics until the report — plus the ascending
+/// indices of the live (non-retired) ones, which is all that per-event and
+/// per-arrival code walks. The autoscaler never reuses a retired slot, so a
+/// long run retires hundreds of members while a handful stay live.
+#[derive(Debug, Clone, Default)]
+struct ReplicaPool {
+    members: Vec<PoolReplica>,
+    live: Vec<usize>,
+    /// Live members currently draining; retirement checks are skipped at 0.
+    draining: usize,
+}
+
+impl ReplicaPool {
+    /// Adds a fresh live member and returns its index.
+    fn push(&mut self, member: PoolReplica) -> usize {
+        let index = self.members.len();
+        self.members.push(member);
+        self.live.push(index);
+        index
+    }
+
+    /// Every member ever spawned, retired ones included, in index order.
+    fn iter(&self) -> std::slice::Iter<'_, PoolReplica> {
+        self.members.iter()
+    }
+
+    /// `(index, member)` of every live member, in index order.
+    fn live(&self) -> impl Iterator<Item = (usize, &PoolReplica)> {
+        self.live.iter().map(|&i| (i, &self.members[i]))
+    }
+
+    /// Provisioned (non-retired) members.
+    fn provisioned(&self) -> usize {
+        self.live.len()
+    }
+
+    fn set_draining(&mut self, i: usize, draining: bool) {
+        debug_assert!(self.members[i].draining != draining && !self.members[i].retired);
+        self.members[i].draining = draining;
+        if draining {
+            self.draining += 1;
+        } else {
+            self.draining -= 1;
+        }
+    }
+
+    /// Retires, in index order, every draining member that is empty and not
+    /// `referenced` by a migration; returns how many left the pool.
+    fn retire_drained(
+        &mut self,
+        pool: Pool,
+        now: f64,
+        referenced: impl Fn(usize, &PoolReplica) -> bool,
+    ) -> u64 {
+        if self.draining == 0 {
+            return 0;
+        }
+        let members = &mut self.members;
+        let before = self.live.len();
+        self.live.retain(|&i| {
+            let p = &mut members[i];
+            if !p.draining || p.replica.has_work() || referenced(i, p) {
+                return true;
+            }
+            p.retired = true;
+            p.replica.release_buffers();
+            record(
+                ObsEvent::instant(now, Track::Autoscaler, EventKind::Retire, NO_REQ)
+                    .with_args(i as f64, pool.arg()),
+            );
+            false
+        });
+        let retired = before - self.live.len();
+        self.draining -= retired;
+        retired as u64
+    }
+
+    /// The live list is exactly the non-retired members in ascending order,
+    /// and `draining` counts the live members that are draining.
+    fn is_consistent(&self) -> bool {
+        self.live
+            .iter()
+            .copied()
+            .eq((0..self.members.len()).filter(|&i| !self.members[i].retired))
+            && self.draining == self.live().filter(|(_, p)| p.draining).count()
+    }
+}
+
+impl std::ops::Index<usize> for ReplicaPool {
+    type Output = PoolReplica;
+
+    fn index(&self, i: usize) -> &PoolReplica {
+        &self.members[i]
+    }
+}
+
+impl std::ops::IndexMut<usize> for ReplicaPool {
+    fn index_mut(&mut self, i: usize) -> &mut PoolReplica {
+        &mut self.members[i]
     }
 }
 
@@ -254,8 +388,8 @@ const MAX_EVENTS: u64 = 200_000_000;
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     config: DisaggConfig,
-    prefill: Vec<PoolReplica>,
-    decode: Vec<PoolReplica>,
+    prefill: ReplicaPool,
+    decode: ReplicaPool,
     /// Initial prefill-pool size: global fault indices `< this` address the
     /// prefill pool, the rest the decode pool (stable under autoscaling).
     initial_prefill: usize,
@@ -336,8 +470,8 @@ impl ClusterSim {
             (config.base.cost.model.kv_bytes_per_token() * block_size as f64).ceil() as usize;
         let link = TransferLink::new(config.link, block_bytes);
         let mut sim = ClusterSim {
-            prefill: Vec::new(),
-            decode: Vec::new(),
+            prefill: ReplicaPool::default(),
+            decode: ReplicaPool::default(),
             initial_prefill: config.prefill_replicas,
             link,
             in_flight: VecDeque::new(),
@@ -363,10 +497,12 @@ impl ClusterSim {
             config,
         };
         for i in 0..sim.config.prefill_replicas {
-            sim.prefill.push(sim.spawn_prefill(i, 0.0));
+            let fresh = sim.spawn_prefill(i, 0.0);
+            sim.prefill.push(fresh);
         }
         for j in 0..sim.config.decode_replicas {
-            sim.decode.push(sim.spawn_decode(j, 0.0));
+            let fresh = sim.spawn_decode(j, 0.0);
+            sim.decode.push(fresh);
         }
         sim.touch_tick();
         sim
@@ -380,13 +516,11 @@ impl ClusterSim {
         self.core = core;
         self.queue.clear();
         if core == EventCore::IndexedHeap {
-            for i in 0..self.prefill.len() {
-                self.queue
-                    .push(self.prefill[i].replica.next_event_s(), CLASS_PREFILL, i);
+            for (i, p) in self.prefill.live() {
+                self.queue.push(p.replica.next_event_s(), CLASS_PREFILL, i);
             }
-            for j in 0..self.decode.len() {
-                self.queue
-                    .push(self.decode[j].replica.next_event_s(), CLASS_DECODE, j);
+            for (j, p) in self.decode.live() {
+                self.queue.push(p.replica.next_event_s(), CLASS_DECODE, j);
             }
             self.touch_link();
             self.touch_tick();
@@ -450,12 +584,7 @@ impl ClusterSim {
         let mut replica = Replica::new(&self.config.base, index);
         replica.set_prefill_only(true);
         replica.set_track(Track::PrefillReplica(index as u32));
-        PoolReplica {
-            replica,
-            draining: false,
-            retired: false,
-            ready_at_s,
-        }
+        PoolReplica::new(replica, ready_at_s)
     }
 
     fn spawn_decode(&self, index: usize, ready_at_s: f64) -> PoolReplica {
@@ -463,24 +592,14 @@ impl ClusterSim {
         // labels, and any per-replica cost overrides disjoint from prefill's.
         let mut replica = Replica::new(&self.config.base, 1000 + index);
         replica.set_track(Track::DecodeReplica(index as u32));
-        PoolReplica {
-            replica,
-            draining: false,
-            retired: false,
-            ready_at_s,
-        }
+        PoolReplica::new(replica, ready_at_s)
     }
 
     /// Integrates the provisioned-capacity cost up to `t`.
     fn account_to(&mut self, t: f64) {
         let dt = t - self.last_account_s;
         if dt > 0.0 {
-            let provisioned = self
-                .prefill
-                .iter()
-                .chain(self.decode.iter())
-                .filter(|p| p.provisioned())
-                .count();
+            let provisioned = self.prefill.provisioned() + self.decode.provisioned();
             self.replica_seconds += dt * provisioned as f64;
             self.last_account_s = t;
         }
@@ -520,25 +639,23 @@ impl ClusterSim {
     /// prefill tokens. `None` when no prefill replica is accepting.
     fn route_prefill(&mut self, req: &ServeRequest) -> Option<usize> {
         let now = self.now_s;
-        let eligible: Vec<bool> = self.prefill.iter().map(|p| p.accepting(now)).collect();
-        if !eligible.iter().any(|&e| e) {
-            return None;
-        }
+        let accepting = || self.prefill.live().filter(|(_, p)| p.accepting(now));
         if req.prefix_id != 0 {
-            let best = self
-                .prefill
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| eligible[*i])
-                .map(|(i, p)| (p.replica.resident_prefix_blocks(req.prefix_id), i))
-                .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
-                .expect("an accepting replica exists");
-            if best.0 > 0 {
-                return Some(best.1);
+            let mut best = (0, None);
+            for (i, p) in accepting() {
+                let resident = p.replica.resident_prefix_blocks(req.prefix_id);
+                if resident > best.0 {
+                    best = (resident, Some(i));
+                }
+            }
+            if best.1.is_some() {
+                return best.1;
             }
         }
-        let loads: Vec<_> = self.prefill.iter().map(|p| p.replica.load()).collect();
-        Some(self.fallback.pick_among(&loads, Some(&eligible)))
+        self.fallback.pick_among(
+            self.prefill.members.len(),
+            accepting().map(|(i, p)| (i, p.replica.load())),
+        )
     }
 
     /// Re-routes a crash-drained (or orphaned) request back through prefill.
@@ -556,9 +673,8 @@ impl ClusterSim {
 
     /// Drains fresh handoffs from a prefill replica into the dispatch queue.
     fn collect_handoffs(&mut self, source: usize) {
-        for entry in self.prefill[source].replica.take_handoffs() {
-            self.pending.push_back((entry, source));
-        }
+        let handoffs = self.prefill[source].replica.drain_handoffs();
+        self.pending.extend(handoffs.map(|entry| (entry, source)));
     }
 
     /// Dispatches pending handoffs FIFO onto the link: each goes to the
@@ -571,22 +687,14 @@ impl ClusterSim {
         while let Some((entry, _source)) = self.pending.front() {
             let entry = *entry;
             let mut best: Option<(u64, usize, usize)> = None; // (score, dest, blocks)
-            for (j, p) in self.decode.iter().enumerate() {
+            for (j, p) in self.decode.live() {
                 if !p.accepting(now) {
                     continue;
                 }
-                let bound = self
-                    .in_flight
-                    .iter()
-                    .filter(|t| t.dest == j)
-                    .collect::<Vec<_>>();
-                let Some(blocks) = p.replica.plan_inbound(&entry, bound.len()) else {
+                let Some(blocks) = p.replica.plan_inbound(&entry, p.bound_entries) else {
                     continue;
                 };
-                let bound_tokens: u64 = bound
-                    .iter()
-                    .map(|t| (t.reserved_blocks * self.block_size()) as u64)
-                    .sum();
+                let bound_tokens = (p.bound_blocks * self.block_size()) as u64;
                 let score = p.replica.load().outstanding_tokens + bound_tokens;
                 if best.map(|(s, d, _)| (score, j) < (s, d)).unwrap_or(true) {
                     best = Some((score, j, blocks));
@@ -596,7 +704,10 @@ impl ClusterSim {
                 break;
             };
             let (entry, source) = self.pending.pop_front().expect("front exists");
-            self.decode[dest].replica.reserve_inbound(blocks);
+            let bound = &mut self.decode[dest];
+            bound.replica.reserve_inbound(blocks);
+            bound.bound_entries += 1;
+            bound.bound_blocks += blocks;
             let (start_s, finish_s) = self.link.schedule(now, entry.wire_blocks);
             self.in_flight.push_back(InFlightTransfer {
                 entry,
@@ -614,6 +725,14 @@ impl ClusterSim {
         }
     }
 
+    /// Takes a transfer that left `in_flight` (landed or aborted) off its
+    /// destination's bound counters.
+    fn unbind(&mut self, t: &InFlightTransfer) {
+        let dest = &mut self.decode[t.dest];
+        dest.bound_entries -= 1;
+        dest.bound_blocks -= t.reserved_blocks;
+    }
+
     fn block_size(&self) -> usize {
         self.config
             .base
@@ -625,6 +744,7 @@ impl ClusterSim {
     /// Lands the front in-flight transfer (its `finish_s` is due now).
     fn land_transfer(&mut self, now: f64) {
         let t = self.in_flight.pop_front().expect("a transfer is due");
+        self.unbind(&t);
         self.touch_link();
         record(
             ObsEvent::span(
@@ -678,6 +798,7 @@ impl ClusterSim {
         let mut kept = VecDeque::with_capacity(self.in_flight.len());
         for t in std::mem::take(&mut self.in_flight) {
             if t.source == i {
+                self.unbind(&t);
                 self.aborted_transfers += 1;
                 self.link.note_abort();
                 record(
@@ -719,6 +840,7 @@ impl ClusterSim {
         let mut kept = VecDeque::with_capacity(self.in_flight.len());
         for t in std::mem::take(&mut self.in_flight) {
             if t.dest == j {
+                self.unbind(&t);
                 self.aborted_transfers += 1;
                 self.link.note_abort();
                 record(
@@ -823,9 +945,9 @@ impl ClusterSim {
             || !self.orphans.is_empty()
             || self
                 .prefill
-                .iter()
-                .chain(self.decode.iter())
-                .any(|p| p.replica.has_work())
+                .live()
+                .chain(self.decode.live())
+                .any(|(_, p)| p.replica.has_work())
     }
 
     /// The next event due: `(time, class, index)` with the deterministic
@@ -847,10 +969,10 @@ impl ClusterSim {
         if let Some(t) = self.in_flight.front() {
             consider(t.finish_s, CLASS_TRANSFER, 0);
         }
-        for (i, p) in self.prefill.iter().enumerate() {
+        for (i, p) in self.prefill.live() {
             consider(p.replica.next_event_s(), CLASS_PREFILL, i);
         }
-        for (j, p) in self.decode.iter().enumerate() {
+        for (j, p) in self.decode.live() {
             consider(p.replica.next_event_s(), CLASS_DECODE, j);
         }
         if include_ticks {
@@ -1063,49 +1185,53 @@ impl ClusterSim {
         let a = *self.config.autoscale.as_ref().expect("ticks imply config");
 
         // Prefill pool: queue-depth signal.
-        let active: Vec<usize> = (0..self.prefill.len())
-            .filter(|&i| self.prefill[i].accepting(now))
-            .collect();
-        if !active.is_empty() {
-            let queued: usize = active
-                .iter()
-                .map(|&i| self.prefill[i].replica.load().queued)
-                .sum();
-            let per = queued as f64 / active.len() as f64;
-            let provisioned = self.prefill.iter().filter(|p| p.provisioned()).count();
-            if per > a.prefill_queue_high && provisioned < a.max_prefill {
+        if let Some((active, queued, last)) =
+            Self::active_signal(&self.prefill, now, |r| r.load().queued as u64)
+        {
+            let per = queued as f64 / active as f64;
+            if per > a.prefill_queue_high && self.prefill.provisioned() < a.max_prefill {
                 self.scale_up(Pool::Prefill, now);
-            } else if per < a.prefill_queue_low && active.len() > a.min_prefill {
-                self.scale_down(Pool::Prefill, &active, now);
+            } else if per < a.prefill_queue_low && active > a.min_prefill {
+                self.scale_down(Pool::Prefill, last, now);
             }
         }
 
         // Decode pool: outstanding-token signal (decode work plus blocks
         // already bound over the link).
-        let active: Vec<usize> = (0..self.decode.len())
-            .filter(|&j| self.decode[j].accepting(now))
-            .collect();
-        if !active.is_empty() {
-            let mut outstanding: u64 = active
-                .iter()
-                .map(|&j| self.decode[j].replica.load().outstanding_tokens)
-                .sum();
+        if let Some((active, mut outstanding, last)) =
+            Self::active_signal(&self.decode, now, |r| r.load().outstanding_tokens)
+        {
             outstanding += self
                 .in_flight
                 .iter()
                 .map(|t| (t.reserved_blocks * self.block_size()) as u64)
                 .sum::<u64>();
-            let per = outstanding as f64 / active.len() as f64;
-            let provisioned = self.decode.iter().filter(|p| p.provisioned()).count();
-            if per > a.decode_tokens_high && provisioned < a.max_decode {
+            let per = outstanding as f64 / active as f64;
+            if per > a.decode_tokens_high && self.decode.provisioned() < a.max_decode {
                 self.scale_up(Pool::Decode, now);
-            } else if per < a.decode_tokens_low && active.len() > a.min_decode {
-                self.scale_down(Pool::Decode, &active, now);
+            } else if per < a.decode_tokens_low && active > a.min_decode {
+                self.scale_down(Pool::Decode, last, now);
             }
         }
 
         self.check_retirements(now);
         self.dispatch_pending(now);
+    }
+
+    /// Over the accepting members of `pool`: how many there are, the sum of
+    /// `signal` over them, and the highest index among them (the scale-down
+    /// victim). `None` when nothing is accepting.
+    fn active_signal(
+        pool: &ReplicaPool,
+        now: f64,
+        signal: impl Fn(&Replica) -> u64,
+    ) -> Option<(usize, u64, usize)> {
+        let mut active = None;
+        for (i, p) in pool.live().filter(|(_, p)| p.accepting(now)) {
+            let (count, sum, _) = active.unwrap_or((0, 0, i));
+            active = Some((count + 1, sum + signal(&p.replica), i));
+        }
+        active
     }
 
     fn scale_up(&mut self, pool: Pool, now: f64) {
@@ -1116,8 +1242,9 @@ impl ClusterSim {
             Pool::Decode => &mut self.decode,
         };
         // Cheapest capacity first: cancel an in-progress drain.
-        if let Some(i) = (0..members.len()).find(|&i| members[i].draining && !members[i].retired) {
-            members[i].draining = false;
+        let draining = members.live().find(|(_, p)| p.draining).map(|(i, _)| i);
+        if let Some(i) = draining {
+            members.set_draining(i, false);
             let before = members[i].replica.next_event_s();
             members[i].replica.kick(now);
             match pool {
@@ -1130,30 +1257,29 @@ impl ClusterSim {
             );
             return;
         }
-        let index = members.len();
         let ready = now + a.spawn_delay_s;
-        let fresh = match pool {
-            Pool::Prefill => self.spawn_prefill(index, ready),
-            Pool::Decode => self.spawn_decode(index, ready),
+        let index = match pool {
+            Pool::Prefill => {
+                let fresh = self.spawn_prefill(self.prefill.members.len(), ready);
+                self.prefill.push(fresh)
+            }
+            Pool::Decode => {
+                let fresh = self.spawn_decode(self.decode.members.len(), ready);
+                self.decode.push(fresh)
+            }
         };
-        match pool {
-            Pool::Prefill => self.prefill.push(fresh),
-            Pool::Decode => self.decode.push(fresh),
-        }
         record(
             ObsEvent::instant(now, Track::Autoscaler, EventKind::ScaleUp, NO_REQ)
                 .with_args(index as f64, pool.arg()),
         );
     }
 
-    fn scale_down(&mut self, pool: Pool, active: &[usize], now: f64) {
+    fn scale_down(&mut self, pool: Pool, victim: usize, now: f64) {
         self.scale_downs += 1;
-        let victim = *active.last().expect("non-empty active set");
-        let members = match pool {
-            Pool::Prefill => &mut self.prefill,
-            Pool::Decode => &mut self.decode,
-        };
-        members[victim].draining = true;
+        match pool {
+            Pool::Prefill => self.prefill.set_draining(victim, true),
+            Pool::Decode => self.decode.set_draining(victim, true),
+        }
         record(
             ObsEvent::instant(now, Track::Autoscaler, EventKind::ScaleDown, NO_REQ)
                 .with_args(victim as f64, pool.arg()),
@@ -1161,39 +1287,38 @@ impl ClusterSim {
     }
 
     /// Retires draining replicas that are empty and unreferenced by any
-    /// pending or in-flight migration (drain-before-retire).
+    /// pending or in-flight migration (drain-before-retire). Costs nothing
+    /// while no live replica is draining.
     fn check_retirements(&mut self, now: f64) {
-        for i in 0..self.prefill.len() {
-            let p = &self.prefill[i];
-            if p.draining
-                && !p.retired
-                && !p.replica.has_work()
-                && !self.in_flight.iter().any(|t| t.source == i)
-                && !self.pending.iter().any(|(_, s)| *s == i)
-            {
-                self.retires += 1;
-                self.prefill[i].retired = true;
-                record(
-                    ObsEvent::instant(now, Track::Autoscaler, EventKind::Retire, NO_REQ)
-                        .with_args(i as f64, Pool::Prefill.arg()),
-                );
-            }
-        }
-        for j in 0..self.decode.len() {
-            let p = &self.decode[j];
-            if p.draining
-                && !p.retired
-                && !p.replica.has_work()
-                && !self.in_flight.iter().any(|t| t.dest == j)
-            {
-                self.retires += 1;
-                self.decode[j].retired = true;
-                record(
-                    ObsEvent::instant(now, Track::Autoscaler, EventKind::Retire, NO_REQ)
-                        .with_args(j as f64, Pool::Decode.arg()),
-                );
-            }
-        }
+        let (in_flight, pending) = (&self.in_flight, &self.pending);
+        self.retires += self.prefill.retire_drained(Pool::Prefill, now, |i, _| {
+            in_flight.iter().any(|t| t.source == i) || pending.iter().any(|(_, s)| *s == i)
+        });
+        self.retires += self
+            .decode
+            .retire_drained(Pool::Decode, now, |_, p| p.bound_entries > 0);
+        debug_assert!(self.pools_consistent());
+    }
+
+    /// The invariants the live lists and bound counters are kept under: each
+    /// live list is `{i : !retired}` in ascending order and within the
+    /// autoscaler's ceiling, and each decode replica's bound counters match
+    /// the transfers on the wire toward it.
+    fn pools_consistent(&self) -> bool {
+        let within_bounds = self.config.autoscale.as_ref().is_none_or(|a| {
+            self.prefill.provisioned() <= a.max_prefill && self.decode.provisioned() <= a.max_decode
+        });
+        let bound_matches = self.decode.iter().enumerate().all(|(j, p)| {
+            let toward = self.in_flight.iter().filter(|t| t.dest == j);
+            let (entries, blocks) = toward.fold((0, 0), |(entries, blocks), t| {
+                (entries + 1, blocks + t.reserved_blocks)
+            });
+            (p.bound_entries, p.bound_blocks) == (entries, blocks)
+        });
+        within_bounds
+            && bound_matches
+            && self.prefill.is_consistent()
+            && self.decode.is_consistent()
     }
 
     /// Requests still parked because no prefill replica is up.
@@ -1288,7 +1413,8 @@ impl ClusterSim {
         let slo = self.config.base.slo;
         let mut completed = Vec::new();
         let mut dropped = 0usize;
-        for p in self.prefill.iter_mut().chain(self.decode.iter_mut()) {
+        let members = &mut self.prefill.members;
+        for p in members.iter_mut().chain(self.decode.members.iter_mut()) {
             completed.extend(p.replica.take_completed());
             dropped += p.replica.dropped();
         }
@@ -1305,8 +1431,8 @@ impl ClusterSim {
         let avg_active_replicas = self.replica_seconds / span;
         let goodput_per_replica = serve.goodput_rps / avg_active_replicas.max(1e-9);
         ClusterReport {
-            prefill_replicas: self.prefill.iter().filter(|p| p.provisioned()).count(),
-            decode_replicas: self.decode.iter().filter(|p| p.provisioned()).count(),
+            prefill_replicas: self.prefill.provisioned(),
+            decode_replicas: self.decode.provisioned(),
             migrations: self.link.transfers(),
             migrated_blocks: self.link.blocks_moved(),
             aborted_transfers: self.aborted_transfers,
@@ -1544,6 +1670,112 @@ mod tests {
             "capacity grew, got {}",
             report.avg_active_replicas
         );
+    }
+
+    /// Bursts against a fast, eager autoscaler: both pools grow to their
+    /// ceilings and drain back over and over, so retired members pile up
+    /// beside the live ones. After every event time the live lists must be
+    /// exactly the non-retired members in ascending order, within the
+    /// autoscaler's ceilings, with the bound counters matching the wire.
+    #[test]
+    fn live_lists_track_the_non_retired_members_through_autoscaler_churn() {
+        let autoscale = AutoscaleConfig {
+            interval_s: 0.25,
+            min_prefill: 1,
+            max_prefill: 3,
+            min_decode: 1,
+            max_decode: 4,
+            prefill_queue_high: 2.0,
+            prefill_queue_low: 0.25,
+            decode_tokens_high: 4_000.0,
+            decode_tokens_low: 500.0,
+            spawn_delay_s: 0.1,
+        };
+        let mut sim =
+            ClusterSim::new(DisaggConfig::new(base_config(9), 1, 1).with_autoscale(autoscale));
+        let check = |sim: &ClusterSim| {
+            for pool in [&sim.prefill, &sim.decode] {
+                let expected: Vec<usize> = (0..pool.members.len())
+                    .filter(|&i| !pool.members[i].retired)
+                    .collect();
+                assert_eq!(pool.live, expected, "at {}", sim.now_s);
+            }
+            assert!(sim.prefill.live.len() <= autoscale.max_prefill);
+            assert!(sim.decode.live.len() <= autoscale.max_decode);
+            assert!(sim.pools_consistent(), "at {}", sim.now_s);
+        };
+        // Ten bursts of 40 simultaneous requests, 6 s apart.
+        let mut events = 0u64;
+        for id in 0..400u64 {
+            let arrival_s = (id / 40) as f64 * 6.0;
+            loop {
+                let next = sim.next_event_s();
+                if next >= arrival_s {
+                    break;
+                }
+                // Everything due at exactly `next`, nothing later.
+                sim.advance_before(f64::from_bits(next.to_bits() + 1));
+                events += 1;
+                check(&sim);
+            }
+            sim.offer(request(id, arrival_s, 512, 48));
+            check(&sim);
+        }
+        while sim.has_work() {
+            let next = sim.next_event_s();
+            sim.advance_before(f64::from_bits(next.to_bits() + 1));
+            events += 1;
+            check(&sim);
+        }
+        assert!(events > 2_000, "stepped {events} event times");
+        let retired = |pool: &ReplicaPool| pool.members.len() - pool.live.len();
+        assert!(
+            retired(&sim.prefill) >= 10 && retired(&sim.decode) >= 10,
+            "churn must leave retired members behind: {} prefill, {} decode",
+            retired(&sim.prefill),
+            retired(&sim.decode)
+        );
+        let report = sim.into_report();
+        assert_eq!(report.serve.completed.len(), 400);
+        assert_eq!(
+            report.serve.replicas.len() as u64,
+            2 + report.retires + (report.prefill_replicas + report.decode_replicas - 2) as u64,
+            "retired replicas stay in the report"
+        );
+    }
+
+    fn autoscale_with(edit: impl FnOnce(&mut AutoscaleConfig)) -> AutoscaleConfig {
+        let mut autoscale = AutoscaleConfig::default();
+        edit(&mut autoscale);
+        autoscale
+    }
+
+    #[test]
+    #[should_panic(expected = "thresholds must be finite and non-negative")]
+    fn nan_autoscale_threshold_is_rejected() {
+        let autoscale = autoscale_with(|a| a.decode_tokens_high = f64::NAN);
+        DisaggConfig::new(base_config(1), 1, 1).with_autoscale(autoscale);
+    }
+
+    #[test]
+    #[should_panic(expected = "thresholds must be finite and non-negative")]
+    fn negative_autoscale_threshold_is_rejected() {
+        let autoscale = autoscale_with(|a| a.prefill_queue_low = -0.5);
+        DisaggConfig::new(base_config(1), 1, 1).with_autoscale(autoscale);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefill_queue_low must be below prefill_queue_high")]
+    fn inverted_prefill_thresholds_are_rejected() {
+        let autoscale = autoscale_with(|a| a.prefill_queue_low = a.prefill_queue_high);
+        DisaggConfig::new(base_config(1), 1, 1).with_autoscale(autoscale);
+    }
+
+    #[test]
+    #[should_panic(expected = "decode_tokens_low must be below decode_tokens_high")]
+    fn inverted_decode_thresholds_are_rejected() {
+        let autoscale = autoscale_with(|a| a.decode_tokens_low = 2.0 * a.decode_tokens_high);
+        DisaggConfig::new(base_config(1), 1, 1).with_autoscale(autoscale);
     }
 
     #[test]

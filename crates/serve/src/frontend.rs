@@ -182,8 +182,16 @@ impl ServeSim {
             .collect()
     }
 
-    fn eligibility(&self) -> Vec<bool> {
-        self.replicas.iter().map(Replica::is_up).collect()
+    /// Picks a healthy replica for the next request through the balancer;
+    /// `None` while every replica is down.
+    fn route(&mut self) -> Option<usize> {
+        let up = self
+            .replicas
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_up())
+            .map(|(i, r)| (i, r.load()));
+        self.balancer.pick_among(self.replicas.len(), up)
     }
 
     /// Routes one arriving request (must be offered in non-decreasing arrival
@@ -195,13 +203,15 @@ impl ServeSim {
     pub fn offer(&mut self, req: ServeRequest) {
         let now = req.arrival_s;
         self.now_s = self.now_s.max(now);
-        let eligible = self.eligibility();
         self.events += 1;
-        if !eligible.iter().any(|&up| up) {
-            record(
-                ObsEvent::instant(now, Track::Frontend, EventKind::Arrival, req.id)
-                    .with_args(-1.0, req.prompt_len as f64),
-            );
+        let target = self.route();
+        record(
+            ObsEvent::instant(now, Track::Frontend, EventKind::Arrival, req.id).with_args(
+                target.map(|i| i as f64).unwrap_or(-1.0),
+                req.prompt_len as f64,
+            ),
+        );
+        let Some(target) = target else {
             self.orphans.push_back(FailoverRequest {
                 req,
                 generated: 0.0,
@@ -210,13 +220,7 @@ impl ServeSim {
                 preemptions: 0,
             });
             return;
-        }
-        let loads: Vec<_> = self.replicas.iter().map(Replica::load).collect();
-        let target = self.balancer.pick_among(&loads, Some(&eligible));
-        record(
-            ObsEvent::instant(now, Track::Frontend, EventKind::Arrival, req.id)
-                .with_args(target as f64, req.prompt_len as f64),
-        );
+        };
         self.routing.push((req.id, target));
         let before = self.replicas[target].next_event_s();
         self.replicas[target].enqueue(req, now);
@@ -360,13 +364,10 @@ impl ServeSim {
     }
 
     fn deliver_failover(&mut self, fo: FailoverRequest, now: f64) {
-        let eligible = self.eligibility();
-        if !eligible.iter().any(|&up| up) {
+        let Some(target) = self.route() else {
             self.orphans.push_back(fo);
             return;
-        }
-        let loads: Vec<_> = self.replicas.iter().map(Replica::load).collect();
-        let target = self.balancer.pick_among(&loads, Some(&eligible));
+        };
         let before = self.replicas[target].next_event_s();
         self.replicas[target].enqueue_failover(fo, now);
         self.touch(target, before);

@@ -518,7 +518,7 @@ impl Replica {
                     // reference drops (the blocks stay resident as the
                     // affinity cache) and the private footprint converts into
                     // an outbound charge held until the transfer lands.
-                    for entry in std::mem::take(&mut self.running) {
+                    for entry in self.running.drain(..) {
                         let (source_blocks, wire_blocks) = match self.ledger.as_mut() {
                             Some(ledger) => {
                                 if entry.shared_tokens > 0 {
@@ -611,16 +611,20 @@ impl Replica {
         self.start_step(now);
     }
 
-    /// Refreshes the ledger's view of the running batch's private footprint
-    /// (and with it the pool-utilisation peak).
-    fn sync_ledger(&mut self) {
-        let Some(ledger) = self.ledger.as_ref() else {
-            return;
+    /// The running batch in one pass: its KV tokens (see [`Replica::kv_in_use`])
+    /// and, under paged accounting, the private blocks they occupy (0 under
+    /// token accounting).
+    fn batch_footprint(&self) -> (usize, usize) {
+        let Some(ledger) = &self.ledger else {
+            return (self.kv_in_use(), 0);
         };
-        let private = self.private_blocks_in_use(ledger);
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.sync_private(private);
-        }
+        self.running.iter().fold((0, 0), |(tokens, blocks), e| {
+            let kv = e.kv_tokens();
+            (
+                tokens + kv,
+                blocks + ledger.blocks_for(kv - e.shared_tokens),
+            )
+        })
     }
 
     /// Actual private (unshared) blocks the running batch occupies.
@@ -772,6 +776,11 @@ impl Replica {
     /// tokens must be computed by the prefill step, `cached` tokens are served
     /// from resident prefix blocks and only re-read by attention.
     fn try_admit(&mut self, now: f64) -> (usize, usize) {
+        if self.queue.is_empty() {
+            // Nothing to admit (always, on a decode-pool replica): skip the
+            // pass over the batch's reservations.
+            return (0, 0);
+        }
         let mut reserved_tokens = if self.ledger.is_none() {
             self.reserved_tokens()
         } else {
@@ -1009,8 +1018,8 @@ impl Replica {
         debug_assert!(self.step.is_none());
         // Landed migrations join the batch at a step boundary: the inbound
         // reservation converts into a regular private footprint (picked up by
-        // `sync_ledger` below) the moment the entry starts decoding.
-        for (entry, reserved) in std::mem::take(&mut self.arriving) {
+        // `sync_private` below) the moment the entry starts decoding.
+        for (entry, reserved) in self.arriving.drain(..) {
             if let Some(ledger) = self.ledger.as_mut() {
                 ledger.commit_inbound(reserved);
             }
@@ -1020,9 +1029,11 @@ impl Replica {
             self.preempt_until_fitting(now);
         }
         let (prefill_tokens, cached_tokens) = self.try_admit(now);
-        let (running, kv_in_use) = (self.running.len(), self.kv_in_use());
-        self.metrics.observe_peaks(running, kv_in_use);
-        self.sync_ledger();
+        let (kv_in_use, private_blocks) = self.batch_footprint();
+        self.metrics.observe_peaks(self.running.len(), kv_in_use);
+        if let Some(ledger) = self.ledger.as_mut() {
+            ledger.sync_private(private_blocks);
+        }
         if prefill_tokens > 0 {
             // The prefill computes only the novel tokens; resident prefix
             // blocks are re-read by attention but never recomputed.
@@ -1043,7 +1054,7 @@ impl Replica {
         }
 
         let batch = self.running.len();
-        let avg_context = (self.kv_in_use() / batch).max(1);
+        let avg_context = (kv_in_use / batch).max(1);
         // The elastic decision sees the *live load*: requests already decoding plus
         // the backlog that will join the batch as soon as capacity frees up.
         let live_load = batch + self.queue.len();
@@ -1174,9 +1185,10 @@ impl Replica {
         }
     }
 
-    /// Drains the prefilled sequences awaiting migration to the decode pool.
-    pub fn take_handoffs(&mut self) -> Vec<MigratedEntry> {
-        std::mem::take(&mut self.handoffs)
+    /// Drains the prefilled sequences awaiting migration to the decode pool
+    /// (the buffer keeps its capacity for the next prefill step).
+    pub fn drain_handoffs(&mut self) -> std::vec::Drain<'_, MigratedEntry> {
+        self.handoffs.drain(..)
     }
 
     /// Blocks of `prefix_id` resident in this replica's prefix cache (0 under
@@ -1254,6 +1266,17 @@ impl Replica {
         if self.up && self.step.is_none() && self.has_work() {
             self.start_step(now);
         }
+    }
+
+    /// Frees the queue and batch buffers of an empty replica that will take no
+    /// more work: a retired pool member stays, with its statistics, until the
+    /// report.
+    pub fn release_buffers(&mut self) {
+        debug_assert!(!self.has_work(), "only an empty replica is released");
+        self.queue = VecDeque::new();
+        self.running = Vec::new();
+        self.handoffs = Vec::new();
+        self.arriving = Vec::new();
     }
 
     /// Lands a migrated sequence: it joins the batch at the next step boundary
@@ -1972,7 +1995,7 @@ mod tests {
         let t = replica.next_event_s();
         assert!(t.is_finite());
         replica.on_step_complete(t);
-        let handoffs = replica.take_handoffs();
+        let handoffs: Vec<_> = replica.drain_handoffs().collect();
         assert_eq!(handoffs.len(), 1);
         let m = &handoffs[0];
         assert_eq!(m.req.id, 0);

@@ -22,19 +22,22 @@ thread_local! {
     /// pick up unrelated allocations and flake. Const-initialised so reading it
     /// inside the allocator never allocates.
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by those allocations (a `realloc` counts its new size).
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump_thread_count() {
+fn bump_thread_count(bytes: usize) {
     // `try_with` tolerates TLS teardown; a missed count there is harmless (the
     // measuring sections only run on live test threads).
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump_thread_count();
+        bump_thread_count(layout.size());
         System.alloc(layout)
     }
 
@@ -43,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump_thread_count();
+        bump_thread_count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,6 +57,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocations performed by the *current* thread so far.
 fn allocation_count() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes allocated by the *current* thread so far.
+fn allocated_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
 }
 
 #[test]
@@ -330,6 +338,89 @@ fn replica_speculative_steps_allocate_nothing() {
     let (allocs, ()) = allocations_during(|| step(&mut replica, 10_000));
     assert_eq!(replica.sd_accept_trace().len() - before, 10_000);
     assert_eq!(allocs, 0, "speculative replica steps must not allocate");
+}
+
+#[path = "common/churn.rs"]
+mod churn;
+
+/// What `ClusterSim::offer` allocates must not depend on how many replicas
+/// the autoscaler has retired. The first burst of the churn trace, stripped of
+/// its shared prefix so every arrival takes the load-balanced route, is
+/// offered 13 times, 15 s apart: every burst grows both pools to their
+/// ceilings and the lull drains them back, about 10 more retired members per
+/// burst. After one warm-up burst, offering the last quarter of the run may
+/// allocate at most 1.1x the bytes of the first. (Both are 0 today; with one
+/// eligibility and one load `Vec` of pool length per arrival they grew from
+/// 10 KB to 89 KB per burst.)
+#[test]
+fn cluster_bytes_per_offered_request_do_not_grow_with_retired_replicas() {
+    use tlt_serve::{ClusterSim, ServeRequest};
+
+    let trace = churn::trace();
+    let burst: Vec<_> = trace
+        .arrivals()
+        .iter()
+        .take_while(|a| a.time_ns == trace.arrivals()[0].time_ns)
+        .collect();
+    assert_eq!(burst.len(), 96);
+    let mut sim = ClusterSim::new(churn::config());
+    let bytes_per_burst: Vec<u64> = (0..13u64)
+        .map(|k| {
+            let arrival_s = k as f64 * 15.0;
+            sim.advance_before(arrival_s);
+            let before = allocated_bytes();
+            for (i, arrival) in burst.iter().enumerate() {
+                sim.offer(ServeRequest {
+                    id: k * 96 + i as u64,
+                    arrival_s,
+                    prefix_id: 0,
+                    prefix_len: 0,
+                    ..ServeRequest::from_arrival(arrival)
+                });
+            }
+            allocated_bytes() - before
+        })
+        .collect();
+    sim.run_until_drained();
+    let report = sim.into_report();
+    assert_eq!(report.serve.completed.len(), 13 * 96);
+    assert!(report.retires >= churn::MIN_RETIRES, "{}", report.retires);
+    let first: u64 = bytes_per_burst[1..4].iter().sum();
+    let last: u64 = bytes_per_burst[10..].iter().sum();
+    assert!(
+        last as f64 <= 1.1 * first as f64,
+        "bytes allocated offering each burst: {bytes_per_burst:?}"
+    );
+}
+
+/// Routing an arrival on a warm `ServeSim` allocates nothing: eligibility and
+/// loads are read off the replicas, not collected. What is left is amortised
+/// growth of the routing log and of the target's queue, a handful of
+/// doublings over 4k offers.
+#[test]
+fn warm_serve_sim_offer_allocates_nothing_per_arrival() {
+    use tlt_serve::{ServeRequest, ServeSim};
+
+    let mut sim = ServeSim::new(&tlt::replay_deployment(4));
+    let mut next_id = 0u64;
+    let mut offer = |sim: &mut ServeSim, count: usize| {
+        for _ in 0..count {
+            // Same-instant arrivals: no step completes in between, so only
+            // `offer` itself runs inside the measured window.
+            sim.offer(ServeRequest {
+                id: next_id,
+                arrival_s: 0.0,
+                prompt_len: 256,
+                output_len: 64,
+                prefix_id: 0,
+                prefix_len: 0,
+            });
+            next_id += 1;
+        }
+    };
+    offer(&mut sim, 4_096);
+    let (allocs, ()) = allocations_during(|| offer(&mut sim, 4_096));
+    assert!(allocs <= 8, "4096 warm offers allocated {allocs} times");
 }
 
 /// A speculative verification block (pending token plus drafts in one forward,

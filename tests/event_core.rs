@@ -190,6 +190,49 @@ fn disagg_with_autoscaler_and_faults_is_bit_identical_across_cores() {
     );
 }
 
+#[path = "common/churn.rs"]
+mod churn;
+
+/// Autoscaler churn leaves dozens of retired members in both pools; the heap
+/// and the scan must still agree on every event and on the whole report, with
+/// and without a crash/restart of each initial replica mid-burst.
+#[test]
+fn disagg_under_autoscaler_churn_is_bit_identical_across_cores() {
+    let trace = churn::trace();
+    let crash_restart = [
+        (1.0, Fault::Crash(1)),
+        (3.0, Fault::Restart(1)),
+        (16.0, Fault::Crash(0)),
+        (17.5, Fault::Restart(0)),
+    ];
+    for faults in [&[][..], &crash_restart[..]] {
+        let label = format!("{} faults", faults.len());
+        let (heap_report, heap_events) = drive_disagg(
+            EventCore::IndexedHeap,
+            churn::config(),
+            trace.arrivals(),
+            faults,
+        );
+        let (scan_report, scan_events) = drive_disagg(
+            EventCore::LinearScan,
+            churn::config(),
+            trace.arrivals(),
+            faults,
+        );
+        assert_eq!(heap_events, scan_events, "{label}");
+        assert_eq!(
+            format!("{heap_report:?}"),
+            format!("{scan_report:?}"),
+            "{label}"
+        );
+        assert!(
+            heap_report.retires >= churn::MIN_RETIRES,
+            "{label}: only {} retirements",
+            heap_report.retires
+        );
+    }
+}
+
 #[test]
 fn corpus_replay_is_bit_identical_across_cores() {
     for preset in [CorpusPreset::Chat, CorpusPreset::BurstyMobile] {

@@ -302,3 +302,28 @@ mod streamed {
         );
     }
 }
+
+#[path = "common/churn.rs"]
+mod churn;
+
+/// `replay_disagg` under autoscaler churn: digests of the whole
+/// `ClusterReport` — completions, the per-replica table with every retired
+/// replica in pool order, migration / link / autoscaler counters — and of the
+/// flight-recorder event stream, taken before the cluster's per-event loops
+/// moved from the full pools to their live members.
+#[test]
+fn churn_cluster_report_and_event_stream_are_pinned() {
+    tlt::obs::install(tlt::obs::FlightRecorder::new(1 << 12));
+    let report = replay_disagg(&churn::trace(), churn::config());
+    let events = tlt::obs::uninstall().expect("recorder installed").events();
+    assert!(report.retires >= churn::MIN_RETIRES, "{}", report.retires);
+    assert_eq!(
+        (
+            report.serve.replicas.len(),
+            fnv1a(format!("{report:?}").as_bytes()),
+            events.len(),
+            fnv1a(format!("{events:?}").as_bytes()),
+        ),
+        (82, 0xb636458a034143eb, 15_812, 0x6685150a8abc1998)
+    );
+}
