@@ -1,7 +1,6 @@
 //! # tlt-gpusim
 //!
-//! Roofline GPU cost model, cluster topology, and discrete-event primitives for the
-//! TLT reproduction.
+//! Roofline GPU cost model and cluster topology for the TLT reproduction.
 //!
 //! The paper's evaluation runs on DGX-H100/A100 clusters and a spread of consumer
 //! GPUs; none of that hardware is required here. Instead, every kernel the system
@@ -27,12 +26,10 @@
 
 pub mod cluster;
 pub mod cost;
-pub mod event;
 pub mod roofline;
 pub mod specs;
 
 pub use cluster::{ClusterConfig, MemoryEstimate, WorkerId};
 pub use cost::LlmCostModel;
-pub use event::{EventQueue, SimTime};
 pub use roofline::{achieved_tflops, estimate_time, ExecutionMode, KernelWork, TimeBreakdown};
 pub use specs::{GpuSpec, GpuType};

@@ -34,7 +34,7 @@ use crate::config::ServeConfig;
 use crate::events::{DriveOutcome, EventCore, EventKey, EventQueue};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, MigratedEntry, Replica};
-use crate::request::ServeRequest;
+use crate::request::{CompletedRequest, ServeRequest};
 use crate::transfer::{TransferLink, TransferLinkConfig};
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -403,6 +403,8 @@ pub struct ClusterSim {
     orphans: VecDeque<FailoverRequest>,
     fallback: LoadBalancer,
     now_s: f64,
+    /// Every completion so far, in event order (see `ServeSim`'s log).
+    log: Vec<CompletedRequest>,
     events: u64,
     requeued: u64,
     crashes: u64,
@@ -479,6 +481,7 @@ impl ClusterSim {
             orphans: VecDeque::new(),
             fallback: LoadBalancer::new(BalancerPolicy::LeastOutstandingTokens),
             now_s: 0.0,
+            log: Vec::new(),
             events: 0,
             requeued: 0,
             crashes: 0,
@@ -530,6 +533,12 @@ impl ClusterSim {
     /// The next-event implementation in use.
     pub fn event_core(&self) -> EventCore {
         self.core
+    }
+
+    /// Sizes the completion log for `expected` requests in one allocation; see
+    /// [`ServeSim::reserve_completions`](crate::ServeSim::reserve_completions).
+    pub fn reserve_completions(&mut self, expected: usize) {
+        self.log.reserve(expected);
     }
 
     /// Overrides the hard event budget (default 200M). Exposed so tests can
@@ -1008,14 +1017,18 @@ impl ClusterSim {
         match class {
             CLASS_TRANSFER => self.land_transfer(et),
             CLASS_PREFILL => {
-                self.prefill[idx].replica.on_step_complete(et);
+                let replica = &mut self.prefill[idx].replica;
+                replica.on_step_complete(et);
+                replica.move_completed_into(&mut self.log);
                 self.touch_prefill(idx, et);
                 self.collect_handoffs(idx);
                 self.check_retirements(et);
                 self.dispatch_pending(et);
             }
             CLASS_DECODE => {
-                self.decode[idx].replica.on_step_complete(et);
+                let replica = &mut self.decode[idx].replica;
+                replica.on_step_complete(et);
+                replica.move_completed_into(&mut self.log);
                 self.touch_decode(idx, et);
                 self.check_retirements(et);
                 self.dispatch_pending(et);
@@ -1128,7 +1141,7 @@ impl ClusterSim {
         self.prefill
             .iter()
             .chain(self.decode.iter())
-            .flat_map(|p| p.replica.sd_accept_trace().iter().copied())
+            .flat_map(|p| p.replica.sd_accept_trace())
             .collect()
     }
 
@@ -1408,25 +1421,17 @@ impl ClusterSim {
         out
     }
 
-    /// Final report over both pools (SLO from the base config).
+    /// Final report over both pools (SLO from the base config), built around
+    /// the completion log as [`ServeSim::into_report`](crate::ServeSim::into_report)
+    /// is: one 72-byte record per completed request is what the run retained.
     pub fn into_report(mut self) -> ClusterReport {
-        let slo = self.config.base.slo;
-        let mut completed = Vec::new();
-        let mut dropped = 0usize;
-        let members = &mut self.prefill.members;
-        for p in members.iter_mut().chain(self.decode.members.iter_mut()) {
-            completed.extend(p.replica.take_completed());
-            dropped += p.replica.dropped();
-        }
-        let makespan = completed.iter().map(|r| r.finish_s).fold(0.0f64, f64::max);
-        self.account_to(makespan.max(self.now_s));
-        let stats: Vec<_> = self
-            .prefill
-            .iter()
-            .chain(self.decode.iter())
-            .map(|p| p.replica.stats(makespan))
-            .collect();
-        let serve = ServeReport::build(completed, dropped, stats, slo);
+        let members = self.prefill.members.iter_mut();
+        let replicas = members
+            .chain(self.decode.members.iter_mut())
+            .map(|p| &mut p.replica);
+        let log = std::mem::take(&mut self.log);
+        let serve = ServeReport::from_run(log, replicas, self.config.base.slo);
+        self.account_to(serve.makespan_s.max(self.now_s));
         let span = self.last_account_s.max(1e-9);
         let avg_active_replicas = self.replica_seconds / span;
         let goodput_per_replica = serve.goodput_rps / avg_active_replicas.max(1e-9);
@@ -1455,6 +1460,7 @@ pub fn simulate_disagg(
     arrivals: &[tlt_workload::RequestArrival],
 ) -> ClusterReport {
     let mut sim = ClusterSim::new(config);
+    sim.reserve_completions(arrivals.len());
     for arrival in arrivals {
         sim.advance_before(arrival.time_s());
         sim.offer(ServeRequest::from_arrival(arrival));

@@ -15,7 +15,7 @@ use crate::config::ServeConfig;
 use crate::events::{DriveOutcome, EventCore, EventQueue};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, Replica};
-use crate::request::ServeRequest;
+use crate::request::{CompletedRequest, ServeRequest};
 use std::collections::VecDeque;
 use tlt_obs::{hooks, record, EventKind, ObsEvent, Track, NO_REQ};
 use tlt_workload::RequestArrival;
@@ -36,8 +36,9 @@ pub struct ServeSim {
     balancer: LoadBalancer,
     slo: crate::metrics::SloSpec,
     now_s: f64,
-    /// Per-request routing decisions, in offer order (`(request id, replica)`).
-    routing: Vec<(u64, usize)>,
+    /// Every completion so far, in event order: moved out of the stepped
+    /// replica after each step and handed to the report as is.
+    log: Vec<CompletedRequest>,
     /// Failed-over requests waiting for any replica to come back up.
     orphans: VecDeque<FailoverRequest>,
     requeued: u64,
@@ -60,7 +61,7 @@ impl ServeSim {
             balancer: LoadBalancer::new(config.balancer),
             slo: config.slo,
             now_s: 0.0,
-            routing: Vec::new(),
+            log: Vec::new(),
             orphans: VecDeque::new(),
             requeued: 0,
             crashes: 0,
@@ -91,6 +92,13 @@ impl ServeSim {
     /// The next-event implementation in use.
     pub fn event_core(&self) -> EventCore {
         self.core
+    }
+
+    /// Sizes the completion log for `expected` requests in one allocation; past
+    /// it the log grows as any `Vec`. A count read from outside input must be
+    /// clamped by the caller.
+    pub fn reserve_completions(&mut self, expected: usize) {
+        self.log.reserve(expected);
     }
 
     /// Overrides the hard event budget (default 200M). Exposed so tests can
@@ -148,15 +156,8 @@ impl ServeSim {
     pub fn sd_accept_trace(&self) -> Vec<u8> {
         self.replicas
             .iter()
-            .flat_map(|r| r.sd_accept_trace().iter().copied())
+            .flat_map(Replica::sd_accept_trace)
             .collect()
-    }
-
-    /// Per-request routing decisions in offer order. Failover re-deliveries are
-    /// not recorded here (they are counted by [`ServeSim::requeued`]), so the
-    /// trace pins exactly the balancer's arrival-routing behaviour.
-    pub fn routing_trace(&self) -> &[(u64, usize)] {
-        &self.routing
     }
 
     /// Failed-over requests re-delivered to a replica so far.
@@ -197,10 +198,10 @@ impl ServeSim {
     /// Routes one arriving request (must be offered in non-decreasing arrival
     /// order, after advancing the simulation past earlier step events). With
     /// zero healthy replicas the arrival is parked in the orphan buffer — never
-    /// rejected — and delivered through the balancer by the next restart; parked
-    /// arrivals get no routing-trace entry (they are counted by
-    /// [`ServeSim::requeued`] on delivery).
-    pub fn offer(&mut self, req: ServeRequest) {
+    /// rejected — and delivered through the balancer by the next restart.
+    /// Returns the replica the arrival was routed to, `None` when it was parked
+    /// (a parked arrival is counted by [`ServeSim::requeued`] on delivery).
+    pub fn offer(&mut self, req: ServeRequest) -> Option<usize> {
         let now = req.arrival_s;
         self.now_s = self.now_s.max(now);
         self.events += 1;
@@ -219,12 +220,12 @@ impl ServeSim {
                 admitted_s: None,
                 preemptions: 0,
             });
-            return;
+            return None;
         };
-        self.routing.push((req.id, target));
         let before = self.replicas[target].next_event_s();
         self.replicas[target].enqueue(req, now);
         self.touch(target, before);
+        Some(target)
     }
 
     /// Advances the clock to `t` without processing events. External actors
@@ -273,9 +274,7 @@ impl ServeSim {
             }
             let t_step = key.time_s();
             self.now_s = t_step;
-            self.replicas[idx].on_step_complete(t_step);
-            self.events += 1;
-            hooks::on_sim_event();
+            self.step_replica(idx, t_step);
             // Only the just-stepped replica's key is dirty: re-push it alone
             // instead of re-deriving the global minimum.
             self.touch(idx, t_step);
@@ -292,10 +291,18 @@ impl ServeSim {
                 return self.budget_outcome();
             }
             self.now_s = t_step;
-            self.replicas[idx].on_step_complete(t_step);
-            self.events += 1;
-            hooks::on_sim_event();
+            self.step_replica(idx, t_step);
         }
+    }
+
+    /// Completes replica `idx`'s step at `t_step` and moves what it finished
+    /// into the log: the one event both cores process.
+    fn step_replica(&mut self, idx: usize, t_step: f64) {
+        let replica = &mut self.replicas[idx];
+        replica.on_step_complete(t_step);
+        replica.move_completed_into(&mut self.log);
+        self.events += 1;
+        hooks::on_sim_event();
     }
 
     /// Runs every remaining step event until the deployment drains (or the event
@@ -375,17 +382,12 @@ impl ServeSim {
         self.events += 1;
     }
 
-    /// Consumes the simulation and builds the aggregate SLO report.
+    /// Consumes the simulation and builds the aggregate SLO report from the
+    /// completion log, which becomes the report's `completed` without a copy.
+    /// By now the simulation retains one 72-byte record per completed request
+    /// and nothing per offer or per step.
     pub fn into_report(mut self) -> ServeReport {
-        let completed: Vec<_> = self
-            .replicas
-            .iter_mut()
-            .flat_map(Replica::take_completed)
-            .collect();
-        let dropped: usize = self.replicas.iter().map(Replica::dropped).sum();
-        let makespan_s = completed.iter().map(|r| r.finish_s).fold(0.0f64, f64::max);
-        let stats = self.replicas.iter().map(|r| r.stats(makespan_s)).collect();
-        ServeReport::build(completed, dropped, stats, self.slo)
+        ServeReport::from_run(self.log, self.replicas.iter_mut(), self.slo)
     }
 }
 
@@ -394,7 +396,7 @@ impl ServeSim {
 /// produced by [`tlt_workload::generate_arrivals`]); the simulation runs until
 /// every admitted request has drained.
 pub fn simulate_serving(config: &ServeConfig, arrivals: &[RequestArrival]) -> ServeReport {
-    simulate_serving_traced(config, arrivals).0
+    drive(config, arrivals, |_, _| {})
 }
 
 /// Like [`simulate_serving`], but also returns the frontend's per-request routing
@@ -404,14 +406,28 @@ pub fn simulate_serving_traced(
     config: &ServeConfig,
     arrivals: &[RequestArrival],
 ) -> (ServeReport, Vec<(u64, usize)>) {
+    let mut trace = Vec::with_capacity(arrivals.len());
+    let report = drive(config, arrivals, |id, replica| trace.push((id, replica)));
+    (report, trace)
+}
+
+/// The drive loop of both entry points; `routed(id, replica)` sees every
+/// arrival the balancer placed (parked arrivals are not routing decisions).
+fn drive(
+    config: &ServeConfig,
+    arrivals: &[RequestArrival],
+    mut routed: impl FnMut(u64, usize),
+) -> ServeReport {
     let mut sim = ServeSim::new(config);
+    sim.reserve_completions(arrivals.len());
     for arrival in arrivals {
         sim.advance_before(arrival.time_s());
-        sim.offer(ServeRequest::from_arrival(arrival));
+        if let Some(replica) = sim.offer(ServeRequest::from_arrival(arrival)) {
+            routed(arrival.id, replica);
+        }
     }
     sim.run_until_drained();
-    let trace = sim.routing_trace().to_vec();
-    (sim.into_report(), trace)
+    sim.into_report()
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::request::{CompletedRequest, ServeRequest};
 use std::collections::VecDeque;
 use tlt_model::paged_kv::{BlockLedger, PoolStats};
 use tlt_obs::{record, EventKind, ObsEvent, Track, NO_REQ};
-use tlt_rollout::{SdStepEvaluator, SdStepModel};
+use tlt_rollout::{SdMode, SdStepEvaluator, SdStepModel};
 
 /// A request waiting in the admission queue (possibly preempted mid-decode).
 #[derive(Debug, Clone)]
@@ -191,12 +191,15 @@ pub struct Replica {
     /// registry ([`ReplicaStats`] is materialised from it at report time).
     metrics: ReplicaMetrics,
     dropped_ids: Vec<u64>,
+    /// Requests finished since the driver last collected them: a per-step
+    /// buffer of batch size (see [`Replica::move_completed_into`]).
     completed: Vec<CompletedRequest>,
-    /// Per-step expected accept lengths of every speculative decode step, in
-    /// step order, quantised to whole tokens. This is the raw material for the
-    /// trace recorder's SD bitstream (`tlt-trace`); it stays empty on replicas
-    /// that never speculate.
-    sd_accepts: Vec<u8>,
+    /// Expected accept length of every speculative decode step, in step
+    /// order, quantised to whole tokens and stored run-length as
+    /// `(value, count)`: the value changes only when the SD manager changes
+    /// arm. This is the raw material for the trace recorder's SD bitstream
+    /// (`tlt-trace`); it stays empty on replicas that never speculate.
+    sd_accepts: Vec<(u8, u32)>,
     /// Prefill-pool member of a disaggregated cluster: sequences are handed
     /// off for migration when their prefill completes instead of decoding here.
     prefill_only: bool,
@@ -1074,8 +1077,11 @@ impl Replica {
             // Quantise for the trace recorder: at least the bonus token is
             // always produced, and the unary SD bitstream caps one step's
             // accept length at 63 tokens.
-            self.sd_accepts
-                .push(step.tokens_per_seq.round().clamp(1.0, 63.0) as u8);
+            let accept = step.tokens_per_seq.round().clamp(1.0, 63.0) as u8;
+            match self.sd_accepts.last_mut() {
+                Some((value, count)) if *value == accept && *count < u32::MAX => *count += 1,
+                _ => self.sd_accepts.push((accept, 1)),
+            }
         }
         self.step = Some(PendingStep {
             work: StepWork::Decode {
@@ -1092,10 +1098,22 @@ impl Replica {
         std::mem::take(&mut self.completed)
     }
 
+    /// Moves the records accumulated so far to the end of `log`, keeping this
+    /// replica's buffer for its next step. The simulation drivers call this
+    /// after every [`Replica::on_step_complete`], so a completion is written
+    /// once here and copied once into the driver's log.
+    pub fn move_completed_into(&mut self, log: &mut Vec<CompletedRequest>) {
+        log.append(&mut self.completed);
+    }
+
     /// Expected accept length (whole tokens, clamped to `1..=63`) of every
     /// speculative decode step this replica has executed, in step order.
-    pub fn sd_accept_trace(&self) -> &[u8] {
-        &self.sd_accepts
+    /// Stored run-length inside (a few entries per change of SD arm, not a
+    /// byte per step) and expanded on read.
+    pub fn sd_accept_trace(&self) -> impl Iterator<Item = u8> + '_ {
+        self.sd_accepts
+            .iter()
+            .flat_map(|&(value, count)| std::iter::repeat_n(value, count as usize))
     }
 
     /// Requests dropped at admission.
@@ -1268,15 +1286,21 @@ impl Replica {
         }
     }
 
-    /// Frees the queue and batch buffers of an empty replica that will take no
-    /// more work: a retired pool member stays, with its statistics, until the
-    /// report.
+    /// Frees what only a stepping replica needs — the queue and batch
+    /// buffers, the (already collected) completion buffer and the SD tuner's
+    /// windows — of an empty replica that will never step again: a retired
+    /// pool member stays until the report with what the report, the pool
+    /// checks, `dropped_ids`, `sd_accept_trace` and fault calls read. The
+    /// config copy stays too: dropping it would put an `Option` on a field
+    /// every step reads.
     pub fn release_buffers(&mut self) {
         debug_assert!(!self.has_work(), "only an empty replica is released");
         self.queue = VecDeque::new();
         self.running = Vec::new();
         self.handoffs = Vec::new();
         self.arriving = Vec::new();
+        self.completed.shrink_to_fit();
+        self.sd = SdStepEvaluator::new(&SdMode::Disabled, 0);
     }
 
     /// Lands a migrated sequence: it joins the batch at the next step boundary
@@ -1344,7 +1368,6 @@ mod tests {
     use super::*;
     use tlt_gpusim::{GpuType, LlmCostModel};
     use tlt_model::ModelSpec;
-    use tlt_rollout::SdMode;
 
     fn config() -> ServeConfig {
         ServeConfig::new(

@@ -56,7 +56,7 @@ pub const MAX_SD_ACCEPT: u8 = 63;
 
 /// Decode guard: refuse to pre-allocate for more requests than this before
 /// the record bytes have actually been seen.
-const MAX_PREALLOC: usize = 1 << 20;
+pub(crate) const MAX_PREALLOC: usize = 1 << 20;
 
 /// Typed decode / IO error for TLTR traces.
 #[derive(Debug, Clone, PartialEq, Eq)]

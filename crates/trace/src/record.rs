@@ -7,7 +7,7 @@
 //! recorder's run bit for bit — completions, goodput, SLO attainment and the
 //! SD accept bitstream all match exactly.
 
-use crate::format::{Trace, TraceError};
+use crate::format::{Trace, TraceError, MAX_PREALLOC};
 use crate::stream::TraceReader;
 use std::io::Read;
 use tlt_obs::{record, EventKind, ObsEvent, Track, NO_REQ};
@@ -65,6 +65,7 @@ pub fn replay_serving(trace: &Trace, config: &ServeConfig) -> ServeReport {
             .with_args(trace.arrivals().len() as f64, trace.tick_ns() as f64),
     );
     let mut sim = ServeSim::new(config);
+    sim.reserve_completions(trace.arrivals().len());
     for arrival in trace.arrivals() {
         sim.advance_before(arrival.time_s());
         sim.offer(ServeRequest::from_arrival(arrival));
@@ -74,8 +75,14 @@ pub fn replay_serving(trace: &Trace, config: &ServeConfig) -> ServeReport {
 }
 
 /// Streamed counterpart of [`replay_serving`]: drives the frontend straight
-/// from a [`TraceReader`], so peak memory is the reader's fixed chunk buffer
-/// plus the live simulator state — the arrival vector is never materialised.
+/// from a [`TraceReader`], so the arrival vector is never materialised. What
+/// the run retains is the reader's fixed chunk buffer, the live simulator
+/// state and one 72-byte [`tlt_serve::CompletedRequest`] per completed request
+/// (the report's `completed`) — nothing per offer or per decode step; the
+/// report adds 8 bytes per request of latency scratch while it is built. The
+/// completion log is sized once from the header's request count, which is
+/// outside input the reader can only verify at end of stream, so the
+/// reservation is clamped like every other decode-side pre-allocation.
 ///
 /// The drive loop and the [`EventKind::Replay`] marker are identical to the
 /// in-memory path (the marker's request count comes from the header, which the
@@ -92,6 +99,7 @@ pub fn replay_serving_streamed<R: Read>(
             .with_args(reader.request_count() as f64, reader.tick_ns() as f64),
     );
     let mut sim = ServeSim::new(config);
+    sim.reserve_completions(reader.request_count().min(MAX_PREALLOC as u64) as usize);
     let mut decode_err = None;
     let mut feed = std::iter::from_fn(|| match reader.next_arrival() {
         Ok(next) => next,
@@ -118,6 +126,7 @@ pub fn replay_disagg(trace: &Trace, config: DisaggConfig) -> ClusterReport {
             .with_args(trace.arrivals().len() as f64, trace.tick_ns() as f64),
     );
     let mut sim = ClusterSim::new(config);
+    sim.reserve_completions(trace.arrivals().len());
     for arrival in trace.arrivals() {
         sim.advance_before(arrival.time_s());
         sim.offer(ServeRequest::from_arrival(arrival));

@@ -24,6 +24,11 @@ thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Bytes requested by those allocations (a `realloc` counts its new size).
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (signed: a block may be
+    /// freed by another thread), and the high-water mark since the last
+    /// [`peak_live_during`] began.
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
+    static THREAD_PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn bump_thread_count(bytes: usize) {
@@ -33,20 +38,30 @@ fn bump_thread_count(bytes: usize) {
     let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
+fn move_thread_live(delta: i64) {
+    let _ = THREAD_LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = THREAD_PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump_thread_count(layout.size());
+        move_thread_live(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        move_thread_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump_thread_count(new_size);
+        move_thread_live(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -62,6 +77,20 @@ fn allocation_count() -> u64 {
 /// Bytes allocated by the *current* thread so far.
 fn allocated_bytes() -> u64 {
     THREAD_BYTES.with(Cell::get)
+}
+
+/// Bytes the *current* thread holds live right now.
+fn live_bytes() -> i64 {
+    THREAD_LIVE.with(Cell::get)
+}
+
+/// How far above its starting point the current thread's live bytes rose
+/// while `f` ran (what `f` returns is still live at the end and counts).
+fn peak_live_during<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let start = live_bytes();
+    THREAD_PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (THREAD_PEAK.with(Cell::get) - start, out)
 }
 
 #[test]
@@ -303,9 +332,9 @@ fn sd_step_evaluator_allocates_nothing_once_every_strategy_is_warm() {
 }
 
 /// A serving replica's speculative steps go through the same evaluator. Over
-/// 10k of them the replica itself only appends to its SD accept stream, whose
-/// buffer the warm-up grows past the measured window, so the window allocates
-/// nothing at all.
+/// 10k of them the replica itself only extends its run-length SD accept
+/// stream, which the warm-up has grown past what the window adds, so the
+/// window allocates nothing at all.
 #[test]
 fn replica_speculative_steps_allocate_nothing() {
     use tlt_serve::{Replica, ServeConfig, ServeRequest};
@@ -332,11 +361,10 @@ fn replica_speculative_steps_allocate_nothing() {
             replica.on_step_complete(replica.next_event_s());
         }
     };
-    // 16.4k appended accept lengths leave the stream's buffer at 32k entries.
     step(&mut replica, 16_400);
-    let before = replica.sd_accept_trace().len();
+    let before = replica.sd_accept_trace().count();
     let (allocs, ()) = allocations_during(|| step(&mut replica, 10_000));
-    assert_eq!(replica.sd_accept_trace().len() - before, 10_000);
+    assert_eq!(replica.sd_accept_trace().count() - before, 10_000);
     assert_eq!(allocs, 0, "speculative replica steps must not allocate");
 }
 
@@ -510,3 +538,164 @@ fn train_step_allocations_are_bounded_per_response() {
 
 /// Upper bound on heap allocations per response inside `train_step`.
 const TRAIN_STEP_ALLOCS_PER_RESPONSE: u64 = 100;
+
+/// The first `requests` records of the derived corpus trace, as TLTR bytes.
+fn derived_trace_bytes(requests: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    tlt_trace::write_derived_trace(&mut bytes, requests).expect("in-memory sink");
+    bytes
+}
+
+/// Bytes a record of the completion log takes.
+const RECORD_BYTES: i64 = std::mem::size_of::<tlt_serve::CompletedRequest>() as i64;
+
+/// What a replayed request costs in memory is its completion record: the
+/// peak of a replay grows, from N to 2N requests, by the 72-byte record and
+/// the report's 8 bytes of latency scratch per request (8 more allowed), on
+/// the streamed monolithic path and on a fixed 1P+1D cluster alike. With a
+/// per-replica log gathered, stably sorted and summarised through three
+/// series this was about 200 bytes, plus 16 per offer and 1 per SD step.
+#[test]
+fn replay_peak_live_grows_by_one_record_per_request() {
+    use tlt_serve::DisaggConfig;
+    use tlt_trace::{replay_disagg, replay_serving_streamed, Trace, TraceReader};
+
+    const N: u64 = 20_000;
+    assert_eq!(RECORD_BYTES, 72);
+    let streamed = |requests: u64| {
+        let bytes = derived_trace_bytes(requests);
+        let mut reader = TraceReader::open(&bytes[..]).expect("own trace opens");
+        let config = tlt::replay_deployment(4);
+        let (peak, report) = peak_live_during(|| replay_serving_streamed(&mut reader, &config));
+        assert_eq!(
+            report.expect("own trace replays").completed.len() as u64,
+            requests
+        );
+        peak
+    };
+    // The window opens after the decode: the caller's 48 bytes per arrival
+    // are not the simulator's.
+    let disagg = |requests: u64| {
+        let trace = Trace::from_bytes(&derived_trace_bytes(requests)).expect("own trace decodes");
+        let config = DisaggConfig::new(tlt::replay_deployment(1), 1, 1);
+        let (peak, report) = peak_live_during(|| replay_disagg(&trace, config));
+        assert_eq!(report.serve.completed.len() as u64, requests);
+        peak
+    };
+    for (path, at_n, at_2n) in [
+        ("replay_serving_streamed", streamed(N), streamed(2 * N)),
+        ("replay_disagg 1P+1D", disagg(N), disagg(2 * N)),
+    ] {
+        let per_request = (at_2n - at_n) as f64 / N as f64;
+        eprintln!(
+            "{path}: peak {at_n} B at {N}, {at_2n} B at {}: {per_request:.1} B/request",
+            2 * N
+        );
+        assert!(
+            per_request <= (RECORD_BYTES + 8 + 8) as f64,
+            "{path}: peak live grew by {per_request:.1} B per request"
+        );
+    }
+}
+
+/// After drain, before the report, a hinted `ServeSim` holds the log and a
+/// request-independent remainder: nothing per offer, nothing per step.
+#[test]
+fn drained_serve_sim_retains_only_the_completion_log() {
+    use tlt_serve::{ServeRequest, ServeSim};
+    use tlt_trace::TraceReader;
+
+    let beside_the_log = |requests: u64| {
+        let bytes = derived_trace_bytes(requests);
+        let mut reader = TraceReader::open(&bytes[..]).expect("own trace opens");
+        let start = live_bytes();
+        let mut sim = ServeSim::new(&tlt::replay_deployment(4));
+        sim.reserve_completions(requests as usize);
+        while let Some(arrival) = reader.next_arrival().expect("own trace decodes") {
+            sim.advance_before(arrival.time_s());
+            sim.offer(ServeRequest::from_arrival(&arrival));
+        }
+        sim.run_until_drained();
+        let held = live_bytes() - start;
+        assert_eq!(sim.into_report().completed.len() as u64, requests);
+        held - RECORD_BYTES * requests as i64
+    };
+    let (at_n, at_2n) = (beside_the_log(20_000), beside_the_log(40_000));
+    eprintln!("beside the log after drain: {at_n} B at 20k, {at_2n} B at 40k");
+    assert!(
+        (at_2n - at_n).abs() < 64 << 10,
+        "live bytes beside the log: {at_n} at 20k requests, {at_2n} at 40k"
+    );
+}
+
+/// What a cluster member still holds at report time, averaged over the 82
+/// members (75 retired) of the churn run: everything live after drain except
+/// the log. A retired member keeps its `Replica` (1.2 KB inline, in a pool
+/// `Vec` grown by doubling), its config copy, ledger and metrics registry;
+/// its buffers and SD tuner are released. Pinned so that a field added to
+/// `Replica`, or a buffer a retired member keeps, shows up here.
+#[test]
+fn retired_cluster_members_hold_a_pinned_number_of_bytes() {
+    use tlt_serve::{ClusterSim, ServeRequest};
+
+    let trace = churn::trace();
+    let requests = trace.arrivals().len();
+    let start = live_bytes();
+    let mut sim = ClusterSim::new(churn::config());
+    sim.reserve_completions(requests);
+    for arrival in trace.arrivals() {
+        sim.advance_before(arrival.time_s());
+        sim.offer(ServeRequest::from_arrival(arrival));
+    }
+    sim.run_until_drained();
+    let beside_the_log = live_bytes() - start - RECORD_BYTES * requests as i64;
+    let report = sim.into_report();
+    assert_eq!(report.serve.completed.len(), requests);
+    assert!(report.retires >= churn::MIN_RETIRES, "{}", report.retires);
+    let per_member = beside_the_log / report.serve.replicas.len() as i64;
+    assert!(
+        (3_400..=3_500).contains(&per_member),
+        "{per_member} B per cluster member at report time (3,497 when pinned; 4,354 \
+         before retirement released the SD tuner)"
+    );
+}
+
+/// The header's request count is outside input that the reader can verify
+/// only at end of stream: a stream declaring 2^64 - 1 (or 2^40) requests and
+/// carrying three fails with the reader's typed error, and the completion log
+/// it sized is clamped to the decode-side pre-allocation guard (2^20 records)
+/// rather than overflowing or aborting on the reservation.
+#[test]
+fn hostile_header_count_cannot_size_the_completion_log() {
+    use tlt_trace::{replay_serving_streamed, TraceError, TraceReader, TraceWriter};
+
+    for declared in [u64::MAX, 1 << 40] {
+        let mut bytes = Vec::new();
+        let mut writer =
+            TraceWriter::new(&mut bytes, "hostile", 1_000, declared).expect("header writes");
+        for arrival in tlt_trace::CorpusPreset::Chat
+            .build()
+            .arrivals()
+            .iter()
+            .take(3)
+        {
+            writer.push(arrival).expect("record writes");
+        }
+        // Dropped unfinished: three records, no trailer.
+        drop(writer);
+        let mut reader = TraceReader::open(&bytes[..]).expect("header is intact");
+        assert_eq!(reader.request_count(), declared);
+        let before = allocated_bytes();
+        let outcome = replay_serving_streamed(&mut reader, &tlt::replay_deployment(2));
+        let allocated = allocated_bytes() - before;
+        assert_eq!(
+            outcome.unwrap_err(),
+            TraceError::Truncated,
+            "declared {declared}"
+        );
+        assert!(
+            allocated <= (RECORD_BYTES as u64 + 1) << 20,
+            "declared {declared}: replay allocated {allocated} B"
+        );
+    }
+}

@@ -8,105 +8,17 @@
 use tlt::obs::{install, uninstall, EventKind, FlightRecorder, ObsEvent, Track};
 use tlt::replay_deployment;
 use tlt_serve::{
-    ClusterReport, ClusterSim, DisaggConfig, DriveOutcome, EventCore, ServeConfig, ServeReport,
-    ServeRequest, ServeSim,
+    ClusterSim, DisaggConfig, DriveOutcome, EventCore, ServeReport, ServeRequest, ServeSim,
 };
 use tlt_trace::CorpusPreset;
 use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 
-const CORES: [EventCore; 2] = [EventCore::IndexedHeap, EventCore::LinearScan];
-
-/// A timed fault action against a running simulation.
-#[derive(Clone, Copy)]
-enum Fault {
-    Crash(usize),
-    Restart(usize),
-}
+#[path = "common/drive.rs"]
+mod drive;
+use drive::{drive_disagg, drive_serving, Fault, CORES};
 
 fn arrivals_for(seed: u64) -> Vec<RequestArrival> {
     generate_arrivals(&ArrivalConfig::constant(10.0, 8.0, seed).with_prefix(0.5, 128))
-}
-
-/// Drives a monolithic [`ServeSim`] under `core` over `arrivals` with faults
-/// injected at their scheduled times, capturing the full observability stream.
-fn drive_serving(
-    core: EventCore,
-    config: &ServeConfig,
-    arrivals: &[RequestArrival],
-    faults: &[(f64, Fault)],
-) -> (ServeReport, Vec<ObsEvent>) {
-    install(FlightRecorder::new(1 << 16));
-    let mut sim = ServeSim::new(config);
-    sim.set_event_core(core);
-    let mut faults = faults.iter().copied().peekable();
-    for a in arrivals {
-        while let Some(&(t, fault)) = faults.peek() {
-            if t > a.time_s() {
-                break;
-            }
-            sim.advance_before(t);
-            match fault {
-                Fault::Crash(idx) => {
-                    sim.crash_replica(idx);
-                }
-                Fault::Restart(idx) => sim.restart_replica(idx),
-            }
-            faults.next();
-        }
-        sim.advance_before(a.time_s());
-        sim.offer(ServeRequest::from_arrival(a));
-    }
-    for (t, fault) in faults {
-        sim.advance_before(t);
-        match fault {
-            Fault::Crash(idx) => {
-                sim.crash_replica(idx);
-            }
-            Fault::Restart(idx) => sim.restart_replica(idx),
-        }
-    }
-    assert_eq!(sim.run_until_drained(), DriveOutcome::Completed);
-    let events = uninstall().expect("recorder installed").events();
-    (sim.into_report(), events)
-}
-
-/// Disaggregated counterpart of [`drive_serving`] (global fault indices span
-/// prefill then decode replicas).
-fn drive_disagg(
-    core: EventCore,
-    config: DisaggConfig,
-    arrivals: &[RequestArrival],
-    faults: &[(f64, Fault)],
-) -> (ClusterReport, Vec<ObsEvent>) {
-    install(FlightRecorder::new(1 << 16));
-    let mut sim = ClusterSim::new(config);
-    sim.set_event_core(core);
-    let mut faults = faults.iter().copied().peekable();
-    for a in arrivals {
-        while let Some(&(t, fault)) = faults.peek() {
-            if t > a.time_s() {
-                break;
-            }
-            sim.advance_before(t);
-            match fault {
-                Fault::Crash(idx) => sim.crash_replica(idx, t),
-                Fault::Restart(idx) => sim.restart_replica(idx, t),
-            }
-            faults.next();
-        }
-        sim.advance_before(a.time_s());
-        sim.offer(ServeRequest::from_arrival(a));
-    }
-    for (t, fault) in faults {
-        sim.advance_before(t);
-        match fault {
-            Fault::Crash(idx) => sim.crash_replica(idx, t),
-            Fault::Restart(idx) => sim.restart_replica(idx, t),
-        }
-    }
-    assert_eq!(sim.run_until_drained(), DriveOutcome::Completed);
-    let events = uninstall().expect("recorder installed").events();
-    (sim.into_report(), events)
 }
 
 fn assert_serving_identical(

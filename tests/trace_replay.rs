@@ -211,6 +211,36 @@ fn chat_corpus_report_and_sd_accept_stream_are_pinned() {
     );
 }
 
+/// The recorder reads the SD accept stream back out of the replicas, where it
+/// is now stored run-length: the TLTR bytes `record_serving` and
+/// `record_disagg` emit for the committed chat trace (workload plus SD
+/// section, checksum trailer included) are pinned at what the byte-per-step
+/// log produced.
+#[test]
+fn recorded_chat_corpus_tltr_bytes_are_pinned() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/chat.tltr");
+    let chat = Trace::read_file(path).expect("committed chat trace");
+    let (_, mono) = record_serving(
+        "chat-rec",
+        chat.tick_ns(),
+        &replay_deployment(2),
+        chat.arrivals(),
+    );
+    let (_, disagg) = record_disagg(
+        "chat-rec-disagg",
+        chat.tick_ns(),
+        DisaggConfig::new(replay_deployment(1), 1, 2),
+        chat.arrivals(),
+    );
+    let pin = |trace: &Trace| {
+        let bytes = trace.to_bytes();
+        let sd_steps = trace.sd_accepts().expect("recorded runs carry SD").len();
+        (bytes.len(), sd_steps, fnv1a(&bytes))
+    };
+    assert_eq!(pin(&mono), (16_105, 10_387, 0xd9b7_bc66_5445_b1e0));
+    assert_eq!(pin(&disagg), (16_952, 11_059, 0xc743_f0ec_228b_6fb5));
+}
+
 /// Streamed decode must equal the in-memory decoder on arbitrary traces and
 /// arbitrary (tiny) chunk capacities — records and prefix back-references
 /// straddle refill boundaries at capacity 16.
