@@ -9,10 +9,13 @@
 //! output lanes that stays in registers across the key loop and is stored once.
 //!
 //! Every output element sees the same floating-point operations in the same
-//! order as a head-at-a-time loop (scores through [`dot`]; per head a sequential
-//! max, `exp`, sequential sum and divide; keys in increasing order), so results
-//! do not depend on the blocking and are bit-identical across KV backends.
+//! order as a head-at-a-time loop (scores through [`dot`]; per head a max,
+//! [`mathx::exp`] of the difference, sequential sum and divide; keys in
+//! increasing order), so results do not depend on the blocking and are
+//! bit-identical across KV backends.
 
+use crate::mathx;
+use crate::ops::select_max;
 use crate::tensor::{dot, Mat};
 
 /// Number of probabilities [`forward`] keeps for `rows` causal query rows over
@@ -46,10 +49,7 @@ pub(crate) fn forward<'a>(
         let len = (past + i + 1) * heads;
         let row_probs = &mut probs[start..start + len];
         head_dots(q.row(i), &key, head_dim, scale, row_probs);
-        for_head_blocks(heads, |h0, wide| match wide {
-            true => softmax_block::<4>(row_probs, heads, h0),
-            false => softmax_block::<1>(row_probs, heads, h0),
-        });
+        softmax_heads(row_probs, heads);
         weighted_sum(row_probs, heads, &value, out.row_mut(i));
         if keep {
             start += len;
@@ -152,21 +152,58 @@ fn head_block_mut<const B: usize>(
         .map(move |r| (&mut r[h0..h0 + B]).try_into().expect("head block"))
 }
 
-/// In-place softmax of heads `h0..h0 + B` of a position-major score row; each
-/// head runs the sequence of [`crate::ops::softmax_in_place`] over its column.
+/// In-place softmax of every head column of a position-major score row; each
+/// head gets the bits of [`crate::ops::softmax_in_place`] over its column. The
+/// `exp` pass runs flat over the row, all heads at once.
+fn softmax_heads(scores: &mut [f32], heads: usize) {
+    for_head_blocks(heads, |h0, wide| match wide {
+        true => subtract_max_block::<4>(scores, heads, h0),
+        false => subtract_max_block::<1>(scores, heads, h0),
+    });
+    mathx::exp_in_place(scores);
+    for_head_blocks(heads, |h0, wide| match wide {
+        true => normalize_block::<4>(scores, heads, h0),
+        false => normalize_block::<1>(scores, heads, h0),
+    });
+}
+
+/// Subtracts from heads `h0..h0 + B` of a position-major row each head's max.
 #[inline]
-fn softmax_block<const B: usize>(probs: &mut [f32], heads: usize, h0: usize) {
-    let mut max = [f32::NEG_INFINITY; B];
-    for s in head_block::<B>(probs, heads, h0) {
-        for (m, &s) in max.iter_mut().zip(s) {
-            *m = m.max(s);
+fn subtract_max_block<const B: usize>(scores: &mut [f32], heads: usize, h0: usize) {
+    // A max does not depend on the order it is taken in: four keys at a time,
+    // each into its own accumulator, so no key waits for the one before it.
+    let mut acc = [[f32::NEG_INFINITY; B]; 4];
+    let mut groups = scores.chunks_exact(4 * heads);
+    for group in &mut groups {
+        for (g, acc) in acc.iter_mut().enumerate() {
+            let s: &[f32; B] = group[g * heads + h0..][..B].try_into().expect("head block");
+            for (m, &s) in acc.iter_mut().zip(s) {
+                *m = select_max(*m, s);
+            }
         }
     }
+    let [mut max, rest @ ..] = acc;
+    let tail = head_block::<B>(groups.remainder(), heads, h0);
+    for s in rest.iter().chain(tail) {
+        for (m, &s) in max.iter_mut().zip(s) {
+            *m = select_max(*m, s);
+        }
+    }
+    for s in head_block_mut::<B>(scores, heads, h0) {
+        for (s, &m) in s.iter_mut().zip(&max) {
+            *s -= m;
+        }
+    }
+}
+
+/// Divides heads `h0..h0 + B` of a position-major row by each head's sum over
+/// the keys in increasing order.
+#[inline]
+fn normalize_block<const B: usize>(probs: &mut [f32], heads: usize, h0: usize) {
     let mut sum = [0.0f32; B];
-    for p in head_block_mut::<B>(probs, heads, h0) {
-        for ((p, &m), sum) in p.iter_mut().zip(&max).zip(sum.iter_mut()) {
-            *p = (*p - m).exp();
-            *sum += *p;
+    for p in head_block::<B>(probs, heads, h0) {
+        for (sum, &p) in sum.iter_mut().zip(p) {
+            *sum += p;
         }
     }
     // A head whose sum is not positive is left undivided; x / 1.0 is bitwise x.
@@ -322,4 +359,38 @@ fn scatter(weights: &[f32], heads: usize, src: &[f32], dst: &mut Mat) {
         heads,
         src.len(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::tests::{assert_softmax_contract, random_logits};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Every head column of a position-major row, through blocks of four
+        /// heads and single heads, with and without a tail of the 4-key groups.
+        #[test]
+        fn softmax_heads_keeps_the_softmax_contract_per_head(
+            heads in 1usize..=9,
+            keys in 1usize..70,
+            scale in 0.01f64..120.0,
+            masked in 0u8..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let columns: Vec<Vec<f32>> = (0..heads as u64)
+                .map(|h| random_logits(keys, scale, masked == 0, seed + h))
+                .collect();
+            let mut row: Vec<f32> = (0..keys * heads).map(|i| columns[i % heads][i / heads]).collect();
+            softmax_heads(&mut row, heads);
+            for (h, logits) in columns.iter().enumerate() {
+                let probs: Vec<f32> = row.iter().skip(h).step_by(heads).copied().collect();
+                assert_softmax_contract(logits, &probs);
+                // ... and each head is the flat softmax of its column, bit for bit.
+                let mut flat = logits.clone();
+                crate::ops::softmax_in_place(&mut flat);
+                prop_assert_eq!(probs, flat);
+            }
+        }
+    }
 }

@@ -7,6 +7,8 @@
 //! too expensive. Both the exact full-distribution KL and the sampled estimators
 //! are provided here so tests can check the estimators against the exact value.
 
+use crate::mathx;
+use crate::ops::exp_shifted_in_place;
 use serde::{Deserialize, Serialize};
 
 /// Which per-token KL estimator to use.
@@ -46,7 +48,7 @@ pub fn sampled_kl(logp: f32, logq: f32, estimator: KlEstimator) -> f32 {
         KlEstimator::K2 => 0.5 * (logp - logq).powi(2),
         KlEstimator::K3 => {
             let log_ratio = logq - logp;
-            (log_ratio.exp() - 1.0) - log_ratio
+            (mathx::exp(log_ratio) - 1.0) - log_ratio
         }
     }
 }
@@ -99,6 +101,56 @@ pub fn kl_grad_wrt_logits_into(p: &[f32], q: &[f32], out: &mut Vec<f32>) -> f64 
             pi * ((pi.max(1e-12)).ln() - (qi.max(1e-12)).ln() - kl32)
         }
     }));
+    kl
+}
+
+/// Exact `KL(p || q)` and its gradient with respect to the policy logits, for
+/// `p = softmax(logits)` and the fixed `q = softmax(ref_logits)`, with the
+/// log-probabilities read off the logits (`z - max - ln(sum)`: one logarithm
+/// per distribution, none per entry) instead of recovered from `p` and `q`.
+///
+/// Leaves `p` in `probs` (the bits of [`crate::probs_from_logits_into`] at
+/// temperature 1) and `p_j * (log p_j - log q_j - KL)` in `grad`; returns the
+/// KL, accumulated in `f64` and clamped at zero. An entry whose probability
+/// underflows to zero contributes nothing to either.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length.
+pub fn kl_grad_from_logits_into(
+    logits: &[f32],
+    ref_logits: &[f32],
+    probs: &mut Vec<f32>,
+    grad: &mut Vec<f32>,
+) -> f64 {
+    assert_eq!(logits.len(), ref_logits.len(), "logits length mismatch");
+    grad.clear();
+    grad.extend_from_slice(ref_logits);
+    let (ref_max, ref_sum) = exp_shifted_in_place(grad);
+    probs.clear();
+    probs.extend_from_slice(logits);
+    let (max, sum) = exp_shifted_in_place(probs);
+    let (ln_sum, ref_ln_sum) = (sum.ln(), ref_sum.ln());
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
+    // log p_j - log q_j, over the reference's exponentials (only their sum was needed).
+    grad.clear();
+    grad.extend(
+        logits
+            .iter()
+            .zip(ref_logits)
+            .map(|(&z, &ref_z)| ((z - max) - ln_sum) - ((ref_z - ref_max) - ref_ln_sum)),
+    );
+    let mut kl = 0.0f64;
+    for (&p, &log_ratio) in probs.iter().zip(grad.iter()) {
+        kl += p as f64 * log_ratio as f64;
+    }
+    let kl = kl.max(0.0);
+    let kl32 = kl as f32;
+    for (g, &p) in grad.iter_mut().zip(probs.iter()) {
+        *g = p * (*g - kl32);
+    }
     kl
 }
 

@@ -40,6 +40,7 @@ pub mod dispatch;
 pub mod kl;
 pub mod kv_cache;
 pub mod layers;
+pub mod mathx;
 pub mod ops;
 pub mod optim;
 pub mod paged_kv;

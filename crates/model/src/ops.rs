@@ -5,6 +5,7 @@
 //! reverse-mode style keeps the substrate dependency-free and easy to verify with
 //! finite-difference tests (see the test module at the bottom of this file).
 
+use crate::mathx;
 use crate::tensor::Mat;
 
 /// Numerical epsilon used by RMSNorm.
@@ -21,17 +22,48 @@ pub fn softmax_rows(logits: &Mat) -> Mat {
     out
 }
 
+/// `max(m, v)` as one compare-select, which vectorises to a single max
+/// instruction; `f32::max`'s NaN rule costs a compare and a blend more and
+/// measured twice as slow in the max passes. A NaN `v` is skipped either way.
+#[inline]
+pub(crate) fn select_max(m: f32, v: f32) -> f32 {
+    if v > m {
+        v
+    } else {
+        m
+    }
+}
+
+/// The front of every softmax here: replaces `row` by `exp(row - max)` and
+/// returns `(max, sum)`. The max runs over 16 independent accumulators (its
+/// order does not matter), the exponentials are one flat
+/// [`mathx::exp_in_place`] pass, and the sum is sequential in index order.
+pub(crate) fn exp_shifted_in_place(row: &mut [f32]) -> (f32, f32) {
+    let mut acc = [f32::NEG_INFINITY; 16];
+    let mut blocks = row.chunks_exact(acc.len());
+    for block in &mut blocks {
+        for (m, &v) in acc.iter_mut().zip(block) {
+            *m = select_max(*m, v);
+        }
+    }
+    let max = acc
+        .iter()
+        .chain(blocks.remainder())
+        .fold(f32::NEG_INFINITY, |m, &v| select_max(m, v));
+    for v in row.iter_mut() {
+        *v -= max;
+    }
+    mathx::exp_in_place(row);
+    let mut sum = 0.0;
+    for &v in row.iter() {
+        sum += v;
+    }
+    (max, sum)
+}
+
 /// In-place numerically-stable softmax over a slice.
 pub fn softmax_in_place(row: &mut [f32]) {
-    if row.is_empty() {
-        return;
-    }
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
+    let (_, sum) = exp_shifted_in_place(row);
     if sum > 0.0 {
         for v in row.iter_mut() {
             *v /= sum;
@@ -53,16 +85,18 @@ pub fn log_softmax(row: &[f32]) -> Vec<f32> {
 /// Panics if `out.len() != row.len()`.
 pub fn log_softmax_into(row: &[f32], out: &mut [f32]) {
     assert_eq!(row.len(), out.len(), "log_softmax output length mismatch");
-    let log_sum = log_sum_exp(row);
+    let log_sum = log_sum_exp(row, out);
     for (o, &v) in out.iter_mut().zip(row.iter()) {
         *o = v - log_sum;
     }
 }
 
-/// Stable `log(sum(exp(row)))` of a slice.
-fn log_sum_exp(row: &[f32]) -> f32 {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max
+/// Stable `log(sum(exp(row)))` of a slice; the exponentials are taken in
+/// `scratch` (same length, overwritten).
+fn log_sum_exp(row: &[f32], scratch: &mut [f32]) -> f32 {
+    scratch.copy_from_slice(row);
+    let (max, sum) = exp_shifted_in_place(scratch);
+    sum.ln() + max
 }
 
 /// Backward pass for a row-wise softmax.
@@ -102,7 +136,7 @@ pub fn silu_grad(x: f32) -> f32 {
 
 /// Logistic sigmoid.
 pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+    1.0 / (1.0 + mathx::exp(-x))
 }
 
 /// Saved state from an [`rmsnorm_forward`] call, needed for the backward pass.
@@ -311,15 +345,19 @@ pub fn cross_entropy_weighted(
         let target = targets[r];
         assert!(target < logits.cols(), "target index out of range");
         let w = weights.map_or(1.0, |ws| ws[r]);
-        // Single log-sum-exp per row, no temporary log-prob buffer.
+        // Single log-sum-exp per row; the gradient row is the only buffer.
         let row = logits.row(r);
-        let log_sum = log_sum_exp(row);
-        loss += -w * (row[target] - log_sum);
         let d = d_logits.row_mut(r);
-        for (i, (d_i, &v)) in d.iter_mut().zip(row.iter()).enumerate() {
-            let p = (v - log_sum).exp();
-            let indicator = if i == target { 1.0 } else { 0.0 };
-            *d_i = w * (p - indicator) / n;
+        let log_sum = log_sum_exp(row, d);
+        loss += -w * (row[target] - log_sum);
+        for (d_i, &v) in d.iter_mut().zip(row.iter()) {
+            *d_i = v - log_sum;
+        }
+        mathx::exp_in_place(d);
+        // d/dz of -log p(target) is p - onehot.
+        d[target] -= 1.0;
+        for d_i in d.iter_mut() {
+            *d_i = w * *d_i / n;
         }
     }
     (loss / n, d_logits)
@@ -380,10 +418,62 @@ pub fn top_k_accuracy_multi(logits: &Mat, targets: &[usize], ks: &[usize]) -> Ve
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// What every softmax of the crate guarantees, whatever `exp` rounds to:
+    /// `probs` is the softmax of `logits` (not all `-inf`).
+    pub(crate) fn assert_softmax_contract(logits: &[f32], probs: &[f32]) {
+        let n = logits.len();
+        assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)), "{probs:?}");
+        let total: f64 = probs.iter().map(|&p| f64::from(p)).sum();
+        let slack = n as f64 / f64::from(1u32 << 23);
+        assert!((total - 1.0).abs() <= slack, "sum {total} over {n}");
+        // The largest logit maps to exp(0) == 1.0 exactly, so its probability is
+        // the reciprocal of the sequential f32 sum of the exponentials.
+        let top = crate::sampling::argmax(logits);
+        let mut sum = 0.0f32;
+        for &z in logits {
+            sum += mathx::exp(z - logits[top]);
+        }
+        assert_eq!(probs[top].to_bits(), (1.0 / sum).to_bits());
+        assert!(probs.iter().all(|&p| p <= probs[top]));
+        if logits.iter().filter(|z| **z > f32::NEG_INFINITY).count() == 1 {
+            let one_hot: Vec<f32> = (0..n).map(|i| f32::from(i == top)).collect();
+            assert_eq!(probs, one_hot);
+        }
+    }
+
+    /// `n` logits of magnitude up to `scale`; with `masked`, all `-inf` but one.
+    pub(crate) fn random_logits(n: usize, scale: f64, masked: bool, seed: u64) -> Vec<f32> {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keep = rng.gen_range(0..n);
+        (0..n)
+            .map(|i| match masked && i != keep {
+                true => f32::NEG_INFINITY,
+                false => (rng.gen_range(-1.0..1.0) * scale) as f32,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn softmax_in_place_keeps_its_contract(
+            n in 1usize..200,
+            scale in 0.01f64..120.0,
+            masked in 0u8..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let logits = random_logits(n, scale, masked == 0, seed);
+            let mut probs = logits.clone();
+            softmax_in_place(&mut probs);
+            assert_softmax_contract(&logits, &probs);
+        }
+    }
 
     fn finite_diff_check<F: FnMut(&Mat) -> f32>(x: &Mat, analytic: &Mat, mut f: F, tol: f32) {
         let eps = 1e-3;
@@ -419,7 +509,7 @@ mod tests {
         let mut sm = row.to_vec();
         softmax_in_place(&mut sm);
         for (l, s) in lp.iter().zip(sm.iter()) {
-            assert!((l.exp() - s).abs() < 1e-6);
+            assert!((mathx::exp(*l) - s).abs() < 1e-6);
         }
     }
 

@@ -127,8 +127,18 @@ pub fn sample_from_probs<R: Rng>(probs: &[f32], rng: &mut R) -> usize {
     assert!(!probs.is_empty(), "empty probability vector");
     let total: f32 = probs.iter().sum();
     assert!(total > 0.0, "probability vector sums to zero");
+    pick(probs.iter().copied(), total, rng)
+}
+
+/// Draws a threshold in `0.0..total` and returns the index of the weight it
+/// falls in, walking the positive weights in order.
+fn pick<R: Rng>(
+    mut weights: impl DoubleEndedIterator<Item = f32> + ExactSizeIterator + Clone,
+    total: f32,
+    rng: &mut R,
+) -> usize {
     let mut threshold = rng.gen_range(0.0..total);
-    for (i, &p) in probs.iter().enumerate() {
+    for (i, p) in weights.clone().enumerate() {
         if p <= 0.0 {
             continue;
         }
@@ -138,9 +148,8 @@ pub fn sample_from_probs<R: Rng>(probs: &[f32], rng: &mut R) -> usize {
         threshold -= p;
     }
     // Floating-point round-off: fall back to the last positive entry.
-    probs
-        .iter()
-        .rposition(|&p| p > 0.0)
+    weights
+        .rposition(|p| p > 0.0)
         .expect("at least one positive probability")
 }
 
@@ -160,17 +169,14 @@ pub fn sample_token<R: Rng>(logits: &[f32], params: SamplingParams, rng: &mut R)
 /// drawn from `max(0, p_target - p_draft)` renormalised.
 pub fn sample_from_residual<R: Rng>(target: &[f32], draft: &[f32], rng: &mut R) -> usize {
     assert_eq!(target.len(), draft.len(), "distribution length mismatch");
-    let residual: Vec<f32> = target
-        .iter()
-        .zip(draft.iter())
-        .map(|(&t, &d)| (t - d).max(0.0))
-        .collect();
-    let total: f32 = residual.iter().sum();
+    // Summed in one pass and picked from in a second: no residual vector.
+    let residual = target.iter().zip(draft).map(|(&t, &d)| (t - d).max(0.0));
+    let total: f32 = residual.clone().sum();
     if total <= f32::EPSILON {
         // Distributions are (numerically) identical; fall back to the target.
         return sample_from_probs(target, rng);
     }
-    sample_from_probs(&residual, rng)
+    pick(residual, total, rng)
 }
 
 #[cfg(test)]
@@ -264,6 +270,49 @@ mod tests {
         let target = [0.25f32, 0.25, 0.5];
         let idx = sample_from_residual(&target, &target, &mut rng);
         assert!(idx < 3);
+    }
+
+    #[test]
+    fn residual_sampling_matches_the_collect_then_sample_form() {
+        use rand::Rng;
+        // The sampler this one replaced, verbatim: materialise the residual,
+        // then sample from it.
+        fn collected<R: Rng>(target: &[f32], draft: &[f32], rng: &mut R) -> usize {
+            let residual: Vec<f32> = target
+                .iter()
+                .zip(draft.iter())
+                .map(|(&t, &d)| (t - d).max(0.0))
+                .collect();
+            let total: f32 = residual.iter().sum();
+            if total <= f32::EPSILON {
+                return sample_from_probs(target, rng);
+            }
+            sample_from_probs(&residual, rng)
+        }
+        let mut inputs = StdRng::seed_from_u64(4);
+        let (mut rng, mut old_rng) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let params = SamplingParams::rollout();
+        for case in 0..10_000 {
+            let n = inputs.gen_range(1..100);
+            let mut dist = || {
+                let logits: Vec<f32> = (0..n).map(|_| inputs.gen_range(-4.0..4.0)).collect();
+                probs_from_logits(&logits, params)
+            };
+            let target = dist();
+            // One pair in eight is identical: the fall-back to the target.
+            let draft = if case % 8 == 0 {
+                target.clone()
+            } else {
+                dist()
+            };
+            assert_eq!(
+                sample_from_residual(&target, &draft, &mut rng),
+                collected(&target, &draft, &mut old_rng),
+                "case {case}"
+            );
+        }
+        // Index for index on one seed, and the streams are still aligned.
+        assert_eq!(rng.gen::<u64>(), old_rng.gen::<u64>());
     }
 
     #[test]

@@ -9,10 +9,8 @@
 
 use crate::advantage::{compute_advantages, RlAlgorithm};
 use serde::{Deserialize, Serialize};
-use tlt_model::kl::kl_grad_wrt_logits_into;
-use tlt_model::{
-    probs_from_logits_into, Adam, AdamConfig, Mat, PolicyGrads, SamplingParams, TinyLm, TokenId,
-};
+use tlt_model::kl::kl_grad_from_logits_into;
+use tlt_model::{Adam, AdamConfig, Mat, PolicyGrads, TinyLm, TokenId};
 
 /// RL training configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,12 +156,7 @@ impl PolicyTrainer {
         let mut tokens: Vec<TokenId> = Vec::new();
         let mut d_logits = Mat::zeros(0, target.config.vocab_size);
         let mut probs = Vec::with_capacity(target.config.vocab_size);
-        let mut ref_probs = Vec::with_capacity(target.config.vocab_size);
         let mut kl_grad = Vec::with_capacity(target.config.vocab_size);
-        let full_distribution = SamplingParams {
-            temperature: 1.0,
-            top_k: None,
-        };
 
         for (group, advs) in groups.iter().zip(advantages.iter()) {
             for ((response, &reward), &advantage) in group
@@ -195,18 +188,21 @@ impl PolicyTrainer {
                 let ref_logits = self.reference.tail_logits(&trunk);
 
                 // Training stage: policy-gradient + KL-penalty gradient on logits,
-                // applied only at response positions. The full policy/reference
-                // distributions needed for the KL gradient double as the source of
-                // the exact per-token KL reported in the metrics.
+                // applied only at response positions. The full policy distribution
+                // and the log-ratio needed for the KL gradient double as the source
+                // of the exact per-token KL reported in the metrics.
                 d_logits.set_rows(len - 1, target.config.vocab_size);
                 d_logits.fill_zero();
                 let norm = response_positions as f32;
                 let mut response_kl = 0.0f64;
                 for pos in prompt_len - 1..len - 1 {
                     let next = tokens[pos + 1] as usize;
-                    probs_from_logits_into(fwd.logits.row(pos), full_distribution, &mut probs);
-                    probs_from_logits_into(ref_logits.row(pos), full_distribution, &mut ref_probs);
-                    response_kl += kl_grad_wrt_logits_into(&probs, &ref_probs, &mut kl_grad);
+                    response_kl += kl_grad_from_logits_into(
+                        fwd.logits.row(pos),
+                        ref_logits.row(pos),
+                        &mut probs,
+                        &mut kl_grad,
+                    );
                     let row = d_logits.row_mut(pos);
                     for v in 0..row.len() {
                         let indicator = if v == next { 1.0 } else { 0.0 };

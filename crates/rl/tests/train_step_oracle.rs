@@ -6,10 +6,17 @@
 //! gradients into Adam. It lives only here. The product step runs the frozen
 //! trunk once per response and must agree bit for bit on the step metrics and
 //! on every updated weight.
+//!
+//! One line of it is not the old one: the KL block calls the product's
+//! `kl_grad_from_logits_into`, which reads log-probabilities off the logits
+//! where the old step took the logarithm of every probability. That helper is
+//! held to the old `kl_divergence` + `kl_grad_wrt_logits` by tolerance in
+//! `kl_from_logits_matches_kl_from_probabilities`, so what stays bitwise here
+//! is the trunk sharing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tlt_model::kl::{kl_divergence, kl_grad_wrt_logits};
+use tlt_model::kl::{kl_divergence, kl_grad_from_logits_into, kl_grad_wrt_logits};
 use tlt_model::{
     probs_from_logits, Adam, AdamConfig, Mat, ModelConfig, PolicyGrads, SamplingParams, TinyLm,
     TokenId,
@@ -81,22 +88,13 @@ impl OracleTrainer {
                 let mut response_kl = 0.0f64;
                 for pos in group.prompt.len() - 1..tokens.len() - 1 {
                     let next = tokens[pos + 1] as usize;
-                    let probs = probs_from_logits(
+                    let (mut probs, mut kl_grad) = (Vec::new(), Vec::new());
+                    response_kl += kl_grad_from_logits_into(
                         fwd.logits.row(pos),
-                        SamplingParams {
-                            temperature: 1.0,
-                            top_k: None,
-                        },
-                    );
-                    let ref_probs = probs_from_logits(
                         ref_out.logits.row(pos),
-                        SamplingParams {
-                            temperature: 1.0,
-                            top_k: None,
-                        },
+                        &mut probs,
+                        &mut kl_grad,
                     );
-                    response_kl += kl_divergence(&probs, &ref_probs);
-                    let kl_grad = kl_grad_wrt_logits(&probs, &ref_probs);
                     let row = d_logits.row_mut(pos);
                     for v in 0..row.len() {
                         let indicator = if v == next { 1.0 } else { 0.0 };
@@ -298,4 +296,59 @@ fn target_with_a_different_trunk_is_rejected() {
         rewards: vec![1.0],
     };
     trainer.train_step(&mut target, &[group]);
+}
+
+/// The KL block the step had before it read log-probabilities off the logits:
+/// both distributions materialised, then a logarithm per entry.
+#[test]
+fn kl_from_logits_matches_kl_from_probabilities() {
+    let full = SamplingParams {
+        temperature: 1.0,
+        top_k: None,
+    };
+    let mut rng = StdRng::seed_from_u64(24);
+    let (mut probs, mut grad) = (Vec::new(), Vec::new());
+    let mut check = |logits: &[f32], ref_logits: &[f32]| {
+        let (p, q) = (
+            probs_from_logits(logits, full),
+            probs_from_logits(ref_logits, full),
+        );
+        let kl = kl_grad_from_logits_into(logits, ref_logits, &mut probs, &mut grad);
+        assert_eq!(bits(&probs), bits(&p), "policy distribution");
+        let old_kl = kl_divergence(&p, &q);
+        assert!(
+            (kl - old_kl).abs() <= 1e-6 + 1e-5 * old_kl,
+            "KL {kl} vs {old_kl}"
+        );
+        for (v, (g, old)) in grad.iter().zip(kl_grad_wrt_logits(&p, &q)).enumerate() {
+            assert!((g - old).abs() <= 1e-6, "gradient entry {v}: {g} vs {old}");
+        }
+        kl
+    };
+    for case in 0..1_000 {
+        let vocab = [32, 96][case % 2];
+        let scale = [0.1f32, 0.5, 1.0, 2.0, 4.0, 8.0][case / 2 % 6];
+        let logits: Vec<f32> = (0..vocab).map(|_| rng.gen_range(-scale..scale)).collect();
+        // An unrelated reference, or one near the policy (an RL step's regime).
+        let drift = 0.05 * scale;
+        let ref_logits: Vec<f32> = logits
+            .iter()
+            .map(|z| match case % 3 {
+                0 => rng.gen_range(-scale..scale),
+                _ => z + rng.gen_range(-drift..drift),
+            })
+            .collect();
+        check(&logits, &ref_logits);
+    }
+    // A policy probability that underflows to an exact zero (and stays out of
+    // both the KL and the gradient), next to ordinary entries.
+    let mut logits = vec![0.0f32; 32];
+    logits[0] = 12.0;
+    logits[5] = -95.0;
+    let mut ref_logits = logits.clone();
+    ref_logits[0] = 11.0;
+    ref_logits[5] = -90.0;
+    let kl = check(&logits, &ref_logits);
+    assert!(kl > 0.0);
+    assert_eq!((probs[5], grad[5]), (0.0, 0.0));
 }

@@ -500,6 +500,67 @@ fn steady_state_draft_steps_allocate_nothing() {
     assert_eq!(allocs, 0, "steady-state draft steps must not allocate");
 }
 
+/// A whole speculative round as `speculative_generate` runs it at temperature
+/// 0.9 with a learned drafter: resume the drafter, five sampled draft steps, the
+/// target's verify block, rejection sampling down to the residual draw, the
+/// rollback. Warm, it allocates nothing, also when it ends in a rejection: the
+/// residual distribution is summed and picked from, never materialised.
+#[test]
+fn warm_speculative_round_ending_in_a_rejection_allocates_nothing() {
+    use rand::Rng;
+    use tlt_draft::{DraftModel, DraftScratch, FeatureSource};
+    use tlt_model::{sample_from_residual, KvStore};
+
+    let model = TinyLm::new(ModelConfig::tiny(), 49);
+    let drafter = DraftModel::new(&model, FeatureSource::LastLayer, 50);
+    let params = SamplingParams::rollout();
+    let prompt = [3u32, 1, 4, 1, 5, 9, 2, 6];
+    let pending = 7u32;
+
+    let mut cache = model.new_cache();
+    let mut ws = DecodeWorkspace::new(&model.config);
+    model.forward_into(&prompt, &mut cache, &mut ws);
+    let features = ws.last_hidden().clone();
+    let mut scratch = DraftScratch::new(&model, drafter.feature_source);
+    let mut state = drafter.begin_draft_with(&model, &features, &prompt, &mut scratch);
+    let mut probs = Vec::new();
+    let mut draft_dists = vec![Vec::new(); 5];
+    let mut block = Vec::new();
+
+    // One round from the same committed prefix; true if it ended in a rejection.
+    let mut round = |rng: &mut StdRng| {
+        drafter.resume_draft(&model, &features, &prompt, &mut state, &mut scratch);
+        block.clear();
+        block.push(pending);
+        for dist in draft_dists.iter_mut() {
+            let last = *block.last().expect("pending token");
+            let logits = drafter.draft_step_into(&model, &mut state, last, &mut scratch);
+            probs_from_logits_into(logits, params, dist);
+            block.push(sample_from_probs(dist, rng) as u32);
+        }
+        let committed = cache.kv_seq_len();
+        model.forward_into(&block, &mut cache, &mut ws);
+        let mut rejected = false;
+        for (i, (&tok, q)) in block[1..].iter().zip(&draft_dists).enumerate() {
+            probs_from_logits_into(ws.logits().row(i), params, &mut probs);
+            let ratio = probs[tok as usize] / q[tok as usize].max(f32::EPSILON);
+            if rng.gen::<f32>() >= ratio.min(1.0) {
+                assert!(sample_from_residual(&probs, q, rng) < probs.len());
+                rejected = true;
+                break;
+            }
+        }
+        cache.kv_truncate(committed);
+        rejected
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    // The first round sizes every block-shaped buffer.
+    round(&mut rng);
+    let (allocs, rejections) = allocations_during(|| (0..32).filter(|_| round(&mut rng)).count());
+    assert!(rejections > 0, "no round ended in a rejection");
+    assert_eq!(allocs, 0, "a warm speculative round must not allocate");
+}
+
 /// `train_step` allocates per response (the recorded forward, the backward's
 /// temporaries and gradients), never per response position: the probability and
 /// KL-gradient buffers are reused across the whole step.

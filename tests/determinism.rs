@@ -207,30 +207,60 @@ fn different_seeds_change_sampled_outputs() {
     assert!(diverged, "sampled generation never consulted the rng");
 }
 
-/// FNV-1a 64 over everything a token-level experiment computes: the report's
-/// counters and curves and the trained weights of the target's tail and of the
-/// drafter, all by bit pattern.
-fn token_experiment_digest(config: &tlt::TokenExperimentConfig) -> u64 {
-    let (report, target, drafter) = tlt::run_token_experiment(config);
+/// What a token-level experiment computes in integers, or from integers alone:
+/// a change to the float numerics (a different `exp`, a reordered sum) may move
+/// [`float_digest`] but must leave every field here as it was, because moving
+/// one takes a different sampled token or a different accept decision.
+#[derive(Debug, PartialEq)]
+struct IntegerSignature {
+    generated_tokens: usize,
+    target_steps: usize,
+    /// Response tokens of each RL step.
+    response_len_sums: Vec<u64>,
+    /// Per step, the mean over responses of accepted tokens per SD round: `f64`
+    /// arithmetic on the accept lengths' counts and sums, nothing else.
+    accept_length_curve: Vec<f64>,
+    /// Iteration stamp of every drafter-accuracy point, in order.
+    drafter_iterations: Vec<u64>,
+}
+
+fn integer_signature(
+    config: &tlt::TokenExperimentConfig,
+    report: &tlt::TokenExperimentReport,
+) -> IntegerSignature {
+    let responses_per_step = (config.prompts_per_step * config.group_size) as f64;
+    IntegerSignature {
+        generated_tokens: report.generated_tokens,
+        target_steps: report.rollout_target_steps,
+        response_len_sums: report
+            .response_len_curve
+            .iter()
+            .map(|mean| (mean * responses_per_step).round() as u64)
+            .collect(),
+        accept_length_curve: report.accept_length_curve.clone(),
+        drafter_iterations: report
+            .drafter_accuracy
+            .iter()
+            .map(|p| p.iteration)
+            .collect(),
+    }
+}
+
+/// FNV-1a 64 over the floats a token-level experiment computes: the reward, KL
+/// and drafter-accuracy curves and the trained weights of the target's tail and
+/// of the drafter, all by bit pattern.
+fn float_digest(report: &tlt::TokenExperimentReport, target: &TinyLm, drafter: &DraftModel) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |word: u64| {
         for byte in word.to_le_bytes() {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    eat(report.generated_tokens as u64);
-    eat(report.rollout_target_steps as u64);
-    for curve in [
-        &report.reward_curve,
-        &report.kl_curve,
-        &report.response_len_curve,
-        &report.accept_length_curve,
-    ] {
+    for curve in [&report.reward_curve, &report.kl_curve] {
         eat(curve.len() as u64);
         curve.iter().for_each(|v| eat(v.to_bits()));
     }
     for point in &report.drafter_accuracy {
-        eat(point.iteration);
         eat(point.top3_accuracy.to_bits());
         eat(u64::from(point.after_target_update));
     }
@@ -254,9 +284,12 @@ fn token_experiment_digest(config: &tlt::TokenExperimentConfig) -> u64 {
 
 #[test]
 fn token_experiments_reproduce_their_pinned_digests() {
-    // Taken at the commit before the attention kernels and the policy step's
-    // two model passes were merged into one each: rollouts, drafter training
-    // and the GRPO update must keep every bit.
+    // Rollouts, drafter training and the GRPO update, pinned twice. The integer
+    // signature must survive any change to the float numerics; if it moves, say
+    // which sampling decision flipped instead of re-pinning it. The float digest
+    // is re-pinned when the numerics change on purpose, last when `f32::exp`
+    // gave way to `tlt_model::mathx::exp` and the KL block started reading
+    // log-probabilities off the logits (CHANGES.md has the values on each side).
     use tlt::TokenExperimentConfig;
     let one_step_tiny = TokenExperimentConfig {
         model: ModelConfig::tiny(),
@@ -265,20 +298,53 @@ fn token_experiments_reproduce_their_pinned_digests() {
         max_new_tokens: 96,
         ..TokenExperimentConfig::small(true, true)
     };
-    for (name, config, pinned) in [
+    for (name, config, signature, pinned) in [
         (
             "small(false, false)",
             TokenExperimentConfig::small(false, false),
-            0x88b3_4c5b_7724_f416u64,
+            IntegerSignature {
+                generated_tokens: 1_232,
+                target_steps: 1_232,
+                response_len_sums: vec![395, 421, 416],
+                accept_length_curve: vec![1.0, 1.0, 1.0],
+                drafter_iterations: vec![],
+            },
+            0x560f_f2a8_c79b_645cu64,
         ),
         (
             "small(true, true)",
             TokenExperimentConfig::small(true, true),
-            0x5945_2c71_6bf4_82da,
+            IntegerSignature {
+                generated_tokens: 1_220,
+                target_steps: 512,
+                response_len_sums: vec![433, 421, 366],
+                accept_length_curve: vec![2.64648033126294, 2.873439060939061, 3.2315491221741226],
+                drafter_iterations: vec![
+                    1, 2, 3, 4, 5, 6, 6, 7, 8, 9, 10, 11, 12, 12, 13, 14, 15, 16, 17, 18, 18,
+                ],
+            },
+            0xb5b5_80d2_6af4_697b,
         ),
-        ("one-step tiny TLT", one_step_tiny, 0x9a20_c516_7304_f027),
+        (
+            "one-step tiny TLT",
+            one_step_tiny,
+            IntegerSignature {
+                generated_tokens: 452,
+                target_steps: 173,
+                response_len_sums: vec![452],
+                accept_length_curve: vec![2.814514896867838],
+                drafter_iterations: vec![1, 2, 3, 4, 5, 6, 6],
+            },
+            0x28b1_1cf3_5c21_506a,
+        ),
     ] {
-        let digest = token_experiment_digest(&config);
-        assert_eq!(digest, pinned, "{name}: digest {digest:#018x}");
+        let (report, target, drafter) = tlt::run_token_experiment(&config);
+        let digest = float_digest(&report, &target, &drafter);
+        eprintln!(
+            "{name}: {:?} {digest:#018x}",
+            integer_signature(&config, &report)
+        );
+        assert_eq!(integer_signature(&config, &report), signature, "{name}");
+        assert_eq!(digest, pinned, "{name}: float digest {digest:#018x}");
     }
 }
