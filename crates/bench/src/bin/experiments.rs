@@ -8,8 +8,6 @@
 //! cargo run -p tlt-bench --release --bin experiments -- fig11 table4 serving ...
 //! cargo run -p tlt-bench --release --bin experiments -- serving --json out.json
 //! cargo run -p tlt-bench --release --bin experiments -- serving --trace-out trace.json --metrics
-//! cargo run -p tlt-bench --release --bin experiments -- perf [--quick] [--json BENCH_7.json] \
-//!     [--autotune | --profile profiles/<target>.json] [--metrics]
 //! cargo run -p tlt-bench --release --bin experiments -- chaos [--json chaos.json] \
 //!     [--trace-out chaos_trace.json]
 //! cargo run -p tlt-bench --release --bin experiments -- replay [--trace corpus/chat.tltr] \
@@ -18,11 +16,10 @@
 //! ```
 //!
 //! `--json <path>` additionally writes every produced table as machine-readable
-//! JSON so the bench trajectory can be tracked across PRs. The `perf` subcommand
-//! runs the pinned micro/e2e perf workloads instead and writes the repository's
-//! `BENCH_<n>.json` trajectory point (see `tlt_bench::perf`).
+//! JSON. Performance is measured by the repo benchmark, not here (see
+//! `benchmark/README.md`).
 //!
-//! `--trace-out <path>` (serving, chaos, perf) installs a `tlt-obs` flight
+//! `--trace-out <path>` (serving, chaos) installs a `tlt-obs` flight
 //! recorder around the run and writes the retained events as Chrome
 //! `trace_event` JSON — load it in `chrome://tracing` or Perfetto. Traces are
 //! sim-time, so two runs with the same seed write byte-identical files.
@@ -31,7 +28,7 @@
 //! Absolute numbers come from the simulated substrate (roofline GPU model + tiny
 //! transformer), so they are not expected to match the paper's testbed; the *shape*
 //! of every result (who wins, by roughly what factor, where crossovers fall) is the
-//! reproduction target. See EXPERIMENTS.md for the paper-vs-measured comparison.
+//! reproduction target.
 
 use tlt::{
     run_comparison, run_disagg_comparison, run_experiment, run_prefix_sharing_comparison,
@@ -75,9 +72,8 @@ fn main() {
     let usage = || {
         eprintln!(
             "usage: experiments [--quick] [--json <path>] [--prefix-share <0..1>] [--disagg] \
-             [--autotune] [--profile <path>] [--trace-out <path>] [--metrics] \
-             [--trace <path>] [--stream] [--rate-scale <f>] [--write-corpus <dir>] \
-             [--write-million <path>] [all | perf | chaos | replay | {}]",
+             [--trace-out <path>] [--metrics] [--trace <path>] [--stream] [--rate-scale <f>] \
+             [--write-corpus <dir>] [--write-million <path>] [all | chaos | replay | {}]",
             EXPERIMENTS.join(" | ")
         );
         std::process::exit(2);
@@ -87,8 +83,6 @@ fn main() {
     let mut args: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut prefix_share = 0.0f64;
-    let mut autotune = false;
-    let mut profile_path: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics = false;
     let mut disagg = false;
@@ -161,23 +155,9 @@ fn main() {
                     usage();
                 }
             }
-        } else if arg == "--autotune" {
-            autotune = true;
-        } else if arg == "--profile" {
-            match iter.next() {
-                Some(path) if !path.starts_with("--") => profile_path = Some(path),
-                _ => {
-                    eprintln!("error: --profile requires a path");
-                    usage();
-                }
-            }
         } else {
             args.push(arg);
         }
-    }
-    if autotune && profile_path.is_some() {
-        eprintln!("error: --autotune and --profile are mutually exclusive");
-        usage();
     }
     let scale = Scale::from_args(&args);
     let selected: Vec<String> = args
@@ -190,94 +170,6 @@ fn main() {
             eprintln!("error: unknown flag '{flag}'");
             usage();
         }
-    }
-
-    // `perf` is a standalone subcommand: it runs the pinned perf workloads and
-    // writes the BENCH trajectory JSON (default BENCH_7.json, overridable with
-    // --json) instead of regenerating paper tables. `--profile <path>` installs
-    // a committed dispatch profile first (how CI runs with a pinned table);
-    // `--autotune` re-tunes on this machine, installs the winners, and saves
-    // them to the target's default profile path.
-    if selected.iter().any(|s| s == "perf") {
-        if selected.len() > 1 {
-            eprintln!("error: 'perf' cannot be combined with other selectors");
-            usage();
-        }
-        let dispatch_source = if let Some(profile) = &profile_path {
-            match tlt_model::load_profile(std::path::Path::new(profile)) {
-                Ok((target, table)) => {
-                    table.install();
-                    println!("installed dispatch profile {profile} (target {target})");
-                }
-                Err(e) => {
-                    eprintln!("error: failed to load dispatch profile {profile}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            format!("profile:{profile}")
-        } else if autotune {
-            let budget = if scale == Scale::Full {
-                tlt_model::AutotuneConfig::default()
-            } else {
-                tlt_model::AutotuneConfig::quick()
-            };
-            let report = tlt_model::autotune(&budget);
-            println!("autotune timings (best ns/call, * = selected):");
-            for t in &report.timings {
-                println!(
-                    "  {:>3} / {:<10} {:<10} {:>9} ns{}",
-                    t.op.name(),
-                    t.class.name(),
-                    t.variant,
-                    t.best_nanos,
-                    if t.selected { "  *" } else { "" }
-                );
-            }
-            report.table.install();
-            let path = tlt_model::autotune::default_profile_path();
-            let target = tlt_model::autotune::target_name();
-            if let Err(e) = tlt_model::save_profile(&path, &target, &report.table) {
-                eprintln!("error: failed to save dispatch profile: {e}");
-                std::process::exit(1);
-            }
-            println!(
-                "autotuned dispatch for {target}, saved to {}",
-                path.display()
-            );
-            "autotune".to_string()
-        } else {
-            "default".to_string()
-        };
-        let path = json_path.unwrap_or_else(|| "BENCH_7.json".to_string());
-        // Both observability taps are strictly opt-in here: the committed perf
-        // trajectory (and the CI overhead gate) measures the disabled paths.
-        if metrics {
-            tlt_obs::hooks::reset();
-            tlt_obs::hooks::enable();
-        }
-        if trace_out.is_some() {
-            tlt_obs::install(tlt_obs::FlightRecorder::new(TRACE_EVENTS_PER_TRACK));
-        }
-        let result = tlt_bench::run_perf(scale, &path, &dispatch_source);
-        if let Some(trace_path) = &trace_out {
-            let events = tlt_obs::uninstall().map(|r| r.events()).unwrap_or_default();
-            write_trace(trace_path, &tlt_obs::chrome_trace(&events));
-        }
-        if metrics {
-            tlt_obs::hooks::disable();
-            perf_metrics_table().print();
-        }
-        match result {
-            Ok(_) => return,
-            Err(e) => {
-                eprintln!("error: failed to write perf report to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if autotune || profile_path.is_some() {
-        eprintln!("error: --autotune/--profile only apply to the 'perf' subcommand");
-        usage();
     }
 
     // `chaos` is a standalone subcommand: it runs the pinned fault-injection
@@ -333,10 +225,10 @@ fn main() {
     }
     let run_all = selected.is_empty() || selected.iter().any(|s| s == "all");
     let want = |name: &str| run_all || selected.iter().any(|s| s == name);
-    // perf and chaos have already returned; of the table selectors only the
-    // serving study is instrumented.
+    // chaos has already returned; of the table selectors only the serving
+    // study is instrumented.
     if (trace_out.is_some() || metrics) && !want("serving") {
-        eprintln!("error: --trace-out/--metrics apply to the serving, chaos and perf subcommands");
+        eprintln!("error: --trace-out/--metrics apply to the serving and chaos subcommands");
         usage();
     }
     if disagg && !want("serving") {
@@ -2079,7 +1971,7 @@ impl ServingTotals {
 const TRACE_EVENTS_PER_TRACK: usize = 65_536;
 
 /// Writes a Chrome trace document to `path`, exiting non-zero on I/O failure.
-fn write_trace(path: &str, doc: &tlt_bench::JsonValue) {
+fn write_trace(path: &str, doc: &tlt_obs::json::JsonValue) {
     match std::fs::write(path, format!("{doc}\n")) {
         Ok(()) => println!(
             "wrote Chrome trace_event JSON to {path} (open in chrome://tracing or Perfetto)"
@@ -2089,36 +1981,4 @@ fn write_trace(path: &str, doc: &tlt_bench::JsonValue) {
             std::process::exit(1);
         }
     }
-}
-
-/// The `--metrics` table for `perf`: the process-global model decode hooks.
-fn perf_metrics_table() -> Table {
-    let c = tlt_obs::hooks::snapshot();
-    let mut t = Table::new(
-        "Perf — model decode-hook counters (--metrics)",
-        &["metric", "value"],
-    );
-    t.add_row(vec![
-        "decode_steps".to_string(),
-        format!("{}", c.decode_steps),
-    ]);
-    t.add_row(vec![
-        "prefill_tokens".to_string(),
-        format!("{}", c.prefill_tokens),
-    ]);
-    t.add_row(vec!["sd_rounds".to_string(), format!("{}", c.sd_rounds)]);
-    t.add_row(vec![
-        "sd_accepted_tokens".to_string(),
-        format!("{}", c.sd_accepted_tokens),
-    ]);
-    t.add_row(vec![
-        "mean_accept_per_round".to_string(),
-        format!("{:.3}", c.mean_accept_per_round()),
-    ]);
-    t.add_row(vec!["sim_events".to_string(), format!("{}", c.sim_events)]);
-    t.add_row(vec![
-        "sim_stale_events".to_string(),
-        format!("{}", c.sim_stale_events),
-    ]);
-    t
 }

@@ -10,11 +10,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod json;
-pub mod perf;
 pub mod report;
 pub mod setups;
 
-pub use json::JsonValue;
-pub use perf::{perf_report_json, run_perf, run_perf_workloads, PerfPoint};
 pub use report::{Report, Table};

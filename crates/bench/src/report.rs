@@ -1,8 +1,7 @@
 //! Minimal text-table reporter used by the experiments binary and benches, plus
-//! the [`Report`] collector that exports every table as machine-readable JSON so
-//! the bench trajectory can be tracked across PRs.
+//! the [`Report`] collector that exports every table as machine-readable JSON.
 
-use crate::json::JsonValue;
+use tlt_obs::json::JsonValue;
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]

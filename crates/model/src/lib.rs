@@ -35,8 +35,6 @@
 #![forbid(unsafe_code)]
 
 mod attention;
-pub mod autotune;
-pub mod dispatch;
 pub mod kl;
 pub mod kv_cache;
 pub mod layers;
@@ -51,10 +49,6 @@ pub mod tensor;
 pub mod transformer;
 pub mod workspace;
 
-pub use autotune::{autotune, load_profile, save_profile, AutotuneConfig, AutotuneReport};
-pub use dispatch::{
-    ColKernel, DispatchTable, DotKernel, KernelOp, RowKernel, ShapeClass, NUM_SHAPE_CLASSES,
-};
 pub use kl::{kl_divergence, mean_sampled_kl, KlEstimator};
 pub use kv_cache::{KvCache, KvStore, LayerKvCache};
 pub use layers::{DecoderLayer, DecoderLayerGrads, LayerConfig};

@@ -5,18 +5,8 @@
 //! straightforward row-major `Vec<f32>` matrix with cache-friendly loops is both
 //! sufficient and easy to audit.
 
-use crate::dispatch::{
-    active_col_kernel, active_dot_kernel, active_row_kernel, ColKernel, DotKernel, RowKernel,
-};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Shared-dimension block size used by the k-blocked kernel variants: each pass
-/// touches at most this many rows of `B`, keeping the pass's working set
-/// cache-resident on long-context shapes. Chaining partial sums across blocks
-/// preserves the strictly-increasing-`k` accumulation order, so blocking never
-/// changes results.
-pub const K_BLOCK: usize = 128;
 
 /// A dense, row-major `rows x cols` matrix of `f32`.
 ///
@@ -258,31 +248,16 @@ impl Mat {
 
     /// Register-tiled matrix product `self * other`, written into `out`.
     ///
-    /// `out` is fully overwritten. The call is classified by shape
-    /// ([`crate::dispatch::ShapeClass`]) and routed to the kernel variant the
-    /// active [`crate::dispatch::DispatchTable`] names for that class — one
-    /// classification plus one relaxed atomic load, no allocation. Every
-    /// variant keeps the shared dimension `k` advancing in strictly increasing
-    /// order per output element, so results are bit-identical to the naive
-    /// i-k-j loop no matter which variant the table selects. The `rows == 1`
-    /// decode shape stays a single allocation-free mat-vec pass.
+    /// `out` is fully overwritten. Each output row is one pass of the 64/32/16
+    /// tile ladder plus a scalar tail, with the shared dimension `k` advancing
+    /// in strictly increasing order per output element, so results are
+    /// bit-identical to the naive i-k-j loop and the `rows == 1` decode shape
+    /// is the same allocation-free code as any other row.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn matmul_into(&self, other: &Mat, out: &mut Mat) {
-        let kernel = active_row_kernel(self.rows, self.cols, other.cols);
-        self.matmul_into_using(other, out, kernel);
-    }
-
-    /// [`Mat::matmul_into`] forced onto a specific kernel variant, bypassing
-    /// the dispatch table. Used by the autotuner to time candidates and by the
-    /// equivalence tests; results are bit-identical across variants.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension or output-shape mismatch.
-    pub fn matmul_into_using(&self, other: &Mat, out: &mut Mat, kernel: RowKernel) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -295,9 +270,13 @@ impl Mat {
         );
         let n = other.cols;
         for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            row_product_using(kernel, a_row, &other.data, n, out_row);
+            let mut pass = RowPass {
+                a_row: &self.data[i * self.cols..(i + 1) * self.cols],
+                b: &other.data,
+                n,
+                out: &mut out.data[i * n..(i + 1) * n],
+            };
+            run_tile_ladder(&mut pass, n);
         }
     }
 
@@ -311,26 +290,14 @@ impl Mat {
     /// Matrix product `self * other^T`, written into `out`.
     ///
     /// Every output element is an independent dot product sharing [`dot`]'s
-    /// lane layout and reduction order; the dispatch table only chooses how
-    /// many dot products run per pass over the left row, so the `rows == 1`
-    /// mat-vec case needs no separate code path and every variant agrees bit
-    /// for bit.
+    /// lane layout and reduction order; four run per pass over the left row,
+    /// then singles, so the `rows == 1` mat-vec case needs no separate code
+    /// path and every element is bit-identical to a standalone [`dot`] call.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn matmul_transposed_into(&self, other: &Mat, out: &mut Mat) {
-        let kernel = active_dot_kernel(self.rows, self.cols, other.rows);
-        self.matmul_transposed_into_using(other, out, kernel);
-    }
-
-    /// [`Mat::matmul_transposed_into`] forced onto a specific kernel variant,
-    /// bypassing the dispatch table.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension or output-shape mismatch.
-    pub fn matmul_transposed_into_using(&self, other: &Mat, out: &mut Mat, kernel: DotKernel) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_transposed shape mismatch: {}x{} * ({}x{})^T",
@@ -345,45 +312,20 @@ impl Mat {
         for i in 0..self.rows {
             let a_row = self.row(i);
             let out_row = &mut out.data[i * n..(i + 1) * n];
-            // Batched dot products amortise the loads of `a_row`; each output
-            // is bit-identical to a standalone `dot` call.
+            // Batched dot products amortise the loads of `a_row`.
             let mut j = 0;
-            match kernel {
-                DotKernel::Dot8 => {
-                    while j + 8 <= n {
-                        let d = dot_many::<8>(
-                            a_row,
-                            [
-                                other.row(j),
-                                other.row(j + 1),
-                                other.row(j + 2),
-                                other.row(j + 3),
-                                other.row(j + 4),
-                                other.row(j + 5),
-                                other.row(j + 6),
-                                other.row(j + 7),
-                            ],
-                        );
-                        out_row[j..j + 8].copy_from_slice(&d);
-                        j += 8;
-                    }
-                }
-                DotKernel::Dot4 => {
-                    while j + 4 <= n {
-                        let d = dot_many::<4>(
-                            a_row,
-                            [
-                                other.row(j),
-                                other.row(j + 1),
-                                other.row(j + 2),
-                                other.row(j + 3),
-                            ],
-                        );
-                        out_row[j..j + 4].copy_from_slice(&d);
-                        j += 4;
-                    }
-                }
-                DotKernel::Dot1 => {}
+            while j + 4 <= n {
+                let d = dot4(
+                    a_row,
+                    [
+                        other.row(j),
+                        other.row(j + 1),
+                        other.row(j + 2),
+                        other.row(j + 3),
+                    ],
+                );
+                out_row[j..j + 4].copy_from_slice(&d);
+                j += 4;
             }
             for (o, jj) in out_row[j..].iter_mut().zip(j..n) {
                 *o = dot(a_row, other.row(jj));
@@ -400,25 +342,14 @@ impl Mat {
 
     /// Register-tiled matrix product `self^T * other`, written into `out`.
     ///
-    /// `out` is fully overwritten; the dispatch table picks the variant but
-    /// per-element accumulation always stays in increasing-`k` order (`k`
-    /// indexes the shared row dimension), matching the naive loop bit for bit.
+    /// `out` is fully overwritten; per-element accumulation stays in
+    /// increasing-`k` order (`k` indexes the shared row dimension), matching
+    /// the naive loop bit for bit.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn transposed_matmul_into(&self, other: &Mat, out: &mut Mat) {
-        let kernel = active_col_kernel(self.cols, self.rows, other.cols);
-        self.transposed_matmul_into_using(other, out, kernel);
-    }
-
-    /// [`Mat::transposed_matmul_into`] forced onto a specific kernel variant,
-    /// bypassing the dispatch table.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension or output-shape mismatch.
-    pub fn transposed_matmul_into_using(&self, other: &Mat, out: &mut Mat, kernel: ColKernel) {
         assert_eq!(
             self.rows, other.rows,
             "transposed_matmul shape mismatch: ({}x{})^T * {}x{}",
@@ -434,17 +365,16 @@ impl Mat {
         // column gather is the only non-contiguous access and the accumulators
         // stay in registers.
         for i in 0..self.cols {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            col_product_using(
-                kernel,
-                &self.data,
-                self.cols,
+            let mut pass = ColPass {
+                a: &self.data,
+                a_cols: self.cols,
                 i,
-                self.rows,
-                &other.data,
+                a_rows: self.rows,
+                b: &other.data,
                 n,
-                out_row,
-            );
+                out: &mut out.data[i * n..(i + 1) * n],
+            };
+            run_tile_ladder(&mut pass, n);
         }
     }
 
@@ -616,11 +546,8 @@ impl Mat {
 
 /// One fixed-width tile pass of the row-product kernel: accumulates
 /// `a_row * B[:, j0..j0+W]` into vector-register partial sums and stores them.
-/// With `accumulate` set the pass seeds its registers from `out` (the partial
-/// sums of earlier k-blocks) instead of zero, which chains the per-element
-/// addition order exactly as if the whole `k` range ran in one pass. The
-/// shared dimension `k` advances in strictly increasing order for every
-/// element, so neither tile width nor k-blocking changes results.
+/// The shared dimension `k` advances in strictly increasing order for every
+/// element, so the tile width never changes results.
 #[inline]
 fn row_product_tile<const W: usize>(
     a_row: &[f32],
@@ -628,12 +555,8 @@ fn row_product_tile<const W: usize>(
     n: usize,
     j0: usize,
     out: &mut [f32],
-    accumulate: bool,
 ) {
     let mut acc = [0.0f32; W];
-    if accumulate {
-        acc.copy_from_slice(&out[j0..j0 + W]);
-    }
     for (k, &a) in a_row.iter().enumerate() {
         let b_seg: &[f32; W] = b[k * n + j0..k * n + j0 + W]
             .try_into()
@@ -657,12 +580,8 @@ fn col_product_tile<const W: usize>(
     n: usize,
     j0: usize,
     out: &mut [f32],
-    accumulate: bool,
 ) {
     let mut acc = [0.0f32; W];
-    if accumulate {
-        acc.copy_from_slice(&out[j0..j0 + W]);
-    }
     for k in 0..a_rows {
         let w = a[k * a_cols + i];
         let b_seg: &[f32; W] = b[k * n + j0..k * n + j0 + W]
@@ -677,7 +596,7 @@ fn col_product_tile<const W: usize>(
 
 /// One kernel family's fixed-width tile pass plus its variable-width tail,
 /// driven by [`run_tile_ladder`]. Implementations capture the operands; the
-/// ladder only decides tile boundaries, so every family shares one copy of the
+/// ladder only decides tile boundaries, so both families share one copy of the
 /// width-descent logic.
 trait TilePass {
     /// Runs one `W`-wide tile starting at output column `j0`.
@@ -686,34 +605,18 @@ trait TilePass {
     fn tail(&mut self, j0: usize, width: usize);
 }
 
-/// Walks an `n`-wide output row in descending register tiles: `max_w`-wide
-/// passes while they fit, then each narrower width down to 16, then the scalar
-/// tail. `max_w` must be one of 128/64/32/16. Tile boundaries never affect
-/// results (per-element accumulation order is tile-independent), so ladders
-/// with different `max_w` are interchangeable bit for bit.
-fn run_tile_ladder<P: TilePass>(pass: &mut P, n: usize, max_w: usize) {
-    debug_assert!(
-        matches!(max_w, 16 | 32 | 64 | 128),
-        "unsupported tile width"
-    );
+/// Walks an `n`-wide output row in descending register tiles: 64-wide passes
+/// while they fit, then 32, then 16, then the scalar tail. Tile boundaries
+/// never affect results (per-element accumulation order is tile-independent).
+fn run_tile_ladder<P: TilePass>(pass: &mut P, n: usize) {
     let mut j0 = 0;
-    if max_w >= 128 {
-        while j0 + 128 <= n {
-            pass.tile::<128>(j0);
-            j0 += 128;
-        }
+    while j0 + 64 <= n {
+        pass.tile::<64>(j0);
+        j0 += 64;
     }
-    if max_w >= 64 {
-        while j0 + 64 <= n {
-            pass.tile::<64>(j0);
-            j0 += 64;
-        }
-    }
-    if max_w >= 32 {
-        while j0 + 32 <= n {
-            pass.tile::<32>(j0);
-            j0 += 32;
-        }
+    while j0 + 32 <= n {
+        pass.tile::<32>(j0);
+        j0 += 32;
     }
     while j0 + 16 <= n {
         pass.tile::<16>(j0);
@@ -730,19 +633,15 @@ struct RowPass<'a> {
     b: &'a [f32],
     n: usize,
     out: &'a mut [f32],
-    accumulate: bool,
 }
 
 impl TilePass for RowPass<'_> {
     fn tile<const W: usize>(&mut self, j0: usize) {
-        row_product_tile::<W>(self.a_row, self.b, self.n, j0, self.out, self.accumulate);
+        row_product_tile::<W>(self.a_row, self.b, self.n, j0, self.out);
     }
 
     fn tail(&mut self, j0: usize, width: usize) {
         let mut acc = [0.0f32; 16];
-        if self.accumulate {
-            acc[..width].copy_from_slice(&self.out[j0..j0 + width]);
-        }
         for (k, &a) in self.a_row.iter().enumerate() {
             let b_seg = &self.b[k * self.n + j0..k * self.n + j0 + width];
             for (acc_c, &b_c) in acc[..width].iter_mut().zip(b_seg.iter()) {
@@ -763,7 +662,6 @@ struct ColPass<'a> {
     b: &'a [f32],
     n: usize,
     out: &'a mut [f32],
-    accumulate: bool,
 }
 
 impl TilePass for ColPass<'_> {
@@ -777,15 +675,11 @@ impl TilePass for ColPass<'_> {
             self.n,
             j0,
             self.out,
-            self.accumulate,
         );
     }
 
     fn tail(&mut self, j0: usize, width: usize) {
         let mut acc = [0.0f32; 16];
-        if self.accumulate {
-            acc[..width].copy_from_slice(&self.out[j0..j0 + width]);
-        }
         for k in 0..self.a_rows {
             let w = self.a[k * self.a_cols + self.i];
             let b_seg = &self.b[k * self.n + j0..k * self.n + j0 + width];
@@ -797,141 +691,8 @@ impl TilePass for ColPass<'_> {
     }
 }
 
-/// k-outer AXPY row product: zero the output row, then stream each row of `B`
-/// exactly once, `out += a[k] * B[k, :]`. Per output element this is the same
-/// increasing-`k` addition chain as the tiled ladders; B traffic is perfectly
-/// sequential, which favours the `rows == 1` decode mat-vec shape.
-fn row_product_axpy(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    out_row.fill(0.0);
-    for (k, &a) in a_row.iter().enumerate() {
-        let b_row = &b[k * n..(k + 1) * n];
-        for (o, &b_c) in out_row.iter_mut().zip(b_row.iter()) {
-            *o += a * b_c;
-        }
-    }
-}
-
-/// k-outer AXPY column product: same streaming scheme with the strided
-/// `a`-column gather hoisted to one load per `B` row.
-fn col_product_axpy(
-    a: &[f32],
-    a_cols: usize,
-    i: usize,
-    a_rows: usize,
-    b: &[f32],
-    n: usize,
-    out_row: &mut [f32],
-) {
-    out_row.fill(0.0);
-    for k in 0..a_rows {
-        let w = a[k * a_cols + i];
-        let b_row = &b[k * n..k * n + n];
-        for (o, &b_c) in out_row.iter_mut().zip(b_row.iter()) {
-            *o += w * b_c;
-        }
-    }
-}
-
-/// Computes one output row of `a_row * B` with the given kernel variant,
-/// fully overwriting `out_row`. All variants are bit-identical.
-fn row_product_using(kernel: RowKernel, a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    let max_w = match kernel {
-        RowKernel::Tiled128 => 128,
-        RowKernel::Tiled64 => 64,
-        RowKernel::Tiled32 => 32,
-        RowKernel::Tiled16 => 16,
-        RowKernel::Axpy => {
-            row_product_axpy(a_row, b, n, out_row);
-            return;
-        }
-        RowKernel::KBlocked64 => {
-            if a_row.is_empty() {
-                out_row.fill(0.0);
-            }
-            for (blk, a_chunk) in a_row.chunks(K_BLOCK).enumerate() {
-                let k0 = blk * K_BLOCK;
-                let b_chunk = &b[k0 * n..(k0 + a_chunk.len()) * n];
-                let mut pass = RowPass {
-                    a_row: a_chunk,
-                    b: b_chunk,
-                    n,
-                    out: &mut *out_row,
-                    accumulate: blk > 0,
-                };
-                run_tile_ladder(&mut pass, n, 64);
-            }
-            return;
-        }
-    };
-    let mut pass = RowPass {
-        a_row,
-        b,
-        n,
-        out: out_row,
-        accumulate: false,
-    };
-    run_tile_ladder(&mut pass, n, max_w);
-}
-
-/// Computes output row `i` of `A^T * B` — `B`'s rows weighted by column `i` of
-/// `a` (row-major, `a_cols` wide, `a_rows` tall) — with the given kernel
-/// variant, fully overwriting `out_row`. All variants are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn col_product_using(
-    kernel: ColKernel,
-    a: &[f32],
-    a_cols: usize,
-    i: usize,
-    a_rows: usize,
-    b: &[f32],
-    n: usize,
-    out_row: &mut [f32],
-) {
-    let max_w = match kernel {
-        ColKernel::Tiled64 => 64,
-        ColKernel::Tiled32 => 32,
-        ColKernel::Axpy => {
-            col_product_axpy(a, a_cols, i, a_rows, b, n, out_row);
-            return;
-        }
-        ColKernel::KBlocked64 => {
-            if a_rows == 0 {
-                out_row.fill(0.0);
-            }
-            let mut k0 = 0;
-            while k0 < a_rows {
-                let k1 = (k0 + K_BLOCK).min(a_rows);
-                let mut pass = ColPass {
-                    a: &a[k0 * a_cols..k1 * a_cols],
-                    a_cols,
-                    i,
-                    a_rows: k1 - k0,
-                    b: &b[k0 * n..k1 * n],
-                    n,
-                    out: &mut *out_row,
-                    accumulate: k0 > 0,
-                };
-                run_tile_ladder(&mut pass, n, 64);
-                k0 = k1;
-            }
-            return;
-        }
-    };
-    let mut pass = ColPass {
-        a,
-        a_cols,
-        i,
-        a_rows,
-        b,
-        n,
-        out: out_row,
-        accumulate: false,
-    };
-    run_tile_ladder(&mut pass, n, max_w);
-}
-
-/// Reduces one 8-lane accumulator with the fixed pairwise tree shared by every
-/// dot kernel, then adds the remainder contribution.
+/// Reduces one 8-lane accumulator with the fixed pairwise tree shared by [`dot`]
+/// and [`dot4`], then adds the remainder contribution.
 #[inline]
 fn reduce8(acc: &[f32; 8], tail: f32) -> f32 {
     let q = [
@@ -943,14 +704,13 @@ fn reduce8(acc: &[f32; 8], tail: f32) -> f32 {
     ((q[0] + q[1]) + (q[2] + q[3])) + tail
 }
 
-/// `M` dot products of `a` against `bs` in one pass over `a`.
+/// Four dot products of `a` against `bs` in one pass over `a`.
 ///
 /// Each output uses exactly the lane layout and reduction order of [`dot`], so
-/// `dot_many(a, bs)[c] == dot(a, bs[c])` bit for bit regardless of `M` — the
-/// 1/4/8-wide dot kernels are interchangeable.
+/// `dot4(a, bs)[c] == dot(a, bs[c])` bit for bit.
 #[inline]
-fn dot_many<const M: usize>(a: &[f32], bs: [&[f32]; M]) -> [f32; M] {
-    let mut accs = [[0.0f32; 8]; M];
+fn dot4(a: &[f32], bs: [&[f32]; 4]) -> [f32; 4] {
+    let mut accs = [[0.0f32; 8]; 4];
     let chunks = a.len() / 8;
     for ci in 0..chunks {
         let off = ci * 8;
@@ -963,7 +723,7 @@ fn dot_many<const M: usize>(a: &[f32], bs: [&[f32]; M]) -> [f32; M] {
         }
     }
     let rem = chunks * 8;
-    let mut out = [0.0f32; M];
+    let mut out = [0.0f32; 4];
     for ((o, acc), b) in out.iter_mut().zip(accs.iter()).zip(bs.iter()) {
         let tail: f32 = a[rem..]
             .iter()
@@ -1191,70 +951,6 @@ mod tests {
         let mut out_tm = Mat::full(130, 40, 7.0);
         a.transposed_matmul_into(&d, &mut out_tm);
         assert_eq!(out_tm, a.transposed_matmul(&d));
-    }
-
-    #[test]
-    fn every_row_kernel_variant_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(30);
-        // Shapes straddling every ladder width, the scalar tail, and K_BLOCK.
-        for &(m, k, n) in &[(1, 32, 96), (5, 300, 70), (3, 7, 129), (2, 260, 33)] {
-            let a = Mat::random_uniform(m, k, 1.0, &mut rng);
-            let b = Mat::random_uniform(k, n, 1.0, &mut rng);
-            let reference = a.matmul(&b);
-            for kernel in RowKernel::all() {
-                let mut out = Mat::full(m, n, 7.0);
-                a.matmul_into_using(&b, &mut out, kernel);
-                assert_eq!(out, reference, "{kernel:?} on {m}x{k}*{k}x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_dot_kernel_variant_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for &(m, k, n) in &[(1, 32, 96), (5, 50, 19), (4, 9, 7)] {
-            let a = Mat::random_uniform(m, k, 1.0, &mut rng);
-            let b = Mat::random_uniform(n, k, 1.0, &mut rng);
-            let reference = a.matmul_transposed(&b);
-            for kernel in DotKernel::all() {
-                let mut out = Mat::full(m, n, 7.0);
-                a.matmul_transposed_into_using(&b, &mut out, kernel);
-                assert_eq!(out, reference, "{kernel:?} on {m}x{k}*({n}x{k})^T");
-            }
-        }
-    }
-
-    #[test]
-    fn every_col_kernel_variant_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(32);
-        for &(k, m, n) in &[(32, 6, 96), (300, 5, 70), (7, 3, 129)] {
-            let a = Mat::random_uniform(k, m, 1.0, &mut rng);
-            let b = Mat::random_uniform(k, n, 1.0, &mut rng);
-            let reference = a.transposed_matmul(&b);
-            for kernel in ColKernel::all() {
-                let mut out = Mat::full(m, n, 7.0);
-                a.transposed_matmul_into_using(&b, &mut out, kernel);
-                assert_eq!(out, reference, "{kernel:?} on ({k}x{m})^T*{k}x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn variant_kernels_handle_empty_shared_dimension() {
-        let a = Mat::zeros(3, 0);
-        let b = Mat::zeros(0, 40);
-        for kernel in RowKernel::all() {
-            let mut out = Mat::full(3, 40, 7.0);
-            a.matmul_into_using(&b, &mut out, kernel);
-            assert_eq!(out, Mat::zeros(3, 40), "{kernel:?}");
-        }
-        let c = Mat::zeros(0, 3);
-        let d = Mat::zeros(0, 40);
-        for kernel in ColKernel::all() {
-            let mut out = Mat::full(3, 40, 7.0);
-            c.transposed_matmul_into_using(&d, &mut out, kernel);
-            assert_eq!(out, Mat::zeros(3, 40), "{kernel:?}");
-        }
     }
 
     #[test]

@@ -442,9 +442,11 @@ mod tests {
             tokens.completed.len(),
             "both policies must serve every request"
         );
-        assert!(
-            paged.goodput_rps > tokens.goodput_rps,
-            "paged sharing must win on goodput: {pg} vs {tg}",
+        // A deterministic simulation output, pinned like the serving digests.
+        assert_eq!(
+            paged.goodput_rps / tokens.goodput_rps,
+            1.7500800791859465,
+            "paged/token goodput ratio moved: {pg} vs {tg}",
             pg = paged.goodput_rps,
             tg = tokens.goodput_rps
         );
@@ -477,9 +479,10 @@ mod tests {
         let rr = get(BalancerPolicy::RoundRobin);
         let jsq = get(BalancerPolicy::JoinShortestQueue);
         assert_eq!(rr.completed.len(), jsq.completed.len(), "lost requests");
-        assert!(
-            jsq.goodput_rps >= rr.goodput_rps,
-            "queue-aware routing must not lose to round-robin: {j} vs {r}",
+        assert_eq!(
+            jsq.goodput_rps / rr.goodput_rps,
+            1.5259494681156223,
+            "JSQ/RR goodput ratio moved: {j} vs {r}",
             j = jsq.goodput_rps,
             r = rr.goodput_rps
         );
@@ -514,13 +517,26 @@ mod tests {
 
     #[test]
     fn disaggregation_beats_monolithic_on_goodput_per_replica() {
-        // The headline disaggregation claim, pinned at the middle of the
-        // BENCH_6 sweep (10x the monolithic serving experiment's rates): a
-        // 3-prefill + 5-decode cluster with prefix-affinity routing, KV block
-        // migration, and a scale-to-fit autoscaler strictly beats a
-        // monolithic 8-replica frontend on goodput per provisioned replica
-        // under the fast-streaming SLO.
-        let (disagg, mono) = run_disagg_comparison(3, 5, 60.0, 0.6, 768);
+        // The headline disaggregation claim over a 20-240 req/s sweep (10x
+        // the monolithic serving experiment's rates): a 3-prefill + 5-decode
+        // cluster with prefix-affinity routing, KV block migration, and a
+        // scale-to-fit autoscaler strictly beats a monolithic 8-replica
+        // frontend on goodput per provisioned replica under the fast-streaming
+        // SLO. The sweep's geomean ratio is pinned exactly; the mechanism is
+        // checked at 60 req/s.
+        let sweep: Vec<_> = [20.0, 60.0, 100.0, 160.0, 240.0]
+            .iter()
+            .map(|&rate| run_disagg_comparison(3, 5, rate, 0.6, 768))
+            .collect();
+        let log_ratio_sum: f64 = sweep
+            .iter()
+            .map(|(disagg, mono)| (disagg.goodput_per_replica / (mono.goodput_rps / 8.0)).ln())
+            .sum();
+        assert_eq!(
+            (log_ratio_sum / sweep.len() as f64).exp(),
+            5.703368601548463
+        );
+        let (disagg, mono) = &sweep[1]; // 60 req/s
         assert_eq!(
             disagg.serve.completed.len(),
             mono.completed.len(),

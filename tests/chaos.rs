@@ -182,48 +182,3 @@ fn disagg_matrix_passes_every_invariant() {
         "no scenario scaled up and retired"
     );
 }
-
-#[test]
-fn committed_bench_trajectory_pins_the_disagg_win() {
-    // The committed BENCH_7.json is the current headline artifact: the
-    // recorded goodput-per-replica ratio must show the cluster strictly
-    // beating the monolithic fleet.
-    let num = committed_bench_value("disagg_vs_monolithic_goodput_ratio");
-    assert!(
-        num > 1.0,
-        "committed disagg/monolithic goodput-per-replica ratio {num} must beat 1.0"
-    );
-}
-
-#[test]
-fn committed_bench_trajectory_pins_the_event_core_win() {
-    // The indexed-heap event core must never regress below the linear scan it
-    // replaced: the committed speedup ratio stays >= 1.0 (the full-scale run
-    // that produced BENCH_7.json measured well above the 1.3x target).
-    let num = committed_bench_value("sim_event_core_speedup");
-    assert!(
-        num >= 1.0,
-        "committed event-core speedup {num} must not regress below the scan"
-    );
-}
-
-/// Extracts a workload's recorded value from the committed `BENCH_7.json`.
-fn committed_bench_value(workload: &str) -> f64 {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-    let doc = std::fs::read_to_string(path).expect("BENCH_7.json is committed at the repo root");
-    let needle = format!("\"{workload}\"");
-    let at = doc
-        .find(&needle)
-        .unwrap_or_else(|| panic!("BENCH_7.json records the {workload} workload"));
-    let tail = &doc[at..];
-    let value_key = "\"value\":";
-    let v = tail
-        .find(value_key)
-        .map(|i| &tail[i + value_key.len()..])
-        .expect("workload entry carries a value");
-    v.chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect::<String>()
-        .parse()
-        .expect("value parses as a number")
-}
