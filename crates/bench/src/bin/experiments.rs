@@ -1274,22 +1274,30 @@ fn chaos(json_path: Option<&str>, trace_out: Option<&str>, metrics: bool) -> usi
         dt.add_row(row);
     }
     report.add(dt);
+    // What both matrices' outcomes have in common, whatever their report type.
+    fn verdict<R>(
+        o: &tlt::chaos::ChaosOutcome<R>,
+    ) -> (
+        &str,
+        &tlt::chaos::InvariantReport,
+        &[tlt_obs::ObsEvent],
+        Option<&str>,
+    ) {
+        (&o.name, &o.invariants, &o.trace, o.postmortem.as_deref())
+    }
+    let verdicts: Vec<_> = outcomes
+        .iter()
+        .map(verdict)
+        .chain(disagg_outcomes.iter().map(verdict))
+        .collect();
     if metrics {
         let mut m = Table::new(
             "Chaos — flight recorder (--metrics)",
             &["scenario", "trace events", "postmortem"],
         );
-        for (name, trace, postmortem) in outcomes
-            .iter()
-            .map(|o| (&o.scenario.name, &o.trace, &o.postmortem))
-            .chain(
-                disagg_outcomes
-                    .iter()
-                    .map(|o| (&o.scenario.name, &o.trace, &o.postmortem)),
-            )
-        {
+        for (name, _, trace, postmortem) in &verdicts {
             m.add_row(vec![
-                name.clone(),
+                name.to_string(),
                 format!("{}", trace.len()),
                 if postmortem.is_some() {
                     "dumped".to_string()
@@ -1301,15 +1309,7 @@ fn chaos(json_path: Option<&str>, trace_out: Option<&str>, metrics: bool) -> usi
         report.add(m);
     }
     let mut failures = 0usize;
-    let verdicts = outcomes
-        .iter()
-        .map(|o| (&o.scenario.name, &o.invariants, &o.postmortem))
-        .chain(
-            disagg_outcomes
-                .iter()
-                .map(|o| (&o.scenario.name, &o.invariants, &o.postmortem)),
-        );
-    for (name, invariants, postmortem) in verdicts {
+    for (name, invariants, _, postmortem) in &verdicts {
         if !invariants.passed() {
             failures += 1;
             for v in &invariants.violations {
@@ -1321,15 +1321,8 @@ fn chaos(json_path: Option<&str>, trace_out: Option<&str>, metrics: bool) -> usi
         }
     }
     if let Some(path) = trace_out {
-        let sections: Vec<(&str, &[tlt_obs::ObsEvent])> = outcomes
-            .iter()
-            .map(|o| (o.scenario.name.as_str(), o.trace.as_slice()))
-            .chain(
-                disagg_outcomes
-                    .iter()
-                    .map(|o| (o.scenario.name.as_str(), o.trace.as_slice())),
-            )
-            .collect();
+        let sections: Vec<(&str, &[tlt_obs::ObsEvent])> =
+            verdicts.iter().map(|v| (v.0, v.2)).collect();
         write_trace(path, &tlt_obs::chrome_trace_sections(&sections));
     }
     if let Some(path) = json_path {

@@ -1,4 +1,4 @@
-//! Minimal text-table reporter used by the experiments binary and benches, plus
+//! Minimal text-table reporter used by the experiments binary, plus
 //! the [`Report`] collector that exports every table as machine-readable JSON.
 
 use tlt_obs::json::JsonValue;

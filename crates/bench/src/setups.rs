@@ -1,5 +1,4 @@
-//! Shared experiment setups used by the `experiments` binary and the Criterion
-//! benches, so both report on exactly the same configurations.
+//! Experiment setups of the `experiments` binary.
 
 use tlt::ExperimentConfig;
 use tlt_draft::AcceptanceProfile;
@@ -8,7 +7,7 @@ use tlt_model::{DraftModelSpec, ModelSpec};
 use tlt_workload::LengthDistribution;
 
 /// Scale knob for the experiments: `Full` mirrors the paper's setting, `Quick` runs
-/// the same code paths at reduced request counts / lengths for CI and benches.
+/// the same code paths at reduced request counts / lengths for CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-scale configuration (minutes of simulated work per experiment).

@@ -5,9 +5,10 @@
 //!
 //! A [`Scenario`] scripts faults — replica crashes and restarts, stragglers,
 //! training preemptions, corrupt/stale drafter checkpoints, arrival storms —
-//! over a seeded serving workload. The [`runner`] plays the schedule through a
-//! discrete-event simulation of the [`tlt_serve`] frontend, the [`tlt_coord`]
-//! worker coordinator, and the [`tlt_draft`] checkpoint pipeline, and the
+//! over a seeded serving workload. The [`runner`] plays the schedule through
+//! [`tlt_serve::drive_schedule`] on either simulator — for the monolithic
+//! frontend together with the [`tlt_coord`] worker coordinator and the
+//! [`tlt_draft`] checkpoint pipeline — and the
 //! [`invariants`] harness proves the system-level guarantees hold under every
 //! schedule: no request is ever lost or duplicated across a crash, KV budgets
 //! are never exceeded, the coordinator never double-promotes or deadlocks,
@@ -38,7 +39,7 @@ pub mod scenario;
 pub use invariants::{InvariantReport, InvariantViolation, INVARIANTS};
 pub use runner::{
     run_disagg_matrix, run_disagg_scenario, run_pinned_matrix, run_scenario, ChaosOutcome,
-    DisaggChaosOutcome, DrafterFaultStats,
+    DrafterFaultStats,
 };
 pub use scenario::{
     disagg_matrix, pinned_matrix, DisaggScenario, DisaggScenarioBuilder, FaultEvent, FaultKind,

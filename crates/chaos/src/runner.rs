@@ -1,16 +1,19 @@
-//! The discrete-event chaos runner: drives the serve frontend, the worker
-//! coordinator, and the drafter checkpoint pipeline through one scenario's
-//! fault schedule, checking invariants as it goes.
+//! The discrete-event chaos runner: drives a serving simulator (any
+//! [`Driver`]) through one scenario's fault schedule with
+//! [`tlt_serve::drive_schedule`], checking invariants as it goes. The
+//! monolithic suite adds the worker coordinator and the drafter checkpoint
+//! pipeline through that loop's two closures.
 //!
 //! Every scenario is executed **twice** and the two runs compared bit-for-bit —
 //! seed-determinism is itself one of the checked invariants, so a fault path
 //! that consults wall-clock time or unseeded randomness fails the matrix.
 
 use crate::invariants::{check_conservation, check_coordinator, InvariantReport};
-use crate::scenario::{DisaggScenario, FaultKind, Scenario};
+use crate::scenario::{DisaggScenario, FaultEvent, FaultKind, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::cell::RefCell;
 use tlt_coord::{Coordinator, CoordinatorConfig, CoordinatorStats, WorkerEvent, WorkerState};
 use tlt_draft::{
     serialize_trainable, validate_trainable, DraftModel, DrafterVault, FeatureSource, SwapOutcome,
@@ -26,9 +29,10 @@ use tlt_rollout::{
     SpecDrafter,
 };
 use tlt_serve::{
-    AutoscaleConfig, ClusterReport, ClusterSim, DisaggConfig, ServeConfig, ServeReport,
-    ServeRequest, ServeSim, TransferLinkConfig,
+    drive_schedule, AutoscaleConfig, ClusterReport, ClusterSim, DisaggConfig, Driver, ServeConfig,
+    ServeReport, ServeSim, TransferLinkConfig,
 };
+use tlt_workload::RequestArrival;
 
 /// Drafter checkpoint-pipeline counters observed during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
@@ -43,11 +47,17 @@ pub struct DrafterFaultStats {
     pub rollbacks: u64,
 }
 
-/// Everything one scenario run produced.
+/// Everything one scenario run produced, on either simulator: `R` is
+/// [`ServeReport`] for the monolithic matrix and [`ClusterReport`] (migrations,
+/// transfer-link and autoscaler counters included) for the disaggregated one.
 #[derive(Debug)]
-pub struct ChaosOutcome {
-    /// The scenario that ran.
-    pub scenario: Scenario,
+pub struct ChaosOutcome<R = ServeReport> {
+    /// The scenario's name (unique within a matrix).
+    pub name: String,
+    /// Its fault schedule, as `schedule_label` renders it.
+    pub schedule: String,
+    /// The deployment at t=0: `"3 replicas"` or `"2P+2D"`.
+    pub deployment: String,
     /// Requests in the (storm-merged) arrival stream.
     pub arrivals: usize,
     /// Requests completed.
@@ -60,12 +70,13 @@ pub struct ChaosOutcome {
     pub crashes: u64,
     /// Restart faults applied.
     pub restarts: u64,
-    /// Coordinator counters at the end of the run.
+    /// Coordinator counters at the end of the run (all zero on the cluster
+    /// matrix, which scripts serving-path faults only).
     pub coordinator: CoordinatorStats,
-    /// Drafter checkpoint-pipeline counters.
+    /// Drafter checkpoint-pipeline counters (zero on the cluster matrix).
     pub drafter: DrafterFaultStats,
-    /// The serving report of the (first) run.
-    pub report: ServeReport,
+    /// The report of the (first) run.
+    pub report: R,
     /// The invariant verdict.
     pub invariants: InvariantReport,
     /// Flight-recorder events retained by the (first) run, for trace export.
@@ -76,18 +87,19 @@ pub struct ChaosOutcome {
 }
 
 /// Raw artifacts of a single execution, kept for cross-run comparison.
-struct RunArtifacts {
-    report: ServeReport,
+struct RunArtifacts<R> {
+    report: R,
     requeued: u64,
     crashes: u64,
     restarts: u64,
     orphaned: usize,
     drained: bool,
     dropped_ids: Vec<u64>,
-    kv_peaks: Vec<(usize, usize)>,
+    kv_peaks: Vec<(&'static str, usize, usize, usize)>,
     coordinator: CoordinatorStats,
     drafter: DrafterFaultStats,
-    live_drafter: DraftModel,
+    /// The post-fault serving drafter, where the run had one.
+    live_drafter: Option<DraftModel>,
     violations: InvariantReport,
     events: Vec<ObsEvent>,
 }
@@ -321,84 +333,68 @@ fn worker_state_code(state: WorkerState) -> f64 {
     }
 }
 
-fn run_once(scenario: &Scenario) -> RunArtifacts {
-    let config = serve_config(scenario);
-    let arrivals = scenario.arrival_stream();
-    let faults = scenario.runtime_faults();
-    // The whole run executes under a flight recorder, so a postmortem always
-    // has the last-N events per track. Any recorder the caller had installed
-    // (e.g. an `experiments` trace sweep) is stashed and restored on exit.
-    let outer_recorder = install(FlightRecorder::new(DEFAULT_CAPACITY_PER_TRACK));
-    let mut sim = ServeSim::new(&config);
-    let mut mirror = CoordinatorMirror::new(scenario.replicas);
-    let mut drafter = DrafterPipeline::new(scenario.seed);
-    let mut violations = InvariantReport::new();
+/// What the monolithic suite adds to a run: replica health mirrored onto the
+/// coordinator after every step of the schedule, and the drafter checkpoint
+/// pipeline the non-serving faults act on.
+struct MonoSide {
+    mirror: CoordinatorMirror,
+    drafter: DrafterPipeline,
+    violations: InvariantReport,
+}
 
-    let mut ai = 0usize;
-    let mut fi = 0usize;
-    loop {
-        let t_arrival = arrivals.get(ai).map(|a| a.time_s()).unwrap_or(f64::MAX);
-        let t_fault = faults.get(fi).map(|f| f.at_s).unwrap_or(f64::MAX);
-        let t_step = sim.next_event_s();
-        if t_arrival == f64::MAX && t_fault == f64::MAX && t_step == f64::MAX {
-            break;
-        }
-        if sim.event_budget_exhausted() {
-            // advance_before can no longer make progress; bail out and let the
-            // `drained` invariant report the leftover work instead of spinning.
-            violations.violate(
-                "drained",
-                "event budget exhausted before the schedule completed".to_string(),
-            );
-            break;
-        }
-        // Tie order: faults, then arrivals, then step completions.
-        if t_fault <= t_arrival && t_fault <= t_step {
-            sim.advance_before(t_fault);
-            sim.advance_now(t_fault);
-            match faults[fi].kind {
-                FaultKind::ReplicaCrash { replica } => {
-                    sim.crash_replica(replica);
+impl MonoSide {
+    fn apply(&mut self, kind: FaultKind) {
+        match kind {
+            FaultKind::TrainingPreempt => {
+                self.mirror.coord.preempt_for_rollout();
+                for state in &mut self.mirror.reported {
+                    if *state != WorkerState::Failed {
+                        *state = WorkerState::Busy;
+                    }
                 }
-                FaultKind::ReplicaRestart { replica } => sim.restart_replica(replica),
-                FaultKind::SlowReplica { replica, factor } => sim.set_slow_factor(replica, factor),
-                FaultKind::TrainingPreempt => {
-                    mirror.coord.preempt_for_rollout();
-                    mirror.reported = mirror
-                        .reported
-                        .iter()
-                        .map(|&s| {
-                            if s == WorkerState::Failed {
-                                WorkerState::Failed
-                            } else {
-                                WorkerState::Busy
-                            }
-                        })
-                        .collect();
-                    drafter.on_training_preempt(&mut violations);
-                }
-                FaultKind::CheckpointCorrupt => drafter.on_corrupt_checkpoint(&mut violations),
-                FaultKind::CheckpointStale => drafter.on_stale_checkpoint(&mut violations),
-                FaultKind::ArrivalStorm { .. } => {
-                    unreachable!("storms are folded into the arrival stream")
-                }
+                self.drafter.on_training_preempt(&mut self.violations);
             }
-            fi += 1;
-            mirror.sync(&sim, t_fault, &mut violations);
-        } else if t_arrival <= t_step {
-            sim.advance_before(t_arrival);
-            sim.offer(ServeRequest::from_arrival(&arrivals[ai]));
-            ai += 1;
-            mirror.sync(&sim, t_arrival, &mut violations);
-        } else {
-            let horizon = t_arrival.min(t_fault);
-            sim.advance_before(horizon);
-            mirror.sync(&sim, sim.now_s(), &mut violations);
+            FaultKind::CheckpointCorrupt => {
+                self.drafter.on_corrupt_checkpoint(&mut self.violations)
+            }
+            FaultKind::CheckpointStale => self.drafter.on_stale_checkpoint(&mut self.violations),
+            other => unreachable!("{} is not a coordinator or drafter fault", other.label()),
         }
     }
-    if scenario.probe_violation {
+}
+
+/// One execution of a fault schedule on `sim`, under a flight recorder of its
+/// own so a postmortem always has the last-N events per track (any recorder
+/// the caller had installed, e.g. an `experiments` trace sweep, is stashed and
+/// restored). Crashes, restarts and stragglers are applied here; every other
+/// fault kind goes to `side_fault`, and `after` is the loop's hook.
+fn run_once<D: Driver>(
+    mut sim: D,
+    arrivals: &[RequestArrival],
+    faults: &[FaultEvent],
+    probe_violation: bool,
+    mut side_fault: impl FnMut(FaultKind),
+    after: impl FnMut(&D, f64),
+) -> RunArtifacts<D::Report> {
+    let outer_recorder = install(FlightRecorder::new(DEFAULT_CAPACITY_PER_TRACK));
+    let mut violations = InvariantReport::new();
+    let actions: Vec<(f64, FaultKind)> = faults.iter().map(|f| (f.at_s, f.kind)).collect();
+    let apply = |sim: &mut D, t: f64, kind: &FaultKind| match *kind {
+        FaultKind::ReplicaCrash { replica } => sim.crash_replica(replica, t),
+        FaultKind::ReplicaRestart { replica } => sim.restart_replica(replica, t),
+        FaultKind::SlowReplica { replica, factor } => sim.set_slow_factor(replica, factor),
+        other => side_fault(other),
+    };
+    if drive_schedule(&mut sim, arrivals, &actions, apply, after).budget_exhausted() {
+        // Let the `drained` invariant report the leftover work.
+        violations.violate(
+            "drained",
+            "event budget exhausted before the schedule completed".to_string(),
+        );
+    }
+    if probe_violation {
         record(ObsEvent::instant(
-            sim.now_s(),
+            sim.state().now_s(),
             Track::Coordinator,
             EventKind::Probe,
             NO_REQ,
@@ -408,7 +404,6 @@ fn run_once(scenario: &Scenario) -> RunArtifacts {
             "forced violation probe (alerting-path self-test)".to_string(),
         );
     }
-    mirror.final_sweep(&mut violations);
     let events = uninstall()
         .expect("flight recorder installed at run start")
         .events();
@@ -416,60 +411,80 @@ fn run_once(scenario: &Scenario) -> RunArtifacts {
         install(outer);
     }
 
-    let (crashes, restarts) = sim.fault_counts();
-    let requeued = sim.requeued();
-    let orphaned = sim.orphaned();
     let drained = !sim.has_work();
-    let dropped_ids = sim.dropped_ids();
-    // KV budget is checked in block units (the matrix runs paged accounting).
-    let kv_peaks = sim
-        .replicas()
-        .iter()
-        .map(|r| (r.peak_kv_blocks(), r.kv_block_budget()))
-        .collect();
-    // Pool conservation: refcounts coherent on every replica, and — once the
-    // deployment has drained — no block left referenced (leak check).
-    for (i, replica) in sim.replicas().iter().enumerate() {
-        if let Err(detail) = replica.kv_pool_check() {
-            violations.violate("kv-pool-conservation", format!("replica {i}: {detail}"));
-        }
-        if drained && replica.kv_pool_leaked() > 0 {
-            violations.violate(
-                "kv-pool-conservation",
-                format!(
-                    "replica {i} leaked {} blocks after the full drain",
-                    replica.kv_pool_leaked()
-                ),
-            );
-        }
+    // Pool conservation: refcounts coherent on every replica (and, on a
+    // cluster, on both sides of the link), and — once the deployment has
+    // drained — no block left referenced (leak check).
+    if let Err(detail) = sim.kv_pool_check() {
+        violations.violate("kv-pool-conservation", detail);
     }
-    let (swaps, rejected_corrupt, rejected_stale, rollbacks) = drafter.vault.counters();
+    if drained && sim.kv_pool_leaked() > 0 {
+        violations.violate(
+            "kv-pool-conservation",
+            format!(
+                "{} blocks leaked after the full drain",
+                sim.kv_pool_leaked()
+            ),
+        );
+    }
+    let (crashes, restarts) = sim.state().fault_counts();
     RunArtifacts {
-        report: sim.into_report(),
-        requeued,
+        requeued: sim.state().requeued(),
         crashes,
         restarts,
-        orphaned,
+        orphaned: sim.state().orphaned(),
         drained,
-        dropped_ids,
-        kv_peaks,
-        coordinator: mirror.coord.stats(),
-        drafter: DrafterFaultStats {
-            swaps,
-            rejected_corrupt,
-            rejected_stale,
-            rollbacks,
-        },
-        live_drafter: drafter.live,
+        dropped_ids: sim.dropped_ids(),
+        // KV budget is checked in block units (every matrix runs paged
+        // accounting).
+        kv_peaks: sim.kv_peaks(),
+        coordinator: CoordinatorStats::default(),
+        drafter: DrafterFaultStats::default(),
+        live_drafter: None,
         violations,
         events,
+        report: sim.into_report(),
     }
+}
+
+/// [`run_once`] on the monolithic frontend with the coordinator mirror and the
+/// drafter pipeline riding along.
+fn run_mono_once(scenario: &Scenario, arrivals: &[RequestArrival]) -> RunArtifacts<ServeReport> {
+    let side = RefCell::new(MonoSide {
+        mirror: CoordinatorMirror::new(scenario.replicas),
+        drafter: DrafterPipeline::new(scenario.seed),
+        violations: InvariantReport::new(),
+    });
+    let mut run = run_once(
+        ServeSim::new(&serve_config(scenario)),
+        arrivals,
+        &scenario.runtime_faults(),
+        scenario.probe_violation,
+        |kind| side.borrow_mut().apply(kind),
+        |sim, t| {
+            let side = &mut *side.borrow_mut();
+            side.mirror.sync(sim, t, &mut side.violations);
+        },
+    );
+    let mut side = side.into_inner();
+    side.mirror.final_sweep(&mut side.violations);
+    run.violations.violations.extend(side.violations.violations);
+    let (swaps, rejected_corrupt, rejected_stale, rollbacks) = side.drafter.vault.counters();
+    run.coordinator = side.mirror.coord.stats();
+    run.drafter = DrafterFaultStats {
+        swaps,
+        rejected_corrupt,
+        rejected_stale,
+        rollbacks,
+    };
+    run.live_drafter = Some(side.drafter.live);
+    run
 }
 
 /// Token-level losslessness probe: with the *post-fault* serving drafter, greedy
 /// speculative decoding — including a mid-generation swap to a second drafter —
 /// must emit exactly the vanilla sequence.
-fn check_losslessness(scenario: &Scenario, live: &DraftModel, report: &mut InvariantReport) {
+fn check_losslessness(seed: u64, live: &DraftModel, report: &mut InvariantReport) {
     if validate_trainable(&serialize_trainable(live)).is_err() {
         report.violate(
             "losslessness",
@@ -477,12 +492,8 @@ fn check_losslessness(scenario: &Scenario, live: &DraftModel, report: &mut Invar
         );
         return;
     }
-    let target = TinyLm::new(ModelConfig::micro(), scenario.seed.wrapping_add(1));
-    let other = DraftModel::new(
-        &target,
-        FeatureSource::LastLayer,
-        scenario.seed.wrapping_add(9),
-    );
+    let target = TinyLm::new(ModelConfig::micro(), seed.wrapping_add(1));
+    let other = DraftModel::new(&target, FeatureSource::LastLayer, seed.wrapping_add(9));
     let params = SamplingParams::greedy();
     let strategy = SdStrategy {
         draft_depth: 4,
@@ -520,19 +531,18 @@ fn check_losslessness(scenario: &Scenario, live: &DraftModel, report: &mut Invar
     }
 }
 
-fn check_determinism(a: &RunArtifacts, b: &RunArtifacts, report: &mut InvariantReport) {
-    if a.report.completed != b.report.completed {
+fn check_determinism<R: std::fmt::Debug>(
+    a: &RunArtifacts<R>,
+    b: &RunArtifacts<R>,
+    report: &mut InvariantReport,
+) {
+    // `Debug` prints every float exactly, so this compares the whole report:
+    // completion records, aggregates and, on a cluster, the migration and
+    // autoscaler accounting.
+    if format!("{:?}", a.report) != format!("{:?}", b.report) {
         report.violate(
             "seed-determinism",
-            "per-request completion records differ between identical runs".to_string(),
-        );
-    }
-    if a.report.makespan_s != b.report.makespan_s
-        || a.report.throughput_tokens_per_s != b.report.throughput_tokens_per_s
-    {
-        report.violate(
-            "seed-determinism",
-            "aggregate metrics differ between identical runs".to_string(),
+            "reports differ between identical runs".to_string(),
         );
     }
     if (a.requeued, a.crashes, a.restarts, a.orphaned)
@@ -563,18 +573,22 @@ fn check_determinism(a: &RunArtifacts, b: &RunArtifacts, report: &mut InvariantR
     }
 }
 
-/// Runs one scenario (twice, for the determinism invariant) and returns the
-/// outcome with its invariant verdict.
-pub fn run_scenario(scenario: &Scenario) -> ChaosOutcome {
-    let arrivals = scenario.arrival_stream();
-    let first = run_once(scenario);
-    let second = run_once(scenario);
+/// Executes `run_once` twice (seed-determinism is itself an invariant) and
+/// checks the first run against every end-of-run invariant.
+fn conclude<D: Driver>(
+    (name, seed, schedule, deployment): (&str, u64, String, String),
+    arrivals: &[RequestArrival],
+    run_once: impl Fn() -> RunArtifacts<D::Report>,
+) -> ChaosOutcome<D::Report> {
+    let first = run_once();
+    let second = run_once();
+    let serve = D::serve_report(&first.report);
 
     let mut invariants = first.violations.clone();
 
     // Request conservation: every arrival completes or drops exactly once.
     let arrival_ids: Vec<u64> = arrivals.iter().map(|a| a.id).collect();
-    let completed_ids: Vec<u64> = first.report.completed.iter().map(|r| r.id).collect();
+    let completed_ids: Vec<u64> = serve.completed.iter().map(|r| r.id).collect();
     check_conservation(
         &mut invariants,
         &arrival_ids,
@@ -584,11 +598,11 @@ pub fn run_scenario(scenario: &Scenario) -> ChaosOutcome {
 
     // KV budget: no replica ever started a step with more blocks charged
     // than its pool holds.
-    for (replica, &(peak, budget)) in first.kv_peaks.iter().enumerate() {
+    for &(pool, index, peak, budget) in &first.kv_peaks {
         if peak > budget {
             invariants.violate(
                 "kv-budget",
-                format!("replica {replica} peaked at {peak} KV blocks (pool budget {budget})"),
+                format!("{pool} {index} peaked at {peak} KV blocks (pool budget {budget})"),
             );
         }
     }
@@ -604,16 +618,16 @@ pub fn run_scenario(scenario: &Scenario) -> ChaosOutcome {
         );
     }
 
-    check_losslessness(scenario, &first.live_drafter, &mut invariants);
+    if let Some(live) = &first.live_drafter {
+        check_losslessness(seed, live, &mut invariants);
+    }
     check_determinism(&first, &second, &mut invariants);
 
     // Any violation dumps the flight recorder: the violated invariants first,
     // then the last-N events per track — the operator-facing crash artifact.
     let postmortem = (!invariants.passed()).then(|| {
         let mut header = format!(
-            "scenario '{}' (seed {}): {}\n",
-            scenario.name,
-            scenario.seed,
+            "scenario '{name}' (seed {seed}): {}\n",
             invariants.verdict()
         );
         for v in &invariants.violations {
@@ -623,10 +637,12 @@ pub fn run_scenario(scenario: &Scenario) -> ChaosOutcome {
     });
 
     ChaosOutcome {
-        scenario: scenario.clone(),
+        name: name.to_string(),
+        schedule,
+        deployment,
         arrivals: arrivals.len(),
-        completed: first.report.completed.len(),
-        dropped: first.report.dropped,
+        completed: serve.completed.len(),
+        dropped: serve.dropped,
         requeued: first.requeued,
         crashes: first.crashes,
         restarts: first.restarts,
@@ -639,55 +655,25 @@ pub fn run_scenario(scenario: &Scenario) -> ChaosOutcome {
     }
 }
 
+/// Runs one scenario (twice, for the determinism invariant) and returns the
+/// outcome with its invariant verdict.
+pub fn run_scenario(scenario: &Scenario) -> ChaosOutcome {
+    let arrivals = scenario.arrival_stream();
+    let header = (
+        scenario.name.as_str(),
+        scenario.seed,
+        scenario.schedule_label(),
+        format!("{} replicas", scenario.replicas),
+    );
+    conclude::<ServeSim>(header, &arrivals, || run_mono_once(scenario, &arrivals))
+}
+
 /// Runs every scenario in the pinned matrix.
 pub fn run_pinned_matrix() -> Vec<ChaosOutcome> {
     crate::scenario::pinned_matrix()
         .iter()
         .map(run_scenario)
         .collect()
-}
-
-/// Everything one disaggregated-cluster scenario run produced.
-#[derive(Debug)]
-pub struct DisaggChaosOutcome {
-    /// The scenario that ran.
-    pub scenario: DisaggScenario,
-    /// Requests in the (storm-merged) arrival stream.
-    pub arrivals: usize,
-    /// Requests completed.
-    pub completed: usize,
-    /// Requests dropped at admission.
-    pub dropped: usize,
-    /// Failed-over requests re-routed through the prefill pool.
-    pub requeued: u64,
-    /// Crash faults applied.
-    pub crashes: u64,
-    /// Restart faults applied.
-    pub restarts: u64,
-    /// The cluster report of the (first) run — migrations, transfer-link and
-    /// autoscaler counters included.
-    pub report: ClusterReport,
-    /// The invariant verdict.
-    pub invariants: InvariantReport,
-    /// Flight-recorder events retained by the (first) run.
-    pub trace: Vec<ObsEvent>,
-    /// The rendered flight-recorder dump; `Some` exactly when an invariant
-    /// broke.
-    pub postmortem: Option<String>,
-}
-
-/// Raw artifacts of a single disaggregated execution.
-struct DisaggRunArtifacts {
-    report: ClusterReport,
-    requeued: u64,
-    crashes: u64,
-    restarts: u64,
-    orphaned: usize,
-    drained: bool,
-    dropped_ids: Vec<u64>,
-    kv_peaks: Vec<(&'static str, usize, usize, usize)>,
-    violations: InvariantReport,
-    events: Vec<ObsEvent>,
 }
 
 fn disagg_config(scenario: &DisaggScenario) -> DisaggConfig {
@@ -722,213 +708,34 @@ fn disagg_config(scenario: &DisaggScenario) -> DisaggConfig {
     config
 }
 
-fn run_disagg_once(scenario: &DisaggScenario) -> DisaggRunArtifacts {
-    let config = disagg_config(scenario);
-    let arrivals = scenario.arrival_stream();
-    let faults = scenario.runtime_faults();
-    let outer_recorder = install(FlightRecorder::new(DEFAULT_CAPACITY_PER_TRACK));
-    let mut sim = ClusterSim::new(config);
-    let mut violations = InvariantReport::new();
-
-    let mut ai = 0usize;
-    let mut fi = 0usize;
-    loop {
-        let t_arrival = arrivals.get(ai).map(|a| a.time_s()).unwrap_or(f64::MAX);
-        let t_fault = faults.get(fi).map(|f| f.at_s).unwrap_or(f64::MAX);
-        if t_arrival == f64::MAX && t_fault == f64::MAX {
-            // Schedule exhausted: drain through the cluster's own loop, which
-            // stops firing autoscaler ticks the moment no work remains.
-            sim.run_until_drained();
-            break;
-        }
-        if sim.event_budget_exhausted() {
-            violations.violate(
-                "drained",
-                "event budget exhausted before the schedule completed".to_string(),
-            );
-            break;
-        }
-        let t_step = sim.next_event_s();
-        // Tie order matches the monolithic runner: faults, then arrivals,
-        // then step completions.
-        if t_fault <= t_arrival && t_fault <= t_step {
-            sim.advance_before(t_fault);
-            match faults[fi].kind {
-                FaultKind::ReplicaCrash { replica } => sim.crash_replica(replica, t_fault),
-                FaultKind::ReplicaRestart { replica } => sim.restart_replica(replica, t_fault),
-                FaultKind::SlowReplica { replica, factor } => {
-                    sim.advance_now(t_fault);
-                    sim.set_slow_factor(replica, factor);
-                }
-                _ => unreachable!("the builder rejects non-serving faults"),
-            }
-            fi += 1;
-        } else if t_arrival <= t_step {
-            sim.advance_before(t_arrival);
-            sim.offer(ServeRequest::from_arrival(&arrivals[ai]));
-            ai += 1;
-        } else {
-            sim.advance_before(t_arrival.min(t_fault));
-        }
-    }
-
-    let (crashes, restarts) = sim.fault_counts();
-    let requeued = sim.requeued();
-    let orphaned = sim.orphaned();
-    let drained = !sim.has_work();
-    let dropped_ids = sim.dropped_ids();
-    let kv_peaks = sim.kv_peaks();
-    // Pool conservation across BOTH pools plus the in-flight migration
-    // charges: refcounts coherent everywhere, and — once drained — no block
-    // left referenced on either side of the link.
-    if let Err(detail) = sim.kv_pool_check() {
-        violations.violate("kv-pool-conservation", detail);
-    }
-    if drained && sim.kv_pool_leaked() > 0 {
-        violations.violate(
-            "kv-pool-conservation",
-            format!(
-                "{} blocks leaked across the pools after the full drain",
-                sim.kv_pool_leaked()
-            ),
-        );
-    }
-    let events = uninstall()
-        .expect("flight recorder installed at run start")
-        .events();
-    if let Some(outer) = outer_recorder {
-        install(outer);
-    }
-    DisaggRunArtifacts {
-        report: sim.into_report(),
-        requeued,
-        crashes,
-        restarts,
-        orphaned,
-        drained,
-        dropped_ids,
-        kv_peaks,
-        violations,
-        events,
-    }
-}
-
-fn check_disagg_determinism(
-    a: &DisaggRunArtifacts,
-    b: &DisaggRunArtifacts,
-    report: &mut InvariantReport,
-) {
-    if a.report.serve.completed != b.report.serve.completed {
-        report.violate(
-            "seed-determinism",
-            "per-request completion records differ between identical runs".to_string(),
-        );
-    }
-    if a.report.serve.makespan_s != b.report.serve.makespan_s
-        || a.report.migrations != b.report.migrations
-        || a.report.migrated_blocks != b.report.migrated_blocks
-        || a.report.aborted_transfers != b.report.aborted_transfers
-    {
-        report.violate(
-            "seed-determinism",
-            "migration accounting differs between identical runs".to_string(),
-        );
-    }
-    if a.report.scale_ups != b.report.scale_ups
-        || a.report.scale_downs != b.report.scale_downs
-        || a.report.retires != b.report.retires
-        || a.report.avg_active_replicas != b.report.avg_active_replicas
-    {
-        report.violate(
-            "seed-determinism",
-            "autoscaler decisions differ between identical runs".to_string(),
-        );
-    }
-    if (a.requeued, a.crashes, a.restarts, a.orphaned)
-        != (b.requeued, b.crashes, b.restarts, b.orphaned)
-    {
-        report.violate(
-            "seed-determinism",
-            "fault accounting differs between identical runs".to_string(),
-        );
-    }
-    if a.events != b.events {
-        report.violate(
-            "seed-determinism",
-            "flight-recorder traces differ between identical runs".to_string(),
-        );
-    }
-}
-
 /// Runs one disaggregated scenario (twice, for the determinism invariant) and
-/// returns the outcome with its invariant verdict.
-pub fn run_disagg_scenario(scenario: &DisaggScenario) -> DisaggChaosOutcome {
+/// returns the outcome with its invariant verdict. Only serving-path faults
+/// reach the cluster: the builder rejects the rest.
+pub fn run_disagg_scenario(scenario: &DisaggScenario) -> ChaosOutcome<ClusterReport> {
     let arrivals = scenario.arrival_stream();
-    let first = run_disagg_once(scenario);
-    let second = run_disagg_once(scenario);
-
-    let mut invariants = first.violations.clone();
-
-    let arrival_ids: Vec<u64> = arrivals.iter().map(|a| a.id).collect();
-    let completed_ids: Vec<u64> = first.report.serve.completed.iter().map(|r| r.id).collect();
-    check_conservation(
-        &mut invariants,
-        &arrival_ids,
-        &completed_ids,
-        &first.dropped_ids,
+    let header = (
+        scenario.name.as_str(),
+        scenario.seed,
+        scenario.schedule_label(),
+        format!(
+            "{}P+{}D",
+            scenario.prefill_replicas, scenario.decode_replicas
+        ),
     );
-
-    for &(pool, index, peak, budget) in &first.kv_peaks {
-        if peak > budget {
-            invariants.violate(
-                "kv-budget",
-                format!("{pool} replica {index} peaked at {peak} KV blocks (pool budget {budget})"),
-            );
-        }
-    }
-
-    if !first.drained {
-        invariants.violate(
-            "drained",
-            format!(
-                "work left behind at end of schedule ({} orphaned)",
-                first.orphaned
-            ),
-        );
-    }
-
-    check_disagg_determinism(&first, &second, &mut invariants);
-
-    let postmortem = (!invariants.passed()).then(|| {
-        let mut header = format!(
-            "disagg scenario '{}' (seed {}): {}\n",
-            scenario.name,
-            scenario.seed,
-            invariants.verdict()
-        );
-        for v in &invariants.violations {
-            header.push_str(&format!("violated {}: {}\n", v.invariant, v.detail));
-        }
-        render_postmortem(&header, &first.events)
-    });
-
-    DisaggChaosOutcome {
-        scenario: scenario.clone(),
-        arrivals: arrivals.len(),
-        completed: first.report.serve.completed.len(),
-        dropped: first.report.serve.dropped,
-        requeued: first.requeued,
-        crashes: first.crashes,
-        restarts: first.restarts,
-        report: first.report,
-        invariants,
-        trace: first.events,
-        postmortem,
-    }
+    conclude::<ClusterSim>(header, &arrivals, || {
+        run_once(
+            ClusterSim::new(disagg_config(scenario)),
+            &arrivals,
+            &scenario.runtime_faults(),
+            false,
+            |kind| unreachable!("{} in a disaggregated scenario", kind.label()),
+            |_, _| {},
+        )
+    })
 }
 
 /// Runs every scenario in the pinned disaggregated matrix.
-pub fn run_disagg_matrix() -> Vec<DisaggChaosOutcome> {
+pub fn run_disagg_matrix() -> Vec<ChaosOutcome<ClusterReport>> {
     crate::scenario::disagg_matrix()
         .iter()
         .map(run_disagg_scenario)

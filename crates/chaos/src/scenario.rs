@@ -149,23 +149,71 @@ impl Scenario {
     /// The faults in schedule order, storms excluded (storms are folded into
     /// the arrival stream, not replayed at runtime).
     pub fn runtime_faults(&self) -> Vec<FaultEvent> {
-        self.faults
-            .iter()
-            .filter(|f| !matches!(f.kind, FaultKind::ArrivalStorm { .. }))
-            .copied()
-            .collect()
+        runtime_faults(&self.faults)
     }
 
     /// Compact schedule description, e.g. `crash(r1)@3 restart(r1)@6`.
     pub fn schedule_label(&self) -> String {
-        if self.faults.is_empty() {
-            return "none".to_string();
+        schedule_label(&self.faults)
+    }
+}
+
+fn runtime_faults(faults: &[FaultEvent]) -> Vec<FaultEvent> {
+    let storm = |f: &&FaultEvent| matches!(f.kind, FaultKind::ArrivalStorm { .. });
+    faults.iter().filter(|f| !storm(f)).copied().collect()
+}
+
+fn schedule_label(faults: &[FaultEvent]) -> String {
+    if faults.is_empty() {
+        return "none".to_string();
+    }
+    let labels = faults
+        .iter()
+        .map(|f| format!("{}@{}", f.kind.label(), f.at_s));
+    labels.collect::<Vec<_>>().join(" ")
+}
+
+/// Finalises a fault schedule over `replicas` fault indices: validates the
+/// targets, sorts by time (stable, so same-time faults keep insertion order),
+/// and rejects impossible orders (crashing a replica that is already down,
+/// restarting one that never crashed) so authoring mistakes fail loudly at
+/// build time instead of panicking deep inside the harness.
+fn finalize_schedule(faults: &mut [FaultEvent], replicas: usize) {
+    let target = |kind: FaultKind| match kind {
+        FaultKind::ReplicaCrash { replica }
+        | FaultKind::ReplicaRestart { replica }
+        | FaultKind::SlowReplica { replica, .. } => replica,
+        _ => 0,
+    };
+    for fault in faults.iter() {
+        let replica = target(fault.kind);
+        assert!(
+            replica < replicas,
+            "fault targets replica {replica} but the deployment has {replicas}"
+        );
+    }
+    faults.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite fault times"));
+    let mut up = vec![true; replicas];
+    for fault in faults.iter() {
+        match fault.kind {
+            FaultKind::ReplicaCrash { replica } => {
+                assert!(
+                    up[replica],
+                    "crash of replica {replica} at t={}: it is already down",
+                    fault.at_s
+                );
+                up[replica] = false;
+            }
+            FaultKind::ReplicaRestart { replica } => {
+                assert!(
+                    !up[replica],
+                    "restart of replica {replica} at t={}: it never crashed",
+                    fault.at_s
+                );
+                up[replica] = true;
+            }
+            _ => {}
         }
-        self.faults
-            .iter()
-            .map(|f| format!("{}@{}", f.kind.label(), f.at_s))
-            .collect::<Vec<_>>()
-            .join(" ")
     }
 }
 
@@ -328,50 +376,10 @@ impl ScenarioBuilder {
         )
     }
 
-    /// Finalises the scenario: validates replica indices, sorts the fault
-    /// schedule by time (stable, so same-time faults keep insertion order), and
-    /// rejects impossible schedules (crashing a replica that is already down,
-    /// restarting one that never crashed) so authoring mistakes fail loudly at
-    /// build time instead of panicking deep inside the harness.
+    /// Finalises the scenario: validates replica indices and the crash /
+    /// restart order, and sorts the fault schedule by time.
     pub fn build(mut self) -> Scenario {
-        for fault in &self.scenario.faults {
-            let replica = match fault.kind {
-                FaultKind::ReplicaCrash { replica }
-                | FaultKind::ReplicaRestart { replica }
-                | FaultKind::SlowReplica { replica, .. } => replica,
-                _ => 0,
-            };
-            assert!(
-                replica < self.scenario.replicas,
-                "fault targets replica {replica} but the deployment has {}",
-                self.scenario.replicas
-            );
-        }
-        self.scenario
-            .faults
-            .sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite fault times"));
-        let mut up = vec![true; self.scenario.replicas];
-        for fault in &self.scenario.faults {
-            match fault.kind {
-                FaultKind::ReplicaCrash { replica } => {
-                    assert!(
-                        up[replica],
-                        "crash of replica {replica} at t={}: it is already down",
-                        fault.at_s
-                    );
-                    up[replica] = false;
-                }
-                FaultKind::ReplicaRestart { replica } => {
-                    assert!(
-                        !up[replica],
-                        "restart of replica {replica} at t={}: it never crashed",
-                        fault.at_s
-                    );
-                    up[replica] = true;
-                }
-                _ => {}
-            }
-        }
+        finalize_schedule(&mut self.scenario.faults, self.scenario.replicas);
         self.scenario
     }
 }
@@ -555,23 +563,12 @@ impl DisaggScenario {
 
     /// The faults in schedule order, storms excluded.
     pub fn runtime_faults(&self) -> Vec<FaultEvent> {
-        self.faults
-            .iter()
-            .filter(|f| !matches!(f.kind, FaultKind::ArrivalStorm { .. }))
-            .copied()
-            .collect()
+        runtime_faults(&self.faults)
     }
 
     /// Compact schedule description, e.g. `crash(r0)@1.5 restart(r0)@3.5`.
     pub fn schedule_label(&self) -> String {
-        if self.faults.is_empty() {
-            return "none".to_string();
-        }
-        self.faults
-            .iter()
-            .map(|f| format!("{}@{}", f.kind.label(), f.at_s))
-            .collect::<Vec<_>>()
-            .join(" ")
+        schedule_label(&self.faults)
     }
 
     /// Total replicas provisioned at t=0.
@@ -673,53 +670,23 @@ impl DisaggScenarioBuilder {
         self
     }
 
-    /// Finalises the scenario: validates fault indices against the initial
-    /// pools, rejects drafter/coordinator faults (not modelled on the cluster
-    /// path), sorts the schedule, and rejects impossible crash/restart orders.
+    /// Finalises the scenario: rejects drafter/coordinator faults (not
+    /// modelled on the cluster path), then validates fault indices against the
+    /// initial pools, sorts the schedule and checks the crash/restart order.
     pub fn build(mut self) -> DisaggScenario {
+        let drafter_fault = |f: &FaultEvent| {
+            use FaultKind::*;
+            matches!(
+                f.kind,
+                TrainingPreempt | CheckpointCorrupt | CheckpointStale
+            )
+        };
+        assert!(
+            !self.scenario.faults.iter().any(drafter_fault),
+            "drafter faults are not supported in disaggregated scenarios"
+        );
         let total = self.scenario.total_replicas();
-        for fault in &self.scenario.faults {
-            let replica = match fault.kind {
-                FaultKind::ReplicaCrash { replica }
-                | FaultKind::ReplicaRestart { replica }
-                | FaultKind::SlowReplica { replica, .. } => replica,
-                FaultKind::ArrivalStorm { .. } => 0,
-                FaultKind::TrainingPreempt
-                | FaultKind::CheckpointCorrupt
-                | FaultKind::CheckpointStale => {
-                    panic!("drafter faults are not supported in disaggregated scenarios")
-                }
-            };
-            assert!(
-                replica < total,
-                "fault targets replica {replica} but the cluster has {total}"
-            );
-        }
-        self.scenario
-            .faults
-            .sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite fault times"));
-        let mut up = vec![true; total];
-        for fault in &self.scenario.faults {
-            match fault.kind {
-                FaultKind::ReplicaCrash { replica } => {
-                    assert!(
-                        up[replica],
-                        "crash of replica {replica} at t={}: it is already down",
-                        fault.at_s
-                    );
-                    up[replica] = false;
-                }
-                FaultKind::ReplicaRestart { replica } => {
-                    assert!(
-                        !up[replica],
-                        "restart of replica {replica} at t={}: it never crashed",
-                        fault.at_s
-                    );
-                    up[replica] = true;
-                }
-                _ => {}
-            }
-        }
+        finalize_schedule(&mut self.scenario.faults, total);
         self.scenario
     }
 }

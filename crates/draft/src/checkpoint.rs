@@ -80,6 +80,33 @@ fn write_vec(buf: &mut BytesMut, values: &[f32]) {
     }
 }
 
+/// Encoded length of [`write_mat`]'s output.
+fn mat_len(mat: &Mat) -> usize {
+    16 + 4 * mat.rows() * mat.cols()
+}
+
+/// Length of [`serialize_trainable`]'s output, from the shapes alone.
+fn trainable_len(drafter: &DraftModel) -> usize {
+    let layer = &drafter.layer;
+    let mats = [
+        &drafter.fusion.weight,
+        &layer.wq,
+        &layer.wk,
+        &layer.wv,
+        &layer.wo,
+        &layer.w_gate,
+        &layer.w_up,
+        &layer.w_down,
+    ];
+    let norms = 2 * 8 + 4 * (layer.attn_norm.len() + layer.mlp_norm.len());
+    8 + norms + mats.into_iter().map(mat_len).sum::<usize>()
+}
+
+/// Length of what [`serialize_full`] appends to the trainable state.
+fn frozen_len(target: &TinyLm) -> usize {
+    mat_len(&target.embedding) + mat_len(&target.lm_head) + 8 + 4 * target.final_norm.len()
+}
+
 /// Serialises only the trainable drafter state.
 pub fn serialize_trainable(drafter: &DraftModel) -> Bytes {
     let mut buf = BytesMut::new();
@@ -315,8 +342,18 @@ fn install_decoded(drafter: &mut DraftModel, d: DecodedTrainable) -> Result<u64,
 /// An in-memory checkpoint store shared with background serialisation threads.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
-    latest: Arc<Mutex<Option<Bytes>>>,
+    /// The completed checkpoint with the highest drafter version, with that
+    /// version: background writers finish in any order.
+    latest: Arc<Mutex<Option<(u64, Bytes)>>>,
     pending: Vec<JoinHandle<()>>,
+}
+
+/// Keeps `data` as the latest checkpoint unless a newer version is held.
+fn store_latest(slot: &Mutex<Option<(u64, Bytes)>>, version: u64, data: Bytes) {
+    let mut latest = slot.lock();
+    if latest.as_ref().is_none_or(|(held, _)| *held <= version) {
+        *latest = Some((version, data));
+    }
 }
 
 impl CheckpointStore {
@@ -328,7 +365,7 @@ impl CheckpointStore {
     /// Latest completed checkpoint, if any (waits for background writes first).
     pub fn latest(&mut self) -> Option<Bytes> {
         self.wait_for_pending();
-        self.latest.lock().clone()
+        self.latest.lock().as_ref().map(|(_, data)| data.clone())
     }
 
     /// Number of in-flight background writes.
@@ -341,6 +378,18 @@ impl CheckpointStore {
         for handle in self.pending.drain(..) {
             let _ = handle.join();
         }
+    }
+
+    /// Serialises version `version` with `serialize` on a background thread and
+    /// offers the result to `latest`.
+    fn write_in_background(
+        &mut self,
+        version: u64,
+        serialize: impl FnOnce() -> Bytes + Send + 'static,
+    ) {
+        let slot = Arc::clone(&self.latest);
+        let writer = std::thread::spawn(move || store_latest(&slot, version, serialize()));
+        self.pending.push(writer);
     }
 
     /// Takes a checkpoint of `drafter` under `mode`, returning how long the calling
@@ -356,7 +405,7 @@ impl CheckpointStore {
             CheckpointMode::VanillaSync => {
                 let data = serialize_full(drafter, target);
                 let bytes_written = data.len();
-                *self.latest.lock() = Some(data);
+                store_latest(&self.latest, drafter.version, data);
                 CheckpointReport {
                     blocking_us: start.elapsed().as_micros() as u64,
                     bytes_written,
@@ -371,20 +420,15 @@ impl CheckpointStore {
                 } else {
                     None
                 };
-                let slot = Arc::clone(&self.latest);
                 let blocking_us = start.elapsed().as_micros() as u64;
-                let handle = std::thread::spawn(move || {
-                    let data = match &target_snapshot {
-                        Some(t) => serialize_full(&drafter_snapshot, t),
-                        None => serialize_trainable(&drafter_snapshot),
-                    };
-                    *slot.lock() = Some(data);
+                // The length is a function of the shapes: nothing is
+                // serialised on the calling thread.
+                let frozen = target_snapshot.as_ref().map_or(0, frozen_len);
+                let bytes_written = trainable_len(drafter) + frozen;
+                self.write_in_background(drafter.version, move || match &target_snapshot {
+                    Some(t) => serialize_full(&drafter_snapshot, t),
+                    None => serialize_trainable(&drafter_snapshot),
                 });
-                self.pending.push(handle);
-                let bytes_written = match mode {
-                    CheckpointMode::Async => serialize_full(drafter, target).len(),
-                    _ => serialize_trainable(drafter).len(),
-                };
                 CheckpointReport {
                     blocking_us,
                     bytes_written,
@@ -564,23 +608,36 @@ mod tests {
         assert!(!sync.asynchronous);
         let selective = store.checkpoint(CheckpointMode::SelectiveAsync, &drafter, &target);
         assert!(selective.asynchronous);
-        assert!(selective.bytes_written < sync.bytes_written);
+        assert_eq!(selective.bytes_written, serialize_trainable(&drafter).len());
+        let full = store.checkpoint(CheckpointMode::Async, &drafter, &target);
+        assert_eq!(full.bytes_written, sync.bytes_written);
+        assert_eq!(sync.bytes_written, serialize_full(&drafter, &target).len());
         store.wait_for_pending();
         assert!(store.latest().is_some());
     }
 
+    /// A preempted spot trainer must be handed the newest version it wrote,
+    /// whatever order the background writers finish in: the writer of version
+    /// 1 is held at a gate until the writer of version 2 has stored its bytes.
     #[test]
-    fn latest_checkpoint_reflects_most_recent_write() {
-        let (target, mut drafter) = setup();
+    fn latest_checkpoint_is_the_highest_version_when_an_older_writer_finishes_last() {
+        let (_, mut drafter) = setup();
         let mut store = CheckpointStore::new();
+        let (gate, held) = std::sync::mpsc::channel::<()>();
         drafter.version = 1;
-        store.checkpoint(CheckpointMode::SelectiveAsync, &drafter, &target);
+        let old = serialize_trainable(&drafter);
+        store.write_in_background(1, move || {
+            held.recv().expect("the test opens the gate");
+            old
+        });
         drafter.version = 2;
-        store.checkpoint(CheckpointMode::SelectiveAsync, &drafter, &target);
-        let data = store.latest().expect("checkpoint present");
-        let mut restored = DraftModel::new(&target, FeatureSource::LastLayer, 5);
-        restore_trainable(&mut restored, &data);
-        assert_eq!(restored.version, 2);
+        let new = serialize_trainable(&drafter);
+        let expected = new.clone();
+        store.write_in_background(2, move || new);
+        let second = store.pending.pop().expect("two writers pending");
+        second.join().expect("writer of version 2");
+        gate.send(()).expect("writer of version 1 is waiting");
+        assert_eq!(store.latest(), Some(expected));
     }
 
     #[test]

@@ -31,10 +31,10 @@
 
 use crate::balancer::{BalancerPolicy, LoadBalancer};
 use crate::config::ServeConfig;
-use crate::events::{DriveOutcome, EventCore, EventKey, EventQueue};
+use crate::events::{drive, DriveOutcome, DriveState, Driver, EventCore, EventKey};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, MigratedEntry, Replica};
-use crate::request::{CompletedRequest, ServeRequest};
+use crate::request::ServeRequest;
 use crate::transfer::{TransferLink, TransferLinkConfig};
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -379,12 +379,10 @@ const CLASS_PREFILL: u8 = 1;
 const CLASS_DECODE: u8 = 2;
 const CLASS_TICK: u8 = 3;
 
-/// Hard ceiling on processed events, a runaway guard mirroring `ServeSim`.
-const MAX_EVENTS: u64 = 200_000_000;
-
-/// The disaggregated cluster simulator. Mirrors the `ServeSim` step-level API
-/// (offer / advance / crash / restart / report) so the chaos harness drives
-/// both the same way.
+/// The disaggregated cluster simulator, driven through [`Driver`] like
+/// [`ServeSim`](crate::ServeSim). Faults address replicas by **global fault
+/// index**: `< initial prefill size` is the prefill pool, the rest the decode
+/// pool, both by initial numbering (stable under autoscaling).
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     config: DisaggConfig,
@@ -399,16 +397,10 @@ pub struct ClusterSim {
     in_flight: VecDeque<InFlightTransfer>,
     /// Handoffs awaiting a feasible decode destination, FIFO.
     pending: VecDeque<(MigratedEntry, usize)>,
-    /// Requests (or failovers) parked while no prefill replica is up.
-    orphans: VecDeque<FailoverRequest>,
     fallback: LoadBalancer,
-    now_s: f64,
-    /// Every completion so far, in event order (see `ServeSim`'s log).
-    log: Vec<CompletedRequest>,
-    events: u64,
-    requeued: u64,
-    crashes: u64,
-    restarts: u64,
+    /// Clock, completion log, orphans (parked while no prefill replica is
+    /// up), fault counters, budget and event core.
+    state: DriveState,
     aborted_transfers: u64,
     scale_ups: u64,
     scale_downs: u64,
@@ -418,10 +410,6 @@ pub struct ClusterSim {
     /// Provisioned-capacity integral: Σ provisioned replicas × dt.
     replica_seconds: f64,
     last_account_s: f64,
-    event_budget: u64,
-    budget_reported: bool,
-    core: EventCore,
-    queue: EventQueue,
 }
 
 /// Cluster-level outcome: the standard serving report plus migration, link,
@@ -478,14 +466,8 @@ impl ClusterSim {
             link,
             in_flight: VecDeque::new(),
             pending: VecDeque::new(),
-            orphans: VecDeque::new(),
             fallback: LoadBalancer::new(BalancerPolicy::LeastOutstandingTokens),
-            now_s: 0.0,
-            log: Vec::new(),
-            events: 0,
-            requeued: 0,
-            crashes: 0,
-            restarts: 0,
+            state: DriveState::default(),
             aborted_transfers: 0,
             scale_ups: 0,
             scale_downs: 0,
@@ -493,10 +475,6 @@ impl ClusterSim {
             ticks: 0,
             replica_seconds: 0.0,
             last_account_s: 0.0,
-            event_budget: MAX_EVENTS,
-            budget_reported: false,
-            core: EventCore::default(),
-            queue: EventQueue::new(),
             config,
         };
         for i in 0..sim.config.prefill_replicas {
@@ -511,59 +489,23 @@ impl ClusterSim {
         sim
     }
 
-    /// Switches the next-event implementation, re-seeding the heap from the
-    /// cluster's current state (pool replicas, link front, next tick). The two
-    /// cores are bit-identical; the scan stays as the oracle and benchmark
-    /// baseline.
-    pub fn set_event_core(&mut self, core: EventCore) {
-        self.core = core;
-        self.queue.clear();
-        if core == EventCore::IndexedHeap {
-            for (i, p) in self.prefill.live() {
-                self.queue.push(p.replica.next_event_s(), CLASS_PREFILL, i);
-            }
-            for (j, p) in self.decode.live() {
-                self.queue.push(p.replica.next_event_s(), CLASS_DECODE, j);
-            }
-            self.touch_link();
-            self.touch_tick();
-        }
-    }
-
-    /// The next-event implementation in use.
-    pub fn event_core(&self) -> EventCore {
-        self.core
-    }
-
-    /// Sizes the completion log for `expected` requests in one allocation; see
-    /// [`ServeSim::reserve_completions`](crate::ServeSim::reserve_completions).
-    pub fn reserve_completions(&mut self, expected: usize) {
-        self.log.reserve(expected);
-    }
-
-    /// Overrides the hard event budget (default 200M). Exposed so tests can
-    /// exercise the typed [`DriveOutcome::BudgetExhausted`] path cheaply.
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
-    }
-
     /// Re-pushes prefill replica `i`'s key after a mutation that started from
     /// next-event time `before_s` (unchanged keys push nothing).
     fn touch_prefill(&mut self, i: usize, before_s: f64) {
-        if self.core == EventCore::IndexedHeap {
+        if self.state.core == EventCore::IndexedHeap {
             let now = self.prefill[i].replica.next_event_s();
             if now.to_bits() != before_s.to_bits() {
-                self.queue.push(now, CLASS_PREFILL, i);
+                self.state.queue.push(now, CLASS_PREFILL, i);
             }
         }
     }
 
     /// Re-pushes decode replica `j`'s key; see [`ClusterSim::touch_prefill`].
     fn touch_decode(&mut self, j: usize, before_s: f64) {
-        if self.core == EventCore::IndexedHeap {
+        if self.state.core == EventCore::IndexedHeap {
             let now = self.decode[j].replica.next_event_s();
             if now.to_bits() != before_s.to_bits() {
-                self.queue.push(now, CLASS_DECODE, j);
+                self.state.queue.push(now, CLASS_DECODE, j);
             }
         }
     }
@@ -571,9 +513,9 @@ impl ClusterSim {
     /// Pushes the current link-front landing time (called whenever the front
     /// of `in_flight` may have changed; duplicates are discarded lazily).
     fn touch_link(&mut self) {
-        if self.core == EventCore::IndexedHeap {
+        if self.state.core == EventCore::IndexedHeap {
             if let Some(t) = self.in_flight.front() {
-                self.queue.push(t.finish_s, CLASS_TRANSFER, 0);
+                self.state.queue.push(t.finish_s, CLASS_TRANSFER, 0);
             }
         }
     }
@@ -581,9 +523,10 @@ impl ClusterSim {
     /// Pushes the next autoscaler tick's key (exactly one per fired tick, so
     /// tick keys are never duplicated).
     fn touch_tick(&mut self) {
-        if self.core == EventCore::IndexedHeap {
+        if self.state.core == EventCore::IndexedHeap {
             if let Some(a) = &self.config.autoscale {
-                self.queue
+                self.state
+                    .queue
                     .push((self.ticks + 1) as f64 * a.interval_s, CLASS_TICK, 0);
             }
         }
@@ -614,32 +557,18 @@ impl ClusterSim {
         }
     }
 
-    /// Routes a fresh arrival (the caller feeds arrivals in time order).
-    pub fn offer(&mut self, req: ServeRequest) {
-        let now = self.now_s.max(req.arrival_s);
+    /// See [`Driver::offer`]: routes a fresh arrival onto the prefill pool.
+    pub fn offer(&mut self, req: ServeRequest) -> Option<usize> {
+        let now = self.state.now_s.max(req.arrival_s);
         self.account_to(now);
-        self.now_s = now;
+        self.state.now_s = now;
         let target = self.route_prefill(&req);
-        record(
-            ObsEvent::instant(now, Track::Frontend, EventKind::Arrival, req.id).with_args(
-                target.map(|i| i as f64).unwrap_or(-1.0),
-                req.prompt_len as f64,
-            ),
-        );
-        match target {
-            Some(i) => {
-                let before = self.prefill[i].replica.next_event_s();
-                self.prefill[i].replica.enqueue(req, now);
-                self.touch_prefill(i, before);
-            }
-            None => self.orphans.push_back(FailoverRequest {
-                req,
-                generated: 0.0,
-                first_token_s: None,
-                admitted_s: None,
-                preemptions: 0,
-            }),
-        }
+        self.state.admit(&req, now, target);
+        let i = target?;
+        let before = self.prefill[i].replica.next_event_s();
+        self.prefill[i].replica.enqueue(req, now);
+        self.touch_prefill(i, before);
+        Some(i)
     }
 
     /// Prefix-affinity routing over the prefill pool: the accepting replica
@@ -647,7 +576,7 @@ impl ClusterSim {
     /// the lowest index); with no resident hit anywhere, least outstanding
     /// prefill tokens. `None` when no prefill replica is accepting.
     fn route_prefill(&mut self, req: &ServeRequest) -> Option<usize> {
-        let now = self.now_s;
+        let now = self.state.now_s;
         let accepting = || self.prefill.live().filter(|(_, p)| p.accepting(now));
         if req.prefix_id != 0 {
             let mut best = (0, None);
@@ -671,12 +600,12 @@ impl ClusterSim {
     fn deliver_failover(&mut self, fo: FailoverRequest, now: f64) {
         match self.route_prefill(&fo.req) {
             Some(i) => {
-                self.requeued += 1;
+                self.state.requeued += 1;
                 let before = self.prefill[i].replica.next_event_s();
                 self.prefill[i].replica.enqueue_failover(fo, now);
                 self.touch_prefill(i, before);
             }
-            None => self.orphans.push_back(fo),
+            None => self.state.orphans.push_back(fo),
         }
     }
 
@@ -790,7 +719,7 @@ impl ClusterSim {
     /// request is re-routed through the surviving prefill replicas for a fresh
     /// prefill.
     fn crash_prefill(&mut self, i: usize, now: f64) {
-        self.crashes += 1;
+        self.state.crashes += 1;
         let mut failovers = self.prefill[i].replica.crash(now);
         // Pending handoffs whose KV died with the source.
         let mut kept = VecDeque::with_capacity(self.pending.len());
@@ -843,7 +772,7 @@ impl ClusterSim {
     /// intact on the source, which keeps the outbound charge until a retry
     /// lands elsewhere.
     fn crash_decode(&mut self, j: usize, now: f64) {
-        self.crashes += 1;
+        self.state.crashes += 1;
         let failovers = self.decode[j].replica.crash(now);
         let mut retry: Vec<(MigratedEntry, usize)> = Vec::new();
         let mut kept = VecDeque::with_capacity(self.in_flight.len());
@@ -889,76 +818,6 @@ impl ClusterSim {
         }
     }
 
-    /// Crashes the replica at global fault index `idx` (`< initial prefill
-    /// size` → prefill pool, else decode pool, both by initial numbering).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    pub fn crash_replica(&mut self, idx: usize, now: f64) {
-        self.advance_now(now);
-        if idx < self.initial_prefill {
-            self.crash_prefill(idx, now);
-        } else {
-            self.crash_decode(idx - self.initial_prefill, now);
-        }
-    }
-
-    /// Restarts the replica at global fault index `idx` and drains any parked
-    /// orphans back into routing.
-    pub fn restart_replica(&mut self, idx: usize, now: f64) {
-        self.advance_now(now);
-        self.restarts += 1;
-        if idx < self.initial_prefill {
-            let before = self.prefill[idx].replica.next_event_s();
-            self.prefill[idx].replica.restart(now);
-            self.touch_prefill(idx, before);
-        } else {
-            let j = idx - self.initial_prefill;
-            let before = self.decode[j].replica.next_event_s();
-            self.decode[j].replica.restart(now);
-            self.touch_decode(j, before);
-        }
-        while let Some(fo) = self.orphans.pop_front() {
-            match self.route_prefill(&fo.req) {
-                Some(i) => {
-                    self.requeued += 1;
-                    let before = self.prefill[i].replica.next_event_s();
-                    self.prefill[i].replica.enqueue_failover(fo, now);
-                    self.touch_prefill(i, before);
-                }
-                None => {
-                    self.orphans.push_front(fo);
-                    break;
-                }
-            }
-        }
-        self.dispatch_pending(now);
-    }
-
-    /// Sets the straggler factor of the replica at global fault index `idx`.
-    pub fn set_slow_factor(&mut self, idx: usize, factor: f64) {
-        if idx < self.initial_prefill {
-            self.prefill[idx].replica.set_slow_factor(factor);
-        } else {
-            self.decode[idx - self.initial_prefill]
-                .replica
-                .set_slow_factor(factor);
-        }
-    }
-
-    /// Whether any request is still queued, running, on the wire, or parked.
-    pub fn has_work(&self) -> bool {
-        !self.in_flight.is_empty()
-            || !self.pending.is_empty()
-            || !self.orphans.is_empty()
-            || self
-                .prefill
-                .live()
-                .chain(self.decode.live())
-                .any(|(_, p)| p.replica.has_work())
-    }
-
     /// The next event due: `(time, class, index)` with the deterministic
     /// same-time order transfer < prefill step < decode step < tick.
     fn next_event(&self, include_ticks: bool) -> Option<(f64, u8, usize)> {
@@ -992,24 +851,6 @@ impl ClusterSim {
         best
     }
 
-    /// Simulated time of the next due event — transfer landing, pool step, or
-    /// autoscaler tick — or infinity when the cluster is idle (the external
-    /// driver loop's clock, mirroring `ServeSim::next_event_s`).
-    pub fn next_event_s(&self) -> f64 {
-        self.next_event(self.has_work())
-            .map(|(t, _, _)| t)
-            .unwrap_or(f64::MAX)
-    }
-
-    /// Advances the clock without processing events (the caller guarantees no
-    /// event lies in between — used when injecting faults).
-    pub fn advance_now(&mut self, t: f64) {
-        if t > self.now_s {
-            self.account_to(t);
-            self.now_s = t;
-        }
-    }
-
     /// Processes the event described by a validated `(time, class, index)`
     /// triple — the single dispatch shared by both event cores and both drive
     /// loops.
@@ -1019,7 +860,7 @@ impl ClusterSim {
             CLASS_PREFILL => {
                 let replica = &mut self.prefill[idx].replica;
                 replica.on_step_complete(et);
-                replica.move_completed_into(&mut self.log);
+                replica.move_completed_into(&mut self.state.log);
                 self.touch_prefill(idx, et);
                 self.collect_handoffs(idx);
                 self.check_retirements(et);
@@ -1028,7 +869,7 @@ impl ClusterSim {
             CLASS_DECODE => {
                 let replica = &mut self.decode[idx].replica;
                 replica.on_step_complete(et);
-                replica.move_completed_into(&mut self.log);
+                replica.move_completed_into(&mut self.state.log);
                 self.touch_decode(idx, et);
                 self.check_retirements(et);
                 self.dispatch_pending(et);
@@ -1044,13 +885,13 @@ impl ClusterSim {
     fn pop_due_event(&mut self, t: f64, include_ticks: bool) -> Option<(f64, u8, usize)> {
         let mut deferred_tick: Option<EventKey> = None;
         let due = loop {
-            let Some(key) = self.queue.peek() else {
+            let Some(key) = self.state.queue.peek() else {
                 break None;
             };
             if key.time_s() >= t {
                 break None;
             }
-            let key = self.queue.pop().expect("peeked");
+            let key = self.state.queue.pop().expect("peeked");
             let (class, idx) = (key.class(), key.index());
             let valid = match class {
                 CLASS_TRANSFER => {
@@ -1082,110 +923,47 @@ impl ClusterSim {
             break Some((key.time_s(), class, idx));
         };
         if let Some(key) = deferred_tick {
-            self.queue.push_key(key);
+            self.state.queue.push_key(key);
         }
         due
     }
 
-    /// Processes every event strictly before `t`, then advances to `t`.
-    /// Returns [`DriveOutcome::BudgetExhausted`] — reported once through the
-    /// flight recorder — if the hard event budget tripped with an event still
-    /// due.
-    pub fn advance_before(&mut self, t: f64) -> DriveOutcome {
-        let mut outcome = DriveOutcome::Completed;
-        match self.core {
-            EventCore::IndexedHeap => {
-                while let Some((et, class, idx)) = self.pop_due_event(t, true) {
-                    if self.events >= self.event_budget {
-                        // Put the valid key back and stop.
-                        self.queue.push(et, class, idx);
-                        outcome = self.budget_outcome();
-                        break;
-                    }
-                    self.events += 1;
-                    hooks::on_sim_event();
-                    self.account_to(et);
-                    self.now_s = self.now_s.max(et);
-                    self.dispatch_event(et, class, idx);
-                }
-            }
-            EventCore::LinearScan => {
-                while let Some((et, class, idx)) = self.next_event(true) {
-                    if et >= t {
-                        break;
-                    }
-                    if self.events >= self.event_budget {
-                        outcome = self.budget_outcome();
-                        break;
-                    }
-                    self.events += 1;
-                    hooks::on_sim_event();
-                    self.account_to(et);
-                    self.now_s = self.now_s.max(et);
-                    self.dispatch_event(et, class, idx);
-                }
-            }
-        }
-        self.advance_now(t);
-        outcome
-    }
-
-    /// Concatenated SD accept-length log across both pools — prefill replicas
-    /// first, then decode replicas, each in pool order with speculative steps
-    /// in step order. Mirrors [`ServeSim::sd_accept_trace`] for the trace
-    /// recorder; prefill-only replicas never speculate, so in practice the
-    /// stream comes from the decode pool.
-    ///
-    /// [`ServeSim::sd_accept_trace`]: crate::ServeSim::sd_accept_trace
-    pub fn sd_accept_trace(&self) -> Vec<u8> {
-        self.prefill
-            .iter()
-            .chain(self.decode.iter())
-            .flat_map(|p| p.replica.sd_accept_trace())
-            .collect()
-    }
-
-    /// Runs until every request has drained (autoscaler ticks stop firing once
-    /// the cluster is idle, so this terminates). Returns
-    /// [`DriveOutcome::BudgetExhausted`] if the event budget tripped first.
-    pub fn run_until_drained(&mut self) -> DriveOutcome {
+    /// The one event loop: processes every due event strictly before `t`,
+    /// under either core. While draining, autoscaler ticks fire only as long
+    /// as work remains, so the loop terminates.
+    fn run_events(&mut self, t: f64, draining: bool) -> DriveOutcome {
         loop {
-            let include_ticks = self.has_work();
-            let next = match self.core {
-                EventCore::IndexedHeap => self.pop_due_event(f64::MAX, include_ticks),
-                EventCore::LinearScan => self.next_event(include_ticks),
+            let include_ticks = !draining || self.has_work();
+            let next = match self.state.core {
+                EventCore::IndexedHeap => self.pop_due_event(t, include_ticks),
+                EventCore::LinearScan => self.next_event(include_ticks).filter(|e| e.0 < t),
             };
             let Some((et, class, idx)) = next else {
                 return DriveOutcome::Completed;
             };
-            if self.events >= self.event_budget {
-                if self.core == EventCore::IndexedHeap {
-                    self.queue.push(et, class, idx);
+            if !self.state.begin_event() {
+                // Put the valid key back and stop.
+                if self.state.core == EventCore::IndexedHeap {
+                    self.state.queue.push(et, class, idx);
                 }
-                return self.budget_outcome();
+                return self.state.budget_outcome();
             }
-            self.events += 1;
-            hooks::on_sim_event();
             self.account_to(et);
-            self.now_s = self.now_s.max(et);
+            self.state.now_s = self.state.now_s.max(et);
             self.dispatch_event(et, class, idx);
         }
     }
 
-    fn budget_outcome(&mut self) -> DriveOutcome {
-        if !self.budget_reported {
-            self.budget_reported = true;
-            record(
-                ObsEvent::instant(
-                    self.now_s,
-                    Track::Frontend,
-                    EventKind::BudgetExhausted,
-                    NO_REQ,
-                )
-                .with_args(self.events as f64, self.event_budget as f64),
-            );
-        }
-        DriveOutcome::BudgetExhausted
+    /// See [`Driver::advance_before`]; the clock is then moved to `t`.
+    pub fn advance_before(&mut self, t: f64) -> DriveOutcome {
+        let outcome = self.run_events(t, false);
+        self.advance_now(t);
+        outcome
+    }
+
+    /// See [`Driver::run_until_drained`].
+    pub fn run_until_drained(&mut self) -> DriveOutcome {
+        self.run_events(f64::MAX, true)
     }
 
     /// One autoscaler decision: at most one action per pool, driven by
@@ -1334,91 +1112,9 @@ impl ClusterSim {
             && self.decode.is_consistent()
     }
 
-    /// Requests still parked because no prefill replica is up.
-    pub fn orphaned(&self) -> usize {
-        self.orphans.len()
-    }
-
-    /// Crash-drained requests successfully re-routed.
-    pub fn requeued(&self) -> u64 {
-        self.requeued
-    }
-
-    /// `(crashes injected, restarts injected)`.
-    pub fn fault_counts(&self) -> (u64, u64) {
-        (self.crashes, self.restarts)
-    }
-
     /// Migrations abandoned mid-wire by crashes.
     pub fn aborted_transfers(&self) -> u64 {
         self.aborted_transfers
-    }
-
-    /// Ids of requests dropped at admission, across both pools.
-    pub fn dropped_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .prefill
-            .iter()
-            .chain(self.decode.iter())
-            .flat_map(|p| p.replica.dropped_ids().iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Whether the event-budget runaway guard tripped.
-    pub fn event_budget_exhausted(&self) -> bool {
-        self.events >= self.event_budget
-    }
-
-    /// Per-pool structural conservation check (the chaos invariant), plus the
-    /// cross-pool in-flight balance: every inbound reservation in the decode
-    /// pool belongs to a scheduled transfer, and every outbound charge in the
-    /// prefill pool to a transfer or a not-yet-dispatched handoff.
-    pub fn kv_pool_check(&self) -> Result<(), String> {
-        for (i, p) in self.prefill.iter().enumerate() {
-            p.replica
-                .kv_pool_check()
-                .map_err(|e| format!("prefill {i}: {e}"))?;
-        }
-        for (j, p) in self.decode.iter().enumerate() {
-            p.replica
-                .kv_pool_check()
-                .map_err(|e| format!("decode {j}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Blocks neither free nor reclaimable across both pools (0 after drain).
-    pub fn kv_pool_leaked(&self) -> usize {
-        self.prefill
-            .iter()
-            .chain(self.decode.iter())
-            .map(|p| p.replica.kv_pool_leaked())
-            .sum()
-    }
-
-    /// Peak KV blocks and budget per replica, for the budget invariant:
-    /// `(pool label, index, peak blocks, budget blocks)`.
-    pub fn kv_peaks(&self) -> Vec<(&'static str, usize, usize, usize)> {
-        let mut out = Vec::new();
-        for (i, p) in self.prefill.iter().enumerate() {
-            out.push((
-                "prefill",
-                i,
-                p.replica.peak_kv_blocks(),
-                p.replica.kv_block_budget(),
-            ));
-        }
-        for (j, p) in self.decode.iter().enumerate() {
-            out.push((
-                "decode",
-                j,
-                p.replica.peak_kv_blocks(),
-                p.replica.kv_block_budget(),
-            ));
-        }
-        out
     }
 
     /// Final report over both pools (SLO from the base config), built around
@@ -1429,9 +1125,9 @@ impl ClusterSim {
         let replicas = members
             .chain(self.decode.members.iter_mut())
             .map(|p| &mut p.replica);
-        let log = std::mem::take(&mut self.log);
+        let log = std::mem::take(&mut self.state.log);
         let serve = ServeReport::from_run(log, replicas, self.config.base.slo);
-        self.account_to(serve.makespan_s.max(self.now_s));
+        self.account_to(serve.makespan_s.max(self.state.now_s));
         let span = self.last_account_s.max(1e-9);
         let avg_active_replicas = self.replica_seconds / span;
         let goodput_per_replica = serve.goodput_rps / avg_active_replicas.max(1e-9);
@@ -1453,6 +1149,140 @@ impl ClusterSim {
     }
 }
 
+impl Driver for ClusterSim {
+    type Report = ClusterReport;
+
+    fn state(&self) -> &DriveState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut DriveState {
+        &mut self.state
+    }
+
+    /// Prefill pool first, then decode pool (prefill-only replicas never
+    /// speculate, so the SD accept stream comes from the decode pool).
+    fn members(&self) -> impl Iterator<Item = (&'static str, usize, &Replica)> {
+        let prefill = self.prefill.iter().enumerate();
+        let decode = self.decode.iter().enumerate();
+        prefill
+            .map(|(i, p)| ("prefill", i, &p.replica))
+            .chain(decode.map(|(j, p)| ("decode", j, &p.replica)))
+    }
+
+    /// Re-seeds from the pool replicas, the link front and the next tick.
+    fn set_event_core(&mut self, core: EventCore) {
+        self.state.core = core;
+        self.state.queue.clear();
+        if core == EventCore::IndexedHeap {
+            for (i, p) in self.prefill.live() {
+                let t = p.replica.next_event_s();
+                self.state.queue.push(t, CLASS_PREFILL, i);
+            }
+            for (j, p) in self.decode.live() {
+                let t = p.replica.next_event_s();
+                self.state.queue.push(t, CLASS_DECODE, j);
+            }
+            self.touch_link();
+            self.touch_tick();
+        }
+    }
+
+    fn advance_before(&mut self, t: f64) -> DriveOutcome {
+        ClusterSim::advance_before(self, t)
+    }
+
+    /// Integrates the provisioned-capacity cost on the way.
+    fn advance_now(&mut self, t: f64) {
+        if t > self.state.now_s {
+            self.account_to(t);
+            self.state.now_s = t;
+        }
+    }
+
+    fn offer(&mut self, req: ServeRequest) -> Option<usize> {
+        ClusterSim::offer(self, req)
+    }
+
+    fn run_until_drained(&mut self) -> DriveOutcome {
+        ClusterSim::run_until_drained(self)
+    }
+
+    /// Transfer landing, pool step or (while work remains) autoscaler tick.
+    fn next_event_s(&self) -> f64 {
+        self.next_event(self.has_work())
+            .map(|(t, _, _)| t)
+            .unwrap_or(f64::MAX)
+    }
+
+    fn has_work(&self) -> bool {
+        !self.in_flight.is_empty()
+            || !self.pending.is_empty()
+            || !self.state.orphans.is_empty()
+            || self
+                .prefill
+                .live()
+                .chain(self.decode.live())
+                .any(|(_, p)| p.replica.has_work())
+    }
+
+    fn crash_replica(&mut self, idx: usize, now: f64) {
+        self.advance_now(now);
+        if idx < self.initial_prefill {
+            self.crash_prefill(idx, now);
+        } else {
+            self.crash_decode(idx - self.initial_prefill, now);
+        }
+    }
+
+    /// Drains parked orphans back into routing once the replica is up.
+    fn restart_replica(&mut self, idx: usize, now: f64) {
+        self.advance_now(now);
+        self.state.restarts += 1;
+        if idx < self.initial_prefill {
+            let before = self.prefill[idx].replica.next_event_s();
+            self.prefill[idx].replica.restart(now);
+            self.touch_prefill(idx, before);
+        } else {
+            let j = idx - self.initial_prefill;
+            let before = self.decode[j].replica.next_event_s();
+            self.decode[j].replica.restart(now);
+            self.touch_decode(j, before);
+        }
+        while let Some(fo) = self.state.orphans.pop_front() {
+            match self.route_prefill(&fo.req) {
+                Some(i) => {
+                    self.state.requeued += 1;
+                    let before = self.prefill[i].replica.next_event_s();
+                    self.prefill[i].replica.enqueue_failover(fo, now);
+                    self.touch_prefill(i, before);
+                }
+                None => {
+                    self.state.orphans.push_front(fo);
+                    break;
+                }
+            }
+        }
+        self.dispatch_pending(now);
+    }
+
+    fn set_slow_factor(&mut self, idx: usize, factor: f64) {
+        let (pool, i) = match idx.checked_sub(self.initial_prefill) {
+            None => (&mut self.prefill, idx),
+            Some(j) => (&mut self.decode, j),
+        };
+        pool[i].replica.set_slow_factor(factor);
+    }
+
+    fn into_report(self) -> ClusterReport {
+        ClusterSim::into_report(self)
+    }
+
+    fn serve_report(report: &ClusterReport) -> &ServeReport {
+        &report.serve
+    }
+}
+
 /// Runs a full disaggregated simulation over a pre-sorted arrival stream,
 /// mirroring [`crate::frontend::simulate_serving`].
 pub fn simulate_disagg(
@@ -1460,12 +1290,8 @@ pub fn simulate_disagg(
     arrivals: &[tlt_workload::RequestArrival],
 ) -> ClusterReport {
     let mut sim = ClusterSim::new(config);
-    sim.reserve_completions(arrivals.len());
-    for arrival in arrivals {
-        sim.advance_before(arrival.time_s());
-        sim.offer(ServeRequest::from_arrival(arrival));
-    }
-    sim.run_until_drained();
+    sim.state.reserve_completions(arrivals.len());
+    drive(&mut sim, arrivals.iter().copied(), |_, _| {});
     sim.into_report()
 }
 
@@ -1500,11 +1326,7 @@ mod tests {
     fn disagg_serves_everything_with_zero_recompute_and_no_leaks() {
         let arrivals = generate_arrivals(&ArrivalConfig::constant(6.0, 8.0, 42));
         let mut sim = ClusterSim::new(DisaggConfig::new(base_config(42), 2, 2));
-        for a in &arrivals {
-            sim.advance_before(a.time_s());
-            sim.offer(ServeRequest::from_arrival(a));
-        }
-        sim.run_until_drained();
+        drive(&mut sim, arrivals.iter().copied(), |_, _| {});
         assert!(!sim.has_work(), "cluster drained");
         assert!(sim.kv_pool_check().is_ok());
         assert_eq!(sim.kv_pool_leaked(), 0, "all blocks free after drain");
@@ -1704,11 +1526,11 @@ mod tests {
                 let expected: Vec<usize> = (0..pool.members.len())
                     .filter(|&i| !pool.members[i].retired)
                     .collect();
-                assert_eq!(pool.live, expected, "at {}", sim.now_s);
+                assert_eq!(pool.live, expected, "at {}", sim.state.now_s);
             }
             assert!(sim.prefill.live.len() <= autoscale.max_prefill);
             assert!(sim.decode.live.len() <= autoscale.max_decode);
-            assert!(sim.pools_consistent(), "at {}", sim.now_s);
+            assert!(sim.pools_consistent(), "at {}", sim.state.now_s);
         };
         // Ten bursts of 40 simultaneous requests, 6 s apart.
         let mut events = 0u64;

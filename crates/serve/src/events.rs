@@ -31,12 +31,16 @@
 //! [`ServeSim`]: crate::ServeSim
 //! [`ClusterSim`]: crate::ClusterSim
 
+use crate::metrics::ServeReport;
+use crate::replica::{FailoverRequest, Replica};
+use crate::request::{CompletedRequest, ServeRequest};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use tlt_obs::{hooks, record, EventKind, ObsEvent, Track, NO_REQ};
+use tlt_workload::{ArrivalFeed, RequestArrival};
 
 /// Which next-event implementation a simulator uses. The linear scan is kept
-/// both as the bit-identity oracle for the heap and for the
-/// `sim_event_core_speedup` benchmark.
+/// as the bit-identity reference `tests/event_core.rs` holds the heap to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EventCore {
     /// Lazy-invalidation binary heap keyed on each source's next-event time
@@ -169,6 +173,307 @@ impl DriveOutcome {
     /// Whether this drive stopped on budget exhaustion.
     pub fn budget_exhausted(&self) -> bool {
         matches!(self, DriveOutcome::BudgetExhausted)
+    }
+}
+
+/// Hard cap on processed events; prevents pathological configurations from
+/// spinning forever.
+const MAX_EVENTS: u64 = 200_000_000;
+
+/// What [`ServeSim`](crate::ServeSim) and [`ClusterSim`](crate::ClusterSim)
+/// share is state, not control flow: the clock, the completion log, the orphan
+/// queue, the fault counters, the event budget and the event core.
+#[derive(Debug, Clone)]
+pub struct DriveState {
+    pub(crate) now_s: f64,
+    /// Every completion so far, in event order: moved out of the stepped
+    /// replica after each step and handed to the report as is.
+    pub(crate) log: Vec<CompletedRequest>,
+    /// Requests waiting for a replica that can take them to come back up.
+    pub(crate) orphans: VecDeque<FailoverRequest>,
+    pub(crate) requeued: u64,
+    pub(crate) crashes: u64,
+    pub(crate) restarts: u64,
+    events: u64,
+    event_budget: u64,
+    budget_reported: bool,
+    pub(crate) core: EventCore,
+    pub(crate) queue: EventQueue,
+}
+
+impl Default for DriveState {
+    fn default() -> Self {
+        DriveState {
+            now_s: 0.0,
+            log: Vec::new(),
+            orphans: VecDeque::new(),
+            requeued: 0,
+            crashes: 0,
+            restarts: 0,
+            events: 0,
+            event_budget: MAX_EVENTS,
+            budget_reported: false,
+            core: EventCore::default(),
+            queue: EventQueue::new(),
+        }
+    }
+}
+
+impl DriveState {
+    /// Current simulated time.
+    pub fn now_s(&self) -> f64 {
+        self.now_s
+    }
+
+    /// Sizes the completion log for `expected` requests in one allocation; past
+    /// it the log grows as any `Vec`. A count read from outside input must be
+    /// clamped by the caller.
+    pub fn reserve_completions(&mut self, expected: usize) {
+        self.log.reserve(expected);
+    }
+
+    /// Overrides the hard event budget (default 200M). Exposed so tests can
+    /// exercise the typed [`DriveOutcome::BudgetExhausted`] path cheaply.
+    pub fn set_event_budget(&mut self, budget: u64) {
+        self.event_budget = budget;
+    }
+
+    /// Whether the event budget is spent: the next due event will not be
+    /// processed and every drive call returns
+    /// [`DriveOutcome::BudgetExhausted`].
+    pub fn event_budget_exhausted(&self) -> bool {
+        self.events >= self.event_budget
+    }
+
+    /// Failed-over (or parked) requests delivered to a replica so far.
+    pub fn requeued(&self) -> u64 {
+        self.requeued
+    }
+
+    /// `(crashes, restarts)` applied so far.
+    pub fn fault_counts(&self) -> (u64, u64) {
+        (self.crashes, self.restarts)
+    }
+
+    /// Requests still parked because no replica could take them.
+    pub fn orphaned(&self) -> usize {
+        self.orphans.len()
+    }
+
+    /// The one budget rule, applied to a due internal event before it is
+    /// processed: only such events count (offers and failover deliveries do
+    /// not), and the drive stops once `budget` of them have run. Counts the
+    /// event and returns `true` when it may run.
+    pub(crate) fn begin_event(&mut self) -> bool {
+        if self.event_budget_exhausted() {
+            return false;
+        }
+        self.events += 1;
+        hooks::on_sim_event();
+        true
+    }
+
+    /// The outcome of a drive stopped by [`DriveState::begin_event`], reported
+    /// once through the flight recorder.
+    pub(crate) fn budget_outcome(&mut self) -> DriveOutcome {
+        if !self.budget_reported {
+            self.budget_reported = true;
+            record(
+                ObsEvent::instant(
+                    self.now_s,
+                    Track::Frontend,
+                    EventKind::BudgetExhausted,
+                    NO_REQ,
+                )
+                .with_args(self.events as f64, self.event_budget as f64),
+            );
+        }
+        DriveOutcome::BudgetExhausted
+    }
+
+    /// Records an arrival routed to `target` at `now`; an arrival no replica
+    /// can take is parked — never rejected — until a restart delivers it.
+    pub(crate) fn admit(&mut self, req: &ServeRequest, now: f64, target: Option<usize>) {
+        record(
+            ObsEvent::instant(now, Track::Frontend, EventKind::Arrival, req.id).with_args(
+                target.map(|i| i as f64).unwrap_or(-1.0),
+                req.prompt_len as f64,
+            ),
+        );
+        if target.is_none() {
+            self.orphans.push_back(FailoverRequest {
+                req: *req,
+                generated: 0.0,
+                first_token_s: None,
+                admitted_s: None,
+                preemptions: 0,
+            });
+        }
+    }
+}
+
+/// The surface a simulator is driven through. Both simulators implement it,
+/// and [`drive`] / [`drive_schedule`] are the only loops written over it.
+///
+/// Protocol: advance to `t` ([`Driver::advance_before`] processes every
+/// internal event strictly before `t`), apply the arrival or the fault at `t`,
+/// repeat in time order, then [`Driver::run_until_drained`]. At equal times a
+/// fault goes before an arrival and an arrival before an internal event.
+/// Faults address replicas by a stable index and carry their own time, so the
+/// caller's clock and the simulator's cannot disagree.
+pub trait Driver {
+    /// What a finished run reports.
+    type Report: std::fmt::Debug;
+
+    /// The state shared by every driver (clock, counters, budget).
+    fn state(&self) -> &DriveState;
+
+    /// Mutable access to the shared state (log reservation, event budget).
+    fn state_mut(&mut self) -> &mut DriveState;
+
+    /// Every replica ever provisioned, retired ones included, as `(pool
+    /// label, index within the pool, replica)` in a fixed order.
+    fn members(&self) -> impl Iterator<Item = (&'static str, usize, &Replica)>;
+
+    /// Switches the next-event implementation, re-seeding the heap from the
+    /// current state. The two cores are bit-identical (the `event_core` suite
+    /// holds them so); the scan is that suite's reference.
+    fn set_event_core(&mut self, core: EventCore);
+
+    /// Processes every internal event strictly before `t`.
+    fn advance_before(&mut self, t: f64) -> DriveOutcome;
+
+    /// Moves the clock to `t` without processing events (the caller guarantees
+    /// none lies in between), so that what is applied next is stamped `t`.
+    fn advance_now(&mut self, t: f64);
+
+    /// Routes one arrival (offered in non-decreasing arrival order, after
+    /// advancing to it). Returns the replica it went to, `None` when it was
+    /// parked because nothing was up.
+    fn offer(&mut self, req: ServeRequest) -> Option<usize>;
+
+    /// Processes internal events until no work is left.
+    fn run_until_drained(&mut self) -> DriveOutcome;
+
+    /// Time of the next internal event, `f64::MAX` when idle.
+    fn next_event_s(&self) -> f64;
+
+    /// Whether any request is still queued, running, in flight or parked.
+    fn has_work(&self) -> bool;
+
+    /// Crashes replica `idx` at `now`; what it held fails over.
+    fn crash_replica(&mut self, idx: usize, now: f64);
+
+    /// Restarts replica `idx` at `now` and re-routes parked requests.
+    fn restart_replica(&mut self, idx: usize, now: f64);
+
+    /// Sets the step-duration multiplier of replica `idx` (a straggler runs
+    /// above 1.0); takes effect from its next scheduled step.
+    fn set_slow_factor(&mut self, idx: usize, factor: f64);
+
+    /// Consumes the simulation and builds its report around the completion
+    /// log, which becomes the report's `completed` without a copy.
+    fn into_report(self) -> Self::Report;
+
+    /// The serving report inside a [`Driver::Report`].
+    fn serve_report(report: &Self::Report) -> &ServeReport;
+
+    /// Ids dropped at admission, ascending.
+    fn dropped_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .members()
+            .flat_map(|(_, _, r)| r.dropped_ids().iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Structural conservation check of every replica's KV pool.
+    fn kv_pool_check(&self) -> Result<(), String> {
+        self.members()
+            .try_for_each(|(pool, i, r)| r.kv_pool_check().map_err(|e| format!("{pool} {i}: {e}")))
+    }
+
+    /// Blocks neither free nor reclaimable across all replicas (0 after drain).
+    fn kv_pool_leaked(&self) -> usize {
+        self.members().map(|(_, _, r)| r.kv_pool_leaked()).sum()
+    }
+
+    /// `(pool label, index, peak KV blocks, block budget)` per replica.
+    fn kv_peaks(&self) -> Vec<(&'static str, usize, usize, usize)> {
+        self.members()
+            .map(|(pool, i, r)| (pool, i, r.peak_kv_blocks(), r.kv_block_budget()))
+            .collect()
+    }
+
+    /// Concatenated SD accept-length log of every replica in
+    /// [`Driver::members`] order, each replica's speculative steps in step
+    /// order: a pure function of (config, arrivals) that the trace recorder
+    /// persists as a unary bitstream.
+    fn sd_accept_trace(&self) -> Vec<u8> {
+        self.members()
+            .flat_map(|(_, _, r)| r.sd_accept_trace())
+            .collect()
+    }
+}
+
+/// The arrival loop: advance to each arrival, offer it, then drain.
+/// `routed(id, replica)` sees every arrival that was placed (parked arrivals
+/// are not routing decisions). Stops early when the event budget trips.
+pub fn drive<D: Driver>(
+    sim: &mut D,
+    mut arrivals: impl ArrivalFeed,
+    mut routed: impl FnMut(u64, usize),
+) -> DriveOutcome {
+    while let Some(arrival) = arrivals.next_arrival() {
+        if sim.advance_before(arrival.time_s()).budget_exhausted() {
+            return DriveOutcome::BudgetExhausted;
+        }
+        if let Some(replica) = sim.offer(ServeRequest::from_arrival(&arrival)) {
+            routed(arrival.id, replica);
+        }
+    }
+    sim.run_until_drained()
+}
+
+/// The arrival loop merged with a time-sorted list of caller-defined actions
+/// (faults): `apply(sim, t, action)` runs once the clock stands at the action's
+/// time, and `after(sim, t)` after every action, arrival and batch of internal
+/// events (with `t` the simulator's clock for the last). Ties go action <
+/// arrival < internal event.
+pub fn drive_schedule<D: Driver, A>(
+    sim: &mut D,
+    arrivals: &[RequestArrival],
+    actions: &[(f64, A)],
+    mut apply: impl FnMut(&mut D, f64, &A),
+    mut after: impl FnMut(&D, f64),
+) -> DriveOutcome {
+    let (mut ai, mut fi) = (0, 0);
+    loop {
+        let t_arrival = arrivals.get(ai).map_or(f64::MAX, RequestArrival::time_s);
+        let t_action = actions.get(fi).map_or(f64::MAX, |a| a.0);
+        let t = t_action.min(t_arrival);
+        if t == f64::MAX {
+            let outcome = sim.run_until_drained();
+            after(sim, sim.state().now_s());
+            return outcome;
+        }
+        let stepped = sim.next_event_s() < t;
+        if sim.advance_before(t).budget_exhausted() {
+            return DriveOutcome::BudgetExhausted;
+        }
+        if stepped {
+            after(sim, sim.state().now_s());
+        }
+        if t_action <= t_arrival {
+            sim.advance_now(t);
+            apply(sim, t, &actions[fi].1);
+            fi += 1;
+        } else {
+            sim.offer(ServeRequest::from_arrival(&arrivals[ai]));
+            ai += 1;
+        }
+        after(sim, t);
     }
 }
 

@@ -3,52 +3,36 @@
 //!
 //! The frontend is exposed at two levels. [`simulate_serving`] is the closed-form
 //! entry point: feed it a sorted arrival stream and get the aggregate SLO report.
-//! Underneath sits [`ServeSim`], a steppable simulation the chaos harness drives
-//! directly: external events (arrivals, crashes, restarts, slow-downs) are applied
-//! at the caller's chosen times between [`ServeSim::advance_before`] calls, and
-//! the frontend guarantees **request conservation** across faults — a crashed
-//! replica's requests are re-queued onto surviving replicas (or parked in an
-//! orphan buffer until a replica comes back), never lost and never duplicated.
+//! Underneath sits [`ServeSim`], a steppable simulation driven through
+//! [`Driver`] — by [`drive`] for a plain arrival stream, by
+//! [`drive_schedule`](crate::drive_schedule) when faults (crashes, restarts,
+//! slow-downs) are merged in — and the frontend guarantees **request
+//! conservation** across faults: a crashed replica's requests are re-queued
+//! onto surviving replicas (or parked in an orphan buffer until a replica
+//! comes back), never lost and never duplicated.
 
 use crate::balancer::LoadBalancer;
 use crate::config::ServeConfig;
-use crate::events::{DriveOutcome, EventCore, EventQueue};
+use crate::events::{drive, DriveOutcome, DriveState, Driver, EventCore};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, Replica};
-use crate::request::{CompletedRequest, ServeRequest};
-use std::collections::VecDeque;
-use tlt_obs::{hooks, record, EventKind, ObsEvent, Track, NO_REQ};
+use crate::request::ServeRequest;
+use tlt_obs::hooks;
 use tlt_workload::RequestArrival;
-
-/// Hard cap on processed events; prevents pathological configurations from
-/// spinning forever.
-const MAX_EVENTS: u64 = 200_000_000;
 
 /// Event class of a replica step completion — `ServeSim`'s only internal
 /// event, so heap order reduces to `(time, replica index)`, exactly the
 /// first-minimum tie-break of the old linear scan.
 const CLASS_STEP: u8 = 0;
 
-/// A steppable multi-replica serving simulation with failure semantics.
+/// A steppable multi-replica serving simulation with failure semantics,
+/// driven through [`Driver`].
 #[derive(Debug)]
 pub struct ServeSim {
     replicas: Vec<Replica>,
     balancer: LoadBalancer,
     slo: crate::metrics::SloSpec,
-    now_s: f64,
-    /// Every completion so far, in event order: moved out of the stepped
-    /// replica after each step and handed to the report as is.
-    log: Vec<CompletedRequest>,
-    /// Failed-over requests waiting for any replica to come back up.
-    orphans: VecDeque<FailoverRequest>,
-    requeued: u64,
-    crashes: u64,
-    restarts: u64,
-    events: u64,
-    event_budget: u64,
-    budget_reported: bool,
-    core: EventCore,
-    queue: EventQueue,
+    state: DriveState,
 }
 
 impl ServeSim {
@@ -60,127 +44,25 @@ impl ServeSim {
                 .collect(),
             balancer: LoadBalancer::new(config.balancer),
             slo: config.slo,
-            now_s: 0.0,
-            log: Vec::new(),
-            orphans: VecDeque::new(),
-            requeued: 0,
-            crashes: 0,
-            restarts: 0,
-            events: 0,
-            event_budget: MAX_EVENTS,
-            budget_reported: false,
-            core: EventCore::default(),
-            queue: EventQueue::new(),
+            state: DriveState::default(),
         }
-    }
-
-    /// Switches the next-event implementation, re-seeding the heap from every
-    /// replica's current state. The two cores are bit-identical (enforced by
-    /// the `event_core` test suite); the scan is kept as the oracle and for
-    /// the `sim_event_core_speedup` benchmark.
-    pub fn set_event_core(&mut self, core: EventCore) {
-        self.core = core;
-        self.queue.clear();
-        if core == EventCore::IndexedHeap {
-            for i in 0..self.replicas.len() {
-                self.queue
-                    .push(self.replicas[i].next_event_s(), CLASS_STEP, i);
-            }
-        }
-    }
-
-    /// The next-event implementation in use.
-    pub fn event_core(&self) -> EventCore {
-        self.core
-    }
-
-    /// Sizes the completion log for `expected` requests in one allocation; past
-    /// it the log grows as any `Vec`. A count read from outside input must be
-    /// clamped by the caller.
-    pub fn reserve_completions(&mut self, expected: usize) {
-        self.log.reserve(expected);
-    }
-
-    /// Overrides the hard event budget (default 200M). Exposed so tests can
-    /// exercise the typed [`DriveOutcome::BudgetExhausted`] path cheaply.
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
     }
 
     /// Re-pushes `replica`'s current next-event key after a mutation that may
     /// have changed it; `before_s` is the pre-mutation time, so unchanged keys
     /// (e.g. enqueueing onto an already-busy replica) push nothing.
     fn touch(&mut self, replica: usize, before_s: f64) {
-        if self.core == EventCore::IndexedHeap {
+        if self.state.core == EventCore::IndexedHeap {
             let now = self.replicas[replica].next_event_s();
             if now.to_bits() != before_s.to_bits() {
-                self.queue.push(now, CLASS_STEP, replica);
+                self.state.queue.push(now, CLASS_STEP, replica);
             }
         }
-    }
-
-    /// Current simulated time (the latest event applied).
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    /// Time of the next replica step completion (`f64::MAX` when all idle).
-    pub fn next_event_s(&self) -> f64 {
-        self.replicas
-            .iter()
-            .map(Replica::next_event_s)
-            .fold(f64::MAX, f64::min)
-    }
-
-    /// Whether any request is still queued, running, in flight, or orphaned.
-    pub fn has_work(&self) -> bool {
-        !self.orphans.is_empty() || self.replicas.iter().any(Replica::has_work)
-    }
-
-    /// Whether the hard event budget has been exhausted. Once true,
-    /// [`ServeSim::advance_before`] makes no further progress — callers driving
-    /// their own event loop must stop instead of re-polling forever.
-    pub fn event_budget_exhausted(&self) -> bool {
-        self.events > self.event_budget
     }
 
     /// The replicas, for inspection (peak KV, drop ids, health).
     pub fn replicas(&self) -> &[Replica] {
         &self.replicas
-    }
-
-    /// Concatenated SD accept-length log of every replica, in replica order
-    /// (each replica's speculative steps stay in step order). Since the sim is
-    /// a pure function of (config, arrivals), this stream is bit-deterministic
-    /// and the trace recorder persists it as a unary bitstream.
-    pub fn sd_accept_trace(&self) -> Vec<u8> {
-        self.replicas
-            .iter()
-            .flat_map(Replica::sd_accept_trace)
-            .collect()
-    }
-
-    /// Failed-over requests re-delivered to a replica so far.
-    pub fn requeued(&self) -> u64 {
-        self.requeued
-    }
-
-    /// Crash / restart events applied so far.
-    pub fn fault_counts(&self) -> (u64, u64) {
-        (self.crashes, self.restarts)
-    }
-
-    /// Failed-over requests still waiting for a replica to come back.
-    pub fn orphaned(&self) -> usize {
-        self.orphans.len()
-    }
-
-    /// Ids dropped at admission across all replicas.
-    pub fn dropped_ids(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .flat_map(|r| r.dropped_ids().iter().copied())
-            .collect()
     }
 
     /// Picks a healthy replica for the next request through the balancer;
@@ -195,199 +77,181 @@ impl ServeSim {
         self.balancer.pick_among(self.replicas.len(), up)
     }
 
-    /// Routes one arriving request (must be offered in non-decreasing arrival
-    /// order, after advancing the simulation past earlier step events). With
-    /// zero healthy replicas the arrival is parked in the orphan buffer — never
-    /// rejected — and delivered through the balancer by the next restart.
-    /// Returns the replica the arrival was routed to, `None` when it was parked
-    /// (a parked arrival is counted by [`ServeSim::requeued`] on delivery).
+    /// See [`Driver::offer`]. With zero healthy replicas the arrival is parked
+    /// and delivered through the balancer by the next restart (counted by
+    /// [`DriveState::requeued`] on delivery).
     pub fn offer(&mut self, req: ServeRequest) -> Option<usize> {
         let now = req.arrival_s;
-        self.now_s = self.now_s.max(now);
-        self.events += 1;
+        self.state.now_s = self.state.now_s.max(now);
         let target = self.route();
-        record(
-            ObsEvent::instant(now, Track::Frontend, EventKind::Arrival, req.id).with_args(
-                target.map(|i| i as f64).unwrap_or(-1.0),
-                req.prompt_len as f64,
-            ),
-        );
-        let Some(target) = target else {
-            self.orphans.push_back(FailoverRequest {
-                req,
-                generated: 0.0,
-                first_token_s: None,
-                admitted_s: None,
-                preemptions: 0,
-            });
-            return None;
-        };
+        self.state.admit(&req, now, target);
+        let target = target?;
         let before = self.replicas[target].next_event_s();
         self.replicas[target].enqueue(req, now);
         self.touch(target, before);
         Some(target)
     }
 
-    /// Advances the clock to `t` without processing events. External actors
-    /// (fault injectors) call this before applying an action at `t` so that any
-    /// resulting re-queues and restarts are stamped with the action's time, not
-    /// the last internal event's.
-    pub fn advance_now(&mut self, t: f64) {
-        self.now_s = self.now_s.max(t);
-    }
-
-    /// Processes every replica step event strictly before `t` (arrivals and
-    /// faults at `t` therefore win ties, matching the original frontend rule).
-    /// Returns [`DriveOutcome::BudgetExhausted`] — reported once through the
-    /// flight recorder — if the hard event budget tripped with an event still
-    /// due.
+    /// See [`Driver::advance_before`]. The clock is left at the last event
+    /// processed; arrivals and faults at `t` win ties against steps.
     pub fn advance_before(&mut self, t: f64) -> DriveOutcome {
-        match self.core {
-            EventCore::IndexedHeap => self.advance_before_heap(t),
-            EventCore::LinearScan => self.advance_before_scan(t),
-        }
-    }
-
-    fn advance_before_heap(&mut self, t: f64) -> DriveOutcome {
         loop {
-            let Some(key) = self.queue.peek() else {
-                // Every live key is in the heap, so an empty heap means every
-                // replica is idle.
+            let Some((idx, t_step)) = self.pop_due_step(t) else {
                 return DriveOutcome::Completed;
             };
-            if key.time_s() >= t {
-                // The heap minimum bounds every live key from below: nothing
-                // (stale or not) is due before `t`.
-                return DriveOutcome::Completed;
-            }
-            let key = self.queue.pop().expect("peeked");
-            let idx = key.index();
-            if self.replicas[idx].next_event_s().to_bits() != key.time_bits() {
-                hooks::on_sim_stale_event();
-                continue;
-            }
-            if self.events > self.event_budget {
+            if !self.state.begin_event() {
                 // Put the still-valid key back so the one-sided heap invariant
                 // holds if the budget is ever raised.
-                self.queue.push_key(key);
-                return self.budget_outcome();
+                if self.state.core == EventCore::IndexedHeap {
+                    self.state.queue.push(t_step, CLASS_STEP, idx);
+                }
+                return self.state.budget_outcome();
             }
-            let t_step = key.time_s();
-            self.now_s = t_step;
-            self.step_replica(idx, t_step);
+            self.state.now_s = t_step;
+            let replica = &mut self.replicas[idx];
+            replica.on_step_complete(t_step);
+            replica.move_completed_into(&mut self.state.log);
             // Only the just-stepped replica's key is dirty: re-push it alone
             // instead of re-deriving the global minimum.
             self.touch(idx, t_step);
         }
     }
 
-    fn advance_before_scan(&mut self, t: f64) -> DriveOutcome {
+    /// The earliest valid step due strictly before `t`, under either core.
+    fn pop_due_step(&mut self, t: f64) -> Option<(usize, f64)> {
+        if self.state.core == EventCore::LinearScan {
+            let soonest = self
+                .replicas
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (i, r.next_event_s()))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite or MAX"))
+                .expect("at least one replica");
+            return (soonest.1 < t).then_some(soonest);
+        }
         loop {
-            let (idx, t_step) = self.soonest_step();
-            if t_step >= t {
-                return DriveOutcome::Completed;
+            // The heap minimum bounds every live key from below: once it is
+            // not due (or the heap is empty) nothing is, stale or not.
+            let key = self.state.queue.peek().filter(|k| k.time_s() < t)?;
+            self.state.queue.pop();
+            let idx = key.index();
+            if self.replicas[idx].next_event_s().to_bits() == key.time_bits() {
+                return Some((idx, key.time_s()));
             }
-            if self.events > self.event_budget {
-                return self.budget_outcome();
-            }
-            self.now_s = t_step;
-            self.step_replica(idx, t_step);
+            hooks::on_sim_stale_event();
         }
     }
 
-    /// Completes replica `idx`'s step at `t_step` and moves what it finished
-    /// into the log: the one event both cores process.
-    fn step_replica(&mut self, idx: usize, t_step: f64) {
-        let replica = &mut self.replicas[idx];
-        replica.on_step_complete(t_step);
-        replica.move_completed_into(&mut self.log);
-        self.events += 1;
-        hooks::on_sim_event();
-    }
-
-    /// Runs every remaining step event until the deployment drains (or the event
-    /// budget is exhausted). Orphans can only be re-delivered by a restart, so
-    /// they are left untouched here.
+    /// See [`Driver::run_until_drained`]. Orphans can only be re-delivered by
+    /// a restart, so they are left untouched here.
     pub fn run_until_drained(&mut self) -> DriveOutcome {
         self.advance_before(f64::MAX)
     }
 
-    fn budget_outcome(&mut self) -> DriveOutcome {
-        if !self.budget_reported {
-            self.budget_reported = true;
-            record(
-                ObsEvent::instant(
-                    self.now_s,
-                    Track::Frontend,
-                    EventKind::BudgetExhausted,
-                    NO_REQ,
-                )
-                .with_args(self.events as f64, self.event_budget as f64),
-            );
-        }
-        DriveOutcome::BudgetExhausted
-    }
-
-    fn soonest_step(&self) -> (usize, f64) {
-        self.replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i, r.next_event_s()))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite or MAX"))
-            .expect("at least one replica")
-    }
-
-    /// Crashes `replica` at the current time and re-queues every request it held
-    /// onto surviving replicas through the balancer (orphaning them if no replica
-    /// is up). Returns how many requests were drained.
-    pub fn crash_replica(&mut self, replica: usize) -> usize {
-        let now = self.now_s;
-        let drained = self.replicas[replica].crash(now);
-        self.crashes += 1;
-        let n = drained.len();
-        for fo in drained {
-            self.deliver_failover(fo, now);
-        }
-        n
-    }
-
-    /// Restarts a crashed `replica` at the current time and re-delivers any
-    /// orphaned requests through the balancer (which can now see it).
-    pub fn restart_replica(&mut self, replica: usize) {
-        let now = self.now_s;
-        let before = self.replicas[replica].next_event_s();
-        self.replicas[replica].restart(now);
-        self.touch(replica, before);
-        self.restarts += 1;
-        while let Some(fo) = self.orphans.pop_front() {
-            self.deliver_failover(fo, now);
-        }
-    }
-
-    /// Sets the step-duration multiplier of one replica (a straggler runs slower
-    /// than 1.0x); takes effect from its next scheduled step.
-    pub fn set_slow_factor(&mut self, replica: usize, factor: f64) {
-        self.replicas[replica].set_slow_factor(factor);
-    }
-
     fn deliver_failover(&mut self, fo: FailoverRequest, now: f64) {
         let Some(target) = self.route() else {
-            self.orphans.push_back(fo);
+            self.state.orphans.push_back(fo);
             return;
         };
         let before = self.replicas[target].next_event_s();
         self.replicas[target].enqueue_failover(fo, now);
         self.touch(target, before);
-        self.requeued += 1;
-        self.events += 1;
+        self.state.requeued += 1;
     }
 
-    /// Consumes the simulation and builds the aggregate SLO report from the
-    /// completion log, which becomes the report's `completed` without a copy.
-    /// By now the simulation retains one 72-byte record per completed request
-    /// and nothing per offer or per step.
+    /// See [`Driver::into_report`]. By now the simulation retains one 72-byte
+    /// record per completed request and nothing per offer or per step.
     pub fn into_report(mut self) -> ServeReport {
-        ServeReport::from_run(self.log, self.replicas.iter_mut(), self.slo)
+        ServeReport::from_run(self.state.log, self.replicas.iter_mut(), self.slo)
+    }
+}
+
+impl Driver for ServeSim {
+    type Report = ServeReport;
+
+    fn state(&self) -> &DriveState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut DriveState {
+        &mut self.state
+    }
+
+    fn members(&self) -> impl Iterator<Item = (&'static str, usize, &Replica)> {
+        self.replicas
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ("replica", i, r))
+    }
+
+    fn set_event_core(&mut self, core: EventCore) {
+        self.state.core = core;
+        self.state.queue.clear();
+        if core == EventCore::IndexedHeap {
+            for (i, r) in self.replicas.iter().enumerate() {
+                self.state.queue.push(r.next_event_s(), CLASS_STEP, i);
+            }
+        }
+    }
+
+    fn advance_before(&mut self, t: f64) -> DriveOutcome {
+        ServeSim::advance_before(self, t)
+    }
+
+    fn advance_now(&mut self, t: f64) {
+        self.state.now_s = self.state.now_s.max(t);
+    }
+
+    fn offer(&mut self, req: ServeRequest) -> Option<usize> {
+        ServeSim::offer(self, req)
+    }
+
+    fn run_until_drained(&mut self) -> DriveOutcome {
+        ServeSim::run_until_drained(self)
+    }
+
+    fn next_event_s(&self) -> f64 {
+        self.replicas
+            .iter()
+            .map(Replica::next_event_s)
+            .fold(f64::MAX, f64::min)
+    }
+
+    fn has_work(&self) -> bool {
+        !self.state.orphans.is_empty() || self.replicas.iter().any(Replica::has_work)
+    }
+
+    /// Re-queues every request the replica held onto the survivors through
+    /// the balancer (parking them if none is up).
+    fn crash_replica(&mut self, idx: usize, now: f64) {
+        self.advance_now(now);
+        self.state.crashes += 1;
+        for fo in self.replicas[idx].crash(now) {
+            self.deliver_failover(fo, now);
+        }
+    }
+
+    fn restart_replica(&mut self, idx: usize, now: f64) {
+        self.advance_now(now);
+        let before = self.replicas[idx].next_event_s();
+        self.replicas[idx].restart(now);
+        self.touch(idx, before);
+        self.state.restarts += 1;
+        while let Some(fo) = self.state.orphans.pop_front() {
+            self.deliver_failover(fo, now);
+        }
+    }
+
+    fn set_slow_factor(&mut self, idx: usize, factor: f64) {
+        self.replicas[idx].set_slow_factor(factor);
+    }
+
+    fn into_report(self) -> ServeReport {
+        ServeSim::into_report(self)
+    }
+
+    fn serve_report(report: &ServeReport) -> &ServeReport {
+        report
     }
 }
 
@@ -396,7 +260,7 @@ impl ServeSim {
 /// produced by [`tlt_workload::generate_arrivals`]); the simulation runs until
 /// every admitted request has drained.
 pub fn simulate_serving(config: &ServeConfig, arrivals: &[RequestArrival]) -> ServeReport {
-    drive(config, arrivals, |_, _| {})
+    simulate(config, arrivals, |_, _| {})
 }
 
 /// Like [`simulate_serving`], but also returns the frontend's per-request routing
@@ -407,26 +271,18 @@ pub fn simulate_serving_traced(
     arrivals: &[RequestArrival],
 ) -> (ServeReport, Vec<(u64, usize)>) {
     let mut trace = Vec::with_capacity(arrivals.len());
-    let report = drive(config, arrivals, |id, replica| trace.push((id, replica)));
+    let report = simulate(config, arrivals, |id, replica| trace.push((id, replica)));
     (report, trace)
 }
 
-/// The drive loop of both entry points; `routed(id, replica)` sees every
-/// arrival the balancer placed (parked arrivals are not routing decisions).
-fn drive(
+fn simulate(
     config: &ServeConfig,
     arrivals: &[RequestArrival],
-    mut routed: impl FnMut(u64, usize),
+    routed: impl FnMut(u64, usize),
 ) -> ServeReport {
     let mut sim = ServeSim::new(config);
-    sim.reserve_completions(arrivals.len());
-    for arrival in arrivals {
-        sim.advance_before(arrival.time_s());
-        if let Some(replica) = sim.offer(ServeRequest::from_arrival(arrival)) {
-            routed(arrival.id, replica);
-        }
-    }
-    sim.run_until_drained();
+    sim.state.reserve_completions(arrivals.len());
+    drive(&mut sim, arrivals.iter().copied(), routed);
     sim.into_report()
 }
 
@@ -434,6 +290,7 @@ fn drive(
 mod tests {
     use super::*;
     use crate::balancer::BalancerPolicy;
+    use crate::events::drive_schedule;
     use tlt_gpusim::{GpuType, LlmCostModel};
     use tlt_model::ModelSpec;
     use tlt_rollout::{SdManagerConfig, SdMode, SdStrategy};
@@ -579,23 +436,16 @@ mod tests {
         let config = qwen7b_config(3);
         let stream = arrivals(8.0, 12.0, 7);
         let mut sim = ServeSim::new(&config);
-        let crash_at = 5.0;
-        let mut crashed = false;
-        for arrival in &stream {
-            let t = arrival.time_s();
-            if !crashed && t >= crash_at {
-                sim.advance_before(crash_at);
-                let drained = sim.crash_replica(1);
-                assert!(drained > 0, "crash mid-run should drain live requests");
-                crashed = true;
-            }
-            sim.advance_before(t);
-            sim.offer(ServeRequest::from_arrival(arrival));
-        }
-        sim.run_until_drained();
-        assert!(crashed);
-        assert!(sim.requeued() > 0);
-        assert_eq!(sim.orphaned(), 0, "survivors absorb every failover");
+        let crash = |sim: &mut ServeSim, t: f64, victim: &usize| {
+            sim.crash_replica(*victim, t);
+            assert!(
+                sim.state().requeued() > 0,
+                "crash mid-run drains live requests"
+            );
+        };
+        drive_schedule(&mut sim, &stream, &[(5.0, 1)], crash, |_, _| {});
+        assert_eq!(sim.state().fault_counts(), (1, 0));
+        assert_eq!(sim.state().orphaned(), 0, "survivors absorb every failover");
         assert!(!sim.replicas()[1].is_up());
         let report = sim.into_report();
         let mut ids: Vec<u64> = report.completed.iter().map(|r| r.id).collect();
@@ -613,22 +463,22 @@ mod tests {
         let config = qwen7b_config(1);
         let stream = arrivals(4.0, 4.0, 8);
         let mut sim = ServeSim::new(&config);
-        for arrival in &stream {
-            sim.advance_before(arrival.time_s());
-            sim.offer(ServeRequest::from_arrival(arrival));
-        }
-        sim.advance_before(4.5);
-        let drained = sim.crash_replica(0);
-        assert!(drained > 0);
-        assert_eq!(sim.orphaned(), drained, "no survivor: requests parked");
-        assert_eq!(
-            sim.next_event_s(),
-            f64::MAX,
-            "down replica schedules nothing"
-        );
-        sim.restart_replica(0);
-        assert_eq!(sim.orphaned(), 0);
-        sim.run_until_drained();
+        let faults = [(4.5, false), (4.5, true)];
+        let apply = |sim: &mut ServeSim, t: f64, restart: &bool| {
+            if *restart {
+                sim.restart_replica(0, t);
+                assert_eq!(sim.state().orphaned(), 0);
+                return;
+            }
+            sim.crash_replica(0, t);
+            assert!(sim.state().orphaned() > 0, "no survivor: requests parked");
+            assert_eq!(
+                sim.next_event_s(),
+                f64::MAX,
+                "down replica schedules nothing"
+            );
+        };
+        drive_schedule(&mut sim, &stream, &faults, apply, |_, _| {});
         let report = sim.into_report();
         assert_eq!(report.completed.len(), stream.len());
     }
@@ -639,11 +489,7 @@ mod tests {
         let stream = arrivals(8.0, 20.0, 9);
         let mut sim = ServeSim::new(&config);
         sim.set_slow_factor(1, 4.0);
-        for arrival in &stream {
-            sim.advance_before(arrival.time_s());
-            sim.offer(ServeRequest::from_arrival(arrival));
-        }
-        sim.run_until_drained();
+        drive(&mut sim, stream.iter().copied(), |_, _| {});
         let report = sim.into_report();
         assert_eq!(report.completed.len(), stream.len());
         assert!(

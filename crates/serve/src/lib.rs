@@ -20,6 +20,42 @@
 //! Everything is a pure function of seeds: identical configs and arrival streams
 //! reproduce bit-identical reports.
 //!
+//! Both simulators — [`ServeSim`] (one fleet) and [`ClusterSim`] (prefill and
+//! decode pools joined by a KV transfer link, with an autoscaler) — implement
+//! [`Driver`], and the protocol for driving one lives in two functions:
+//! [`drive`] (advance to each arrival, offer it, drain) and [`drive_schedule`]
+//! (the same loop merged with a time-sorted list of caller-defined actions,
+//! i.e. faults, ties going action < arrival < internal event). Everything that
+//! consumes an arrival stream — [`simulate_serving`], [`simulate_disagg`],
+//! `tlt-trace`'s record / replay, `tlt-chaos`'s runner — is a call to one of
+//! them:
+//!
+//! ```
+//! use tlt_gpusim::{GpuType, LlmCostModel};
+//! use tlt_model::ModelSpec;
+//! use tlt_serve::{drive_schedule, Driver, DriveOutcome, ServeConfig, ServeSim};
+//! use tlt_workload::{generate_arrivals, ArrivalConfig};
+//!
+//! let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
+//! let arrivals = generate_arrivals(&ArrivalConfig::constant(4.0, 6.0, 7));
+//! let mut sim = ServeSim::new(&ServeConfig::new(cost, 2));
+//! // Replica 1 crashes at t = 2 s and comes back at t = 4 s.
+//! let faults = [(2.0, false), (4.0, true)];
+//! let outcome = drive_schedule(
+//!     &mut sim,
+//!     &arrivals,
+//!     &faults,
+//!     |sim, t, &restart| match restart {
+//!         false => sim.crash_replica(1, t),
+//!         true => sim.restart_replica(1, t),
+//!     },
+//!     |_sim, _t| {},
+//! );
+//! assert_eq!(outcome, DriveOutcome::Completed);
+//! assert_eq!(sim.state().fault_counts(), (1, 1));
+//! assert_eq!(sim.into_report().completed.len(), arrivals.len());
+//! ```
+//!
 //! ```
 //! use tlt_gpusim::{GpuType, LlmCostModel};
 //! use tlt_model::ModelSpec;
@@ -48,7 +84,9 @@ pub mod transfer;
 pub use balancer::{BalancerPolicy, LoadBalancer, ReplicaLoad};
 pub use cluster::{simulate_disagg, AutoscaleConfig, ClusterReport, ClusterSim, DisaggConfig};
 pub use config::{KvAccounting, ServeConfig};
-pub use events::{DriveOutcome, EventCore, EventKey, EventQueue};
+pub use events::{
+    drive, drive_schedule, DriveOutcome, DriveState, Driver, EventCore, EventKey, EventQueue,
+};
 pub use frontend::{simulate_serving, simulate_serving_traced, ServeSim};
 pub use metrics::{percentile_f64, LatencySummary, ReplicaStats, ServeReport, SloSpec};
 pub use replica::{FailoverRequest, MigratedEntry, Replica};

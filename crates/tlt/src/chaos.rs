@@ -4,10 +4,10 @@
 //! job.
 
 pub use tlt_chaos::{
-    disagg_matrix, pinned_matrix, run_disagg_scenario, run_scenario, ChaosOutcome,
-    DisaggChaosOutcome, DisaggScenario, DisaggScenarioBuilder, FaultKind, InvariantReport,
-    Scenario, ScenarioBuilder, INVARIANTS,
+    disagg_matrix, pinned_matrix, run_disagg_scenario, run_scenario, ChaosOutcome, DisaggScenario,
+    DisaggScenarioBuilder, FaultKind, InvariantReport, Scenario, ScenarioBuilder, INVARIANTS,
 };
+use tlt_serve::ClusterReport;
 
 /// Runs every scenario in the pinned matrix and returns the outcomes in matrix
 /// order.
@@ -17,7 +17,7 @@ pub fn run_chaos_matrix() -> Vec<ChaosOutcome> {
 
 /// Runs every scenario in the pinned disaggregated-cluster matrix and returns
 /// the outcomes in matrix order.
-pub fn run_disagg_chaos_matrix() -> Vec<DisaggChaosOutcome> {
+pub fn run_disagg_chaos_matrix() -> Vec<ChaosOutcome<ClusterReport>> {
     tlt_chaos::run_disagg_matrix()
 }
 
@@ -29,8 +29,8 @@ pub fn chaos_summary_rows(outcomes: &[ChaosOutcome]) -> Vec<Vec<String>> {
         .iter()
         .map(|o| {
             vec![
-                o.scenario.name.clone(),
-                o.scenario.schedule_label(),
+                o.name.clone(),
+                o.schedule.clone(),
                 format!("{}", o.arrivals),
                 format!("{}", o.completed),
                 format!("{}", o.dropped),
@@ -68,17 +68,14 @@ pub const CHAOS_SUMMARY_HEADER: [&str; 12] = [
 /// One summary row per disaggregated-cluster scenario: name, schedule, pool
 /// shape, request and fault accounting, migration/transfer counters, the
 /// autoscaler decision log, and the invariant verdict.
-pub fn disagg_summary_rows(outcomes: &[DisaggChaosOutcome]) -> Vec<Vec<String>> {
+pub fn disagg_summary_rows(outcomes: &[ChaosOutcome<ClusterReport>]) -> Vec<Vec<String>> {
     outcomes
         .iter()
         .map(|o| {
             vec![
-                o.scenario.name.clone(),
-                o.scenario.schedule_label(),
-                format!(
-                    "{}P+{}D",
-                    o.scenario.prefill_replicas, o.scenario.decode_replicas
-                ),
+                o.name.clone(),
+                o.schedule.clone(),
+                o.deployment.clone(),
                 format!("{}", o.arrivals),
                 format!("{}", o.completed),
                 format!("{}", o.dropped),

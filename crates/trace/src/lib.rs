@@ -10,12 +10,11 @@
 //!   ticks, varint token counts, prefix-relation back-references, an optional
 //!   unary SD accept bitstream, FNV-1a 64 checksum), a few bytes per request
 //!   in the spirit of cbp-experiments' 0.1–1.2 bits/branch traces.
-//! - [`record_serving`] / [`record_disagg`] — run a simulation while
+//! - [`record()`] — run a simulation (any [`tlt_serve::Driver`]) while
 //!   capturing its workload (and SD accept stream) into a trace.
-//! - [`replay_serving`] / [`replay_disagg`] — re-drive a frontend from a
-//!   trace, bit-deterministically; an unmodified recording reproduces the
-//!   recorder's report exactly.
-//! - [`TraceReader`] / [`TraceWriter`] / [`replay_serving_streamed`] —
+//! - [`replay`] — re-drive a simulator from a trace, bit-deterministically;
+//!   an unmodified recording reproduces the recorder's report exactly.
+//! - [`TraceReader`] / [`TraceWriter`] / [`replay_streamed`] —
 //!   chunked, constant-memory TLTR I/O: replay a million-request trace
 //!   through a fixed 64 KiB window without ever materialising the arrival
 //!   vector.
@@ -50,6 +49,6 @@ pub use million::{
     derived_trace_checksum, write_derived_trace, MILLION_CHECKSUM, MILLION_REQUESTS,
 };
 pub use record::{
-    record_disagg, record_serving, replay_disagg, replay_serving, replay_serving_streamed,
+    record, replay, replay_disagg, replay_serving, replay_serving_streamed, replay_streamed,
 };
 pub use stream::{TraceReader, TraceWriter, DEFAULT_CHUNK_BYTES};

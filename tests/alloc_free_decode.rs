@@ -391,6 +391,8 @@ fn cluster_bytes_per_offered_request_do_not_grow_with_retired_replicas() {
         .take_while(|a| a.time_ns == trace.arrivals()[0].time_ns)
         .collect();
     assert_eq!(burst.len(), 96);
+    // Not the product's arrival loop: each burst is offered in bulk at one
+    // instant so that only `offer` runs inside the measured window.
     let mut sim = ClusterSim::new(churn::config());
     let bytes_per_burst: Vec<u64> = (0..13u64)
         .map(|k| {
@@ -663,7 +665,7 @@ fn replay_peak_live_grows_by_one_record_per_request() {
 /// request-independent remainder: nothing per offer, nothing per step.
 #[test]
 fn drained_serve_sim_retains_only_the_completion_log() {
-    use tlt_serve::{ServeRequest, ServeSim};
+    use tlt_serve::{Driver, ServeSim};
     use tlt_trace::TraceReader;
 
     let beside_the_log = |requests: u64| {
@@ -671,12 +673,9 @@ fn drained_serve_sim_retains_only_the_completion_log() {
         let mut reader = TraceReader::open(&bytes[..]).expect("own trace opens");
         let start = live_bytes();
         let mut sim = ServeSim::new(&tlt::replay_deployment(4));
-        sim.reserve_completions(requests as usize);
-        while let Some(arrival) = reader.next_arrival().expect("own trace decodes") {
-            sim.advance_before(arrival.time_s());
-            sim.offer(ServeRequest::from_arrival(&arrival));
-        }
-        sim.run_until_drained();
+        sim.state_mut().reserve_completions(requests as usize);
+        let feed = std::iter::from_fn(|| reader.next_arrival().expect("own trace decodes"));
+        tlt_serve::drive(&mut sim, feed, |_, _| {});
         let held = live_bytes() - start;
         assert_eq!(sim.into_report().completed.len() as u64, requests);
         held - RECORD_BYTES * requests as i64
@@ -697,18 +696,14 @@ fn drained_serve_sim_retains_only_the_completion_log() {
 /// `Replica`, or a buffer a retired member keeps, shows up here.
 #[test]
 fn retired_cluster_members_hold_a_pinned_number_of_bytes() {
-    use tlt_serve::{ClusterSim, ServeRequest};
+    use tlt_serve::{ClusterSim, Driver};
 
     let trace = churn::trace();
     let requests = trace.arrivals().len();
     let start = live_bytes();
     let mut sim = ClusterSim::new(churn::config());
-    sim.reserve_completions(requests);
-    for arrival in trace.arrivals() {
-        sim.advance_before(arrival.time_s());
-        sim.offer(ServeRequest::from_arrival(arrival));
-    }
-    sim.run_until_drained();
+    sim.state_mut().reserve_completions(requests);
+    tlt_serve::drive(&mut sim, trace.arrivals().iter().copied(), |_, _| {});
     let beside_the_log = live_bytes() - start - RECORD_BYTES * requests as i64;
     let report = sim.into_report();
     assert_eq!(report.serve.completed.len(), requests);

@@ -14,14 +14,14 @@ fn pinned_matrix_passes_every_invariant() {
         assert!(
             outcome.invariants.passed(),
             "{}: {:?}",
-            outcome.scenario.name,
+            outcome.name,
             outcome.invariants.violations
         );
         assert_eq!(
             outcome.completed + outcome.dropped,
             outcome.arrivals,
             "{}: request accounting broken",
-            outcome.scenario.name
+            outcome.name
         );
     }
 }
@@ -158,14 +158,14 @@ fn disagg_matrix_passes_every_invariant() {
         assert!(
             outcome.invariants.passed(),
             "{}: {:?}",
-            outcome.scenario.name,
+            outcome.name,
             outcome.invariants.violations
         );
         assert_eq!(
             outcome.completed + outcome.dropped,
             outcome.arrivals,
             "{}: request accounting broken",
-            outcome.scenario.name
+            outcome.name
         );
     }
     // The matrix must actually exercise the migration fault surface: at least

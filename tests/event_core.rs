@@ -7,15 +7,13 @@
 
 use tlt::obs::{install, uninstall, EventKind, FlightRecorder, ObsEvent, Track};
 use tlt::replay_deployment;
-use tlt_serve::{
-    ClusterSim, DisaggConfig, DriveOutcome, EventCore, ServeReport, ServeRequest, ServeSim,
-};
+use tlt_serve::{ClusterSim, DisaggConfig, DriveOutcome, Driver, EventCore, ServeReport, ServeSim};
 use tlt_trace::CorpusPreset;
 use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 
 #[path = "common/drive.rs"]
 mod drive;
-use drive::{drive_disagg, drive_serving, Fault, CORES};
+use drive::{drive, Fault, CORES};
 
 fn arrivals_for(seed: u64) -> Vec<RequestArrival> {
     generate_arrivals(&ArrivalConfig::constant(10.0, 8.0, seed).with_prefix(0.5, 128))
@@ -48,8 +46,7 @@ fn serving_is_bit_identical_across_cores() {
     for seed in [1u64, 17, 4242] {
         let arrivals = arrivals_for(seed);
         let config = replay_deployment(3);
-        let heap = drive_serving(EventCore::IndexedHeap, &config, &arrivals, &[]);
-        let scan = drive_serving(EventCore::LinearScan, &config, &arrivals, &[]);
+        let [heap, scan] = CORES.map(|core| drive(core, ServeSim::new(&config), &arrivals, &[]));
         assert_serving_identical(&heap, &scan, &format!("seed {seed}"));
         assert!(!heap.1.is_empty(), "instrumentation must capture events");
     }
@@ -64,8 +61,7 @@ fn serving_with_crash_and_restart_is_bit_identical_across_cores() {
         (3.5, Fault::Restart(1)),
         (5.0, Fault::Crash(0)),
     ];
-    let heap = drive_serving(EventCore::IndexedHeap, &config, &arrivals, &faults);
-    let scan = drive_serving(EventCore::LinearScan, &config, &arrivals, &faults);
+    let [heap, scan] = CORES.map(|core| drive(core, ServeSim::new(&config), &arrivals, &faults));
     assert_serving_identical(&heap, &scan, "chaos");
     assert!(
         heap.1.iter().any(|e| e.kind == EventKind::Crash),
@@ -81,10 +77,8 @@ fn disagg_with_autoscaler_and_faults_is_bit_identical_across_cores() {
             .with_autoscale(tlt_serve::AutoscaleConfig::default())
     };
     let faults = [(2.5, Fault::Crash(3)), (4.0, Fault::Restart(3))];
-    let (heap_report, heap_events) =
-        drive_disagg(EventCore::IndexedHeap, config(), &arrivals, &faults);
-    let (scan_report, scan_events) =
-        drive_disagg(EventCore::LinearScan, config(), &arrivals, &faults);
+    let [(heap_report, heap_events), (scan_report, scan_events)] =
+        CORES.map(|core| drive(core, ClusterSim::new(config()), &arrivals, &faults));
     assert_eq!(
         heap_events, scan_events,
         "disagg observability streams diverged between event cores"
@@ -119,18 +113,14 @@ fn disagg_under_autoscaler_churn_is_bit_identical_across_cores() {
     ];
     for faults in [&[][..], &crash_restart[..]] {
         let label = format!("{} faults", faults.len());
-        let (heap_report, heap_events) = drive_disagg(
-            EventCore::IndexedHeap,
-            churn::config(),
-            trace.arrivals(),
-            faults,
-        );
-        let (scan_report, scan_events) = drive_disagg(
-            EventCore::LinearScan,
-            churn::config(),
-            trace.arrivals(),
-            faults,
-        );
+        let [(heap_report, heap_events), (scan_report, scan_events)] = CORES.map(|core| {
+            drive(
+                core,
+                ClusterSim::new(churn::config()),
+                trace.arrivals(),
+                faults,
+            )
+        });
         assert_eq!(heap_events, scan_events, "{label}");
         assert_eq!(
             format!("{heap_report:?}"),
@@ -151,8 +141,7 @@ fn corpus_replay_is_bit_identical_across_cores() {
         let trace = preset.build();
         let arrivals = trace.arrivals().to_vec();
         let config = replay_deployment(2);
-        let heap = drive_serving(EventCore::IndexedHeap, &config, &arrivals, &[]);
-        let scan = drive_serving(EventCore::LinearScan, &config, &arrivals, &[]);
+        let [heap, scan] = CORES.map(|core| drive(core, ServeSim::new(&config), &arrivals, &[]));
         assert_serving_identical(&heap, &scan, preset.name());
     }
 }
@@ -175,8 +164,7 @@ fn simultaneous_completions_process_in_replica_order_under_both_cores() {
             prefix_len: 0,
         })
         .collect();
-    let heap = drive_serving(EventCore::IndexedHeap, &config, &arrivals, &[]);
-    let scan = drive_serving(EventCore::LinearScan, &config, &arrivals, &[]);
+    let [heap, scan] = CORES.map(|core| drive(core, ServeSim::new(&config), &arrivals, &[]));
     assert_serving_identical(&heap, &scan, "all-ties");
 
     // Cross-check the order directly on the stream: within every run of
@@ -217,36 +205,82 @@ fn simultaneous_completions_process_in_replica_order_under_both_cores() {
     );
 }
 
+/// Every `Crash` / `Restart` in `events`, as `(kind, timestamp bits)`.
+fn fault_stamps(events: &[ObsEvent]) -> Vec<(EventKind, u64)> {
+    events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Crash | EventKind::Restart))
+        .map(|e| (e.kind, e.ts_s.to_bits()))
+        .collect()
+}
+
+/// One protocol for both drivers: a fault is stamped with its scheduled time,
+/// bit for bit, not with the time of the simulator's last internal event.
+#[test]
+fn faults_are_stamped_with_their_scheduled_time_on_both_drivers() {
+    let faults = [
+        (2.0, Fault::Crash(1)),
+        (3.5, Fault::Restart(1)),
+        (5.0, Fault::Crash(0)),
+    ];
+    let expected = vec![
+        (EventKind::Crash, 2.0f64.to_bits()),
+        (EventKind::Restart, 3.5f64.to_bits()),
+        (EventKind::Crash, 5.0f64.to_bits()),
+    ];
+    let arrivals = arrivals_for(99);
+    for core in CORES {
+        let serving = ServeSim::new(&replay_deployment(3));
+        let (_, events) = drive(core, serving, &arrivals, &faults);
+        assert_eq!(fault_stamps(&events), expected, "ServeSim, {core:?}");
+        let cluster = ClusterSim::new(DisaggConfig::new(replay_deployment(1), 2, 2));
+        let (_, events) = drive(core, cluster, &arrivals, &faults);
+        assert_eq!(fault_stamps(&events), expected, "ClusterSim, {core:?}");
+    }
+}
+
+/// Runs `sim` over `arrivals_for(3)` under `core` with a budget of `budget`
+/// events; returns the count the exhaustion report carries.
+fn events_at_exhaustion<D: Driver>(mut sim: D, core: EventCore, budget: u64) -> f64 {
+    install(FlightRecorder::new(1 << 14));
+    sim.set_event_core(core);
+    sim.state_mut().set_event_budget(budget);
+    let outcome = tlt_serve::drive(&mut sim, arrivals_for(3).into_iter(), |_, _| {});
+    assert_eq!(outcome, DriveOutcome::BudgetExhausted, "{core:?}");
+    assert!(outcome.budget_exhausted());
+    assert!(sim.state().event_budget_exhausted(), "{core:?}");
+    // Refusing further progress is stable and does not re-report.
+    assert_eq!(sim.run_until_drained(), DriveOutcome::BudgetExhausted);
+    assert!(
+        sim.has_work(),
+        "{core:?}: the budget must stop the run early"
+    );
+    let events = uninstall().expect("recorder installed").events();
+    let reported: Vec<&ObsEvent> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::BudgetExhausted)
+        .collect();
+    assert_eq!(
+        reported.len(),
+        1,
+        "{core:?}: budget exhaustion must be reported exactly once"
+    );
+    assert_eq!(
+        reported[0].b, budget as f64,
+        "{core:?}: the budget is the b arg"
+    );
+    reported[0].a
+}
+
+/// One budget rule for both drivers: only processed internal events count
+/// (offers do not), and the drive stops with exactly `budget` of them run.
 #[test]
 fn budget_exhaustion_is_typed_and_reported_once() {
-    let arrivals = arrivals_for(3);
-    let config = replay_deployment(2);
     for core in CORES {
-        install(FlightRecorder::new(1 << 14));
-        let mut sim = ServeSim::new(&config);
-        sim.set_event_core(core);
-        sim.set_event_budget(40);
-        for a in &arrivals {
-            sim.advance_before(a.time_s());
-            sim.offer(ServeRequest::from_arrival(a));
-        }
-        let outcome = sim.run_until_drained();
-        assert_eq!(outcome, DriveOutcome::BudgetExhausted, "{core:?}");
-        assert!(outcome.budget_exhausted());
-        assert!(sim.event_budget_exhausted(), "{core:?}");
-        // Refusing further progress is stable and does not re-report.
-        assert_eq!(sim.run_until_drained(), DriveOutcome::BudgetExhausted);
-        let events = uninstall().expect("recorder installed").events();
-        let reported: Vec<&ObsEvent> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::BudgetExhausted)
-            .collect();
-        assert_eq!(
-            reported.len(),
-            1,
-            "{core:?}: budget exhaustion must be reported exactly once"
-        );
-        assert_eq!(reported[0].b, 40.0, "{core:?}: the budget is the b arg");
+        let serving = ServeSim::new(&replay_deployment(2));
+        assert_eq!(events_at_exhaustion(serving, core, 40), 40.0, "{core:?}");
+        let cluster = ClusterSim::new(DisaggConfig::new(replay_deployment(1), 1, 2));
+        assert_eq!(events_at_exhaustion(cluster, core, 40), 40.0, "{core:?}");
     }
 }
 
@@ -258,27 +292,13 @@ fn cluster_budget_exhaustion_is_typed_and_identical_across_cores() {
         install(FlightRecorder::new(1 << 14));
         let mut sim = ClusterSim::new(DisaggConfig::new(replay_deployment(1), 1, 2));
         sim.set_event_core(core);
-        sim.set_event_budget(60);
-        for a in &arrivals {
-            sim.advance_before(a.time_s());
-            sim.offer(ServeRequest::from_arrival(a));
-        }
+        sim.state_mut().set_event_budget(60);
         assert_eq!(
-            sim.run_until_drained(),
+            tlt_serve::drive(&mut sim, arrivals.iter().copied(), |_, _| {}),
             DriveOutcome::BudgetExhausted,
             "{core:?}"
         );
-        assert!(sim.event_budget_exhausted(), "{core:?}");
-        let events = uninstall().expect("recorder installed").events();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.kind == EventKind::BudgetExhausted)
-                .count(),
-            1,
-            "{core:?}"
-        );
-        streams.push(events);
+        streams.push(uninstall().expect("recorder installed").events());
     }
     assert_eq!(
         streams[0], streams[1],

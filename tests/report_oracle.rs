@@ -14,14 +14,16 @@
 use tlt::obs::{EventKind, ObsEvent};
 use tlt::replay_deployment;
 use tlt_serve::metrics::percentile_sorted;
-use tlt_serve::{CompletedRequest, LatencySummary, ReplicaStats, ServeReport, SloSpec};
+use tlt_serve::{
+    ClusterSim, CompletedRequest, LatencySummary, ReplicaStats, ServeReport, ServeSim, SloSpec,
+};
 use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 
 #[path = "common/churn.rs"]
 mod churn;
 #[path = "common/drive.rs"]
 mod drive;
-use drive::{drive_disagg, drive_serving, Fault, CORES};
+use drive::{drive, Fault, CORES};
 
 fn reference_summary(values: &mut [f64]) -> LatencySummary {
     if values.is_empty() {
@@ -162,7 +164,12 @@ fn churn_cluster_reports_match_the_reference() {
     for faults in [&[][..], &crash_restart[..]] {
         for core in CORES {
             let label = format!("churn, {} faults, {core:?}", faults.len());
-            let (report, _) = drive_disagg(core, churn::config(), trace.arrivals(), faults);
+            let (report, _) = drive(
+                core,
+                ClusterSim::new(churn::config()),
+                trace.arrivals(),
+                faults,
+            );
             assert!(report.retires >= churn::MIN_RETIRES, "{label}");
             assert_eq!(report.serve.replicas.len(), 82, "{label}");
             assert_matches_reference(&report.serve, slo, trace.arrivals().len(), &label);
@@ -204,7 +211,7 @@ fn serving_reports_with_ties_preemption_and_faults_match_the_reference() {
     ];
     for core in CORES {
         let label = format!("serving, {core:?}");
-        let (report, events) = drive_serving(core, &config, &arrivals, &faults);
+        let (report, events) = drive(core, ServeSim::new(&config), &arrivals, &faults);
         assert_matches_reference(&report, config.slo, arrivals.len(), &label);
         let preemptions: u64 = report.replicas.iter().map(|r| r.preemptions).sum();
         assert!(preemptions > 0, "{label}: the KV budget must preempt");

@@ -6,10 +6,8 @@
 
 use proptest::prelude::*;
 use tlt::replay_deployment;
-use tlt_serve::DisaggConfig;
-use tlt_trace::{
-    record_disagg, record_serving, replay_disagg, replay_serving, CorpusPreset, Trace, TraceError,
-};
+use tlt_serve::{ClusterSim, DisaggConfig, Driver, ServeSim};
+use tlt_trace::{record, replay_disagg, replay_serving, CorpusPreset, Trace, TraceError};
 use tlt_workload::{generate_arrivals, ArrivalConfig};
 
 fn arrivals_for(seed: u64, rps: f64, horizon_s: f64) -> Vec<tlt_workload::RequestArrival> {
@@ -27,7 +25,7 @@ proptest! {
         let tick = if seed % 2 == 0 { 1u64 } else { 1_000_000 };
         let arrivals = arrivals_for(seed, 6.0, 15.0);
         let config = replay_deployment(2);
-        let (recorded, trace) = record_serving("prop", tick, &config, &arrivals);
+        let (recorded, trace) = record("prop", tick, ServeSim::new(&config), &arrivals);
 
         let decoded = Trace::from_bytes(&trace.to_bytes()).expect("round trip");
         prop_assert_eq!(&decoded, &trace);
@@ -45,7 +43,7 @@ proptest! {
     fn disagg_record_replay_round_trips(seed in 0u64..10_000) {
         let arrivals = arrivals_for(seed, 4.0, 10.0);
         let config = || DisaggConfig::new(replay_deployment(1), 1, 2);
-        let (recorded, trace) = record_disagg("prop-disagg", 1_000, config(), &arrivals);
+        let (recorded, trace) = record("prop-disagg", 1_000, ClusterSim::new(config()), &arrivals);
 
         let decoded = Trace::from_bytes(&trace.to_bytes()).expect("round trip");
         prop_assert_eq!(&decoded, &trace);
@@ -73,7 +71,8 @@ fn double_replay_is_bit_identical() {
 #[test]
 fn file_round_trip_preserves_the_trace() {
     let arrivals = arrivals_for(7, 5.0, 10.0);
-    let (_, trace) = record_serving("file-rt", 1_000, &replay_deployment(2), &arrivals);
+    let sim = ServeSim::new(&replay_deployment(2));
+    let (_, trace) = record("file-rt", 1_000, sim, &arrivals);
     let path = std::env::temp_dir().join("tlt_trace_file_rt.tltr");
     let path = path.to_str().expect("utf-8 temp path");
     trace.write_file(path).expect("write");
@@ -176,12 +175,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn chat_corpus_digests(config: &tlt_serve::ServeConfig) -> (u64, usize, u64) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/chat.tltr");
     let trace = Trace::read_file(path).expect("committed chat trace");
-    let mut sim = tlt_serve::ServeSim::new(config);
-    for arrival in trace.arrivals() {
-        sim.advance_before(arrival.time_s());
-        sim.offer(tlt_serve::ServeRequest::from_arrival(arrival));
-    }
-    sim.run_until_drained();
+    let mut sim = ServeSim::new(config);
+    tlt_serve::drive(&mut sim, trace.arrivals().iter().copied(), |_, _| {});
     let sd_accepts = sim.sd_accept_trace();
     let report = format!("{:?}", sim.into_report());
     (
@@ -212,24 +207,24 @@ fn chat_corpus_report_and_sd_accept_stream_are_pinned() {
 }
 
 /// The recorder reads the SD accept stream back out of the replicas, where it
-/// is now stored run-length: the TLTR bytes `record_serving` and
-/// `record_disagg` emit for the committed chat trace (workload plus SD
+/// is now stored run-length: the TLTR bytes `record` emits on either
+/// simulator for the committed chat trace (workload plus SD
 /// section, checksum trailer included) are pinned at what the byte-per-step
 /// log produced.
 #[test]
 fn recorded_chat_corpus_tltr_bytes_are_pinned() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/chat.tltr");
     let chat = Trace::read_file(path).expect("committed chat trace");
-    let (_, mono) = record_serving(
+    let (_, mono) = record(
         "chat-rec",
         chat.tick_ns(),
-        &replay_deployment(2),
+        ServeSim::new(&replay_deployment(2)),
         chat.arrivals(),
     );
-    let (_, disagg) = record_disagg(
+    let (_, disagg) = record(
         "chat-rec-disagg",
         chat.tick_ns(),
-        DisaggConfig::new(replay_deployment(1), 1, 2),
+        ClusterSim::new(DisaggConfig::new(replay_deployment(1), 1, 2)),
         chat.arrivals(),
     );
     let pin = |trace: &Trace| {
