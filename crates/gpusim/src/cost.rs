@@ -5,7 +5,7 @@
 //! and training — onto [`KernelWork`] descriptors for a given model geometry, GPU
 //! type and tensor-parallel degree, and converts them to time via the roofline.
 
-use crate::roofline::{estimate_time, ExecutionMode, KernelWork, TimeBreakdown};
+use crate::roofline::{estimate_time, peak_bandwidth, ExecutionMode, KernelWork, TimeBreakdown};
 use crate::specs::GpuSpec;
 use serde::Serialize;
 use tlt_model::spec::{DraftModelSpec, ModelSpec, BF16_BYTES};
@@ -22,6 +22,46 @@ pub const GRAPH_FIXED_BYTES: f64 = 200.0 * 1024.0 * 1024.0;
 /// token bookkeeping). It is independent of the GPU, which is why speculative
 /// decoding yields a *smaller* relative speedup on faster GPUs (Table 2's trend).
 pub const DRAFT_STEP_HOST_OVERHEAD_S: f64 = 60e-6;
+
+/// The batch-only half of a decode, verification or speculative step: every term
+/// of its work and time that does not depend on the mean context, so a run of
+/// steps over an unchanged batch builds it once and pays [`StepBatch::time`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepBatch {
+    /// Sequences in the batch this half was built for.
+    pub batch: usize,
+    flops: f64,
+    launches: f64,
+    weight_bytes: f64,
+    /// KV bytes per position of mean context, before the split over `tp`.
+    kv_bytes_per_position: f64,
+    tp: f64,
+    activation_bytes: f64,
+    peak_bandwidth: f64,
+    compute_s: f64,
+    launch_s: f64,
+    comm_s: f64,
+    /// Sequential drafter steps ahead of the target pass (`0.0` without drafting).
+    draft_s: f64,
+}
+
+impl StepBatch {
+    /// Kernel work of the target pass at mean context `context`.
+    pub fn work(&self, context: usize) -> KernelWork {
+        let bytes = self.weight_bytes
+            + self.kv_bytes_per_position * context as f64 / self.tp
+            + self.activation_bytes;
+        KernelWork::new(self.flops, bytes, self.launches)
+    }
+
+    /// Time of the step at mean context `context`: drafting, the roofline total of
+    /// the target pass and its tensor-parallel all-reduces. A pass takes positive
+    /// time, so the `0.0` of a step without drafting leaves its bits alone.
+    pub fn time(&self, context: usize) -> f64 {
+        let memory_s = self.work(context).bytes / self.peak_bandwidth;
+        self.draft_s + (self.compute_s.max(memory_s) + self.launch_s + self.comm_s)
+    }
+}
 
 /// Cost model for one model replica running on one tensor-parallel worker.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -63,11 +103,6 @@ impl LlmCostModel {
         self.model.weight_bytes() / self.tp as f64
     }
 
-    /// KV-cache bytes per GPU for `batch` sequences of average length `context`.
-    pub fn kv_bytes_per_gpu(&self, batch: usize, context: usize) -> f64 {
-        self.model.kv_bytes_per_token() * batch as f64 * context as f64 / self.tp as f64
-    }
-
     /// Tensor-parallel all-reduce traffic time for `tokens` token positions.
     fn tp_comm_seconds(&self, tokens: f64) -> f64 {
         if self.tp <= 1 || self.gpu.nvlink_gbps <= 0.0 {
@@ -80,44 +115,54 @@ impl LlmCostModel {
         per_gpu / (self.gpu.nvlink_gbps * 1e9)
     }
 
-    /// Kernel work of one decode step producing one token per sequence.
-    pub fn decode_work(&self, batch: usize, context: usize) -> KernelWork {
-        let tokens = batch as f64;
+    /// The batch-only half of one decode step producing one token per sequence.
+    pub fn decode_batch(&self, batch: usize) -> StepBatch {
+        self.verify_batch(batch, 1)
+    }
+
+    /// The batch-only half of verifying `tokens_per_seq` drafted tokens for every
+    /// sequence in the batch in a single target forward pass.
+    pub fn verify_batch(&self, batch: usize, tokens_per_seq: usize) -> StepBatch {
+        let tokens = (batch * tokens_per_seq) as f64;
         let flops = self.model.flops_per_token() * tokens / self.tp as f64;
-        let bytes = self.weight_bytes_per_gpu()
-            + self.kv_bytes_per_gpu(batch, context)
-            + tokens * self.model.hidden as f64 * BF16_BYTES;
         // ~8 kernels per layer plus head/embedding.
         let launches = (self.model.num_layers * 8 + 4) as f64;
-        KernelWork::new(flops, bytes, launches)
+        let open = estimate_time(KernelWork::new(flops, 0.0, launches), &self.gpu, self.mode);
+        StepBatch {
+            batch,
+            flops,
+            launches,
+            weight_bytes: self.weight_bytes_per_gpu(),
+            kv_bytes_per_position: self.model.kv_bytes_per_token() * batch as f64,
+            tp: self.tp as f64,
+            activation_bytes: tokens * self.model.hidden as f64 * BF16_BYTES,
+            peak_bandwidth: peak_bandwidth(&self.gpu, self.mode),
+            compute_s: open.compute_s,
+            launch_s: open.launch_s,
+            comm_s: self.tp_comm_seconds(tokens),
+            draft_s: 0.0,
+        }
+    }
+
+    /// Kernel work of one decode step producing one token per sequence.
+    pub fn decode_work(&self, batch: usize, context: usize) -> KernelWork {
+        self.decode_batch(batch).work(context)
     }
 
     /// Time of one decode step.
     pub fn decode_step_time(&self, batch: usize, context: usize) -> f64 {
-        let base = estimate_time(self.decode_work(batch, context), &self.gpu, self.mode);
-        base.total_s + self.tp_comm_seconds(batch as f64)
+        self.decode_batch(batch).time(context)
     }
 
     /// Kernel work of verifying `tokens_per_seq` drafted tokens for every sequence in
     /// the batch in a single target forward pass.
     pub fn verify_work(&self, batch: usize, tokens_per_seq: usize, context: usize) -> KernelWork {
-        let tokens = (batch * tokens_per_seq) as f64;
-        let flops = self.model.flops_per_token() * tokens / self.tp as f64;
-        let bytes = self.weight_bytes_per_gpu()
-            + self.kv_bytes_per_gpu(batch, context)
-            + tokens * self.model.hidden as f64 * BF16_BYTES;
-        let launches = (self.model.num_layers * 8 + 4) as f64;
-        KernelWork::new(flops, bytes, launches)
+        self.verify_batch(batch, tokens_per_seq).work(context)
     }
 
     /// Time of one verification pass.
     pub fn verify_step_time(&self, batch: usize, tokens_per_seq: usize, context: usize) -> f64 {
-        let base = estimate_time(
-            self.verify_work(batch, tokens_per_seq, context),
-            &self.gpu,
-            self.mode,
-        );
-        base.total_s + self.tp_comm_seconds((batch * tokens_per_seq) as f64)
+        self.verify_batch(batch, tokens_per_seq).time(context)
     }
 
     /// Detailed breakdown for a verification pass (used by roofline figures).
@@ -210,8 +255,22 @@ impl LlmCostModel {
             + DRAFT_STEP_HOST_OVERHEAD_S
     }
 
-    /// Time of a full speculative step: `draft_depth` sequential drafter steps
-    /// followed by one target verification of `tokens_to_verify` tokens per sequence.
+    /// The batch-only half of a full speculative step: `draft_depth` sequential drafter
+    /// steps followed by one target verification of `tokens_to_verify` tokens per sequence.
+    pub fn speculative_batch(
+        &self,
+        drafter: &DraftModelSpec,
+        batch: usize,
+        draft_depth: usize,
+        tokens_to_verify: usize,
+    ) -> StepBatch {
+        StepBatch {
+            draft_s: self.drafter_step_time(drafter, batch) * draft_depth as f64,
+            ..self.verify_batch(batch, tokens_to_verify)
+        }
+    }
+
+    /// Time of a full speculative step at mean context `context`.
     pub fn speculative_step_time(
         &self,
         drafter: &DraftModelSpec,
@@ -220,9 +279,8 @@ impl LlmCostModel {
         tokens_to_verify: usize,
         context: usize,
     ) -> f64 {
-        let draft = self.drafter_step_time(drafter, batch) * draft_depth as f64;
-        let verify = self.verify_step_time(batch, tokens_to_verify, context);
-        draft + verify
+        self.speculative_batch(drafter, batch, draft_depth, tokens_to_verify)
+            .time(context)
     }
 
     /// Time of the RL "inference" stage: re-prefilling generated responses through the

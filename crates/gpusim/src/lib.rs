@@ -30,6 +30,6 @@ pub mod roofline;
 pub mod specs;
 
 pub use cluster::{ClusterConfig, MemoryEstimate, WorkerId};
-pub use cost::LlmCostModel;
+pub use cost::{LlmCostModel, StepBatch};
 pub use roofline::{achieved_tflops, estimate_time, ExecutionMode, KernelWork, TimeBreakdown};
 pub use specs::{GpuSpec, GpuType};

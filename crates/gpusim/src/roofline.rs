@@ -110,10 +110,15 @@ impl TimeBreakdown {
     }
 }
 
+/// Achieved memory bandwidth of `gpu` under `mode`, in bytes per second.
+pub fn peak_bandwidth(gpu: &GpuSpec, mode: ExecutionMode) -> f64 {
+    gpu.memory_bandwidth_gbps * 1e9 * mode.memory_efficiency
+}
+
 /// Estimates execution time of `work` on `gpu` under `mode`.
 pub fn estimate_time(work: KernelWork, gpu: &GpuSpec, mode: ExecutionMode) -> TimeBreakdown {
     let peak_flops = gpu.bf16_tflops * 1e12 * mode.compute_efficiency;
-    let peak_bw = gpu.memory_bandwidth_gbps * 1e9 * mode.memory_efficiency;
+    let peak_bw = peak_bandwidth(gpu, mode);
     let compute_s = work.flops / peak_flops;
     let memory_s = work.bytes / peak_bw;
     // Kernel execution floor applies regardless of capture; CPU-side launch

@@ -10,7 +10,9 @@
 //!
 //! The expected accept length is a pure function of (drafter profile, strategy)
 //! and a run meets only a handful of such pairs, so the evaluator remembers each
-//! one the first time it is asked for it.
+//! one the first time it is asked for it. Beside it, and for the vanilla step, it
+//! keeps the batch-only half of the step cost ([`StepBatch`]) and rebuilds a half
+//! only when it is asked to cost a different batch.
 
 use crate::mab::StepObservation;
 use crate::manager::{AdaptiveSdManager, DrafterChoice, SdDecision, SdManagerConfig};
@@ -19,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tlt_draft::AcceptanceProfile;
-use tlt_gpusim::LlmCostModel;
+use tlt_gpusim::{LlmCostModel, StepBatch};
 use tlt_model::DraftModelSpec;
 
 /// How a timing-level engine uses speculative decoding.
@@ -88,21 +90,25 @@ enum Policy {
         strategy: SdStrategy,
         threshold: usize,
     },
-    Adaptive(AdaptiveSdManager),
+    /// Boxed: an evaluator sits inline in every serving replica, retired ones
+    /// included, and the tuner would be 200 of its bytes.
+    Adaptive(Box<AdaptiveSdManager>),
 }
 
 /// Decides, costs and records decode steps for one engine instance.
 ///
-/// An evaluator serves **one** [`SdStepModel`]: its accept-length memo assumes
-/// every [`step`](Self::step) call names the same two acceptance profiles.
+/// An evaluator serves **one** [`SdStepModel`]: its memo of accept lengths and
+/// step costs assumes every [`step`](Self::step) call names the same model.
 #[derive(Debug, Clone)]
 pub struct SdStepEvaluator {
     policy: Policy,
     rng: StdRng,
-    /// Expected accept length per (drafter, strategy) met so far; allocated at
-    /// the first speculative step, so an engine that never speculates carries
-    /// an empty `Vec`.
-    accept_memo: Vec<(DrafterChoice, SdStrategy, f64)>,
+    /// Expected accept length per (drafter, strategy) met so far, beside the
+    /// strategy's step cost at the last batch it ran on; allocated at the first
+    /// speculative step, so an engine that never speculates carries an empty `Vec`.
+    accept_memo: Vec<(DrafterChoice, SdStrategy, f64, StepBatch)>,
+    /// The vanilla step's cost at the last batch it ran on.
+    vanilla: Option<StepBatch>,
 }
 
 impl SdStepEvaluator {
@@ -118,10 +124,13 @@ impl SdStepEvaluator {
                     strategy: *strategy,
                     threshold: *threshold,
                 },
-                SdMode::Adaptive { config } => Policy::Adaptive(AdaptiveSdManager::new(*config)),
+                SdMode::Adaptive { config } => {
+                    Policy::Adaptive(Box::new(AdaptiveSdManager::new(*config)))
+                }
             },
             rng: StdRng::seed_from_u64(seed),
             accept_memo: Vec::new(),
+            vanilla: None,
         }
     }
 
@@ -130,6 +139,10 @@ impl SdStepEvaluator {
     /// decision sees (the batch itself for a rollout, batch plus backlog for a
     /// serving replica); `time_scale` multiplies the step duration before the
     /// tuner observes it (`1.0` unless the caller models a straggler).
+    ///
+    /// Inlined into the caller's step loop: the vanilla path is a few dozen
+    /// instructions, and the call cost a quarter of `paper_sim`'s host time.
+    #[inline]
     pub fn step(
         &mut self,
         model: &SdStepModel<'_>,
@@ -156,20 +169,18 @@ impl SdStepEvaluator {
             Policy::Adaptive(manager) => manager.decide(load, &mut self.rng),
         };
         let SdDecision::Speculative { drafter, strategy } = decision else {
+            let cost = match &mut self.vanilla {
+                Some(cost) if cost.batch == batch => cost,
+                stale => stale.insert(model.cost.decode_batch(batch)),
+            };
             return SdStep {
-                time_s: model.cost.decode_step_time(batch, avg_context) * time_scale,
+                time_s: cost.time(avg_context) * time_scale,
                 tokens_per_seq: 1.0,
                 speculative: false,
             };
         };
-        let accept = self.accept_len(model, drafter, &strategy);
-        let time_s = model.cost.speculative_step_time(
-            model.drafter,
-            batch,
-            strategy.draft_depth,
-            strategy.tokens_to_verify,
-            avg_context,
-        ) * time_scale;
+        let (accept, time_s) = self.speculative(model, drafter, &strategy, batch, avg_context);
+        let time_s = time_s * time_scale;
         if let Policy::Adaptive(manager) = &mut self.policy {
             manager.record(
                 &strategy,
@@ -187,32 +198,45 @@ impl SdStepEvaluator {
         }
     }
 
-    fn accept_len(
+    /// Expected accept length and unscaled time of one speculative step.
+    fn speculative(
         &mut self,
         model: &SdStepModel<'_>,
         drafter: DrafterChoice,
         strategy: &SdStrategy,
-    ) -> f64 {
-        if let Some(&(_, _, accept)) = self
+        batch: usize,
+        avg_context: usize,
+    ) -> (f64, f64) {
+        let cost_at = |batch| {
+            model.cost.speculative_batch(
+                model.drafter,
+                batch,
+                strategy.draft_depth,
+                strategy.tokens_to_verify,
+            )
+        };
+        if let Some((_, _, accept, cost)) = self
             .accept_memo
-            .iter()
-            .find(|(d, s, _)| *d == drafter && s == strategy)
+            .iter_mut()
+            .find(|(d, s, ..)| *d == drafter && s == strategy)
         {
-            return accept;
+            if cost.batch != batch {
+                *cost = cost_at(batch);
+            }
+            return (*accept, cost.time(avg_context));
         }
         let profile = match drafter {
             DrafterChoice::Learned => model.acceptance,
             DrafterChoice::ModelFree => model.model_free_acceptance,
         };
         let accept = expected_accept_len(profile, strategy);
-        // The table is allocated once, whole: a custom strategy set with more
-        // pairs than slots has the surplus recomputed on every step.
+        let cost = cost_at(batch);
+        // The table is bounded: a custom strategy set with more pairs than slots
+        // has the surplus recomputed on every step.
         if self.accept_memo.len() < ACCEPT_MEMO_SLOTS {
-            self.accept_memo
-                .reserve_exact(ACCEPT_MEMO_SLOTS - self.accept_memo.len());
-            self.accept_memo.push((drafter, *strategy, accept));
+            self.accept_memo.push((drafter, *strategy, accept, cost));
         }
-        accept
+        (accept, cost.time(avg_context))
     }
 }
 
@@ -316,7 +340,8 @@ mod tests {
                 ..SdStrategy::default()
             };
             for _ in 0..2 {
-                let got = eval.accept_len(&fx.step_model(), DrafterChoice::Learned, &strategy);
+                let (got, _) =
+                    eval.speculative(&fx.step_model(), DrafterChoice::Learned, &strategy, 4, 1024);
                 assert_eq!(
                     got.to_bits(),
                     expected_accept_len(&fx.acceptance, &strategy).to_bits()

@@ -97,6 +97,10 @@ pub struct RolloutProfile {
     pub idle_request_seconds: f64,
     /// Mean accept length across speculative steps (1.0 when SD never ran).
     pub mean_accept_length: f64,
+    /// Decode steps simulated.
+    pub steps: u64,
+    /// Decode steps that ran speculative decoding.
+    pub speculative_steps: u64,
 }
 
 impl RolloutProfile {
@@ -110,64 +114,91 @@ impl RolloutProfile {
     }
 }
 
+/// Whether `x` is a whole number of tokens (a cast, not a call into libm).
+fn is_whole(x: f64) -> bool {
+    (x as u64) as f64 == x
+}
+
 /// Simulates decoding a batch of requests whose response lengths are given.
 ///
-/// Only the requests still generating are kept, in their original order, and the
-/// set is compacted on the steps where a request finishes; every step is decided,
-/// costed and recorded by the [`SdStepEvaluator`]. Host cost is therefore
-/// proportional to the tokens simulated, not to steps x requests, and nothing is
-/// allocated per step.
+/// The live requests are a suffix of one sorted array and share one progress
+/// scalar; every step is decided, costed and recorded by the [`SdStepEvaluator`].
+/// Host cost is therefore proportional to the decode steps simulated (plus, for a
+/// step that commits a fractional number of tokens, the requests then live), not
+/// to steps x requests, and nothing is allocated per step.
 pub fn simulate_rollout(config: &SimRolloutConfig, response_lengths: &[usize]) -> RolloutProfile {
+    simulate_rollout_seeded(config, config.seed, response_lengths)
+}
+
+/// [`simulate_rollout`] with the tuner's exploration drawn from `seed` in place of
+/// `config.seed`, for callers that run one configuration under many seeds.
+pub fn simulate_rollout_seeded(
+    config: &SimRolloutConfig,
+    seed: u64,
+    response_lengths: &[usize],
+) -> RolloutProfile {
     assert!(!response_lengths.is_empty(), "need at least one request");
     let requests = response_lengths.len();
-    // Per live request, in ascending request order (the order `avg_context` sums in).
     let mut remaining: Vec<f64> = response_lengths.iter().map(|&l| l.max(1) as f64).collect();
-    let mut generated: Vec<f64> = vec![0.0; requests];
+    remaining.sort_unstable_by(f64::total_cmp);
+    // Every live request has received the same commits, `generated` in all, and has
+    // `remaining[head..]` less `lag` to go: ascending, and f64 rounding is monotone,
+    // so the requests a step finishes are a prefix. `lag` holds the whole-token
+    // commits not yet subtracted: `x - lag` is exact for an integer `lag <= x < 2^53`.
+    let (mut head, mut lag, mut generated) = (0, 0.0, 0.0f64);
     let total_target_tokens: usize = response_lengths.iter().sum();
     let model = config.step_model();
-    let mut evaluator = SdStepEvaluator::new(&config.sd_mode, config.seed);
+    let mut evaluator = SdStepEvaluator::new(&config.sd_mode, seed);
 
     let mut time_s = 0.0;
     let mut timeline = Vec::new();
     let mut sd_activation_time = None;
     let mut idle_request_seconds = 0.0;
     let mut accept_len_sum = 0.0;
-    let mut accept_len_count = 0usize;
+    let mut speculative_steps = 0u64;
     let mut steps = 0u64;
 
     // Prompt prefill for the whole batch.
     time_s += config.cost.prefill_time(requests, config.prompt_len);
 
-    while !remaining.is_empty() {
-        let batch = remaining.len();
-        let avg_context =
-            config.prompt_len + (generated.iter().sum::<f64>() / batch as f64) as usize;
+    while head < requests {
+        let batch = requests - head;
+        // The mean of `batch` copies of `generated`, summed one by one: exact, hence
+        // `generated` itself, while every partial sum is an integer below 2^53.
+        let mean_generated = if is_whole(generated) && generated * (batch as f64) < 9e15 {
+            generated
+        } else {
+            (0..batch).fold(0.0, |sum, _| sum + generated) / batch as f64
+        };
+        let avg_context = config.prompt_len + mean_generated as usize;
 
         let step = evaluator.step(&model, batch, batch, avg_context, 1.0);
         if step.speculative {
             accept_len_sum += step.tokens_per_seq;
-            accept_len_count += 1;
+            speculative_steps += 1;
             if sd_activation_time.is_none() {
                 sd_activation_time = Some(time_s);
             }
         }
 
         // Idle accounting: requests already finished wait for the stragglers.
-        let finished = requests - batch;
-        idle_request_seconds += finished as f64 * step.time_s;
+        idle_request_seconds += head as f64 * step.time_s;
 
-        let mut live = 0;
-        for i in 0..batch {
-            let committed = step.tokens_per_seq.min(remaining[i]);
-            let left = remaining[i] - committed;
-            if left > 0.0 {
-                remaining[live] = left;
-                generated[live] = generated[i] + committed;
-                live += 1;
+        let commit = step.tokens_per_seq;
+        generated += commit;
+        if is_whole(commit) {
+            lag += commit;
+        } else {
+            // The rounding of each request's own chain of subtractions is kept.
+            for left in &mut remaining[head..] {
+                *left -= lag;
+                *left -= commit.min(*left);
             }
+            lag = 0.0;
         }
-        remaining.truncate(live);
-        generated.truncate(live);
+        while head < requests && remaining[head] <= lag {
+            head += 1;
+        }
         time_s += step.time_s;
         steps += 1;
 
@@ -198,11 +229,13 @@ pub fn simulate_rollout(config: &SimRolloutConfig, response_lengths: &[usize]) -
         sd_activation_time_s: sd_activation_time,
         timeline,
         idle_request_seconds,
-        mean_accept_length: if accept_len_count == 0 {
+        mean_accept_length: if speculative_steps == 0 {
             1.0
         } else {
-            accept_len_sum / accept_len_count as f64
+            accept_len_sum / speculative_steps as f64
         },
+        steps,
+        speculative_steps,
     }
 }
 
@@ -219,9 +252,7 @@ pub fn simulate_rollout_batch(
 ) -> Vec<RolloutProfile> {
     let groups: Vec<&[usize]> = response_length_groups.iter().map(Vec::as_slice).collect();
     tlt_model::parallel_map(groups, |i, lengths| {
-        let mut group_config = config.clone();
-        group_config.seed = config.seed.wrapping_add(i as u64);
-        simulate_rollout(&group_config, lengths)
+        simulate_rollout_seeded(config, config.seed.wrapping_add(i as u64), lengths)
     })
 }
 
@@ -473,9 +504,8 @@ mod tests {
         let parallel = simulate_rollout_batch(&config, &groups);
         assert_eq!(parallel.len(), groups.len());
         for (i, group) in groups.iter().enumerate() {
-            let mut seq_config = config.clone();
-            seq_config.seed = config.seed.wrapping_add(i as u64);
-            let sequential = simulate_rollout(&seq_config, group);
+            let sequential =
+                simulate_rollout_seeded(&config, config.seed.wrapping_add(i as u64), group);
             assert_eq!(parallel[i].total_time_s, sequential.total_time_s);
             assert_eq!(parallel[i].total_tokens, sequential.total_tokens);
             assert_eq!(parallel[i].timeline.len(), sequential.timeline.len());

@@ -1,10 +1,14 @@
 //! Reference model for the timing-level rollout engine.
 //!
 //! `oracle_simulate_rollout` is the engine as it stood before the SD-step
-//! evaluator and the compacted live set: it rebuilds the active index list from
-//! every request on every step and re-derives the expected accept length inline.
+//! evaluator, the sorted live set with its deferred commits and the batch / context
+//! split of the step cost: it keeps a remaining and a generated length per request,
+//! rebuilds the active index list from every request on every step, re-derives the
+//! expected accept length inline and costs every step from the model geometry.
 //! It lives here, test-only and not selectable at run time, so the production
-//! crate carries one engine; the property below holds the two bit-identical.
+//! crate carries one engine; the properties below hold the two bit-identical over
+//! SD modes, deployments (model, GPU, tensor-parallel degree, prompt length) and
+//! acceptance profiles, including the ones whose accept length is an integer.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,9 +17,22 @@ use tlt_draft::AcceptanceProfile;
 use tlt_gpusim::{GpuType, LlmCostModel};
 use tlt_model::ModelSpec;
 use tlt_rollout::{
-    simulate_rollout, AdaptiveSdManager, DrafterChoice, RolloutProfile, SdDecision,
-    SdManagerConfig, SdMode, SdStrategy, SimRolloutConfig, StepObservation, TimelinePoint,
+    simulate_rollout, AdaptiveSdManager, DrafterChoice, SdDecision, SdManagerConfig, SdMode,
+    SdStrategy, SimRolloutConfig, StepObservation, TimelinePoint,
 };
+use tlt_workload::LengthDistribution;
+
+/// The profile as the oracle was frozen with it: the engine's has since gained
+/// step counts, which the oracle's loop does not report.
+struct RolloutProfile {
+    total_time_s: f64,
+    total_tokens: usize,
+    throughput_tokens_per_s: f64,
+    sd_activation_time_s: Option<f64>,
+    timeline: Vec<TimelinePoint>,
+    idle_request_seconds: f64,
+    mean_accept_length: f64,
+}
 
 fn oracle_simulate_rollout(
     config: &SimRolloutConfig,
@@ -182,7 +199,7 @@ fn sd_mode(selector: usize) -> SdMode {
     }
 }
 
-fn assert_bit_identical(engine: &RolloutProfile, oracle: &RolloutProfile) {
+fn assert_bit_identical(engine: &tlt_rollout::RolloutProfile, oracle: &RolloutProfile) {
     assert_eq!(engine.total_time_s.to_bits(), oracle.total_time_s.to_bits());
     assert_eq!(engine.total_tokens, oracle.total_tokens);
     assert_eq!(
@@ -209,18 +226,51 @@ fn assert_bit_identical(engine: &RolloutProfile, oracle: &RolloutProfile) {
     }
 }
 
-fn check(lengths: &[usize], mode: usize, seed: u64) {
-    let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
+/// The deployments the engine is held to the oracle on, with the prompt length:
+/// tensor-parallel all-reduces are zero at tp 1, and the mean context is the
+/// prompt length plus a mean the engine no longer sums request by request.
+const DEPLOYMENTS: usize = 6;
+
+fn deployment(selector: usize) -> (LlmCostModel, usize) {
+    let cost = |model, gpu: GpuType, tp| LlmCostModel::new(model, gpu.spec(), tp);
+    match selector {
+        0 => (cost(ModelSpec::qwen2_5_7b(), GpuType::H100, 1), 512),
+        1 => (cost(ModelSpec::qwen2_5_7b(), GpuType::H100, 2), 512),
+        2 => (cost(ModelSpec::qwen2_5_7b(), GpuType::A100, 4), 2000),
+        3 => (cost(ModelSpec::llama3_70b(), GpuType::H100, 8), 512),
+        4 => (cost(ModelSpec::llama3_70b(), GpuType::A100, 4), 2000),
+        _ => (cost(ModelSpec::llama3_70b(), GpuType::A100, 8), 1),
+    }
+}
+
+/// The drafter's acceptance: the mode's own profiles, every draft accepted, or
+/// none. The last two make the expected accept length an integer, so a
+/// speculative step commits without touching the live requests.
+const ACCEPTANCES: usize = 3;
+
+fn check_on(deployment_sel: usize, acceptance: usize, lengths: &[usize], mode: usize, seed: u64) {
+    let (cost, prompt_len) = deployment(deployment_sel);
     let mut config = SimRolloutConfig::vanilla(cost).with_sd_mode(sd_mode(mode));
     config.seed = seed;
+    config.prompt_len = prompt_len;
     // The TLT-Base shape: the "learned" slot holds a weaker profile than default.
     if mode == 5 {
         config.acceptance = AcceptanceProfile::stale_drafter();
+    }
+    if acceptance > 0 {
+        let rate = if acceptance == 1 { 1.0 } else { 0.0 };
+        config.acceptance = AcceptanceProfile::from_measured(vec![rate; 16]);
+        config.model_free_acceptance = config.acceptance.clone();
     }
     assert_bit_identical(
         &simulate_rollout(&config, lengths),
         &oracle_simulate_rollout(&config, lengths),
     );
+}
+
+/// The deployment and acceptance every case ran on before the others were added.
+fn check(lengths: &[usize], mode: usize, seed: u64) {
+    check_on(0, 0, lengths, mode, seed);
 }
 
 proptest! {
@@ -232,8 +282,11 @@ proptest! {
         lengths in proptest::collection::vec(1usize..=8192, 1..601),
         mode in 0usize..6,
         seed in 0u64..1_000_000,
+        deployment in 0..DEPLOYMENTS,
+        acceptance in 0..ACCEPTANCES,
     ) {
         check(&lengths, mode, seed);
+        check_on(deployment, acceptance, &lengths, mode, seed);
     }
 
     /// Few distinct values, so many requests finish on the same step.
@@ -243,24 +296,31 @@ proptest! {
         values in proptest::collection::vec(1usize..=8192, 4..5),
         mode in 0usize..6,
         seed in 0u64..1_000_000,
+        deployment in 0..DEPLOYMENTS,
+        acceptance in 0..ACCEPTANCES,
     ) {
         let lengths: Vec<usize> = picks.iter().map(|&p| values[p]).collect();
         check(&lengths, mode, seed);
+        check_on(deployment, acceptance, &lengths, mode, seed);
     }
 
-    /// Every request has the same length: one compaction empties the set.
+    /// Every request has the same length: one step empties the set.
     #[test]
     fn engine_matches_oracle_on_all_equal_lengths(
         requests in 1usize..=600,
         length in 1usize..=8192,
         mode in 0usize..6,
         seed in 0u64..1_000_000,
+        deployment in 0..DEPLOYMENTS,
+        acceptance in 0..ACCEPTANCES,
     ) {
         check(&vec![length; requests], mode, seed);
+        check_on(deployment, acceptance, &vec![length; requests], mode, seed);
     }
 }
 
-/// Every mode, pinned: the proptest draws above need not cover all six.
+/// Every mode, pinned: the proptest draws above need not cover all six. The
+/// lengths include zero, ties and a tail.
 #[test]
 fn engine_matches_oracle_in_every_mode_on_a_long_tail() {
     let lengths: Vec<usize> = (0..200usize)
@@ -271,5 +331,57 @@ fn engine_matches_oracle_in_every_mode_on_a_long_tail() {
         for seed in [0, 7, 0xDEAD_BEEF] {
             check(&lengths, mode, seed);
         }
+        // Every deployment under every acceptance, pinned the same way.
+        for deployment in 0..DEPLOYMENTS {
+            for acceptance in 0..ACCEPTANCES {
+                check_on(deployment, acceptance, &lengths, mode, 7);
+            }
+        }
     }
+}
+
+/// `paper_default` scale: worker shares of 16 to 128 responses drawn from its
+/// length distribution (2% of them at the 32,768 cap), under a static strategy
+/// that switches on at 32 requests. The vanilla phase defers tens of thousands of
+/// commits, which the first speculative step applies to the live requests at once
+/// (fractional accept length) or goes on deferring (integral).
+#[test]
+fn engine_matches_oracle_at_paper_scale_across_the_vanilla_to_speculative_switch() {
+    let dist = LengthDistribution::LongTailMixture {
+        mu: 7.3,
+        sigma: 0.9,
+        truncation_mass: 0.02,
+        max_len: 32_768,
+    };
+    let mut rng = StdRng::seed_from_u64(2026);
+    for share in [16, 32, 64, 128] {
+        let mut lengths = dist.sample_many(share, &mut rng);
+        // At least one response at the cap, whatever the draw.
+        lengths[share / 2] = 32_768;
+        for (deployment, acceptance) in [(1, 0), (1, 1), (3, 0), (4, 2)] {
+            check_on(deployment, acceptance, &lengths, 2, 0);
+        }
+    }
+}
+
+/// An accept length of ~1.1 brings the shared progress within an ulp or two of an
+/// integer every ten steps (10.999999999999998 after the tenth), which is where a
+/// mean context read off the scalar could truncate differently from the oracle's
+/// request-by-request sum; the engine sums there, and this holds it to that.
+#[test]
+fn engine_matches_oracle_when_progress_is_an_ulp_from_an_integer() {
+    let (cost, _) = deployment(1);
+    let mut config = SimRolloutConfig::vanilla(cost).with_sd_mode(SdMode::Static {
+        strategy: SdStrategy {
+            draft_depth: 1,
+            top_k: 1,
+            tokens_to_verify: 1,
+        },
+        threshold: usize::MAX,
+    });
+    config.acceptance = AcceptanceProfile::from_measured(vec![0.1]);
+    let lengths: Vec<usize> = (0..48).map(|i| 4096 - 61 * i).collect();
+    let engine = simulate_rollout(&config, &lengths);
+    assert!(engine.mean_accept_length > 1.09 && engine.mean_accept_length < 1.11);
+    assert_bit_identical(&engine, &oracle_simulate_rollout(&config, &lengths));
 }

@@ -15,7 +15,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tlt_draft::AcceptanceProfile;
 use tlt_gpusim::LlmCostModel;
-use tlt_rollout::{simulate_rollout, RolloutProfile, SdManagerConfig, SdMode, SimRolloutConfig};
+use tlt_rollout::{
+    simulate_rollout_seeded, RolloutProfile, SdManagerConfig, SdMode, SimRolloutConfig,
+};
 
 /// Per-step overhead of colocated systems (weight resharding, reward computation,
 /// data movement between stages) as a fraction of the step's compute time. The
@@ -79,6 +81,10 @@ pub struct ExperimentResult {
     pub idle_gpu_seconds_per_step: f64,
     /// Mean accept length observed in speculative steps (1.0 when SD is unused).
     pub mean_accept_length: f64,
+    /// Decode steps simulated over every rollout of the run.
+    pub decode_steps: u64,
+    /// Decode steps that ran speculative decoding.
+    pub speculative_steps: u64,
 }
 
 impl ExperimentResult {
@@ -140,7 +146,7 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
     let gpu = cluster.gpu_spec();
     // One rollout configuration serves every worker of every step; only the
     // exploration seed differs between workers.
-    let mut sim = SimRolloutConfig {
+    let sim = SimRolloutConfig {
         cost: LlmCostModel::new(config.model.clone(), gpu, cluster.tp),
         drafter: config.model.eagle_drafter(),
         acceptance: acceptance_for(system),
@@ -170,6 +176,7 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
     let mut idle_acc = 0.0;
     let mut accept_acc = 0.0;
     let mut accept_count = 0usize;
+    let (mut decode_steps, mut speculative_steps) = (0, 0);
     let mut wave_lengths: Vec<usize> = Vec::new();
     let mut share: Vec<usize> = Vec::new();
     let mut worker_profiles: Vec<RolloutProfile> = Vec::with_capacity(rollout_workers);
@@ -201,8 +208,8 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
                 if share.is_empty() {
                     continue;
                 }
-                sim.seed = config.seed ^ (step as u64) << 8 ^ w as u64;
-                worker_profiles.push(simulate_rollout(&sim, &share));
+                let seed = config.seed ^ (step as u64) << 8 ^ w as u64;
+                worker_profiles.push(simulate_rollout_seeded(&sim, seed, &share));
             }
             let wave_end = worker_profiles
                 .iter()
@@ -214,6 +221,8 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
                     + p.idle_request_seconds / p.total_tokens.max(1) as f64;
                 accept_acc += p.mean_accept_length;
                 accept_count += 1;
+                decode_steps += p.steps;
+                speculative_steps += p.speculative_steps;
             }
         }
         idle_acc += idle_gpu_seconds;
@@ -264,6 +273,8 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
         } else {
             accept_acc / accept_count as f64
         },
+        decode_steps,
+        speculative_steps,
     }
 }
 

@@ -280,8 +280,8 @@ fn adaptive_sd() -> tlt_rollout::SdMode {
     }
 }
 
-/// The timing-level rollout engine allocates per rollout (its two per-request
-/// arrays, the tuner's windows, the output timeline), never per simulated
+/// The timing-level rollout engine allocates per rollout (its sorted array of
+/// remaining lengths, the tuner's windows, the output timeline), never per simulated
 /// decode step: eight times the tokens is eight times the steps and the same
 /// number of allocations.
 #[test]

@@ -39,3 +39,67 @@ fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
     );
     hooks::disable();
 }
+
+/// Host time of the timing-level rollout engine is proportional to the decode
+/// steps it simulates, so the counts are pinned where a wall-clock floor would
+/// stand: `(decode_steps, speculative_steps)` per system, one RL step per row as
+/// the benchmark's `paper_sim` runs it, on the `qwen2_5_7b / H100 / tp 2` row of
+/// the Figure 11 grid and summed over its eight rows (what a rep's
+/// `tlt.run_experiment_s.*` is divided by to give ns per simulated step).
+/// Touches no hook, so it may run beside the test above.
+#[test]
+fn figure11_grid_simulates_a_pinned_number_of_decode_steps() {
+    use tlt::{run_experiment, ExperimentConfig, SystemKind};
+    use tlt_gpusim::{ClusterConfig, GpuType};
+    use tlt_model::ModelSpec;
+
+    let mut rows = Vec::new();
+    for gpu_type in [GpuType::H100, GpuType::A100] {
+        for model in ModelSpec::paper_targets() {
+            // The tensor-parallel rule of `experiments -- fig11`.
+            let tp = match model.params {
+                p if p > 5e10 => 8,
+                p if p > 2e10 => 4,
+                _ => 2,
+            };
+            let cluster = ClusterConfig {
+                gpu_type,
+                tp,
+                ..ClusterConfig::dgx_h100_testbed()
+            };
+            let mut config = ExperimentConfig::paper_default(model, cluster);
+            config.num_steps = 1;
+            // Open-R1, VeRL, TLT-Base, TLT.
+            rows.push(SystemKind::all().map(|system| {
+                let result = run_experiment(system, &config);
+                (result.decode_steps, result.speculative_steps)
+            }));
+        }
+    }
+    assert_eq!(
+        rows[0],
+        [
+            (784_027, 0),
+            (440_403, 0),
+            (136_215, 136_215),
+            (47_741, 47_741)
+        ],
+        "qwen2_5_7b / H100 / tp 2"
+    );
+    let grid = rows.iter().fold([(0, 0); 4], |mut grid, row| {
+        for (total, (steps, speculative)) in grid.iter_mut().zip(row) {
+            *total = (total.0 + steps, total.1 + speculative);
+        }
+        grid
+    });
+    assert_eq!(
+        grid,
+        [
+            (5_172_338, 0),
+            (2_805_396, 0),
+            (884_330, 861_014),
+            (326_354, 303_038),
+        ],
+        "summed over the eight rows"
+    );
+}
