@@ -1298,9 +1298,10 @@ pub fn simulate_disagg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::drive_schedule;
     use tlt_gpusim::{GpuType, LlmCostModel};
     use tlt_model::ModelSpec;
-    use tlt_workload::{generate_arrivals, ArrivalConfig};
+    use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 
     fn base_config(seed: u64) -> ServeConfig {
         let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
@@ -1383,16 +1384,17 @@ mod tests {
         // All requests share prefix group 1; once the first prefill leaves the
         // group's blocks resident on the replica that ran it, every later
         // arrival must follow them there, whatever the load spread says.
-        let mut sim = ClusterSim::new(DisaggConfig::new(base_config(3), 2, 2));
-        for i in 0..12u64 {
-            let mut req = request(i, i as f64 * 0.4, 512, 32);
-            req.prefix_id = 1;
-            req.prefix_len = 256;
-            sim.advance_before(req.arrival_s);
-            sim.offer(req);
-        }
-        sim.run_until_drained();
-        let report = sim.into_report();
+        let arrivals: Vec<RequestArrival> = (0..12u64)
+            .map(|id| RequestArrival {
+                id,
+                time_ns: id * 400_000_000,
+                prompt_len: 512,
+                output_len: 32,
+                prefix_id: 1,
+                prefix_len: 256,
+            })
+            .collect();
+        let report = simulate_disagg(DisaggConfig::new(base_config(3), 2, 2), &arrivals);
         assert_eq!(report.serve.completed.len(), 12);
         let outs: Vec<u64> = report
             .serve
@@ -1502,9 +1504,10 @@ mod tests {
 
     /// Bursts against a fast, eager autoscaler: both pools grow to their
     /// ceilings and drain back over and over, so retired members pile up
-    /// beside the live ones. After every event time the live lists must be
-    /// exactly the non-retired members in ascending order, within the
-    /// autoscaler's ceilings, with the bound counters matching the wire.
+    /// beside the live ones. After every arrival and every probe (5 ms apart,
+    /// a no-op action of the drive loop) the live lists must be exactly the
+    /// non-retired members in ascending order, within the autoscaler's
+    /// ceilings, with the bound counters matching the wire.
     #[test]
     fn live_lists_track_the_non_retired_members_through_autoscaler_churn() {
         let autoscale = AutoscaleConfig {
@@ -1521,7 +1524,9 @@ mod tests {
         };
         let mut sim =
             ClusterSim::new(DisaggConfig::new(base_config(9), 1, 1).with_autoscale(autoscale));
-        let check = |sim: &ClusterSim| {
+        let mut checks = 0u64;
+        let check = |sim: &ClusterSim, _: f64| {
+            checks += 1;
             for pool in [&sim.prefill, &sim.decode] {
                 let expected: Vec<usize> = (0..pool.members.len())
                     .filter(|&i| !pool.members[i].retired)
@@ -1533,29 +1538,24 @@ mod tests {
             assert!(sim.pools_consistent(), "at {}", sim.state.now_s);
         };
         // Ten bursts of 40 simultaneous requests, 6 s apart.
-        let mut events = 0u64;
-        for id in 0..400u64 {
-            let arrival_s = (id / 40) as f64 * 6.0;
-            loop {
-                let next = sim.next_event_s();
-                if next >= arrival_s {
-                    break;
-                }
-                // Everything due at exactly `next`, nothing later.
-                sim.advance_before(f64::from_bits(next.to_bits() + 1));
-                events += 1;
-                check(&sim);
-            }
-            sim.offer(request(id, arrival_s, 512, 48));
-            check(&sim);
-        }
-        while sim.has_work() {
-            let next = sim.next_event_s();
-            sim.advance_before(f64::from_bits(next.to_bits() + 1));
-            events += 1;
-            check(&sim);
-        }
-        assert!(events > 2_000, "stepped {events} event times");
+        let arrivals: Vec<RequestArrival> = (0..400u64)
+            .map(|id| RequestArrival {
+                id,
+                time_ns: id / 40 * 6_000_000_000,
+                prompt_len: 512,
+                output_len: 48,
+                prefix_id: 0,
+                prefix_len: 0,
+            })
+            .collect();
+        let probes: Vec<(f64, ())> = (0..14_000).map(|i| (i as f64 * 0.005, ())).collect();
+        let outcome = drive_schedule(&mut sim, &arrivals, &probes, |_, _, _| {}, check);
+        assert_eq!(outcome, DriveOutcome::Completed);
+        assert!(
+            !sim.has_work() && sim.state.now_s < 70.0,
+            "probes cover the run"
+        );
+        assert!(checks > 14_000, "checked {checks} times");
         let retired = |pool: &ReplicaPool| pool.members.len() - pool.live.len();
         assert!(
             retired(&sim.prefill) >= 10 && retired(&sim.decode) >= 10,

@@ -34,6 +34,36 @@ impl KvAccounting {
     }
 }
 
+/// Why a [`ServeConfig`] cannot be deployed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeConfigError {
+    /// [`KvAccounting::Paged`] with a zero block size.
+    ZeroBlockSize,
+    /// A KV block larger than a replica's whole KV token budget.
+    BlockExceedsBudget {
+        /// The configured block size, in tokens.
+        block_size: usize,
+        /// [`ServeConfig::kv_token_budget`].
+        budget: usize,
+    },
+}
+
+impl std::fmt::Display for ServeConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::ZeroBlockSize => f.write_str("paged KV block size must be non-zero"),
+            Self::BlockExceedsBudget { block_size, budget } => {
+                write!(
+                    f,
+                    "a {block_size}-token KV block exceeds the {budget}-token budget"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServeConfigError {}
+
 /// Configuration of a multi-replica serving deployment.
 ///
 /// Every replica is one tensor-parallel instance of the target model described by
@@ -129,11 +159,30 @@ impl ServeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `block_size` is zero.
+    /// Panics if [`ServeConfig::validate`] rejects `block_size`.
     pub fn with_paged_kv(mut self, block_size: usize) -> Self {
-        assert!(block_size > 0, "block size must be non-zero");
         self.kv_accounting = KvAccounting::Paged { block_size };
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         self
+    }
+
+    /// Checks the KV block size, which is a `pub` field and sizes per-replica
+    /// tables: zero, or larger than a replica's KV token budget (a pool of no
+    /// blocks), is rejected.
+    pub fn validate(&self) -> Result<(), ServeConfigError> {
+        let KvAccounting::Paged { block_size } = self.kv_accounting else {
+            return Ok(());
+        };
+        if block_size == 0 {
+            return Err(ServeConfigError::ZeroBlockSize);
+        }
+        let budget = self.kv_token_budget();
+        if block_size > budget {
+            return Err(ServeConfigError::BlockExceedsBudget { block_size, budget });
+        }
+        Ok(())
     }
 
     /// Same configuration with replica `index` running on a different cost
@@ -247,6 +296,32 @@ mod tests {
             1,
         );
         let _ = config.kv_token_budget();
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_or_oversized_block_with_a_typed_error() {
+        let mut config = ServeConfig::new(qwen7b_h100(), 1);
+        assert_eq!(config.validate(), Ok(()), "token accounting has no block");
+        // `kv_accounting` is a `pub` field: the builder's check can be bypassed.
+        config.kv_accounting = KvAccounting::Paged { block_size: 0 };
+        assert_eq!(config.validate(), Err(ServeConfigError::ZeroBlockSize));
+        let budget = config.kv_token_budget();
+        config.kv_accounting = KvAccounting::Paged { block_size: budget };
+        assert_eq!(config.validate(), Ok(()), "a pool of one block");
+        let block_size = budget + 1;
+        config.kv_accounting = KvAccounting::Paged { block_size };
+        let err = config.validate().expect_err("a pool of no blocks");
+        assert_eq!(
+            err,
+            ServeConfigError::BlockExceedsBudget { block_size, budget }
+        );
+        assert!(err.to_string().contains("exceeds the"));
+    }
+
+    #[test]
+    #[should_panic(expected = "block size must be non-zero")]
+    fn zero_block_size_still_panics_in_the_builder() {
+        let _ = ServeConfig::new(qwen7b_h100(), 1).with_paged_kv(0);
     }
 
     #[test]

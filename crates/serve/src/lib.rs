@@ -83,7 +83,7 @@ pub mod transfer;
 
 pub use balancer::{BalancerPolicy, LoadBalancer, ReplicaLoad};
 pub use cluster::{simulate_disagg, AutoscaleConfig, ClusterReport, ClusterSim, DisaggConfig};
-pub use config::{KvAccounting, ServeConfig};
+pub use config::{KvAccounting, ServeConfig, ServeConfigError};
 pub use events::{
     drive, drive_schedule, DriveOutcome, DriveState, Driver, EventCore, EventKey, EventQueue,
 };

@@ -17,6 +17,22 @@
 //! frontend re-queues onto survivors; [`Replica::restart`] brings the engine back
 //! (resuming any work queued meanwhile) and [`Replica::set_slow_factor`] degrades
 //! step durations to model a straggler.
+//!
+//! # Runs
+//!
+//! A decode step over an unchanged batch costs O(1). While the in-flight step
+//! is vanilla (one token per sequence, not speculative), every running entry
+//! holds a whole-token `generated` and its first token, and nothing is queued
+//! or arriving, the replica is in a **run** (`Run`): completing the step is
+//! `lag += 1` on one scalar, and the next step's inputs come from sums the run
+//! carries. `settle()` writes `lag` into the entries and ends the run; it runs
+//! before anything that reads or changes per-entry progress or the batch: the
+//! step that finishes an entry, a step boundary with `queue` or `arriving`
+//! non-empty or (under optimistic admission) a batch that stopped fitting, a
+//! fractional or speculative step chosen by the tuner, and [`Replica::crash`].
+//! The `&self` readers ([`Replica::load`], [`Replica::kv_pool_leaked`],
+//! [`Replica::plan_inbound`]) read the sums instead. Everything moved is
+//! integer-valued, so no simulated bit depends on how a step was committed.
 
 use crate::balancer::ReplicaLoad;
 use crate::config::{KvAccounting, ServeConfig};
@@ -167,6 +183,39 @@ struct PendingStep {
     duration_s: f64,
 }
 
+/// A run of vanilla decode steps over an unchanged batch (module header): the
+/// steps not yet written into the entries, and the batch's sums with them.
+#[derive(Debug, Clone, Default)]
+struct Run {
+    /// Tokens every entry has produced beyond its `generated`.
+    lag: usize,
+    /// Vanilla steps from the run's start to its first finish.
+    to_finish: usize,
+    kv_tokens: usize,
+    private_blocks: usize,
+    /// Decode tokens the batch still owes (its share of [`Replica::load`]).
+    outstanding: u64,
+    /// Entries by `private_tokens % block_size` at the run's start (paged).
+    residues: Vec<u32>,
+    /// The residue class that gains a block on the next step.
+    boundary: usize,
+}
+
+impl Run {
+    /// Commits one vanilla step to each of the `batch` entries.
+    fn advance(&mut self, batch: usize) {
+        self.lag += 1;
+        self.kv_tokens += batch;
+        self.outstanding -= batch as u64;
+        if let Some(&crossing) = self.residues.get(self.boundary) {
+            // A token that follows a full block opens a new one.
+            self.private_blocks += crossing as usize;
+            let last = self.residues.len() - 1;
+            self.boundary = self.boundary.checked_sub(1).unwrap_or(last);
+        }
+    }
+}
+
 /// One continuous-batching replica.
 #[derive(Debug, Clone)]
 pub struct Replica {
@@ -182,6 +231,13 @@ pub struct Replica {
     queue: VecDeque<QueuedEntry>,
     running: Vec<RunningEntry>,
     step: Option<PendingStep>,
+    /// The sums of the run in progress when `in_run`, else a buffer kept for
+    /// the next one. Boxed so that a released replica holds a word.
+    run: Option<Box<Run>>,
+    /// Whether the in-flight step is carried by `run` (module header).
+    in_run: bool,
+    /// See [`Replica::entry_visits`].
+    entry_visits: u64,
     admit_seq: u64,
     /// Whether the engine is serving (false between `crash` and `restart`).
     up: bool,
@@ -221,11 +277,13 @@ impl Replica {
         let mut config = config.clone();
         config.cost = config.cost_for(index).clone();
         let config = &config;
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let kv_budget = config.kv_token_budget();
         let ledger = match config.kv_accounting {
             KvAccounting::Tokens => None,
             KvAccounting::Paged { block_size } => {
-                assert!(block_size > 0, "paged KV block size must be non-zero");
                 Some(BlockLedger::new(block_size, kv_budget / block_size))
             }
         };
@@ -243,6 +301,9 @@ impl Replica {
             queue: VecDeque::new(),
             running: Vec::new(),
             step: None,
+            run: None,
+            in_run: false,
+            entry_visits: 0,
             admit_seq: 0,
             up: true,
             slow_factor: 1.0,
@@ -310,6 +371,7 @@ impl Replica {
     /// credit (already-delivered tokens are not re-produced; a survivor
     /// recomputes their KV in one prefill, exactly like a preemption restore).
     pub fn crash(&mut self, now: f64) -> Vec<FailoverRequest> {
+        self.settle();
         self.up = false;
         self.step = None;
         self.metrics.inc_crashes();
@@ -439,18 +501,21 @@ impl Replica {
                 e.prefill_tokens() as u64 + (e.req.output_len as f64 - e.generated).max(0.0) as u64
             })
             .sum();
-        let running_tokens: u64 = self
-            .running
-            .iter()
-            .map(|e| {
-                let prefill = if e.prefill_pending {
-                    e.req.prompt_len
-                } else {
-                    0
-                };
-                (prefill as f64 + e.remaining()).max(0.0) as u64
-            })
-            .sum();
+        let running_tokens: u64 = if let Some(run) = self.active_run() {
+            run.outstanding
+        } else {
+            self.running
+                .iter()
+                .map(|e| {
+                    let prefill = if e.prefill_pending {
+                        e.req.prompt_len
+                    } else {
+                        0
+                    };
+                    (prefill as f64 + e.remaining()).max(0.0) as u64
+                })
+                .sum()
+        };
         ReplicaLoad {
             queued: self.queue.len(),
             running: self.running.len(),
@@ -503,6 +568,7 @@ impl Replica {
                     )
                     .with_args(batch as f64, self.queue.len() as f64),
                 );
+                self.entry_visits += batch as u64;
                 let prefill_only = self.prefill_only;
                 for entry in &mut self.running {
                     if entry.prefill_pending {
@@ -563,6 +629,16 @@ impl Replica {
                     )
                     .with_args(batch as f64, tokens_per_seq),
                 );
+                if self.in_run {
+                    let run = self.run.as_deref_mut().expect("a run has its sums");
+                    // The step finishes nobody: the run carries it.
+                    if run.lag + 1 < run.to_finish {
+                        run.advance(batch);
+                        return self.start_step(now);
+                    }
+                    self.settle();
+                }
+                self.entry_visits += batch as u64;
                 // Single in-order pass: finished entries drain straight into the
                 // completed log (in admission order) and survivors keep their
                 // batch order — no per-removal swap_remove shuffling. Finished
@@ -632,6 +708,9 @@ impl Replica {
 
     /// Actual private (unshared) blocks the running batch occupies.
     fn private_blocks_in_use(&self, ledger: &BlockLedger) -> usize {
+        if let Some(run) = self.active_run() {
+            return run.private_blocks;
+        }
         self.running
             .iter()
             .map(|e| ledger.blocks_for(e.private_tokens()))
@@ -686,14 +765,13 @@ impl Replica {
     /// (worst case under conservative admission, actual footprint under
     /// optimistic admission). Shared groups are charged by the ledger.
     fn reserved_private_blocks(&self, ledger: &BlockLedger) -> usize {
+        if self.prefill_only || self.config.preemption {
+            return self.private_blocks_in_use(ledger);
+        }
         self.running
             .iter()
             .map(|e| {
-                let tokens = if self.prefill_only || self.config.preemption {
-                    e.private_tokens()
-                } else {
-                    e.req.prompt_len - e.shared_tokens + self.config.max_output_tokens
-                };
+                let tokens = e.req.prompt_len - e.shared_tokens + self.config.max_output_tokens;
                 ledger.blocks_for(tokens)
             })
             .sum()
@@ -784,6 +862,7 @@ impl Replica {
             // pass over the batch's reservations.
             return (0, 0);
         }
+        self.entry_visits += self.running.len() as u64;
         let mut reserved_tokens = if self.ledger.is_none() {
             self.reserved_tokens()
         } else {
@@ -1016,12 +1095,14 @@ impl Replica {
         }
     }
 
-    /// Chooses and schedules the next step at time `now` (idle if no work).
-    fn start_step(&mut self, now: f64) {
-        debug_assert!(self.step.is_none());
+    /// The walked half of a step boundary: joins, preemption and admission,
+    /// then a recount. Returns the admitted set's `(novel, cached)` prompt
+    /// tokens and the batch's footprint.
+    fn rebuild_batch(&mut self, now: f64) -> ((usize, usize), (usize, usize)) {
+        self.settle();
         // Landed migrations join the batch at a step boundary: the inbound
         // reservation converts into a regular private footprint (picked up by
-        // `sync_private` below) the moment the entry starts decoding.
+        // `sync_private` in `start_step`) the moment the entry starts decoding.
         for (entry, reserved) in self.arriving.drain(..) {
             if let Some(ledger) = self.ledger.as_mut() {
                 ledger.commit_inbound(reserved);
@@ -1029,10 +1110,98 @@ impl Replica {
             self.running.push(entry);
         }
         if self.config.preemption {
+            self.entry_visits += self.running.len() as u64;
             self.preempt_until_fitting(now);
         }
-        let (prefill_tokens, cached_tokens) = self.try_admit(now);
-        let (kv_in_use, private_blocks) = self.batch_footprint();
+        let admitted = self.try_admit(now);
+        self.entry_visits += self.running.len() as u64;
+        (admitted, self.batch_footprint())
+    }
+
+    /// The run in progress, if any.
+    fn active_run(&self) -> Option<&Run> {
+        self.run.as_deref().filter(|_| self.in_run)
+    }
+
+    /// The batch's `(KV tokens, private blocks)` from the run's sums, if the
+    /// run survives this step boundary: nobody waits to join and, under
+    /// optimistic admission, the grown batch still fits (the check
+    /// `preempt_until_fitting` opens with).
+    fn carried_footprint(&self) -> Option<(usize, usize)> {
+        let run = self.active_run()?;
+        if !self.queue.is_empty() || !self.arriving.is_empty() {
+            return None;
+        }
+        let fits = !self.config.preemption
+            || match &self.ledger {
+                Some(ledger) => self.blocks_in_use(ledger) <= ledger.capacity_blocks(),
+                None => run.kv_tokens <= self.kv_budget,
+            };
+        fits.then_some((run.kv_tokens, run.private_blocks))
+    }
+
+    /// Begins a run on the vanilla step just scheduled over a batch of
+    /// `kv_tokens` / `private_blocks`, if every entry qualifies and the step
+    /// finishes nobody.
+    fn begin_run(&mut self, kv_tokens: usize, private_blocks: usize) {
+        let block_size = self.ledger.as_ref().map_or(0, BlockLedger::block_size);
+        let run = self.run.get_or_insert_with(Box::default);
+        run.residues.clear();
+        run.residues.resize(block_size, 0);
+        let (mut to_finish, mut outstanding) = (usize::MAX, 0);
+        for (i, e) in self.running.iter().enumerate() {
+            let remaining = e.remaining();
+            if e.first_token_s.is_none() || e.generated.fract() != 0.0 || remaining < 2.0 {
+                self.entry_visits += i as u64 + 1;
+                return;
+            }
+            to_finish = to_finish.min(remaining as usize);
+            outstanding += remaining as u64;
+            if block_size > 0 {
+                run.residues[e.private_tokens() % block_size] += 1;
+            }
+        }
+        self.entry_visits += self.running.len() as u64;
+        self.in_run = true;
+        run.lag = 0;
+        run.to_finish = to_finish;
+        run.kv_tokens = kv_tokens;
+        run.private_blocks = private_blocks;
+        run.outstanding = outstanding;
+        run.boundary = 0;
+    }
+
+    /// Ends the run in progress, if any. The check is all a walked step pays,
+    /// so it stays apart from the loop (small enough to inline everywhere).
+    fn settle(&mut self) {
+        if self.in_run {
+            self.write_back_run();
+        }
+    }
+
+    /// Writes the run's `lag` into the entries and ends the run. Every sum
+    /// the run carried must equal a recount.
+    fn write_back_run(&mut self) {
+        let run = self.run.as_deref().expect("a run has its sums");
+        self.in_run = false;
+        self.entry_visits += self.running.len() as u64;
+        let lag = run.lag as f64;
+        for e in &mut self.running {
+            e.generated += lag;
+        }
+        let owed = |e: &RunningEntry| e.remaining() as u64;
+        debug_assert_eq!((run.kv_tokens, run.private_blocks), self.batch_footprint());
+        debug_assert_eq!(run.outstanding, self.running.iter().map(owed).sum::<u64>());
+    }
+
+    /// Chooses and schedules the next step at time `now` (idle if no work).
+    fn start_step(&mut self, now: f64) {
+        debug_assert!(self.step.is_none());
+        let carried = self.carried_footprint();
+        let ((prefill_tokens, cached_tokens), (kv_in_use, private_blocks)) = match carried {
+            Some(footprint) => ((0, 0), footprint),
+            None => self.rebuild_batch(now),
+        };
         self.metrics.observe_peaks(self.running.len(), kv_in_use);
         if let Some(ledger) = self.ledger.as_mut() {
             ledger.sync_private(private_blocks);
@@ -1072,6 +1241,11 @@ impl Replica {
             .step(&model, live_load, batch, avg_context, self.slow_factor);
 
         self.metrics.inc_decode_steps();
+        if step.speculative || step.tokens_per_seq != 1.0 {
+            self.settle();
+        } else if carried.is_none() && self.queue.is_empty() {
+            self.begin_run(kv_in_use, private_blocks);
+        }
         if step.speculative {
             self.metrics.observe_sd_step(step.tokens_per_seq);
             // Quantise for the trace recorder: at least the bonus token is
@@ -1139,6 +1313,13 @@ impl Replica {
     /// Largest KV-token footprint observed at a step start (post-preemption).
     pub fn peak_kv_tokens(&self) -> usize {
         self.metrics.peak_kv_tokens()
+    }
+
+    /// Running entries the step path has visited, a full pass over the batch
+    /// at a time: the exact host-cost proxy `tests/event_counts.rs` pins.
+    #[doc(hidden)]
+    pub fn entry_visits(&self) -> u64 {
+        self.entry_visits
     }
 
     /// The metrics registry backing this replica's accounting.
@@ -1299,6 +1480,7 @@ impl Replica {
         self.running = Vec::new();
         self.handoffs = Vec::new();
         self.arriving = Vec::new();
+        self.run = None;
         self.completed.shrink_to_fit();
         self.sd = SdStepEvaluator::new(&SdMode::Disabled, 0);
     }
@@ -1397,6 +1579,14 @@ mod tests {
             assert!(guard < 1_000_000, "runaway replica simulation");
         }
         now
+    }
+
+    #[test]
+    #[should_panic(expected = "paged KV block size must be non-zero")]
+    fn a_zero_block_size_set_through_the_pub_field_panics_at_construction() {
+        let mut cfg = config();
+        cfg.kv_accounting = KvAccounting::Paged { block_size: 0 };
+        let _ = Replica::new(&cfg, 0);
     }
 
     #[test]
@@ -2065,5 +2255,208 @@ mod tests {
         assert!(end > 0.2);
         assert_eq!(replica.kv_pool_leaked(), 0);
         assert!(replica.kv_pool_check().is_ok());
+    }
+
+    /// SplitMix64: the differential test's op stream.
+    struct OpRng(u64);
+
+    impl OpRng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Everything a driver can observe of twin replicas is equal.
+    fn assert_twins_agree(a: &mut Replica, b: &mut Replica, now: f64, what: &str) {
+        assert_eq!(
+            a.next_event_s().to_bits(),
+            b.next_event_s().to_bits(),
+            "{what}"
+        );
+        assert_eq!(a.load(), b.load(), "{what}");
+        assert_eq!(a.take_completed(), b.take_completed(), "{what}");
+        assert_eq!(a.kv_pool_check(), Ok(()), "{what}");
+        assert_eq!(b.kv_pool_check(), Ok(()), "{what}");
+        assert_eq!(a.kv_pool_leaked(), b.kv_pool_leaked(), "{what}");
+        assert_eq!(a.stats(now), b.stats(now), "{what}");
+        assert_eq!(a.dropped_ids(), b.dropped_ids(), "{what}");
+    }
+
+    /// Feeds twin replicas one random op sequence; `b` settles before every
+    /// step completion, so it never carries a step. Returns the steps `a`
+    /// carried and its final accounting.
+    fn run_twins(cfg: &ServeConfig, fractional: bool, seed: u64) -> (usize, ReplicaStats) {
+        let (mut a, mut b) = (Replica::new(cfg, 0), Replica::new(cfg, 0));
+        let mut rng = OpRng(seed);
+        let (mut now, mut next_id, mut carried) = (0.0f64, 0u64, 0usize);
+        let mut failovers: Vec<FailoverRequest> = Vec::new();
+        // A fractional `generated` is what an SD replica hands over. One token
+        // and five ulps is the value that tells a carried run from a walked
+        // one: adding 1.0 seven times rounds it down, adding 7.0 once rounds up.
+        let progress = |rng: &mut OpRng, output: usize| {
+            if fractional && rng.below(2) == 0 {
+                f64::from_bits(1.0f64.to_bits() + 5)
+            } else {
+                rng.below(output) as f64
+            }
+        };
+        for op in 0..4_000 {
+            let roll = rng.below(100);
+            // Ops land between the last event and the next, as a driver's do.
+            let t = match a.next_event_s() {
+                next if next < f64::MAX => now + (next - now) * (rng.below(4) as f64 / 4.0),
+                _ => now + 0.01,
+            };
+            let mut fresh = |rng: &mut OpRng| {
+                next_id += 1;
+                let prompt = if rng.below(100) == 0 {
+                    5_000
+                } else {
+                    40 + rng.below(400)
+                };
+                let mut req = request(next_id, t, prompt, 1 + rng.below(200));
+                if rng.below(3) == 0 {
+                    req.prefix_id = 1 + rng.below(2) as u64;
+                    req.prefix_len = rng.below(300);
+                }
+                req
+            };
+            let what = format!("seed {seed} op {op} roll {roll}");
+            match roll {
+                0..=59 => {
+                    // A quiet stretch: up to eight steps with nothing between.
+                    for _ in 0..=rng.below(8) {
+                        if a.next_event_s() == f64::MAX {
+                            break;
+                        }
+                        now = a.next_event_s();
+                        let carries = |run: &Run| run.lag + 1 < run.to_finish;
+                        carried += usize::from(a.active_run().is_some_and(carries));
+                        a.on_step_complete(now);
+                        b.settle();
+                        b.on_step_complete(now);
+                        assert_twins_agree(&mut a, &mut b, now, &what);
+                    }
+                }
+                60..=74 => {
+                    let req = fresh(&mut rng);
+                    a.enqueue(req, t);
+                    b.enqueue(req, t);
+                }
+                75..=82 if a.is_up() => {
+                    let req = fresh(&mut rng);
+                    let entry = MigratedEntry {
+                        req,
+                        generated: progress(&mut rng, req.output_len),
+                        admitted_s: t,
+                        preemptions: 0,
+                        source_blocks: 0,
+                        wire_blocks: 0,
+                    };
+                    let plan = a.plan_inbound(&entry, 0);
+                    assert_eq!(plan, b.plan_inbound(&entry, 0), "{what}");
+                    if let Some(blocks) = plan {
+                        for r in [&mut a, &mut b] {
+                            r.reserve_inbound(blocks);
+                            // One reservation in four is an aborted transfer.
+                            if roll == 75 {
+                                r.cancel_inbound(blocks);
+                            } else {
+                                r.deliver_migrated(entry, blocks, t);
+                            }
+                        }
+                    }
+                }
+                83..=84 if a.is_up() => {
+                    let drained = a.crash(t);
+                    assert_eq!(drained, b.crash(t), "{what}");
+                    failovers.extend(drained);
+                }
+                85..=88 if !a.is_up() => {
+                    a.restart(t);
+                    b.restart(t);
+                }
+                89..=93 => {
+                    let fo = failovers.pop().unwrap_or_else(|| {
+                        let req = fresh(&mut rng);
+                        FailoverRequest {
+                            req,
+                            generated: progress(&mut rng, req.output_len),
+                            first_token_s: Some(t),
+                            admitted_s: Some(t),
+                            preemptions: 1,
+                        }
+                    });
+                    a.enqueue_failover(fo, t);
+                    b.enqueue_failover(fo, t);
+                }
+                94..=96 => {
+                    let factor = [1.0, 1.5, 3.0][rng.below(3)];
+                    a.set_slow_factor(factor);
+                    b.set_slow_factor(factor);
+                }
+                _ => {
+                    a.kick(t);
+                    b.kick(t);
+                }
+            }
+            assert_twins_agree(&mut a, &mut b, now.max(t), &what);
+        }
+        (carried, a.stats(now))
+    }
+
+    #[test]
+    fn a_replica_that_never_runs_is_indistinguishable_at_every_op() {
+        // ROADMAP 9(a). Both twins execute the same code, so what is compared
+        // is a step carried by the run's sums against the same step walked.
+        use tlt_rollout::SdManagerConfig;
+        let accountings = [
+            KvAccounting::Tokens,
+            KvAccounting::Paged { block_size: 16 },
+            // Divides neither the prompts nor the prefixes.
+            KvAccounting::Paged { block_size: 7 },
+        ];
+        let adaptive = SdMode::Adaptive {
+            config: SdManagerConfig {
+                // Low enough that one batch crosses it in both directions.
+                elastic_threshold: 2,
+                ..SdManagerConfig::default()
+            },
+        };
+        for (i, kv_accounting) in accountings.into_iter().enumerate() {
+            for preemption in [false, true] {
+                for sd_mode in [SdMode::Disabled, adaptive.clone()] {
+                    for fractional in [false, true] {
+                        let mut cfg = config().with_sd_mode(sd_mode.clone());
+                        // A 3,000-token pool: admission and preemption bind.
+                        cfg.kv_memory_fraction = (cfg.cost.model.weight_bytes()
+                            + 3_000.5 * cfg.cost.model.kv_bytes_per_token())
+                            / cfg.cost.gpu.memory_bytes();
+                        cfg.max_output_tokens = 256;
+                        cfg.max_running_requests = 12;
+                        cfg.preemption = preemption;
+                        cfg.kv_accounting = kv_accounting;
+                        assert_eq!(cfg.kv_token_budget(), 3_000);
+                        let seed = (i * 8 + usize::from(preemption) * 4) as u64
+                            + u64::from(fractional) * 2
+                            + u64::from(sd_mode == SdMode::Disabled);
+                        let (carried, stats) = run_twins(&cfg, fractional, seed);
+                        let cell =
+                            format!("{kv_accounting:?} {preemption} {sd_mode:?} {fractional}");
+                        assert!(carried > 500, "{cell}: {carried} steps carried");
+                        assert_eq!(stats.preemptions > 0, preemption, "{cell}");
+                        assert!(stats.crashes > 0 && stats.failovers > 0, "{cell}");
+                    }
+                }
+            }
+        }
     }
 }

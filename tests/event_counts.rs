@@ -6,11 +6,34 @@
 //! nothing else can bump the counters while they are being read.
 
 use tlt_obs::hooks;
-use tlt_trace::{replay_disagg, Trace};
+use tlt_serve::{drive, ClusterSim, Driver, ServeSim};
+use tlt_trace::Trace;
 
 #[path = "common/churn.rs"]
 mod churn;
 
+/// Replays `trace` on `sim`; returns the report beside `(decode_steps,
+/// entry_visits)` summed over every replica, retired ones included.
+fn replay_counting<D: Driver>(trace: &Trace, mut sim: D) -> (D::Report, (u64, u64)) {
+    drive(&mut sim, trace.arrivals().iter().copied(), |_, _| {});
+    let steps = sim.members().fold((0, 0), |(steps, visits), (_, _, r)| {
+        (
+            steps + r.metrics().decode_steps(),
+            visits + r.entry_visits(),
+        )
+    });
+    (sim.into_report(), steps)
+}
+
+/// Beside the event counts, `(decode_steps, entry_visits)`: a replica counts
+/// every full pass its step path makes over the running batch (`+=
+/// running.len()`), which is what a decode step cost before a run of vanilla
+/// steps over an unchanged batch was carried as one scalar. The same counter
+/// on 6cdd719 read 35,944 visits on the chat replay (every one of its steps is
+/// speculative, so no run ever begins and nothing changes), 282,690 on the
+/// churn run (adaptive SD too: the 200 extra are begin attempts that stop at
+/// the first fractional entry) and 2,217,208 on the churn run with SD off,
+/// where 106,704 steps now cost 53,226 visits.
 #[test]
 fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/chat.tltr");
@@ -18,7 +41,7 @@ fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
     hooks::enable();
 
     hooks::reset();
-    let report = tlt::run_replay(&chat, 4);
+    let (report, steps) = replay_counting(&chat, ServeSim::new(&tlt::replay_deployment(4)));
     let counters = hooks::snapshot();
     assert_eq!(report.completed.len(), 468);
     assert_eq!(
@@ -26,9 +49,14 @@ fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
         (15_612, 0),
         "ServeSim, chat corpus on 4 replicas"
     );
+    assert_eq!(
+        steps,
+        (15_145, 35_944),
+        "ServeSim, chat corpus on 4 replicas"
+    );
 
     hooks::reset();
-    let report = replay_disagg(&churn::trace(), churn::config());
+    let (report, steps) = replay_counting(&churn::trace(), ClusterSim::new(churn::config()));
     let counters = hooks::snapshot();
     assert_eq!(report.serve.completed.len(), 768);
     assert!(report.retires >= churn::MIN_RETIRES, "{}", report.retires);
@@ -36,6 +64,17 @@ fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
         (counters.sim_events, counters.sim_stale_events),
         (12_956, 0),
         "ClusterSim, churn run"
+    );
+    assert_eq!(steps, (11_681, 282_890), "ClusterSim, churn run");
+
+    let mut sd_off = churn::config();
+    sd_off.base.sd_mode = tlt_rollout::SdMode::Disabled;
+    let (report, steps) = replay_counting(&churn::trace(), ClusterSim::new(sd_off));
+    assert_eq!(report.serve.completed.len(), 768);
+    assert_eq!(
+        steps,
+        (106_704, 53_226),
+        "ClusterSim, churn run with SD off"
     );
     hooks::disable();
 }
