@@ -833,11 +833,11 @@ fn table6_fig16(scale: Scale, report: &mut Report) {
     let mut policy_trainer = PolicyTrainer::new(target.reference_copy(), RlConfig::default());
     for step in 0..rl_steps {
         let tasks = task_gen.generate_batch(6, &mut rng);
-        let mut groups = Vec::new();
         for task in &tasks {
             let prompt = task.prompt_tokens();
             let mut responses = Vec::new();
             let mut rewards = Vec::new();
+            let mut trunks = Vec::new();
             for _ in 0..4 {
                 let gen = vanilla_generate(
                     &target,
@@ -849,14 +849,16 @@ fn table6_fig16(scale: Scale, report: &mut Report) {
                 );
                 rewards.push(task.reward(&gen.tokens));
                 responses.push(gen.tokens);
+                trunks.push(gen.trunk);
             }
-            groups.push(RolloutGroup {
+            let group = RolloutGroup {
                 prompt,
                 responses,
                 rewards,
-            });
+            };
+            policy_trainer.accumulate_group(&target, &group, trunks);
         }
-        policy_trainer.train_step(&mut target, &groups);
+        policy_trainer.finish_step(&mut target);
         buffer.advance_step();
         for s in build_samples(&target, &mut task_gen, &mut rng, step as u64 + 1) {
             buffer.push(s);

@@ -90,8 +90,8 @@ impl LayerScratch {
 /// [`crate::transformer::TinyLm::decode_step`]).
 ///
 /// Create one per generation loop and reuse it across steps; after each forward
-/// call [`DecodeWorkspace::logits`] and [`DecodeWorkspace::last_hidden`] expose
-/// the results for the new positions.
+/// call [`DecodeWorkspace::logits`], [`DecodeWorkspace::last_hidden`] and
+/// [`DecodeWorkspace::trunk_out`] expose the results for the new positions.
 #[derive(Debug, Clone)]
 pub struct DecodeWorkspace {
     pub(crate) hidden: Mat,
@@ -139,6 +139,15 @@ impl DecodeWorkspace {
     /// (`rows x hidden`) — the drafter's `FeatureSource::LastLayer` features.
     pub fn last_hidden(&self) -> &Mat {
         &self.hidden
+    }
+
+    /// Frozen-trunk output of the most recent forward pass (`rows x hidden`):
+    /// the last layer's input, bit for bit what
+    /// [`crate::transformer::TinyLm::trunk_forward`] returns for these
+    /// positions. `forward_into`'s final swap leaves it here, so reading it
+    /// copies nothing.
+    pub fn trunk_out(&self) -> &Mat {
+        &self.next_hidden
     }
 }
 

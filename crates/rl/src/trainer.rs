@@ -6,6 +6,13 @@
 //! the reference/policy log-probability computation, forms the GRPO loss with a KL
 //! penalty toward the frozen reference model, and applies the policy-gradient update
 //! to the target model's trainable tail.
+//!
+//! Only the tail is trained, so the frozen trunk's output over a response is
+//! what the rollout already computed (`GenerationResult::trunk` in
+//! `tlt-rollout`). A product loop hands each group with those rows to
+//! [`PolicyTrainer::accumulate_group`] right after its rollout, then applies
+//! the step with [`PolicyTrainer::finish_step`]. [`PolicyTrainer::train_step`]
+//! is the same step over a batch of groups, recomputing every trunk.
 
 use crate::advantage::{compute_advantages, RlAlgorithm};
 use serde::{Deserialize, Serialize};
@@ -85,21 +92,42 @@ pub struct StepMetrics {
 ///
 /// Only the target's tail (last layer, final norm, LM head) is ever updated, so
 /// the target and the reference keep the same frozen trunk (embedding and all
-/// layers but the last) for the whole run. [`PolicyTrainer::train_step`] relies
-/// on that: it runs the trunk once per response and feeds the result to both
-/// tails. A target whose trunk differs from the reference's is rejected.
+/// layers but the last) for the whole run. Every step relies on that: one trunk
+/// output per response feeds both tails. A target whose trunk differs from the
+/// reference's is rejected.
 #[derive(Debug)]
 pub struct PolicyTrainer {
     config: RlConfig,
     reference: TinyLm,
     adam: Adam,
     steps: u64,
+    /// What the open step has accumulated.
+    step: StepSums,
+    /// REINFORCE++ groups with their trunks, held until
+    /// [`PolicyTrainer::finish_step`]: its advantages normalise over the batch.
+    held: Vec<(RolloutGroup, Vec<Mat>)>,
+    // Scratch reused across every response and position of every step.
+    tokens: Vec<TokenId>,
+    probs: Vec<f32>,
+    kl_grad: Vec<f32>,
+}
+
+/// Sums of the open step, in response order.
+#[derive(Debug, Default)]
+struct StepSums {
+    reward: f64,
+    kl: f64,
+    len: f64,
+    responses: usize,
+    update_tokens: usize,
+    grads: Option<PolicyGrads>,
 }
 
 impl PolicyTrainer {
     /// Creates a trainer with `reference` as the frozen KL anchor (typically a clone
     /// of the target at RL step 0).
     pub fn new(reference: TinyLm, config: RlConfig) -> Self {
+        let model = reference.config;
         PolicyTrainer {
             config,
             reference,
@@ -108,6 +136,11 @@ impl PolicyTrainer {
                 ..AdamConfig::default()
             }),
             steps: 0,
+            step: StepSums::default(),
+            held: Vec::new(),
+            tokens: Vec::new(),
+            probs: Vec::with_capacity(model.vocab_size),
+            kl_grad: Vec::with_capacity(model.vocab_size),
         }
     }
 
@@ -126,7 +159,9 @@ impl PolicyTrainer {
         &self.reference
     }
 
-    /// Runs one RL training step over the rollout groups, updating `target` in place.
+    /// Runs one RL training step over the rollout groups, updating `target` in place:
+    /// [`PolicyTrainer::finish_step`] over the groups, with every response's trunk
+    /// recomputed (`TinyLm::trunk_forward`) instead of taken from its rollout.
     ///
     /// # Panics
     ///
@@ -136,97 +171,67 @@ impl PolicyTrainer {
         for g in groups {
             g.validate().expect("invalid rollout group");
         }
-        assert!(
-            target.shares_trunk_with(&self.reference),
-            "target and reference trunks differ: the policy trainer updates only the \
-             target's last layer, final norm and LM head, and needs every other weight \
-             equal to the reference's"
-        );
+        self.check_trunk(target);
         let rewards: Vec<&[f32]> = groups.iter().map(|g| g.rewards.as_slice()).collect();
         let advantages = compute_advantages(self.config.algorithm, &rewards);
+        for (group, advs) in groups.iter().zip(&advantages) {
+            self.accumulate(target, group, advs, None);
+        }
+        self.finish_step(target)
+    }
 
-        let mut total_reward = 0.0f64;
-        let mut total_kl = 0.0f64;
-        let mut total_len = 0.0f64;
-        let mut num_responses = 0usize;
-        let mut update_tokens = 0usize;
+    /// Adds one group to the open step from the trunk rows its rollout
+    /// captured (`trunks[i]` is `GenerationResult::trunk` of `responses[i]`):
+    /// the trunk runs over the prompt only, then the step proceeds as in
+    /// [`PolicyTrainer::train_step`]. The trunks are freed on return, so a loop
+    /// calling this after each group's rollout holds one group's at a time.
+    /// REINFORCE++ normalises over the batch: its groups wait for
+    /// [`PolicyTrainer::finish_step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group fails validation, `trunks` does not hold one
+    /// `(len - 1) x hidden` matrix per response, or `target`'s frozen trunk is
+    /// not the reference's.
+    pub fn accumulate_group(&mut self, target: &TinyLm, group: &RolloutGroup, trunks: Vec<Mat>) {
+        group.validate().expect("invalid rollout group");
+        self.check_trunk(target);
+        assert_eq!(
+            trunks.len(),
+            group.responses.len(),
+            "one captured trunk per response"
+        );
+        for (response, trunk) in group.responses.iter().zip(&trunks) {
+            assert_eq!(
+                trunk.shape(),
+                (response.len().saturating_sub(1), target.config.hidden),
+                "a captured trunk holds one row per response token but the last"
+            );
+        }
+        if self.config.algorithm == RlAlgorithm::ReinforcePlusPlus {
+            self.held.push((group.clone(), trunks));
+            return;
+        }
+        let advantages = compute_advantages(self.config.algorithm, &[&group.rewards]);
+        self.accumulate(target, group, &advantages[0], Some(&trunks));
+    }
 
-        let mut accumulated: Option<PolicyGrads> = None;
-        // Reused across every response and position of the step.
-        let mut tokens: Vec<TokenId> = Vec::new();
-        let mut d_logits = Mat::zeros(0, target.config.vocab_size);
-        let mut probs = Vec::with_capacity(target.config.vocab_size);
-        let mut kl_grad = Vec::with_capacity(target.config.vocab_size);
-
-        for (group, advs) in groups.iter().zip(advantages.iter()) {
-            for ((response, &reward), &advantage) in group
-                .responses
-                .iter()
-                .zip(group.rewards.iter())
-                .zip(advs.iter())
-            {
-                total_reward += reward as f64;
-                total_len += response.len() as f64;
-                num_responses += 1;
-
-                // Full sequence (prompt + response), truncated for update cost.
-                let prompt_len = group.prompt.len();
-                let len = (prompt_len + response.len().min(self.config.max_update_tokens))
-                    .min(target.config.max_seq_len);
-                if len <= prompt_len {
-                    continue;
-                }
-                tokens.clear();
-                tokens.extend_from_slice(&group.prompt);
-                tokens.extend_from_slice(&response[..len - prompt_len]);
-                let response_positions = len - prompt_len;
-
-                // Inference stage: one pass through the shared frozen trunk, then the
-                // policy tail (recorded for the update) and the reference tail.
-                let trunk = target.trunk_forward(&tokens[..len - 1]);
-                let fwd = target.forward_tail_for_update(&trunk);
-                let ref_logits = self.reference.tail_logits(&trunk);
-
-                // Training stage: policy-gradient + KL-penalty gradient on logits,
-                // applied only at response positions. The full policy distribution
-                // and the log-ratio needed for the KL gradient double as the source
-                // of the exact per-token KL reported in the metrics.
-                d_logits.set_rows(len - 1, target.config.vocab_size);
-                d_logits.fill_zero();
-                let norm = response_positions as f32;
-                let mut response_kl = 0.0f64;
-                for pos in prompt_len - 1..len - 1 {
-                    let next = tokens[pos + 1] as usize;
-                    response_kl += kl_grad_from_logits_into(
-                        fwd.logits.row(pos),
-                        ref_logits.row(pos),
-                        &mut probs,
-                        &mut kl_grad,
-                    );
-                    let row = d_logits.row_mut(pos);
-                    for v in 0..row.len() {
-                        let indicator = if v == next { 1.0 } else { 0.0 };
-                        // d/dz of [-A * log pi(next)] is A * (p - onehot).
-                        row[v] = (advantage * (probs[v] - indicator)
-                            + self.config.kl_coef * kl_grad[v])
-                            / norm;
-                    }
-                    update_tokens += 1;
-                }
-                total_kl += response_kl / response_positions as f64;
-
-                let grads = target.backward_for_update(&fwd, &d_logits);
-                match accumulated.as_mut() {
-                    Some(acc) => acc.accumulate(&grads),
-                    None => accumulated = Some(grads),
-                }
-            }
+    /// Closes the step [`PolicyTrainer::accumulate_group`] opened: averages the
+    /// accumulated gradient over the responses, clips its global norm at 1.0,
+    /// applies one Adam update to `target`'s tail and returns the step's metrics.
+    pub fn finish_step(&mut self, target: &mut TinyLm) -> StepMetrics {
+        let held = std::mem::take(&mut self.held);
+        let rewards: Vec<&[f32]> = held.iter().map(|(g, _)| g.rewards.as_slice()).collect();
+        let advantages = compute_advantages(self.config.algorithm, &rewards);
+        for ((group, trunks), advs) in held.iter().zip(&advantages) {
+            self.accumulate(target, group, advs, Some(trunks));
         }
 
+        let sums = std::mem::take(&mut self.step);
         let mut grad_norm = 0.0;
-        if let Some(mut grads) = accumulated {
-            if num_responses > 1 {
-                grads.scale(1.0 / num_responses as f32);
+        if let Some(mut grads) = sums.grads {
+            if sums.responses > 1 {
+                grads.scale(1.0 / sums.responses as f32);
             }
             grad_norm = grads.global_norm() as f64;
             // Global-norm clipping at 1.0 for stability.
@@ -247,12 +252,116 @@ impl PolicyTrainer {
         }
         self.steps += 1;
 
+        let responses = sums.responses.max(1) as f64;
         StepMetrics {
-            mean_reward: total_reward / num_responses.max(1) as f64,
-            mean_kl: total_kl / num_responses.max(1) as f64,
-            mean_response_len: total_len / num_responses.max(1) as f64,
-            update_tokens,
+            mean_reward: sums.reward / responses,
+            mean_kl: sums.kl / responses,
+            mean_response_len: sums.len / responses,
+            update_tokens: sums.update_tokens,
             grad_norm,
+        }
+    }
+
+    /// Once per step: only the tail ever changes, and only in `finish_step`.
+    fn check_trunk(&self, target: &TinyLm) {
+        let step_open = self.step.responses > 0 || !self.held.is_empty();
+        assert!(
+            step_open || target.shares_trunk_with(&self.reference),
+            "target and reference trunks differ: the policy trainer updates only the \
+             target's last layer, final norm and LM head, and needs every other weight \
+             equal to the reference's"
+        );
+    }
+
+    /// The inference and training stages over one group's responses, added to
+    /// the open step. Each response's trunk is the prompt's rows followed by
+    /// its captured rows, or recomputed when `captured` is `None`.
+    fn accumulate(
+        &mut self,
+        target: &TinyLm,
+        group: &RolloutGroup,
+        advantages: &[f32],
+        captured: Option<&[Mat]>,
+    ) {
+        let prompt_len = group.prompt.len();
+        let (hidden, vocab) = (target.config.hidden, target.config.vocab_size);
+        let mut prompt_trunk: Option<Mat> = None;
+        for (i, ((response, &reward), &advantage)) in group
+            .responses
+            .iter()
+            .zip(&group.rewards)
+            .zip(advantages)
+            .enumerate()
+        {
+            let sums = &mut self.step;
+            sums.reward += reward as f64;
+            sums.len += response.len() as f64;
+            sums.responses += 1;
+
+            // Full sequence (prompt + response), truncated for update cost.
+            let len = (prompt_len + response.len().min(self.config.max_update_tokens))
+                .min(target.config.max_seq_len);
+            if len <= prompt_len {
+                continue;
+            }
+            self.tokens.clear();
+            self.tokens.extend_from_slice(&group.prompt);
+            self.tokens.extend_from_slice(&response[..len - prompt_len]);
+            let response_positions = len - prompt_len;
+
+            // Inference stage: the frozen trunk's output over the sequence feeds
+            // the policy tail (recorded for the update) and the reference tail.
+            let trunk = match captured {
+                Some(captured) => {
+                    let prompt_rows =
+                        prompt_trunk.get_or_insert_with(|| target.trunk_forward(&group.prompt));
+                    let mut trunk = Mat::zeros(0, hidden);
+                    trunk.reserve_rows(len - 1, hidden);
+                    trunk.extend_rows_range(prompt_rows, 0, prompt_len);
+                    trunk.extend_rows_range(&captured[i], 0, len - 1 - prompt_len);
+                    trunk
+                }
+                None => target.trunk_forward(&self.tokens[..len - 1]),
+            };
+            let ref_logits = self.reference.tail_logits(&trunk);
+            let mut fwd = target.forward_tail_for_update(&trunk);
+
+            // Training stage: policy-gradient + KL-penalty gradient on logits,
+            // applied only at response positions. The full policy distribution
+            // and the log-ratio needed for the KL gradient double as the source
+            // of the exact per-token KL reported in the metrics. The gradient
+            // overwrites the policy's logits row by row, and the trunk and the
+            // reference's logits go before the backward (the memory peak).
+            let d_logits = &mut fwd.logits;
+            d_logits.as_mut_slice()[..(prompt_len - 1) * vocab].fill(0.0);
+            let norm = response_positions as f32;
+            let mut response_kl = 0.0f64;
+            for pos in prompt_len - 1..len - 1 {
+                let next = self.tokens[pos + 1] as usize;
+                response_kl += kl_grad_from_logits_into(
+                    d_logits.row(pos),
+                    ref_logits.row(pos),
+                    &mut self.probs,
+                    &mut self.kl_grad,
+                );
+                for (v, d) in d_logits.row_mut(pos).iter_mut().enumerate() {
+                    let indicator = if v == next { 1.0 } else { 0.0 };
+                    // d/dz of [-A * log pi(next)] is A * (p - onehot).
+                    *d = (advantage * (self.probs[v] - indicator)
+                        + self.config.kl_coef * self.kl_grad[v])
+                        / norm;
+                }
+            }
+            drop((trunk, ref_logits));
+            let sums = &mut self.step;
+            sums.update_tokens += response_positions;
+            sums.kl += response_kl / response_positions as f64;
+
+            let grads = target.backward_for_update(&fwd, &fwd.logits);
+            match sums.grads.as_mut() {
+                Some(acc) => acc.accumulate(&grads),
+                None => sums.grads = Some(grads),
+            }
         }
     }
 }

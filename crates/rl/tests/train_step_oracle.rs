@@ -1,11 +1,14 @@
-//! `PolicyTrainer::train_step` against the two-pass step it replaced.
+//! `PolicyTrainer::train_step` and the streamed step
+//! (`accumulate_group` per group, then `finish_step`) against the two-pass step
+//! they replaced.
 //!
 //! The oracle is the previous `train_step` verbatim: a full policy forward
 //! (`forward_for_update`) and a full reference forward (`prefill`) over every
 //! response, fresh probability and KL-gradient vectors per position, and cloned
-//! gradients into Adam. It lives only here. The product step runs the frozen
-//! trunk once per response and must agree bit for bit on the step metrics and
-//! on every updated weight.
+//! gradients into Adam. It lives only here. `train_step` runs the frozen trunk
+//! once per response; the streamed step runs it once per prompt and takes the
+//! response rows the rollout captured. Both must agree with the oracle bit for
+//! bit on the step metrics and on every updated weight.
 //!
 //! One line of it is not the old one: the KL block calls the product's
 //! `kl_grad_from_logits_into`, which reads log-probabilities off the logits
@@ -21,7 +24,7 @@ use tlt_model::{
     probs_from_logits, Adam, AdamConfig, Mat, ModelConfig, PolicyGrads, SamplingParams, TinyLm,
     TokenId,
 };
-use tlt_rl::{compute_advantages, PolicyTrainer, RlConfig, RolloutGroup, StepMetrics};
+use tlt_rl::{compute_advantages, PolicyTrainer, RlAlgorithm, RlConfig, RolloutGroup, StepMetrics};
 
 struct OracleTrainer {
     config: RlConfig,
@@ -196,6 +199,61 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+fn assert_same_metrics(got: &StepMetrics, expected: &StepMetrics, label: &str) {
+    assert_eq!(got.update_tokens, expected.update_tokens, "{label}");
+    for (name, a, b) in [
+        ("mean_reward", got.mean_reward, expected.mean_reward),
+        ("mean_kl", got.mean_kl, expected.mean_kl),
+        (
+            "mean_response_len",
+            got.mean_response_len,
+            expected.mean_response_len,
+        ),
+        ("grad_norm", got.grad_norm, expected.grad_norm),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{label}: {name} {a} vs {b}");
+    }
+}
+
+/// Every weight the step updates, bit for bit.
+fn assert_same_tail(got: &TinyLm, expected: &TinyLm, label: &str) {
+    let (last, expected_last) = (
+        got.layers.last().expect("layers"),
+        expected.layers.last().expect("layers"),
+    );
+    for (name, a, b) in [
+        (
+            "lm_head",
+            got.lm_head.as_slice(),
+            expected.lm_head.as_slice(),
+        ),
+        ("final_norm", &got.final_norm[..], &expected.final_norm[..]),
+        (
+            "attn_norm",
+            &last.attn_norm[..],
+            &expected_last.attn_norm[..],
+        ),
+        ("wq", last.wq.as_slice(), expected_last.wq.as_slice()),
+        ("wk", last.wk.as_slice(), expected_last.wk.as_slice()),
+        ("wv", last.wv.as_slice(), expected_last.wv.as_slice()),
+        ("wo", last.wo.as_slice(), expected_last.wo.as_slice()),
+        ("mlp_norm", &last.mlp_norm[..], &expected_last.mlp_norm[..]),
+        (
+            "w_gate",
+            last.w_gate.as_slice(),
+            expected_last.w_gate.as_slice(),
+        ),
+        ("w_up", last.w_up.as_slice(), expected_last.w_up.as_slice()),
+        (
+            "w_down",
+            last.w_down.as_slice(),
+            expected_last.w_down.as_slice(),
+        ),
+    ] {
+        assert_eq!(bits(a), bits(b), "{label}: {name}");
+    }
+}
+
 fn assert_same_step(config: ModelConfig) {
     let mut target = TinyLm::new(config, 21);
     let mut oracle_target = target.clone();
@@ -211,54 +269,9 @@ fn assert_same_step(config: ModelConfig) {
         let metrics = trainer.train_step(&mut target, &groups);
         let expected = oracle.train_step(&mut oracle_target, &groups);
         assert!(metrics.update_tokens > 0);
-        assert_eq!(metrics.update_tokens, expected.update_tokens, "step {step}");
-        for (name, a, b) in [
-            ("mean_reward", metrics.mean_reward, expected.mean_reward),
-            ("mean_kl", metrics.mean_kl, expected.mean_kl),
-            (
-                "mean_response_len",
-                metrics.mean_response_len,
-                expected.mean_response_len,
-            ),
-            ("grad_norm", metrics.grad_norm, expected.grad_norm),
-        ] {
-            assert_eq!(a.to_bits(), b.to_bits(), "step {step}: {name} {a} vs {b}");
-        }
-        let (last, oracle_last) = (
-            target.layers.last().expect("layers"),
-            oracle_target.layers.last().expect("layers"),
-        );
-        for (name, a, b) in [
-            (
-                "lm_head",
-                target.lm_head.as_slice(),
-                oracle_target.lm_head.as_slice(),
-            ),
-            (
-                "final_norm",
-                &target.final_norm[..],
-                &oracle_target.final_norm[..],
-            ),
-            ("attn_norm", &last.attn_norm[..], &oracle_last.attn_norm[..]),
-            ("wq", last.wq.as_slice(), oracle_last.wq.as_slice()),
-            ("wk", last.wk.as_slice(), oracle_last.wk.as_slice()),
-            ("wv", last.wv.as_slice(), oracle_last.wv.as_slice()),
-            ("wo", last.wo.as_slice(), oracle_last.wo.as_slice()),
-            ("mlp_norm", &last.mlp_norm[..], &oracle_last.mlp_norm[..]),
-            (
-                "w_gate",
-                last.w_gate.as_slice(),
-                oracle_last.w_gate.as_slice(),
-            ),
-            ("w_up", last.w_up.as_slice(), oracle_last.w_up.as_slice()),
-            (
-                "w_down",
-                last.w_down.as_slice(),
-                oracle_last.w_down.as_slice(),
-            ),
-        ] {
-            assert_eq!(bits(a), bits(b), "step {step}: {name}");
-        }
+        let label = format!("step {step}");
+        assert_same_metrics(&metrics, &expected, &label);
+        assert_same_tail(&target, &oracle_target, &label);
         // The trunk is never touched.
         assert!(target.shares_trunk_with(trainer.reference()));
     }
@@ -296,6 +309,156 @@ fn target_with_a_different_trunk_is_rejected() {
         rewards: vec![1.0],
     };
     trainer.train_step(&mut target, &[group]);
+}
+
+/// Groups as a rollout hands them over: every response fits the context window
+/// with its prompt, and comes with the trunk rows its generation captured
+/// (`GenerationResult::trunk`, which `crates/rollout/tests/trunk_capture.rs`
+/// holds to `trunk_forward`). Each group has an empty response, a one-token
+/// one, one past `MAX_UPDATE_TOKENS`, and one that fills the context window.
+fn rollout_groups(target: &TinyLm, rng: &mut StdRng) -> Vec<(RolloutGroup, Vec<Mat>)> {
+    let config = target.config;
+    (0..3)
+        .map(|_| {
+            let mut tokens = |n: usize| -> Vec<TokenId> {
+                (0..n)
+                    .map(|_| rng.gen_range(0..config.vocab_size as u32))
+                    .collect()
+            };
+            let prompt = tokens(5);
+            let fills_window = config.max_seq_len - prompt.len();
+            let responses: Vec<Vec<TokenId>> = [0, 1, 17, MAX_UPDATE_TOKENS + 12, fills_window]
+                .iter()
+                .map(|&len| tokens(len.min(fills_window)))
+                .collect();
+            let trunks = responses
+                .iter()
+                .map(|response| {
+                    let n = response.len().saturating_sub(1);
+                    let mut sequence = prompt.clone();
+                    sequence.extend_from_slice(&response[..n]);
+                    target
+                        .trunk_forward(&sequence)
+                        .slice_rows(prompt.len(), sequence.len())
+                })
+                .collect();
+            let rewards = tokens(responses.len())
+                .iter()
+                .map(|&t| (t % 3) as f32 * 0.5)
+                .collect();
+            let group = RolloutGroup {
+                prompt,
+                responses,
+                rewards,
+            };
+            (group, trunks)
+        })
+        .collect()
+}
+
+/// `accumulate_group` per group plus `finish_step` against the oracle and
+/// against `train_step`, over two steps (Adam's moments from the first feed
+/// the second), for every advantage estimator.
+fn assert_streamed_step_is_the_batch_step(config: ModelConfig) {
+    for algorithm in RlAlgorithm::all() {
+        let rl = RlConfig {
+            algorithm,
+            max_update_tokens: MAX_UPDATE_TOKENS,
+            ..RlConfig::default()
+        };
+        let mut streamed_target = TinyLm::new(config, 21);
+        let (mut batch_target, mut oracle_target) =
+            (streamed_target.clone(), streamed_target.clone());
+        let mut streamed = PolicyTrainer::new(streamed_target.reference_copy(), rl);
+        let mut batch = PolicyTrainer::new(streamed_target.reference_copy(), rl);
+        let mut oracle = OracleTrainer::new(streamed_target.reference_copy(), rl);
+        let mut rng = StdRng::seed_from_u64(25);
+        for step in 0..2 {
+            let captured = rollout_groups(&streamed_target, &mut rng);
+            let groups: Vec<RolloutGroup> = captured.iter().map(|(g, _)| g.clone()).collect();
+            for (group, trunks) in captured {
+                streamed.accumulate_group(&streamed_target, &group, trunks);
+            }
+            let metrics = streamed.finish_step(&mut streamed_target);
+            let label = format!("{} step {step}", algorithm.name());
+            assert!(metrics.update_tokens > 0, "{label}");
+            assert_same_metrics(
+                &metrics,
+                &batch.train_step(&mut batch_target, &groups),
+                &format!("{label} vs train_step"),
+            );
+            assert_same_metrics(
+                &metrics,
+                &oracle.train_step(&mut oracle_target, &groups),
+                &format!("{label} vs oracle"),
+            );
+            assert_same_tail(&streamed_target, &batch_target, &label);
+            assert_same_tail(&streamed_target, &oracle_target, &label);
+            assert_eq!(streamed.steps(), step + 1);
+        }
+    }
+}
+
+#[test]
+fn streamed_step_matches_train_step_and_the_oracle_on_micro() {
+    assert_streamed_step_is_the_batch_step(ModelConfig::micro());
+}
+
+#[test]
+fn streamed_step_matches_train_step_and_the_oracle_at_the_context_limit() {
+    // Prompt plus update cap overruns the positional table: the clamp decides
+    // how many captured rows a response contributes.
+    assert_streamed_step_is_the_batch_step(ModelConfig {
+        max_seq_len: 40,
+        ..ModelConfig::micro()
+    });
+}
+
+/// One group with a 4-token response, its trunks as `trunks` edits them.
+fn accumulate_with(trunks: impl FnOnce(&mut Vec<Mat>)) {
+    let target = TinyLm::new(ModelConfig::micro(), 26);
+    let mut trainer = PolicyTrainer::new(target.reference_copy(), RlConfig::default());
+    let group = RolloutGroup {
+        prompt: vec![1, 2, 3],
+        responses: vec![vec![4, 5, 6, 7]],
+        rewards: vec![1.0],
+    };
+    let mut captured = vec![target.trunk_forward(&[1, 2, 3, 4, 5, 6]).slice_rows(3, 6)];
+    trunks(&mut captured);
+    trainer.accumulate_group(&target, &group, captured);
+}
+
+#[test]
+fn accumulate_group_takes_a_well_formed_trunk() {
+    accumulate_with(|_| {});
+}
+
+#[test]
+#[should_panic(expected = "a captured trunk holds one row per response token but the last")]
+fn trunk_with_the_wrong_row_count_is_rejected() {
+    // Four rows: one too many (a trunk over the whole response).
+    accumulate_with(|trunks| trunks[0] = Mat::zeros(4, ModelConfig::micro().hidden));
+}
+
+#[test]
+#[should_panic(expected = "one captured trunk per response")]
+fn trunks_not_matching_the_responses_are_rejected() {
+    accumulate_with(|trunks| trunks.push(trunks[0].clone()));
+}
+
+#[test]
+#[should_panic(expected = "target and reference trunks differ")]
+fn streamed_step_rejects_a_target_with_a_different_trunk() {
+    let mut target = TinyLm::new(ModelConfig::micro(), 27);
+    let mut trainer = PolicyTrainer::new(target.reference_copy(), RlConfig::default());
+    target.layers[0].wq.as_mut_slice()[0] += 0.5;
+    let group = RolloutGroup {
+        prompt: vec![1, 2, 3],
+        responses: vec![vec![4, 5, 6]],
+        rewards: vec![1.0],
+    };
+    let trunk = target.trunk_forward(&[1, 2, 3, 4, 5]).slice_rows(3, 5);
+    trainer.accumulate_group(&target, &group, vec![trunk]);
 }
 
 /// The KL block the step had before it read log-probabilities off the logits:

@@ -95,6 +95,11 @@ pub struct GenerationResult {
     pub position_attempts: Vec<usize>,
     /// Accepted counts per drafted position.
     pub position_accepted: Vec<usize>,
+    /// The target's frozen-trunk output ([`tlt_model::DecodeWorkspace::trunk_out`])
+    /// at every response position but the last, captured as each token entered
+    /// the KV cache: bit for bit rows `prompt.len()..` of
+    /// `trunk_forward(prompt ++ tokens[..n - 1])`, which the policy update takes.
+    pub trunk: Mat,
 }
 
 impl GenerationResult {
@@ -164,6 +169,7 @@ fn vanilla_continue<K: KvStore, R: Rng>(
 ) -> GenerationResult {
     let mut probs = Vec::with_capacity(target.config.vocab_size);
     let mut tokens = Vec::new();
+    let mut trunk = Mat::zeros(0, target.config.hidden);
     let mut steps = 0usize;
     for i in 0..max_new {
         if i == 0 {
@@ -183,6 +189,7 @@ fn vanilla_continue<K: KvStore, R: Rng>(
             break;
         }
         target.decode_step(next, cache, ws);
+        trunk.extend_rows_range(ws.trunk_out(), 0, 1);
     }
     GenerationResult {
         tokens,
@@ -190,6 +197,7 @@ fn vanilla_continue<K: KvStore, R: Rng>(
         accept_lengths: Vec::new(),
         position_attempts: Vec::new(),
         position_accepted: Vec::new(),
+        trunk,
     }
 }
 
@@ -330,6 +338,7 @@ fn speculative_continue<K: KvStore, R: Rng>(
     probs_from_logits_into(prompt_logits, params, &mut probs);
     let mut pending: TokenId = sample_from_probs(&probs, rng) as TokenId;
     let mut generated: Vec<TokenId> = vec![pending];
+    let mut trunk = Mat::zeros(0, target.config.hidden);
 
     let mut accept_lengths = Vec::new();
     let mut position_attempts = vec![0usize; depth];
@@ -465,6 +474,7 @@ fn speculative_continue<K: KvStore, R: Rng>(
         all_tokens.push(pending);
         all_tokens.extend_from_slice(&draft_tokens[..accepted]);
         features.extend_rows_range(ws.last_hidden(), 0, committed_in_block);
+        trunk.extend_rows_range(ws.trunk_out(), 0, committed_in_block);
 
         // Everything before this round's tokens was scanned for EOS already.
         let round_start = generated.len();
@@ -499,12 +509,15 @@ fn speculative_continue<K: KvStore, R: Rng>(
     }
 
     generated.truncate(max_new);
+    // An EOS inside the last block leaves committed rows past the response.
+    trunk.set_rows(generated.len().saturating_sub(1), target.config.hidden);
     GenerationResult {
         tokens: generated,
         target_steps,
         accept_lengths,
         position_attempts,
         position_accepted,
+        trunk,
     }
 }
 

@@ -147,6 +147,7 @@ pub fn run_token_experiment(
             let prompt = task.prompt_tokens();
             let mut responses = Vec::with_capacity(config.group_size);
             let mut rewards = Vec::with_capacity(config.group_size);
+            let mut trunks = Vec::with_capacity(config.group_size);
             for _ in 0..config.group_size {
                 let result = if config.use_speculative {
                     speculative_generate(
@@ -177,12 +178,17 @@ pub fn run_token_experiment(
                 }
                 rewards.push(task.reward(&result.tokens));
                 responses.push(result.tokens);
+                trunks.push(result.trunk);
             }
-            groups.push(RolloutGroup {
+            let group = RolloutGroup {
                 prompt,
                 responses,
                 rewards,
-            });
+            };
+            // Inference + training stages, streamed: the group's trunk rows are
+            // the rollout's own and are freed once its gradients are in.
+            policy_trainer.accumulate_group(&target, &group, trunks);
+            groups.push(group);
         }
         report.accept_length_curve.push(if accept_count == 0 {
             1.0
@@ -221,8 +227,8 @@ pub fn run_token_experiment(
             buffer.advance_step();
         }
 
-        // --- Inference + training stages (policy update) ---
-        let metrics = policy_trainer.train_step(&mut target, &groups);
+        // --- Policy update over the groups accumulated during rollout ---
+        let metrics = policy_trainer.finish_step(&mut target);
         report.reward_curve.push(metrics.mean_reward);
         report.kl_curve.push(metrics.mean_kl);
         report.response_len_curve.push(metrics.mean_response_len);

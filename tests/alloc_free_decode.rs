@@ -602,6 +602,125 @@ fn train_step_allocations_are_bounded_per_response() {
 /// Upper bound on heap allocations per response inside `train_step`.
 const TRAIN_STEP_ALLOCS_PER_RESPONSE: u64 = 100;
 
+/// The trunk rows a rollout of `response` after `prompt` captures.
+fn captured_trunk(target: &TinyLm, prompt: &[u32], response: &[u32]) -> tlt_model::Mat {
+    let mut sequence = prompt.to_vec();
+    sequence.extend_from_slice(&response[..response.len().saturating_sub(1)]);
+    target
+        .trunk_forward(&sequence)
+        .slice_rows(prompt.len(), sequence.len())
+}
+
+/// `accumulate_group`, the streamed step's per-group half, allocates per
+/// response (the prompt's trunk once per group, the joined trunk, the recorded
+/// forward, the backward), never per position: tokens, probabilities and the
+/// KL gradient live in the trainer across groups and steps.
+#[test]
+fn accumulate_group_allocations_are_bounded_per_response() {
+    use tlt_rl::{PolicyTrainer, RlConfig, RolloutGroup};
+
+    let run = |response_len: usize| {
+        let mut target = TinyLm::new(ModelConfig::tiny(), 48);
+        let mut trainer = PolicyTrainer::new(target.reference_copy(), RlConfig::default());
+        let response: Vec<u32> = (0..response_len as u32).map(|i| (i * 7 + 3) % 90).collect();
+        let groups: Vec<RolloutGroup> = (0..2)
+            .map(|g| RolloutGroup {
+                prompt: vec![1 + g, 2, 3, 4],
+                responses: vec![response.clone(); 4],
+                rewards: vec![1.0, 0.0, 0.5, 0.0],
+            })
+            .collect();
+        let trunks = |target: &TinyLm| -> Vec<Vec<tlt_model::Mat>> {
+            groups
+                .iter()
+                .map(|g| {
+                    let trunk = captured_trunk(target, &g.prompt, &response);
+                    vec![trunk; g.responses.len()]
+                })
+                .collect()
+        };
+        // The first step sizes the scratch and registers Adam's moments.
+        for (group, captured) in groups.iter().zip(trunks(&target)) {
+            trainer.accumulate_group(&target, group, captured);
+        }
+        trainer.finish_step(&mut target);
+        let captured = trunks(&target);
+        let (allocs, ()) = allocations_during(|| {
+            for (group, captured) in groups.iter().zip(captured) {
+                trainer.accumulate_group(&target, group, captured);
+            }
+        });
+        assert_eq!(
+            trainer.finish_step(&mut target).update_tokens,
+            8 * response_len
+        );
+        allocs
+    };
+    let (short, long) = (run(16), run(128));
+    eprintln!("accumulate_group allocations: short {short} long {long}");
+    assert_eq!(
+        long, short,
+        "accumulate_group allocations must not depend on the response length"
+    );
+    assert!(
+        long <= 8 * TRAIN_STEP_ALLOCS_PER_RESPONSE + 64,
+        "accumulate_group allocated {long} times for 8 responses"
+    );
+}
+
+/// What keeps the streamed step's memory flat: each group's trunks are freed
+/// once its gradients are in, so eight groups rolled out and accumulated one
+/// after another peak within one group's trunks of two groups. (Two, not one:
+/// from the second group on, a rollout runs beside the accumulated gradient.
+/// Holding every group's trunks until the update would add six groups' more.)
+#[test]
+fn streamed_step_peak_live_holds_one_group_of_trunks() {
+    use tlt_rl::{PolicyTrainer, RlConfig, RolloutGroup};
+    use tlt_rollout::vanilla_generate;
+
+    const GROUP: usize = 4;
+    const MAX_NEW: usize = 48;
+    let target = TinyLm::new(ModelConfig::tiny(), 51);
+    // Without an EOS every response runs to the budget: all groups are the
+    // same size, so the difference below is what the step holds, not luck.
+    let step = |groups: u32| {
+        let mut target = target.clone();
+        let mut trainer = PolicyTrainer::new(target.reference_copy(), RlConfig::default());
+        let mut rng = StdRng::seed_from_u64(52);
+        let params = SamplingParams::rollout();
+        peak_live_during(|| {
+            for g in 0..groups {
+                let prompt = vec![1 + g, 2, 3, 4];
+                let (mut responses, mut trunks) = (Vec::new(), Vec::new());
+                for _ in 0..GROUP {
+                    let result =
+                        vanilla_generate(&target, &prompt, MAX_NEW, params, None, &mut rng);
+                    responses.push(result.tokens);
+                    trunks.push(result.trunk);
+                }
+                let group = RolloutGroup {
+                    prompt,
+                    responses,
+                    rewards: vec![1.0, 0.0, 0.5, 0.0],
+                };
+                trainer.accumulate_group(&target, &group, trunks);
+            }
+            trainer.finish_step(&mut target)
+        })
+        .0
+    };
+    let (two, eight) = (step(2), step(8));
+    let group_trunks = (GROUP * (MAX_NEW - 1) * target.config.hidden * 4) as i64;
+    eprintln!(
+        "streamed step peak: 2 groups {two} B, 8 groups {eight} B, a group's trunks {group_trunks} B"
+    );
+    assert!(
+        eight - two <= group_trunks,
+        "8 streamed groups peaked {} B above two",
+        eight - two
+    );
+}
+
 /// The first `requests` records of the derived corpus trace, as TLTR bytes.
 fn derived_trace_bytes(requests: u64) -> Vec<u8> {
     let mut bytes = Vec::new();
