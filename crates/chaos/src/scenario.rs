@@ -174,10 +174,11 @@ fn schedule_label(faults: &[FaultEvent]) -> String {
 }
 
 /// Finalises a fault schedule over `replicas` fault indices: validates the
-/// targets, sorts by time (stable, so same-time faults keep insertion order),
-/// and rejects impossible orders (crashing a replica that is already down,
-/// restarting one that never crashed) so authoring mistakes fail loudly at
-/// build time instead of panicking deep inside the harness.
+/// targets and slow-down factors, sorts by time (stable, so same-time faults
+/// keep insertion order), and rejects impossible orders (crashing a replica
+/// that is already down, restarting one that never crashed) so authoring
+/// mistakes fail loudly at build time instead of panicking deep inside the
+/// harness.
 fn finalize_schedule(faults: &mut [FaultEvent], replicas: usize) {
     let target = |kind: FaultKind| match kind {
         FaultKind::ReplicaCrash { replica }
@@ -191,6 +192,13 @@ fn finalize_schedule(faults: &mut [FaultEvent], replicas: usize) {
             replica < replicas,
             "fault targets replica {replica} but the deployment has {replicas}"
         );
+        if let FaultKind::SlowReplica { factor, .. } = fault.kind {
+            assert!(
+                factor.is_finite() && factor > 0.0,
+                "slow-down of replica {replica} at t={}: factor {factor} is not finite and positive",
+                fault.at_s
+            );
+        }
     }
     faults.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite fault times"));
     let mut up = vec![true; replicas];
@@ -762,6 +770,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "factor 0 is not finite and positive")]
+    fn zero_slow_factor_is_rejected_at_build_time() {
+        let _ = Scenario::builder("t").replicas(2).slow(1.0, 1, 0.0).build();
+    }
+
+    #[test]
     #[should_panic(expected = "never crashed")]
     fn restart_without_a_crash_is_rejected_at_build_time() {
         let _ = Scenario::builder("t").replicas(1).restart(1.0, 0).build();
@@ -816,6 +830,15 @@ mod tests {
         let _ = DisaggScenario::builder("d")
             .pools(1, 1)
             .crash(1.0, 2)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "factor NaN is not finite and positive")]
+    fn disagg_nan_slow_factor_is_rejected_at_build_time() {
+        let _ = DisaggScenario::builder("d")
+            .pools(1, 1)
+            .slow(1.0, 1, f64::NAN)
             .build();
     }
 

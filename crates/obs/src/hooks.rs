@@ -102,7 +102,7 @@ pub struct ModelCounters {
     pub sd_rounds: u64,
     /// Tokens committed by speculative rounds.
     pub sd_accepted_tokens: u64,
-    /// Simulation events processed by the serving event cores.
+    /// Simulation events processed by the serving simulators.
     pub sim_events: u64,
     /// Stale heap entries discarded by the lazy-invalidation event queue.
     pub sim_stale_events: u64,

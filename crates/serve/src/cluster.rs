@@ -31,7 +31,7 @@
 
 use crate::balancer::{BalancerPolicy, LoadBalancer};
 use crate::config::ServeConfig;
-use crate::events::{drive, DriveOutcome, DriveState, Driver, EventCore, EventKey};
+use crate::events::{drive, DriveOutcome, DriveState, Driver, EventKey};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, MigratedEntry, Replica};
 use crate::request::ServeRequest;
@@ -399,7 +399,7 @@ pub struct ClusterSim {
     pending: VecDeque<(MigratedEntry, usize)>,
     fallback: LoadBalancer,
     /// Clock, completion log, orphans (parked while no prefill replica is
-    /// up), fault counters, budget and event core.
+    /// up), fault counters, budget and event queue.
     state: DriveState,
     aborted_transfers: u64,
     scale_ups: u64,
@@ -492,43 +492,35 @@ impl ClusterSim {
     /// Re-pushes prefill replica `i`'s key after a mutation that started from
     /// next-event time `before_s` (unchanged keys push nothing).
     fn touch_prefill(&mut self, i: usize, before_s: f64) {
-        if self.state.core == EventCore::IndexedHeap {
-            let now = self.prefill[i].replica.next_event_s();
-            if now.to_bits() != before_s.to_bits() {
-                self.state.queue.push(now, CLASS_PREFILL, i);
-            }
+        let now = self.prefill[i].replica.next_event_s();
+        if now.to_bits() != before_s.to_bits() {
+            self.state.queue.push(now, CLASS_PREFILL, i);
         }
     }
 
     /// Re-pushes decode replica `j`'s key; see [`ClusterSim::touch_prefill`].
     fn touch_decode(&mut self, j: usize, before_s: f64) {
-        if self.state.core == EventCore::IndexedHeap {
-            let now = self.decode[j].replica.next_event_s();
-            if now.to_bits() != before_s.to_bits() {
-                self.state.queue.push(now, CLASS_DECODE, j);
-            }
+        let now = self.decode[j].replica.next_event_s();
+        if now.to_bits() != before_s.to_bits() {
+            self.state.queue.push(now, CLASS_DECODE, j);
         }
     }
 
     /// Pushes the current link-front landing time (called whenever the front
     /// of `in_flight` may have changed; duplicates are discarded lazily).
     fn touch_link(&mut self) {
-        if self.state.core == EventCore::IndexedHeap {
-            if let Some(t) = self.in_flight.front() {
-                self.state.queue.push(t.finish_s, CLASS_TRANSFER, 0);
-            }
+        if let Some(t) = self.in_flight.front() {
+            self.state.queue.push(t.finish_s, CLASS_TRANSFER, 0);
         }
     }
 
     /// Pushes the next autoscaler tick's key (exactly one per fired tick, so
     /// tick keys are never duplicated).
     fn touch_tick(&mut self) {
-        if self.state.core == EventCore::IndexedHeap {
-            if let Some(a) = &self.config.autoscale {
-                self.state
-                    .queue
-                    .push((self.ticks + 1) as f64 * a.interval_s, CLASS_TICK, 0);
-            }
+        if let Some(a) = &self.config.autoscale {
+            self.state
+                .queue
+                .push((self.ticks + 1) as f64 * a.interval_s, CLASS_TICK, 0);
         }
     }
 
@@ -818,8 +810,9 @@ impl ClusterSim {
         }
     }
 
-    /// The next event due: `(time, class, index)` with the deterministic
-    /// same-time order transfer < prefill step < decode step < tick.
+    /// The next event due by a scan over every source: `(time, class, index)`
+    /// with the deterministic same-time order transfer < prefill step < decode
+    /// step < tick. The heap is held to it at every pop in debug builds.
     fn next_event(&self, include_ticks: bool) -> Option<(f64, u8, usize)> {
         let mut best: Option<(f64, u8, usize)> = None;
         let mut consider = |t: f64, class: u8, idx: usize| {
@@ -852,8 +845,7 @@ impl ClusterSim {
     }
 
     /// Processes the event described by a validated `(time, class, index)`
-    /// triple — the single dispatch shared by both event cores and both drive
-    /// loops.
+    /// triple — the single dispatch behind both drive loops.
     fn dispatch_event(&mut self, et: f64, class: u8, idx: usize) {
         match class {
             CLASS_TRANSFER => self.land_transfer(et),
@@ -928,24 +920,30 @@ impl ClusterSim {
         due
     }
 
-    /// The one event loop: processes every due event strictly before `t`,
-    /// under either core. While draining, autoscaler ticks fire only as long
-    /// as work remains, so the loop terminates.
+    /// The one event loop: processes every due event strictly before `t`.
+    /// While draining, autoscaler ticks fire only as long as work remains, so
+    /// the loop terminates. Debug builds hold every pop to the linear scan
+    /// ([`ClusterSim::next_event`]) and to the clock.
     fn run_events(&mut self, t: f64, draining: bool) -> DriveOutcome {
         loop {
             let include_ticks = !draining || self.has_work();
-            let next = match self.state.core {
-                EventCore::IndexedHeap => self.pop_due_event(t, include_ticks),
-                EventCore::LinearScan => self.next_event(include_ticks).filter(|e| e.0 < t),
-            };
+            let next = self.pop_due_event(t, include_ticks);
+            debug_assert_eq!(
+                next,
+                self.next_event(include_ticks).filter(|e| e.0 < t),
+                "heap (left) and scan (right) disagree on the next (time, class, index) before {t:?}"
+            );
             let Some((et, class, idx)) = next else {
                 return DriveOutcome::Completed;
             };
+            debug_assert!(
+                et >= self.state.now_s,
+                "event (class {class}, index {idx}) at {et} is before the clock at {}",
+                self.state.now_s
+            );
             if !self.state.begin_event() {
                 // Put the valid key back and stop.
-                if self.state.core == EventCore::IndexedHeap {
-                    self.state.queue.push(et, class, idx);
-                }
+                self.state.queue.push(et, class, idx);
                 return self.state.budget_outcome();
             }
             self.account_to(et);
@@ -954,10 +952,13 @@ impl ClusterSim {
         }
     }
 
-    /// See [`Driver::advance_before`]; the clock is then moved to `t`.
+    /// See [`Driver::advance_before`]; the clock is then moved to `t`, unless
+    /// the budget stopped the drive with events still due before `t`.
     pub fn advance_before(&mut self, t: f64) -> DriveOutcome {
         let outcome = self.run_events(t, false);
-        self.advance_now(t);
+        if outcome == DriveOutcome::Completed {
+            self.advance_now(t);
+        }
         outcome
     }
 
@@ -1168,24 +1169,6 @@ impl Driver for ClusterSim {
         prefill
             .map(|(i, p)| ("prefill", i, &p.replica))
             .chain(decode.map(|(j, p)| ("decode", j, &p.replica)))
-    }
-
-    /// Re-seeds from the pool replicas, the link front and the next tick.
-    fn set_event_core(&mut self, core: EventCore) {
-        self.state.core = core;
-        self.state.queue.clear();
-        if core == EventCore::IndexedHeap {
-            for (i, p) in self.prefill.live() {
-                let t = p.replica.next_event_s();
-                self.state.queue.push(t, CLASS_PREFILL, i);
-            }
-            for (j, p) in self.decode.live() {
-                let t = p.replica.next_event_s();
-                self.state.queue.push(t, CLASS_DECODE, j);
-            }
-            self.touch_link();
-            self.touch_tick();
-        }
     }
 
     fn advance_before(&mut self, t: f64) -> DriveOutcome {
@@ -1611,5 +1594,60 @@ mod tests {
     fn token_accounting_is_rejected() {
         let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
         DisaggConfig::new(ServeConfig::new(cost, 1), 1, 1);
+    }
+
+    /// Lockstep prefill replicas over a link whose wire time is below an ulp
+    /// of the clock: replica 0's handoff lands at the very instant replica
+    /// 1's step completes, a tie across event classes that the transfer
+    /// wins. Debug builds hold the heap to the scan at that pop too.
+    #[test]
+    fn an_instant_handoff_lands_before_a_prefill_step_due_at_the_same_instant() {
+        let instant = TransferLinkConfig {
+            bandwidth_gbps: 1e300,
+            latency_s: 0.0,
+        };
+        let config = DisaggConfig::new(base_config(9), 2, 2).with_link(instant);
+        tlt_obs::install(tlt_obs::FlightRecorder::new(1 << 12));
+        let arrivals: Vec<RequestArrival> = (0..2)
+            .map(|id| RequestArrival {
+                id,
+                time_ns: 0,
+                prompt_len: 512,
+                output_len: 8,
+                prefix_id: 0,
+                prefix_len: 0,
+            })
+            .collect();
+        simulate_disagg(config, &arrivals);
+        let events = tlt_obs::uninstall().expect("installed").events();
+        let first = |track: Track, kind: EventKind| {
+            let at = events
+                .iter()
+                .position(|e| e.track == track && e.kind == kind);
+            at.expect("recorded")
+        };
+        let p0 = first(Track::PrefillReplica(0), EventKind::Prefill);
+        let p1 = first(Track::PrefillReplica(1), EventKind::Prefill);
+        let wire = first(Track::TransferLink, EventKind::Transfer);
+        let span = |i: usize| (events[i].ts_s.to_bits(), events[i].dur_s.to_bits());
+        assert_eq!(span(p0), span(p1), "the prefill replicas run in lockstep");
+        assert_eq!(events[wire].dur_s, 0.0, "the wire time rounds away");
+        assert!(p0 < wire && wire < p1, "order {p0} / {wire} / {p1}");
+    }
+
+    /// A dropped re-push leaves a busy source without its key in the heap;
+    /// the per-pop check against the scan must fail at the next pop.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "heap (left) and scan (right) disagree")]
+    fn a_lost_event_key_fails_the_scan_check_at_the_next_pop() {
+        let mut sim = ClusterSim::new(DisaggConfig::new(base_config(5), 1, 1));
+        for id in 0..4 {
+            sim.offer(request(id, 0.0, 512, 64));
+        }
+        sim.advance_before(0.2);
+        assert!(sim.has_work(), "the run must still be going");
+        while sim.state.queue.pop().is_some() {}
+        sim.run_until_drained();
     }
 }

@@ -25,8 +25,14 @@
 //! floats, and every simulated timestamp is non-negative and finite
 //! (`f64::MAX` keys are never pushed), so the integer heap order equals the
 //! float order the scans used — event order, and therefore every metric,
-//! trace, and chaos invariant, is bit-identical between the two cores (the
-//! `event_core` test suite enforces this).
+//! trace, and chaos invariant, is what the scan would produce.
+//!
+//! **The scan as a check.** The linear scan survives only as a debug-build
+//! assertion: at every pop each simulator asserts that the heap's result,
+//! `None` included, equals the scan's over its sources, and that the popped
+//! time is not before the clock. Every debug suite that drives a simulator
+//! runs that check; a dropped re-push or a wrong tie-break fails at the first
+//! divergent event, naming its time, class and index.
 //!
 //! [`ServeSim`]: crate::ServeSim
 //! [`ClusterSim`]: crate::ClusterSim
@@ -38,18 +44,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use tlt_obs::{hooks, record, EventKind, ObsEvent, Track, NO_REQ};
 use tlt_workload::{ArrivalFeed, RequestArrival};
-
-/// Which next-event implementation a simulator uses. The linear scan is kept
-/// as the bit-identity reference `tests/event_core.rs` holds the heap to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventCore {
-    /// Lazy-invalidation binary heap keyed on each source's next-event time
-    /// (the default).
-    #[default]
-    IndexedHeap,
-    /// The original O(sources) scan per event.
-    LinearScan,
-}
 
 /// A scheduled event key, ordered by `(time, class, index)`. Time is stored as
 /// `f64::to_bits`, which is monotonic for the non-negative finite timestamps
@@ -140,11 +134,6 @@ impl EventQueue {
         self.heap.pop().map(|Reverse(k)| k)
     }
 
-    /// Drops every key (used when re-seeding after an event-core switch).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// Number of keys currently held, stale ones included.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -182,7 +171,7 @@ const MAX_EVENTS: u64 = 200_000_000;
 
 /// What [`ServeSim`](crate::ServeSim) and [`ClusterSim`](crate::ClusterSim)
 /// share is state, not control flow: the clock, the completion log, the orphan
-/// queue, the fault counters, the event budget and the event core.
+/// queue, the fault counters, the event budget and the event queue.
 #[derive(Debug, Clone)]
 pub struct DriveState {
     pub(crate) now_s: f64,
@@ -197,7 +186,6 @@ pub struct DriveState {
     events: u64,
     event_budget: u64,
     budget_reported: bool,
-    pub(crate) core: EventCore,
     pub(crate) queue: EventQueue,
 }
 
@@ -213,7 +201,6 @@ impl Default for DriveState {
             events: 0,
             event_budget: MAX_EVENTS,
             budget_reported: false,
-            core: EventCore::default(),
             queue: EventQueue::new(),
         }
     }
@@ -334,11 +321,6 @@ pub trait Driver {
     /// Every replica ever provisioned, retired ones included, as `(pool
     /// label, index within the pool, replica)` in a fixed order.
     fn members(&self) -> impl Iterator<Item = (&'static str, usize, &Replica)>;
-
-    /// Switches the next-event implementation, re-seeding the heap from the
-    /// current state. The two cores are bit-identical (the `event_core` suite
-    /// holds them so); the scan is that suite's reference.
-    fn set_event_core(&mut self, core: EventCore);
 
     /// Processes every internal event strictly before `t`.
     fn advance_before(&mut self, t: f64) -> DriveOutcome;
@@ -517,7 +499,7 @@ mod tests {
         assert_eq!(q.peek(), Some(k));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop();
         assert!(q.is_empty());
     }
 

@@ -13,7 +13,7 @@
 
 use crate::balancer::LoadBalancer;
 use crate::config::ServeConfig;
-use crate::events::{drive, DriveOutcome, DriveState, Driver, EventCore};
+use crate::events::{drive, DriveOutcome, DriveState, Driver};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, Replica};
 use crate::request::ServeRequest;
@@ -22,7 +22,7 @@ use tlt_workload::RequestArrival;
 
 /// Event class of a replica step completion — `ServeSim`'s only internal
 /// event, so heap order reduces to `(time, replica index)`, exactly the
-/// first-minimum tie-break of the old linear scan.
+/// first-minimum tie-break of the linear scan it is checked against.
 const CLASS_STEP: u8 = 0;
 
 /// A steppable multi-replica serving simulation with failure semantics,
@@ -52,11 +52,9 @@ impl ServeSim {
     /// have changed it; `before_s` is the pre-mutation time, so unchanged keys
     /// (e.g. enqueueing onto an already-busy replica) push nothing.
     fn touch(&mut self, replica: usize, before_s: f64) {
-        if self.state.core == EventCore::IndexedHeap {
-            let now = self.replicas[replica].next_event_s();
-            if now.to_bits() != before_s.to_bits() {
-                self.state.queue.push(now, CLASS_STEP, replica);
-            }
+        let now = self.replicas[replica].next_event_s();
+        if now.to_bits() != before_s.to_bits() {
+            self.state.queue.push(now, CLASS_STEP, replica);
         }
     }
 
@@ -93,18 +91,28 @@ impl ServeSim {
     }
 
     /// See [`Driver::advance_before`]. The clock is left at the last event
-    /// processed; arrivals and faults at `t` win ties against steps.
+    /// processed; arrivals and faults at `t` win ties against steps. Debug
+    /// builds hold every pop to the linear scan and to the clock.
     pub fn advance_before(&mut self, t: f64) -> DriveOutcome {
         loop {
-            let Some((idx, t_step)) = self.pop_due_step(t) else {
+            let due = self.pop_due_step(t);
+            debug_assert_eq!(
+                due,
+                self.scan_next_step().filter(|e| e.1 < t),
+                "heap (left) and scan (right) disagree on the next (replica, time) before {t:?}"
+            );
+            let Some((idx, t_step)) = due else {
                 return DriveOutcome::Completed;
             };
+            debug_assert!(
+                t_step >= self.state.now_s,
+                "step of replica {idx} at {t_step} is before the clock at {}",
+                self.state.now_s
+            );
             if !self.state.begin_event() {
                 // Put the still-valid key back so the one-sided heap invariant
                 // holds if the budget is ever raised.
-                if self.state.core == EventCore::IndexedHeap {
-                    self.state.queue.push(t_step, CLASS_STEP, idx);
-                }
+                self.state.queue.push(t_step, CLASS_STEP, idx);
                 return self.state.budget_outcome();
             }
             self.state.now_s = t_step;
@@ -117,18 +125,9 @@ impl ServeSim {
         }
     }
 
-    /// The earliest valid step due strictly before `t`, under either core.
+    /// Pops the earliest valid step due strictly before `t`, discarding stale
+    /// keys along the way.
     fn pop_due_step(&mut self, t: f64) -> Option<(usize, f64)> {
-        if self.state.core == EventCore::LinearScan {
-            let soonest = self
-                .replicas
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i, r.next_event_s()))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite or MAX"))
-                .expect("at least one replica");
-            return (soonest.1 < t).then_some(soonest);
-        }
         loop {
             // The heap minimum bounds every live key from below: once it is
             // not due (or the heap is empty) nothing is, stale or not.
@@ -140,6 +139,17 @@ impl ServeSim {
             }
             hooks::on_sim_stale_event();
         }
+    }
+
+    /// The soonest scheduled step as `(replica, time)` by a scan over every
+    /// replica, the lowest index on ties; `None` while all are idle.
+    fn scan_next_step(&self) -> Option<(usize, f64)> {
+        self.replicas
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i, r.next_event_s()))
+            .filter(|e| e.1 < f64::MAX)
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite step times"))
     }
 
     /// See [`Driver::run_until_drained`]. Orphans can only be re-delivered by
@@ -184,16 +194,6 @@ impl Driver for ServeSim {
             .map(|(i, r)| ("replica", i, r))
     }
 
-    fn set_event_core(&mut self, core: EventCore) {
-        self.state.core = core;
-        self.state.queue.clear();
-        if core == EventCore::IndexedHeap {
-            for (i, r) in self.replicas.iter().enumerate() {
-                self.state.queue.push(r.next_event_s(), CLASS_STEP, i);
-            }
-        }
-    }
-
     fn advance_before(&mut self, t: f64) -> DriveOutcome {
         ServeSim::advance_before(self, t)
     }
@@ -211,10 +211,7 @@ impl Driver for ServeSim {
     }
 
     fn next_event_s(&self) -> f64 {
-        self.replicas
-            .iter()
-            .map(Replica::next_event_s)
-            .fold(f64::MAX, f64::min)
+        self.scan_next_step().map_or(f64::MAX, |e| e.1)
     }
 
     fn has_work(&self) -> bool {
@@ -498,5 +495,22 @@ mod tests {
             report.replicas[0].completed,
             report.replicas[1].completed
         );
+    }
+
+    /// A dropped re-push leaves a busy replica without its key in the heap;
+    /// the per-pop check against the scan must fail at the next pop.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "heap (left) and scan (right) disagree")]
+    fn a_lost_step_key_fails_the_scan_check_at_the_next_pop() {
+        let mut sim = ServeSim::new(&qwen7b_config(2));
+        for a in arrivals(4.0, 5.0, 3).iter().take(4) {
+            sim.advance_before(a.time_s());
+            sim.offer(ServeRequest::from_arrival(a));
+        }
+        sim.advance_before(sim.state.now_s + 0.2);
+        assert!(Driver::has_work(&sim), "the run must still be going");
+        while sim.state.queue.pop().is_some() {}
+        sim.run_until_drained();
     }
 }

@@ -84,9 +84,7 @@ pub mod transfer;
 pub use balancer::{BalancerPolicy, LoadBalancer, ReplicaLoad};
 pub use cluster::{simulate_disagg, AutoscaleConfig, ClusterReport, ClusterSim, DisaggConfig};
 pub use config::{KvAccounting, ServeConfig, ServeConfigError};
-pub use events::{
-    drive, drive_schedule, DriveOutcome, DriveState, Driver, EventCore, EventKey, EventQueue,
-};
+pub use events::{drive, drive_schedule, DriveOutcome, DriveState, Driver, EventKey, EventQueue};
 pub use frontend::{simulate_serving, simulate_serving_traced, ServeSim};
 pub use metrics::{percentile_f64, LatencySummary, ReplicaStats, ServeReport, SloSpec};
 pub use replica::{FailoverRequest, MigratedEntry, Replica};

@@ -1,11 +1,12 @@
-//! The autoscaler-churn run shared by the `trace_replay`, `event_core` and
-//! `alloc_free_decode` suites: the committed `batch_rl` corpus trace (eight
-//! bursts of 96 simultaneous requests) compressed 2x onto a 1P+1D cluster
-//! whose autoscaler ticks every 0.25 s and warms a replica in 0.1 s. Every
-//! burst grows both pools to their ceilings and the lull after it drains them
-//! back, and a retired replica is never reused, so the pools end with 75
-//! retired members beside a handful of live ones: the state the short
-//! serving tests never reach.
+//! The autoscaler-churn run shared by the `trace_replay`, `event_core`,
+//! `event_counts`, `report_oracle` and `alloc_free_decode` suites: the
+//! committed `batch_rl` corpus trace (eight bursts of 96 simultaneous
+//! requests) compressed 2x onto a 1P+1D cluster whose autoscaler ticks every
+//! 0.25 s and warms a replica in 0.1 s. Every burst grows both pools to their
+//! ceilings and the lull after it drains them back, and a retired replica is
+//! never reused, so the pools end with 75 retired members beside a handful of
+//! live ones: the state the short serving tests never reach. Debug builds
+//! check every event of it against the linear next-event scan.
 
 use tlt::replay_deployment;
 use tlt_serve::{AutoscaleConfig, DisaggConfig};

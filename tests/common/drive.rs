@@ -1,15 +1,13 @@
 //! The fault-injecting drive harness shared by the `event_core` and
-//! `report_oracle` suites: either simulator under a chosen event core, arrivals
-//! merged with timed faults by the product's own loop
-//! (`tlt_serve::drive_schedule`), the whole flight-recorder stream captured.
+//! `report_oracle` suites: either simulator, arrivals merged with timed faults
+//! by the product's own loop (`tlt_serve::drive_schedule`), the whole
+//! flight-recorder stream captured. In debug builds every pop of the run is
+//! checked against the linear next-event scan inside the simulator.
 #![allow(dead_code)]
 
 use tlt::obs::{install, uninstall, FlightRecorder, ObsEvent};
-use tlt_serve::{drive_schedule, DriveOutcome, Driver, EventCore};
+use tlt_serve::{drive_schedule, DriveOutcome, Driver};
 use tlt_workload::RequestArrival;
-
-/// Both next-event implementations: every suite holds them identical.
-pub const CORES: [EventCore; 2] = [EventCore::IndexedHeap, EventCore::LinearScan];
 
 /// A timed fault action against a running simulation (on a cluster, indices
 /// span prefill then decode replicas).
@@ -21,16 +19,14 @@ pub enum Fault {
     Slow(usize, f64),
 }
 
-/// Drives `sim` under `core` over `arrivals` with `faults` applied at their
-/// scheduled times, capturing the full observability stream.
+/// Drives `sim` over `arrivals` with `faults` applied at their scheduled
+/// times, capturing the full observability stream.
 pub fn drive<D: Driver>(
-    core: EventCore,
     mut sim: D,
     arrivals: &[RequestArrival],
     faults: &[(f64, Fault)],
 ) -> (D::Report, Vec<ObsEvent>) {
     install(FlightRecorder::new(1 << 16));
-    sim.set_event_core(core);
     let apply = |sim: &mut D, t: f64, fault: &Fault| match *fault {
         Fault::Crash(idx) => sim.crash_replica(idx, t),
         Fault::Restart(idx) => sim.restart_replica(idx, t),

@@ -23,7 +23,7 @@ use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 mod churn;
 #[path = "common/drive.rs"]
 mod drive;
-use drive::{drive, Fault, CORES};
+use drive::{drive, Fault};
 
 fn reference_summary(values: &mut [f64]) -> LatencySummary {
     if values.is_empty() {
@@ -150,7 +150,7 @@ fn out_of_id_order_steps(events: &[ObsEvent]) -> usize {
 }
 
 /// The 82-member churn cluster, with and without a crash and restart of each
-/// initial replica mid-burst, under both event cores.
+/// initial replica mid-burst.
 #[test]
 fn churn_cluster_reports_match_the_reference() {
     let trace = churn::trace();
@@ -162,18 +162,11 @@ fn churn_cluster_reports_match_the_reference() {
         (17.5, Fault::Restart(0)),
     ];
     for faults in [&[][..], &crash_restart[..]] {
-        for core in CORES {
-            let label = format!("churn, {} faults, {core:?}", faults.len());
-            let (report, _) = drive(
-                core,
-                ClusterSim::new(churn::config()),
-                trace.arrivals(),
-                faults,
-            );
-            assert!(report.retires >= churn::MIN_RETIRES, "{label}");
-            assert_eq!(report.serve.replicas.len(), 82, "{label}");
-            assert_matches_reference(&report.serve, slo, trace.arrivals().len(), &label);
-        }
+        let label = format!("churn, {} faults", faults.len());
+        let (report, _) = drive(ClusterSim::new(churn::config()), trace.arrivals(), faults);
+        assert!(report.retires >= churn::MIN_RETIRES, "{label}");
+        assert_eq!(report.serve.replicas.len(), 82, "{label}");
+        assert_matches_reference(&report.serve, slo, trace.arrivals().len(), &label);
     }
 }
 
@@ -209,20 +202,17 @@ fn serving_reports_with_ties_preemption_and_faults_match_the_reference() {
         (3.0, Fault::Crash(1)),
         (4.0, Fault::Restart(1)),
     ];
-    for core in CORES {
-        let label = format!("serving, {core:?}");
-        let (report, events) = drive(core, ServeSim::new(&config), &arrivals, &faults);
-        assert_matches_reference(&report, config.slo, arrivals.len(), &label);
-        let preemptions: u64 = report.replicas.iter().map(|r| r.preemptions).sum();
-        assert!(preemptions > 0, "{label}: the KV budget must preempt");
-        assert_eq!(report.replicas[1].crashes, 1, "{label}");
-        assert!(
-            cross_replica_ties(&report) > 0,
-            "{label}: no finish time is shared across replicas"
-        );
-        assert!(
-            out_of_id_order_steps(&events) > 0,
-            "{label}: every step finished its batch in id order"
-        );
-    }
+    let (report, events) = drive(ServeSim::new(&config), &arrivals, &faults);
+    assert_matches_reference(&report, config.slo, arrivals.len(), "serving");
+    let preemptions: u64 = report.replicas.iter().map(|r| r.preemptions).sum();
+    assert!(preemptions > 0, "the KV budget must preempt");
+    assert_eq!(report.replicas[1].crashes, 1);
+    assert!(
+        cross_replica_ties(&report) > 0,
+        "no finish time is shared across replicas"
+    );
+    assert!(
+        out_of_id_order_steps(&events) > 0,
+        "every step finished its batch in id order"
+    );
 }
