@@ -8,13 +8,10 @@ use crate::tensor::Mat;
 
 /// Backend-neutral KV storage interface the model decodes through.
 ///
-/// Two backends implement it: the contiguous [`KvCache`] (one `Vec` per layer)
-/// and the paged [`crate::paged_kv::PagedKv`] view (block tables over a shared
-/// [`crate::paged_kv::PagedKvPool`]). Rows are always read in position order
-/// (`kv_key(layer, 0..len)`), so both backends produce bit-identical attention
-/// output. A bare [`LayerKvCache`] also implements the trait as a single-layer
-/// store (layer index 0), which is how the drafter's own KV runs through the
-/// shared layer kernels.
+/// Two stores implement it: the target model's [`KvCache`] (one contiguous
+/// `Vec` per layer) and a bare [`LayerKvCache`] as a single-layer store (layer
+/// index 0), which is how the drafter's own KV runs through the shared layer
+/// kernels. Rows are always read in position order (`kv_key(layer, 0..len)`).
 pub trait KvStore {
     /// Positions cached across every layer (the sequence length).
     fn kv_seq_len(&self) -> usize;

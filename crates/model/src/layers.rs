@@ -3,10 +3,10 @@
 //!
 //! Two execution modes are provided:
 //!
-//! * [`DecoderLayer::forward_cached`] — incremental decoding against any
-//!   [`KvStore`] backend (contiguous or paged), used by the rollout engines
-//!   (supports multi-token inputs so speculative verification can score a whole
-//!   drafted block in one call).
+//! * [`DecoderLayer::forward_cached`] — incremental decoding against a
+//!   [`KvStore`] (the target's cache or the drafter's own), used by the rollout
+//!   engines (supports multi-token inputs so speculative verification can score
+//!   a whole drafted block in one call).
 //! * [`DecoderLayer::forward_train`] / [`DecoderLayer::backward`] — full-sequence
 //!   causal forward with recorded intermediates and an exact manual backward pass,
 //!   used by drafter training and the last-layer policy-gradient update.
@@ -260,8 +260,8 @@ impl DecoderLayer {
     /// [`DecoderLayer::forward_cached`], with every temporary taken from
     /// `scratch` and the result written into `out` (resized in place).
     ///
-    /// Generic over the KV backend: the contiguous and paged stores walk the
-    /// same position order, so their outputs are bit-identical.
+    /// Generic over the [`KvStore`]: the target's [`crate::KvCache`] and the
+    /// drafter's single-layer [`crate::LayerKvCache`] run the same kernel.
     pub fn forward_cached_into<K: KvStore>(
         &self,
         new_hidden: &Mat,

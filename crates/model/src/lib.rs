@@ -53,9 +53,7 @@ pub use kl::{kl_divergence, mean_sampled_kl, KlEstimator};
 pub use kv_cache::{KvCache, KvStore, LayerKvCache};
 pub use layers::{DecoderLayer, DecoderLayerGrads, LayerConfig};
 pub use optim::{Adam, AdamConfig};
-pub use paged_kv::{
-    BlockId, BlockLedger, PagedKv, PagedKvCache, PagedKvPool, PoolStats, PrefixIndex, SharedGroup,
-};
+pub use paged_kv::{BlockLedger, PoolStats, SharedGroup};
 pub use par::{max_workers, parallel_map};
 pub use sampling::{
     argmax, probs_from_logits, probs_from_logits_into, sample_from_probs, sample_from_residual,

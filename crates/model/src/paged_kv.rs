@@ -1,51 +1,26 @@
-//! Paged KV memory: a fixed-size block pool with reference counting and
-//! copy-on-write, a paged per-sequence cache that is **bit-identical** in
-//! attention output to the contiguous [`crate::kv_cache::LayerKvCache`], a
-//! radix prefix index for cross-sequence KV reuse, and the block-granular
-//! accounting ledger the serving layer admits against.
+//! Block-granular KV accounting for the serving layer.
 //!
-//! The design follows PagedAttention: KV storage is carved into fixed-size
-//! blocks (`block_size` positions spanning every layer), sequences hold block
-//! tables instead of contiguous buffers, and identical prefixes share blocks.
-//! A block is written in place only while exactly one reference holds it; the
-//! first divergent append to a shared block copies the filled prefix rows into
-//! a fresh block (copy-on-write). Attention walks the block table in position
-//! order, so per-element accumulation order — and therefore every output bit —
-//! matches the contiguous backend.
-//!
-//! Three cooperating pieces live here:
-//!
-//! * [`PagedKvPool`] + [`PagedKvCache`] — real token-level storage used by the
-//!   tiny transformer through the [`crate::kv_cache::KvStore`] trait (via the
-//!   [`PagedKv`] view).
-//! * [`PrefixIndex`] — a radix tree over full blocks of token ids that matches
-//!   an incoming prompt against resident blocks and returns
-//!   `(shared_blocks, first_novel_position)` so prefill starts at the
-//!   divergence point.
-//! * [`BlockLedger`] — the unified KV *accounting* layer: block-count
-//!   admission with partial-block rounding and shared prefix groups charged
-//!   once, used by `tlt-serve` replicas and checked by the chaos harness.
+//! [`BlockLedger`] is the accounting the `tlt-serve` replicas admit against
+//! under `KvAccounting::Paged`, and the layer the chaos invariants check.
+//! Following PagedAttention, KV memory is counted in fixed-size blocks of
+//! `block_size` tokens: a private footprint rounds up to whole blocks, a
+//! shared prompt prefix ([`SharedGroup`]) is charged once however many running
+//! requests reference it and stays resident as a prefix cache after its last
+//! reference drops, and migrations in flight stay charged on both sides until
+//! they land. The ledger holds counts, not KV rows: the token-level model
+//! decodes through the contiguous [`crate::kv_cache::KvCache`].
 
-use crate::kv_cache::KvStore;
-use crate::tensor::Mat;
-use crate::transformer::TokenId;
-
-/// Identifier of one pool block.
-pub type BlockId = u32;
-
-/// Snapshot of a pool's (or ledger's) block accounting.
+/// Snapshot of a [`BlockLedger`]'s block accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PoolStats {
-    /// Positions per block.
+    /// Tokens per block.
     pub block_size: usize,
     /// Total blocks in the pool.
     pub capacity_blocks: usize,
-    /// Blocks currently allocated (refcount > 0).
+    /// Blocks charged right now.
     pub in_use_blocks: usize,
     /// High-water mark of `in_use_blocks`.
     pub peak_in_use_blocks: usize,
-    /// Copy-on-write block copies performed.
-    pub cow_copies: u64,
 }
 
 impl PoolStats {
@@ -56,636 +31,6 @@ impl PoolStats {
         } else {
             self.peak_in_use_blocks as f64 / self.capacity_blocks as f64
         }
-    }
-}
-
-/// Fixed-size block pool backing every paged KV cache of one model.
-///
-/// A block stores `block_size` positions of keys and values for **every**
-/// layer, so one logical block id covers a position range across the whole
-/// model — which is what makes prefix sharing a single refcount bump.
-#[derive(Debug, Clone)]
-pub struct PagedKvPool {
-    block_size: usize,
-    num_layers: usize,
-    hidden: usize,
-    keys: Vec<f32>,
-    values: Vec<f32>,
-    refcounts: Vec<u32>,
-    free: Vec<BlockId>,
-    in_use: usize,
-    peak_in_use: usize,
-    cow_copies: u64,
-}
-
-impl PagedKvPool {
-    /// Creates a pool of `num_blocks` blocks for a model with `num_layers`
-    /// layers of width `hidden`, each block holding `block_size` positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(num_layers: usize, hidden: usize, block_size: usize, num_blocks: usize) -> Self {
-        assert!(num_layers > 0, "pool needs at least one layer");
-        assert!(hidden > 0, "pool needs a non-zero hidden width");
-        assert!(block_size > 0, "block size must be non-zero");
-        assert!(num_blocks > 0, "pool needs at least one block");
-        let slots = num_blocks * num_layers * block_size * hidden;
-        PagedKvPool {
-            block_size,
-            num_layers,
-            hidden,
-            keys: vec![0.0; slots],
-            values: vec![0.0; slots],
-            refcounts: vec![0; num_blocks],
-            // LIFO free list initialised so blocks are first handed out in
-            // ascending id order (deterministic, cache-friendly).
-            free: (0..num_blocks as BlockId).rev().collect(),
-            in_use: 0,
-            peak_in_use: 0,
-            cow_copies: 0,
-        }
-    }
-
-    /// Pool sized for `capacity_positions` positions of the given model
-    /// geometry (rounded up to whole blocks).
-    pub fn with_position_capacity(
-        num_layers: usize,
-        hidden: usize,
-        block_size: usize,
-        capacity_positions: usize,
-    ) -> Self {
-        let blocks = capacity_positions.div_ceil(block_size).max(1);
-        PagedKvPool::new(num_layers, hidden, block_size, blocks)
-    }
-
-    /// Positions per block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Number of layers each block spans.
-    pub fn num_layers(&self) -> usize {
-        self.num_layers
-    }
-
-    /// Hidden width of each cached row.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Total blocks in the pool.
-    pub fn capacity_blocks(&self) -> usize {
-        self.refcounts.len()
-    }
-
-    /// Total positions the pool can hold — the capacity query budgeted callers
-    /// reserve against instead of the model's full context window.
-    pub fn capacity_positions(&self) -> usize {
-        self.capacity_blocks() * self.block_size
-    }
-
-    /// Blocks currently free.
-    pub fn free_blocks(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Blocks currently allocated.
-    pub fn blocks_in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Accounting snapshot.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            block_size: self.block_size,
-            capacity_blocks: self.capacity_blocks(),
-            in_use_blocks: self.in_use,
-            peak_in_use_blocks: self.peak_in_use,
-            cow_copies: self.cow_copies,
-        }
-    }
-
-    /// Current refcount of `block`.
-    pub fn refcount(&self, block: BlockId) -> u32 {
-        self.refcounts[block as usize]
-    }
-
-    /// Allocates a fresh block (refcount 1), or `None` when the pool is
-    /// exhausted.
-    pub fn alloc(&mut self) -> Option<BlockId> {
-        let block = self.free.pop()?;
-        debug_assert_eq!(self.refcounts[block as usize], 0);
-        self.refcounts[block as usize] = 1;
-        self.in_use += 1;
-        self.peak_in_use = self.peak_in_use.max(self.in_use);
-        Some(block)
-    }
-
-    /// Adds a reference to `block` (prefix sharing / sequence fork).
-    pub fn retain(&mut self, block: BlockId) {
-        assert!(
-            self.refcounts[block as usize] > 0,
-            "retain of a free block {block}"
-        );
-        self.refcounts[block as usize] += 1;
-    }
-
-    /// Drops a reference to `block`, returning it to the free list when the
-    /// last reference goes away.
-    pub fn release(&mut self, block: BlockId) {
-        let rc = &mut self.refcounts[block as usize];
-        assert!(*rc > 0, "release of a free block {block}");
-        *rc -= 1;
-        if *rc == 0 {
-            self.free.push(block);
-            self.in_use -= 1;
-        }
-    }
-
-    #[inline]
-    fn row_offset(&self, block: BlockId, layer: usize, row: usize) -> usize {
-        debug_assert!(layer < self.num_layers && row < self.block_size);
-        ((block as usize * self.num_layers + layer) * self.block_size + row) * self.hidden
-    }
-
-    /// Key row of `block` at (`layer`, `row`).
-    #[inline]
-    pub fn key_row(&self, block: BlockId, layer: usize, row: usize) -> &[f32] {
-        let off = self.row_offset(block, layer, row);
-        &self.keys[off..off + self.hidden]
-    }
-
-    /// Value row of `block` at (`layer`, `row`).
-    #[inline]
-    pub fn value_row(&self, block: BlockId, layer: usize, row: usize) -> &[f32] {
-        let off = self.row_offset(block, layer, row);
-        &self.values[off..off + self.hidden]
-    }
-
-    /// Writes one key/value row pair into `block` at (`layer`, `row`).
-    #[inline]
-    pub fn write_row(
-        &mut self,
-        block: BlockId,
-        layer: usize,
-        row: usize,
-        key: &[f32],
-        value: &[f32],
-    ) {
-        debug_assert_eq!(key.len(), self.hidden);
-        debug_assert_eq!(value.len(), self.hidden);
-        let off = self.row_offset(block, layer, row);
-        self.keys[off..off + self.hidden].copy_from_slice(key);
-        self.values[off..off + self.hidden].copy_from_slice(value);
-    }
-
-    /// Copy-on-write: allocates a fresh block and copies the first `rows`
-    /// positions of `src` (across every layer) into it. The copied rows are
-    /// bit-identical, so a CoW fork never perturbs attention output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is exhausted.
-    pub fn clone_block_prefix(&mut self, src: BlockId, rows: usize) -> BlockId {
-        debug_assert!(rows <= self.block_size);
-        let dst = self
-            .alloc()
-            .expect("paged KV pool exhausted during copy-on-write");
-        for layer in 0..self.num_layers {
-            let s = self.row_offset(src, layer, 0);
-            let d = self.row_offset(dst, layer, 0);
-            let n = rows * self.hidden;
-            self.keys.copy_within(s..s + n, d);
-            self.values.copy_within(s..s + n, d);
-        }
-        self.cow_copies += 1;
-        dst
-    }
-
-    /// Imports `src_block` from another pool of identical geometry: allocates
-    /// a fresh local block and copies every row of every layer bit-for-bit.
-    /// Returns `None` when this pool is exhausted (nothing is allocated).
-    pub fn import_block_from(&mut self, src: &PagedKvPool, src_block: BlockId) -> Option<BlockId> {
-        assert!(
-            self.block_size == src.block_size
-                && self.num_layers == src.num_layers
-                && self.hidden == src.hidden,
-            "cross-pool import requires identical block geometry"
-        );
-        let dst = self.alloc()?;
-        let n = self.num_layers * self.block_size * self.hidden;
-        let s = src_block as usize * n;
-        let d = dst as usize * n;
-        self.keys[d..d + n].copy_from_slice(&src.keys[s..s + n]);
-        self.values[d..d + n].copy_from_slice(&src.values[s..s + n]);
-        Some(dst)
-    }
-
-    /// Structural conservation check: every block is either free (refcount 0,
-    /// on the free list exactly once) or referenced; the free list and the
-    /// in-use counter agree with the refcounts.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        let mut on_free = vec![false; self.capacity_blocks()];
-        for &b in &self.free {
-            if on_free[b as usize] {
-                return Err(format!("block {b} appears twice on the free list"));
-            }
-            on_free[b as usize] = true;
-            if self.refcounts[b as usize] != 0 {
-                return Err(format!(
-                    "free-listed block {b} has refcount {}",
-                    self.refcounts[b as usize]
-                ));
-            }
-        }
-        let mut referenced = 0usize;
-        for (b, &rc) in self.refcounts.iter().enumerate() {
-            if rc == 0 && !on_free[b] {
-                return Err(format!("block {b} is neither referenced nor free"));
-            }
-            if rc > 0 {
-                referenced += 1;
-            }
-        }
-        if referenced != self.in_use {
-            return Err(format!(
-                "in-use counter {} disagrees with {} referenced blocks",
-                self.in_use, referenced
-            ));
-        }
-        if referenced + self.free.len() != self.capacity_blocks() {
-            return Err("free + referenced blocks do not cover the pool".to_string());
-        }
-        Ok(())
-    }
-}
-
-/// Per-sequence paged KV cache: a block table plus per-layer write lengths.
-///
-/// All storage lives in the [`PagedKvPool`]; pairing the two through the
-/// [`PagedKv`] view yields a [`KvStore`] the model forwards through exactly
-/// like the contiguous backend.
-#[derive(Debug, Clone, Default)]
-pub struct PagedKvCache {
-    blocks: Vec<BlockId>,
-    lens: Vec<usize>,
-}
-
-impl PagedKvCache {
-    /// Creates an empty cache for a model with `num_layers` layers.
-    pub fn new(num_layers: usize) -> Self {
-        PagedKvCache {
-            blocks: Vec::new(),
-            lens: vec![0; num_layers],
-        }
-    }
-
-    /// Builds a cache over blocks already retained on the caller's behalf
-    /// (e.g. a [`PrefixIndex::lookup`] result) covering `len` positions.
-    pub fn from_shared(
-        blocks: Vec<BlockId>,
-        len: usize,
-        num_layers: usize,
-        block_size: usize,
-    ) -> Self {
-        assert!(
-            blocks.len() * block_size >= len,
-            "shared blocks do not cover {len} positions"
-        );
-        PagedKvCache {
-            blocks,
-            lens: vec![len; num_layers],
-        }
-    }
-
-    /// Cached positions (valid across every layer).
-    pub fn seq_len(&self) -> usize {
-        self.lens.iter().copied().min().unwrap_or(0)
-    }
-
-    /// The block table, in position order.
-    pub fn blocks(&self) -> &[BlockId] {
-        &self.blocks
-    }
-
-    /// Blocks currently held by this sequence.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Forks the sequence: the clone shares every block (refcounts bumped);
-    /// the first divergent append on either side copies on write.
-    pub fn fork(&self, pool: &mut PagedKvPool) -> PagedKvCache {
-        for &b in &self.blocks {
-            pool.retain(b);
-        }
-        self.clone()
-    }
-
-    /// Releases every block back to the pool and empties the cache.
-    pub fn release(&mut self, pool: &mut PagedKvPool) {
-        for b in self.blocks.drain(..) {
-            pool.release(b);
-        }
-        for l in &mut self.lens {
-            *l = 0;
-        }
-    }
-
-    /// Appends `keys`/`values` rows for `layer`. Layer 0 drives block
-    /// allocation and copy-on-write; later layers write into the same blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is exhausted.
-    pub fn append_rows(&mut self, pool: &mut PagedKvPool, layer: usize, keys: &Mat, values: &Mat) {
-        let n = keys.rows();
-        debug_assert_eq!(values.rows(), n);
-        let bs = pool.block_size();
-        let start = self.lens[layer];
-        let end = start + n;
-        if layer == 0 {
-            // `start` positions are valid across every layer here: layer 0 is
-            // always the first writer of a new position range.
-            let filled = start;
-            if filled % bs != 0 {
-                let b = filled / bs;
-                if pool.refcount(self.blocks[b]) > 1 {
-                    // First divergent append into a shared partial block:
-                    // copy the filled prefix rows (all layers) and swap in the
-                    // private copy.
-                    let fresh = pool.clone_block_prefix(self.blocks[b], filled % bs);
-                    pool.release(self.blocks[b]);
-                    self.blocks[b] = fresh;
-                }
-            }
-            let needed = end.div_ceil(bs);
-            while self.blocks.len() < needed {
-                self.blocks
-                    .push(pool.alloc().expect("paged KV pool exhausted"));
-            }
-        } else {
-            debug_assert!(self.blocks.len() * bs >= end, "layer 0 must append first");
-        }
-        for i in 0..n {
-            let pos = start + i;
-            pool.write_row(
-                self.blocks[pos / bs],
-                layer,
-                pos % bs,
-                keys.row(i),
-                values.row(i),
-            );
-        }
-        self.lens[layer] = end;
-    }
-
-    /// Rolls the sequence back to `new_len` positions, releasing any block
-    /// that no longer holds a live position. A no-op when `new_len` is not
-    /// shorter. Shared blocks keep their other references untouched — the
-    /// next append past the boundary copies on write.
-    pub fn truncate(&mut self, pool: &mut PagedKvPool, new_len: usize) {
-        if new_len >= self.seq_len() {
-            return;
-        }
-        debug_assert!(
-            self.lens.iter().all(|&l| l == self.lens[0]),
-            "truncate between forward passes only"
-        );
-        let bs = pool.block_size();
-        let keep = new_len.div_ceil(bs);
-        for b in self.blocks.drain(keep..) {
-            pool.release(b);
-        }
-        for l in &mut self.lens {
-            *l = new_len;
-        }
-    }
-
-    /// The full blocks of this sequence (for [`PrefixIndex::insert`]).
-    pub fn full_blocks(&self, block_size: usize) -> &[BlockId] {
-        &self.blocks[..self.seq_len() / block_size]
-    }
-
-    /// Migrates the whole sequence from `src` into `dst` (two pools of
-    /// identical geometry): every block — shared prefix blocks included — is
-    /// deep-copied into a freshly allocated private `dst` block, then the
-    /// `src` references are dropped. Attention over the migrated cache is
-    /// bit-identical; refcount conservation holds in both pools (the copy is
-    /// all-or-nothing: on `dst` exhaustion the partial allocation is rolled
-    /// back and the cache stays resident in `src`).
-    pub fn migrate(&mut self, src: &mut PagedKvPool, dst: &mut PagedKvPool) -> Result<(), String> {
-        let mut imported = Vec::with_capacity(self.blocks.len());
-        for &b in &self.blocks {
-            match dst.import_block_from(src, b) {
-                Some(nb) => imported.push(nb),
-                None => {
-                    let copied = imported.len();
-                    for nb in imported {
-                        dst.release(nb);
-                    }
-                    return Err(format!(
-                        "destination pool exhausted after {copied} of {} blocks",
-                        self.blocks.len()
-                    ));
-                }
-            }
-        }
-        for b in self.blocks.drain(..) {
-            src.release(b);
-        }
-        self.blocks = imported;
-        Ok(())
-    }
-}
-
-/// Mutable pool + cache pairing that implements [`KvStore`] for the model's
-/// forward passes.
-#[derive(Debug)]
-pub struct PagedKv<'a> {
-    /// The shared block pool.
-    pub pool: &'a mut PagedKvPool,
-    /// The sequence's block table.
-    pub cache: &'a mut PagedKvCache,
-}
-
-impl KvStore for PagedKv<'_> {
-    fn kv_seq_len(&self) -> usize {
-        self.cache.seq_len()
-    }
-
-    fn kv_len(&self, layer: usize) -> usize {
-        self.cache.lens[layer]
-    }
-
-    fn kv_append(&mut self, layer: usize, keys: &Mat, values: &Mat) {
-        self.cache.append_rows(self.pool, layer, keys, values);
-    }
-
-    #[inline]
-    fn kv_key(&self, layer: usize, idx: usize) -> &[f32] {
-        let bs = self.pool.block_size();
-        self.pool
-            .key_row(self.cache.blocks[idx / bs], layer, idx % bs)
-    }
-
-    #[inline]
-    fn kv_value(&self, layer: usize, idx: usize) -> &[f32] {
-        let bs = self.pool.block_size();
-        self.pool
-            .value_row(self.cache.blocks[idx / bs], layer, idx % bs)
-    }
-
-    fn kv_truncate(&mut self, new_len: usize) {
-        self.cache.truncate(self.pool, new_len);
-    }
-}
-
-/// One edge of the radix tree: a full block of token ids and the pool block
-/// holding its KV.
-#[derive(Debug, Clone)]
-struct PrefixEdge {
-    tokens: Vec<TokenId>,
-    block: BlockId,
-    child: PrefixNode,
-}
-
-#[derive(Debug, Clone, Default)]
-struct PrefixNode {
-    children: Vec<PrefixEdge>,
-}
-
-/// Radix tree over full KV blocks, keyed by their token content.
-///
-/// Resident blocks carry one index-owned reference, so they are never written
-/// in place (any divergent append copies on write) and survive the sequences
-/// that created them. [`PrefixIndex::lookup`] matches an incoming prompt
-/// block-by-block and hands back retained shared blocks plus the first novel
-/// position, so prefill starts at the divergence point.
-#[derive(Debug, Clone)]
-pub struct PrefixIndex {
-    block_size: usize,
-    root: PrefixNode,
-    resident_blocks: usize,
-    lookups: u64,
-    hits: u64,
-    hit_tokens: u64,
-    lookup_tokens: u64,
-}
-
-impl PrefixIndex {
-    /// Creates an empty index over blocks of `block_size` tokens.
-    pub fn new(block_size: usize) -> Self {
-        assert!(block_size > 0, "block size must be non-zero");
-        PrefixIndex {
-            block_size,
-            root: PrefixNode::default(),
-            resident_blocks: 0,
-            lookups: 0,
-            hits: 0,
-            hit_tokens: 0,
-            lookup_tokens: 0,
-        }
-    }
-
-    /// Blocks the index currently keeps resident.
-    pub fn resident_blocks(&self) -> usize {
-        self.resident_blocks
-    }
-
-    /// Fraction of looked-up prompt tokens served from resident blocks.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookup_tokens == 0 {
-            0.0
-        } else {
-            self.hit_tokens as f64 / self.lookup_tokens as f64
-        }
-    }
-
-    /// `(lookups, lookups with at least one matched block)`.
-    pub fn lookup_counts(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
-    }
-
-    /// Indexes the full blocks of a sequence: `blocks[i]` must hold the KV of
-    /// `tokens[i * block_size .. (i + 1) * block_size]`. Newly indexed blocks
-    /// are retained (the index owns one reference); chunks already present
-    /// keep their existing block.
-    pub fn insert(&mut self, pool: &mut PagedKvPool, tokens: &[TokenId], blocks: &[BlockId]) {
-        let full = (tokens.len() / self.block_size).min(blocks.len());
-        let mut node = &mut self.root;
-        for (i, &block) in blocks.iter().enumerate().take(full) {
-            let chunk = &tokens[i * self.block_size..(i + 1) * self.block_size];
-            let pos = node.children.iter().position(|e| e.tokens == chunk);
-            let idx = match pos {
-                Some(idx) => idx,
-                None => {
-                    pool.retain(block);
-                    self.resident_blocks += 1;
-                    node.children.push(PrefixEdge {
-                        tokens: chunk.to_vec(),
-                        block,
-                        child: PrefixNode::default(),
-                    });
-                    node.children.len() - 1
-                }
-            };
-            node = &mut node.children[idx].child;
-        }
-    }
-
-    /// Matches `tokens` against resident blocks. Returns the matched blocks —
-    /// each retained on the caller's behalf — and the first novel position
-    /// (`matched_blocks * block_size`).
-    pub fn lookup(&mut self, pool: &mut PagedKvPool, tokens: &[TokenId]) -> (Vec<BlockId>, usize) {
-        self.lookup_capped(pool, tokens, usize::MAX)
-    }
-
-    /// [`PrefixIndex::lookup`] matching at most `max_reuse_tokens` worth of
-    /// full blocks (callers that must leave a suffix novel — e.g. the final
-    /// prompt token that produces the first logits — cap here, so the hit
-    /// statistics count exactly the blocks actually reused).
-    pub fn lookup_capped(
-        &mut self,
-        pool: &mut PagedKvPool,
-        tokens: &[TokenId],
-        max_reuse_tokens: usize,
-    ) -> (Vec<BlockId>, usize) {
-        self.lookups += 1;
-        self.lookup_tokens += tokens.len() as u64;
-        let mut matched = Vec::new();
-        let mut node = &self.root;
-        let full = (tokens.len() / self.block_size).min(max_reuse_tokens / self.block_size);
-        for i in 0..full {
-            let chunk = &tokens[i * self.block_size..(i + 1) * self.block_size];
-            match node.children.iter().find(|e| e.tokens == chunk) {
-                Some(edge) => {
-                    pool.retain(edge.block);
-                    matched.push(edge.block);
-                    node = &edge.child;
-                }
-                None => break,
-            }
-        }
-        if !matched.is_empty() {
-            self.hits += 1;
-            self.hit_tokens += (matched.len() * self.block_size) as u64;
-        }
-        let first_novel = matched.len() * self.block_size;
-        (matched, first_novel)
-    }
-
-    /// Releases every resident block back to the pool and empties the index.
-    pub fn release_all(&mut self, pool: &mut PagedKvPool) {
-        fn drop_node(node: &mut PrefixNode, pool: &mut PagedKvPool) {
-            for mut edge in node.children.drain(..) {
-                pool.release(edge.block);
-                drop_node(&mut edge.child, pool);
-            }
-        }
-        drop_node(&mut self.root, pool);
-        self.resident_blocks = 0;
     }
 }
 
@@ -964,7 +309,6 @@ impl BlockLedger {
             capacity_blocks: self.capacity_blocks,
             in_use_blocks: self.in_use_blocks(),
             peak_in_use_blocks: self.peak_in_use,
-            cow_copies: 0,
         }
     }
 
@@ -1008,168 +352,6 @@ impl BlockLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pool() -> PagedKvPool {
-        PagedKvPool::new(2, 4, 4, 8)
-    }
-
-    fn rows(n: usize, base: f32) -> Mat {
-        let mut m = Mat::zeros(n, 4);
-        for r in 0..n {
-            for c in 0..4 {
-                m.set(r, c, base + r as f32 + c as f32 * 0.25);
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn alloc_release_roundtrip_conserves_blocks() {
-        let mut p = pool();
-        assert_eq!(p.free_blocks(), 8);
-        let a = p.alloc().unwrap();
-        let b = p.alloc().unwrap();
-        assert_ne!(a, b);
-        assert_eq!(p.blocks_in_use(), 2);
-        p.retain(a);
-        p.release(a);
-        assert_eq!(p.blocks_in_use(), 2, "refcounted block stays allocated");
-        p.release(a);
-        p.release(b);
-        assert_eq!(p.blocks_in_use(), 0);
-        assert_eq!(p.free_blocks(), 8);
-        assert!(p.check_conservation().is_ok());
-        assert_eq!(p.stats().peak_in_use_blocks, 2);
-    }
-
-    #[test]
-    fn append_read_back_and_truncate() {
-        let mut p = pool();
-        let mut c = PagedKvCache::new(2);
-        for layer in 0..2 {
-            c.append_rows(&mut p, layer, &rows(6, 10.0 * layer as f32), &rows(6, 50.0));
-        }
-        assert_eq!(c.seq_len(), 6);
-        assert_eq!(c.num_blocks(), 2);
-        let kv = PagedKv {
-            pool: &mut p,
-            cache: &mut c,
-        };
-        assert_eq!(kv.kv_key(1, 5), rows(6, 10.0).row(5));
-        assert_eq!(kv.kv_value(0, 0), rows(6, 50.0).row(0));
-        c.truncate(&mut p, 3);
-        assert_eq!(c.seq_len(), 3);
-        assert_eq!(c.num_blocks(), 1, "second block released");
-        c.release(&mut p);
-        assert_eq!(p.blocks_in_use(), 0);
-        assert!(p.check_conservation().is_ok());
-    }
-
-    #[test]
-    fn fork_shares_blocks_and_cow_isolates_divergence() {
-        let mut p = pool();
-        let mut base = PagedKvCache::new(2);
-        for layer in 0..2 {
-            base.append_rows(&mut p, layer, &rows(6, 1.0), &rows(6, 2.0));
-        }
-        let mut fork = base.fork(&mut p);
-        assert_eq!(p.blocks_in_use(), 2, "fork allocates nothing");
-        assert_eq!(p.refcount(base.blocks()[0]), 2);
-
-        // Divergent append on the fork: the shared partial block is CoW'd.
-        for layer in 0..2 {
-            fork.append_rows(&mut p, layer, &rows(1, 100.0), &rows(1, 200.0));
-        }
-        assert_eq!(p.stats().cow_copies, 1);
-        assert_ne!(base.blocks()[1], fork.blocks()[1]);
-        assert_eq!(
-            base.blocks()[0],
-            fork.blocks()[0],
-            "full block still shared"
-        );
-        // The base's row 5 is untouched by the fork's append.
-        let kv = PagedKv {
-            pool: &mut p,
-            cache: &mut base,
-        };
-        assert_eq!(kv.kv_key(0, 5), rows(6, 1.0).row(5));
-        let kv = PagedKv {
-            pool: &mut p,
-            cache: &mut fork,
-        };
-        assert_eq!(kv.kv_key(0, 6), rows(1, 100.0).row(0));
-        base.release(&mut p);
-        fork.release(&mut p);
-        assert_eq!(p.blocks_in_use(), 0);
-    }
-
-    #[test]
-    fn prefix_index_matches_and_reports_first_novel_position() {
-        let mut p = pool();
-        let mut c = PagedKvCache::new(2);
-        let tokens: Vec<TokenId> = (0..10).collect();
-        for layer in 0..2 {
-            c.append_rows(&mut p, layer, &rows(10, 1.0), &rows(10, 2.0));
-        }
-        let mut index = PrefixIndex::new(4);
-        index.insert(&mut p, &tokens, c.full_blocks(4));
-        assert_eq!(index.resident_blocks(), 2);
-
-        // Same first block, divergent second block.
-        let probe: Vec<TokenId> = vec![0, 1, 2, 3, 99, 98, 97, 96, 5];
-        let (blocks, novel) = index.lookup(&mut p, &probe);
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(novel, 4);
-        assert_eq!(blocks[0], c.blocks()[0]);
-        for b in blocks {
-            p.release(b);
-        }
-        // Full match of the indexed prefix.
-        let (blocks, novel) = index.lookup(&mut p, &tokens);
-        assert_eq!(novel, 8);
-        assert_eq!(blocks.len(), 2);
-        for b in blocks {
-            p.release(b);
-        }
-        // No match at all.
-        let (blocks, novel) = index.lookup(&mut p, &[42, 42, 42, 42]);
-        assert!(blocks.is_empty());
-        assert_eq!(novel, 0);
-        assert!(index.hit_rate() > 0.0);
-
-        c.release(&mut p);
-        assert_eq!(p.blocks_in_use(), 2, "index keeps its blocks resident");
-        index.release_all(&mut p);
-        assert_eq!(p.blocks_in_use(), 0);
-        assert!(p.check_conservation().is_ok());
-    }
-
-    #[test]
-    fn indexed_blocks_are_never_mutated_in_place() {
-        let mut p = pool();
-        let mut c = PagedKvCache::new(2);
-        for layer in 0..2 {
-            c.append_rows(&mut p, layer, &rows(6, 1.0), &rows(6, 2.0));
-        }
-        let tokens: Vec<TokenId> = (0..6).collect();
-        let mut index = PrefixIndex::new(4);
-        index.insert(&mut p, &tokens, c.full_blocks(4));
-        // Roll the owner back into the indexed block, then append divergent
-        // rows: the resident block must be CoW'd, not overwritten.
-        c.truncate(&mut p, 2);
-        let shared = index.lookup(&mut p, &tokens).0;
-        for layer in 0..2 {
-            c.append_rows(&mut p, layer, &rows(1, 77.0), &rows(1, 88.0));
-        }
-        assert!(p.stats().cow_copies >= 1);
-        assert_eq!(p.key_row(shared[0], 0, 2), rows(6, 1.0).row(2));
-        for b in shared {
-            p.release(b);
-        }
-        c.release(&mut p);
-        index.release_all(&mut p);
-        assert_eq!(p.blocks_in_use(), 0);
-    }
 
     #[test]
     fn ledger_charges_shared_blocks_once_and_detects_leaks() {
@@ -1218,83 +400,6 @@ mod tests {
         assert_eq!(l.in_use_blocks(), 0);
         assert!(!l.is_resident(7));
         assert_eq!(l.peak_in_use_blocks(), 13, "peak survives the crash");
-    }
-
-    #[test]
-    #[should_panic(expected = "pool exhausted")]
-    fn exhausted_pool_panics_with_context() {
-        let mut p = PagedKvPool::new(1, 4, 4, 1);
-        let mut c = PagedKvCache::new(1);
-        c.append_rows(&mut p, 0, &rows(5, 0.0), &rows(5, 0.0));
-    }
-
-    #[test]
-    fn position_capacity_rounds_up() {
-        let p = PagedKvPool::with_position_capacity(1, 4, 16, 100);
-        assert_eq!(p.capacity_blocks(), 7);
-        assert_eq!(p.capacity_positions(), 112);
-    }
-
-    #[test]
-    fn cross_pool_migration_is_bit_identical_and_conserves_refcounts() {
-        let mut src = pool();
-        let mut dst = pool();
-        let mut c = PagedKvCache::new(2);
-        for layer in 0..2 {
-            c.append_rows(&mut src, layer, &rows(6, 3.0 * layer as f32), &rows(6, 9.0));
-        }
-        // A forked sibling keeps a shared reference in the source pool, so the
-        // migration must drop exactly one reference per block, not free them.
-        let mut sibling = c.fork(&mut src);
-        let before: Vec<Vec<f32>> = (0..6)
-            .map(|i| {
-                PagedKv {
-                    pool: &mut src,
-                    cache: &mut c,
-                }
-                .kv_key(1, i)
-                .to_vec()
-            })
-            .collect();
-
-        c.migrate(&mut src, &mut dst).expect("dst has room");
-        assert_eq!(c.seq_len(), 6, "lens survive migration");
-        assert_eq!(dst.blocks_in_use(), 2);
-        assert_eq!(
-            src.blocks_in_use(),
-            2,
-            "sibling still holds the source blocks"
-        );
-        for (i, want) in before.iter().enumerate() {
-            let kv = PagedKv {
-                pool: &mut dst,
-                cache: &mut c,
-            };
-            assert_eq!(kv.kv_key(1, i), &want[..], "row {i} migrated bit-for-bit");
-        }
-        assert!(src.check_conservation().is_ok());
-        assert!(dst.check_conservation().is_ok());
-        c.release(&mut dst);
-        sibling.release(&mut src);
-        assert_eq!(src.blocks_in_use(), 0);
-        assert_eq!(dst.blocks_in_use(), 0);
-    }
-
-    #[test]
-    fn migration_into_a_full_pool_rolls_back() {
-        let mut src = pool();
-        let mut dst = PagedKvPool::new(2, 4, 4, 1);
-        let mut c = PagedKvCache::new(2);
-        for layer in 0..2 {
-            c.append_rows(&mut src, layer, &rows(6, 1.0), &rows(6, 2.0));
-        }
-        assert!(c.migrate(&mut src, &mut dst).is_err());
-        assert_eq!(dst.blocks_in_use(), 0, "partial allocation rolled back");
-        assert_eq!(c.num_blocks(), 2, "cache stays resident in the source");
-        assert_eq!(src.blocks_in_use(), 2);
-        c.release(&mut src);
-        assert!(src.check_conservation().is_ok());
-        assert!(dst.check_conservation().is_ok());
     }
 
     #[test]

@@ -225,37 +225,6 @@ impl TinyLm {
         cache
     }
 
-    /// Creates an empty KV cache whose up-front reservation is capped at
-    /// `budget_positions` instead of the full context window. Use this when the
-    /// contiguous backend runs under a paged pool budget
-    /// ([`crate::paged_kv::PagedKvPool::capacity_positions`]): reserving the
-    /// whole `max_seq_len` would silently over-reserve past the pool size.
-    pub fn new_cache_budgeted(&self, budget_positions: usize) -> KvCache {
-        let mut cache = KvCache::new(self.config.num_layers, self.config.hidden);
-        cache.reserve(self.config.max_seq_len.min(budget_positions));
-        cache
-    }
-
-    /// Creates a paged KV pool sized for `capacity_positions` positions of this
-    /// model's geometry (shared across every sequence decoding from it).
-    pub fn new_paged_pool(
-        &self,
-        block_size: usize,
-        capacity_positions: usize,
-    ) -> crate::paged_kv::PagedKvPool {
-        crate::paged_kv::PagedKvPool::with_position_capacity(
-            self.config.num_layers,
-            self.config.hidden,
-            block_size,
-            capacity_positions,
-        )
-    }
-
-    /// Creates an empty paged per-sequence cache for this model.
-    pub fn new_paged_cache(&self) -> crate::paged_kv::PagedKvCache {
-        crate::paged_kv::PagedKvCache::new(self.config.num_layers)
-    }
-
     /// Embeds tokens starting at absolute position `start_pos`.
     ///
     /// # Panics
@@ -296,8 +265,7 @@ impl TinyLm {
     /// The cache determines the starting position: `cache.kv_seq_len()` positions
     /// are assumed to have been processed already. When `collect_hidden` is true
     /// the per-layer outputs are returned (needed to build drafter training
-    /// features). Generic over the KV backend; the contiguous and paged stores
-    /// produce bit-identical output.
+    /// features).
     pub fn forward<K: KvStore>(
         &self,
         tokens: &[TokenId],
@@ -542,6 +510,8 @@ mod tests {
         let (full, _) = model.prefill(&tokens, false);
 
         let mut cache = model.new_cache();
+        // Reserved for the whole context window, so decode never reallocates.
+        assert!(cache.layer(0).capacity_positions() >= model.config.max_seq_len);
         let mut last_logits = Vec::new();
         for &t in &tokens {
             let out = model.forward(&[t], &mut cache, false);
@@ -554,6 +524,17 @@ mod tests {
                     "position {i} vocab {c} mismatch"
                 );
             }
+        }
+
+        // Chunked prefill reproduces the one-shot rows bit for bit, whatever
+        // the chunk size.
+        for chunk in 1..=4 {
+            let mut cache = model.new_cache();
+            let mut rows = Vec::new();
+            for piece in tokens.chunks(chunk) {
+                rows.extend_from_slice(model.forward(piece, &mut cache, false).logits.as_slice());
+            }
+            assert_eq!(rows, full.logits.as_slice(), "chunk {chunk}");
         }
     }
 
@@ -582,58 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn paged_forward_is_bit_identical_to_contiguous() {
-        use crate::paged_kv::PagedKv;
-        let model = small_model();
-        let tokens: Vec<TokenId> = vec![3, 9, 1, 7, 2, 8, 4];
-
-        let mut contiguous = model.new_cache();
-        let full = model.forward(&tokens, &mut contiguous, false);
-
-        // Block size 4 forces the 7-token prompt to straddle a block boundary.
-        let mut pool = model.new_paged_pool(4, 64);
-        let mut cache = model.new_paged_cache();
-        let mut kv = PagedKv {
-            pool: &mut pool,
-            cache: &mut cache,
-        };
-        let paged = model.forward(&tokens, &mut kv, false);
-        assert_eq!(paged.logits.as_slice(), full.logits.as_slice());
-        assert_eq!(paged.last_hidden.as_slice(), full.last_hidden.as_slice());
-
-        // Incremental decode steps agree bit for bit too, through a rollback.
-        let a = model.forward(&[5], &mut contiguous, false);
-        let b = model.forward(&[5], &mut kv, false);
-        assert_eq!(a.logits.as_slice(), b.logits.as_slice());
-        contiguous.truncate(tokens.len());
-        kv.kv_truncate(tokens.len());
-        let a = model.forward(&[6, 2], &mut contiguous, false);
-        let b = model.forward(&[6, 2], &mut kv, false);
-        assert_eq!(a.logits.as_slice(), b.logits.as_slice());
-
-        cache.release(&mut pool);
-        assert_eq!(pool.blocks_in_use(), 0);
-        assert!(pool.check_conservation().is_ok());
-    }
-
-    #[test]
-    fn budgeted_cache_reserves_at_most_the_pool_capacity() {
-        let model = small_model();
-        let pool = model.new_paged_pool(8, 40);
-        let cache = model.new_cache_budgeted(pool.capacity_positions());
-        for layer in 0..model.config.num_layers {
-            let got = cache.layer(layer).capacity_positions();
-            assert!(
-                got >= pool.capacity_positions() && got < model.config.max_seq_len,
-                "layer {layer} reserved {got} positions"
-            );
-        }
-        // The unbudgeted constructor still reserves the full context window.
-        let full = model.new_cache();
-        assert!(full.layer(0).capacity_positions() >= model.config.max_seq_len);
-    }
-
-    #[test]
     fn cache_rollback_reproduces_logits() {
         // After truncating the KV cache, re-running a token must give identical
         // logits — this is what speculative rejection relies on.
@@ -650,6 +579,17 @@ mod tests {
         for c in 0..model.config.vocab_size {
             assert!((baseline.logits.get(0, c) - rerun.logits.get(0, c)).abs() < 1e-4);
         }
+
+        // A rolled-back multi-token suffix, redone in one pass, reproduces the
+        // one-shot rows bit for bit.
+        let (one_shot, mut cache) = model.prefill(&[1, 2, 3, 7, 5], false);
+        cache.truncate(2);
+        let redo = model.forward(&[3, 7, 5], &mut cache, false);
+        let vocab = model.config.vocab_size;
+        assert_eq!(
+            redo.logits.as_slice(),
+            &one_shot.logits.as_slice()[2 * vocab..]
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `T x T` probability matrices), rebuilt on the crate's public ops. It lives
 //! only here: production code has one attention implementation and no switch.
 //! Outputs, kept probabilities and every gradient must agree `to_bits` for
-//! every geometry, context length, block shape and KV backend.
+//! every geometry, context length and block shape.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,9 +18,7 @@ use tlt_model::ops::{
     swiglu_forward, RmsNormCache, SwiGluCache,
 };
 use tlt_model::tensor::dot;
-use tlt_model::{
-    DecoderLayer, KvStore, LayerKvCache, LayerScratch, Mat, PagedKv, PagedKvCache, PagedKvPool,
-};
+use tlt_model::{DecoderLayer, KvStore, LayerKvCache, LayerScratch, Mat};
 
 /// The previous `forward_cached_into`, allocating its temporaries.
 fn oracle_forward_cached<K: KvStore>(
@@ -330,15 +328,13 @@ fn run_block<K: KvStore>(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Decode (`n_new` 1), verification blocks (5) and prefill (`T`, no past)
-    /// on the contiguous and the paged store.
+    /// Decode (`n_new` 1), verification blocks (5) and prefill (`T`, no past).
     #[test]
     fn cached_forward_is_bit_identical_to_the_oracle(
         hidden in 0usize..5,
         head_dim in 0usize..3,
         past in 0usize..=480,
         shape in 0usize..3,
-        block_size in 1usize..=32,
         seed in 0u64..1_000,
     ) {
         let layer = random_layer(hidden, head_dim, seed);
@@ -356,14 +352,6 @@ proptest! {
             run_block(&layer, &mut kv, (&keys, &values), &block, oracle)
         };
         assert_bits("contiguous", contiguous(false).as_slice(), contiguous(true).as_slice());
-        let paged = |oracle| {
-            let mut pool = PagedKvPool::with_position_capacity(1, width, block_size, past + n_new);
-            let mut cache = PagedKvCache::new(1);
-            let mut kv = PagedKv { pool: &mut pool, cache: &mut cache };
-            run_block(&layer, &mut kv, (&keys, &values), &block, oracle)
-        };
-        assert_bits("paged", paged(false).as_slice(), paged(true).as_slice());
-        assert_bits("backends", paged(false).as_slice(), contiguous(false).as_slice());
     }
 
     /// Training forward, kept probabilities and the full backward pass.

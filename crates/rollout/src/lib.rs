@@ -37,6 +37,6 @@ pub use sim_engine::{
     single_request_throughput, RolloutProfile, SimRolloutConfig, TimelinePoint,
 };
 pub use spec::{
-    batch_seed, generate_batch, generate_group, measure_acceptance, speculative_generate,
-    speculative_generate_with_swap, vanilla_generate, GenerationResult, SdStrategy, SpecDrafter,
+    measure_acceptance, speculative_generate, speculative_generate_with_swap, vanilla_generate,
+    GenerationResult, SdStrategy, SpecDrafter,
 };

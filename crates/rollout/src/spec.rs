@@ -13,13 +13,12 @@
 //! sufficient to measure acceptance behaviour and to property-test losslessness.
 
 use crate::ngram::NgramDrafter;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlt_draft::{DraftModel, DraftScratch, DraftState, FeatureSource};
 use tlt_model::{
-    parallel_map, probs_from_logits_into, sample_from_probs, sample_from_residual, DecodeWorkspace,
-    KvStore, Mat, PagedKv, PagedKvCache, PagedKvPool, PrefixIndex, SamplingParams, TinyLm, TokenId,
+    probs_from_logits_into, sample_from_probs, sample_from_residual, DecodeWorkspace, KvStore, Mat,
+    SamplingParams, TinyLm, TokenId,
 };
 
 /// A speculative-decoding configuration tuple — the "arm" of the BEG-MAB tuner.
@@ -153,9 +152,7 @@ pub fn vanilla_generate<R: Rng>(
 
 /// The decode loop of [`vanilla_generate`], continuing from a cache that
 /// already holds the prompt KV. `prompt_logits` is the logits row of the
-/// prompt's final position (where the first sample comes from). Generic over
-/// the KV backend, which is how a paged rollout group continues from a forked
-/// shared prompt.
+/// prompt's final position (where the first sample comes from).
 #[allow(clippy::too_many_arguments)]
 fn vanilla_continue<K: KvStore, R: Rng>(
     target: &TinyLm,
@@ -305,8 +302,7 @@ pub fn speculative_generate_with_swap<R: Rng>(
 /// The speculative rounds of [`speculative_generate_with_swap`], continuing
 /// from a cache that already holds the prompt KV, the target's last-layer
 /// `features` for every cached position, and the logits row of the prompt's
-/// final position. Generic over the KV backend, which is how a paged rollout
-/// group runs speculative continuations off one forked shared prompt.
+/// final position.
 #[allow(clippy::too_many_arguments)]
 fn speculative_continue<K: KvStore, R: Rng>(
     target: &TinyLm,
@@ -519,175 +515,6 @@ fn speculative_continue<K: KvStore, R: Rng>(
         position_accepted,
         trunk,
     }
-}
-
-/// Derives the per-sequence RNG seed for [`generate_batch`]: a fixed odd-constant
-/// hash of the sequence index mixed into the base seed.
-pub fn batch_seed(base_seed: u64, index: usize) -> u64 {
-    base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Generates one response per prompt on the shared worker pool
-/// ([`tlt_model::parallel_map`]), each sequence with its own KV cache, decode
-/// workspace, and RNG seeded by [`batch_seed`].
-///
-/// Results are merged back in prompt order, so the output is identical to calling
-/// [`vanilla_generate`] / [`speculative_generate`] sequentially with the same
-/// per-index seeds — worker count only changes wall-clock time.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_batch(
-    target: &TinyLm,
-    drafter: Option<&SpecDrafter<'_>>,
-    prompts: &[Vec<TokenId>],
-    max_new: usize,
-    strategy: SdStrategy,
-    params: SamplingParams,
-    eos: Option<TokenId>,
-    base_seed: u64,
-) -> Vec<GenerationResult> {
-    let items: Vec<&[TokenId]> = prompts.iter().map(Vec::as_slice).collect();
-    parallel_map(items, |i, prompt| {
-        let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-        match drafter {
-            Some(d) => {
-                speculative_generate(target, d, prompt, max_new, strategy, params, eos, &mut rng)
-            }
-            None => vanilla_generate(target, prompt, max_new, params, eos, &mut rng),
-        }
-    })
-}
-
-/// Generates a GRPO-style rollout group on a paged KV pool: the prompt is
-/// prefilled **once**, its KV blocks are forked (refcount bumps, no copies)
-/// across all `group_size` continuations, and each continuation decodes
-/// against its fork — the first divergent append copies on write. With a
-/// [`PrefixIndex`], vanilla groups additionally match the prompt against
-/// blocks left resident by earlier groups and start prefill at the divergence
-/// point (speculative groups always prefill the whole prompt because the
-/// drafter consumes the target's features for every prompt position).
-///
-/// Continuation `i` draws from an RNG seeded with [`batch_seed`]`(base_seed, i)`,
-/// so the results are **bit-identical** to calling [`vanilla_generate`] /
-/// [`speculative_generate`] per continuation with those seeds — sharing only
-/// removes recomputation. On return every block the group held has been
-/// released; only blocks the index keeps resident survive.
-///
-/// # Panics
-///
-/// Panics if the prompt is empty, the group is empty, or the pool runs out of
-/// blocks (size it for roughly
-/// `prompt + group_size * (max_new + draft_depth + block_size)` positions).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_group(
-    target: &TinyLm,
-    drafter: Option<&SpecDrafter<'_>>,
-    prompt: &[TokenId],
-    group_size: usize,
-    max_new: usize,
-    strategy: SdStrategy,
-    params: SamplingParams,
-    eos: Option<TokenId>,
-    base_seed: u64,
-    pool: &mut PagedKvPool,
-    mut index: Option<&mut PrefixIndex>,
-) -> Vec<GenerationResult> {
-    assert!(!prompt.is_empty(), "prompt must be non-empty");
-    assert!(group_size > 0, "group must hold at least one continuation");
-    let mut ws = DecodeWorkspace::new(&target.config);
-    let mut base = target.new_paged_cache();
-
-    // Prefix reuse: adopt resident blocks covering a full-block prefix of the
-    // prompt, keeping at least the final prompt token novel so the prefill
-    // pass still produces the logits the first sample comes from.
-    let mut novel_start = 0usize;
-    if drafter.is_none() {
-        if let Some(index) = index.as_deref_mut() {
-            // Cap reuse at prompt_len - 1 so the final prompt token stays
-            // novel and the prefill pass still produces the first logits.
-            let (blocks, first_novel) =
-                index.lookup_capped(pool, prompt, prompt.len().saturating_sub(1));
-            novel_start = first_novel;
-            if !blocks.is_empty() {
-                base = PagedKvCache::from_shared(
-                    blocks,
-                    novel_start,
-                    target.config.num_layers,
-                    pool.block_size(),
-                );
-            }
-        }
-    }
-    {
-        let mut kv = PagedKv {
-            pool: &mut *pool,
-            cache: &mut base,
-        };
-        target.forward_into(&prompt[novel_start..], &mut kv, &mut ws);
-    }
-    let base_features = ws.last_hidden().clone();
-    let prompt_logits = ws.logits().row(ws.logits().rows() - 1).to_vec();
-
-    // Leave the prompt's full blocks resident for future groups.
-    if let Some(index) = index {
-        index.insert(pool, prompt, base.full_blocks(pool.block_size()));
-    }
-
-    let depth = strategy.draft_depth.max(1);
-    let mut results = Vec::with_capacity(group_size);
-    for i in 0..group_size {
-        let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-        let mut continuation = base.fork(pool);
-        let result = match drafter {
-            None => {
-                let mut kv = PagedKv {
-                    pool: &mut *pool,
-                    cache: &mut continuation,
-                };
-                vanilla_continue(
-                    target,
-                    &mut kv,
-                    &mut ws,
-                    &prompt_logits,
-                    max_new,
-                    params,
-                    eos,
-                    &mut rng,
-                )
-            }
-            Some(d) => {
-                debug_assert_eq!(novel_start, 0, "speculative groups prefill fully");
-                let mut features = Mat::zeros(0, target.config.hidden);
-                features.reserve_rows(
-                    (prompt.len() + max_new + depth + 1).min(target.config.max_seq_len),
-                    target.config.hidden,
-                );
-                features.extend_rows_range(&base_features, 0, base_features.rows());
-                let schedule = [(usize::MAX, d)];
-                let mut kv = PagedKv {
-                    pool: &mut *pool,
-                    cache: &mut continuation,
-                };
-                speculative_continue(
-                    target,
-                    &schedule,
-                    prompt,
-                    max_new,
-                    strategy,
-                    params,
-                    eos,
-                    &mut rng,
-                    &mut kv,
-                    &mut ws,
-                    features,
-                    &prompt_logits,
-                )
-            }
-        };
-        continuation.release(pool);
-        results.push(result);
-    }
-    base.release(pool);
-    results
 }
 
 /// Measures per-position acceptance rates of a drafter against a target over a set of
@@ -937,201 +764,6 @@ mod tests {
             .sum::<f64>()
             / 2.0;
         assert!(tv < 0.15, "total-variation distance too large: {tv}");
-    }
-
-    #[test]
-    fn generate_batch_matches_sequential_generation() {
-        let (target, drafter) = setup();
-        let params = SamplingParams {
-            temperature: 0.8,
-            top_k: None,
-        };
-        let prompts: Vec<Vec<TokenId>> = (0..6u32).map(|i| vec![i + 1, 3, i % 5 + 2]).collect();
-        let base_seed = 77;
-
-        // Speculative batch: parallel merge must reproduce the sequential loop.
-        let spec_batch = generate_batch(
-            &target,
-            Some(&SpecDrafter::Learned(&drafter)),
-            &prompts,
-            16,
-            SdStrategy::default(),
-            params,
-            None,
-            base_seed,
-        );
-        for (i, prompt) in prompts.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-            let sequential = speculative_generate(
-                &target,
-                &SpecDrafter::Learned(&drafter),
-                prompt,
-                16,
-                SdStrategy::default(),
-                params,
-                None,
-                &mut rng,
-            );
-            assert_eq!(spec_batch[i], sequential, "sequence {i}");
-        }
-
-        // Vanilla batch uses the same per-index seeding.
-        let vanilla_batch = generate_batch(
-            &target,
-            None,
-            &prompts,
-            16,
-            SdStrategy::default(),
-            params,
-            None,
-            base_seed,
-        );
-        for (i, prompt) in prompts.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-            let sequential = vanilla_generate(&target, prompt, 16, params, None, &mut rng);
-            assert_eq!(vanilla_batch[i], sequential, "sequence {i}");
-        }
-    }
-
-    #[test]
-    fn generate_group_matches_per_sequence_generation_bit_for_bit() {
-        let (target, drafter) = setup();
-        let params = SamplingParams {
-            temperature: 0.8,
-            top_k: None,
-        };
-        let prompt: Vec<TokenId> = vec![3, 1, 4, 1, 5];
-        let base_seed = 41;
-        let group = 5usize;
-
-        // Vanilla group: one shared prefill, five forked continuations.
-        let mut pool = target.new_paged_pool(4, 2048);
-        let results = generate_group(
-            &target,
-            None,
-            &prompt,
-            group,
-            20,
-            SdStrategy::default(),
-            params,
-            None,
-            base_seed,
-            &mut pool,
-            None,
-        );
-        for (i, result) in results.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-            let solo = vanilla_generate(&target, &prompt, 20, params, None, &mut rng);
-            assert_eq!(result, &solo, "vanilla continuation {i}");
-        }
-        assert_eq!(pool.blocks_in_use(), 0, "group released every block");
-        assert!(pool.check_conservation().is_ok());
-
-        // Speculative group: forked prompt KV through full speculative rounds
-        // (drafter KV resumes across rounds via resume_draft).
-        let results = generate_group(
-            &target,
-            Some(&SpecDrafter::Learned(&drafter)),
-            &prompt,
-            group,
-            20,
-            SdStrategy::default(),
-            params,
-            None,
-            base_seed,
-            &mut pool,
-            None,
-        );
-        for (i, result) in results.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-            let solo = speculative_generate(
-                &target,
-                &SpecDrafter::Learned(&drafter),
-                &prompt,
-                20,
-                SdStrategy::default(),
-                params,
-                None,
-                &mut rng,
-            );
-            assert_eq!(result, &solo, "speculative continuation {i}");
-        }
-        assert_eq!(pool.blocks_in_use(), 0);
-    }
-
-    #[test]
-    fn prefix_index_lets_a_second_group_prefill_only_the_divergent_suffix() {
-        let (target, _) = setup();
-        let params = SamplingParams::greedy();
-        let base_seed = 17;
-        let mut pool = target.new_paged_pool(4, 2048);
-        let mut index = tlt_model::PrefixIndex::new(4);
-
-        // Two prompts sharing an 8-token (two-block) system prefix.
-        let system: Vec<TokenId> = vec![2, 7, 1, 8, 2, 8, 1, 8];
-        let mut prompt_a = system.clone();
-        prompt_a.extend_from_slice(&[3, 5]);
-        let mut prompt_b = system.clone();
-        prompt_b.extend_from_slice(&[9, 4, 6]);
-
-        let first = generate_group(
-            &target,
-            None,
-            &prompt_a,
-            2,
-            12,
-            SdStrategy::default(),
-            params,
-            None,
-            base_seed,
-            &mut pool,
-            Some(&mut index),
-        );
-        assert_eq!(index.resident_blocks(), 2, "system prefix left resident");
-        let second = generate_group(
-            &target,
-            None,
-            &prompt_b,
-            2,
-            12,
-            SdStrategy::default(),
-            params,
-            None,
-            base_seed,
-            &mut pool,
-            Some(&mut index),
-        );
-        // The second group matched the two resident system blocks: its prefill
-        // started at position 8, and the outputs are still bit-identical to
-        // per-sequence generation with a cold cache.
-        assert!(index.hit_rate() > 0.0, "second lookup must hit");
-        for (i, result) in second.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-            let solo = vanilla_generate(&target, &prompt_b, 12, params, None, &mut rng);
-            assert_eq!(result, &solo, "reused-prefix continuation {i}");
-        }
-        // Rerunning prompt A hits its own full-block prefix too.
-        let replay = generate_group(
-            &target,
-            None,
-            &prompt_a,
-            2,
-            12,
-            SdStrategy::default(),
-            params,
-            None,
-            base_seed,
-            &mut pool,
-            Some(&mut index),
-        );
-        assert_eq!(replay, first, "prefix reuse is invisible in the output");
-
-        // Only the resident index blocks survive; releasing the index drains
-        // the pool completely.
-        assert_eq!(pool.blocks_in_use(), index.resident_blocks());
-        index.release_all(&mut pool);
-        assert_eq!(pool.blocks_in_use(), 0);
-        assert!(pool.check_conservation().is_ok());
     }
 
     #[test]

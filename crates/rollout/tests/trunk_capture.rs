@@ -6,10 +6,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tlt_draft::{DraftModel, FeatureSource};
-use tlt_model::{ModelConfig, PrefixIndex, SamplingParams, TinyLm, TokenId};
+use tlt_model::{ModelConfig, SamplingParams, TinyLm, TokenId};
 use tlt_rollout::{
-    batch_seed, generate_group, speculative_generate, speculative_generate_with_swap,
-    vanilla_generate, GenerationResult, NgramConfig, NgramDrafter, SdStrategy, SpecDrafter,
+    speculative_generate, speculative_generate_with_swap, vanilla_generate, GenerationResult,
+    NgramConfig, NgramDrafter, SdStrategy, SpecDrafter,
 };
 
 const SAMPLED: SamplingParams = SamplingParams {
@@ -207,59 +207,4 @@ fn swapped_drafter_trunk_is_the_recomputed_trunk() {
         assert!(result.accept_lengths.len() > 2, "the swap never happened");
         assert_trunk_is_recomputed_trunk(&target, &p, &result);
     }
-}
-
-#[test]
-fn paged_group_trunk_is_the_recomputed_trunk_with_reused_prompt_blocks() {
-    let (target, drafter) = setup();
-    let mut pool = target.new_paged_pool(4, 4096);
-    let mut index = PrefixIndex::new(4);
-    let system: Vec<TokenId> = vec![2, 7, 1, 8, 2, 8, 1, 8];
-    let base_seed = 17;
-    for (suffix, drafter) in [
-        (&[3u32, 5][..], None),
-        (&[9, 4, 6][..], None),
-        (&[9, 4, 6][..], Some(&SpecDrafter::Learned(&drafter))),
-    ] {
-        let mut p = system.clone();
-        p.extend_from_slice(suffix);
-        let results = generate_group(
-            &target,
-            drafter,
-            &p,
-            3,
-            24,
-            SdStrategy::default(),
-            SAMPLED,
-            Some(3),
-            base_seed,
-            &mut pool,
-            Some(&mut index),
-        );
-        for (i, result) in results.iter().enumerate() {
-            assert_trunk_is_recomputed_trunk(&target, &p, result);
-            // And it is what per-sequence generation captures, field for field.
-            let mut rng = StdRng::seed_from_u64(batch_seed(base_seed, i));
-            let solo = match drafter {
-                None => vanilla_generate(&target, &p, 24, SAMPLED, Some(3), &mut rng),
-                Some(d) => speculative_generate(
-                    &target,
-                    d,
-                    &p,
-                    24,
-                    SdStrategy::default(),
-                    SAMPLED,
-                    Some(3),
-                    &mut rng,
-                ),
-            };
-            assert_eq!(result, &solo, "continuation {i}");
-        }
-    }
-    assert!(
-        index.hit_rate() > 0.0,
-        "the second group reused no prompt block"
-    );
-    index.release_all(&mut pool);
-    assert_eq!(pool.blocks_in_use(), 0);
 }

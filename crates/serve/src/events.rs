@@ -470,13 +470,20 @@ mod tests {
         q.push(1.0, 3, 9);
         q.push(1.0, 1, 2);
         q.push(1.0, 1, 1);
+        q.push(1.0, 0, 7); // the lower class wins over the lower index
         q.push(f64::MAX, 0, 0); // idle sentinel: dropped
         let order: Vec<(f64, u8, usize)> = std::iter::from_fn(|| q.pop())
             .map(|k| (k.time_s(), k.class(), k.index()))
             .collect();
         assert_eq!(
             order,
-            vec![(1.0, 1, 1), (1.0, 1, 2), (1.0, 3, 9), (2.0, 0, 0)]
+            vec![
+                (1.0, 0, 7),
+                (1.0, 1, 1),
+                (1.0, 1, 2),
+                (1.0, 3, 9),
+                (2.0, 0, 0)
+            ]
         );
     }
 

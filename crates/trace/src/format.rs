@@ -385,7 +385,9 @@ impl Trace {
                     }
                     let (prefix_id, prev_len) = recent[recent.len() - distance];
                     let delta = unzigzag(get_varint(bytes, &mut pos)?);
-                    let prefix_len = prev_len as i64 + delta;
+                    let prefix_len = (prev_len as i64)
+                        .checked_add(delta)
+                        .ok_or(TraceError::Malformed("prefix length overflows"))?;
                     if prefix_len < 0 {
                         return Err(TraceError::Malformed("negative prefix length"));
                     }
@@ -593,7 +595,7 @@ impl<'a> BitReader<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tlt_workload::{generate_arrivals, ArrivalConfig};
 
@@ -731,6 +733,35 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 2] ^= 0x55;
         assert!(Trace::from_bytes(&flipped).is_err());
+    }
+
+    /// Two requests: a new prefix group of length 1, then a back-reference
+    /// to it whose length delta is `delta`, under a valid checksum.
+    pub(crate) fn back_reference_bytes(delta: i64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[VERSION, 0, 0]);
+        for v in [1, 2] {
+            put_varint(&mut bytes, v); // tick_ns, request count
+        }
+        for v in [0, 1, 1, 1, 1, 1] {
+            put_varint(&mut bytes, v); // ticks, lens, new group 1 of length 1
+        }
+        for v in [0, 1, 1, 2, zigzag(delta)] {
+            put_varint(&mut bytes, v); // ticks, lens, back-reference 1, delta
+        }
+        let checksum = fnv1a_64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn prefix_length_overflow_is_rejected() {
+        let decoded = Trace::from_bytes(&back_reference_bytes(2)).unwrap();
+        assert_eq!(decoded.arrivals()[1].prefix_len, 3);
+        assert_eq!(
+            Trace::from_bytes(&back_reference_bytes(i64::MAX)),
+            Err(TraceError::Malformed("prefix length overflows"))
+        );
     }
 
     #[test]

@@ -353,7 +353,9 @@ impl<R: Read> TraceReader<R> {
                 }
                 let (prefix_id, prev_len) = self.window.get(distance).expect("checked");
                 let delta = format::unzigzag(self.get_varint()?);
-                let prefix_len = prev_len as i64 + delta;
+                let prefix_len = (prev_len as i64)
+                    .checked_add(delta)
+                    .ok_or(TraceError::Malformed("prefix length overflows"))?;
                 if prefix_len < 0 {
                     return Err(TraceError::Malformed("negative prefix length"));
                 }
@@ -647,6 +649,14 @@ mod tests {
             read_all(&bad, 64),
             Err(TraceError::Malformed("trailing bytes after checksum"))
         );
+        // A prefix back-reference whose length delta overflows.
+        let bad = crate::format::tests::back_reference_bytes(i64::MAX);
+        assert_eq!(
+            read_all(&bad, 64),
+            Err(TraceError::Malformed("prefix length overflows"))
+        );
+        let good = crate::format::tests::back_reference_bytes(2);
+        assert_eq!(read_all(&good, 64).unwrap()[1].prefix_len, 3);
     }
 
     #[test]
