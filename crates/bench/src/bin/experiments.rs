@@ -1249,12 +1249,11 @@ fn table8(scale: Scale, report: &mut Report) {
 /// scenarios.
 fn chaos(json_path: Option<&str>, trace_out: Option<&str>, metrics: bool) -> usize {
     use tlt::chaos::{
-        chaos_summary_rows, disagg_summary_rows, run_chaos_matrix, run_disagg_chaos_matrix,
-        CHAOS_SUMMARY_HEADER, DISAGG_SUMMARY_HEADER,
+        chaos_summary_rows, disagg_summary_rows, run_pinned_matrix, CHAOS_SUMMARY_HEADER,
+        DISAGG_SUMMARY_HEADER,
     };
     println!("TLT chaos suite: pinned fault-injection scenario matrix");
-    let outcomes = run_chaos_matrix();
-    let disagg_outcomes = run_disagg_chaos_matrix();
+    let outcomes = run_pinned_matrix();
     let mut report = Report::new();
     let mut t = Table::new(
         "Chaos — pinned scenario matrix (invariants: conservation, KV block budget, \
@@ -1272,36 +1271,20 @@ fn chaos(json_path: Option<&str>, trace_out: Option<&str>, metrics: bool) -> usi
          determinism, drain)",
         &DISAGG_SUMMARY_HEADER,
     );
-    for row in disagg_summary_rows(&disagg_outcomes) {
+    for row in disagg_summary_rows(&outcomes) {
         dt.add_row(row);
     }
     report.add(dt);
-    // What both matrices' outcomes have in common, whatever their report type.
-    fn verdict<R>(
-        o: &tlt::chaos::ChaosOutcome<R>,
-    ) -> (
-        &str,
-        &tlt::chaos::InvariantReport,
-        &[tlt_obs::ObsEvent],
-        Option<&str>,
-    ) {
-        (&o.name, &o.invariants, &o.trace, o.postmortem.as_deref())
-    }
-    let verdicts: Vec<_> = outcomes
-        .iter()
-        .map(verdict)
-        .chain(disagg_outcomes.iter().map(verdict))
-        .collect();
     if metrics {
         let mut m = Table::new(
             "Chaos — flight recorder (--metrics)",
             &["scenario", "trace events", "postmortem"],
         );
-        for (name, _, trace, postmortem) in &verdicts {
+        for o in &outcomes {
             m.add_row(vec![
-                name.to_string(),
-                format!("{}", trace.len()),
-                if postmortem.is_some() {
+                o.name.clone(),
+                format!("{}", o.trace.len()),
+                if o.postmortem.is_some() {
                     "dumped".to_string()
                 } else {
                     "-".to_string()
@@ -1311,20 +1294,22 @@ fn chaos(json_path: Option<&str>, trace_out: Option<&str>, metrics: bool) -> usi
         report.add(m);
     }
     let mut failures = 0usize;
-    for (name, invariants, _, postmortem) in &verdicts {
-        if !invariants.passed() {
+    for o in &outcomes {
+        if !o.invariants.passed() {
             failures += 1;
-            for v in &invariants.violations {
-                eprintln!("FAIL {}: [{}] {}", name, v.invariant, v.detail);
+            for v in &o.invariants.violations {
+                eprintln!("FAIL {}: [{}] {}", o.name, v.invariant, v.detail);
             }
-            if let Some(postmortem) = postmortem {
+            if let Some(postmortem) = &o.postmortem {
                 eprint!("{postmortem}");
             }
         }
     }
     if let Some(path) = trace_out {
-        let sections: Vec<(&str, &[tlt_obs::ObsEvent])> =
-            verdicts.iter().map(|v| (v.0, v.2)).collect();
+        let sections: Vec<(&str, &[tlt_obs::ObsEvent])> = outcomes
+            .iter()
+            .map(|o| (o.name.as_str(), o.trace.as_slice()))
+            .collect();
         write_trace(path, &tlt_obs::chrome_trace_sections(&sections));
     }
     if let Some(path) = json_path {
@@ -1336,12 +1321,13 @@ fn chaos(json_path: Option<&str>, trace_out: Option<&str>, metrics: bool) -> usi
             }
         }
     }
-    let total = outcomes.len() + disagg_outcomes.len();
+    let total = outcomes.len();
+    let disagg = outcomes.iter().filter_map(|o| o.report.cluster()).count();
     println!(
         "\n{} scenarios ({} monolithic + {} disaggregated), {} passed, {} failed",
         total,
-        outcomes.len(),
-        disagg_outcomes.len(),
+        total - disagg,
+        disagg,
         total - failures,
         failures
     );

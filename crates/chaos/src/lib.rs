@@ -5,10 +5,13 @@
 //!
 //! A [`Scenario`] scripts faults — replica crashes and restarts, stragglers,
 //! training preemptions, corrupt/stale drafter checkpoints, arrival storms —
-//! over a seeded serving workload. The [`runner`] plays the schedule through
-//! [`tlt_serve::drive_schedule`] on either simulator — for the monolithic
-//! frontend together with the [`tlt_coord`] worker coordinator and the
-//! [`tlt_draft`] checkpoint pipeline — and the
+//! over a seeded serving workload on one [`Deployment`]: monolithic replicas
+//! behind a frontend, or (after [`ScenarioBuilder::pools`]) a disaggregated
+//! prefill/decode cluster. The [`runner`] plays the schedule through
+//! [`tlt_serve::drive_schedule`] on that deployment's simulator — on the
+//! monolithic frontend together with the [`tlt_coord`] worker coordinator and
+//! the [`tlt_draft`] checkpoint pipeline — and returns one [`ChaosOutcome`]
+//! type for both, its [`ChaosReport`] split by deployment. The
 //! [`invariants`] harness proves the system-level guarantees hold under every
 //! schedule: no request is ever lost or duplicated across a crash, KV budgets
 //! are never exceeded, the coordinator never double-promotes or deadlocks,
@@ -37,11 +40,5 @@ pub mod runner;
 pub mod scenario;
 
 pub use invariants::{InvariantReport, InvariantViolation, INVARIANTS};
-pub use runner::{
-    run_disagg_matrix, run_disagg_scenario, run_pinned_matrix, run_scenario, ChaosOutcome,
-    DrafterFaultStats,
-};
-pub use scenario::{
-    disagg_matrix, pinned_matrix, DisaggScenario, DisaggScenarioBuilder, FaultEvent, FaultKind,
-    Scenario, ScenarioBuilder,
-};
+pub use runner::{run_pinned_matrix, run_scenario, ChaosOutcome, ChaosReport, DrafterFaultStats};
+pub use scenario::{pinned_matrix, Deployment, FaultEvent, FaultKind, Scenario, ScenarioBuilder};

@@ -1,15 +1,15 @@
-//! The discrete-event chaos runner: drives a serving simulator (any
-//! [`Driver`]) through one scenario's fault schedule with
-//! [`tlt_serve::drive_schedule`], checking invariants as it goes. The
-//! monolithic suite adds the worker coordinator and the drafter checkpoint
-//! pipeline through that loop's two closures.
+//! The discrete-event chaos runner: drives the scenario's serving simulator
+//! (any [`Driver`]: [`ServeSim`] or [`ClusterSim`]) through its fault schedule
+//! with [`tlt_serve::drive_schedule`], checking invariants as it goes. A
+//! monolithic deployment adds the worker coordinator and the drafter
+//! checkpoint pipeline through that loop's two closures.
 //!
 //! Every scenario is executed **twice** and the two runs compared bit-for-bit —
 //! seed-determinism is itself one of the checked invariants, so a fault path
 //! that consults wall-clock time or unseeded randomness fails the matrix.
 
 use crate::invariants::{check_conservation, check_coordinator, InvariantReport};
-use crate::scenario::{DisaggScenario, FaultEvent, FaultKind, Scenario};
+use crate::scenario::{Deployment, FaultEvent, FaultKind, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -30,7 +30,7 @@ use tlt_rollout::{
 };
 use tlt_serve::{
     drive_schedule, AutoscaleConfig, ClusterReport, ClusterSim, DisaggConfig, Driver, ServeConfig,
-    ServeReport, ServeSim, TransferLinkConfig,
+    ServeReport, ServeSim,
 };
 use tlt_workload::RequestArrival;
 
@@ -47,11 +47,37 @@ pub struct DrafterFaultStats {
     pub rollbacks: u64,
 }
 
-/// Everything one scenario run produced, on either simulator: `R` is
-/// [`ServeReport`] for the monolithic matrix and [`ClusterReport`] (migrations,
-/// transfer-link and autoscaler counters included) for the disaggregated one.
+/// The report of a scenario's (first) run, by deployment.
 #[derive(Debug)]
-pub struct ChaosOutcome<R = ServeReport> {
+pub enum ChaosReport {
+    /// The monolithic frontend's report.
+    Mono(ServeReport),
+    /// The cluster's report: the serving report plus migration, transfer-link
+    /// and autoscaler counters.
+    Disagg(ClusterReport),
+}
+
+impl ChaosReport {
+    /// The serving report (on a cluster, the one inside its report).
+    pub fn serve(&self) -> &ServeReport {
+        match self {
+            ChaosReport::Mono(report) => report,
+            ChaosReport::Disagg(report) => &report.serve,
+        }
+    }
+
+    /// The cluster report, `None` on a monolithic deployment.
+    pub fn cluster(&self) -> Option<&ClusterReport> {
+        match self {
+            ChaosReport::Mono(_) => None,
+            ChaosReport::Disagg(report) => Some(report),
+        }
+    }
+}
+
+/// Everything one scenario run produced, on either deployment.
+#[derive(Debug)]
+pub struct ChaosOutcome {
     /// The scenario's name (unique within a matrix).
     pub name: String,
     /// Its fault schedule, as `schedule_label` renders it.
@@ -70,13 +96,13 @@ pub struct ChaosOutcome<R = ServeReport> {
     pub crashes: u64,
     /// Restart faults applied.
     pub restarts: u64,
-    /// Coordinator counters at the end of the run (all zero on the cluster
-    /// matrix, which scripts serving-path faults only).
+    /// Coordinator counters at the end of the run (all zero on a cluster,
+    /// which scripts serving-path faults only).
     pub coordinator: CoordinatorStats,
-    /// Drafter checkpoint-pipeline counters (zero on the cluster matrix).
+    /// Drafter checkpoint-pipeline counters (zero on a cluster).
     pub drafter: DrafterFaultStats,
     /// The report of the (first) run.
-    pub report: R,
+    pub report: ChaosReport,
     /// The invariant verdict.
     pub invariants: InvariantReport,
     /// Flight-recorder events retained by the (first) run, for trace export.
@@ -87,8 +113,8 @@ pub struct ChaosOutcome<R = ServeReport> {
 }
 
 /// Raw artifacts of a single execution, kept for cross-run comparison.
-struct RunArtifacts<R> {
-    report: R,
+struct RunArtifacts {
+    report: ChaosReport,
     requeued: u64,
     crashes: u64,
     restarts: u64,
@@ -104,24 +130,14 @@ struct RunArtifacts<R> {
     events: Vec<ObsEvent>,
 }
 
-fn serve_config(scenario: &Scenario) -> ServeConfig {
+/// What every chaos deployment starts from: one model and GPU, outputs capped
+/// at 256 tokens, and paged KV accounting, so every scenario exercises the
+/// block pool (and, on a cluster, migration as a block handoff).
+fn base_config(replicas: usize, seed: u64) -> ServeConfig {
     let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
-    // The whole matrix runs on paged (block-granular) KV accounting, so every
-    // scenario exercises the pool: admission in blocks, shared prefixes
-    // charged once, blocks freed on crash/drain.
-    let mut config = ServeConfig::new(cost, scenario.replicas)
-        .with_balancer(scenario.balancer)
-        .with_paged_kv(16);
-    if scenario.adaptive_sd {
-        config = config.with_sd_mode(SdMode::Adaptive {
-            config: SdManagerConfig::default(),
-        });
-    }
-    if scenario.preemption {
-        config = config.with_preemption();
-    }
+    let mut config = ServeConfig::new(cost, replicas).with_paged_kv(16);
     config.max_output_tokens = 256;
-    config.seed = scenario.seed;
+    config.seed = seed;
     config
 }
 
@@ -367,7 +383,8 @@ impl MonoSide {
 /// own so a postmortem always has the last-N events per track (any recorder
 /// the caller had installed, e.g. an `experiments` trace sweep, is stashed and
 /// restored). Crashes, restarts and stragglers are applied here; every other
-/// fault kind goes to `side_fault`, and `after` is the loop's hook.
+/// fault kind goes to `side_fault`, `after` is the loop's hook, and `report`
+/// wraps the simulator's report.
 fn run_once<D: Driver>(
     mut sim: D,
     arrivals: &[RequestArrival],
@@ -375,7 +392,8 @@ fn run_once<D: Driver>(
     probe_violation: bool,
     mut side_fault: impl FnMut(FaultKind),
     after: impl FnMut(&D, f64),
-) -> RunArtifacts<D::Report> {
+    report: fn(D::Report) -> ChaosReport,
+) -> RunArtifacts {
     let outer_recorder = install(FlightRecorder::new(DEFAULT_CAPACITY_PER_TRACK));
     let mut violations = InvariantReport::new();
     let actions: Vec<(f64, FaultKind)> = faults.iter().map(|f| (f.at_s, f.kind)).collect();
@@ -443,28 +461,34 @@ fn run_once<D: Driver>(
         live_drafter: None,
         violations,
         events,
-        report: sim.into_report(),
+        report: report(sim.into_report()),
     }
 }
 
 /// [`run_once`] on the monolithic frontend with the coordinator mirror and the
 /// drafter pipeline riding along.
-fn run_mono_once(scenario: &Scenario, arrivals: &[RequestArrival]) -> RunArtifacts<ServeReport> {
+fn run_mono_once(
+    scenario: &Scenario,
+    config: &ServeConfig,
+    arrivals: &[RequestArrival],
+    faults: &[FaultEvent],
+) -> RunArtifacts {
     let side = RefCell::new(MonoSide {
-        mirror: CoordinatorMirror::new(scenario.replicas),
+        mirror: CoordinatorMirror::new(config.num_replicas),
         drafter: DrafterPipeline::new(scenario.seed),
         violations: InvariantReport::new(),
     });
     let mut run = run_once(
-        ServeSim::new(&serve_config(scenario)),
+        ServeSim::new(config),
         arrivals,
-        &scenario.runtime_faults(),
+        faults,
         scenario.probe_violation,
         |kind| side.borrow_mut().apply(kind),
         |sim, t| {
             let side = &mut *side.borrow_mut();
             side.mirror.sync(sim, t, &mut side.violations);
         },
+        ChaosReport::Mono,
     );
     let mut side = side.into_inner();
     side.mirror.final_sweep(&mut side.violations);
@@ -531,11 +555,7 @@ fn check_losslessness(seed: u64, live: &DraftModel, report: &mut InvariantReport
     }
 }
 
-fn check_determinism<R: std::fmt::Debug>(
-    a: &RunArtifacts<R>,
-    b: &RunArtifacts<R>,
-    report: &mut InvariantReport,
-) {
+fn check_determinism(a: &RunArtifacts, b: &RunArtifacts, report: &mut InvariantReport) {
     // `Debug` prints every float exactly, so this compares the whole report:
     // completion records, aggregates and, on a cluster, the migration and
     // autoscaler accounting.
@@ -575,14 +595,15 @@ fn check_determinism<R: std::fmt::Debug>(
 
 /// Executes `run_once` twice (seed-determinism is itself an invariant) and
 /// checks the first run against every end-of-run invariant.
-fn conclude<D: Driver>(
-    (name, seed, schedule, deployment): (&str, u64, String, String),
+fn conclude(
+    scenario: &Scenario,
     arrivals: &[RequestArrival],
-    run_once: impl Fn() -> RunArtifacts<D::Report>,
-) -> ChaosOutcome<D::Report> {
+    run_once: impl Fn() -> RunArtifacts,
+) -> ChaosOutcome {
+    let (name, seed) = (scenario.name.as_str(), scenario.seed);
     let first = run_once();
     let second = run_once();
-    let serve = D::serve_report(&first.report);
+    let serve = first.report.serve();
 
     let mut invariants = first.violations.clone();
 
@@ -638,8 +659,8 @@ fn conclude<D: Driver>(
 
     ChaosOutcome {
         name: name.to_string(),
-        schedule,
-        deployment,
+        schedule: scenario.schedule_label(),
+        deployment: scenario.deployment.label(),
         arrivals: arrivals.len(),
         completed: serve.completed.len(),
         dropped: serve.dropped,
@@ -655,20 +676,71 @@ fn conclude<D: Driver>(
     }
 }
 
-/// Runs one scenario (twice, for the determinism invariant) and returns the
-/// outcome with its invariant verdict.
+/// Runs one scenario (twice, for the determinism invariant) on its
+/// deployment and returns the outcome with its invariant verdict. Only
+/// serving-path faults reach a cluster: the builder rejects the rest.
 pub fn run_scenario(scenario: &Scenario) -> ChaosOutcome {
     let arrivals = scenario.arrival_stream();
-    let header = (
-        scenario.name.as_str(),
-        scenario.seed,
-        scenario.schedule_label(),
-        format!("{} replicas", scenario.replicas),
-    );
-    conclude::<ServeSim>(header, &arrivals, || run_mono_once(scenario, &arrivals))
+    let faults = scenario.runtime_faults();
+    match scenario.deployment {
+        Deployment::Mono {
+            replicas,
+            balancer,
+            adaptive_sd,
+            preemption,
+        } => {
+            let mut config = base_config(replicas, scenario.seed).with_balancer(balancer);
+            config.preemption = preemption;
+            if adaptive_sd {
+                config.sd_mode = SdMode::Adaptive {
+                    config: SdManagerConfig::default(),
+                };
+            }
+            conclude(scenario, &arrivals, || {
+                run_mono_once(scenario, &config, &arrivals, &faults)
+            })
+        }
+        Deployment::Disagg {
+            prefill,
+            decode,
+            link,
+            autoscale,
+        } => {
+            let mut config =
+                DisaggConfig::new(base_config(1, scenario.seed), prefill, decode).with_link(link);
+            if autoscale {
+                // Aggressive thresholds sized to the chaos workload (short
+                // prompts, <=256-token outputs) so a storm provably grows the
+                // pools and the post-storm lull provably drains them.
+                config = config.with_autoscale(AutoscaleConfig {
+                    interval_s: 0.5,
+                    min_prefill: 1,
+                    max_prefill: prefill.max(3),
+                    min_decode: 1,
+                    max_decode: decode.max(3),
+                    prefill_queue_high: 2.0,
+                    prefill_queue_low: 0.25,
+                    decode_tokens_high: 4_000.0,
+                    decode_tokens_low: 200.0,
+                    spawn_delay_s: 0.25,
+                });
+            }
+            conclude(scenario, &arrivals, || {
+                run_once(
+                    ClusterSim::new(config.clone()),
+                    &arrivals,
+                    &faults,
+                    scenario.probe_violation,
+                    |kind| unreachable!("{} in a disaggregated scenario", kind.label()),
+                    |_, _| {},
+                    ChaosReport::Disagg,
+                )
+            })
+        }
+    }
 }
 
-/// Runs every scenario in the pinned matrix.
+/// Runs every scenario in the pinned matrix, in matrix order.
 pub fn run_pinned_matrix() -> Vec<ChaosOutcome> {
     crate::scenario::pinned_matrix()
         .iter()
@@ -676,76 +748,15 @@ pub fn run_pinned_matrix() -> Vec<ChaosOutcome> {
         .collect()
 }
 
-fn disagg_config(scenario: &DisaggScenario) -> DisaggConfig {
-    let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
-    // Paged accounting is mandatory on the cluster path (migration is a block
-    // handoff); same model/GPU and output cap as the monolithic suite.
-    let mut base = ServeConfig::new(cost, 1).with_paged_kv(16);
-    base.max_output_tokens = 256;
-    base.seed = scenario.seed;
-    let mut config = DisaggConfig::new(base, scenario.prefill_replicas, scenario.decode_replicas)
-        .with_link(TransferLinkConfig {
-            bandwidth_gbps: scenario.link_bandwidth_gbps,
-            latency_s: scenario.link_latency_s,
-        });
-    if scenario.autoscale {
-        // Aggressive thresholds sized to the chaos workload (short prompts,
-        // <=256-token outputs) so a storm provably grows the pools and the
-        // post-storm lull provably drains them.
-        config = config.with_autoscale(AutoscaleConfig {
-            interval_s: 0.5,
-            min_prefill: 1,
-            max_prefill: scenario.prefill_replicas.max(3),
-            min_decode: 1,
-            max_decode: scenario.decode_replicas.max(3),
-            prefill_queue_high: 2.0,
-            prefill_queue_low: 0.25,
-            decode_tokens_high: 4_000.0,
-            decode_tokens_low: 200.0,
-            spawn_delay_s: 0.25,
-        });
-    }
-    config
-}
-
-/// Runs one disaggregated scenario (twice, for the determinism invariant) and
-/// returns the outcome with its invariant verdict. Only serving-path faults
-/// reach the cluster: the builder rejects the rest.
-pub fn run_disagg_scenario(scenario: &DisaggScenario) -> ChaosOutcome<ClusterReport> {
-    let arrivals = scenario.arrival_stream();
-    let header = (
-        scenario.name.as_str(),
-        scenario.seed,
-        scenario.schedule_label(),
-        format!(
-            "{}P+{}D",
-            scenario.prefill_replicas, scenario.decode_replicas
-        ),
-    );
-    conclude::<ClusterSim>(header, &arrivals, || {
-        run_once(
-            ClusterSim::new(disagg_config(scenario)),
-            &arrivals,
-            &scenario.runtime_faults(),
-            false,
-            |kind| unreachable!("{} in a disaggregated scenario", kind.label()),
-            |_, _| {},
-        )
-    })
-}
-
-/// Runs every scenario in the pinned disaggregated matrix.
-pub fn run_disagg_matrix() -> Vec<ChaosOutcome<ClusterReport>> {
-    crate::scenario::disagg_matrix()
-        .iter()
-        .map(run_disagg_scenario)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::{pinned_matrix, Scenario};
+
+    fn pinned(name: &str) -> ChaosOutcome {
+        let scenario = pinned_matrix().into_iter().find(|s| s.name == name);
+        run_scenario(&scenario.expect("the pinned matrix names this scenario"))
+    }
 
     #[test]
     fn baseline_scenario_passes_every_invariant() {
@@ -790,6 +801,32 @@ mod tests {
     }
 
     #[test]
+    fn forced_violation_on_a_cluster_dumps_both_pools() {
+        let outcome = run_scenario(
+            &Scenario::builder("unit-disagg-probe")
+                .seed(6)
+                .pools(1, 1)
+                .arrivals(4.0, 4.0)
+                .forced_violation()
+                .build(),
+        );
+        assert!(!outcome.invariants.passed());
+        let dump = outcome
+            .postmortem
+            .expect("violation must dump the recorder");
+        assert!(dump.contains("scenario 'unit-disagg-probe' (seed 6)"));
+        assert!(dump.contains("violated postmortem-probe"));
+        assert!(
+            dump.contains("-- prefill 0"),
+            "prefill track missing:\n{dump}"
+        );
+        assert!(
+            dump.contains("-- decode 0"),
+            "decode track missing:\n{dump}"
+        );
+    }
+
+    #[test]
     fn crash_scenario_requeues_and_still_conserves() {
         let outcome = run_scenario(
             &Scenario::builder("unit-crash")
@@ -811,22 +848,19 @@ mod tests {
 
     #[test]
     fn mid_transfer_source_crash_requeues_and_conserves() {
-        let scenario = crate::scenario::disagg_matrix()
-            .into_iter()
-            .find(|s| s.name == "disagg-mid-transfer-source-crash")
-            .expect("pinned disagg matrix names a source-crash scenario");
-        let outcome = run_disagg_scenario(&scenario);
+        let outcome = pinned("disagg-mid-transfer-source-crash");
+        let cluster = outcome.report.cluster().expect("a cluster scenario");
         assert!(
             outcome.invariants.passed(),
             "violations: {:?}",
             outcome.invariants.violations
         );
         assert!(
-            outcome.report.aborted_transfers > 0,
+            cluster.aborted_transfers > 0,
             "the crash must land inside a KV transfer window \
              (got {} aborts, {} migrations)",
-            outcome.report.aborted_transfers,
-            outcome.report.migrations
+            cluster.aborted_transfers,
+            cluster.migrations
         );
         assert!(outcome.requeued > 0, "in-flight work must be re-queued");
         assert_eq!(outcome.crashes, 1);
@@ -836,47 +870,41 @@ mod tests {
 
     #[test]
     fn mid_transfer_dest_crash_aborts_and_conserves() {
-        let scenario = crate::scenario::disagg_matrix()
-            .into_iter()
-            .find(|s| s.name == "disagg-mid-transfer-dest-crash")
-            .expect("pinned disagg matrix names a dest-crash scenario");
-        let outcome = run_disagg_scenario(&scenario);
+        let outcome = pinned("disagg-mid-transfer-dest-crash");
+        let cluster = outcome.report.cluster().expect("a cluster scenario");
         assert!(
             outcome.invariants.passed(),
             "violations: {:?}",
             outcome.invariants.violations
         );
         assert!(
-            outcome.report.aborted_transfers > 0,
+            cluster.aborted_transfers > 0,
             "the crash must land inside a KV transfer window \
              (got {} aborts, {} migrations)",
-            outcome.report.aborted_transfers,
-            outcome.report.migrations
+            cluster.aborted_transfers,
+            cluster.migrations
         );
         assert_eq!(outcome.completed + outcome.dropped, outcome.arrivals);
     }
 
     #[test]
     fn autoscale_storm_scales_up_and_retires_clean() {
-        let scenario = crate::scenario::disagg_matrix()
-            .into_iter()
-            .find(|s| s.name == "disagg-autoscale-drain-storm")
-            .expect("pinned disagg matrix names an autoscale storm scenario");
-        let outcome = run_disagg_scenario(&scenario);
+        let outcome = pinned("disagg-autoscale-drain-storm");
+        let cluster = outcome.report.cluster().expect("a cluster scenario");
         assert!(
             outcome.invariants.passed(),
             "violations: {:?}",
             outcome.invariants.violations
         );
         assert!(
-            outcome.report.scale_ups > 0,
+            cluster.scale_ups > 0,
             "the storm must trip the autoscaler up (got {} scale-ups)",
-            outcome.report.scale_ups
+            cluster.scale_ups
         );
         assert!(
-            outcome.report.retires > 0,
+            cluster.retires > 0,
             "the post-storm lull must drain-and-retire (got {} retires)",
-            outcome.report.retires
+            cluster.retires
         );
         assert_eq!(outcome.completed + outcome.dropped, outcome.arrivals);
     }

@@ -1,12 +1,13 @@
 //! The scenario DSL: composable fault schedules over a serving deployment.
 //!
 //! A [`Scenario`] is a pure value — a workload (seeded Poisson arrivals), a
-//! deployment shape, and a time-ordered list of [`FaultEvent`]s — built through
+//! [`Deployment`] (monolithic replicas or a disaggregated prefill/decode
+//! cluster), and a time-ordered list of [`FaultEvent`]s — built through
 //! [`ScenarioBuilder`]. Identical scenarios replay identically; the pinned
 //! [`pinned_matrix`] is the repository's standing chaos suite.
 
 use serde::Serialize;
-use tlt_serve::BalancerPolicy;
+use tlt_serve::{BalancerPolicy, TransferLinkConfig};
 use tlt_workload::{
     generate_arrivals, merge_arrival_streams, shift_arrivals, ArrivalConfig, LengthDistribution,
     RateCurve, RequestArrival, SharedPrefixSpec,
@@ -80,6 +81,58 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// The serving deployment a [`Scenario`] runs on, at t=0.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub enum Deployment {
+    /// Replicas behind the monolithic frontend (`tlt_serve::ServeSim`).
+    Mono {
+        /// Number of replicas behind the frontend.
+        replicas: usize,
+        /// Request routing policy.
+        balancer: BalancerPolicy,
+        /// Whether the replicas run the adaptive SD manager (vanilla decoding
+        /// otherwise).
+        adaptive_sd: bool,
+        /// Optimistic KV admission with preemption (conservative otherwise).
+        preemption: bool,
+    },
+    /// The disaggregated prefill/decode cluster (`tlt_serve::ClusterSim`).
+    /// Faults address replicas by global index, prefill pool first (as
+    /// `ClusterSim::crash_replica` does); drafter faults are not legal here.
+    Disagg {
+        /// Prefill pool size.
+        prefill: usize,
+        /// Decode pool size.
+        decode: usize,
+        /// KV transfer link (a slow one widens the mid-transfer crash window).
+        link: TransferLinkConfig,
+        /// Run the reactive autoscaler (drain-before-retire) over both pools.
+        autoscale: bool,
+    },
+}
+
+impl Deployment {
+    /// How many replicas a fault can target: the replicas, or both pools.
+    pub fn fault_slots(&self) -> usize {
+        match *self {
+            Deployment::Mono { replicas, .. } => replicas,
+            Deployment::Disagg {
+                prefill, decode, ..
+            } => prefill + decode,
+        }
+    }
+
+    /// Display label: `"3 replicas"` or `"2P+2D"`.
+    pub fn label(&self) -> String {
+        match *self {
+            Deployment::Mono { replicas, .. } => format!("{replicas} replicas"),
+            Deployment::Disagg {
+                prefill, decode, ..
+            } => format!("{prefill}P+{decode}D"),
+        }
+    }
+}
+
 /// A complete chaos scenario: deployment, workload, and fault schedule.
 #[derive(Debug, Clone, Serialize)]
 pub struct Scenario {
@@ -88,21 +141,15 @@ pub struct Scenario {
     /// Seed for the arrival stream, replica tuners, and the token-level
     /// losslessness probe.
     pub seed: u64,
-    /// Number of replicas behind the frontend.
-    pub replicas: usize,
+    /// What the faults hit.
+    pub deployment: Deployment,
     /// Base arrival rate in requests per second.
     pub rps: f64,
     /// Arrival horizon in simulated seconds.
     pub horizon_s: f64,
-    /// Request routing policy.
-    pub balancer: BalancerPolicy,
-    /// Whether the replicas run the adaptive SD manager (vanilla decoding
-    /// otherwise).
-    pub adaptive_sd: bool,
-    /// Optimistic KV admission with preemption (conservative otherwise).
-    pub preemption: bool,
     /// Shared system prompt carried by a fraction of the arrivals (exercises
-    /// shared-block accounting on the paged KV pool under faults).
+    /// shared-block accounting, and on a cluster prefix-affinity routing and
+    /// shared-block migration, under faults).
     pub prefix: Option<SharedPrefixSpec>,
     /// Fault schedule, sorted by time.
     pub faults: Vec<FaultEvent>,
@@ -113,7 +160,7 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Starts building a scenario with sane defaults: 2 replicas,
+    /// Starts building a scenario with sane defaults: 2 monolithic replicas,
     /// join-shortest-queue, 6 req/s over 10 s, vanilla decoding, conservative
     /// admission, no faults.
     pub fn builder(name: &str) -> ScenarioBuilder {
@@ -121,12 +168,14 @@ impl Scenario {
             scenario: Scenario {
                 name: name.to_string(),
                 seed: 2026,
-                replicas: 2,
+                deployment: Deployment::Mono {
+                    replicas: 2,
+                    balancer: BalancerPolicy::JoinShortestQueue,
+                    adaptive_sd: false,
+                    preemption: false,
+                },
                 rps: 6.0,
                 horizon_s: 10.0,
-                balancer: BalancerPolicy::JoinShortestQueue,
-                adaptive_sd: false,
-                preemption: false,
                 prefix: None,
                 faults: Vec::new(),
                 probe_violation: false,
@@ -134,52 +183,78 @@ impl Scenario {
         }
     }
 
-    /// The complete arrival stream: the base Poisson stream merged with every
-    /// scheduled storm burst, re-indexed into one timeline.
+    /// The complete arrival stream: short prompts, long-tail outputs capped at
+    /// 256 tokens, plus one extra Poisson stream per scheduled storm, merged
+    /// and re-indexed into one timeline.
     pub fn arrival_stream(&self) -> Vec<RequestArrival> {
-        chaos_stream(
-            self.seed,
-            self.rps,
-            self.horizon_s,
-            self.prefix,
-            &self.faults,
-        )
+        let lengths = LengthDistribution::LongTailMixture {
+            mu: 4.0,
+            sigma: 0.8,
+            truncation_mass: 0.02,
+            max_len: 256,
+        };
+        let stream = |rps, horizon_s, seed| {
+            generate_arrivals(&ArrivalConfig {
+                curve: RateCurve::Constant { rps },
+                horizon_s,
+                prompt_len_range: (64, 192),
+                output_lengths: lengths.clone(),
+                prefix: self.prefix,
+                seed,
+            })
+        };
+        let mut streams = vec![stream(self.rps, self.horizon_s, self.seed)];
+        for (i, fault) in self.faults.iter().enumerate() {
+            if let FaultKind::ArrivalStorm {
+                burst_rps,
+                duration_s,
+            } = fault.kind
+            {
+                let mut burst = stream(burst_rps, duration_s, self.seed ^ (0x0057_0412 + i as u64));
+                shift_arrivals(&mut burst, fault.at_s);
+                streams.push(burst);
+            }
+        }
+        merge_arrival_streams(streams)
     }
 
     /// The faults in schedule order, storms excluded (storms are folded into
     /// the arrival stream, not replayed at runtime).
     pub fn runtime_faults(&self) -> Vec<FaultEvent> {
-        runtime_faults(&self.faults)
+        let storm = |f: &&FaultEvent| matches!(f.kind, FaultKind::ArrivalStorm { .. });
+        self.faults.iter().filter(|f| !storm(f)).copied().collect()
     }
 
     /// Compact schedule description, e.g. `crash(r1)@3 restart(r1)@6`.
     pub fn schedule_label(&self) -> String {
-        schedule_label(&self.faults)
+        if self.faults.is_empty() {
+            return "none".to_string();
+        }
+        let labels = self
+            .faults
+            .iter()
+            .map(|f| format!("{}@{}", f.kind.label(), f.at_s));
+        labels.collect::<Vec<_>>().join(" ")
     }
 }
 
-fn runtime_faults(faults: &[FaultEvent]) -> Vec<FaultEvent> {
-    let storm = |f: &&FaultEvent| matches!(f.kind, FaultKind::ArrivalStorm { .. });
-    faults.iter().filter(|f| !storm(f)).copied().collect()
+/// Panics unless `value` is finite and positive, naming it as `what`.
+fn assert_finite_positive(what: std::fmt::Arguments, value: f64) {
+    assert!(
+        value.is_finite() && value > 0.0,
+        "{what} {value} is not finite and positive"
+    );
 }
 
-fn schedule_label(faults: &[FaultEvent]) -> String {
-    if faults.is_empty() {
-        return "none".to_string();
-    }
-    let labels = faults
-        .iter()
-        .map(|f| format!("{}@{}", f.kind.label(), f.at_s));
-    labels.collect::<Vec<_>>().join(" ")
-}
-
-/// Finalises a fault schedule over `replicas` fault indices: validates the
-/// targets and slow-down factors, sorts by time (stable, so same-time faults
-/// keep insertion order), and rejects impossible orders (crashing a replica
-/// that is already down, restarting one that never crashed) so authoring
-/// mistakes fail loudly at build time instead of panicking deep inside the
+/// Finalises a fault schedule for `deployment`: validates the targets,
+/// slow-down factors and storm shapes, keeps drafter faults off a cluster,
+/// sorts by time (stable, so same-time faults keep insertion order), and
+/// rejects impossible orders (crashing a replica that is already down,
+/// restarting one that never crashed) so authoring mistakes fail loudly at
+/// build time instead of panicking (or never returning) deep inside the
 /// harness.
-fn finalize_schedule(faults: &mut [FaultEvent], replicas: usize) {
+fn finalize_schedule(faults: &mut [FaultEvent], deployment: &Deployment) {
+    let slots = deployment.fault_slots();
     let target = |kind: FaultKind| match kind {
         FaultKind::ReplicaCrash { replica }
         | FaultKind::ReplicaRestart { replica }
@@ -189,19 +264,35 @@ fn finalize_schedule(faults: &mut [FaultEvent], replicas: usize) {
     for fault in faults.iter() {
         let replica = target(fault.kind);
         assert!(
-            replica < replicas,
-            "fault targets replica {replica} but the deployment has {replicas}"
+            replica < slots,
+            "fault targets replica {replica} but the deployment has {slots}"
         );
-        if let FaultKind::SlowReplica { factor, .. } = fault.kind {
-            assert!(
-                factor.is_finite() && factor > 0.0,
-                "slow-down of replica {replica} at t={}: factor {factor} is not finite and positive",
-                fault.at_s
-            );
+        let at = fault.at_s;
+        match fault.kind {
+            FaultKind::SlowReplica { factor, .. } => assert_finite_positive(
+                format_args!("slow-down of replica {replica} at t={at}: factor"),
+                factor,
+            ),
+            FaultKind::ArrivalStorm {
+                burst_rps,
+                duration_s,
+            } => {
+                assert_finite_positive(format_args!("storm at t={at}: rate"), burst_rps);
+                assert_finite_positive(format_args!("storm at t={at}: duration"), duration_s);
+            }
+            FaultKind::TrainingPreempt
+            | FaultKind::CheckpointCorrupt
+            | FaultKind::CheckpointStale => {
+                assert!(
+                    matches!(deployment, Deployment::Mono { .. }),
+                    "drafter faults are not supported in disaggregated scenarios"
+                )
+            }
+            _ => {}
         }
     }
     faults.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite fault times"));
-    let mut up = vec![true; replicas];
+    let mut up = vec![true; slots];
     for fault in faults.iter() {
         match fault.kind {
             FaultKind::ReplicaCrash { replica } => {
@@ -225,53 +316,13 @@ fn finalize_schedule(faults: &mut [FaultEvent], replicas: usize) {
     }
 }
 
-/// The chaos workload shape shared by the monolithic and the disaggregated
-/// scenarios: short prompts, long-tail outputs capped at 256 tokens, plus one
-/// extra Poisson stream per scheduled storm, merged into a single timeline.
-fn chaos_stream(
-    seed: u64,
-    rps: f64,
-    horizon_s: f64,
-    prefix: Option<SharedPrefixSpec>,
-    faults: &[FaultEvent],
-) -> Vec<RequestArrival> {
-    let lengths = LengthDistribution::LongTailMixture {
-        mu: 4.0,
-        sigma: 0.8,
-        truncation_mass: 0.02,
-        max_len: 256,
-    };
-    let base = generate_arrivals(&ArrivalConfig {
-        curve: RateCurve::Constant { rps },
-        horizon_s,
-        prompt_len_range: (64, 192),
-        output_lengths: lengths.clone(),
-        prefix,
-        seed,
-    });
-    let mut streams = vec![base];
-    for (i, fault) in faults.iter().enumerate() {
-        if let FaultKind::ArrivalStorm {
-            burst_rps,
-            duration_s,
-        } = fault.kind
-        {
-            let mut burst = generate_arrivals(&ArrivalConfig {
-                curve: RateCurve::Constant { rps: burst_rps },
-                horizon_s: duration_s,
-                prompt_len_range: (64, 192),
-                output_lengths: lengths.clone(),
-                prefix,
-                seed: seed ^ (0x0057_0412 + i as u64),
-            });
-            shift_arrivals(&mut burst, fault.at_s);
-            streams.push(burst);
-        }
-    }
-    merge_arrival_streams(streams)
+/// The panic of a setter called on the wrong [`Deployment`].
+fn wrong_deployment(setter: &str, deployment: &str) -> ! {
+    panic!("{setter}() applies to {deployment} deployments only")
 }
 
-/// Fluent builder for [`Scenario`].
+/// Fluent builder for [`Scenario`]. A deployment setter panics on the other
+/// deployment; [`pools`](ScenarioBuilder::pools) switches to the cluster.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     scenario: Scenario,
@@ -284,39 +335,94 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the number of replicas.
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        assert!(replicas > 0, "need at least one replica");
-        self.scenario.replicas = replicas;
+    /// Sets the number of monolithic replicas.
+    pub fn replicas(mut self, n: usize) -> Self {
+        assert!(n > 0, "need at least one replica");
+        let Deployment::Mono { replicas, .. } = &mut self.scenario.deployment else {
+            wrong_deployment("replicas", "monolithic")
+        };
+        *replicas = n;
         self
     }
 
-    /// Sets the base arrival rate and horizon.
-    pub fn arrivals(mut self, rps: f64, horizon_s: f64) -> Self {
-        assert!(
-            rps > 0.0 && horizon_s > 0.0,
-            "rate and horizon must be positive"
-        );
-        self.scenario.rps = rps;
-        self.scenario.horizon_s = horizon_s;
-        self
-    }
-
-    /// Sets the routing policy.
+    /// Sets the monolithic routing policy.
     pub fn balancer(mut self, policy: BalancerPolicy) -> Self {
-        self.scenario.balancer = policy;
+        let Deployment::Mono { balancer, .. } = &mut self.scenario.deployment else {
+            wrong_deployment("balancer", "monolithic")
+        };
+        *balancer = policy;
         self
     }
 
     /// Enables the adaptive speculative-decoding manager on every replica.
     pub fn adaptive_sd(mut self) -> Self {
-        self.scenario.adaptive_sd = true;
+        let Deployment::Mono { adaptive_sd, .. } = &mut self.scenario.deployment else {
+            wrong_deployment("adaptive_sd", "monolithic")
+        };
+        *adaptive_sd = true;
         self
     }
 
     /// Enables optimistic KV admission with preemption.
     pub fn preemption(mut self) -> Self {
-        self.scenario.preemption = true;
+        let Deployment::Mono { preemption, .. } = &mut self.scenario.deployment else {
+            wrong_deployment("preemption", "monolithic")
+        };
+        *preemption = true;
+        self
+    }
+
+    /// Switches the deployment to the disaggregated cluster with these
+    /// initial pool sizes, the default NVLink-class link (50 GB/s, 2 ms) and
+    /// no autoscaler; shape it afterwards with [`link`](Self::link) and
+    /// [`autoscale`](Self::autoscale).
+    pub fn pools(mut self, prefill: usize, decode: usize) -> Self {
+        assert!(
+            prefill > 0 && decode > 0,
+            "both pools need at least one replica"
+        );
+        self.scenario.deployment = Deployment::Disagg {
+            prefill,
+            decode,
+            link: TransferLinkConfig::default(),
+            autoscale: false,
+        };
+        self
+    }
+
+    /// Shapes the cluster's KV transfer link. A deliberately slow link keeps
+    /// transfers on the wire longer, so mid-transfer crash schedules actually
+    /// hit one.
+    pub fn link(mut self, bandwidth_gbps: f64, latency_s: f64) -> Self {
+        assert!(
+            bandwidth_gbps > 0.0 && latency_s >= 0.0,
+            "link shape must be positive"
+        );
+        let Deployment::Disagg { link, .. } = &mut self.scenario.deployment else {
+            wrong_deployment("link", "disaggregated")
+        };
+        *link = TransferLinkConfig {
+            bandwidth_gbps,
+            latency_s,
+        };
+        self
+    }
+
+    /// Enables the reactive autoscaler over both cluster pools.
+    pub fn autoscale(mut self) -> Self {
+        let Deployment::Disagg { autoscale, .. } = &mut self.scenario.deployment else {
+            wrong_deployment("autoscale", "disaggregated")
+        };
+        *autoscale = true;
+        self
+    }
+
+    /// Sets the base arrival rate and horizon.
+    pub fn arrivals(mut self, rps: f64, horizon_s: f64) -> Self {
+        assert_finite_positive(format_args!("arrival rate"), rps);
+        assert_finite_positive(format_args!("arrival horizon"), horizon_s);
+        self.scenario.rps = rps;
+        self.scenario.horizon_s = horizon_s;
         self
     }
 
@@ -327,7 +433,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Schedules an arbitrary fault.
+    /// Schedules an arbitrary fault. On a cluster, replicas are addressed by
+    /// global fault index (see [`Deployment::Disagg`]).
     pub fn fault(mut self, at_s: f64, kind: FaultKind) -> Self {
         assert!(at_s >= 0.0, "fault time must be non-negative");
         self.scenario.faults.push(FaultEvent { at_s, kind });
@@ -347,6 +454,18 @@ impl ScenarioBuilder {
     /// Schedules a slow-down (or, with `factor = 1.0`, a speed restore).
     pub fn slow(self, at_s: f64, replica: usize, factor: f64) -> Self {
         self.fault(at_s, FaultKind::SlowReplica { replica, factor })
+    }
+
+    /// Schedules an arrival storm (validated at build time: the rate and the
+    /// duration must be finite and positive).
+    pub fn storm(self, at_s: f64, burst_rps: f64, duration_s: f64) -> Self {
+        self.fault(
+            at_s,
+            FaultKind::ArrivalStorm {
+                burst_rps,
+                duration_s,
+            },
+        )
     }
 
     /// Schedules a training preemption (commits a fresh drafter checkpoint).
@@ -373,29 +492,22 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Schedules an arrival storm.
-    pub fn storm(self, at_s: f64, burst_rps: f64, duration_s: f64) -> Self {
-        self.fault(
-            at_s,
-            FaultKind::ArrivalStorm {
-                burst_rps,
-                duration_s,
-            },
-        )
-    }
-
-    /// Finalises the scenario: validates replica indices and the crash /
-    /// restart order, and sorts the fault schedule by time.
+    /// Finalises the scenario: rejects drafter/coordinator faults on a cluster
+    /// (not modelled there), validates fault targets against the deployment,
+    /// checks the crash / restart order, and sorts the schedule by time.
     pub fn build(mut self) -> Scenario {
-        finalize_schedule(&mut self.scenario.faults, self.scenario.replicas);
+        finalize_schedule(&mut self.scenario.faults, &self.scenario.deployment);
         self.scenario
     }
 }
 
 /// The pinned scenario matrix: the standing chaos suite every PR must keep
-/// green (run by `experiments -- chaos` and the `chaos-suite` CI job). Each
-/// scenario is deliberately small — the whole matrix (with its double-run
-/// determinism check) finishes in seconds.
+/// green (run by `experiments -- chaos` and the `chaos-suite` CI job) — 12
+/// monolithic scenarios, then 5 on the disaggregated cluster. Each scenario is
+/// deliberately small — the whole matrix (with its double-run determinism
+/// check) finishes in seconds. The slow-link cluster scenarios are timed so a
+/// crash provably lands mid-transfer (the runner's tests assert
+/// `aborted_transfers > 0`).
 pub fn pinned_matrix() -> Vec<Scenario> {
     vec![
         Scenario::builder("baseline-no-faults")
@@ -498,220 +610,13 @@ pub fn pinned_matrix() -> Vec<Scenario> {
             .restart(10.0, 0)
             .slow(11.0, 2, 1.0)
             .build(),
-    ]
-}
-
-/// A chaos scenario over the disaggregated prefill/decode cluster
-/// (`tlt_serve::ClusterSim`). Faults address replicas by **global fault
-/// index**: `0..prefill_replicas` is the prefill pool, the rest the decode
-/// pool — the same numbering `ClusterSim::crash_replica` uses. Only
-/// serving-path faults (crash / restart / straggler / storm) are legal; the
-/// drafter and coordinator pipelines are monolithic-suite concerns.
-#[derive(Debug, Clone, Serialize)]
-pub struct DisaggScenario {
-    /// Scenario name (unique within the disagg matrix).
-    pub name: String,
-    /// Seed for the arrival stream and replica tuners.
-    pub seed: u64,
-    /// Prefill pool size at t=0.
-    pub prefill_replicas: usize,
-    /// Decode pool size at t=0.
-    pub decode_replicas: usize,
-    /// Base arrival rate in requests per second.
-    pub rps: f64,
-    /// Arrival horizon in simulated seconds.
-    pub horizon_s: f64,
-    /// KV transfer link bandwidth in GB/s (small values serialise transfers,
-    /// widening the mid-transfer crash window).
-    pub link_bandwidth_gbps: f64,
-    /// KV transfer link latency in seconds.
-    pub link_latency_s: f64,
-    /// Run the reactive autoscaler (drain-before-retire) over both pools.
-    pub autoscale: bool,
-    /// Shared system prompt carried by a fraction of the arrivals (exercises
-    /// prefix-affinity routing and shared-block migration accounting).
-    pub prefix: Option<SharedPrefixSpec>,
-    /// Fault schedule, sorted by time.
-    pub faults: Vec<FaultEvent>,
-}
-
-impl DisaggScenario {
-    /// Starts building a disaggregated scenario with sane defaults: 2 prefill
-    /// plus 2 decode replicas, 8 req/s over 8 s, the default NVLink-class
-    /// link, no autoscaler, no faults.
-    pub fn builder(name: &str) -> DisaggScenarioBuilder {
-        DisaggScenarioBuilder {
-            scenario: DisaggScenario {
-                name: name.to_string(),
-                seed: 2026,
-                prefill_replicas: 2,
-                decode_replicas: 2,
-                rps: 8.0,
-                horizon_s: 8.0,
-                link_bandwidth_gbps: 50.0,
-                link_latency_s: 0.002,
-                autoscale: false,
-                prefix: None,
-                faults: Vec::new(),
-            },
-        }
-    }
-
-    /// The complete arrival stream (same workload shape as the monolithic
-    /// suite: base Poisson stream plus storm bursts, one timeline).
-    pub fn arrival_stream(&self) -> Vec<RequestArrival> {
-        chaos_stream(
-            self.seed,
-            self.rps,
-            self.horizon_s,
-            self.prefix,
-            &self.faults,
-        )
-    }
-
-    /// The faults in schedule order, storms excluded.
-    pub fn runtime_faults(&self) -> Vec<FaultEvent> {
-        runtime_faults(&self.faults)
-    }
-
-    /// Compact schedule description, e.g. `crash(r0)@1.5 restart(r0)@3.5`.
-    pub fn schedule_label(&self) -> String {
-        schedule_label(&self.faults)
-    }
-
-    /// Total replicas provisioned at t=0.
-    pub fn total_replicas(&self) -> usize {
-        self.prefill_replicas + self.decode_replicas
-    }
-}
-
-/// Fluent builder for [`DisaggScenario`].
-#[derive(Debug, Clone)]
-pub struct DisaggScenarioBuilder {
-    scenario: DisaggScenario,
-}
-
-impl DisaggScenarioBuilder {
-    /// Sets the scenario seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.scenario.seed = seed;
-        self
-    }
-
-    /// Sets the initial pool sizes.
-    pub fn pools(mut self, prefill: usize, decode: usize) -> Self {
-        assert!(
-            prefill > 0 && decode > 0,
-            "both pools need at least one replica"
-        );
-        self.scenario.prefill_replicas = prefill;
-        self.scenario.decode_replicas = decode;
-        self
-    }
-
-    /// Sets the base arrival rate and horizon.
-    pub fn arrivals(mut self, rps: f64, horizon_s: f64) -> Self {
-        assert!(
-            rps > 0.0 && horizon_s > 0.0,
-            "rate and horizon must be positive"
-        );
-        self.scenario.rps = rps;
-        self.scenario.horizon_s = horizon_s;
-        self
-    }
-
-    /// Shapes the KV transfer link. A deliberately slow link keeps transfers
-    /// on the wire longer, so mid-transfer crash schedules actually hit one.
-    pub fn link(mut self, bandwidth_gbps: f64, latency_s: f64) -> Self {
-        assert!(
-            bandwidth_gbps > 0.0 && latency_s >= 0.0,
-            "link shape must be positive"
-        );
-        self.scenario.link_bandwidth_gbps = bandwidth_gbps;
-        self.scenario.link_latency_s = latency_s;
-        self
-    }
-
-    /// Enables the reactive autoscaler over both pools.
-    pub fn autoscale(mut self) -> Self {
-        self.scenario.autoscale = true;
-        self
-    }
-
-    /// Gives `share` of the arrivals a shared system prompt of `len` tokens.
-    pub fn prefix_share(mut self, share: f64, len: usize) -> Self {
-        assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
-        self.scenario.prefix = Some(SharedPrefixSpec { share, len });
-        self
-    }
-
-    /// Schedules a replica crash (global fault index).
-    pub fn crash(self, at_s: f64, replica: usize) -> Self {
-        self.fault(at_s, FaultKind::ReplicaCrash { replica })
-    }
-
-    /// Schedules a replica restart (global fault index).
-    pub fn restart(self, at_s: f64, replica: usize) -> Self {
-        self.fault(at_s, FaultKind::ReplicaRestart { replica })
-    }
-
-    /// Schedules a slow-down (or, with `factor = 1.0`, a speed restore).
-    pub fn slow(self, at_s: f64, replica: usize, factor: f64) -> Self {
-        self.fault(at_s, FaultKind::SlowReplica { replica, factor })
-    }
-
-    /// Schedules an arrival storm.
-    pub fn storm(self, at_s: f64, burst_rps: f64, duration_s: f64) -> Self {
-        self.fault(
-            at_s,
-            FaultKind::ArrivalStorm {
-                burst_rps,
-                duration_s,
-            },
-        )
-    }
-
-    /// Schedules an arbitrary serving-path fault.
-    pub fn fault(mut self, at_s: f64, kind: FaultKind) -> Self {
-        assert!(at_s >= 0.0, "fault time must be non-negative");
-        self.scenario.faults.push(FaultEvent { at_s, kind });
-        self
-    }
-
-    /// Finalises the scenario: rejects drafter/coordinator faults (not
-    /// modelled on the cluster path), then validates fault indices against the
-    /// initial pools, sorts the schedule and checks the crash/restart order.
-    pub fn build(mut self) -> DisaggScenario {
-        let drafter_fault = |f: &FaultEvent| {
-            use FaultKind::*;
-            matches!(
-                f.kind,
-                TrainingPreempt | CheckpointCorrupt | CheckpointStale
-            )
-        };
-        assert!(
-            !self.scenario.faults.iter().any(drafter_fault),
-            "drafter faults are not supported in disaggregated scenarios"
-        );
-        let total = self.scenario.total_replicas();
-        finalize_schedule(&mut self.scenario.faults, total);
-        self.scenario
-    }
-}
-
-/// The pinned disaggregated-cluster matrix, run alongside [`pinned_matrix`]
-/// by `experiments -- chaos` and the `chaos-suite` CI job. The slow-link
-/// scenarios are timed so a crash provably lands mid-transfer (the runner's
-/// tests assert `aborted_transfers > 0`).
-pub fn disagg_matrix() -> Vec<DisaggScenario> {
-    vec![
-        DisaggScenario::builder("disagg-baseline")
+        Scenario::builder("disagg-baseline")
             .seed(31)
             .pools(2, 2)
             .arrivals(8.0, 8.0)
             .prefix_share(0.5, 96)
             .build(),
-        DisaggScenario::builder("disagg-mid-transfer-source-crash")
+        Scenario::builder("disagg-mid-transfer-source-crash")
             .seed(32)
             .pools(2, 1)
             .arrivals(10.0, 6.0)
@@ -720,7 +625,7 @@ pub fn disagg_matrix() -> Vec<DisaggScenario> {
             .crash(1.5, 0)
             .restart(3.5, 0)
             .build(),
-        DisaggScenario::builder("disagg-mid-transfer-dest-crash")
+        Scenario::builder("disagg-mid-transfer-dest-crash")
             .seed(33)
             .pools(1, 2)
             .arrivals(10.0, 6.0)
@@ -728,7 +633,7 @@ pub fn disagg_matrix() -> Vec<DisaggScenario> {
             .crash(1.5, 1)
             .restart(3.0, 1)
             .build(),
-        DisaggScenario::builder("disagg-autoscale-drain-storm")
+        Scenario::builder("disagg-autoscale-drain-storm")
             .seed(34)
             .pools(1, 1)
             .arrivals(4.0, 10.0)
@@ -737,7 +642,7 @@ pub fn disagg_matrix() -> Vec<DisaggScenario> {
             .prefix_share(0.4, 96)
             .storm(2.0, 120.0, 3.0)
             .build(),
-        DisaggScenario::builder("disagg-decode-straggler")
+        Scenario::builder("disagg-decode-straggler")
             .seed(35)
             .pools(1, 2)
             .arrivals(8.0, 8.0)
@@ -813,30 +718,82 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_or_zero_rates_and_spans_are_rejected_at_build_time() {
+        // Each of these used to build and then hang in (or panic deep inside)
+        // the arrival generator.
+        let rejected = |what: &str, build: fn() -> Scenario| {
+            let err = std::panic::catch_unwind(build).expect_err(what);
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("is not finite and positive"), "{what}: {msg}");
+        };
+        rejected("NaN storm duration", || {
+            Scenario::builder("b").storm(1.0, 30.0, f64::NAN).build()
+        });
+        rejected("infinite storm rate", || {
+            Scenario::builder("b")
+                .storm(1.0, f64::INFINITY, 1.0)
+                .build()
+        });
+        rejected("infinite arrival rate", || {
+            Scenario::builder("b").arrivals(f64::INFINITY, 5.0).build()
+        });
+        rejected("zero storm rate", || {
+            Scenario::builder("b").storm(1.0, 0.0, 1.0).build()
+        });
+    }
+
+    #[test]
     fn disagg_builder_validates_global_fault_indices() {
-        let s = DisaggScenario::builder("d")
+        let s = Scenario::builder("d")
             .pools(2, 1)
             .restart(4.0, 2)
             .crash(1.0, 2)
             .build();
         assert_eq!(s.faults[0].kind, FaultKind::ReplicaCrash { replica: 2 });
-        assert_eq!(s.total_replicas(), 3);
+        assert_eq!(s.deployment.fault_slots(), 3);
+        assert_eq!(s.deployment.label(), "2P+1D");
         assert!(s.schedule_label().contains("crash(r2)@1"));
+    }
+
+    #[test]
+    fn pools_switches_to_a_cluster_with_the_default_link() {
+        let s = Scenario::builder("d").pools(1, 2).build();
+        assert_eq!(
+            s.deployment,
+            Deployment::Disagg {
+                prefill: 1,
+                decode: 2,
+                link: TransferLinkConfig {
+                    bandwidth_gbps: 50.0,
+                    latency_s: 0.002
+                },
+                autoscale: false,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptive_sd() applies to monolithic deployments only")]
+    fn mono_setter_on_a_disagg_deployment_panics() {
+        let _ = Scenario::builder("d").pools(1, 1).adaptive_sd();
+    }
+
+    #[test]
+    #[should_panic(expected = "link() applies to disaggregated deployments only")]
+    fn cluster_setter_on_a_mono_deployment_panics() {
+        let _ = Scenario::builder("m").link(1.0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "fault targets replica")]
     fn disagg_out_of_range_fault_target_panics() {
-        let _ = DisaggScenario::builder("d")
-            .pools(1, 1)
-            .crash(1.0, 2)
-            .build();
+        let _ = Scenario::builder("d").pools(1, 1).crash(1.0, 2).build();
     }
 
     #[test]
     #[should_panic(expected = "factor NaN is not finite and positive")]
     fn disagg_nan_slow_factor_is_rejected_at_build_time() {
-        let _ = DisaggScenario::builder("d")
+        let _ = Scenario::builder("d")
             .pools(1, 1)
             .slow(1.0, 1, f64::NAN)
             .build();
@@ -845,65 +802,87 @@ mod tests {
     #[test]
     #[should_panic(expected = "drafter faults are not supported")]
     fn disagg_rejects_drafter_faults() {
-        let _ = DisaggScenario::builder("d")
+        let _ = Scenario::builder("d")
+            .pools(2, 2)
             .fault(1.0, FaultKind::TrainingPreempt)
             .build();
     }
 
     #[test]
-    fn disagg_matrix_covers_the_migration_fault_surface() {
-        let matrix = disagg_matrix();
+    fn pinned_matrix_has_unique_names_and_covers_every_fault_kind() {
+        let matrix = pinned_matrix();
+        // Unique across both deployments: `--trace-out` keys its sections by
+        // name.
         let mut names: Vec<&str> = matrix.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
         let n = names.len();
         names.dedup();
         assert_eq!(names.len(), n, "duplicate scenario names");
-        // A prefill-pool crash, a decode-pool crash, an autoscaled storm and a
-        // straggler are all present.
-        let crashed: Vec<usize> = matrix
-            .iter()
-            .flat_map(|s| {
-                let p = s.prefill_replicas;
-                s.faults.iter().filter_map(move |f| match f.kind {
-                    FaultKind::ReplicaCrash { replica } => Some(if replica < p { 0 } else { 1 }),
-                    _ => None,
-                })
-            })
-            .collect();
-        assert!(crashed.contains(&0), "no prefill-pool crash in the matrix");
-        assert!(crashed.contains(&1), "no decode-pool crash in the matrix");
-        assert!(matrix.iter().any(|s| s.autoscale
-            && s.faults
+        // 12 monolithic scenarios, then the 5 cluster ones.
+        let disagg = |s: &Scenario| matches!(s.deployment, Deployment::Disagg { .. });
+        assert_eq!(matrix.len(), 17);
+        assert!(matrix[..12].iter().all(|s| !disagg(s)));
+        assert!(matrix[12..].iter().all(disagg));
+        let has = |pred: &dyn Fn(&Scenario, &FaultKind) -> bool| {
+            matrix
                 .iter()
-                .any(|f| matches!(f.kind, FaultKind::ArrivalStorm { .. }))));
-        assert!(matrix
-            .iter()
-            .flat_map(|s| s.faults.iter())
-            .any(|f| matches!(f.kind, FaultKind::SlowReplica { .. })));
-        // The monolithic pinned matrix is untouched by the disagg suite.
-        assert_eq!(pinned_matrix().len(), 12);
+                .any(|s| s.faults.iter().any(|f| pred(s, &f.kind)))
+        };
+        let mono = |s: &Scenario| !disagg(s);
+        assert!(has(
+            &|s, k| mono(s) && matches!(k, FaultKind::ReplicaCrash { .. })
+        ));
+        assert!(has(
+            &|s, k| mono(s) && matches!(k, FaultKind::ReplicaRestart { .. })
+        ));
+        assert!(has(
+            &|s, k| mono(s) && matches!(k, FaultKind::SlowReplica { .. })
+        ));
+        assert!(has(&|_, k| matches!(k, FaultKind::TrainingPreempt)));
+        assert!(has(&|_, k| matches!(k, FaultKind::CheckpointCorrupt)));
+        assert!(has(&|_, k| matches!(k, FaultKind::CheckpointStale)));
+        assert!(has(
+            &|s, k| mono(s) && matches!(k, FaultKind::ArrivalStorm { .. })
+        ));
     }
 
     #[test]
-    fn pinned_matrix_has_unique_names_and_covers_every_fault_kind() {
+    fn disagg_matrix_covers_the_migration_fault_surface() {
         let matrix = pinned_matrix();
-        let mut names: Vec<&str> = matrix.iter().map(|s| s.name.as_str()).collect();
-        names.sort_unstable();
-        let n = names.len();
-        names.dedup();
-        assert_eq!(names.len(), n, "duplicate scenario names");
-        let has = |pred: &dyn Fn(&FaultKind) -> bool| {
+        let disagg = |s: &Scenario| matches!(s.deployment, Deployment::Disagg { .. });
+        assert_eq!(matrix.iter().filter(|s| disagg(s)).count(), 5);
+        let has = |pred: &dyn Fn(&Scenario, &FaultKind) -> bool| {
             matrix
                 .iter()
-                .flat_map(|s| s.faults.iter())
-                .any(|f| pred(&f.kind))
+                .any(|s| s.faults.iter().any(|f| pred(s, &f.kind)))
         };
-        assert!(has(&|k| matches!(k, FaultKind::ReplicaCrash { .. })));
-        assert!(has(&|k| matches!(k, FaultKind::ReplicaRestart { .. })));
-        assert!(has(&|k| matches!(k, FaultKind::SlowReplica { .. })));
-        assert!(has(&|k| matches!(k, FaultKind::TrainingPreempt)));
-        assert!(has(&|k| matches!(k, FaultKind::CheckpointCorrupt)));
-        assert!(has(&|k| matches!(k, FaultKind::CheckpointStale)));
-        assert!(has(&|k| matches!(k, FaultKind::ArrivalStorm { .. })));
+        // A prefill-pool crash, a decode-pool crash, an autoscaled storm and a
+        // straggler are all present among the cluster scenarios.
+        let pool_crash = |decode_side: bool| {
+            move |s: &Scenario, k: &FaultKind| match (s.deployment, *k) {
+                (Deployment::Disagg { prefill, .. }, FaultKind::ReplicaCrash { replica }) => {
+                    (replica >= prefill) == decode_side
+                }
+                _ => false,
+            }
+        };
+        assert!(
+            has(&pool_crash(false)),
+            "no prefill-pool crash in the matrix"
+        );
+        assert!(has(&pool_crash(true)), "no decode-pool crash in the matrix");
+        assert!(has(&|s, k| matches!(
+            (s.deployment, k),
+            (
+                Deployment::Disagg {
+                    autoscale: true,
+                    ..
+                },
+                FaultKind::ArrivalStorm { .. }
+            )
+        )));
+        assert!(has(
+            &|s, k| disagg(s) && matches!(k, FaultKind::SlowReplica { .. })
+        ));
     }
 }

@@ -7,7 +7,7 @@
 //! a full drain, and bit-identical reruns per seed.
 
 use proptest::prelude::*;
-use tlt_chaos::{run_disagg_scenario, DisaggScenario};
+use tlt_chaos::{run_scenario, Scenario};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -34,7 +34,7 @@ proptest! {
         slow_factor in 1.5f64..4.0,
     ) {
         let total = prefill + decode;
-        let mut b = DisaggScenario::builder("prop-disagg")
+        let mut b = Scenario::builder("prop-disagg")
             .seed(seed)
             .pools(prefill, decode)
             .arrivals(rps, horizon_s)
@@ -57,7 +57,7 @@ proptest! {
         }
         let scenario = b.build();
 
-        let outcome = run_disagg_scenario(&scenario);
+        let outcome = run_scenario(&scenario);
         prop_assert!(
             outcome.invariants.passed(),
             "seed {} knobs {:#06b} pools {}+{} violated: {:?}",
@@ -74,6 +74,7 @@ proptest! {
         );
         // Every completion on the cluster path rides at least one migration
         // (failed-over requests re-prefill and migrate again after a crash).
-        prop_assert!(outcome.report.migrations as usize >= outcome.completed);
+        let cluster = outcome.report.cluster().expect("a cluster scenario");
+        prop_assert!(cluster.migrations as usize >= outcome.completed);
     }
 }

@@ -1260,10 +1260,6 @@ impl Driver for ClusterSim {
     fn into_report(self) -> ClusterReport {
         ClusterSim::into_report(self)
     }
-
-    fn serve_report(report: &ClusterReport) -> &ServeReport {
-        &report.serve
-    }
 }
 
 /// Runs a full disaggregated simulation over a pre-sorted arrival stream,

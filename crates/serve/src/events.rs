@@ -37,7 +37,6 @@
 //! [`ServeSim`]: crate::ServeSim
 //! [`ClusterSim`]: crate::ClusterSim
 
-use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, Replica};
 use crate::request::{CompletedRequest, ServeRequest};
 use std::cmp::Reverse;
@@ -356,9 +355,6 @@ pub trait Driver {
     /// Consumes the simulation and builds its report around the completion
     /// log, which becomes the report's `completed` without a copy.
     fn into_report(self) -> Self::Report;
-
-    /// The serving report inside a [`Driver::Report`].
-    fn serve_report(report: &Self::Report) -> &ServeReport;
 
     /// Ids dropped at admission, ascending.
     fn dropped_ids(&self) -> Vec<u64> {

@@ -246,10 +246,6 @@ impl Driver for ServeSim {
     fn into_report(self) -> ServeReport {
         ServeSim::into_report(self)
     }
-
-    fn serve_report(report: &ServeReport) -> &ServeReport {
-        report
-    }
 }
 
 /// Simulates serving the `arrivals` stream on the deployment described by `config`

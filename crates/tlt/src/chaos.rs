@@ -1,32 +1,20 @@
-//! Chaos pipeline: runs the pinned fault-injection scenario matrix from
-//! [`tlt_chaos`] and summarises per-scenario outcomes for the experiments
-//! harness (`experiments -- chaos [--json <path>]`) and the `chaos-suite` CI
-//! job.
+//! Chaos pipeline: summarises [`run_pinned_matrix`]'s outcomes for
+//! `experiments -- chaos [--json <path>]` and the `chaos-suite` CI job, one
+//! table per deployment (split by [`ChaosReport::cluster`]).
 
 pub use tlt_chaos::{
-    disagg_matrix, pinned_matrix, run_disagg_scenario, run_scenario, ChaosOutcome, DisaggScenario,
-    DisaggScenarioBuilder, FaultKind, InvariantReport, Scenario, ScenarioBuilder, INVARIANTS,
+    pinned_matrix, run_pinned_matrix, run_scenario, ChaosOutcome, ChaosReport, Deployment,
+    FaultKind, InvariantReport, Scenario, ScenarioBuilder, INVARIANTS,
 };
-use tlt_serve::ClusterReport;
 
-/// Runs every scenario in the pinned matrix and returns the outcomes in matrix
-/// order.
-pub fn run_chaos_matrix() -> Vec<ChaosOutcome> {
-    tlt_chaos::run_pinned_matrix()
-}
-
-/// Runs every scenario in the pinned disaggregated-cluster matrix and returns
-/// the outcomes in matrix order.
-pub fn run_disagg_chaos_matrix() -> Vec<ChaosOutcome<ClusterReport>> {
-    tlt_chaos::run_disagg_matrix()
-}
-
-/// One summary row per scenario: name, schedule, request accounting, fault
-/// accounting, and the invariant verdict — the `verdict` cell is literally
-/// `PASS` or `FAIL(n)` so downstream tooling can gate on it.
+/// One summary row per monolithic scenario (cluster outcomes are skipped):
+/// name, schedule, request accounting, fault accounting, and the invariant
+/// verdict — the `verdict` cell is literally `PASS` or `FAIL(n)` so downstream
+/// tooling can gate on it.
 pub fn chaos_summary_rows(outcomes: &[ChaosOutcome]) -> Vec<Vec<String>> {
     outcomes
         .iter()
+        .filter(|o| o.report.cluster().is_none())
         .map(|o| {
             vec![
                 o.name.clone(),
@@ -41,8 +29,8 @@ pub fn chaos_summary_rows(outcomes: &[ChaosOutcome]) -> Vec<Vec<String>> {
                     "{}/{}/{}",
                     o.drafter.swaps, o.drafter.rejected_corrupt, o.drafter.rejected_stale
                 ),
-                format!("{:.3}", o.report.mean_pool_utilization()),
-                format!("{:.3}", o.report.mean_prefix_hit_rate()),
+                format!("{:.3}", o.report.serve().mean_pool_utilization()),
+                format!("{:.3}", o.report.serve().mean_prefix_hit_rate()),
                 o.invariants.verdict(),
             ]
         })
@@ -65,13 +53,15 @@ pub const CHAOS_SUMMARY_HEADER: [&str; 12] = [
     "verdict",
 ];
 
-/// One summary row per disaggregated-cluster scenario: name, schedule, pool
-/// shape, request and fault accounting, migration/transfer counters, the
-/// autoscaler decision log, and the invariant verdict.
-pub fn disagg_summary_rows(outcomes: &[ChaosOutcome<ClusterReport>]) -> Vec<Vec<String>> {
+/// One summary row per disaggregated-cluster scenario (monolithic outcomes
+/// are skipped): name, schedule, pool shape, request and fault accounting,
+/// migration/transfer counters, the autoscaler decision log, and the invariant
+/// verdict.
+pub fn disagg_summary_rows(outcomes: &[ChaosOutcome]) -> Vec<Vec<String>> {
     outcomes
         .iter()
-        .map(|o| {
+        .filter_map(|o| Some((o, o.report.cluster()?)))
+        .map(|(o, cluster)| {
             vec![
                 o.name.clone(),
                 o.schedule.clone(),
@@ -81,11 +71,11 @@ pub fn disagg_summary_rows(outcomes: &[ChaosOutcome<ClusterReport>]) -> Vec<Vec<
                 format!("{}", o.dropped),
                 format!("{}", o.requeued),
                 format!("{}/{}", o.crashes, o.restarts),
-                format!("{}", o.report.migrations),
-                format!("{}", o.report.aborted_transfers),
+                format!("{}", cluster.migrations),
+                format!("{}", cluster.aborted_transfers),
                 format!(
                     "{}/{}/{}",
-                    o.report.scale_ups, o.report.scale_downs, o.report.retires
+                    cluster.scale_ups, cluster.scale_downs, cluster.retires
                 ),
                 o.invariants.verdict(),
             ]
@@ -121,27 +111,31 @@ mod tests {
                 .arrivals(4.0, 4.0)
                 .build(),
         );
-        let rows = chaos_summary_rows(&[outcome]);
+        let outcomes = [outcome];
+        let rows = chaos_summary_rows(&outcomes);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].len(), CHAOS_SUMMARY_HEADER.len());
         assert_eq!(rows[0][0], "summary-probe");
         assert_eq!(rows[0].last().unwrap(), "PASS");
+        assert!(disagg_summary_rows(&outcomes).is_empty());
     }
 
     #[test]
     fn disagg_summary_rows_carry_a_verdict_per_scenario() {
-        let outcome = run_disagg_scenario(
-            &DisaggScenario::builder("disagg-summary-probe")
+        let outcome = run_scenario(
+            &Scenario::builder("disagg-summary-probe")
                 .seed(6)
                 .pools(1, 1)
                 .arrivals(4.0, 4.0)
                 .build(),
         );
-        let rows = disagg_summary_rows(&[outcome]);
+        let outcomes = [outcome];
+        let rows = disagg_summary_rows(&outcomes);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].len(), DISAGG_SUMMARY_HEADER.len());
         assert_eq!(rows[0][0], "disagg-summary-probe");
         assert_eq!(rows[0][2], "1P+1D");
         assert_eq!(rows[0].last().unwrap(), "PASS");
+        assert!(chaos_summary_rows(&outcomes).is_empty());
     }
 }

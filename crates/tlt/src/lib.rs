@@ -59,7 +59,6 @@ pub use tlt_obs as obs;
 pub use adaptive::{
     run_token_experiment, DrafterAccuracyPoint, TokenExperimentConfig, TokenExperimentReport,
 };
-pub use chaos::{run_chaos_matrix, run_disagg_chaos_matrix};
 pub use config::{ExperimentConfig, SystemKind};
 pub use pipeline::{run_comparison, run_experiment, ExperimentResult, StepBreakdown};
 pub use serve::{

@@ -274,7 +274,16 @@ where
 /// process with intensity `rate(t)`. Identical configs give identical streams.
 pub fn generate_arrivals(config: &ArrivalConfig) -> Vec<RequestArrival> {
     let peak = config.curve.peak_rate();
-    assert!(peak > 0.0, "arrival rate must be positive");
+    // A NaN or infinite rate or horizon would never end the loop below.
+    assert!(
+        peak.is_finite() && peak > 0.0,
+        "arrival rate {peak} is not finite and positive"
+    );
+    assert!(
+        config.horizon_s.is_finite(),
+        "arrival horizon {} is not finite",
+        config.horizon_s
+    );
     let (lo, hi) = config.prompt_len_range;
     assert!(lo >= 1 && lo <= hi, "invalid prompt length range");
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -384,6 +393,12 @@ mod tests {
     #[should_panic(expected = "finite and positive")]
     fn zero_scale_factor_is_rejected() {
         RateCurve::Constant { rps: 1.0 }.scaled(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival horizon NaN is not finite")]
+    fn nan_horizon_is_rejected_instead_of_looping_forever() {
+        count_for(RateCurve::Constant { rps: 1.0 }, f64::NAN, 0);
     }
 
     fn count_for(curve: RateCurve, horizon_s: f64, seed: u64) -> usize {

@@ -59,7 +59,8 @@ fn main() {
     );
     println!(
         "latency    : TTFT p99 {:.3} s | E2E p99 {:.3} s across the storm",
-        outcome.report.ttft.p99_s, outcome.report.e2e.p99_s
+        outcome.report.serve().ttft.p99_s,
+        outcome.report.serve().e2e.p99_s
     );
 
     println!("\n--- invariants ---");

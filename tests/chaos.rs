@@ -1,15 +1,15 @@
 //! System-level chaos guarantees, asserted by tests (not logs): the pinned
-//! scenario matrix passes every invariant, and killing any single replica
-//! mid-run completes every in-flight request on the survivors with zero lost
-//! or duplicated requests.
+//! scenario matrix (monolithic and disaggregated) passes every invariant, its
+//! cluster scenarios exercise the migration fault surface, and killing any
+//! single replica mid-run completes every in-flight request on the survivors
+//! with zero lost or duplicated requests.
 
 use std::collections::BTreeSet;
-use tlt::chaos::{run_chaos_matrix, run_scenario, Scenario};
+use tlt::chaos::{pinned_matrix, run_pinned_matrix, run_scenario, Deployment, Scenario};
 
 #[test]
 fn pinned_matrix_passes_every_invariant() {
-    let outcomes = run_chaos_matrix();
-    assert!(outcomes.len() >= 10, "matrix shrank to {}", outcomes.len());
+    let outcomes = run_pinned_matrix();
     for outcome in &outcomes {
         assert!(
             outcome.invariants.passed(),
@@ -24,6 +24,11 @@ fn pinned_matrix_passes_every_invariant() {
             outcome.name
         );
     }
+    let clusters = outcomes.iter().filter(|o| o.report.cluster().is_some());
+    assert!(
+        outcomes.len() >= clusters.count() + 10,
+        "monolithic scenarios shrank"
+    );
 }
 
 #[test]
@@ -50,12 +55,22 @@ fn killing_any_single_replica_mid_run_loses_and_duplicates_nothing() {
         );
         assert_eq!(outcome.dropped, 0, "victim {victim}");
         // Exactly-once completion, cross-checked from the raw records.
-        let ids: BTreeSet<u64> = outcome.report.completed.iter().map(|r| r.id).collect();
-        assert_eq!(ids.len(), outcome.report.completed.len(), "duplicated ids");
+        let ids: BTreeSet<u64> = outcome
+            .report
+            .serve()
+            .completed
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(
+            ids.len(),
+            outcome.report.serve().completed.len(),
+            "duplicated ids"
+        );
         assert_eq!(ids.len(), arrivals.len(), "victim {victim}: lost requests");
         // The victim served nothing after the crash: every post-crash
         // completion landed on a survivor.
-        for r in &outcome.report.completed {
+        for r in &outcome.report.serve().completed {
             if r.replica == victim {
                 assert!(
                     r.finish_s <= 2.5 + 1e-9,
@@ -135,12 +150,13 @@ fn failover_preserves_latency_accounting_across_the_crash() {
     );
     let recomputed: Vec<_> = outcome
         .report
+        .serve()
         .completed
         .iter()
         .filter(|r| r.preemptions > 0)
         .collect();
     assert!(!recomputed.is_empty(), "the crash must force recomputes");
-    for r in &outcome.report.completed {
+    for r in &outcome.report.serve().completed {
         assert!(r.first_token_s >= r.arrival_s, "request {}", r.id);
         assert!(r.finish_s >= r.first_token_s, "request {}", r.id);
     }
@@ -148,10 +164,14 @@ fn failover_preserves_latency_accounting_across_the_crash() {
 
 #[test]
 fn disagg_matrix_passes_every_invariant() {
-    let outcomes = tlt::run_disagg_chaos_matrix();
+    let outcomes: Vec<_> = pinned_matrix()
+        .iter()
+        .filter(|s| matches!(s.deployment, Deployment::Disagg { .. }))
+        .map(run_scenario)
+        .collect();
     assert!(
         outcomes.len() >= 5,
-        "disagg matrix shrank to {}",
+        "disagg scenarios shrank to {}",
         outcomes.len()
     );
     for outcome in &outcomes {
@@ -171,14 +191,16 @@ fn disagg_matrix_passes_every_invariant() {
     // The matrix must actually exercise the migration fault surface: at least
     // one scenario aborts an in-flight KV transfer, and the autoscaled storm
     // both grows the pools and drains them back down.
+    let clusters: Vec<_> = outcomes
+        .iter()
+        .map(|o| o.report.cluster().unwrap())
+        .collect();
     assert!(
-        outcomes.iter().any(|o| o.report.aborted_transfers > 0),
+        clusters.iter().any(|c| c.aborted_transfers > 0),
         "no scenario aborted a mid-flight transfer"
     );
     assert!(
-        outcomes
-            .iter()
-            .any(|o| o.report.scale_ups > 0 && o.report.retires > 0),
+        clusters.iter().any(|c| c.scale_ups > 0 && c.retires > 0),
         "no scenario scaled up and retired"
     );
 }

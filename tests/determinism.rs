@@ -162,11 +162,11 @@ fn chaos_runs_are_bit_identical_per_seed_and_scenario() {
     let b = tlt::chaos::run_scenario(&scenario);
     assert!(a.invariants.passed(), "{:?}", a.invariants.violations);
     assert!(b.invariants.passed());
-    assert_eq!(a.report.completed, b.report.completed);
-    assert_eq!(a.report.makespan_s, b.report.makespan_s);
+    assert_eq!(a.report.serve().completed, b.report.serve().completed);
+    assert_eq!(a.report.serve().makespan_s, b.report.serve().makespan_s);
     assert_eq!(
-        a.report.throughput_tokens_per_s,
-        b.report.throughput_tokens_per_s
+        a.report.serve().throughput_tokens_per_s,
+        b.report.serve().throughput_tokens_per_s
     );
     assert_eq!(a.requeued, b.requeued);
     assert_eq!(a.coordinator, b.coordinator);
@@ -176,7 +176,7 @@ fn chaos_runs_are_bit_identical_per_seed_and_scenario() {
     let mut other = scenario.clone();
     other.seed += 1;
     let c = tlt::chaos::run_scenario(&other);
-    assert_ne!(a.report.completed, c.report.completed);
+    assert_ne!(a.report.serve().completed, c.report.serve().completed);
 }
 
 #[test]
