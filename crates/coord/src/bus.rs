@@ -51,11 +51,6 @@ impl WorkerEndpoint {
             Err(TryRecvError::Disconnected) => None,
         }
     }
-
-    /// Blocks until a command arrives (used by worker threads in tests).
-    pub fn recv_command(&self) -> Option<CoordinatorCommand> {
-        self.command_rx.recv().ok()
-    }
 }
 
 /// Coordinator-side bus.

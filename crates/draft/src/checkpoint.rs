@@ -368,11 +368,6 @@ impl CheckpointStore {
         self.latest.lock().as_ref().map(|(_, data)| data.clone())
     }
 
-    /// Number of in-flight background writes.
-    pub fn pending_writes(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Blocks until all background writes have completed.
     pub fn wait_for_pending(&mut self) {
         for handle in self.pending.drain(..) {

@@ -5,7 +5,7 @@
 //! and training — onto [`KernelWork`] descriptors for a given model geometry, GPU
 //! type and tensor-parallel degree, and converts them to time via the roofline.
 
-use crate::roofline::{estimate_time, peak_bandwidth, ExecutionMode, KernelWork, TimeBreakdown};
+use crate::roofline::{estimate_time, peak_bandwidth, ExecutionMode, KernelWork};
 use crate::specs::GpuSpec;
 use serde::Serialize;
 use tlt_model::spec::{DraftModelSpec, ModelSpec, BF16_BYTES};
@@ -163,20 +163,6 @@ impl LlmCostModel {
     /// Time of one verification pass.
     pub fn verify_step_time(&self, batch: usize, tokens_per_seq: usize, context: usize) -> f64 {
         self.verify_batch(batch, tokens_per_seq).time(context)
-    }
-
-    /// Detailed breakdown for a verification pass (used by roofline figures).
-    pub fn verify_breakdown(
-        &self,
-        batch: usize,
-        tokens_per_seq: usize,
-        context: usize,
-    ) -> TimeBreakdown {
-        estimate_time(
-            self.verify_work(batch, tokens_per_seq, context),
-            &self.gpu,
-            self.mode,
-        )
     }
 
     /// Kernel work of prefilling `prompt_len` tokens for `batch` sequences.

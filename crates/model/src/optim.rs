@@ -82,19 +82,9 @@ impl Adam {
         }
     }
 
-    /// Number of optimisation steps performed so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Current hyperparameters.
     pub fn config(&self) -> AdamConfig {
         self.config
-    }
-
-    /// Changes the learning rate (used for lr schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.config.lr = lr;
     }
 
     /// Advances the global step counter. Call once per optimisation step, before

@@ -506,11 +506,6 @@ impl Mat {
         }
     }
 
-    /// Sets every element to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()

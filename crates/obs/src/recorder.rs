@@ -45,11 +45,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Ring capacity per track.
-    pub fn capacity_per_track(&self) -> usize {
-        self.cap_per_track
-    }
-
     /// Total events ever recorded (including ones since evicted by wraparound).
     pub fn recorded(&self) -> u64 {
         self.recorded

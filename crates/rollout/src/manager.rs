@@ -80,20 +80,6 @@ impl AdaptiveSdManager {
         }
     }
 
-    /// Creates a manager over a custom strategy set and batch thresholds.
-    pub fn with_strategies(
-        config: SdManagerConfig,
-        strategies: &[SdStrategy],
-        thresholds: &[usize],
-    ) -> Self {
-        AdaptiveSdManager {
-            config,
-            selector: BegMabSelector::new(strategies, thresholds, config.mab),
-            decisions: 0,
-            speculative_decisions: 0,
-        }
-    }
-
     /// Current configuration.
     pub fn config(&self) -> SdManagerConfig {
         self.config

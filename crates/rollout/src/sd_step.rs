@@ -8,6 +8,13 @@
 //! keep only what differs between them (which load the elastic decision sees, the
 //! batch bookkeeping, their own statistics).
 //!
+//! A speculative step commits a whole number of tokens to every sequence, as a
+//! real SD round does: `n = floor(carry + E[accept])`, the remainder carried into
+//! the next step (error diffusion). `n >= 1` because of the bonus token, and after
+//! any number of steps the tokens committed are the integer part of the exact sum
+//! of the expected accept lengths, so their long-run mean is `E[accept]`. The
+//! tuner and the caller's statistics see `E[accept]` itself.
+//!
 //! The expected accept length is a pure function of (drafter profile, strategy)
 //! and a run meets only a handful of such pairs, so the evaluator remembers each
 //! one the first time it is asked for it. Beside it, and for the vanilla step, it
@@ -71,12 +78,19 @@ pub struct SdStepModel<'a> {
 pub struct SdStep {
     /// Step duration in seconds (already multiplied by the caller's time scale).
     pub time_s: f64,
-    /// Tokens committed to every running sequence: the expected accept length of
-    /// a speculative step, `1.0` for a vanilla one.
-    pub tokens_per_seq: f64,
+    /// Whole tokens committed to every running sequence: 1 for a vanilla step,
+    /// the carried integer part of the expected accept length for a speculative one.
+    pub tokens: usize,
+    /// Expected accept length of the step (`1.0` for a vanilla one): what the
+    /// tuner observed and what accept-length statistics average.
+    pub accept_len: f64,
     /// Whether the step ran speculative decoding.
     pub speculative: bool,
 }
+
+/// Fractional bits of the commit carry: every `f64` at or above 1 is an integer
+/// multiple of 2^-52, so the carry adds accept lengths exactly.
+const CARRY_BITS: u32 = 52;
 
 /// Capacity of the accept-length table: the default strategy set has four arms
 /// and there are two drafters.
@@ -109,6 +123,9 @@ pub struct SdStepEvaluator {
     accept_memo: Vec<(DrafterChoice, SdStrategy, f64, StepBatch)>,
     /// The vanilla step's cost at the last batch it ran on.
     vanilla: Option<StepBatch>,
+    /// The fraction of a token the speculative steps so far have not committed,
+    /// in units of 2^-[`CARRY_BITS`]: always below one token.
+    carry: u64,
 }
 
 impl SdStepEvaluator {
@@ -131,6 +148,7 @@ impl SdStepEvaluator {
             rng: StdRng::seed_from_u64(seed),
             accept_memo: Vec::new(),
             vanilla: None,
+            carry: 0,
         }
     }
 
@@ -175,7 +193,8 @@ impl SdStepEvaluator {
             };
             return SdStep {
                 time_s: cost.time(avg_context) * time_scale,
-                tokens_per_seq: 1.0,
+                tokens: 1,
+                accept_len: 1.0,
                 speculative: false,
             };
         };
@@ -193,9 +212,22 @@ impl SdStepEvaluator {
         }
         SdStep {
             time_s,
-            tokens_per_seq: accept,
+            tokens: self.commit(accept),
+            accept_len: accept,
             speculative: true,
         }
+    }
+
+    /// Adds `accept` to the carry and takes its whole tokens out of it.
+    fn commit(&mut self, accept: f64) -> usize {
+        assert!(
+            (1.0..2048.0).contains(&accept),
+            "accept length {accept} out of range"
+        );
+        // Exact: `accept >= 1` is a multiple of 2^-52 below 2^11.
+        let total = self.carry + (accept * (1u64 << CARRY_BITS) as f64) as u64;
+        self.carry = total & ((1 << CARRY_BITS) - 1);
+        (total >> CARRY_BITS) as usize
     }
 
     /// Expected accept length and unscaled time of one speculative step.
@@ -265,7 +297,8 @@ mod tests {
             step,
             SdStep {
                 time_s: fx.cost.decode_step_time(4, 1024),
-                tokens_per_seq: 1.0,
+                tokens: 1,
+                accept_len: 1.0,
                 speculative: false,
             }
         );
@@ -284,9 +317,11 @@ mod tests {
         assert!(!eval.step(&fx.step_model(), 9, 4, 1024, 1.0).speculative);
         let step = eval.step(&fx.step_model(), 8, 4, 1024, 2.0);
         assert!(step.speculative);
+        let accept = expected_accept_len(&fx.acceptance, &strategy);
+        assert_eq!(step.accept_len.to_bits(), accept.to_bits());
         assert_eq!(
-            step.tokens_per_seq.to_bits(),
-            expected_accept_len(&fx.acceptance, &strategy).to_bits()
+            step.tokens, accept as usize,
+            "the first commit carries from zero"
         );
         let unscaled = fx.cost.speculative_step_time(
             &fx.drafter,
@@ -323,11 +358,45 @@ mod tests {
                 let direct = SdStrategy::default_set()
                     .iter()
                     .map(|s| expected_accept_len(profile, s).to_bits())
-                    .any(|bits| bits == step.tokens_per_seq.to_bits());
-                assert!(direct, "batch {batch}: accept {}", step.tokens_per_seq);
+                    .any(|bits| bits == step.accept_len.to_bits());
+                assert!(direct, "batch {batch}: accept {}", step.accept_len);
             }
             assert_eq!(eval.accept_memo.len(), SdStrategy::default_set().len());
         }
+    }
+
+    #[test]
+    fn commits_are_the_integer_part_of_the_exact_accept_sum() {
+        let fx = fixture();
+        let mode = SdMode::Adaptive {
+            config: SdManagerConfig {
+                elastic_threshold: 16,
+                ..SdManagerConfig::default()
+            },
+        };
+        let mut eval = SdStepEvaluator::new(&mode, 11);
+        // The sum of the accept lengths in units of 2^-52, where it is exact.
+        let (mut exact, mut committed) = (0u128, 0u128);
+        let (mut arms, mut vanilla) = (Vec::new(), 0);
+        for i in 0..10_000usize {
+            // The load sweeps across the threshold: vanilla and speculative
+            // stretches, and the tuner exploring every arm on the way.
+            let load = 1 + (i * 7) % 40;
+            let step = eval.step(&fx.step_model(), load, load, 1024, 1.0);
+            assert!(step.tokens >= 1, "step {i}");
+            assert!(eval.carry < 1 << CARRY_BITS, "step {i}");
+            exact += (step.accept_len * (1u64 << CARRY_BITS) as f64) as u128;
+            committed += step.tokens as u128;
+            assert_eq!(committed, exact >> CARRY_BITS, "step {i}");
+            if !step.speculative {
+                vanilla += 1;
+            } else if !arms.contains(&step.accept_len.to_bits()) {
+                arms.push(step.accept_len.to_bits());
+            }
+        }
+        assert!((1_000..9_000).contains(&vanilla), "{vanilla} vanilla steps");
+        assert!(arms.len() >= 2, "the tuner switched arms: {arms:?}");
+        assert!(arms.iter().any(|&a| f64::from_bits(a).fract() != 0.0));
     }
 
     #[test]

@@ -114,18 +114,13 @@ impl RolloutProfile {
     }
 }
 
-/// Whether `x` is a whole number of tokens (a cast, not a call into libm).
-fn is_whole(x: f64) -> bool {
-    (x as u64) as f64 == x
-}
-
 /// Simulates decoding a batch of requests whose response lengths are given.
 ///
-/// The live requests are a suffix of one sorted array and share one progress
-/// scalar; every step is decided, costed and recorded by the [`SdStepEvaluator`].
-/// Host cost is therefore proportional to the decode steps simulated (plus, for a
-/// step that commits a fractional number of tokens, the requests then live), not
-/// to steps x requests, and nothing is allocated per step.
+/// Every step is decided, costed and recorded by the [`SdStepEvaluator`] and
+/// commits the same whole number of tokens to every live request, so the live
+/// requests are a suffix of one sorted array and their shared progress is one
+/// integer. Host cost is proportional to the decode steps simulated, not to
+/// steps x requests, and nothing is allocated per step.
 pub fn simulate_rollout(config: &SimRolloutConfig, response_lengths: &[usize]) -> RolloutProfile {
     simulate_rollout_seeded(config, config.seed, response_lengths)
 }
@@ -139,13 +134,11 @@ pub fn simulate_rollout_seeded(
 ) -> RolloutProfile {
     assert!(!response_lengths.is_empty(), "need at least one request");
     let requests = response_lengths.len();
-    let mut remaining: Vec<f64> = response_lengths.iter().map(|&l| l.max(1) as f64).collect();
-    remaining.sort_unstable_by(f64::total_cmp);
-    // Every live request has received the same commits, `generated` in all, and has
-    // `remaining[head..]` less `lag` to go: ascending, and f64 rounding is monotone,
-    // so the requests a step finishes are a prefix. `lag` holds the whole-token
-    // commits not yet subtracted: `x - lag` is exact for an integer `lag <= x < 2^53`.
-    let (mut head, mut lag, mut generated) = (0, 0.0, 0.0f64);
+    let mut remaining: Vec<usize> = response_lengths.iter().map(|&l| l.max(1)).collect();
+    remaining.sort_unstable();
+    // Every live request has `generated` tokens: the requests a step finishes are
+    // a prefix of `remaining[head..]`.
+    let (mut head, mut generated) = (0, 0);
     let total_target_tokens: usize = response_lengths.iter().sum();
     let model = config.step_model();
     let mut evaluator = SdStepEvaluator::new(&config.sd_mode, seed);
@@ -163,18 +156,11 @@ pub fn simulate_rollout_seeded(
 
     while head < requests {
         let batch = requests - head;
-        // The mean of `batch` copies of `generated`, summed one by one: exact, hence
-        // `generated` itself, while every partial sum is an integer below 2^53.
-        let mean_generated = if is_whole(generated) && generated * (batch as f64) < 9e15 {
-            generated
-        } else {
-            (0..batch).fold(0.0, |sum, _| sum + generated) / batch as f64
-        };
-        let avg_context = config.prompt_len + mean_generated as usize;
+        let avg_context = config.prompt_len + generated;
 
         let step = evaluator.step(&model, batch, batch, avg_context, 1.0);
         if step.speculative {
-            accept_len_sum += step.tokens_per_seq;
+            accept_len_sum += step.accept_len;
             speculative_steps += 1;
             if sd_activation_time.is_none() {
                 sd_activation_time = Some(time_s);
@@ -184,19 +170,8 @@ pub fn simulate_rollout_seeded(
         // Idle accounting: requests already finished wait for the stragglers.
         idle_request_seconds += head as f64 * step.time_s;
 
-        let commit = step.tokens_per_seq;
-        generated += commit;
-        if is_whole(commit) {
-            lag += commit;
-        } else {
-            // The rounding of each request's own chain of subtractions is kept.
-            for left in &mut remaining[head..] {
-                *left -= lag;
-                *left -= commit.min(*left);
-            }
-            lag = 0.0;
-        }
-        while head < requests && remaining[head] <= lag {
+        generated += step.tokens;
+        while head < requests && remaining[head] <= generated {
             head += 1;
         }
         time_s += step.time_s;

@@ -110,15 +110,6 @@ impl GenerationResult {
             self.accept_lengths.iter().sum::<usize>() as f64 / self.accept_lengths.len() as f64
         }
     }
-
-    /// Acceptance rate at drafted position `i`, if measured.
-    pub fn accept_rate_at(&self, i: usize) -> Option<f64> {
-        let attempts = *self.position_attempts.get(i)?;
-        if attempts == 0 {
-            return None;
-        }
-        Some(self.position_accepted[i] as f64 / attempts as f64)
-    }
 }
 
 /// Generates `max_new` tokens autoregressively with the target model only.

@@ -1,10 +1,13 @@
 //! Reference model for the timing-level rollout engine.
 //!
 //! `oracle_simulate_rollout` is the engine as it stood before the SD-step
-//! evaluator, the sorted live set with its deferred commits and the batch / context
+//! evaluator, the sorted live set with its shared progress and the batch / context
 //! split of the step cost: it keeps a remaining and a generated length per request,
 //! rebuilds the active index list from every request on every step, re-derives the
 //! expected accept length inline and costs every step from the model geometry.
+//! A speculative step commits to every request the whole tokens by which the
+//! integer part of the exact sum of the accept lengths so far grew, kept as one
+//! fixed-point sum rather than as the engine's carry.
 //! It lives here, test-only and not selectable at run time, so the production
 //! crate carries one engine; the properties below hold the two bit-identical over
 //! SD modes, deployments (model, GPU, tensor-parallel degree, prompt length) and
@@ -39,8 +42,11 @@ fn oracle_simulate_rollout(
     response_lengths: &[usize],
 ) -> RolloutProfile {
     assert!(!response_lengths.is_empty(), "need at least one request");
-    let mut remaining: Vec<f64> = response_lengths.iter().map(|&l| l.max(1) as f64).collect();
-    let mut generated: Vec<f64> = vec![0.0; remaining.len()];
+    let mut remaining: Vec<usize> = response_lengths.iter().map(|&l| l.max(1)).collect();
+    let mut generated: Vec<usize> = vec![0; remaining.len()];
+    // Every accept length is at least 1, hence a multiple of 2^-52: this sum of
+    // them in units of 2^-52 is exact.
+    let mut accept_sum: u128 = 0;
     let total_target_tokens: usize = response_lengths.iter().sum();
     let mut manager = match &config.sd_mode {
         SdMode::Adaptive { config: mc } => Some(AdaptiveSdManager::new(*mc)),
@@ -63,14 +69,14 @@ fn oracle_simulate_rollout(
         let active: Vec<usize> = remaining
             .iter()
             .enumerate()
-            .filter_map(|(i, &r)| (r > 0.0).then_some(i))
+            .filter_map(|(i, &r)| (r > 0).then_some(i))
             .collect();
         if active.is_empty() {
             break;
         }
         let batch = active.len();
-        let avg_context = config.prompt_len
-            + (active.iter().map(|&i| generated[i]).sum::<f64>() / batch as f64) as usize;
+        let avg_context =
+            config.prompt_len + active.iter().map(|&i| generated[i]).sum::<usize>() / batch;
 
         // Decide how to decode this step.
         let decision = match &config.sd_mode {
@@ -95,7 +101,7 @@ fn oracle_simulate_rollout(
         };
 
         let (step_time, tokens_per_seq, sd_active) = match decision {
-            SdDecision::Vanilla => (config.cost.decode_step_time(batch, avg_context), 1.0, false),
+            SdDecision::Vanilla => (config.cost.decode_step_time(batch, avg_context), 1, false),
             SdDecision::Speculative { drafter, strategy } => {
                 let profile = match drafter {
                     DrafterChoice::Learned => &config.acceptance,
@@ -125,7 +131,9 @@ fn oracle_simulate_rollout(
                 }
                 accept_len_sum += accept;
                 accept_len_count += 1;
-                (t, accept, true)
+                let before = accept_sum >> 52;
+                accept_sum += (accept * 2f64.powi(52)) as u128;
+                (t, (accept_sum >> 52) - before, true)
             }
         };
         if sd_active && sd_activation_time.is_none() {
@@ -137,7 +145,7 @@ fn oracle_simulate_rollout(
         idle_request_seconds += finished as f64 * step_time;
 
         for &i in &active {
-            let committed = tokens_per_seq.min(remaining[i]);
+            let committed = (tokens_per_seq as usize).min(remaining[i]);
             remaining[i] -= committed;
             generated[i] += committed;
         }
@@ -244,8 +252,8 @@ fn deployment(selector: usize) -> (LlmCostModel, usize) {
 }
 
 /// The drafter's acceptance: the mode's own profiles, every draft accepted, or
-/// none. The last two make the expected accept length an integer, so a
-/// speculative step commits without touching the live requests.
+/// none. The last two make the expected accept length an integer, so the
+/// carry stays at zero.
 const ACCEPTANCES: usize = 3;
 
 fn check_on(deployment_sel: usize, acceptance: usize, lengths: &[usize], mode: usize, seed: u64) {
@@ -342,9 +350,8 @@ fn engine_matches_oracle_in_every_mode_on_a_long_tail() {
 
 /// `paper_default` scale: worker shares of 16 to 128 responses drawn from its
 /// length distribution (2% of them at the 32,768 cap), under a static strategy
-/// that switches on at 32 requests. The vanilla phase defers tens of thousands of
-/// commits, which the first speculative step applies to the live requests at once
-/// (fractional accept length) or goes on deferring (integral).
+/// that switches on at 32 requests: tens of thousands of vanilla steps, then
+/// speculative ones with a fractional (carried) or an integral accept length.
 #[test]
 fn engine_matches_oracle_at_paper_scale_across_the_vanilla_to_speculative_switch() {
     let dist = LengthDistribution::LongTailMixture {
@@ -364,12 +371,13 @@ fn engine_matches_oracle_at_paper_scale_across_the_vanilla_to_speculative_switch
     }
 }
 
-/// An accept length of ~1.1 brings the shared progress within an ulp or two of an
-/// integer every ten steps (10.999999999999998 after the tenth), which is where a
-/// mean context read off the scalar could truncate differently from the oracle's
-/// request-by-request sum; the engine sums there, and this holds it to that.
+/// An accept length of 1.1 is the `f64` 1.100000000000000088..., so the exact
+/// sum of ten of them is just above 11, while adding them up in `f64` gives
+/// 10.999999999999998. The engine commits the integer part of the exact sum: a
+/// lone request of 11 tokens is done after ten steps, not eleven, and every
+/// request of a long batch finishes where the oracle's does.
 #[test]
-fn engine_matches_oracle_when_progress_is_an_ulp_from_an_integer() {
+fn engine_commits_the_integer_part_of_the_exact_accept_sum() {
     let (cost, _) = deployment(1);
     let mut config = SimRolloutConfig::vanilla(cost).with_sd_mode(SdMode::Static {
         strategy: SdStrategy {
@@ -380,8 +388,12 @@ fn engine_matches_oracle_when_progress_is_an_ulp_from_an_integer() {
         threshold: usize::MAX,
     });
     config.acceptance = AcceptanceProfile::from_measured(vec![0.1]);
+    let lone = simulate_rollout(&config, &[11]);
+    // The accept lengths summed in `f64`, divided by ten.
+    assert_eq!(lone.mean_accept_length, 1.0999999999999999);
+    assert_eq!(lone.steps, 10);
     let lengths: Vec<usize> = (0..48).map(|i| 4096 - 61 * i).collect();
     let engine = simulate_rollout(&config, &lengths);
-    assert!(engine.mean_accept_length > 1.09 && engine.mean_accept_length < 1.11);
+    assert_eq!(engine.steps, 3724, "4096 tokens, 1.1 a step");
     assert_bit_identical(&engine, &oracle_simulate_rollout(&config, &lengths));
 }

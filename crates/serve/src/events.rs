@@ -289,7 +289,7 @@ impl DriveState {
         if target.is_none() {
             self.orphans.push_back(FailoverRequest {
                 req: *req,
-                generated: 0.0,
+                generated: 0,
                 first_token_s: None,
                 admitted_s: None,
                 preemptions: 0,

@@ -3,12 +3,13 @@
 //! Each replica owns an admission queue and a running batch and alternates
 //! **prefill** steps (packed admission of queued requests, bounded by the KV token
 //! budget and a chunking limit) with **decode** steps (one committed token per
-//! sequence vanilla, or an expected accept length speculatively). Every decode
-//! step is decided, costed on [`tlt_gpusim::LlmCostModel`] and fed back to the
-//! tuner by [`tlt_rollout::SdStepEvaluator`], the same evaluator the rollout
-//! engine advances by, with the elastic threshold driven by the *live load*
-//! (running batch plus queue depth), so speculation switches itself off exactly when
-//! a backlog guarantees large batches — the paper's elastic-SD insight applied to
+//! sequence vanilla, the carried whole part of the expected accept length
+//! speculatively). Every decode step is decided, costed on
+//! [`tlt_gpusim::LlmCostModel`] and fed back to the tuner by
+//! [`tlt_rollout::SdStepEvaluator`], the same evaluator the rollout engine
+//! advances by, with the elastic threshold driven by the *live load* (running
+//! batch plus queue depth), so speculation switches itself off exactly when a
+//! backlog guarantees large batches — the paper's elastic-SD insight applied to
 //! online serving.
 //!
 //! Replicas also model production failures: [`Replica::crash`] takes the engine
@@ -21,28 +22,25 @@
 //! # Runs
 //!
 //! A decode step costs O(1), and a change to the batch costs what changed,
-//! not a pass per member. While the in-flight step is vanilla (one token per
-//! sequence, not speculative), every running entry holds a whole-token
-//! `generated` and owes a token, and nothing is queued, the replica is in a
-//! **run** (`Run`): completing the step is `lag += 1` on one scalar, and the
-//! next step's inputs come from sums the run carries. The run survives the
-//! batch changing under it:
+//! not a pass per member. Every decode step, vanilla or speculative, commits
+//! the same whole number of tokens to every running sequence, so while
+//! nothing is queued the replica is in a **run** (`Run`): completing a step
+//! of `n` tokens is `lag += n` on one scalar, and the next step's inputs come
+//! from sums the run carries. The run survives the batch changing under it:
 //! - entries still owed their first token are stamped by the run's next
 //!   completed step (`Run::unstamped`, a tail of the batch);
 //! - on the step that finishes entries, the finishers leave in admission
 //!   order and come off the sums, in one light pass;
-//! - a landed migration with a whole-token `generated` joins at a step
-//!   boundary, pushed last, its `generated` stored relative to the lag.
+//! - a landed migration joins at a step boundary, pushed last, its
+//!   `generated` stored relative to the lag.
 //!
-//! `settle()` writes `lag` into the entries and ends the run. What still ends
-//! it: a speculative or fractional step chosen by the tuner, a step boundary
-//! with `queue` non-empty (the admission path), a joiner with a fractional
-//! `generated`, (under optimistic admission) a batch that stopped fitting,
-//! a batch that empties, and [`Replica::crash`]. The `&self` readers
+//! `settle()` writes `lag` into the entries and ends the run. Only four
+//! things end it: a step boundary with `queue` non-empty (the admission
+//! path), (under optimistic admission) a batch that stopped fitting, a batch
+//! that empties, and [`Replica::crash`]. The `&self` readers
 //! ([`Replica::load`], [`Replica::kv_pool_leaked`], [`Replica::plan_inbound`])
 //! read the sums instead, and what conservative admission reserves is a sum
-//! kept at every change to the batch (`Replica::held`). Everything moved is
-//! integer-valued, so no simulated bit depends on how a step was committed.
+//! kept at every change to the batch (`Replica::held`).
 
 use crate::balancer::ReplicaLoad;
 use crate::config::{KvAccounting, ServeConfig};
@@ -57,7 +55,7 @@ use tlt_rollout::{SdMode, SdStepEvaluator, SdStepModel};
 #[derive(Debug, Clone)]
 struct QueuedEntry {
     req: ServeRequest,
-    generated: f64,
+    generated: usize,
     first_token_s: Option<f64>,
     admitted_s: Option<f64>,
     preemptions: u32,
@@ -67,7 +65,7 @@ impl QueuedEntry {
     fn fresh(req: ServeRequest) -> Self {
         QueuedEntry {
             req,
-            generated: 0.0,
+            generated: 0,
             first_token_s: None,
             admitted_s: None,
             preemptions: 0,
@@ -77,7 +75,7 @@ impl QueuedEntry {
     /// Tokens a prefill step must process to (re)start this request: the prompt
     /// plus any previously generated tokens lost to preemption (recompute).
     fn prefill_tokens(&self) -> usize {
-        self.req.prompt_len + self.generated.ceil() as usize
+        self.req.prompt_len + self.generated
     }
 }
 
@@ -91,7 +89,7 @@ pub struct FailoverRequest {
     /// The original request.
     pub req: ServeRequest,
     /// Output tokens already produced (and delivered) before the crash.
-    pub generated: f64,
+    pub generated: usize,
     /// When the first output token was produced, if it was.
     pub first_token_s: Option<f64>,
     /// When the request was first admitted into a prefill batch, if it was.
@@ -110,7 +108,7 @@ pub struct MigratedEntry {
     /// The original request.
     pub req: ServeRequest,
     /// Output tokens already produced (normally 0 at a post-prefill handoff).
-    pub generated: f64,
+    pub generated: usize,
     /// When the request was first admitted into a prefill batch.
     pub admitted_s: f64,
     /// Preemption count carried across the handoff.
@@ -125,7 +123,8 @@ pub struct MigratedEntry {
 #[derive(Debug, Clone)]
 struct RunningEntry {
     req: ServeRequest,
-    generated: f64,
+    /// Output tokens produced; inside a run, less the run's lag (wrapping).
+    generated: usize,
     first_token_s: Option<f64>,
     admitted_s: f64,
     preemptions: u32,
@@ -141,7 +140,7 @@ struct RunningEntry {
 impl RunningEntry {
     /// Current KV footprint in tokens (per-sequence attention context).
     fn kv_tokens(&self) -> usize {
-        self.req.prompt_len + self.generated.ceil() as usize
+        self.req.prompt_len + self.generated
     }
 
     /// Tokens this entry stores privately under paged accounting (everything
@@ -150,14 +149,9 @@ impl RunningEntry {
         self.kv_tokens() - self.shared_tokens
     }
 
-    fn remaining(&self) -> f64 {
-        self.req.output_len as f64 - self.generated
-    }
-
-    /// Whether a run can carry this entry: a whole-token `generated` and at
-    /// least one token owed.
-    fn runs(&self) -> bool {
-        self.generated.fract() == 0.0 && self.remaining() >= 1.0
+    /// Tokens still owed; inside a run, plus the run's lag.
+    fn remaining(&self) -> usize {
+        self.req.output_len.wrapping_sub(self.generated)
     }
 
     /// What this entry reserves for its whole life under conservative
@@ -192,12 +186,10 @@ enum PagedAdmission {
 enum StepWork {
     /// A packed prefill over all `prefill_pending` running entries.
     Prefill,
-    /// A decode step committing `tokens_per_seq` tokens to every running sequence
-    /// (`speculative` marks an SD round, for the flight recorder).
-    Decode {
-        tokens_per_seq: f64,
-        speculative: bool,
-    },
+    /// A decode step committing `tokens` tokens to every running sequence
+    /// (`speculative` marks an SD round, for the flight recorder). A `u32`
+    /// keeps `PendingStep`, inline in every replica, at three words.
+    Decode { tokens: u32, speculative: bool },
 }
 
 #[derive(Debug, Clone)]
@@ -207,8 +199,8 @@ struct PendingStep {
     duration_s: f64,
 }
 
-/// A run of vanilla decode steps (module header): the steps not yet written
-/// into the entries, and the batch's sums with them.
+/// A run of decode steps (module header): the tokens not yet written into the
+/// entries, and the batch's sums with them.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Run {
     /// Tokens every entry has produced beyond its `generated`.
@@ -252,12 +244,14 @@ impl Run {
             self.private_blocks += ledger.blocks_for(private);
             self.residues[(private + self.boundary) % ledger.block_size()] += 1;
         }
-        entry.generated -= self.lag as f64;
-        self.to_finish = self.to_finish.min(entry.remaining() as usize);
+        entry.generated = entry.generated.wrapping_sub(self.lag);
+        self.to_finish = self.to_finish.min(entry.remaining());
     }
 
-    /// Takes a finished entry, its `generated` written back, off the sums
-    /// (it owes nothing, so `outstanding` keeps).
+    /// Takes a finished entry off the sums, its `generated` written back
+    /// unclamped: the tokens `enter` and `advance` added for it, including
+    /// what the finishing step committed past its end. The finish walk
+    /// recounts `outstanding`.
     fn leave(&mut self, entry: &RunningEntry, ledger: Option<&BlockLedger>) {
         self.kv_tokens -= entry.kv_tokens();
         if let Some(ledger) = ledger {
@@ -267,17 +261,25 @@ impl Run {
         }
     }
 
-    /// Commits one vanilla step to each of the `batch` entries.
-    fn advance(&mut self, batch: usize) {
-        self.lag += 1;
-        self.kv_tokens += batch;
-        self.outstanding -= batch as u64;
-        if let Some(&crossing) = self.residues.get(self.boundary) {
-            // A token that follows a full block opens a new one.
-            self.private_blocks += crossing as usize;
+    /// Commits `n` tokens to each of the `batch` entries; returns whether the
+    /// step finishes nobody. A step that finishes somebody leaves
+    /// `outstanding` to the finish walk: a finisher owed fewer than `n`.
+    fn advance(&mut self, batch: usize, n: usize) -> bool {
+        self.lag += n;
+        self.kv_tokens += batch * n;
+        if !self.residues.is_empty() {
             let last = self.residues.len() - 1;
-            self.boundary = self.boundary.checked_sub(1).unwrap_or(last);
+            for _ in 0..n {
+                // A token that follows a full block opens a new one.
+                self.private_blocks += self.residues[self.boundary] as usize;
+                self.boundary = self.boundary.checked_sub(1).unwrap_or(last);
+            }
         }
+        let carried = self.lag < self.to_finish;
+        if carried {
+            self.outstanding -= (batch * n) as u64;
+        }
+        carried
     }
 }
 
@@ -526,7 +528,7 @@ impl Replica {
         self.metrics.inc_failovers();
         record(
             ObsEvent::instant(now, self.track(), EventKind::Failover, fo.req.id)
-                .with_args(fo.generated, 0.0),
+                .with_args(fo.generated as f64, 0.0),
         );
         self.queue.push_back(QueuedEntry {
             req: fo.req,
@@ -569,7 +571,7 @@ impl Replica {
             .map(|e| {
                 // Work still owed: the (re)prefill plus the decode tokens not yet
                 // produced (preempted entries keep their `generated` credit).
-                e.prefill_tokens() as u64 + (e.req.output_len as f64 - e.generated).max(0.0) as u64
+                (e.prefill_tokens() + e.req.output_len.saturating_sub(e.generated)) as u64
             })
             .sum();
         let running_tokens: u64 = if let Some(run) = self.active_run() {
@@ -583,7 +585,7 @@ impl Replica {
                     } else {
                         0
                     };
-                    (prefill as f64 + e.remaining()).max(0.0) as u64
+                    (prefill + e.remaining()) as u64
                 })
                 .sum()
         };
@@ -684,9 +686,10 @@ impl Replica {
                 }
             }
             StepWork::Decode {
-                tokens_per_seq,
+                tokens,
                 speculative,
             } => {
+                let tokens = tokens as usize;
                 record(
                     ObsEvent::span(
                         now - step.duration_s,
@@ -699,18 +702,17 @@ impl Replica {
                         },
                         NO_REQ,
                     )
-                    .with_args(batch as f64, tokens_per_seq),
+                    .with_args(batch as f64, tokens as f64),
                 );
                 if self.in_run {
                     let run = self.run.as_deref_mut().expect("a run has its sums");
-                    run.advance(batch);
+                    let carried = run.advance(batch, tokens);
                     self.entry_visits += run.unstamped as u64;
                     for entry in &mut self.running[batch - run.unstamped..] {
                         entry.first_token_s.get_or_insert(now);
                     }
                     run.unstamped = 0;
-                    // The step finishes nobody: the run carries it.
-                    if run.lag < run.to_finish {
+                    if carried {
                         return self.start_step(now);
                     }
                 }
@@ -725,26 +727,25 @@ impl Replica {
                 let max_output = self.config.max_output_tokens;
                 let in_run = self.in_run;
                 let mut run = self.run.as_deref_mut().filter(|_| in_run);
-                let lag = run.as_ref().map_or(0.0, |run| run.lag as f64);
-                let mut to_finish = usize::MAX;
+                let lag = run.as_ref().map_or(0, |run| run.lag);
+                let (mut to_finish, mut outstanding) = (usize::MAX, 0);
                 let completed = &mut self.completed;
                 let metrics = &mut self.metrics;
                 let ledger = &mut self.ledger;
                 let held = &mut self.held;
                 self.running.retain_mut(|entry| {
                     if run.is_none() {
-                        entry.generated += tokens_per_seq.min(entry.remaining());
+                        entry.generated += tokens.min(entry.remaining());
                     }
                     // Migrated entries skip the local prefill, so their first
                     // token is produced by their first decode commit here.
                     let first_token_s = *entry.first_token_s.get_or_insert(now);
-                    if entry.remaining() - lag > 1e-9 {
-                        if run.is_some() {
-                            to_finish = to_finish.min(entry.remaining() as usize);
-                        }
+                    if entry.remaining() > lag {
+                        to_finish = to_finish.min(entry.remaining());
+                        outstanding += (entry.remaining() - lag) as u64;
                         return true;
                     }
-                    entry.generated += lag;
+                    entry.generated = entry.generated.wrapping_add(lag);
                     if let Some(run) = run.as_deref_mut() {
                         run.leave(entry, ledger.as_ref());
                     }
@@ -774,7 +775,7 @@ impl Replica {
                     false
                 });
                 if let Some(run) = run {
-                    run.to_finish = to_finish;
+                    (run.to_finish, run.outstanding) = (to_finish, outstanding);
                 }
                 self.in_run &= !self.running.is_empty();
                 self.check_sums();
@@ -1221,15 +1222,12 @@ impl Replica {
     }
 
     /// The batch's `(KV tokens, private blocks)` from the run's sums, if the
-    /// run survives this step boundary: nobody is queued, every landed
-    /// migration can be carried (they join it here) and, under optimistic
-    /// admission, the grown batch still fits (the check
-    /// `preempt_until_fitting` opens with).
+    /// run survives this step boundary: nobody is queued and, under
+    /// optimistic admission, the batch grown by the landed migrations (they
+    /// join it here) still fits (the check `preempt_until_fitting` opens
+    /// with).
     fn carried_footprint(&mut self) -> Option<(usize, usize)> {
         if !self.in_run || !self.queue.is_empty() {
-            return None;
-        }
-        if self.arriving.iter().any(|(entry, _)| !entry.runs()) {
             return None;
         }
         self.merge_arriving();
@@ -1242,18 +1240,13 @@ impl Replica {
         fits.then_some((run.kv_tokens, run.private_blocks))
     }
 
-    /// Begins a run on the vanilla step just scheduled, if a run can carry
-    /// every entry.
+    /// Begins a run on the decode step just scheduled.
     fn begin_run(&mut self) {
         let block_size = self.ledger.as_ref().map_or(0, BlockLedger::block_size);
         let run = self.run.get_or_insert_with(Box::default);
         run.reset(block_size);
         let batch = self.running.len();
         for (i, entry) in self.running.iter_mut().enumerate() {
-            if !entry.runs() {
-                self.entry_visits += i as u64 + 1;
-                return;
-            }
             if run.unstamped == 0 && entry.first_token_s.is_none() {
                 run.unstamped = batch - i;
             }
@@ -1276,11 +1269,11 @@ impl Replica {
     /// Writes the run's `lag` into the entries and ends the run.
     fn write_back_run(&mut self) {
         self.check_sums();
-        let lag = self.run.as_deref().expect("a run has its sums").lag as f64;
+        let lag = self.run.as_deref().expect("a run has its sums").lag;
         self.in_run = false;
         self.entry_visits += self.running.len() as u64;
         for e in &mut self.running {
-            e.generated += lag;
+            e.generated = e.generated.wrapping_add(lag);
         }
     }
 
@@ -1307,7 +1300,7 @@ impl Replica {
         (recount.lag, recount.boundary, recount.unstamped) = (run.lag, run.boundary, run.unstamped);
         for e in &self.running {
             let mut actual = e.clone();
-            actual.generated += run.lag as f64;
+            actual.generated = actual.generated.wrapping_add(run.lag);
             recount.enter(&mut actual, ledger);
         }
         assert_eq!(*run, recount, "run sums");
@@ -1364,17 +1357,15 @@ impl Replica {
             .step(&model, live_load, batch, avg_context, self.slow_factor);
 
         self.metrics.inc_decode_steps();
-        if step.speculative || step.tokens_per_seq != 1.0 {
-            self.settle();
-        } else if carried.is_none() && self.queue.is_empty() {
+        if carried.is_none() && self.queue.is_empty() {
             self.begin_run();
         }
         if step.speculative {
-            self.metrics.observe_sd_step(step.tokens_per_seq);
+            self.metrics.observe_sd_step(step.accept_len);
             // Quantise for the trace recorder: at least the bonus token is
             // always produced, and the unary SD bitstream caps one step's
             // accept length at 63 tokens.
-            let accept = step.tokens_per_seq.round().clamp(1.0, 63.0) as u8;
+            let accept = step.accept_len.round().clamp(1.0, 63.0) as u8;
             match self.sd_accepts.last_mut() {
                 Some((value, count)) if *value == accept && *count < u32::MAX => *count += 1,
                 _ => self.sd_accepts.push((accept, 1)),
@@ -1382,7 +1373,7 @@ impl Replica {
         }
         self.step = Some(PendingStep {
             work: StepWork::Decode {
-                tokens_per_seq: step.tokens_per_seq,
+                tokens: u32::try_from(step.tokens).expect("an SD step commits few tokens"),
                 speculative: step.speculative,
             },
             finish_s: now + step.time_s,
@@ -1540,7 +1531,7 @@ impl Replica {
             return None;
         }
         let need_tokens = if self.config.preemption {
-            entry.req.prompt_len + entry.generated.ceil() as usize
+            entry.req.prompt_len + entry.generated
         } else {
             entry.req.prompt_len + self.config.max_output_tokens
         };
@@ -1613,7 +1604,7 @@ impl Replica {
     /// `reserved_blocks` charged at transfer start into its private footprint.
     pub fn deliver_migrated(&mut self, entry: MigratedEntry, reserved_blocks: usize, now: f64) {
         debug_assert!(self.up, "migrations only land on live replicas");
-        let kv_tokens = entry.req.prompt_len + entry.generated.ceil() as usize;
+        let kv_tokens = entry.req.prompt_len + entry.generated;
         self.metrics.inc_migrations_in();
         // The admission event of a migrated sequence: zero novel tokens to
         // compute, the whole context arrives materialised over the wire.
@@ -1809,7 +1800,7 @@ mod tests {
         for (seq, id) in [(0u64, 10u64), (1, 11), (2, 12), (3, 13)] {
             let entry = RunningEntry {
                 req: request(id, 0.0, 1_000, 64),
-                generated: 0.0,
+                generated: 0,
                 first_token_s: Some(0.5),
                 admitted_s: 0.1,
                 preemptions: 0,
@@ -1919,7 +1910,7 @@ mod tests {
         for (seq, id) in [(0u64, 20u64), (1, 21)] {
             let entry = RunningEntry {
                 req: request(id, 0.0, 1_000, 64),
-                generated: 0.0,
+                generated: 0,
                 first_token_s: None,
                 admitted_s: 0.25,
                 preemptions: 0,
@@ -1992,7 +1983,7 @@ mod tests {
         );
         let first_tokens = [Some(t1), Some(t2)];
         for (fo, expected_first) in drained.iter().zip(first_tokens) {
-            assert_eq!(fo.generated, 1.0, "streamed tokens keep their credit");
+            assert_eq!(fo.generated, 1, "streamed tokens keep their credit");
             assert_eq!(fo.first_token_s, expected_first);
             assert_eq!(fo.preemptions, 1, "crash counts as a forced recompute");
         }
@@ -2024,7 +2015,7 @@ mod tests {
         let drained = replica.crash(0.001);
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].first_token_s, None);
-        assert_eq!(drained[0].generated, 0.0);
+        assert_eq!(drained[0].generated, 0);
         assert_eq!(replica.next_event_s(), f64::MAX, "in-flight step aborted");
     }
 
@@ -2298,7 +2289,7 @@ mod tests {
         // needs (under optimistic admission a 64+16 request takes 5 blocks).
         let inbound = MigratedEntry {
             req: request(100, 0.0, (budget - 2) * 16, 16),
-            generated: 0.0,
+            generated: 0,
             admitted_s: 0.0,
             preemptions: 0,
             source_blocks: budget - 2,
@@ -2359,7 +2350,7 @@ mod tests {
         let mut replica = Replica::new(&cfg, 0);
         let entry = MigratedEntry {
             req: request(7, 0.0, 256, 32),
-            generated: 0.0,
+            generated: 0,
             admitted_s: 0.05,
             preemptions: 0,
             source_blocks: 16,
@@ -2423,6 +2414,8 @@ mod tests {
     #[derive(Debug, Default)]
     struct Carried {
         steps: usize,
+        /// Speculative ones.
+        speculative: usize,
         /// Followed by landed migrations joining the run.
         joins: usize,
         /// Stamping somebody's first token.
@@ -2435,22 +2428,12 @@ mod tests {
     /// step completion, so it never carries a step (nor a join, which needs
     /// a run at the boundary). Returns the steps `a` carried and its final
     /// accounting.
-    fn run_twins(cfg: &ServeConfig, fractional: bool, seed: u64) -> (Carried, ReplicaStats) {
+    fn run_twins(cfg: &ServeConfig, seed: u64) -> (Carried, ReplicaStats) {
         let (mut a, mut b) = (Replica::new(cfg, 0), Replica::new(cfg, 0));
         let mut rng = OpRng(seed);
         let (mut now, mut next_id) = (0.0f64, 0u64);
         let mut carried = Carried::default();
         let mut failovers: Vec<FailoverRequest> = Vec::new();
-        // A fractional `generated` is what an SD replica hands over. One token
-        // and five ulps is the value that tells a carried run from a walked
-        // one: adding 1.0 seven times rounds it down, adding 7.0 once rounds up.
-        let progress = |rng: &mut OpRng, output: usize| {
-            if fractional && rng.below(2) == 0 {
-                f64::from_bits(1.0f64.to_bits() + 5)
-            } else {
-                rng.below(output) as f64
-            }
-        };
         for op in 0..4_000 {
             let roll = rng.below(100);
             // Ops land between the last event and the next, as a driver's do.
@@ -2482,8 +2465,21 @@ mod tests {
                         }
                         now = a.next_event_s();
                         if let Some(run) = a.active_run() {
+                            let Some(PendingStep {
+                                work:
+                                    StepWork::Decode {
+                                        tokens,
+                                        speculative,
+                                    },
+                                ..
+                            }) = a.step
+                            else {
+                                unreachable!("a run carries decode steps")
+                            };
                             carried.steps += 1;
-                            carried.finishes += usize::from(run.lag + 1 == run.to_finish);
+                            carried.speculative += usize::from(speculative);
+                            carried.finishes +=
+                                usize::from(run.lag + tokens as usize >= run.to_finish);
                             carried.first_tokens += usize::from(run.unstamped > 0);
                             let joining = !a.arriving.is_empty();
                             a.on_step_complete(now);
@@ -2507,7 +2503,7 @@ mod tests {
                     let req = fresh(&mut rng);
                     let entry = MigratedEntry {
                         req,
-                        generated: progress(&mut rng, req.output_len),
+                        generated: rng.below(req.output_len),
                         admitted_s: t,
                         preemptions: 0,
                         source_blocks: 0,
@@ -2541,7 +2537,7 @@ mod tests {
                         let req = fresh(&mut rng);
                         FailoverRequest {
                             req,
-                            generated: progress(&mut rng, req.output_len),
+                            generated: rng.below(req.output_len),
                             first_token_s: Some(t),
                             admitted_s: Some(t),
                             preemptions: 1,
@@ -2567,9 +2563,9 @@ mod tests {
 
     #[test]
     fn a_replica_that_never_runs_is_indistinguishable_at_every_op() {
-        // Both twins execute the same code, so what is compared is a step
-        // carried by the run's sums (through joins, first tokens and
-        // finishes) against the same step walked.
+        // Both twins execute the same code, so what is compared is a step,
+        // vanilla or speculative, carried by the run's sums (through joins,
+        // first tokens and finishes) against the same step walked.
         use tlt_rollout::SdManagerConfig;
         let accountings = [
             KvAccounting::Tokens,
@@ -2587,34 +2583,35 @@ mod tests {
         for (i, kv_accounting) in accountings.into_iter().enumerate() {
             for preemption in [false, true] {
                 for sd_mode in [SdMode::Disabled, adaptive.clone()] {
-                    for fractional in [false, true] {
-                        let mut cfg = config().with_sd_mode(sd_mode.clone());
-                        // A 3,000-token pool: admission and preemption bind.
-                        cfg.kv_memory_fraction = (cfg.cost.model.weight_bytes()
-                            + 3_000.5 * cfg.cost.model.kv_bytes_per_token())
-                            / cfg.cost.gpu.memory_bytes();
-                        cfg.max_output_tokens = 256;
-                        cfg.max_running_requests = 12;
-                        cfg.preemption = preemption;
-                        cfg.kv_accounting = kv_accounting;
-                        assert_eq!(cfg.kv_token_budget(), 3_000);
-                        let seed = (i * 8 + usize::from(preemption) * 4) as u64
-                            + u64::from(fractional) * 2
-                            + u64::from(sd_mode == SdMode::Disabled);
-                        let (carried, stats) = run_twins(&cfg, fractional, seed);
-                        let cell =
-                            format!("{kv_accounting:?} {preemption} {sd_mode:?} {fractional}");
-                        assert!(carried.steps > 500, "{cell}: {carried:?}");
-                        assert!(carried.finishes >= 10, "{cell}: {carried:?}");
-                        // Only a paged replica plans migrations, and only a
-                        // migrated entry reaches a decode step unstamped.
-                        if kv_accounting != KvAccounting::Tokens {
-                            assert!(carried.joins >= 2, "{cell}: {carried:?}");
-                            assert!(carried.first_tokens >= 2, "{cell}: {carried:?}");
-                        }
-                        assert_eq!(stats.preemptions > 0, preemption, "{cell}");
-                        assert!(stats.crashes > 0 && stats.failovers > 0, "{cell}");
+                    let mut cfg = config().with_sd_mode(sd_mode.clone());
+                    // A 3,000-token pool: admission and preemption bind.
+                    cfg.kv_memory_fraction = (cfg.cost.model.weight_bytes()
+                        + 3_000.5 * cfg.cost.model.kv_bytes_per_token())
+                        / cfg.cost.gpu.memory_bytes();
+                    cfg.max_output_tokens = 256;
+                    cfg.max_running_requests = 12;
+                    cfg.preemption = preemption;
+                    cfg.kv_accounting = kv_accounting;
+                    assert_eq!(cfg.kv_token_budget(), 3_000);
+                    let seed = (i * 8 + usize::from(preemption) * 4) as u64
+                        + u64::from(sd_mode == SdMode::Disabled);
+                    let (carried, stats) = run_twins(&cfg, seed);
+                    let cell = format!("{kv_accounting:?} {preemption} {sd_mode:?}");
+                    assert!(carried.steps > 500, "{cell}: {carried:?}");
+                    assert_eq!(
+                        carried.speculative > 0,
+                        sd_mode != SdMode::Disabled,
+                        "{cell}"
+                    );
+                    assert!(carried.finishes >= 10, "{cell}: {carried:?}");
+                    // Only a paged replica plans migrations, and only a
+                    // migrated entry reaches a decode step unstamped.
+                    if kv_accounting != KvAccounting::Tokens {
+                        assert!(carried.joins >= 2, "{cell}: {carried:?}");
+                        assert!(carried.first_tokens >= 2, "{cell}: {carried:?}");
                     }
+                    assert_eq!(stats.preemptions > 0, preemption, "{cell}");
+                    assert!(stats.crashes > 0 && stats.failovers > 0, "{cell}");
                 }
             }
         }

@@ -88,15 +88,6 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Mean step time in seconds.
-    pub fn mean_step_time_s(&self) -> f64 {
-        if self.steps.is_empty() {
-            0.0
-        } else {
-            self.steps.iter().map(StepBreakdown::total_s).sum::<f64>() / self.steps.len() as f64
-        }
-    }
-
     /// Throughput speedup relative to a baseline result.
     pub fn speedup_over(&self, baseline: &ExperimentResult) -> f64 {
         if baseline.throughput_tokens_per_s <= 0.0 {

@@ -172,16 +172,17 @@ fn churn_cluster_reports_match_the_reference() {
 
 /// A monolithic fleet made to produce what an in-place unstable sort could get
 /// wrong. Four replicas fed identical work at t = 0 run in lockstep, so their
-/// completions tie on `finish_s` across replicas; a tight KV budget under
-/// optimistic admission preempts and re-queues, a crash fails a batch over
-/// onto its neighbours and a straggler slows one of them, so batches hold
-/// requests out of id order and finish them that way.
+/// completions tie on `finish_s` across replicas; that work arrives in
+/// descending id order, so each replica's batch holds it out of id order and
+/// finishes it in one step. A tight KV budget under optimistic admission
+/// preempts and re-queues, a crash fails a batch over onto its neighbours and
+/// a straggler slows one of them.
 #[test]
 fn serving_reports_with_ties_preemption_and_faults_match_the_reference() {
     let mut config = replay_deployment(4).with_preemption();
     // About 16.5k KV tokens per replica: enough to run, too few not to preempt.
     config.kv_memory_fraction = 0.188;
-    let burst = (0..16u64).map(|id| RequestArrival {
+    let burst = (0..16u64).rev().map(|id| RequestArrival {
         id,
         time_ns: 0,
         prompt_len: 512,
