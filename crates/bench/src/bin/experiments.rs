@@ -1460,6 +1460,20 @@ fn replay_cmd(
         }
     }
     if let Some(factor) = rate_scale {
+        // `rate_scaled`'s bound: every scaled arrival time fits in u64 ns
+        // (times are sorted, so the last one decides).
+        for (trace, _, _) in &runs {
+            let tick = trace.tick_ns();
+            let last = trace.arrivals().last().map_or(0, |a| a.time_ns / tick);
+            let ticks = (last as f64 / factor).round();
+            if ticks >= u64::MAX as f64 || (ticks as u64).checked_mul(tick).is_none() {
+                eprintln!(
+                    "error: --rate-scale {factor} overflows the u64 ns timeline of {}",
+                    trace.name()
+                );
+                return 1;
+            }
+        }
         runs = runs
             .into_iter()
             .map(|(trace, decode_s, _)| (trace.rate_scaled(factor), decode_s, None))

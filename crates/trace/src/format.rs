@@ -26,15 +26,21 @@
 //! varint  prefix tag: 0 = no shared prefix
 //!                     1 = new prefix group (+ varint prefix_id, varint len)
 //!                     k >= 2 = back-reference to the (k-1)-th most recent
-//!                              preceding prefix-bearing request
+//!                              preceding prefix-bearing request, distance
+//!                              k-1 <= PREFIX_WINDOW (63)
 //!                              (+ zigzag varint prefix-length delta)
 //! ```
 //!
 //! Request ids are implicit (index order) and arrival times are reconstructed
 //! from the deltas, so a decoded trace is already in the canonical shape the
 //! serving frontends expect: sorted by time with sequential ids.
+//!
+//! The codec is [`TraceWriter`] / [`TraceReader`]; [`Trace`]'s byte and file
+//! methods run them.
 
+use crate::stream::{TraceReader, TraceWriter};
 use std::fmt;
+use std::io::Read;
 use tlt_workload::RequestArrival;
 
 /// File magic: the first four bytes of every TLTR trace.
@@ -46,9 +52,9 @@ pub const VERSION: u8 = 1;
 /// Flag bit 0: an SD accept-length bitstream section follows the requests.
 pub(crate) const FLAG_SD: u8 = 1;
 
-/// How far back the encoder searches for a prefix back-reference. Bounds
-/// encoder cost (and the streaming reader's prefix ring); longer gaps fall
-/// back to re-stating the group id.
+/// How far back a prefix back-reference may reach: the writer searches this
+/// many groups (longer gaps re-state the group id) and the reader rejects a
+/// deeper reference.
 pub const PREFIX_WINDOW: usize = 63;
 
 /// Largest accept length one SD step can carry in the unary bitstream.
@@ -257,196 +263,46 @@ impl Trace {
         }
     }
 
+    /// Runs the arrivals (and the SD section) through a [`TraceWriter`]:
+    /// the bytes plus where the header and the request records end.
     fn encode(&self) -> (Vec<u8>, usize, usize) {
         let mut out = Vec::with_capacity(16 + self.name.len() + 6 * self.arrivals.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(if self.sd_accepts.is_some() {
-            FLAG_SD
-        } else {
-            0
-        });
-        out.push(self.name.len() as u8);
-        out.extend_from_slice(self.name.as_bytes());
-        put_varint(&mut out, self.tick_ns);
-        put_varint(&mut out, self.arrivals.len() as u64);
-        let header_end = out.len();
-
-        let mut prev_ticks = 0u64;
-        // Prefix groups seen so far, most recent last, for back-references.
-        let mut recent: Vec<(u64, usize)> = Vec::new();
+        let count = self.arrivals.len() as u64;
+        let sd = self.sd_accepts.as_deref();
+        let mut writer =
+            TraceWriter::start(&mut out, &self.name, self.tick_ns, count, sd.is_some())
+                .expect("a Vec sink cannot fail");
+        let header_end = writer.bytes;
         for a in &self.arrivals {
-            let ticks = a.time_ns / self.tick_ns;
-            put_varint(&mut out, ticks - prev_ticks);
-            prev_ticks = ticks;
-            put_varint(&mut out, a.prompt_len as u64);
-            put_varint(&mut out, a.output_len as u64);
-            if a.prefix_id == 0 {
-                put_varint(&mut out, 0);
-            } else {
-                let hit = recent
-                    .iter()
-                    .rev()
-                    .take(PREFIX_WINDOW)
-                    .position(|&(id, _)| id == a.prefix_id)
-                    .map(|d| (d + 1, recent[recent.len() - 1 - d].1));
-                match hit {
-                    Some((distance, prev_len)) => {
-                        put_varint(&mut out, 1 + distance as u64);
-                        put_varint(&mut out, zigzag(a.prefix_len as i64 - prev_len as i64));
-                    }
-                    None => {
-                        put_varint(&mut out, 1);
-                        put_varint(&mut out, a.prefix_id);
-                        put_varint(&mut out, a.prefix_len as u64);
-                    }
-                }
-                recent.push((a.prefix_id, a.prefix_len));
-            }
+            writer.push(a).expect("canonical arrivals encode");
         }
-        let requests_end = out.len();
-
-        if let Some(accepts) = &self.sd_accepts {
-            put_varint(&mut out, accepts.len() as u64);
-            let mut bits = BitWriter::new();
-            for &a in accepts {
-                for _ in 0..a.clamp(1, MAX_SD_ACCEPT) {
-                    bits.push(true);
-                }
-                bits.push(false);
-            }
-            out.extend_from_slice(&bits.finish());
-        }
-
-        let checksum = fnv1a_64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let requests_end = writer.bytes;
+        writer
+            .finish_with_sd(sd)
+            .expect("every declared request was pushed");
         (out, header_end, requests_end)
     }
 
     /// Decodes a trace from its on-disk byte representation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < 4 {
-            return Err(TraceError::Truncated);
-        }
-        if bytes[..4] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let mut pos = 4usize;
-        let version = take_u8(bytes, &mut pos)?;
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let flags = take_u8(bytes, &mut pos)?;
-        if flags & !FLAG_SD != 0 {
-            return Err(TraceError::Malformed("unknown flag bits set"));
-        }
-        let name_len = take_u8(bytes, &mut pos)? as usize;
-        if pos + name_len > bytes.len() {
-            return Err(TraceError::Truncated);
-        }
-        let name = std::str::from_utf8(&bytes[pos..pos + name_len])
-            .map_err(|_| TraceError::Malformed("trace name is not UTF-8"))?
-            .to_string();
-        pos += name_len;
-        let tick_ns = get_varint(bytes, &mut pos)?;
-        if tick_ns == 0 {
-            return Err(TraceError::Malformed("tick must be non-zero"));
-        }
-        let count = get_varint(bytes, &mut pos)? as usize;
+        Trace::decode(TraceReader::open(bytes)?)
+    }
 
-        let mut arrivals = Vec::with_capacity(count.min(MAX_PREALLOC));
-        let mut ticks = 0u64;
-        let mut recent: Vec<(u64, usize)> = Vec::new();
-        for id in 0..count {
-            let delta = get_varint(bytes, &mut pos)?;
-            ticks = ticks
-                .checked_add(delta)
-                .ok_or(TraceError::Malformed("arrival tick overflows"))?;
-            let time_ns = ticks
-                .checked_mul(tick_ns)
-                .ok_or(TraceError::Malformed("arrival time overflows"))?;
-            let prompt_len = get_varint(bytes, &mut pos)? as usize;
-            let output_len = get_varint(bytes, &mut pos)? as usize;
-            let tag = get_varint(bytes, &mut pos)?;
-            let (prefix_id, prefix_len) = match tag {
-                0 => (0, 0),
-                1 => {
-                    let prefix_id = get_varint(bytes, &mut pos)?;
-                    if prefix_id == 0 {
-                        return Err(TraceError::Malformed("new prefix group with id 0"));
-                    }
-                    let prefix_len = get_varint(bytes, &mut pos)? as usize;
-                    (prefix_id, prefix_len)
-                }
-                back => {
-                    let distance = (back - 1) as usize;
-                    if distance > recent.len() {
-                        return Err(TraceError::Malformed("prefix back-reference out of range"));
-                    }
-                    let (prefix_id, prev_len) = recent[recent.len() - distance];
-                    let delta = unzigzag(get_varint(bytes, &mut pos)?);
-                    let prefix_len = (prev_len as i64)
-                        .checked_add(delta)
-                        .ok_or(TraceError::Malformed("prefix length overflows"))?;
-                    if prefix_len < 0 {
-                        return Err(TraceError::Malformed("negative prefix length"));
-                    }
-                    (prefix_id, prefix_len as usize)
-                }
-            };
-            if prefix_id != 0 {
-                recent.push((prefix_id, prefix_len));
-            }
-            arrivals.push(RequestArrival {
-                id: id as u64,
-                time_ns,
-                prompt_len,
-                output_len,
-                prefix_id,
-                prefix_len,
-            });
+    /// Drains `reader` into a trace, keeping its SD section.
+    fn decode<R: Read>(mut reader: TraceReader<R>) -> Result<Self, TraceError> {
+        if reader.has_sd() {
+            reader.kept_sd = Some(Vec::new());
         }
-
-        let sd_accepts = if flags & FLAG_SD != 0 {
-            let steps = get_varint(bytes, &mut pos)? as usize;
-            let mut reader = BitReader::new(bytes, &mut pos);
-            let mut accepts = Vec::with_capacity(steps.min(MAX_PREALLOC));
-            for _ in 0..steps {
-                let mut run = 0u64;
-                while reader.read()? {
-                    run += 1;
-                    if run > u64::from(MAX_SD_ACCEPT) {
-                        return Err(TraceError::Malformed("SD accept run exceeds the cap"));
-                    }
-                }
-                if run == 0 {
-                    return Err(TraceError::Malformed("SD step with zero accepted tokens"));
-                }
-                accepts.push(run as u8);
-            }
-            pos = reader.finish();
-            Some(accepts)
-        } else {
-            None
-        };
-
-        if pos + 8 > bytes.len() {
-            return Err(TraceError::Truncated);
+        let count = reader.request_count().min(MAX_PREALLOC as u64) as usize;
+        let mut arrivals = Vec::with_capacity(count);
+        while let Some(a) = reader.next_arrival()? {
+            arrivals.push(a);
         }
-        if pos + 8 < bytes.len() {
-            return Err(TraceError::Malformed("trailing bytes after checksum"));
-        }
-        let expected = fnv1a_64(&bytes[..pos]);
-        let actual = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-        if expected != actual {
-            return Err(TraceError::Corrupt { expected, actual });
-        }
-
         Ok(Trace {
-            name,
-            tick_ns,
+            name: reader.name().to_string(),
+            tick_ns: reader.tick_ns(),
             arrivals,
-            sd_accepts,
+            sd_accepts: reader.kept_sd.take(),
         })
     }
 
@@ -455,10 +311,10 @@ impl Trace {
         std::fs::write(path, self.to_bytes()).map_err(|e| TraceError::Io(e.to_string()))
     }
 
-    /// Reads and decodes a trace from `path`.
+    /// Reads and decodes a trace from `path`, streaming the file through
+    /// the reader's chunk buffer.
     pub fn read_file(path: &str) -> Result<Self, TraceError> {
-        let bytes = std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?;
-        Trace::from_bytes(&bytes)
+        Trace::decode(TraceReader::<std::fs::File>::open_file(path)?)
     }
 }
 
@@ -475,28 +331,6 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// LEB128 unsigned varint decoder.
-pub(crate) fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let mut value = 0u64;
-    for shift in 0..10 {
-        let byte = take_u8(bytes, pos)?;
-        if shift == 9 && byte > 1 {
-            return Err(TraceError::Malformed("varint overflows 64 bits"));
-        }
-        value |= u64::from(byte & 0x7f) << (7 * shift);
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-    }
-    Err(TraceError::Malformed("varint longer than 10 bytes"))
-}
-
-pub(crate) fn take_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, TraceError> {
-    let b = *bytes.get(*pos).ok_or(TraceError::Truncated)?;
-    *pos += 1;
-    Ok(b)
-}
-
 /// Zigzag-encodes a signed value so small magnitudes stay small varints.
 pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -507,16 +341,11 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// FNV-1a 64-bit hash, the trace checksum.
-pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
-    fnv1a_64_update(FNV_OFFSET_BASIS, bytes)
-}
-
-/// FNV-1a 64 initial state, for incremental (streaming) hashing.
+/// FNV-1a 64 initial state of the trace checksum.
 pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds `bytes` into a running FNV-1a 64 state (the streaming reader and
-/// writer hash bytes as they pass instead of re-walking the whole buffer).
+/// Folds `bytes` into a running FNV-1a 64 state (the reader and writer hash
+/// bytes as they pass).
 pub(crate) fn fnv1a_64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
@@ -525,79 +354,15 @@ pub(crate) fn fnv1a_64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// MSB-first bit accumulator for the SD section.
-struct BitWriter {
-    bytes: Vec<u8>,
-    current: u8,
-    used: u8,
-}
-
-impl BitWriter {
-    fn new() -> Self {
-        BitWriter {
-            bytes: Vec::new(),
-            current: 0,
-            used: 0,
-        }
-    }
-
-    fn push(&mut self, bit: bool) {
-        self.current = (self.current << 1) | u8::from(bit);
-        self.used += 1;
-        if self.used == 8 {
-            self.bytes.push(self.current);
-            self.current = 0;
-            self.used = 0;
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        if self.used > 0 {
-            self.bytes.push(self.current << (8 - self.used));
-        }
-        self.bytes
-    }
-}
-
-/// MSB-first bit reader over a byte slice starting at `*pos`; [`finish`]
-/// advances the position past the last (possibly partial) byte consumed.
-///
-/// [`finish`]: BitReader::finish
-struct BitReader<'a> {
-    bytes: &'a [u8],
-    byte_pos: usize,
-    bit: u8,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8], pos: &mut usize) -> Self {
-        BitReader {
-            bytes,
-            byte_pos: *pos,
-            bit: 0,
-        }
-    }
-
-    fn read(&mut self) -> Result<bool, TraceError> {
-        let byte = *self.bytes.get(self.byte_pos).ok_or(TraceError::Truncated)?;
-        let bit = (byte >> (7 - self.bit)) & 1 == 1;
-        self.bit += 1;
-        if self.bit == 8 {
-            self.bit = 0;
-            self.byte_pos += 1;
-        }
-        Ok(bit)
-    }
-
-    fn finish(self) -> usize {
-        self.byte_pos + usize::from(self.bit > 0)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use tlt_workload::{generate_arrivals, ArrivalConfig};
+
+    /// FNV-1a 64-bit hash of a whole buffer, the trace checksum.
+    pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
+        fnv1a_64_update(FNV_OFFSET_BASIS, bytes)
+    }
 
     fn sample_trace(prefix: bool) -> Trace {
         let mut config = ArrivalConfig::constant(20.0, 30.0, 42);
@@ -609,16 +374,20 @@ pub(crate) mod tests {
 
     #[test]
     fn varints_round_trip() {
-        let mut buf = Vec::new();
-        let values = [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX];
-        for &v in &values {
-            put_varint(&mut buf, v);
+        // Each value is the header's request count (and, when non-zero, its
+        // tick), which the reader decodes through its varint path.
+        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
+            let mut bytes = header(v.max(1), v);
+            let len = bytes.len();
+            let reader = TraceReader::open(&bytes[..]).unwrap();
+            assert_eq!((reader.tick_ns(), reader.request_count()), (v.max(1), v));
+            // One byte short of the count's last byte is a truncation.
+            bytes.truncate(len - 1);
+            assert!(matches!(
+                TraceReader::open(&bytes[..]),
+                Err(TraceError::Truncated)
+            ));
         }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
-        }
-        assert_eq!(pos, buf.len());
     }
 
     #[test]
@@ -735,23 +504,52 @@ pub(crate) mod tests {
         assert!(Trace::from_bytes(&flipped).is_err());
     }
 
-    /// Two requests: a new prefix group of length 1, then a back-reference
-    /// to it whose length delta is `delta`, under a valid checksum.
-    pub(crate) fn back_reference_bytes(delta: i64) -> Vec<u8> {
+    /// An unnamed, flag-less TLTR header.
+    fn header(tick_ns: u64, requests: u64) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&[VERSION, 0, 0]);
-        for v in [1, 2] {
-            put_varint(&mut bytes, v); // tick_ns, request count
-        }
-        for v in [0, 1, 1, 1, 1, 1] {
-            put_varint(&mut bytes, v); // ticks, lens, new group 1 of length 1
-        }
-        for v in [0, 1, 1, 2, zigzag(delta)] {
-            put_varint(&mut bytes, v); // ticks, lens, back-reference 1, delta
+        put_varint(&mut bytes, tick_ns);
+        put_varint(&mut bytes, requests);
+        bytes
+    }
+
+    /// `records` (each a list of varint fields) under a tick-1 header and a
+    /// valid checksum.
+    fn hand_built(records: &[Vec<u64>]) -> Vec<u8> {
+        let mut bytes = header(1, records.len() as u64);
+        for v in records.iter().flatten() {
+            put_varint(&mut bytes, *v);
         }
         let checksum = fnv1a_64(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         bytes
+    }
+
+    /// Two requests: a new prefix group of length 1, then a back-reference
+    /// to it whose length delta is `delta`, under a valid checksum.
+    pub(crate) fn back_reference_bytes(delta: i64) -> Vec<u8> {
+        // ticks, lens, then new group 1 of length 1 / back-reference 1, delta.
+        hand_built(&[vec![0, 1, 1, 1, 1, 1], vec![0, 1, 1, 2, zigzag(delta)]])
+    }
+
+    #[test]
+    fn back_reference_beyond_the_window_is_rejected() {
+        // Groups 1..=64, then a reference to group 1, 64 groups back.
+        let groups = PREFIX_WINDOW as u64 + 1;
+        let mut records: Vec<Vec<u64>> = (1..=groups).map(|id| vec![0, 1, 1, 1, id, 1]).collect();
+        records.push(vec![0, 1, 1, 1 + groups, zigzag(0)]);
+        assert_eq!(
+            Trace::from_bytes(&hand_built(&records)),
+            Err(TraceError::Malformed(
+                "prefix back-reference beyond PREFIX_WINDOW"
+            ))
+        );
+        // One group fewer is the deepest reference the format allows.
+        records.remove(0);
+        let last = records.len() - 1;
+        records[last][3] -= 1;
+        let decoded = Trace::from_bytes(&hand_built(&records)).unwrap();
+        assert_eq!(decoded.arrivals()[last].prefix_id, 2);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   capturing its workload (and SD accept stream) into a trace.
 //! - [`replay`] — re-drive a simulator from a trace, bit-deterministically;
 //!   an unmodified recording reproduces the recorder's report exactly.
-//! - [`TraceReader`] / [`TraceWriter`] / [`replay_streamed`] —
-//!   chunked, constant-memory TLTR I/O: replay a million-request trace
-//!   through a fixed 64 KiB window without ever materialising the arrival
-//!   vector.
+//! - [`TraceReader`] / [`TraceWriter`] — the one TLTR codec, chunked and
+//!   constant-memory; [`Trace`]'s byte and file methods run it, and
+//!   [`replay_streamed`] replays a million-request trace through its fixed
+//!   64 KiB window without ever materialising the arrival vector.
 //! - Transforms ([`Trace::rate_scaled`], [`Trace::storm_injected`],
 //!   [`Trace::tenant_shuffled`]) — deterministic workload variants.
 //! - [`CorpusPreset`] — the four pinned workloads committed under `corpus/`;

@@ -1,8 +1,4 @@
-//! Chunked, constant-memory TLTR I/O.
-//!
-//! [`Trace::from_bytes`] materialises the whole arrival vector; at the
-//! million-request scale that is exactly the O(n) buffer the replay path must
-//! avoid. This module provides the streaming counterparts:
+//! The TLTR codec: chunked, constant-memory encode and decode.
 //!
 //! * [`TraceWriter`] encodes arrivals one at a time into any [`Write`] sink,
 //!   hashing bytes as they pass (the header carries the request count, so the
@@ -12,23 +8,26 @@
 //!   heap allocation per request** (enforced by the counting-allocator
 //!   harness in `tests/alloc_free_decode.rs`).
 //!
+//! They are the only encoder and decoder: [`Trace::to_bytes`],
+//! [`Trace::from_bytes`] and [`Trace::read_file`] run them over a `Vec`, a
+//! slice or a file, keeping the SD section a streamed replay only validates.
+//!
 //! Both sides keep the prefix back-reference window as a fixed
-//! [`PREFIX_WINDOW`]-slot ring — the format bounds back-reference distances
-//! to the encoder's search window, so a ring of that size decodes every
-//! encoder-produced trace; a hand-crafted deeper reference is rejected with a
+//! [`PREFIX_WINDOW`]-slot ring: the format bounds back-reference distances
+//! to that window, so a deeper hand-crafted reference is rejected with a
 //! typed error. The FNV-1a checksum accumulates over every consumed byte and
 //! is validated against the trailer once the final record (and any SD
 //! section) has been read, so a decode that returns `Ok(None)` has fully
-//! verified the stream — the same guarantee as the in-memory decoder, a few
-//! kilobytes at a time. The `trace_replay` proptest suite pins streamed and
-//! in-memory decode to identical request streams.
+//! verified the stream, a few kilobytes at a time.
 //!
+//! [`Trace::to_bytes`]: crate::Trace::to_bytes
 //! [`Trace::from_bytes`]: crate::Trace::from_bytes
+//! [`Trace::read_file`]: crate::Trace::read_file
 //! [`PREFIX_WINDOW`]: crate::format::PREFIX_WINDOW
 
 use crate::format::{
-    self, fnv1a_64_update, put_varint, TraceError, FLAG_SD, FNV_OFFSET_BASIS, MAGIC, MAX_SD_ACCEPT,
-    PREFIX_WINDOW, VERSION,
+    self, fnv1a_64_update, put_varint, TraceError, FLAG_SD, FNV_OFFSET_BASIS, MAGIC, MAX_PREALLOC,
+    MAX_SD_ACCEPT, PREFIX_WINDOW, VERSION,
 };
 use std::io::{Read, Write};
 use tlt_workload::RequestArrival;
@@ -45,9 +44,8 @@ fn io_err(e: std::io::Error) -> TraceError {
     TraceError::Io(e.to_string())
 }
 
-/// Fixed-size most-recent-first ring over the prefix groups seen so far —
-/// the streaming replacement for the encoder/decoder's unbounded `recent`
-/// vector, sized to the format's back-reference search window.
+/// Fixed-size most-recent-first ring over the prefix groups seen so far,
+/// sized to the format's back-reference window.
 #[derive(Debug, Clone)]
 struct PrefixRing {
     slots: [(u64, usize); PREFIX_WINDOW],
@@ -80,9 +78,8 @@ impl PrefixRing {
         Some(self.slots[(self.head + PREFIX_WINDOW - distance) % PREFIX_WINDOW])
     }
 
-    /// Most-recent match for `id`: `(distance, stored prefix length)`.
-    /// Searches newest-first, exactly like the in-memory encoder's
-    /// `recent.iter().rev().take(PREFIX_WINDOW)` scan.
+    /// Most-recent match for `id`: `(distance, stored prefix length)`,
+    /// searching newest-first.
     fn find(&self, id: u64) -> Option<(usize, usize)> {
         (1..=self.filled).find_map(|d| {
             let (rid, rlen) = self.get(d).expect("within filled");
@@ -100,10 +97,8 @@ impl PrefixRing {
 /// The request count is part of the header, so it is declared at
 /// construction; [`TraceWriter::finish`] fails if the pushed count differs.
 /// Streamed traces are workload-only (no SD section), like every corpus
-/// trace and transform output. For canonical (time-sorted, tick-aligned)
-/// arrivals the output is byte-identical to
-/// [`Trace::from_arrivals`](crate::Trace::from_arrivals) +
-/// [`Trace::to_bytes`](crate::Trace::to_bytes).
+/// trace and transform output; [`Trace::to_bytes`](crate::Trace::to_bytes)
+/// runs this writer too and appends the SD section a trace carries.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     sink: W,
@@ -113,8 +108,10 @@ pub struct TraceWriter<W: Write> {
     written: u64,
     prev_ticks: u64,
     window: PrefixRing,
-    /// Per-record scratch, reused across pushes.
+    /// Pending bytes, hashed and written by `emit`; reused across pushes.
     buf: Vec<u8>,
+    /// Bytes written to the sink so far (the trailer excluded).
+    pub(crate) bytes: usize,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -125,33 +122,41 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Panics if `tick_ns` is 0 or the name exceeds 255 bytes (the same
     /// contract as [`Trace::from_arrivals`](crate::Trace::from_arrivals)).
-    pub fn new(
-        mut sink: W,
+    pub fn new(sink: W, name: &str, tick_ns: u64, request_count: u64) -> Result<Self, TraceError> {
+        TraceWriter::start(sink, name, tick_ns, request_count, false)
+    }
+
+    /// [`TraceWriter::new`] with the header's SD flag set when `sd` is true;
+    /// such a writer is closed by [`TraceWriter::finish_with_sd`].
+    pub(crate) fn start(
+        sink: W,
         name: &str,
         tick_ns: u64,
         request_count: u64,
+        sd: bool,
     ) -> Result<Self, TraceError> {
         assert!(tick_ns >= 1, "trace tick must be at least 1 ns");
         assert!(name.len() <= 255, "trace name must fit in 255 bytes");
-        let mut header = Vec::with_capacity(16 + name.len());
-        header.extend_from_slice(&MAGIC);
-        header.push(VERSION);
-        header.push(0);
-        header.push(name.len() as u8);
-        header.extend_from_slice(name.as_bytes());
-        put_varint(&mut header, tick_ns);
-        put_varint(&mut header, request_count);
-        sink.write_all(&header).map_err(io_err)?;
-        Ok(TraceWriter {
+        let mut writer = TraceWriter {
             sink,
-            hash: fnv1a_64_update(FNV_OFFSET_BASIS, &header),
+            hash: FNV_OFFSET_BASIS,
             tick_ns,
             declared: request_count,
             written: 0,
             prev_ticks: 0,
             window: PrefixRing::new(),
-            buf: Vec::with_capacity(64),
-        })
+            buf: Vec::with_capacity(16 + name.len()),
+            bytes: 0,
+        };
+        writer.buf.extend_from_slice(&MAGIC);
+        writer.buf.push(VERSION);
+        writer.buf.push(if sd { FLAG_SD } else { 0 });
+        writer.buf.push(name.len() as u8);
+        writer.buf.extend_from_slice(name.as_bytes());
+        put_varint(&mut writer.buf, tick_ns);
+        put_varint(&mut writer.buf, request_count);
+        writer.emit()?;
+        Ok(writer)
     }
 
     /// Requests pushed so far.
@@ -171,7 +176,6 @@ impl<W: Write> TraceWriter<W> {
                 "streamed arrivals must be time-sorted",
             ));
         }
-        self.buf.clear();
         put_varint(&mut self.buf, ticks - self.prev_ticks);
         self.prev_ticks = ticks;
         put_varint(&mut self.buf, a.prompt_len as u64);
@@ -195,17 +199,42 @@ impl<W: Write> TraceWriter<W> {
             }
             self.window.push(a.prefix_id, a.prefix_len);
         }
-        self.hash = fnv1a_64_update(self.hash, &self.buf);
-        self.sink.write_all(&self.buf).map_err(io_err)?;
+        self.emit()?;
         self.written += 1;
         Ok(())
     }
 
     /// Writes the checksum trailer, flushes the sink and returns the
     /// checksum. Fails if fewer requests were pushed than declared.
-    pub fn finish(mut self) -> Result<u64, TraceError> {
+    pub fn finish(self) -> Result<u64, TraceError> {
+        self.finish_with_sd(None)
+    }
+
+    /// [`TraceWriter::finish`] after the SD section: a varint step count and
+    /// then, per step, its accept length in unary (that many 1 bits and a 0),
+    /// packed MSB-first. `accepts` is `Some` exactly when the writer was
+    /// started with the SD flag.
+    pub(crate) fn finish_with_sd(mut self, accepts: Option<&[u8]>) -> Result<u64, TraceError> {
         if self.written != self.declared {
             return Err(TraceError::Malformed("fewer requests than declared"));
+        }
+        if let Some(accepts) = accepts {
+            put_varint(&mut self.buf, accepts.len() as u64);
+            let (mut current, mut used) = (0u8, 0u8);
+            for &a in accepts {
+                for one in (0..=a.clamp(1, MAX_SD_ACCEPT)).rev() {
+                    current = (current << 1) | u8::from(one > 0);
+                    used += 1;
+                    if used == 8 {
+                        self.buf.push(current);
+                        (current, used) = (0, 0);
+                    }
+                }
+            }
+            if used > 0 {
+                self.buf.push(current << (8 - used));
+            }
+            self.emit()?;
         }
         let checksum = self.hash;
         self.sink
@@ -213,6 +242,15 @@ impl<W: Write> TraceWriter<W> {
             .map_err(io_err)?;
         self.sink.flush().map_err(io_err)?;
         Ok(checksum)
+    }
+
+    /// Hashes and writes the pending bytes.
+    fn emit(&mut self) -> Result<(), TraceError> {
+        self.hash = fnv1a_64_update(self.hash, &self.buf);
+        self.bytes += self.buf.len();
+        let written = self.sink.write_all(&self.buf);
+        self.buf.clear();
+        written.map_err(io_err)
     }
 }
 
@@ -233,6 +271,10 @@ pub struct TraceReader<R: Read> {
     tick_ns: u64,
     count: u64,
     has_sd: bool,
+    /// `Some` collects the SD runs the tail validates (set by
+    /// [`Trace::from_bytes`](crate::Trace::from_bytes)); the streamed path
+    /// keeps `None` and allocates nothing.
+    pub(crate) kept_sd: Option<Vec<u8>>,
     emitted: u64,
     ticks: u64,
     window: PrefixRing,
@@ -261,6 +303,7 @@ impl<R: Read> TraceReader<R> {
             tick_ns: 0,
             count: 0,
             has_sd: false,
+            kept_sd: None,
             emitted: 0,
             ticks: 0,
             window: PrefixRing::new(),
@@ -341,11 +384,10 @@ impl<R: Read> TraceReader<R> {
             back => {
                 let distance = (back - 1) as usize;
                 if distance > PREFIX_WINDOW {
-                    // The encoder never refers beyond its search window, so
-                    // this only fires on hand-crafted traces the bounded ring
-                    // cannot resolve.
+                    // The writer never refers beyond its search window, so
+                    // this only fires on hand-crafted traces.
                     return Err(TraceError::Malformed(
-                        "prefix back-reference beyond the streaming window",
+                        "prefix back-reference beyond PREFIX_WINDOW",
                     ));
                 }
                 if distance > self.window.retained() {
@@ -410,11 +452,15 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
-    /// Consumes and validates the SD section (if any) and the checksum
-    /// trailer; anything after the trailer is an error, as in-memory.
+    /// Consumes and validates the SD section (if any), keeping its runs in
+    /// `kept_sd` when that is `Some`, and the checksum trailer; anything
+    /// after the trailer is an error.
     fn finish_tail(&mut self) -> Result<(), TraceError> {
         if self.has_sd {
             let steps = self.get_varint()?;
+            if let Some(kept) = &mut self.kept_sd {
+                kept.reserve(steps.min(MAX_PREALLOC as u64) as usize);
+            }
             let mut current = 0u8;
             let mut bit = 8u8;
             for _ in 0..steps {
@@ -436,6 +482,9 @@ impl<R: Read> TraceReader<R> {
                 }
                 if run == 0 {
                     return Err(TraceError::Malformed("SD step with zero accepted tokens"));
+                }
+                if let Some(kept) = &mut self.kept_sd {
+                    kept.push(run as u8);
                 }
             }
         }
@@ -545,41 +594,62 @@ mod tests {
         Ok(out)
     }
 
+    /// The committed chat corpus file, decoded and re-encoded by the codec,
+    /// comes back to its exact bytes.
     #[test]
     fn writer_matches_in_memory_encoder_byte_for_byte() {
-        let trace = sample(true);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/chat.tltr");
+        let file = std::fs::read(path).unwrap();
+        let reader = TraceReader::open(&file[..]).unwrap();
+        let (name, tick_ns, count) = (
+            reader.name().to_string(),
+            reader.tick_ns(),
+            reader.request_count(),
+        );
+        let arrivals = read_all(&file, DEFAULT_CHUNK_BYTES).unwrap();
         let mut out = Vec::new();
-        let mut writer = TraceWriter::new(
-            &mut out,
-            trace.name(),
-            trace.tick_ns(),
-            trace.arrivals().len() as u64,
-        )
-        .unwrap();
-        for a in trace.arrivals() {
+        let mut writer = TraceWriter::new(&mut out, &name, tick_ns, count).unwrap();
+        for a in &arrivals {
             writer.push(a).unwrap();
         }
         let checksum = writer.finish().unwrap();
-        assert_eq!(out, trace.to_bytes());
+        assert_eq!(out, file);
         let stored = u64::from_le_bytes(out[out.len() - 8..].try_into().unwrap());
         assert_eq!(checksum, stored);
     }
 
+    /// The reader returns the canonical input of `Trace::from_arrivals`
+    /// (ids in order, times cut to the tick) and, kept, the SD runs.
     #[test]
     fn reader_matches_in_memory_decoder_at_any_chunk_size() {
-        let trace = sample(true).with_sd_accepts(vec![2, 63, 1, 4]);
-        let bytes = trace.to_bytes();
+        let arrivals =
+            generate_arrivals(&ArrivalConfig::constant(20.0, 30.0, 42).with_prefix(0.6, 128));
+        let canonical: Vec<RequestArrival> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, a)| RequestArrival {
+                id: i as u64,
+                time_ns: a.time_ns - a.time_ns % 1_000,
+                ..*a
+            })
+            .collect();
+        let sd = vec![2, 63, 1, 4];
+        let bytes = Trace::from_arrivals("sample", 1_000, &arrivals)
+            .with_sd_accepts(sd.clone())
+            .to_bytes();
         for capacity in [0, 16, 17, 61, 4096] {
             let mut reader = TraceReader::open_with_capacity(&bytes[..], capacity).unwrap();
-            assert_eq!(reader.name(), trace.name());
-            assert_eq!(reader.tick_ns(), trace.tick_ns());
-            assert_eq!(reader.request_count() as usize, trace.arrivals().len());
+            assert_eq!(reader.name(), "sample");
+            assert_eq!(reader.tick_ns(), 1_000);
+            assert_eq!(reader.request_count() as usize, canonical.len());
             assert!(reader.has_sd());
+            reader.kept_sd = Some(Vec::new());
             let mut out = Vec::new();
             while let Some(a) = reader.next_arrival().unwrap() {
                 out.push(a);
             }
-            assert_eq!(out, trace.arrivals(), "capacity {capacity}");
+            assert_eq!(out, canonical, "capacity {capacity}");
+            assert_eq!(reader.kept_sd.as_ref(), Some(&sd), "capacity {capacity}");
             assert_eq!(reader.decoded() as usize, out.len());
             // Idempotent at the end.
             assert_eq!(reader.next_arrival().unwrap(), None);

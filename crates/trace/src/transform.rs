@@ -19,7 +19,8 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics unless `factor` is finite and positive.
+    /// Panics unless `factor` is finite and positive, and if a scaled arrival
+    /// time does not fit in `u64` nanoseconds.
     pub fn rate_scaled(&self, factor: f64) -> Trace {
         assert!(
             factor.is_finite() && factor > 0.0,
@@ -30,14 +31,18 @@ impl Trace {
             .arrivals()
             .iter()
             .map(|a| {
-                let ticks = (a.time_ns / tick) as f64 / factor;
-                RequestArrival {
-                    time_ns: (ticks.round() as u64) * tick,
-                    ..*a
-                }
+                let ticks = ((a.time_ns / tick) as f64 / factor).round();
+                let time_ns = (ticks < u64::MAX as f64)
+                    .then_some(ticks as u64)
+                    .and_then(|t| t.checked_mul(tick))
+                    .unwrap_or_else(|| {
+                        panic!("rate scale factor {factor} overflows the u64 ns timeline")
+                    });
+                RequestArrival { time_ns, ..*a }
             })
             .collect();
-        Trace::from_arrivals(&format!("{}+x{factor:.2}", self.name()), tick, &scaled)
+        let name = derived_name(self.name(), &format!("+x{factor:.2}"));
+        Trace::from_arrivals(&name, tick, &scaled)
     }
 
     /// Injects a synthetic request storm: a homogeneous Poisson burst at
@@ -71,7 +76,7 @@ impl Trace {
             });
         }
         let merged = merge_arrival_streams(vec![self.arrivals().to_vec(), storm]);
-        Trace::from_arrivals(&format!("{}+storm", self.name()), tick, &merged)
+        Trace::from_arrivals(&derived_name(self.name(), "+storm"), tick, &merged)
     }
 
     /// Re-deals the request payloads (lengths and prefix membership) across
@@ -104,11 +109,23 @@ impl Trace {
             )
             .collect();
         Trace::from_arrivals(
-            &format!("{}+shuffle", self.name()),
+            &derived_name(self.name(), "+shuffle"),
             self.tick_ns(),
             &shuffled,
         )
     }
+}
+
+/// `base` followed by a transform's `suffix`, cut on a char boundary to the
+/// 255 bytes a TLTR name holds.
+fn derived_name(base: &str, suffix: &str) -> String {
+    let mut name = format!("{base}{suffix}");
+    let cut = (0..=name.len().min(255))
+        .rev()
+        .find(|&i| name.is_char_boundary(i))
+        .unwrap_or(0);
+    name.truncate(cut);
+    name
 }
 
 #[cfg(test)]
@@ -186,6 +203,31 @@ mod tests {
         after.sort_unstable();
         assert_eq!(before, after, "payload multiset is preserved");
         assert_eq!(s, t.tenant_shuffled(9));
+    }
+
+    #[test]
+    fn transforms_accept_every_name_and_factor_tltr_allows() {
+        let long = "é".repeat(127) + "a"; // 255 bytes
+        let t = base().renamed(&long);
+        for derived in [
+            t.rate_scaled(2.0),
+            t.storm_injected(10.0, 5.0, 40.0, 1),
+            t.tenant_shuffled(9),
+        ] {
+            assert_eq!(derived.name(), long);
+        }
+        let flat = base().rate_scaled(1e300);
+        assert_eq!(flat.name().len(), 255);
+        assert!(flat.name().starts_with("base+x1000"));
+        assert!(flat.arrivals().iter().all(|a| a.time_ns == 0));
+        // A trailing multi-byte char that would straddle the cut is dropped.
+        assert_eq!(derived_name(&"a".repeat(254), "é"), "a".repeat(254));
+    }
+
+    #[test]
+    #[should_panic(expected = "rate scale factor 0.000000001 overflows")]
+    fn rate_scaling_past_the_u64_timeline_panics_naming_the_factor() {
+        base().rate_scaled(1e-9);
     }
 
     #[test]

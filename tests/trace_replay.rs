@@ -236,9 +236,11 @@ fn recorded_chat_corpus_tltr_bytes_are_pinned() {
     assert_eq!(pin(&disagg), (16_948, 11_056, 0x199a_34cd_657c_b3a2));
 }
 
-/// Streamed decode must equal the in-memory decoder on arbitrary traces and
-/// arbitrary (tiny) chunk capacities — records and prefix back-references
-/// straddle refill boundaries at capacity 16.
+/// The codec against independent references: the reader must return the
+/// canonical arrivals the trace was built from at arbitrary (tiny) chunk
+/// capacities (records and prefix back-references straddle refill boundaries
+/// at capacity 16), and what the writer streams must survive a decode and
+/// re-encode byte for byte.
 mod streamed {
     use super::*;
     use std::io::Cursor;
@@ -247,7 +249,9 @@ mod streamed {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-        /// Reader equivalence: every arrival, any chunk size.
+        /// Reader against the input: every arrival, any chunk size, equals
+        /// the arrival `from_arrivals` was given, with its id set to its index
+        /// and its time cut to the tick.
         #[test]
         fn streamed_reader_matches_in_memory_decode(
             seed in 0u64..10_000,
@@ -257,40 +261,40 @@ mod streamed {
             let arrivals = generate_arrivals(
                 &ArrivalConfig::constant(8.0, 12.0, seed).with_prefix(0.7, 128),
             );
-            let trace = Trace::from_arrivals("stream-prop", 1_000, &arrivals);
-            let bytes = trace.to_bytes();
+            let bytes = Trace::from_arrivals("stream-prop", 1_000, &arrivals).to_bytes();
 
-            let in_memory = Trace::from_bytes(&bytes).expect("decodes");
             let mut reader = TraceReader::open_with_capacity(&bytes[..], capacity).expect("opens");
-            prop_assert_eq!(reader.request_count() as usize, in_memory.arrivals().len());
+            prop_assert_eq!(reader.request_count() as usize, arrivals.len());
             let mut streamed = Vec::new();
             while let Some(a) = reader.next_arrival().expect("clean stream") {
                 streamed.push(a);
             }
-            prop_assert_eq!(&streamed[..], in_memory.arrivals());
+            prop_assert_eq!(streamed.len(), arrivals.len());
+            for (i, (got, given)) in streamed.iter().zip(&arrivals).enumerate() {
+                prop_assert_eq!(got.id, i as u64);
+                prop_assert_eq!(got.time_ns, given.time_ns - given.time_ns % 1_000);
+                prop_assert_eq!(
+                    (got.prompt_len, got.output_len, got.prefix_id, got.prefix_len),
+                    (given.prompt_len, given.output_len, given.prefix_id, given.prefix_len)
+                );
+            }
         }
 
-        /// Writer equivalence: streaming canonical arrivals produces the exact
-        /// bytes of the in-memory encoder.
+        /// What the writer streams decodes to a trace that re-encodes to the
+        /// same bytes.
         #[test]
         fn streamed_writer_matches_in_memory_encode(seed in 0u64..10_000) {
             let arrivals = generate_arrivals(
                 &ArrivalConfig::constant(6.0, 10.0, seed).with_prefix(0.5, 96),
             );
-            let trace = Trace::from_arrivals("stream-prop", 1_000, &arrivals);
             let mut out = Vec::new();
-            let mut writer = TraceWriter::new(
-                &mut out,
-                trace.name(),
-                trace.tick_ns(),
-                trace.arrivals().len() as u64,
-            )
-            .expect("header writes");
-            for a in trace.arrivals() {
+            let mut writer = TraceWriter::new(&mut out, "stream-prop", 1_000, arrivals.len() as u64)
+                .expect("header writes");
+            for a in &arrivals {
                 writer.push(a).expect("record writes");
             }
             writer.finish().expect("trailer writes");
-            prop_assert_eq!(out, trace.to_bytes());
+            prop_assert_eq!(Trace::from_bytes(&out).expect("decodes").to_bytes(), out);
         }
     }
 
