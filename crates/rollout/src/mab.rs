@@ -7,18 +7,23 @@
 //! for the current batch size compete; within a bucket the selector is epsilon-greedy
 //! over the *median* reward of a sliding window, which keeps it robust to the
 //! non-stationary dynamics of RL training.
+//!
+//! Arms are indices resolved at construction. A decision reads the batch's bucket
+//! (one compare if the batch size is the last one's); only a bucket of two or more
+//! arms adds the epsilon draw and reads its arms' reward windows, sized at
+//! construction and kept for no other arm. The default set has one arm per
+//! bucket: the bandit chooses, and keeps windows, only for a caller's multi-arm set.
 
 use crate::spec::SdStrategy;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Configuration of the BEG-MAB selector.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BegMabConfig {
-    /// Exploration probability.
+    /// Exploration probability, in `[0, 1]`.
     pub epsilon: f64,
-    /// Sliding-window size for reward/accept-length history.
+    /// Sliding-window size of the reward history (at least 1).
     pub window: usize,
 }
 
@@ -42,38 +47,36 @@ pub struct StepObservation {
     pub batch_size: usize,
 }
 
-#[derive(Debug, Clone, Default)]
-struct ArmHistory {
-    rewards: VecDeque<f64>,
-    accept_lens: VecDeque<f64>,
-}
-
-/// Appends `value`, keeping the newest `window` entries. The oldest entry leaves
-/// before the new one arrives, so a full window never outgrows its buffer.
-fn push_windowed(history: &mut VecDeque<f64>, value: f64, window: usize) {
-    if window == 0 {
-        return;
+/// Median of an arm's reward window, sorted in `scratch`.
+fn median_reward(rewards: &[f64], scratch: &mut Vec<f64>) -> Option<f64> {
+    if rewards.is_empty() {
+        return None;
     }
-    while history.len() >= window {
-        history.pop_front();
-    }
-    history.push_back(value);
+    scratch.clear();
+    scratch.extend_from_slice(rewards);
+    scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    Some(scratch[scratch.len() / 2])
 }
 
 /// The BEG-MAB selector.
 #[derive(Debug, Clone)]
 pub struct BegMabSelector {
     config: BegMabConfig,
-    /// Strategy groups ordered by descending `tokens_to_verify`, as arm indices
-    /// into `all_strategies` resolved once at construction; group `i` serves batch
-    /// sizes in `[thresholds[i], thresholds[i+1])`.
-    groups: Vec<Vec<usize>>,
-    /// Ascending batch-size thresholds, one per group (`t_1 = 1`).
+    /// The distinct strategies in first-occurrence order: arm `i` is `arms[i]`.
+    pub(crate) arms: Vec<SdStrategy>,
+    /// Arms per bucket, buckets ordered by descending `tokens_to_verify`; bucket
+    /// `i` serves batch sizes in `[thresholds[i], thresholds[i+1])`.
+    buckets: Vec<Vec<usize>>,
+    /// Strictly ascending batch-size thresholds, one per bucket (`t_1 = 1`).
     thresholds: Vec<usize>,
-    histories: Vec<ArmHistory>,
-    all_strategies: Vec<SdStrategy>,
-    /// Reused sort buffer of `median_reward`.
+    /// The newest rewards of each arm, oldest first, in a `Vec` allocated to the
+    /// window's length; `None` for an arm alone in its bucket.
+    windows: Vec<Option<Vec<f64>>>,
+    /// Sort buffer of the median, allocated to the window's length.
     scratch: Vec<f64>,
+    /// The last batch size selected for, its bucket and the bucket's arm if it
+    /// has only one.
+    last_batch: (usize, usize, Option<usize>),
     selections: u64,
     explorations: u64,
 }
@@ -83,46 +86,63 @@ impl BegMabSelector {
     ///
     /// Strategies are grouped by `tokens_to_verify` (descending) and the `i`-th group
     /// is matched to batch sizes of at least `thresholds[i]` and below
-    /// `thresholds[i+1]`.
+    /// `thresholds[i+1]`. A strategy listed twice is one arm.
     ///
     /// # Panics
     ///
-    /// Panics if strategies or thresholds are empty, or counts do not line up.
+    /// Panics if strategies or thresholds are empty, counts do not line up, the
+    /// thresholds are not strictly ascending (a bucket would be unreachable),
+    /// `epsilon` is not in `[0, 1]`, or `window` is 0 (a window that never fills
+    /// leaves every bucket on its first arm).
     pub fn new(strategies: &[SdStrategy], thresholds: &[usize], config: BegMabConfig) -> Self {
         assert!(!strategies.is_empty(), "need at least one strategy");
         assert!(!thresholds.is_empty(), "need at least one threshold");
-        // Group by tokens_to_verify, descending.
-        let mut verify_values: Vec<usize> = strategies.iter().map(|s| s.tokens_to_verify).collect();
+        let ascending = thresholds.is_sorted_by(|a, b| a < b);
+        assert!(ascending, "thresholds {thresholds:?} must rise strictly");
+        let BegMabConfig { epsilon, window } = config;
+        let probability = (0.0..=1.0).contains(&epsilon);
+        assert!(probability, "epsilon {epsilon} not in [0, 1]");
+        assert!(window > 0, "reward window {window} never fills");
+        let mut arms: Vec<SdStrategy> = Vec::with_capacity(strategies.len());
+        for strategy in strategies {
+            if !arms.contains(strategy) {
+                arms.push(*strategy);
+            }
+        }
+        // Bucket by tokens_to_verify, descending.
+        let mut verify_values: Vec<usize> = arms.iter().map(|s| s.tokens_to_verify).collect();
         verify_values.sort_unstable_by(|a, b| b.cmp(a));
         verify_values.dedup();
         assert!(
             verify_values.len() <= thresholds.len(),
             "need a batch threshold per tokens_to_verify group"
         );
-        // A strategy listed twice is one arm: both entries resolve to the first.
-        let arm_of = |s: &SdStrategy| strategies.iter().position(|a| a == s);
-        let groups: Vec<Vec<usize>> = verify_values
+        let buckets: Vec<Vec<usize>> = verify_values
             .iter()
             .map(|&v| {
-                strategies
-                    .iter()
-                    .filter(|s| s.tokens_to_verify == v)
-                    .map(|s| arm_of(s).expect("strategy is in its own set"))
+                (0..arms.len())
+                    .filter(|&arm| arms[arm].tokens_to_verify == v)
                     .collect()
             })
             .collect();
-        let all_strategies: Vec<SdStrategy> = strategies.to_vec();
-        let histories = vec![ArmHistory::default(); all_strategies.len()];
-        BegMabSelector {
+        let mut windows = vec![None; arms.len()];
+        for &arm in buckets.iter().filter(|bucket| bucket.len() > 1).flatten() {
+            windows[arm] = Some(Vec::with_capacity(window));
+        }
+        let shared = windows.iter().any(Option::is_some);
+        let mut selector = BegMabSelector {
             config,
-            groups,
+            arms,
+            buckets,
             thresholds: thresholds[..verify_values.len()].to_vec(),
-            histories,
-            all_strategies,
-            scratch: Vec::new(),
+            windows,
+            scratch: Vec::with_capacity(if shared { window } else { 0 }),
+            last_batch: (0, 0, None),
             selections: 0,
             explorations: 0,
-        }
+        };
+        selector.last_batch = selector.resolve(0);
+        selector
     }
 
     /// Builds a selector with the default strategy set and thresholds `1/8/24/48`.
@@ -130,32 +150,39 @@ impl BegMabSelector {
         BegMabSelector::new(&SdStrategy::default_set(), &[1, 8, 24, 48], config)
     }
 
-    fn arm_index(&self, strategy: &SdStrategy) -> Option<usize> {
-        self.all_strategies.iter().position(|s| s == strategy)
+    /// The last bucket whose threshold is at most `batch_size` (bucket 0 below
+    /// every threshold); bucket 0 has the deepest verification.
+    fn bucket_of(&self, batch_size: usize) -> usize {
+        let reached = self.thresholds.partition_point(|&t| t <= batch_size);
+        reached.saturating_sub(1)
     }
 
-    fn group_for_batch(&self, batch_size: usize) -> usize {
-        // The last group whose threshold is <= batch_size; group 0 has the deepest
-        // verification and the smallest threshold.
-        let mut chosen = 0;
-        for (i, &t) in self.thresholds.iter().enumerate() {
-            if batch_size >= t {
-                chosen = i;
-            }
-        }
-        chosen
+    /// `batch_size`, its bucket and the bucket's arm if it has only one.
+    fn resolve(&self, batch_size: usize) -> (usize, usize, Option<usize>) {
+        let bucket = self.bucket_of(batch_size);
+        let lone = (self.buckets[bucket].len() == 1).then(|| self.buckets[bucket][0]);
+        (batch_size, bucket, lone)
     }
 
     /// Candidate strategies for a batch size.
     pub fn candidates(&self, batch_size: usize) -> impl Iterator<Item = SdStrategy> + '_ {
-        self.groups[self.group_for_batch(batch_size)]
+        self.buckets[self.bucket_of(batch_size)]
             .iter()
-            .map(|&arm| self.all_strategies[arm])
+            .map(|&arm| self.arms[arm])
     }
 
     /// Records the outcome of running `strategy` on a batch.
     pub fn record(&mut self, strategy: &SdStrategy, obs: StepObservation) {
-        let Some(idx) = self.arm_index(strategy) else {
+        if let Some(arm) = self.arms.iter().position(|s| s == strategy) {
+            self.record_arm(arm, obs);
+        }
+    }
+
+    /// Records the outcome of running arm `arm`; a no-op for an arm alone in its
+    /// bucket, whose rewards no decision reads.
+    #[inline]
+    pub(crate) fn record_arm(&mut self, arm: usize, obs: StepObservation) {
+        let Some(rewards) = &mut self.windows[arm] else {
             return;
         };
         let accept_len = obs.accepted_tokens / obs.batch_size.max(1) as f64 + 1.0;
@@ -164,45 +191,40 @@ impl BegMabSelector {
         } else {
             0.0
         };
-        let history = &mut self.histories[idx];
-        push_windowed(&mut history.rewards, reward, self.config.window);
-        push_windowed(&mut history.accept_lens, accept_len, self.config.window);
-    }
-
-    /// Median of an arm's reward window, sorted in `scratch`.
-    fn median_reward(history: &ArmHistory, scratch: &mut Vec<f64>) -> Option<f64> {
-        if history.rewards.is_empty() {
-            return None;
+        if rewards.len() == self.config.window {
+            rewards.remove(0);
         }
-        scratch.clear();
-        scratch.extend(history.rewards.iter().copied());
-        scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        Some(scratch[scratch.len() / 2])
+        rewards.push(reward);
     }
 
     /// Selects a strategy for the given batch size (Algorithm 1, SelectStrategy).
     pub fn select<R: Rng>(&mut self, batch_size: usize, rng: &mut R) -> SdStrategy {
-        self.selections += 1;
-        let group = self.group_for_batch(batch_size);
-        let arm = self.select_arm(group, rng);
-        self.all_strategies[arm]
+        let (arm, _) = self.select_arm(batch_size, rng);
+        self.arms[arm]
     }
 
-    fn select_arm<R: Rng>(&mut self, group: usize, rng: &mut R) -> usize {
-        let candidates = &self.groups[group];
-        if candidates.len() == 1 {
-            return candidates[0];
+    /// [`select`](Self::select) by arm index, and whether the arm shares its
+    /// bucket (only then is its outcome worth a [`record_arm`](Self::record_arm)).
+    #[inline]
+    pub(crate) fn select_arm<R: Rng>(&mut self, batch_size: usize, rng: &mut R) -> (usize, bool) {
+        self.selections += 1;
+        if self.last_batch.0 != batch_size {
+            self.last_batch = self.resolve(batch_size);
         }
-        let explore = rng.gen::<f64>() < self.config.epsilon;
-        if explore {
+        if let (_, _, Some(arm)) = self.last_batch {
+            return (arm, false);
+        }
+        let candidates = &self.buckets[self.last_batch.1];
+        if rng.gen::<f64>() < self.config.epsilon {
             self.explorations += 1;
-            return candidates[rng.gen_range(0..candidates.len())];
+            return (candidates[rng.gen_range(0..candidates.len())], true);
         }
         // Exploit: maximise median reward; unexplored arms are tried first.
         let mut best: Option<(usize, f64)> = None;
         for &arm in candidates {
-            match Self::median_reward(&self.histories[arm], &mut self.scratch) {
-                None => return arm, // untried arm: force exploration of it
+            let rewards = self.windows[arm].as_deref().expect("a shared bucket's arm");
+            match median_reward(rewards, &mut self.scratch) {
+                None => return (arm, true), // untried arm: force exploration of it
                 Some(r) => {
                     if best.is_none_or(|(_, br)| r > br) {
                         best = Some((arm, r));
@@ -210,18 +232,7 @@ impl BegMabSelector {
                 }
             }
         }
-        best.expect("non-empty candidate set").0
-    }
-
-    /// Mean accept length observed for a strategy over its sliding window.
-    pub fn mean_accept_length(&self, strategy: &SdStrategy) -> Option<f64> {
-        let idx = self.arm_index(strategy)?;
-        let h = &self.histories[idx];
-        if h.accept_lens.is_empty() {
-            None
-        } else {
-            Some(h.accept_lens.iter().sum::<f64>() / h.accept_lens.len() as f64)
-        }
+        (best.expect("non-empty candidate set").0, true)
     }
 
     /// Number of selections and explorations performed.
@@ -314,10 +325,13 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(selector.select(1, &mut rng), good);
         }
-        assert!(
-            selector.mean_accept_length(&good).unwrap()
-                > selector.mean_accept_length(&bad).unwrap()
-        );
+        let median = |arm: usize| {
+            let rewards = selector.windows[arm]
+                .as_deref()
+                .expect("arm shares its bucket");
+            median_reward(rewards, &mut Vec::new()).expect("arm was recorded")
+        };
+        assert!(median(0) > median(1));
     }
 
     #[test]
@@ -496,6 +510,58 @@ mod tests {
                 (210, 46)
             )
         );
+    }
+
+    /// A strategy listed twice is one arm: a bucket of `[A, A]` is a lone arm
+    /// that draws nothing, and `[A, A, B]` explores `A` half the time.
+    #[test]
+    fn a_strategy_listed_twice_is_one_arm() {
+        let [a, b] = [strategies()[0], strategies()[1]];
+        let explore = BegMabConfig {
+            epsilon: 1.0,
+            window: 8,
+        };
+        let mut selector = BegMabSelector::new(&[a, a], &[1], explore);
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..100 {
+            assert_eq!(selector.select(1, &mut rng), a);
+        }
+        assert_eq!(rng, StdRng::seed_from_u64(5), "a lone arm draws nothing");
+        let mut selector = BegMabSelector::new(&[a, a, b], &[1], explore);
+        let picks = (0..30_000)
+            .filter(|_| selector.select(1, &mut rng) == a)
+            .count();
+        let share = picks as f64 / 30_000.0;
+        assert!(
+            (share - 0.5).abs() <= 0.02,
+            "explored A {share} of the time"
+        );
+    }
+
+    /// Configurations that would silently disable a bucket or the bandit are
+    /// rejected at construction, naming the value.
+    #[test]
+    fn configurations_that_disable_a_bucket_or_the_bandit_are_rejected() {
+        let set = strategies();
+        let config = |epsilon, window| BegMabConfig { epsilon, window };
+        let rejected: [(&[usize], BegMabConfig, &str); 7] = [
+            (&[1, 24, 8], config(0.1, 16), "[1, 24, 8]"),
+            (&[1, 8, 8], config(0.1, 16), "[1, 8, 8]"),
+            (&[1, 8, 24], config(f64::NAN, 16), "NaN"),
+            (&[1, 8, 24], config(-0.1, 16), "-0.1"),
+            (&[1, 8, 24], config(1.5, 16), "1.5"),
+            (&[1, 8, 24], config(f64::INFINITY, 16), "inf"),
+            (&[1, 8, 24], config(0.1, 0), "window 0"),
+        ];
+        for (thresholds, config, named) in rejected {
+            let panic = std::panic::catch_unwind(|| BegMabSelector::new(&set, thresholds, config))
+                .expect_err(named);
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains(named), "{message:?} does not name {named}");
+        }
+        for epsilon in [0.0, 1.0] {
+            BegMabSelector::new(&set, &[1, 8, 24], config(epsilon, 1));
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl Default for SdManagerConfig {
 #[derive(Debug, Clone)]
 pub struct AdaptiveSdManager {
     config: SdManagerConfig,
-    selector: BegMabSelector,
+    pub(crate) selector: BegMabSelector,
     decisions: u64,
     speculative_decisions: u64,
 }
@@ -72,9 +72,15 @@ pub struct AdaptiveSdManager {
 impl AdaptiveSdManager {
     /// Creates a manager with the default strategy set.
     pub fn new(config: SdManagerConfig) -> Self {
+        Self::with_selector(config, BegMabSelector::with_default_strategies(config.mab))
+    }
+
+    /// Creates a manager whose tuner is `selector` (a caller's strategy set;
+    /// `config.mab` is then unused).
+    pub fn with_selector(config: SdManagerConfig, selector: BegMabSelector) -> Self {
         AdaptiveSdManager {
             config,
-            selector: BegMabSelector::with_default_strategies(config.mab),
+            selector,
             decisions: 0,
             speculative_decisions: 0,
         }
@@ -93,23 +99,37 @@ impl AdaptiveSdManager {
 
     /// Decides how to run the next generation step for `running_requests` sequences.
     pub fn decide<R: Rng>(&mut self, running_requests: usize, rng: &mut R) -> SdDecision {
-        self.decisions += 1;
-        if running_requests == 0 {
-            return SdDecision::Vanilla;
+        match self.decide_arm(running_requests, rng) {
+            Some((drafter, arm, _)) => SdDecision::Speculative {
+                drafter,
+                strategy: self.selector.arms[arm],
+            },
+            None => SdDecision::Vanilla,
         }
-        if running_requests > self.config.elastic_threshold {
-            return SdDecision::Vanilla;
+    }
+
+    /// [`decide`](Self::decide) by the tuner's arm index, with whether the tuner
+    /// learns from the step's outcome; `None` is vanilla.
+    #[inline]
+    pub(crate) fn decide_arm<R: Rng>(
+        &mut self,
+        running_requests: usize,
+        rng: &mut R,
+    ) -> Option<(DrafterChoice, usize, bool)> {
+        self.decisions += 1;
+        if running_requests == 0 || running_requests > self.config.elastic_threshold {
+            return None;
         }
         let drafter = if self.config.learned_drafter_available {
             DrafterChoice::Learned
         } else if self.config.model_free_fallback {
             DrafterChoice::ModelFree
         } else {
-            return SdDecision::Vanilla;
+            return None;
         };
-        let strategy = self.selector.select(running_requests, rng);
+        let (arm, learns) = self.selector.select_arm(running_requests, rng);
         self.speculative_decisions += 1;
-        SdDecision::Speculative { drafter, strategy }
+        Some((drafter, arm, learns))
     }
 
     /// Feeds back the outcome of a speculative step so the tuner can adapt.

@@ -15,14 +15,15 @@
 //! of the expected accept lengths, so their long-run mean is `E[accept]`. The
 //! tuner and the caller's statistics see `E[accept]` itself.
 //!
-//! The expected accept length is a pure function of (drafter profile, strategy)
-//! and a run meets only a handful of such pairs, so the evaluator remembers each
-//! one the first time it is asked for it. Beside it, and for the vanilla step, it
-//! keeps the batch-only half of the step cost ([`StepBatch`]) and rebuilds a half
-//! only when it is asked to cost a different batch.
+//! The expected accept length is a pure function of (drafter profile, strategy),
+//! so the evaluator keeps one memo slot per (drafter, tuner arm), filled the first
+//! time the pair runs; the tuner decides and records by arm index. Beside the
+//! accept length, and for the vanilla step, it keeps the batch-only half of the
+//! step cost ([`StepBatch`]) and rebuilds a half only when it is asked to cost a
+//! different batch.
 
 use crate::mab::StepObservation;
-use crate::manager::{AdaptiveSdManager, DrafterChoice, SdDecision, SdManagerConfig};
+use crate::manager::{AdaptiveSdManager, DrafterChoice, SdManagerConfig};
 use crate::spec::SdStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,10 +93,6 @@ pub struct SdStep {
 /// multiple of 2^-52, so the carry adds accept lengths exactly.
 const CARRY_BITS: u32 = 52;
 
-/// Capacity of the accept-length table: the default strategy set has four arms
-/// and there are two drafters.
-const ACCEPT_MEMO_SLOTS: usize = 8;
-
 /// An [`SdMode`] with the state it needs to be executed.
 #[derive(Debug, Clone)]
 enum Policy {
@@ -117,10 +114,10 @@ enum Policy {
 pub struct SdStepEvaluator {
     policy: Policy,
     rng: StdRng,
-    /// Expected accept length per (drafter, strategy) met so far, beside the
-    /// strategy's step cost at the last batch it ran on; allocated at the first
-    /// speculative step, so an engine that never speculates carries an empty `Vec`.
-    accept_memo: Vec<(DrafterChoice, SdStrategy, f64, StepBatch)>,
+    /// Expected accept length of (drafter, arm) at slot `2 * arm + drafter`, the
+    /// same in carry units, and the arm's step cost at the last batch it ran on;
+    /// sized at construction, so an evaluator with SD disabled has none.
+    accept_memo: Vec<Option<(f64, u64, StepBatch)>>,
     /// The vanilla step's cost at the last batch it ran on.
     vanilla: Option<StepBatch>,
     /// The fraction of a token the speculative steps so far have not committed,
@@ -131,22 +128,38 @@ pub struct SdStepEvaluator {
 impl SdStepEvaluator {
     /// An evaluator for `mode` whose strategy exploration draws from `seed`.
     pub fn new(mode: &SdMode, seed: u64) -> Self {
-        SdStepEvaluator {
-            policy: match mode {
-                SdMode::Disabled => Policy::Disabled,
-                SdMode::Static {
-                    strategy,
-                    threshold,
-                } => Policy::Static {
-                    strategy: *strategy,
-                    threshold: *threshold,
-                },
-                SdMode::Adaptive { config } => {
-                    Policy::Adaptive(Box::new(AdaptiveSdManager::new(*config)))
-                }
+        let policy = match mode {
+            SdMode::Disabled => Policy::Disabled,
+            SdMode::Static {
+                strategy,
+                threshold,
+            } => Policy::Static {
+                strategy: *strategy,
+                threshold: *threshold,
             },
+            SdMode::Adaptive { config } => {
+                Policy::Adaptive(Box::new(AdaptiveSdManager::new(*config)))
+            }
+        };
+        Self::with_policy(policy, seed)
+    }
+
+    /// An adaptive evaluator driven by `manager` (whose tuner may hold a
+    /// caller's strategy set), drawing from `seed`.
+    pub fn with_manager(manager: AdaptiveSdManager, seed: u64) -> Self {
+        Self::with_policy(Policy::Adaptive(Box::new(manager)), seed)
+    }
+
+    fn with_policy(policy: Policy, seed: u64) -> Self {
+        let arms = match &policy {
+            Policy::Disabled => 0,
+            Policy::Static { .. } => 1,
+            Policy::Adaptive(manager) => manager.selector.arms.len(),
+        };
+        SdStepEvaluator {
+            policy,
             rng: StdRng::seed_from_u64(seed),
-            accept_memo: Vec::new(),
+            accept_memo: vec![None; 2 * arms],
             vanilla: None,
             carry: 0,
         }
@@ -170,23 +183,13 @@ impl SdStepEvaluator {
         time_scale: f64,
     ) -> SdStep {
         let decision = match &mut self.policy {
-            Policy::Disabled => SdDecision::Vanilla,
-            Policy::Static {
-                strategy,
-                threshold,
-            } => {
-                if load <= *threshold {
-                    SdDecision::Speculative {
-                        drafter: DrafterChoice::Learned,
-                        strategy: *strategy,
-                    }
-                } else {
-                    SdDecision::Vanilla
-                }
+            Policy::Disabled => None,
+            Policy::Static { threshold, .. } => {
+                (load <= *threshold).then_some((DrafterChoice::Learned, 0, false))
             }
-            Policy::Adaptive(manager) => manager.decide(load, &mut self.rng),
+            Policy::Adaptive(manager) => manager.decide_arm(load, &mut self.rng),
         };
-        let SdDecision::Speculative { drafter, strategy } = decision else {
+        let Some((drafter, arm, learns)) = decision else {
             let cost = match &mut self.vanilla {
                 Some(cost) if cost.batch == batch => cost,
                 stale => stale.insert(model.cost.decode_batch(batch)),
@@ -198,11 +201,20 @@ impl SdStepEvaluator {
                 speculative: false,
             };
         };
-        let (accept, time_s) = self.speculative(model, drafter, &strategy, batch, avg_context);
-        let time_s = time_s * time_scale;
-        if let Policy::Adaptive(manager) = &mut self.policy {
-            manager.record(
-                &strategy,
+        let slot = 2 * arm + drafter as usize;
+        if !matches!(&self.accept_memo[slot], Some((.., cost)) if cost.batch == batch) {
+            self.refill(model, drafter, arm, batch);
+        }
+        let Some((accept, units, cost)) = &self.accept_memo[slot] else {
+            unreachable!("the slot was just filled")
+        };
+        let (accept, time_s) = (*accept, cost.time(avg_context) * time_scale);
+        // Whole tokens leave the carry; the fraction stays.
+        let total = self.carry + units;
+        self.carry = total & ((1 << CARRY_BITS) - 1);
+        if let (true, Policy::Adaptive(manager)) = (learns, &mut self.policy) {
+            manager.selector.record_arm(
+                arm,
                 StepObservation {
                     elapsed_s: time_s,
                     accepted_tokens: (accept - 1.0) * batch as f64,
@@ -212,63 +224,47 @@ impl SdStepEvaluator {
         }
         SdStep {
             time_s,
-            tokens: self.commit(accept),
+            tokens: (total >> CARRY_BITS) as usize,
             accept_len: accept,
             speculative: true,
         }
     }
 
-    /// Adds `accept` to the carry and takes its whole tokens out of it.
-    fn commit(&mut self, accept: f64) -> usize {
-        assert!(
-            (1.0..2048.0).contains(&accept),
-            "accept length {accept} out of range"
-        );
-        // Exact: `accept >= 1` is a multiple of 2^-52 below 2^11.
-        let total = self.carry + (accept * (1u64 << CARRY_BITS) as f64) as u64;
-        self.carry = total & ((1 << CARRY_BITS) - 1);
-        (total >> CARRY_BITS) as usize
-    }
-
-    /// Expected accept length and unscaled time of one speculative step.
-    fn speculative(
+    /// Fills the memo slot of (drafter, arm) for `batch`: the accept length (and
+    /// the same in carry units) on first use, the step cost whenever the batch
+    /// changed.
+    #[cold]
+    fn refill(
         &mut self,
         model: &SdStepModel<'_>,
         drafter: DrafterChoice,
-        strategy: &SdStrategy,
+        arm: usize,
         batch: usize,
-        avg_context: usize,
-    ) -> (f64, f64) {
-        let cost_at = |batch| {
-            model.cost.speculative_batch(
-                model.drafter,
-                batch,
-                strategy.draft_depth,
-                strategy.tokens_to_verify,
-            )
+    ) {
+        let strategy = match &self.policy {
+            Policy::Static { strategy, .. } => *strategy,
+            Policy::Adaptive(manager) => manager.selector.arms[arm],
+            Policy::Disabled => unreachable!("a disabled evaluator never speculates"),
         };
-        if let Some((_, _, accept, cost)) = self
-            .accept_memo
-            .iter_mut()
-            .find(|(d, s, ..)| *d == drafter && s == strategy)
-        {
-            if cost.batch != batch {
-                *cost = cost_at(batch);
-            }
-            return (*accept, cost.time(avg_context));
-        }
-        let profile = match drafter {
-            DrafterChoice::Learned => model.acceptance,
-            DrafterChoice::ModelFree => model.model_free_acceptance,
-        };
-        let accept = expected_accept_len(profile, strategy);
-        let cost = cost_at(batch);
-        // The table is bounded: a custom strategy set with more pairs than slots
-        // has the surplus recomputed on every step.
-        if self.accept_memo.len() < ACCEPT_MEMO_SLOTS {
-            self.accept_memo.push((drafter, *strategy, accept, cost));
-        }
-        (accept, cost.time(avg_context))
+        let (depth, verify) = (strategy.draft_depth, strategy.tokens_to_verify);
+        let cost = model
+            .cost
+            .speculative_batch(model.drafter, batch, depth, verify);
+        let slot = &mut self.accept_memo[2 * arm + drafter as usize];
+        let (.., cached) = slot.get_or_insert_with(|| {
+            let profile = match drafter {
+                DrafterChoice::Learned => model.acceptance,
+                DrafterChoice::ModelFree => model.model_free_acceptance,
+            };
+            let accept = expected_accept_len(profile, &strategy);
+            assert!(
+                (1.0..2048.0).contains(&accept),
+                "accept length {accept} out of range"
+            );
+            // Exact: `accept >= 1` is a multiple of 2^-52 below 2^11.
+            (accept, (accept * (1u64 << CARRY_BITS) as f64) as u64, cost)
+        });
+        *cached = cost;
     }
 }
 
@@ -361,7 +357,8 @@ mod tests {
                     .any(|bits| bits == step.accept_len.to_bits());
                 assert!(direct, "batch {batch}: accept {}", step.accept_len);
             }
-            assert_eq!(eval.accept_memo.len(), SdStrategy::default_set().len());
+            let filled = eval.accept_memo.iter().filter(|slot| slot.is_some());
+            assert_eq!(filled.count(), SdStrategy::default_set().len());
         }
     }
 
@@ -399,24 +396,31 @@ mod tests {
         assert!(arms.iter().any(|&a| f64::from_bits(a).fract() != 0.0));
     }
 
+    /// A strategy outside the tuner's arm table, a static one, is evaluated to
+    /// the direct accept length, from its own one-arm table.
     #[test]
     fn pairs_beyond_the_memo_table_are_still_evaluated() {
         let fx = fixture();
-        let mut eval = SdStepEvaluator::new(&SdMode::Disabled, 0);
-        for depth in 1..=2 * ACCEPT_MEMO_SLOTS {
+        for depth in 1..=16 {
             let strategy = SdStrategy {
                 draft_depth: depth,
+                top_k: 3,
                 ..SdStrategy::default()
             };
-            for _ in 0..2 {
-                let (got, _) =
-                    eval.speculative(&fx.step_model(), DrafterChoice::Learned, &strategy, 4, 1024);
+            assert!(!SdStrategy::default_set().contains(&strategy));
+            let mode = SdMode::Static {
+                strategy,
+                threshold: 8,
+            };
+            let mut eval = SdStepEvaluator::new(&mode, 0);
+            for batch in [4, 4, 6] {
+                let step = eval.step(&fx.step_model(), batch, batch, 1024, 1.0);
                 assert_eq!(
-                    got.to_bits(),
+                    step.accept_len.to_bits(),
                     expected_accept_len(&fx.acceptance, &strategy).to_bits()
                 );
             }
+            assert_eq!(eval.accept_memo.len(), 2, "one arm, two drafters");
         }
-        assert_eq!(eval.accept_memo.len(), ACCEPT_MEMO_SLOTS);
     }
 }

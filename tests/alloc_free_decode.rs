@@ -281,7 +281,7 @@ fn adaptive_sd() -> tlt_rollout::SdMode {
 }
 
 /// The timing-level rollout engine allocates per rollout (its sorted array of
-/// remaining lengths, the tuner's windows, the output timeline), never per simulated
+/// remaining lengths, the SD evaluator's memo, the output timeline), never per simulated
 /// decode step: eight times the tokens is eight times the steps and the same
 /// number of allocations.
 #[test]
@@ -305,9 +305,10 @@ fn simulated_rollout_allocations_do_not_grow_with_step_count() {
     );
 }
 
-/// The SD-step evaluator allocates only while the tuner's reward windows fill:
-/// once every strategy has been stepped through its window, deciding, costing
-/// and recording a step is allocation-free in every batch bucket.
+/// The SD-step evaluator sizes its memo and the tuner's reward windows at
+/// construction: deciding, costing and recording a step is allocation-free in
+/// every batch bucket, warm or not. With the default set (one arm per bucket,
+/// no windows) a fresh evaluator allocates nothing from its first step.
 #[test]
 fn sd_step_evaluator_allocates_nothing_once_every_strategy_is_warm() {
     use tlt_rollout::{SdStepEvaluator, SimRolloutConfig};
@@ -325,6 +326,13 @@ fn sd_step_evaluator_allocates_nothing_once_every_strategy_is_warm() {
         }
         speculative
     };
+    let mut fresh = SdStepEvaluator::new(&adaptive_sd(), 7);
+    let (allocs, speculative) = allocations_during(|| sweep(&mut fresh, 1));
+    assert_eq!(speculative, 32);
+    assert_eq!(
+        allocs, 0,
+        "a fresh evaluator's first SD steps must not allocate"
+    );
     sweep(&mut evaluator, 20);
     let (allocs, speculative) = allocations_during(|| sweep(&mut evaluator, 320));
     assert_eq!(speculative, 10_240);
