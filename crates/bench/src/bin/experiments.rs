@@ -1728,7 +1728,7 @@ fn serving(
         ],
     );
     let mut per_replica = Table::new(
-        "Serving — per-replica stats (registry-backed)",
+        "Serving — per-replica stats",
         &[
             "rate (req/s)",
             "policy",

@@ -1,11 +1,11 @@
-//! # tlt-obs — structured tracing, metrics, and a flight recorder
+//! # tlt-obs — structured tracing and a flight recorder
 //!
 //! Observability substrate for the TLT stack. Everything here is keyed to
-//! **sim time, not wall clock**, so traces and metrics are a pure function of
-//! the seed: two runs with the same configuration produce byte-identical
-//! trace exports. The crate sits at the bottom of the workspace DAG (it
-//! depends only on `std`) so every layer — model, serve, rollout, chaos,
-//! bench — can emit into the same recorder without dependency cycles.
+//! **sim time, not wall clock**, so traces are a pure function of the seed:
+//! two runs with the same configuration produce byte-identical trace
+//! exports. The crate sits at the bottom of the workspace DAG (it depends
+//! only on `std`) so every layer — model, serve, rollout, chaos, bench — can
+//! emit into the same recorder without dependency cycles.
 //!
 //! ## Pieces
 //!
@@ -16,9 +16,6 @@
 //! - [`recorder`] — the fixed-capacity [`FlightRecorder`] (last-N events per
 //!   track, oldest evicted on wraparound) behind a thread-local install
 //!   point. A disabled [`record`] call is a single relaxed atomic load.
-//! - [`metrics`] — the single-owner [`MetricsRegistry`]: counters, running
-//!   sums, high-watermark gauges, fixed-bucket histograms. Backing store for
-//!   `tlt-serve`'s `ReplicaStats` without changing its public shape.
 //! - [`trace`] — exporters: Chrome `trace_event` JSON (open in
 //!   `chrome://tracing` or Perfetto) and readable crash postmortems, both
 //!   rendered through the deterministic [`JsonValue`] writer.
@@ -33,16 +30,11 @@
 pub mod event;
 pub mod hooks;
 pub mod json;
-pub mod metrics;
 pub mod recorder;
 pub mod trace;
 
 pub use event::{EventKind, ObsEvent, Track, NO_REQ};
 pub use json::JsonValue;
-pub use metrics::{
-    CounterHandle, Histogram, HistogramHandle, MaxGaugeHandle, MetricSample, MetricsRegistry,
-    SumHandle,
-};
 pub use recorder::{
     install, record, recording_enabled, uninstall, FlightRecorder, DEFAULT_CAPACITY_PER_TRACK,
 };

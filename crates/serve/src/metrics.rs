@@ -1,16 +1,12 @@
 //! SLO metrics: latency percentiles, goodput, and per-replica utilisation.
 //!
-//! Since the `tlt-obs` migration the per-replica tallies live in a
-//! [`tlt_obs::MetricsRegistry`] owned by each engine ([`ReplicaMetrics`]);
-//! [`ReplicaStats`] keeps its public shape and is materialised from the
-//! registry at report time.
+//! Each replica keeps its tallies as the plain counters of a
+//! [`ReplicaMetrics`], updated in place on the step path; [`ReplicaStats`] is
+//! read out of them at report time.
 
 use crate::replica::Replica;
 use crate::request::CompletedRequest;
 use serde::{Deserialize, Serialize};
-use tlt_obs::{
-    CounterHandle, HistogramHandle, MaxGaugeHandle, MetricSample, MetricsRegistry, SumHandle,
-};
 
 /// Percentile of a float sample with linear interpolation (`q` in `[0, 100]`).
 /// Returns `0.0` for an empty slice.
@@ -169,7 +165,8 @@ pub struct ServeReport {
     pub completed: Vec<CompletedRequest>,
     /// Requests dropped at admission (could never fit a replica's KV budget).
     pub dropped: usize,
-    /// Simulated seconds from the first arrival to the last completion.
+    /// Simulated seconds from t = 0 to the last completion (the finish time
+    /// of the last completed request; 0 when none completed).
     pub makespan_s: f64,
     /// Total output tokens produced.
     pub total_output_tokens: u64,
@@ -313,225 +310,63 @@ impl ServeReport {
     }
 }
 
-/// Accept-length histogram buckets (tokens committed per speculative step).
-static ACCEPT_LEN_BUCKETS: [f64; 6] = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0];
-
-/// Step-duration histogram buckets, in seconds.
-static STEP_DURATION_BUCKETS: [f64; 6] = [0.005, 0.01, 0.025, 0.05, 0.1, 0.25];
-
-/// The per-replica metrics registry with its named handles. This is the
-/// backing store for every [`ReplicaStats`] tally: the engine updates handles
-/// on the hot path and [`ReplicaStats`] is read out at report time. Sums are
-/// accumulated in the same order as the ad-hoc `f64` fields they replaced, so
-/// reported values are bit-identical to the pre-registry ones.
-#[derive(Debug, Clone)]
+/// One replica's tallies, updated in place by [`Replica`] as it schedules and
+/// completes steps; [`ReplicaStats`] is read out of them at report time. Every
+/// tally that has a flight-recorder event is the count (or, for `busy_s`, the
+/// in-order sum of span durations) of that replica's events, except that a
+/// step a crash aborts was scheduled, and so counted, but never recorded.
+#[derive(Debug, Clone, Default)]
 pub struct ReplicaMetrics {
-    registry: MetricsRegistry,
-    completed: CounterHandle,
-    dropped: CounterHandle,
-    decode_steps: CounterHandle,
-    sd_steps: CounterHandle,
-    preemptions: CounterHandle,
-    crashes: CounterHandle,
-    failovers: CounterHandle,
-    prefix_hit_tokens: CounterHandle,
-    admitted_prompt_tokens: CounterHandle,
-    migrations_out: CounterHandle,
-    migrations_in: CounterHandle,
-    busy_s: SumHandle,
-    peak_running: MaxGaugeHandle,
-    peak_kv_tokens: MaxGaugeHandle,
-    accept_len: HistogramHandle,
-    step_duration_s: HistogramHandle,
-}
-
-impl Default for ReplicaMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Requests run to completion.
+    pub(crate) completed: u64,
+    /// Decode steps scheduled, vanilla and speculative.
+    pub(crate) decode_steps: u64,
+    /// Speculative decode steps scheduled.
+    pub(crate) sd_steps: u64,
+    /// Running requests preempted back to the queue.
+    pub(crate) preemptions: u64,
+    /// Times the replica crashed.
+    pub(crate) crashes: u64,
+    /// Crash-drained requests re-delivered to this replica.
+    pub(crate) failovers: u64,
+    /// Admitted prompt tokens served from resident prefix blocks.
+    pub(crate) prefix_hit_tokens: u64,
+    /// Prompt tokens admitted.
+    pub(crate) admitted_prompt_tokens: u64,
+    /// Prefilled sequences handed off toward the decode pool.
+    pub(crate) migrations_out: u64,
+    /// Migrated sequences landed on this replica.
+    pub(crate) migrations_in: u64,
+    /// Seconds spent executing completed steps, summed in completion order.
+    pub(crate) busy_s: f64,
+    /// Largest running batch at a step start.
+    pub(crate) peak_running: usize,
+    /// Largest KV-token footprint at a step start.
+    pub(crate) peak_kv_tokens: usize,
+    /// Expected accept lengths of the speculative steps, summed in step
+    /// order; over `sd_steps` it is the mean accept length.
+    pub(crate) accept_len_sum: f64,
 }
 
 impl ReplicaMetrics {
-    /// A fresh registry with every replica metric registered.
-    pub fn new() -> Self {
-        let mut registry = MetricsRegistry::new();
-        ReplicaMetrics {
-            completed: registry.counter("completed"),
-            dropped: registry.counter("dropped"),
-            decode_steps: registry.counter("decode_steps"),
-            sd_steps: registry.counter("sd_steps"),
-            preemptions: registry.counter("preemptions"),
-            crashes: registry.counter("crashes"),
-            failovers: registry.counter("failovers"),
-            prefix_hit_tokens: registry.counter("prefix_hit_tokens"),
-            admitted_prompt_tokens: registry.counter("admitted_prompt_tokens"),
-            migrations_out: registry.counter("migrations_out"),
-            migrations_in: registry.counter("migrations_in"),
-            busy_s: registry.sum("busy_s"),
-            peak_running: registry.max_gauge("peak_running"),
-            peak_kv_tokens: registry.max_gauge("peak_kv_tokens"),
-            accept_len: registry.histogram("accept_len", &ACCEPT_LEN_BUCKETS),
-            step_duration_s: registry.histogram("step_duration_s", &STEP_DURATION_BUCKETS),
-            registry,
-        }
-    }
-
-    /// One request ran to completion.
-    pub fn inc_completed(&mut self) {
-        self.registry.inc(self.completed);
-    }
-
-    /// One request was dropped at admission.
-    pub fn inc_dropped(&mut self) {
-        self.registry.inc(self.dropped);
-    }
-
-    /// One decode step was scheduled (vanilla or speculative).
-    pub fn inc_decode_steps(&mut self) {
-        self.registry.inc(self.decode_steps);
-    }
-
-    /// One speculative step was scheduled, expecting `accept_len` tokens.
-    pub fn observe_sd_step(&mut self, accept_len: f64) {
-        self.registry.inc(self.sd_steps);
-        self.registry.observe(self.accept_len, accept_len);
-    }
-
-    /// One running request was preempted back to the queue.
-    pub fn inc_preemptions(&mut self) {
-        self.registry.inc(self.preemptions);
-    }
-
-    /// The replica crashed.
-    pub fn inc_crashes(&mut self) {
-        self.registry.inc(self.crashes);
-    }
-
-    /// A crash-drained request was re-delivered to this replica.
-    pub fn inc_failovers(&mut self) {
-        self.registry.inc(self.failovers);
-    }
-
-    /// One prefilled sequence was handed off toward the decode pool.
-    pub fn inc_migrations_out(&mut self) {
-        self.registry.inc(self.migrations_out);
-    }
-
-    /// One migrated sequence landed on this replica.
-    pub fn inc_migrations_in(&mut self) {
-        self.registry.inc(self.migrations_in);
-    }
-
-    /// A step of `duration_s` completed.
-    pub fn observe_step(&mut self, duration_s: f64) {
-        self.registry.add_sum(self.busy_s, duration_s);
-        self.registry.observe(self.step_duration_s, duration_s);
-    }
-
-    /// Prompt-token admission accounting: `cached` of `prompt` tokens came
-    /// from resident prefix blocks.
-    pub fn observe_admission(&mut self, prompt: u64, cached: u64) {
-        self.registry.add(self.admitted_prompt_tokens, prompt);
-        self.registry.add(self.prefix_hit_tokens, cached);
-    }
-
-    /// Raise the batch-size and KV-footprint high-watermarks.
-    pub fn observe_peaks(&mut self, running: usize, kv_tokens: usize) {
-        self.registry.observe_max(self.peak_running, running as u64);
-        self.registry
-            .observe_max(self.peak_kv_tokens, kv_tokens as u64);
-    }
-
-    /// Requests completed.
-    pub fn completed(&self) -> u64 {
-        self.registry.counter_value(self.completed)
-    }
-
-    /// Requests dropped at admission.
-    pub fn dropped(&self) -> u64 {
-        self.registry.counter_value(self.dropped)
-    }
-
-    /// Decode steps scheduled.
+    /// Decode steps scheduled (vanilla or speculative).
     pub fn decode_steps(&self) -> u64 {
-        self.registry.counter_value(self.decode_steps)
+        self.decode_steps
     }
 
     /// Speculative steps scheduled.
     pub fn sd_steps(&self) -> u64 {
-        self.registry.counter_value(self.sd_steps)
+        self.sd_steps
     }
 
     /// Preemption events.
     pub fn preemptions(&self) -> u64 {
-        self.registry.counter_value(self.preemptions)
-    }
-
-    /// Crash events.
-    pub fn crashes(&self) -> u64 {
-        self.registry.counter_value(self.crashes)
-    }
-
-    /// Failover deliveries received.
-    pub fn failovers(&self) -> u64 {
-        self.registry.counter_value(self.failovers)
-    }
-
-    /// Sequences handed off toward the decode pool.
-    pub fn migrations_out(&self) -> u64 {
-        self.registry.counter_value(self.migrations_out)
-    }
-
-    /// Migrated sequences landed here.
-    pub fn migrations_in(&self) -> u64 {
-        self.registry.counter_value(self.migrations_in)
-    }
-
-    /// Seconds spent executing steps.
-    pub fn busy_s(&self) -> f64 {
-        self.registry.sum_value(self.busy_s)
+        self.preemptions
     }
 
     /// Largest running batch observed.
     pub fn peak_running(&self) -> usize {
-        self.registry.max_value(self.peak_running) as usize
-    }
-
-    /// Largest KV-token footprint observed.
-    pub fn peak_kv_tokens(&self) -> usize {
-        self.registry.max_value(self.peak_kv_tokens) as usize
-    }
-
-    /// Mean accept length over speculative steps (`fallback` when none ran).
-    pub fn mean_accept_length_or(&self, fallback: f64) -> f64 {
-        self.registry
-            .histogram_value(self.accept_len)
-            .mean_or(fallback)
-    }
-
-    /// Fraction of admitted prompt tokens served from resident prefix blocks.
-    pub fn prefix_hit_rate(&self) -> f64 {
-        let admitted = self.registry.counter_value(self.admitted_prompt_tokens);
-        if admitted == 0 {
-            0.0
-        } else {
-            self.registry.counter_value(self.prefix_hit_tokens) as f64 / admitted as f64
-        }
-    }
-
-    /// Fraction of decode steps that ran speculatively.
-    pub fn sd_step_fraction(&self) -> f64 {
-        let steps = self.decode_steps();
-        if steps == 0 {
-            0.0
-        } else {
-            self.sd_steps() as f64 / steps as f64
-        }
-    }
-
-    /// Flattened registry rows for the `--metrics` summary table.
-    pub fn snapshot(&self) -> Vec<MetricSample> {
-        self.registry.snapshot()
+        self.peak_running
     }
 }
 

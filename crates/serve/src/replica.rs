@@ -314,8 +314,8 @@ pub struct Replica {
     up: bool,
     /// Step-duration multiplier (> 1.0 models a straggler replica).
     slow_factor: f64,
-    /// Accounting: every scalar tally lives in the per-replica metrics
-    /// registry ([`ReplicaStats`] is materialised from it at report time).
+    /// Every scalar tally, as plain counters updated in place
+    /// ([`ReplicaStats`] is read out of them at report time).
     metrics: ReplicaMetrics,
     dropped_ids: Vec<u64>,
     /// Requests finished since the driver last collected them: a per-step
@@ -379,7 +379,7 @@ impl Replica {
             admit_seq: 0,
             up: true,
             slow_factor: 1.0,
-            metrics: ReplicaMetrics::new(),
+            metrics: ReplicaMetrics::default(),
             dropped_ids: Vec::new(),
             completed: Vec::new(),
             sd_accepts: Vec::new(),
@@ -446,7 +446,7 @@ impl Replica {
         self.settle();
         self.up = false;
         self.step = None;
-        self.metrics.inc_crashes();
+        self.metrics.crashes += 1;
         record(
             ObsEvent::instant(now, self.track(), EventKind::Crash, NO_REQ)
                 .with_args(self.running.len() as f64, self.queue.len() as f64),
@@ -525,7 +525,7 @@ impl Replica {
     /// Re-queues a request drained from a crashed replica, preserving its
     /// lifecycle state. Starts a step immediately if the replica is idle.
     pub fn enqueue_failover(&mut self, fo: FailoverRequest, now: f64) {
-        self.metrics.inc_failovers();
+        self.metrics.failovers += 1;
         record(
             ObsEvent::instant(now, self.track(), EventKind::Failover, fo.req.id)
                 .with_args(fo.generated as f64, 0.0),
@@ -626,7 +626,7 @@ impl Replica {
     /// immediately starts the next one if work remains.
     pub fn on_step_complete(&mut self, now: f64) {
         let step = self.step.take().expect("a step is in flight");
-        self.metrics.observe_step(step.duration_s);
+        self.metrics.busy_s += step.duration_s;
         let track = self.track();
         let batch = self.running.len();
         match step.work {
@@ -672,7 +672,7 @@ impl Replica {
                             }
                             None => (0, 0),
                         };
-                        self.metrics.inc_migrations_out();
+                        self.metrics.migrations_out += 1;
                         self.handoffs.push(MigratedEntry {
                             req: entry.req,
                             generated: entry.generated,
@@ -750,7 +750,7 @@ impl Replica {
                         run.leave(entry, ledger.as_ref());
                     }
                     *held -= entry.reservation(ledger.as_ref(), max_output);
-                    metrics.inc_completed();
+                    metrics.completed += 1;
                     record(
                         ObsEvent::instant(now, track, EventKind::Completion, entry.req.id)
                             .with_args(entry.req.output_len as f64, now - entry.req.arrival_s),
@@ -977,7 +977,6 @@ impl Replica {
                 match plan {
                     PagedAdmission::Impossible => {
                         let entry = self.queue.pop_front().expect("front exists");
-                        self.metrics.inc_dropped();
                         self.dropped_ids.push(entry.req.id);
                         continue;
                     }
@@ -1001,7 +1000,6 @@ impl Replica {
                         && front.req.prompt_len + front.req.output_len > self.kv_budget);
                 if impossible {
                     let entry = self.queue.pop_front().expect("front exists");
-                    self.metrics.inc_dropped();
                     self.dropped_ids.push(entry.req.id);
                     continue;
                 }
@@ -1028,10 +1026,8 @@ impl Replica {
             // Hit-rate accounting is over *prompt* tokens: preemption-lost
             // output tokens are recomputed by the prefill but can never come
             // from the prefix cache, so they stay out of the denominator.
-            self.metrics.observe_admission(
-                entry.req.prompt_len as u64,
-                entry_cached.min(entry.req.prompt_len) as u64,
-            );
+            self.metrics.admitted_prompt_tokens += entry.req.prompt_len as u64;
+            self.metrics.prefix_hit_tokens += entry_cached.min(entry.req.prompt_len) as u64;
             record(
                 ObsEvent::instant(now, self.track(), EventKind::Admission, entry.req.id)
                     .with_args(chunk as f64, entry_cached as f64),
@@ -1145,7 +1141,7 @@ impl Replica {
         for &i in &order[..evicted_count] {
             let victim = slots[i].take().expect("victim slot");
             self.held -= victim.reservation(self.ledger.as_ref(), self.config.max_output_tokens);
-            self.metrics.inc_preemptions();
+            self.metrics.preemptions += 1;
             record(ObsEvent::instant(
                 now,
                 self.track(),
@@ -1318,7 +1314,9 @@ impl Replica {
             Some(footprint) => ((0, 0), footprint),
             None => self.rebuild_batch(now),
         };
-        self.metrics.observe_peaks(self.running.len(), kv_in_use);
+        let metrics = &mut self.metrics;
+        metrics.peak_running = metrics.peak_running.max(self.running.len());
+        metrics.peak_kv_tokens = metrics.peak_kv_tokens.max(kv_in_use);
         if let Some(ledger) = self.ledger.as_mut() {
             ledger.sync_private(private_blocks);
         }
@@ -1356,12 +1354,13 @@ impl Replica {
             .sd
             .step(&model, live_load, batch, avg_context, self.slow_factor);
 
-        self.metrics.inc_decode_steps();
+        self.metrics.decode_steps += 1;
         if carried.is_none() && self.queue.is_empty() {
             self.begin_run();
         }
         if step.speculative {
-            self.metrics.observe_sd_step(step.accept_len);
+            self.metrics.sd_steps += 1;
+            self.metrics.accept_len_sum += step.accept_len;
             // Quantise for the trace recorder: at least the bonus token is
             // always produced, and the unary SD bitstream caps one step's
             // accept length at 63 tokens.
@@ -1406,7 +1405,7 @@ impl Replica {
 
     /// Requests dropped at admission.
     pub fn dropped(&self) -> usize {
-        self.metrics.dropped() as usize
+        self.dropped_ids.len()
     }
 
     /// Ids of the requests dropped at admission (in drop order).
@@ -1416,17 +1415,17 @@ impl Replica {
 
     /// Times this replica has crashed.
     pub fn crashes(&self) -> u64 {
-        self.metrics.crashes()
+        self.metrics.crashes
     }
 
     /// Crash-drained requests re-delivered to this replica by the frontend.
     pub fn failovers(&self) -> u64 {
-        self.metrics.failovers()
+        self.metrics.failovers
     }
 
     /// Largest KV-token footprint observed at a step start (post-preemption).
     pub fn peak_kv_tokens(&self) -> usize {
-        self.metrics.peak_kv_tokens()
+        self.metrics.peak_kv_tokens
     }
 
     /// Running entries the step path has visited, a full pass over the batch
@@ -1436,7 +1435,7 @@ impl Replica {
         self.entry_visits
     }
 
-    /// The metrics registry backing this replica's accounting.
+    /// This replica's tallies.
     pub fn metrics(&self) -> &ReplicaMetrics {
         &self.metrics
     }
@@ -1461,7 +1460,12 @@ impl Replica {
 
     /// Fraction of admitted prompt tokens served from resident prefix blocks.
     pub fn prefix_hit_rate(&self) -> f64 {
-        self.metrics.prefix_hit_rate()
+        let m = &self.metrics;
+        if m.admitted_prompt_tokens == 0 {
+            0.0
+        } else {
+            m.prefix_hit_tokens as f64 / m.admitted_prompt_tokens as f64
+        }
     }
 
     /// Structural check of the block ledger: shared refcounts must equal the
@@ -1605,7 +1609,7 @@ impl Replica {
     pub fn deliver_migrated(&mut self, entry: MigratedEntry, reserved_blocks: usize, now: f64) {
         debug_assert!(self.up, "migrations only land on live replicas");
         let kv_tokens = entry.req.prompt_len + entry.generated;
-        self.metrics.inc_migrations_in();
+        self.metrics.migrations_in += 1;
         // The admission event of a migrated sequence: zero novel tokens to
         // compute, the whole context arrives materialised over the wire.
         record(
@@ -1631,30 +1635,38 @@ impl Replica {
 
     /// Final accounting for this replica; `makespan_s` normalises utilisation.
     pub fn stats(&self, makespan_s: f64) -> ReplicaStats {
-        let busy_s = self.metrics.busy_s();
+        let m = &self.metrics;
         ReplicaStats {
             replica: self.index,
-            completed: self.metrics.completed() as usize,
-            dropped: self.metrics.dropped() as usize,
-            busy_s,
+            completed: m.completed as usize,
+            dropped: self.dropped(),
+            busy_s: m.busy_s,
             utilization: if makespan_s > 0.0 {
-                (busy_s / makespan_s).min(1.0)
+                (m.busy_s / makespan_s).min(1.0)
             } else {
                 0.0
             },
-            sd_step_fraction: self.metrics.sd_step_fraction(),
-            mean_accept_length: self.metrics.mean_accept_length_or(1.0),
-            preemptions: self.metrics.preemptions(),
-            failovers: self.metrics.failovers(),
-            crashes: self.metrics.crashes(),
-            peak_running: self.metrics.peak_running(),
-            peak_kv_tokens: self.metrics.peak_kv_tokens(),
+            sd_step_fraction: if m.decode_steps == 0 {
+                0.0
+            } else {
+                m.sd_steps as f64 / m.decode_steps as f64
+            },
+            mean_accept_length: if m.sd_steps == 0 {
+                1.0
+            } else {
+                m.accept_len_sum / m.sd_steps as f64
+            },
+            preemptions: m.preemptions,
+            failovers: m.failovers,
+            crashes: m.crashes,
+            peak_running: m.peak_running,
+            peak_kv_tokens: m.peak_kv_tokens,
             kv_block_budget: self.kv_block_budget(),
             peak_kv_blocks: self.peak_kv_blocks(),
             pool_utilization: self.ledger.as_ref().map_or(0.0, BlockLedger::utilization),
             prefix_hit_rate: self.prefix_hit_rate(),
-            migrations_out: self.metrics.migrations_out(),
-            migrations_in: self.metrics.migrations_in(),
+            migrations_out: m.migrations_out,
+            migrations_in: m.migrations_in,
         }
     }
 }

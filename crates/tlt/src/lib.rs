@@ -7,8 +7,8 @@
 //!
 //! The crate composes the substrates built in the sibling crates:
 //!
-//! * [`tlt_obs`] — sim-time tracing, the metrics registry, and the flight
-//!   recorder (re-exported here as [`obs`]),
+//! * [`tlt_obs`] — sim-time tracing and the flight recorder (re-exported
+//!   here as [`obs`]),
 //! * [`tlt_model`] — the tiny-transformer token-level substrate and model catalog,
 //! * [`tlt_gpusim`] — the roofline GPU cost model and cluster topology,
 //! * [`tlt_workload`] — long-tail workloads and verifiable reasoning tasks,

@@ -26,14 +26,24 @@ pub fn drive<D: Driver>(
     arrivals: &[RequestArrival],
     faults: &[(f64, Fault)],
 ) -> (D::Report, Vec<ObsEvent>) {
+    let events = drive_in_place(&mut sim, arrivals, faults);
+    (sim.into_report(), events)
+}
+
+/// [`drive`] on a borrowed simulator, which keeps its members readable after
+/// the run.
+pub fn drive_in_place<D: Driver>(
+    sim: &mut D,
+    arrivals: &[RequestArrival],
+    faults: &[(f64, Fault)],
+) -> Vec<ObsEvent> {
     install(FlightRecorder::new(1 << 16));
     let apply = |sim: &mut D, t: f64, fault: &Fault| match *fault {
         Fault::Crash(idx) => sim.crash_replica(idx, t),
         Fault::Restart(idx) => sim.restart_replica(idx, t),
         Fault::Slow(idx, factor) => sim.set_slow_factor(idx, factor),
     };
-    let outcome = drive_schedule(&mut sim, arrivals, faults, apply, |_, _| {});
+    let outcome = drive_schedule(sim, arrivals, faults, apply, |_, _| {});
     assert_eq!(outcome, DriveOutcome::Completed);
-    let events = uninstall().expect("recorder installed").events();
-    (sim.into_report(), events)
+    uninstall().expect("recorder installed").events()
 }

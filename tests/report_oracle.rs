@@ -9,13 +9,15 @@
 //! one buffer. The reference lives here, test-only and not selectable at run
 //! time; the suites below hold the two identical in every bit of the report on
 //! runs whose completions tie on `finish_s` across replicas and leave a step
-//! out of id order.
+//! out of id order. The same runs recount every replica's tallies from the
+//! flight-recorder events on its track.
 
-use tlt::obs::{EventKind, ObsEvent};
+use tlt::obs::{EventKind, ObsEvent, Track};
 use tlt::replay_deployment;
 use tlt_serve::metrics::percentile_sorted;
 use tlt_serve::{
-    ClusterSim, CompletedRequest, LatencySummary, ReplicaStats, ServeReport, ServeSim, SloSpec,
+    ClusterSim, CompletedRequest, Driver, LatencySummary, ReplicaStats, ServeReport, ServeSim,
+    SloSpec,
 };
 use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 
@@ -23,7 +25,7 @@ use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 mod churn;
 #[path = "common/drive.rs"]
 mod drive;
-use drive::{drive, Fault};
+use drive::{drive_in_place, Fault};
 
 fn reference_summary(values: &mut [f64]) -> LatencySummary {
     if values.is_empty() {
@@ -126,6 +128,71 @@ fn assert_matches_reference(product: &ServeReport, slo: SloSpec, offered: usize,
     }
 }
 
+/// Every member of `sim` in report order: its flight-recorder track and the
+/// decode and speculative steps it scheduled.
+fn member_steps<D: Driver>(sim: &D) -> Vec<(Track, u64, u64)> {
+    sim.members()
+        .map(|(pool, i, replica)| {
+            let i = i as u32;
+            let track = match pool {
+                "prefill" => Track::PrefillReplica(i),
+                "decode" => Track::DecodeReplica(i),
+                _ => Track::Replica(i),
+            };
+            let metrics = replica.metrics();
+            (track, metrics.decode_steps(), metrics.sd_steps())
+        })
+        .collect()
+}
+
+/// Recounts each member's tallies from the events on its track: completions,
+/// preemptions, crashes and failovers equal their event counts, and busy time
+/// is the sum of the step spans' durations in event order, to the bit. A
+/// step is counted when it is scheduled and recorded when it completes, so a
+/// crash can leave one decode step (vanilla or speculative) counted but never
+/// recorded. Returns the unrecorded `(decode, speculative)` steps over all
+/// members.
+fn assert_tallies_match_the_events(
+    replicas: &[ReplicaStats],
+    members: &[(Track, u64, u64)],
+    events: &[ObsEvent],
+    label: &str,
+) -> (u64, u64) {
+    assert_eq!(replicas.len(), members.len(), "{label}: members");
+    let mut unrecorded = (0, 0);
+    for (stats, &(track, decode_steps, sd_steps)) in replicas.iter().zip(members) {
+        let label = format!("{label}, {track:?}");
+        let on_track = || events.iter().filter(move |e| e.track == track);
+        let count = |kind| on_track().filter(|e| e.kind == kind).count() as u64;
+        for (name, tally, kind) in [
+            ("completed", stats.completed as u64, EventKind::Completion),
+            ("preemptions", stats.preemptions, EventKind::Preemption),
+            ("crashes", stats.crashes, EventKind::Crash),
+            ("failovers", stats.failovers, EventKind::Failover),
+        ] {
+            assert_eq!(tally, count(kind), "{label}: {name}");
+        }
+        let steps = [EventKind::Prefill, EventKind::Decode, EventKind::SdRound];
+        let busy_s = on_track()
+            .filter(|e| steps.contains(&e.kind))
+            .fold(0.0, |sum, e| sum + e.dur_s);
+        assert_eq!(stats.busy_s.to_bits(), busy_s.to_bits(), "{label}: busy_s");
+        let sd_spans = count(EventKind::SdRound);
+        let decode_spans = count(EventKind::Decode) + sd_spans;
+        let lost = decode_steps.checked_sub(decode_spans);
+        let lost_sd = sd_steps.checked_sub(sd_spans);
+        assert!(
+            matches!((lost, lost_sd), (Some(l), Some(s)) if s <= l && l <= stats.crashes),
+            "{label}: {decode_steps} decode / {sd_steps} SD steps scheduled, \
+             {decode_spans} / {sd_spans} recorded, {} crashes",
+            stats.crashes
+        );
+        unrecorded.0 += decode_steps - decode_spans;
+        unrecorded.1 += sd_steps - sd_spans;
+    }
+    unrecorded
+}
+
 /// Adjacent records of the finish-ordered log that share a finish time but
 /// not a replica.
 fn cross_replica_ties(report: &ServeReport) -> usize {
@@ -163,10 +230,18 @@ fn churn_cluster_reports_match_the_reference() {
     ];
     for faults in [&[][..], &crash_restart[..]] {
         let label = format!("churn, {} faults", faults.len());
-        let (report, _) = drive(ClusterSim::new(churn::config()), trace.arrivals(), faults);
+        let mut sim = ClusterSim::new(churn::config());
+        let events = drive_in_place(&mut sim, trace.arrivals(), faults);
+        let members = member_steps(&sim);
+        let report = sim.into_report();
         assert!(report.retires >= churn::MIN_RETIRES, "{label}");
         assert_eq!(report.serve.replicas.len(), 82, "{label}");
         assert_matches_reference(&report.serve, slo, trace.arrivals().len(), &label);
+        let unrecorded =
+            assert_tallies_match_the_events(&report.serve.replicas, &members, &events, &label);
+        // Of the two crashes, one aborts a vanilla decode step in flight.
+        let expected = if faults.is_empty() { (0, 0) } else { (1, 0) };
+        assert_eq!(unrecorded, expected, "{label}: unrecorded steps");
     }
 }
 
@@ -203,8 +278,15 @@ fn serving_reports_with_ties_preemption_and_faults_match_the_reference() {
         (3.0, Fault::Crash(1)),
         (4.0, Fault::Restart(1)),
     ];
-    let (report, events) = drive(ServeSim::new(&config), &arrivals, &faults);
+    let mut sim = ServeSim::new(&config);
+    let events = drive_in_place(&mut sim, &arrivals, &faults);
+    let members = member_steps(&sim);
+    let report = sim.into_report();
     assert_matches_reference(&report, config.slo, arrivals.len(), "serving");
+    let unrecorded =
+        assert_tallies_match_the_events(&report.replicas, &members, &events, "serving");
+    // Replica 1's crash aborts the speculative step it has in flight.
+    assert_eq!(unrecorded, (1, 1), "serving: unrecorded steps");
     let preemptions: u64 = report.replicas.iter().map(|r| r.preemptions).sum();
     assert!(preemptions > 0, "the KV budget must preempt");
     assert_eq!(report.replicas[1].crashes, 1);
