@@ -12,8 +12,8 @@ pub const INVARIANTS: &[&str] = &[
     // crash, nothing duplicated by a failover.
     "request-conservation",
     // No replica ever starts a step with more KV blocks charged than its
-    // pool budget (post-preemption accounting; block units under paged
-    // accounting, tokens under the legacy flat budget).
+    // pool budget (post-preemption accounting; every scenario of the matrix
+    // runs paged accounting).
     "kv-budget",
     // Block conservation on every replica's KV pool: shared-prefix refcounts
     // sum to the running requests referencing them, charges never exceed

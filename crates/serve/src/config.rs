@@ -11,8 +11,11 @@ use tlt_rollout::SdMode;
 /// How a replica accounts KV memory at admission time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum KvAccounting {
-    /// Legacy flat token budget: every request charges its full token
-    /// footprint; identical prefixes are charged once per request.
+    /// Token accounting: the ledger's blocks hold one token each and no
+    /// prefix is shared, so every request charges its whole token footprint
+    /// (an identical prefix once per request). Admission and preemption run
+    /// the same ledger as under paged accounting; the reports leave the
+    /// block readings out (0, or `None`).
     Tokens,
     /// Paged block accounting: footprints round up to whole blocks, shared
     /// prefixes are charged once per replica (PagedAttention-style), prefill
@@ -35,8 +38,10 @@ impl KvAccounting {
 }
 
 /// Why a [`ServeConfig`] cannot be deployed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServeConfigError {
+    /// A `kv_memory_fraction` that is NaN, infinite, not positive or above 1.
+    KvMemoryFraction(f64),
     /// [`KvAccounting::Paged`] with a zero block size.
     ZeroBlockSize,
     /// A KV block larger than a replica's whole KV token budget.
@@ -51,6 +56,9 @@ pub enum ServeConfigError {
 impl std::fmt::Display for ServeConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            Self::KvMemoryFraction(fraction) => {
+                write!(f, "KV memory fraction must be in (0, 1], got {fraction}")
+            }
             Self::ZeroBlockSize => f.write_str("paged KV block size must be non-zero"),
             Self::BlockExceedsBudget { block_size, budget } => {
                 write!(
@@ -168,10 +176,15 @@ impl ServeConfig {
         self
     }
 
-    /// Checks the KV block size, which is a `pub` field and sizes per-replica
-    /// tables: zero, or larger than a replica's KV token budget (a pool of no
-    /// blocks), is rejected.
+    /// Checks the `pub` fields that size a replica's KV pool: the memory
+    /// fraction must lie in (0, 1] under either accounting, and a paged
+    /// block size of zero, or larger than a replica's KV token budget (a
+    /// pool of no blocks), is rejected.
     pub fn validate(&self) -> Result<(), ServeConfigError> {
+        let fraction = self.kv_memory_fraction;
+        if fraction.is_nan() || fraction <= 0.0 || fraction > 1.0 {
+            return Err(ServeConfigError::KvMemoryFraction(fraction));
+        }
         let KvAccounting::Paged { block_size } = self.kv_accounting else {
             return Ok(());
         };
@@ -286,6 +299,28 @@ mod tests {
     fn replica_override_index_out_of_range_panics() {
         let a100 = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::A100.spec(), 1);
         let _ = ServeConfig::new(qwen7b_h100(), 2).with_replica_cost(2, a100);
+    }
+
+    #[test]
+    fn a_kv_memory_fraction_outside_the_unit_interval_is_rejected_under_either_accounting() {
+        for kv_accounting in [KvAccounting::Tokens, KvAccounting::Paged { block_size: 16 }] {
+            for fraction in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+                let mut config = ServeConfig::new(qwen7b_h100(), 1);
+                config.kv_accounting = kv_accounting;
+                config.kv_memory_fraction = fraction;
+                assert!(
+                    matches!(
+                        config.validate(),
+                        Err(ServeConfigError::KvMemoryFraction(f)) if f.to_bits() == fraction.to_bits()
+                    ),
+                    "{kv_accounting:?} {fraction}"
+                );
+            }
+            let mut config = ServeConfig::new(qwen7b_h100(), 1);
+            config.kv_accounting = kv_accounting;
+            config.kv_memory_fraction = 1.0;
+            assert_eq!(config.validate(), Ok(()), "{kv_accounting:?}");
+        }
     }
 
     #[test]

@@ -132,8 +132,8 @@ struct RunningEntry {
     prefill_pending: bool,
     /// Admission sequence number; preemption evicts the most recent first.
     admit_seq: u64,
-    /// Full-block shared-prefix tokens this entry references under paged
-    /// accounting (charged once per replica, not per entry).
+    /// Full-block shared-prefix tokens this entry references (charged once
+    /// per replica, not per entry; 0 under token accounting).
     shared_tokens: usize,
 }
 
@@ -143,8 +143,8 @@ impl RunningEntry {
         self.req.prompt_len + self.generated
     }
 
-    /// Tokens this entry stores privately under paged accounting (everything
-    /// beyond the shared full-block prefix).
+    /// Tokens this entry stores privately (everything beyond the shared
+    /// full-block prefix).
     fn private_tokens(&self) -> usize {
         self.kv_tokens() - self.shared_tokens
     }
@@ -155,17 +155,16 @@ impl RunningEntry {
     }
 
     /// What this entry reserves for its whole life under conservative
-    /// admission, in the admission unit: blocks under paged accounting,
-    /// tokens otherwise.
-    fn reservation(&self, ledger: Option<&BlockLedger>, max_output: usize) -> usize {
-        let tokens = self.req.prompt_len - self.shared_tokens + max_output;
-        ledger.map_or(tokens, |ledger| ledger.blocks_for(tokens))
+    /// admission, in `ledger` blocks (tokens under token accounting, whose
+    /// blocks hold one token each).
+    fn reservation(&self, ledger: &BlockLedger, max_output: usize) -> usize {
+        ledger.blocks_for(self.req.prompt_len - self.shared_tokens + max_output)
     }
 }
 
-/// Outcome of planning one paged admission.
+/// Outcome of planning one admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PagedAdmission {
+enum Admission {
     /// Can never fit an empty replica: drop.
     Impossible,
     /// Does not fit the blocks left right now: stop admitting.
@@ -211,7 +210,7 @@ struct Run {
     private_blocks: usize,
     /// Decode tokens the batch still owes (its share of [`Replica::load`]).
     outstanding: u64,
-    /// Entries by `(private_tokens - lag) % block_size` (paged).
+    /// Entries by `(private_tokens - lag) % block_size`.
     residues: Vec<u32>,
     /// The residue class that gains a block on the next step.
     boundary: usize,
@@ -221,8 +220,7 @@ struct Run {
 }
 
 impl Run {
-    /// Empties the sums for a run over `block_size`-token blocks (0 under
-    /// token accounting).
+    /// Empties the sums for a run over `block_size`-token blocks.
     fn reset(&mut self, block_size: usize) {
         let mut residues = std::mem::take(&mut self.residues);
         residues.clear();
@@ -236,14 +234,12 @@ impl Run {
 
     /// Adds `entry`, with its actual `generated`, to the sums, and stores
     /// its `generated` relative to the lag (a write-back is one add).
-    fn enter(&mut self, entry: &mut RunningEntry, ledger: Option<&BlockLedger>) {
+    fn enter(&mut self, entry: &mut RunningEntry, ledger: &BlockLedger) {
         self.kv_tokens += entry.kv_tokens();
         self.outstanding += entry.remaining() as u64;
-        if let Some(ledger) = ledger {
-            let private = entry.private_tokens();
-            self.private_blocks += ledger.blocks_for(private);
-            self.residues[(private + self.boundary) % ledger.block_size()] += 1;
-        }
+        let private = entry.private_tokens();
+        self.private_blocks += ledger.blocks_for(private);
+        self.residues[(private + self.boundary) % ledger.block_size()] += 1;
         entry.generated = entry.generated.wrapping_sub(self.lag);
         self.to_finish = self.to_finish.min(entry.remaining());
     }
@@ -252,13 +248,11 @@ impl Run {
     /// unclamped: the tokens `enter` and `advance` added for it, including
     /// what the finishing step committed past its end. The finish walk
     /// recounts `outstanding`.
-    fn leave(&mut self, entry: &RunningEntry, ledger: Option<&BlockLedger>) {
+    fn leave(&mut self, entry: &RunningEntry, ledger: &BlockLedger) {
         self.kv_tokens -= entry.kv_tokens();
-        if let Some(ledger) = ledger {
-            let private = entry.private_tokens();
-            self.private_blocks -= ledger.blocks_for(private);
-            self.residues[(private + self.boundary) % ledger.block_size()] -= 1;
-        }
+        let private = entry.private_tokens();
+        self.private_blocks -= ledger.blocks_for(private);
+        self.residues[(private + self.boundary) % ledger.block_size()] -= 1;
     }
 
     /// Commits `n` tokens to each of the `batch` entries; returns whether the
@@ -267,13 +261,11 @@ impl Run {
     fn advance(&mut self, batch: usize, n: usize) -> bool {
         self.lag += n;
         self.kv_tokens += batch * n;
-        if !self.residues.is_empty() {
-            let last = self.residues.len() - 1;
-            for _ in 0..n {
-                // A token that follows a full block opens a new one.
-                self.private_blocks += self.residues[self.boundary] as usize;
-                self.boundary = self.boundary.checked_sub(1).unwrap_or(last);
-            }
+        let last = self.residues.len() - 1;
+        for _ in 0..n {
+            // A token that follows a full block opens a new one.
+            self.private_blocks += self.residues[self.boundary] as usize;
+            self.boundary = self.boundary.checked_sub(1).unwrap_or(last);
         }
         let carried = self.lag < self.to_finish;
         if carried {
@@ -288,10 +280,10 @@ impl Run {
 pub struct Replica {
     index: usize,
     config: ServeConfig,
-    kv_budget: usize,
-    /// Block-granular accounting under [`KvAccounting::Paged`]; `None` keeps
-    /// the legacy flat-token behaviour bit for bit.
-    ledger: Option<BlockLedger>,
+    /// The KV pool every admission, preemption and report goes through:
+    /// `block_size`-token blocks under [`KvAccounting::Paged`], one-token
+    /// blocks under [`KvAccounting::Tokens`], where no prefix is shared.
+    ledger: BlockLedger,
     /// Decides, costs and records every decode step (shared with the rollout
     /// engine of `tlt-rollout`).
     sd: SdStepEvaluator,
@@ -351,17 +343,10 @@ impl Replica {
         if let Err(e) = config.validate() {
             panic!("{e}");
         }
-        let kv_budget = config.kv_token_budget();
-        let ledger = match config.kv_accounting {
-            KvAccounting::Tokens => None,
-            KvAccounting::Paged { block_size } => {
-                Some(BlockLedger::new(block_size, kv_budget / block_size))
-            }
-        };
+        let block_size = config.kv_accounting.block_size().unwrap_or(1);
         Replica {
             index,
-            kv_budget,
-            ledger,
+            ledger: BlockLedger::new(block_size, config.kv_token_budget() / block_size),
             sd: SdStepEvaluator::new(
                 &config.sd_mode,
                 config
@@ -415,11 +400,6 @@ impl Replica {
         self.up
     }
 
-    /// The KV-token budget this replica admits against.
-    pub fn kv_budget(&self) -> usize {
-        self.kv_budget
-    }
-
     /// Sets the step-duration multiplier (a straggler runs at `factor > 1.0`).
     /// Takes effect from the next scheduled step; the in-flight step keeps the
     /// duration it was scheduled with.
@@ -453,9 +433,7 @@ impl Replica {
         );
         // The crash wipes the replica's KV pool: every block — private
         // footprints and the resident prefix cache alike — is freed.
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.reset();
-        }
+        self.ledger.reset();
         let mut drained = Vec::with_capacity(self.running.len() + self.queue.len());
         for entry in self.running.drain(..) {
             drained.push(FailoverRequest {
@@ -661,17 +639,11 @@ impl Replica {
                     // affinity cache) and the private footprint converts into
                     // an outbound charge held until the transfer lands.
                     for entry in self.running.drain(..) {
-                        let (source_blocks, wire_blocks) = match self.ledger.as_mut() {
-                            Some(ledger) => {
-                                if entry.shared_tokens > 0 {
-                                    ledger.release_shared(entry.req.prefix_id);
-                                }
-                                let src = ledger.blocks_for(entry.private_tokens());
-                                ledger.begin_outbound(src);
-                                (src, ledger.blocks_for(entry.kv_tokens()))
-                            }
-                            None => (0, 0),
-                        };
+                        if entry.shared_tokens > 0 {
+                            self.ledger.release_shared(entry.req.prefix_id);
+                        }
+                        let source_blocks = self.ledger.blocks_for(entry.private_tokens());
+                        self.ledger.begin_outbound(source_blocks);
                         self.metrics.migrations_out += 1;
                         self.handoffs.push(MigratedEntry {
                             req: entry.req,
@@ -679,7 +651,7 @@ impl Replica {
                             admitted_s: entry.admitted_s,
                             preemptions: entry.preemptions,
                             source_blocks,
-                            wire_blocks,
+                            wire_blocks: self.ledger.blocks_for(entry.kv_tokens()),
                         });
                     }
                     self.held = 0;
@@ -747,19 +719,16 @@ impl Replica {
                     }
                     entry.generated = entry.generated.wrapping_add(lag);
                     if let Some(run) = run.as_deref_mut() {
-                        run.leave(entry, ledger.as_ref());
+                        run.leave(entry, ledger);
                     }
-                    *held -= entry.reservation(ledger.as_ref(), max_output);
+                    *held -= entry.reservation(ledger, max_output);
                     metrics.completed += 1;
                     record(
                         ObsEvent::instant(now, track, EventKind::Completion, entry.req.id)
                             .with_args(entry.req.output_len as f64, now - entry.req.arrival_s),
                     );
                     if entry.shared_tokens > 0 {
-                        ledger
-                            .as_mut()
-                            .expect("shared tokens imply paged accounting")
-                            .release_shared(entry.req.prefix_id);
+                        ledger.release_shared(entry.req.prefix_id);
                     }
                     completed.push(CompletedRequest {
                         id: entry.req.id,
@@ -784,41 +753,36 @@ impl Replica {
         self.start_step(now);
     }
 
-    /// The running batch in one pass: its KV tokens (see [`Replica::kv_in_use`])
-    /// and, under paged accounting, the private blocks they occupy (0 under
-    /// token accounting).
+    /// The running batch in one pass: its KV tokens (counting shared
+    /// prefixes once per referencing entry — the per-sequence attention
+    /// context the cost model sees) and the private blocks they occupy.
     fn batch_footprint(&self) -> (usize, usize) {
-        let Some(ledger) = &self.ledger else {
-            return (self.kv_in_use(), 0);
-        };
         self.running.iter().fold((0, 0), |(tokens, blocks), e| {
-            let kv = e.kv_tokens();
             (
-                tokens + kv,
-                blocks + ledger.blocks_for(kv - e.shared_tokens),
+                tokens + e.kv_tokens(),
+                blocks + self.ledger.blocks_for(e.private_tokens()),
             )
         })
     }
 
     /// Actual private (unshared) blocks the running batch occupies.
-    fn private_blocks_in_use(&self, ledger: &BlockLedger) -> usize {
+    fn private_blocks_in_use(&self) -> usize {
         if let Some(run) = self.active_run() {
             return run.private_blocks;
         }
         self.running
             .iter()
-            .map(|e| ledger.blocks_for(e.private_tokens()))
+            .map(|e| self.ledger.blocks_for(e.private_tokens()))
             .sum()
     }
 
-    /// Full-block tokens of `req`'s shared prefix under paged accounting
-    /// (partial blocks stay private; 0 under token accounting or without a
-    /// prefix).
+    /// Full-block tokens of `req`'s shared prefix (partial blocks stay
+    /// private; 0 without a prefix, and under token accounting, which
+    /// charges every prefix per request).
     fn shared_prefix_tokens(&self, req: &ServeRequest) -> usize {
-        match &self.ledger {
-            Some(ledger) if req.prefix_id != 0 => {
-                let bs = ledger.block_size();
-                (req.prefix_len.min(req.prompt_len) / bs) * bs
+        match self.config.kv_accounting {
+            KvAccounting::Paged { block_size } if req.prefix_id != 0 => {
+                (req.prefix_len.min(req.prompt_len) / block_size) * block_size
             }
             _ => 0,
         }
@@ -830,57 +794,43 @@ impl Replica {
         self.prefill_only || self.config.preemption
     }
 
-    /// KV tokens a queued entry needs at admission time: its current footprint under
-    /// optimistic admission, or the worst case under conservative admission.
-    fn admission_need(&self, entry: &QueuedEntry) -> usize {
-        if self.reserves_footprint() {
-            entry.prefill_tokens()
-        } else {
-            entry.req.prompt_len + self.config.max_output_tokens
-        }
-    }
-
-    /// KV the running batch reserves under the active policy, in the
-    /// admission unit (private blocks under paged accounting, whose shared
-    /// groups the ledger charges, tokens otherwise): its footprint, or the
-    /// kept worst case under conservative admission.
+    /// Private blocks the running batch reserves under the active policy
+    /// (the ledger charges its shared groups): its footprint, or the kept
+    /// worst case under conservative admission.
     fn reserved(&self) -> usize {
-        if !self.reserves_footprint() {
-            return self.held;
-        }
-        match &self.ledger {
-            Some(ledger) => self.private_blocks_in_use(ledger),
-            None => self.kv_in_use(),
+        if self.reserves_footprint() {
+            self.private_blocks_in_use()
+        } else {
+            self.held
         }
     }
 
-    /// Current KV footprint of the running batch (actual tokens resident,
-    /// counting shared prefixes once per referencing entry — the per-sequence
-    /// attention context the cost model sees).
-    fn kv_in_use(&self) -> usize {
-        self.running.iter().map(RunningEntry::kv_tokens).sum()
+    /// Blocks charged outside the batch's private footprints: the resident
+    /// shared groups, charged once, and both migration directions.
+    fn unbatched_blocks(&self) -> usize {
+        self.ledger.shared_blocks() + self.ledger.inbound_blocks() + self.ledger.outbound_blocks()
     }
 
     /// Actual blocks charged right now: per-entry private footprints (rounded
-    /// up to whole blocks) plus the resident shared groups, charged once.
-    fn blocks_in_use(&self, ledger: &BlockLedger) -> usize {
-        self.private_blocks_in_use(ledger)
-            + ledger.shared_blocks()
-            + ledger.inbound_blocks()
-            + ledger.outbound_blocks()
+    /// up to whole blocks) plus everything charged outside the batch.
+    fn blocks_in_use(&self) -> usize {
+        self.private_blocks_in_use() + self.unbatched_blocks()
     }
 
-    /// Plans the paged admission of `entry` against the current reservations
+    /// Plans the admission of `entry` against the current reservations
     /// without mutating anything.
-    fn plan_paged_admission(&self, entry: &QueuedEntry, reserved: usize) -> PagedAdmission {
-        let ledger = self.ledger.as_ref().expect("paged accounting");
+    fn plan_admission(&self, entry: &QueuedEntry, reserved: usize) -> Admission {
+        let ledger = &self.ledger;
         let budget = ledger.capacity_blocks();
         let shared = self.shared_prefix_tokens(&entry.req);
         let shared_blocks = shared / ledger.block_size();
         // A request that cannot fit even an otherwise-empty replica will never
-        // be admittable: drop it instead of wedging the queue (the paged
-        // analogue of the token-mode impossibility rule, with the shared
-        // prefix charged once).
+        // be admittable: drop it instead of wedging the queue. Under
+        // optimistic admission the prefill may fit today but the request's
+        // full footprint (prompt + clamped output) can still exceed the whole
+        // pool — running it alone would overflow KV with nothing left to
+        // preempt, so it is just as impossible. The shared prefix is charged
+        // once.
         let lone_private = if self.prefill_only {
             entry.prefill_tokens() - shared
         } else if self.config.preemption {
@@ -889,7 +839,7 @@ impl Replica {
             entry.req.prompt_len - shared + self.config.max_output_tokens
         };
         if ledger.blocks_for(lone_private) + shared_blocks > budget {
-            return PagedAdmission::Impossible;
+            return Admission::Impossible;
         }
         // Only the blocks already resident hold materialised KV a prefill can
         // reuse; a longer clamped prefix must compute — and charge — the
@@ -910,14 +860,8 @@ impl Replica {
         // be handed out twice (a transfer landing mid-step would over-commit
         // the pool) and outbound charges keep the source's KV pinned until the
         // wire copy finishes.
-        if reserved
-            + ledger.shared_blocks()
-            + ledger.inbound_blocks()
-            + ledger.outbound_blocks()
-            + need
-            > budget
-        {
-            return PagedAdmission::OverBudget;
+        if reserved + self.unbatched_blocks() + need > budget {
+            return Admission::OverBudget;
         }
         // Reused resident blocks mean their KV is already materialised: the
         // prefill skips those tokens (keeping at least one novel token so the
@@ -925,7 +869,7 @@ impl Replica {
         // group pays the full prefill and leaves the blocks resident.
         let cached =
             (reused_blocks * ledger.block_size()).min(entry.prefill_tokens().saturating_sub(1));
-        PagedAdmission::Admit {
+        Admission::Admit {
             cached,
             private_blocks,
             shared_blocks,
@@ -956,58 +900,29 @@ impl Replica {
             let Some(front) = self.queue.front().cloned() else {
                 break;
             };
-            // Decide admissibility under the active accounting mode.
-            let paged = self.ledger.is_some();
-            let (entry_cached, entry_private_blocks, entry_shared_blocks) = if paged {
-                let mut plan = self.plan_paged_admission(&front, reserved);
-                if plan == PagedAdmission::OverBudget {
-                    // Reclaim prefix-cache groups nothing references — except
-                    // the front request's own group, whose eviction would buy
-                    // no headroom (its blocks move straight back into `need`)
-                    // while destroying the cache hit — and retry once.
-                    let keep = (front.req.prefix_id != 0).then_some(front.req.prefix_id);
-                    let freed = match self.ledger.as_mut() {
-                        Some(ledger) => ledger.evict_unreferenced_except(keep),
-                        None => 0,
-                    };
-                    if freed > 0 {
-                        plan = self.plan_paged_admission(&front, reserved);
-                    }
+            let mut plan = self.plan_admission(&front, reserved);
+            if plan == Admission::OverBudget {
+                // Reclaim prefix-cache groups nothing references — except
+                // the front request's own group, whose eviction would buy
+                // no headroom (its blocks move straight back into `need`)
+                // while destroying the cache hit — and retry once.
+                let keep = (front.req.prefix_id != 0).then_some(front.req.prefix_id);
+                if self.ledger.evict_unreferenced_except(keep) > 0 {
+                    plan = self.plan_admission(&front, reserved);
                 }
-                match plan {
-                    PagedAdmission::Impossible => {
-                        let entry = self.queue.pop_front().expect("front exists");
-                        self.dropped_ids.push(entry.req.id);
-                        continue;
-                    }
-                    PagedAdmission::OverBudget => break,
-                    PagedAdmission::Admit {
-                        cached,
-                        private_blocks,
-                        shared_blocks,
-                    } => (cached, private_blocks, shared_blocks),
-                }
-            } else {
-                let need = self.admission_need(&front);
-                // A request that cannot fit even an otherwise-empty replica will never
-                // be admittable: drop it instead of wedging the queue. Under
-                // optimistic admission the prefill may fit today but the request's
-                // full footprint (prompt + clamped output) can still exceed the whole
-                // budget — running it alone would overflow KV with nothing left to
-                // preempt, so it is just as impossible.
-                let impossible = need > self.kv_budget
-                    || (self.config.preemption
-                        && front.req.prompt_len + front.req.output_len > self.kv_budget);
-                if impossible {
+            }
+            let (entry_cached, entry_private_blocks, entry_shared_blocks) = match plan {
+                Admission::Impossible => {
                     let entry = self.queue.pop_front().expect("front exists");
                     self.dropped_ids.push(entry.req.id);
                     continue;
                 }
-                if reserved + need > self.kv_budget {
-                    break;
-                }
-                reserved += need;
-                (0, 0, 0)
+                Admission::OverBudget => break,
+                Admission::Admit {
+                    cached,
+                    private_blocks,
+                    shared_blocks,
+                } => (cached, private_blocks, shared_blocks),
             };
             let chunk = front.prefill_tokens() - entry_cached;
             if admitted > 0 && prefill_tokens + chunk > self.config.max_prefill_tokens {
@@ -1015,11 +930,10 @@ impl Replica {
             }
             let entry = self.queue.pop_front().expect("front exists");
             let shared = self.shared_prefix_tokens(&entry.req);
-            if let Some(ledger) = self.ledger.as_mut() {
-                reserved += entry_private_blocks;
-                if entry_shared_blocks > 0 {
-                    ledger.admit_shared(entry.req.prefix_id, entry_shared_blocks);
-                }
+            reserved += entry_private_blocks;
+            if entry_shared_blocks > 0 {
+                self.ledger
+                    .admit_shared(entry.req.prefix_id, entry_shared_blocks);
             }
             prefill_tokens += chunk;
             cached_tokens += entry_cached;
@@ -1043,7 +957,7 @@ impl Replica {
                 admit_seq: self.admit_seq,
                 shared_tokens: shared,
             };
-            self.held += entry.reservation(self.ledger.as_ref(), self.config.max_output_tokens);
+            self.held += entry.reservation(&self.ledger, self.config.max_output_tokens);
             self.running.push(entry);
             self.admit_seq += 1;
         }
@@ -1060,41 +974,27 @@ impl Replica {
     /// admission sequence, ahead of everything already queued) are pinned by the
     /// `preemption_evicts_most_recent_first` test.
     fn preempt_until_fitting(&mut self, now: f64) {
-        // Under paged accounting the fitting check runs in block units against
-        // the ledger. Unreferenced prefix-cache groups stay resident until
-        // there is actual pressure; when the batch is over budget they are
-        // reclaimed before any running work is evicted.
-        let (budget, mut kv_in_use) = match &self.ledger {
-            Some(ledger) => (ledger.capacity_blocks(), self.blocks_in_use(ledger)),
-            None => (self.kv_budget, self.kv_in_use()),
-        };
-        if kv_in_use > budget {
-            if let Some(ledger) = self.ledger.as_mut() {
-                ledger.evict_unreferenced();
-            }
-            if let Some(ledger) = &self.ledger {
-                kv_in_use = self.blocks_in_use(ledger);
-            }
+        // The fitting check runs in blocks against the ledger. Unreferenced
+        // prefix-cache groups stay resident until there is actual pressure;
+        // when the batch is over budget they are reclaimed before any
+        // running work is evicted.
+        let budget = self.ledger.capacity_blocks();
+        let mut charged = self.blocks_in_use();
+        if charged > budget {
+            self.ledger.evict_unreferenced();
+            charged = self.blocks_in_use();
         }
-        if kv_in_use <= budget || self.running.len() <= 1 {
+        if charged <= budget || self.running.len() <= 1 {
             return;
         }
-        let footprint = |replica: &Replica, i: usize| -> usize {
-            match &replica.ledger {
-                Some(ledger) => ledger.blocks_for(replica.running[i].private_tokens()),
-                None => replica.running[i].kv_tokens(),
-            }
-        };
         // Remaining running references per shared group: evicting a group's
         // last referencing victim frees the group's blocks too (reclaimed by
         // the trailing sweep), so the loop credits them and stops earlier.
         let mut group_refs: Vec<(u64, usize)> = Vec::new();
-        if self.ledger.is_some() {
-            for e in self.running.iter().filter(|e| e.shared_tokens > 0) {
-                match group_refs.iter_mut().find(|(id, _)| *id == e.req.prefix_id) {
-                    Some((_, refs)) => *refs += 1,
-                    None => group_refs.push((e.req.prefix_id, 1)),
-                }
+        for e in self.running.iter().filter(|e| e.shared_tokens > 0) {
+            match group_refs.iter_mut().find(|(id, _)| *id == e.req.prefix_id) {
+                Some((_, refs)) => *refs += 1,
+                None => group_refs.push((e.req.prefix_id, 1)),
             }
         }
         let mut order: Vec<usize> = (0..self.running.len()).collect();
@@ -1102,22 +1002,20 @@ impl Replica {
         let mut evicted = vec![false; self.running.len()];
         let mut evicted_count = 0usize;
         for &i in &order {
-            if kv_in_use <= budget || self.running.len() - evicted_count <= 1 {
+            if charged <= budget || self.running.len() - evicted_count <= 1 {
                 break;
             }
-            kv_in_use -= footprint(self, i);
-            if self.running[i].shared_tokens > 0 {
+            let victim = &self.running[i];
+            charged -= self.ledger.blocks_for(victim.private_tokens());
+            if victim.shared_tokens > 0 {
                 if let Some((_, refs)) = group_refs
                     .iter_mut()
-                    .find(|(id, _)| *id == self.running[i].req.prefix_id)
+                    .find(|(id, _)| *id == victim.req.prefix_id)
                 {
                     *refs -= 1;
                     if *refs == 0 {
-                        if let Some(ledger) = &self.ledger {
-                            kv_in_use = kv_in_use.saturating_sub(
-                                ledger.resident_blocks_of(self.running[i].req.prefix_id),
-                            );
-                        }
+                        charged = charged
+                            .saturating_sub(self.ledger.resident_blocks_of(victim.req.prefix_id));
                     }
                 }
             }
@@ -1140,7 +1038,7 @@ impl Replica {
         }
         for &i in &order[..evicted_count] {
             let victim = slots[i].take().expect("victim slot");
-            self.held -= victim.reservation(self.ledger.as_ref(), self.config.max_output_tokens);
+            self.held -= victim.reservation(&self.ledger, self.config.max_output_tokens);
             self.metrics.preemptions += 1;
             record(ObsEvent::instant(
                 now,
@@ -1148,10 +1046,8 @@ impl Replica {
                 EventKind::Preemption,
                 victim.req.id,
             ));
-            if let Some(ledger) = self.ledger.as_mut() {
-                if victim.shared_tokens > 0 {
-                    ledger.release_shared(victim.req.prefix_id);
-                }
+            if victim.shared_tokens > 0 {
+                self.ledger.release_shared(victim.req.prefix_id);
             }
             self.queue.push_front(QueuedEntry {
                 req: victim.req,
@@ -1163,9 +1059,7 @@ impl Replica {
         }
         // Eviction may have orphaned a shared group; if the batch still does
         // not fit, reclaim those blocks too.
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.evict_unreferenced();
-        }
+        self.ledger.evict_unreferenced();
     }
 
     /// The walked half of a step boundary: joins, preemption and admission,
@@ -1196,16 +1090,13 @@ impl Replica {
         let in_run = self.in_run;
         let mut run = self.run.as_deref_mut().filter(|_| in_run);
         for (mut entry, reserved) in self.arriving.drain(..) {
-            if let Some(ledger) = self.ledger.as_mut() {
-                ledger.commit_inbound(reserved);
-            }
-            let ledger = self.ledger.as_ref();
-            self.held += entry.reservation(ledger, self.config.max_output_tokens);
+            self.ledger.commit_inbound(reserved);
+            self.held += entry.reservation(&self.ledger, self.config.max_output_tokens);
             if let Some(run) = run.as_deref_mut() {
                 if run.unstamped > 0 || entry.first_token_s.is_none() {
                     run.unstamped += 1;
                 }
-                run.enter(&mut entry, ledger);
+                run.enter(&mut entry, &self.ledger);
             }
             self.running.push(entry);
         }
@@ -1228,26 +1119,21 @@ impl Replica {
         }
         self.merge_arriving();
         let run = self.active_run()?;
-        let fits = !self.config.preemption
-            || match &self.ledger {
-                Some(ledger) => self.blocks_in_use(ledger) <= ledger.capacity_blocks(),
-                None => run.kv_tokens <= self.kv_budget,
-            };
+        let fits = !self.config.preemption || self.blocks_in_use() <= self.ledger.capacity_blocks();
         fits.then_some((run.kv_tokens, run.private_blocks))
     }
 
     /// Begins a run on the decode step just scheduled.
     fn begin_run(&mut self) {
-        let block_size = self.ledger.as_ref().map_or(0, BlockLedger::block_size);
         let run = self.run.get_or_insert_with(Box::default);
-        run.reset(block_size);
+        run.reset(self.ledger.block_size());
         let batch = self.running.len();
         for (i, entry) in self.running.iter_mut().enumerate() {
             if run.unstamped == 0 && entry.first_token_s.is_none() {
                 run.unstamped = batch - i;
             }
             // At lag 0 the entry's `generated` stays as it is.
-            run.enter(entry, self.ledger.as_ref());
+            run.enter(entry, &self.ledger);
         }
         self.entry_visits += batch as u64;
         self.in_run = true;
@@ -1280,12 +1166,11 @@ impl Replica {
         if !cfg!(debug_assertions) {
             return;
         }
-        let ledger = self.ledger.as_ref();
         let max_output = self.config.max_output_tokens;
         let held: usize = self
             .running
             .iter()
-            .map(|e| e.reservation(ledger, max_output))
+            .map(|e| e.reservation(&self.ledger, max_output))
             .sum();
         assert_eq!(self.held, held, "kept reservation");
         let Some(run) = self.active_run() else {
@@ -1297,7 +1182,7 @@ impl Replica {
         for e in &self.running {
             let mut actual = e.clone();
             actual.generated = actual.generated.wrapping_add(run.lag);
-            recount.enter(&mut actual, ledger);
+            recount.enter(&mut actual, &self.ledger);
         }
         assert_eq!(*run, recount, "run sums");
         let head = self.running.len() - run.unstamped;
@@ -1317,9 +1202,7 @@ impl Replica {
         let metrics = &mut self.metrics;
         metrics.peak_running = metrics.peak_running.max(self.running.len());
         metrics.peak_kv_tokens = metrics.peak_kv_tokens.max(kv_in_use);
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.sync_private(private_blocks);
-        }
+        self.ledger.sync_private(private_blocks);
         if prefill_tokens > 0 {
             // The prefill computes only the novel tokens; resident prefix
             // blocks are re-read by attention but never recomputed.
@@ -1440,22 +1323,26 @@ impl Replica {
         &self.metrics
     }
 
+    /// The ledger as the reports show it: `None` under token accounting,
+    /// whose one-token blocks the block readings leave out.
+    fn pool(&self) -> Option<&BlockLedger> {
+        self.config.kv_accounting.block_size().map(|_| &self.ledger)
+    }
+
     /// KV capacity in blocks (0 under token accounting).
     pub fn kv_block_budget(&self) -> usize {
-        self.ledger.as_ref().map_or(0, BlockLedger::capacity_blocks)
+        self.pool().map_or(0, BlockLedger::capacity_blocks)
     }
 
     /// Largest number of KV blocks charged at a step start (0 under token
     /// accounting).
     pub fn peak_kv_blocks(&self) -> usize {
-        self.ledger
-            .as_ref()
-            .map_or(0, BlockLedger::peak_in_use_blocks)
+        self.pool().map_or(0, BlockLedger::peak_in_use_blocks)
     }
 
     /// Pool accounting snapshot under paged accounting.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.ledger.as_ref().map(BlockLedger::stats)
+        self.pool().map(BlockLedger::stats)
     }
 
     /// Fraction of admitted prompt tokens served from resident prefix blocks.
@@ -1468,38 +1355,29 @@ impl Replica {
         }
     }
 
-    /// Structural check of the block ledger: shared refcounts must equal the
-    /// running entries referencing each prefix, charges must stay within
-    /// capacity. `Ok` under token accounting.
+    /// Structural check of the block ledger under either accounting: shared
+    /// refcounts must equal the running entries referencing each prefix
+    /// (none under token accounting), charges must stay within capacity.
     pub fn kv_pool_check(&self) -> Result<(), String> {
-        match &self.ledger {
-            Some(ledger) => {
-                let expected_refs = self.running.iter().filter(|e| e.shared_tokens > 0).count();
-                ledger.check_conservation(expected_refs)
-            }
-            None => Ok(()),
-        }
+        let expected_refs = self.running.iter().filter(|e| e.shared_tokens > 0).count();
+        self.ledger.check_conservation(expected_refs)
     }
 
     /// Blocks that are neither free nor reclaimable: private footprints of
     /// running work plus shared groups still referenced. Zero after a full
     /// drain — the pool-leak assertion the chaos matrix enforces.
     pub fn kv_pool_leaked(&self) -> usize {
-        match &self.ledger {
-            Some(ledger) => {
-                let referenced: usize = ledger
-                    .shared_groups()
-                    .iter()
-                    .filter(|g| g.refs > 0)
-                    .map(|g| g.blocks)
-                    .sum();
-                self.private_blocks_in_use(ledger)
-                    + referenced
-                    + ledger.inbound_blocks()
-                    + ledger.outbound_blocks()
-            }
-            None => 0,
-        }
+        let ledger = &self.ledger;
+        let referenced: usize = ledger
+            .shared_groups()
+            .iter()
+            .filter(|g| g.refs > 0)
+            .map(|g| g.blocks)
+            .sum();
+        self.private_blocks_in_use()
+            + referenced
+            + ledger.inbound_blocks()
+            + ledger.outbound_blocks()
     }
 
     /// Drains the prefilled sequences awaiting migration to the decode pool
@@ -1511,10 +1389,7 @@ impl Replica {
     /// Blocks of `prefix_id` resident in this replica's prefix cache (0 under
     /// token accounting) — the affinity signal the cluster router uses.
     pub fn resident_prefix_blocks(&self, prefix_id: u64) -> usize {
-        match &self.ledger {
-            Some(ledger) if prefix_id != 0 => ledger.resident_blocks_of(prefix_id),
-            _ => 0,
-        }
+        self.ledger.resident_blocks_of(prefix_id)
     }
 
     /// Plans the landing of a migrated sequence on this replica without
@@ -1522,13 +1397,12 @@ impl Replica {
     /// via [`Replica::reserve_inbound`], `None` means the migration does not
     /// fit right now. `pending_entries` counts migrations already bound for
     /// this replica (reserved or on the wire) so the running-batch cap holds.
-    /// Mirrors the paged-admission arithmetic: worst case under conservative
+    /// Mirrors the admission arithmetic: worst case under conservative
     /// admission, actual footprint under optimistic admission.
     pub fn plan_inbound(&self, entry: &MigratedEntry, pending_entries: usize) -> Option<usize> {
         if !self.up {
             return None;
         }
-        let ledger = self.ledger.as_ref()?;
         if self.running.len() + self.arriving.len() + pending_entries
             >= self.config.max_running_requests
         {
@@ -1539,39 +1413,27 @@ impl Replica {
         } else {
             entry.req.prompt_len + self.config.max_output_tokens
         };
-        let blocks = ledger.blocks_for(need_tokens);
-        let charged = self.reserved()
-            + ledger.shared_blocks()
-            + ledger.inbound_blocks()
-            + ledger.outbound_blocks();
-        (charged + blocks <= ledger.capacity_blocks()).then_some(blocks)
+        let blocks = self.ledger.blocks_for(need_tokens);
+        let charged = self.reserved() + self.unbatched_blocks();
+        (charged + blocks <= self.ledger.capacity_blocks()).then_some(blocks)
     }
 
     /// Charges an inbound migration reservation (from [`Replica::plan_inbound`])
     /// while the transfer is on the wire.
     pub fn reserve_inbound(&mut self, blocks: usize) {
-        self.ledger
-            .as_mut()
-            .expect("paged accounting")
-            .reserve_inbound(blocks);
+        self.ledger.reserve_inbound(blocks);
     }
 
     /// Releases an inbound reservation whose transfer was aborted. A crash
     /// already wiped the ledger, so this is only for a live destination losing
     /// its *source* mid-transfer.
     pub fn cancel_inbound(&mut self, blocks: usize) {
-        self.ledger
-            .as_mut()
-            .expect("paged accounting")
-            .cancel_inbound(blocks);
+        self.ledger.cancel_inbound(blocks);
     }
 
     /// Releases the source-side outbound charge once its transfer lands.
     pub fn complete_outbound(&mut self, blocks: usize) {
-        self.ledger
-            .as_mut()
-            .expect("paged accounting")
-            .complete_outbound(blocks);
+        self.ledger.complete_outbound(blocks);
     }
 
     /// Restarts the step loop if the replica sits idle with work. A prefill
@@ -1663,7 +1525,7 @@ impl Replica {
             peak_kv_tokens: m.peak_kv_tokens,
             kv_block_budget: self.kv_block_budget(),
             peak_kv_blocks: self.peak_kv_blocks(),
-            pool_utilization: self.ledger.as_ref().map_or(0.0, BlockLedger::utilization),
+            pool_utilization: self.pool().map_or(0.0, BlockLedger::utilization),
             prefix_hit_rate: self.prefix_hit_rate(),
             migrations_out: m.migrations_out,
             migrations_in: m.migrations_in,
@@ -1808,7 +1670,7 @@ mod tests {
         // the victims in ascending admission order (so the earliest-admitted
         // victim is re-admitted first).
         let mut replica = Replica::new(&config().with_preemption(), 0);
-        replica.kv_budget = 3_000;
+        replica.ledger = BlockLedger::new(1, 3_000);
         for (seq, id) in [(0u64, 10u64), (1, 11), (2, 12), (3, 13)] {
             let entry = RunningEntry {
                 req: request(id, 0.0, 1_000, 64),
@@ -1821,7 +1683,7 @@ mod tests {
                 shared_tokens: 0,
             };
             // The kept reservation a real admission would add.
-            replica.held += entry.reservation(None, replica.config.max_output_tokens);
+            replica.held += entry.reservation(&replica.ledger, replica.config.max_output_tokens);
             replica.running.push(entry);
         }
         // 4 x 1000 KV tokens against a 3000 budget: exactly one eviction, and it
@@ -1836,7 +1698,7 @@ mod tests {
 
         // Tighten the budget: two more evictions (seq 2 then seq 1); the queue
         // front ends up ascending by admission sequence, ahead of request 13.
-        replica.kv_budget = 1_000;
+        replica.ledger = BlockLedger::new(1, 1_000);
         replica.preempt_until_fitting(0.0);
         assert_eq!(replica.running.len(), 1);
         assert_eq!(replica.running[0].admit_seq, 0);
@@ -1918,7 +1780,7 @@ mod tests {
         // never produced one) and its original admission time preserved, so it
         // re-prefills from scratch on re-admission.
         let mut replica = Replica::new(&config().with_preemption(), 0);
-        replica.kv_budget = 1_500;
+        replica.ledger = BlockLedger::new(1, 1_500);
         for (seq, id) in [(0u64, 20u64), (1, 21)] {
             let entry = RunningEntry {
                 req: request(id, 0.0, 1_000, 64),
@@ -1931,7 +1793,7 @@ mod tests {
                 shared_tokens: 0,
             };
             // The kept reservation a real admission would add.
-            replica.held += entry.reservation(None, replica.config.max_output_tokens);
+            replica.held += entry.reservation(&replica.ledger, replica.config.max_output_tokens);
             replica.running.push(entry);
         }
         replica.preempt_until_fitting(0.0);
@@ -2616,12 +2478,9 @@ mod tests {
                         "{cell}"
                     );
                     assert!(carried.finishes >= 10, "{cell}: {carried:?}");
-                    // Only a paged replica plans migrations, and only a
-                    // migrated entry reaches a decode step unstamped.
-                    if kv_accounting != KvAccounting::Tokens {
-                        assert!(carried.joins >= 2, "{cell}: {carried:?}");
-                        assert!(carried.first_tokens >= 2, "{cell}: {carried:?}");
-                    }
+                    // Only a migrated entry reaches a decode step unstamped.
+                    assert!(carried.joins >= 2, "{cell}: {carried:?}");
+                    assert!(carried.first_tokens >= 2, "{cell}: {carried:?}");
                     assert_eq!(stats.preemptions > 0, preemption, "{cell}");
                     assert!(stats.crashes > 0 && stats.failovers > 0, "{cell}");
                 }

@@ -250,7 +250,8 @@ pub fn run_serving_comparison(
 /// Serves one arrival stream — `share` of the requests carrying a
 /// `prefix_len`-token system prompt — twice at a deliberately tight KV
 /// budget: once with paged block accounting (shared blocks charged once,
-/// prefill only for novel tokens) and once with the legacy flat token budget.
+/// prefill only for novel tokens) and once with token accounting (one-token
+/// blocks, every prefix charged per request).
 /// Returns `(paged, tokens)` reports; with meaningful sharing the paged run
 /// admits more concurrent requests and posts the higher goodput.
 pub fn run_prefix_sharing_comparison(

@@ -817,13 +817,14 @@ fn drained_serve_sim_retains_only_the_completion_log() {
 
 /// What a cluster member still holds at report time, averaged over the 82
 /// members (75 retired) of the churn run: everything live after drain except
-/// the log. A retired member keeps its `Replica` (1,080 B inline, in a pool
+/// the log. A retired member keeps its `Replica` (1,072 B inline, in a pool
 /// `Vec` grown by doubling), its config copy and ledger; its buffers and SD
 /// tuner are released. Pinned so that a field added to `Replica`, or a buffer
 /// a retired member keeps, shows up here. Whole-token speculative commits
 /// moved it from 3,497 to 3,503 with `Replica` at the same 1,192 bytes: the
 /// run itself changed. Plain counters in place of a registry of named slots
-/// took it to 2,390.
+/// took it to 2,390, and one KV ledger in place of a token budget beside it
+/// to 2,380.
 #[test]
 fn retired_cluster_members_hold_a_pinned_number_of_bytes() {
     use tlt_serve::{ClusterSim, Driver};
