@@ -5,7 +5,8 @@
 //! checked against the linear next-event scan inside the simulator.
 #![allow(dead_code)]
 
-use tlt::obs::{install, uninstall, FlightRecorder, ObsEvent};
+use std::collections::BTreeMap;
+use tlt::obs::{install, uninstall, FlightRecorder, ObsEvent, Track};
 use tlt_serve::{drive_schedule, DriveOutcome, Driver};
 use tlt_workload::RequestArrival;
 
@@ -46,4 +47,18 @@ pub fn drive_in_place<D: Driver>(
     let outcome = drive_schedule(sim, arrivals, faults, apply, |_, _| {});
     assert_eq!(outcome, DriveOutcome::Completed);
     uninstall().expect("recorder installed").events()
+}
+
+/// Each track's own event stream, in record order, with the global `seq`
+/// cleared: what a driver fixes about a run regardless of how it interleaves
+/// work that touches different tracks.
+pub fn per_track_streams(events: &[ObsEvent]) -> BTreeMap<Track, Vec<ObsEvent>> {
+    let mut tracks: BTreeMap<Track, Vec<ObsEvent>> = BTreeMap::new();
+    for e in events {
+        tracks
+            .entry(e.track)
+            .or_default()
+            .push(ObsEvent { seq: 0, ..*e });
+    }
+    tracks
 }

@@ -16,7 +16,7 @@ use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 
 #[path = "common/drive.rs"]
 mod drive;
-use drive::{drive, Fault};
+use drive::{drive, per_track_streams, Fault};
 
 fn arrivals_for(seed: u64) -> Vec<RequestArrival> {
     generate_arrivals(&ArrivalConfig::constant(10.0, 8.0, seed).with_prefix(0.5, 128))
@@ -54,6 +54,36 @@ fn serving_with_crash_and_restart_is_bit_identical_across_cores() {
     assert!(
         events.iter().any(|e| e.kind == EventKind::Crash),
         "the fault schedule must actually crash replicas"
+    );
+}
+
+/// FNV-1a 64 over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The crash/restart drive's flight-recorder stream, digested track by track
+/// (not by `seq`): `(events, tracks, FNV of the per-track streams in track
+/// order)`, pinned before `ServeSim` stopped interleaving replica steps.
+#[test]
+fn serving_with_crash_and_restart_pins_every_track_stream() {
+    let arrivals = arrivals_for(99);
+    let faults = [
+        (2.0, Fault::Crash(1)),
+        (3.5, Fault::Restart(1)),
+        (5.0, Fault::Crash(0)),
+    ];
+    let (_, events) = drive(ServeSim::new(&replay_deployment(3)), &arrivals, &faults);
+    let tracks = per_track_streams(&events);
+    assert_eq!(
+        (
+            events.len(),
+            tracks.len(),
+            fnv1a(format!("{tracks:?}").as_bytes())
+        ),
+        (2_227, 4, 0x8f2e_a74a_5340_1abe)
     );
 }
 
