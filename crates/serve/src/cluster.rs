@@ -31,7 +31,7 @@
 
 use crate::balancer::{BalancerPolicy, LoadBalancer};
 use crate::config::ServeConfig;
-use crate::events::{drive, DriveOutcome, DriveState, Driver, EventKey};
+use crate::events::{drive, DriveOutcome, DriveState, Driver, EventKey, EventQueue};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, MigratedEntry, Replica};
 use crate::request::ServeRequest;
@@ -399,8 +399,10 @@ pub struct ClusterSim {
     pending: VecDeque<(MigratedEntry, usize)>,
     fallback: LoadBalancer,
     /// Clock, completion log, orphans (parked while no prefill replica is
-    /// up), fault counters, budget and event queue.
+    /// up), fault counters and budget.
     state: DriveState,
+    /// Next-event keys of the replicas, the link front and the tick.
+    queue: EventQueue,
     aborted_transfers: u64,
     scale_ups: u64,
     scale_downs: u64,
@@ -468,6 +470,7 @@ impl ClusterSim {
             pending: VecDeque::new(),
             fallback: LoadBalancer::new(BalancerPolicy::LeastOutstandingTokens),
             state: DriveState::default(),
+            queue: EventQueue::new(),
             aborted_transfers: 0,
             scale_ups: 0,
             scale_downs: 0,
@@ -494,7 +497,7 @@ impl ClusterSim {
     fn touch_prefill(&mut self, i: usize, before_s: f64) {
         let now = self.prefill[i].replica.next_event_s();
         if now.to_bits() != before_s.to_bits() {
-            self.state.queue.push(now, CLASS_PREFILL, i);
+            self.queue.push(now, CLASS_PREFILL, i);
         }
     }
 
@@ -502,7 +505,7 @@ impl ClusterSim {
     fn touch_decode(&mut self, j: usize, before_s: f64) {
         let now = self.decode[j].replica.next_event_s();
         if now.to_bits() != before_s.to_bits() {
-            self.state.queue.push(now, CLASS_DECODE, j);
+            self.queue.push(now, CLASS_DECODE, j);
         }
     }
 
@@ -510,7 +513,7 @@ impl ClusterSim {
     /// of `in_flight` may have changed; duplicates are discarded lazily).
     fn touch_link(&mut self) {
         if let Some(t) = self.in_flight.front() {
-            self.state.queue.push(t.finish_s, CLASS_TRANSFER, 0);
+            self.queue.push(t.finish_s, CLASS_TRANSFER, 0);
         }
     }
 
@@ -518,8 +521,7 @@ impl ClusterSim {
     /// tick keys are never duplicated).
     fn touch_tick(&mut self) {
         if let Some(a) = &self.config.autoscale {
-            self.state
-                .queue
+            self.queue
                 .push((self.ticks + 1) as f64 * a.interval_s, CLASS_TICK, 0);
         }
     }
@@ -877,13 +879,13 @@ impl ClusterSim {
     fn pop_due_event(&mut self, t: f64, include_ticks: bool) -> Option<(f64, u8, usize)> {
         let mut deferred_tick: Option<EventKey> = None;
         let due = loop {
-            let Some(key) = self.state.queue.peek() else {
+            let Some(key) = self.queue.peek() else {
                 break None;
             };
             if key.time_s() >= t {
                 break None;
             }
-            let key = self.state.queue.pop().expect("peeked");
+            let key = self.queue.pop().expect("peeked");
             let (class, idx) = (key.class(), key.index());
             let valid = match class {
                 CLASS_TRANSFER => {
@@ -915,7 +917,7 @@ impl ClusterSim {
             break Some((key.time_s(), class, idx));
         };
         if let Some(key) = deferred_tick {
-            self.state.queue.push_key(key);
+            self.queue.push_key(key);
         }
         due
     }
@@ -943,7 +945,7 @@ impl ClusterSim {
             );
             if !self.state.begin_event() {
                 // Put the valid key back and stop.
-                self.state.queue.push(et, class, idx);
+                self.queue.push(et, class, idx);
                 return self.state.budget_outcome();
             }
             self.account_to(et);
@@ -1643,7 +1645,7 @@ mod tests {
         }
         sim.advance_before(0.2);
         assert!(sim.has_work(), "the run must still be going");
-        while sim.state.queue.pop().is_some() {}
+        while sim.queue.pop().is_some() {}
         sim.run_until_drained();
     }
 }

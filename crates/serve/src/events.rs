@@ -1,13 +1,13 @@
-//! Indexed event core: a lazy-invalidation binary-heap scheduler shared by
-//! [`ServeSim`] and [`ClusterSim`].
-//!
-//! Both simulators used to find their next event with a linear scan over every
-//! replica (plus the transfer link and the autoscaler tick), making a long run
-//! O(events × replicas). The event core replaces the scan with a min-heap of
-//! [`EventKey`]s ordered by `(time, class, index)` — exactly the tie-break the
-//! scans used — so event selection is O(log n) and, after a step completes,
-//! only the stepped source's key is re-pushed (the scan re-derived the minimum
-//! from scratch every iteration).
+//! The drive protocol both simulators share ([`Driver`], [`DriveState`],
+//! [`drive`], [`drive_schedule`]) and the indexed event core, a
+//! lazy-invalidation binary-heap scheduler that only [`ClusterSim`] uses:
+//! [`ServeSim`]'s replicas interact only at a driver input, so it runs each
+//! replica's due steps in one loop instead. [`ClusterSim`] used to find its
+//! next event with a linear scan over every replica, the transfer link and the
+//! autoscaler tick, O(events × replicas) over a run. The core replaces the scan
+//! with a min-heap of [`EventKey`]s ordered by `(time, class, index)` — the
+//! scan's tie-break — so selection is O(log n) and only the stepped source's
+//! key is re-pushed.
 //!
 //! **Lazy invalidation.** Keys are never removed or updated in place: every
 //! mutation that changes a source's next-event time pushes a fresh key, and a
@@ -28,10 +28,10 @@
 //! trace, and chaos invariant, is what the scan would produce.
 //!
 //! **The scan as a check.** The linear scan survives only as a debug-build
-//! assertion: at every pop each simulator asserts that the heap's result,
+//! assertion: at every pop [`ClusterSim`] asserts that the heap's result,
 //! `None` included, equals the scan's over its sources, and that the popped
-//! time is not before the clock. Every debug suite that drives a simulator
-//! runs that check; a dropped re-push or a wrong tie-break fails at the first
+//! time is not before the clock. Every debug suite that drives a cluster runs
+//! that check; a dropped re-push or a wrong tie-break fails at the first
 //! divergent event, naming its time, class and index.
 //!
 //! [`ServeSim`]: crate::ServeSim
@@ -170,12 +170,12 @@ const MAX_EVENTS: u64 = 200_000_000;
 
 /// What [`ServeSim`](crate::ServeSim) and [`ClusterSim`](crate::ClusterSim)
 /// share is state, not control flow: the clock, the completion log, the orphan
-/// queue, the fault counters, the event budget and the event queue.
+/// queue, the fault counters and the event budget.
 #[derive(Debug, Clone)]
 pub struct DriveState {
     pub(crate) now_s: f64,
-    /// Every completion so far, in event order: moved out of the stepped
-    /// replica after each step and handed to the report as is.
+    /// Every completion so far, moved out of the stepped replica after each
+    /// step and handed to the report, which sorts it by `(finish_s, id)`.
     pub(crate) log: Vec<CompletedRequest>,
     /// Requests waiting for a replica that can take them to come back up.
     pub(crate) orphans: VecDeque<FailoverRequest>,
@@ -185,7 +185,6 @@ pub struct DriveState {
     events: u64,
     event_budget: u64,
     budget_reported: bool,
-    pub(crate) queue: EventQueue,
 }
 
 impl Default for DriveState {
@@ -200,7 +199,6 @@ impl Default for DriveState {
             events: 0,
             event_budget: MAX_EVENTS,
             budget_reported: false,
-            queue: EventQueue::new(),
         }
     }
 }
@@ -249,7 +247,9 @@ impl DriveState {
     /// The one budget rule, applied to a due internal event before it is
     /// processed: only such events count (offers and failover deliveries do
     /// not), and the drive stops once `budget` of them have run. Counts the
-    /// event and returns `true` when it may run.
+    /// event and returns `true` when it may run. [`ServeSim`](crate::ServeSim)
+    /// runs its steps replica by replica, so its budget stop falls in replica
+    /// order, not time order.
     pub(crate) fn begin_event(&mut self) -> bool {
         if self.event_budget_exhausted() {
             return false;

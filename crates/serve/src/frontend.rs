@@ -1,6 +1,12 @@
 //! Multi-replica frontend: merges the arrival stream with replica step events into
 //! one deterministic discrete-event simulation.
 //!
+//! Replicas interact only through the balancer at a driver input (an arrival,
+//! a failover, a restart), so [`ServeSim`] keeps no event queue: between two
+//! inputs it runs each replica's due steps in one loop, replica by replica.
+//! Reports, digests and exports equal a global time-ordered loop's; only the
+//! flight recorder's interleaving of replica tracks (its `seq`) differs.
+//!
 //! The frontend is exposed at two levels. [`simulate_serving`] is the closed-form
 //! entry point: feed it a sorted arrival stream and get the aggregate SLO report.
 //! Underneath sits [`ServeSim`], a steppable simulation driven through
@@ -17,13 +23,7 @@ use crate::events::{drive, DriveOutcome, DriveState, Driver};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, Replica};
 use crate::request::ServeRequest;
-use tlt_obs::hooks;
 use tlt_workload::RequestArrival;
-
-/// Event class of a replica step completion — `ServeSim`'s only internal
-/// event, so heap order reduces to `(time, replica index)`, exactly the
-/// first-minimum tie-break of the linear scan it is checked against.
-const CLASS_STEP: u8 = 0;
 
 /// A steppable multi-replica serving simulation with failure semantics,
 /// driven through [`Driver`].
@@ -45,16 +45,6 @@ impl ServeSim {
             balancer: LoadBalancer::new(config.balancer),
             slo: config.slo,
             state: DriveState::default(),
-        }
-    }
-
-    /// Re-pushes `replica`'s current next-event key after a mutation that may
-    /// have changed it; `before_s` is the pre-mutation time, so unchanged keys
-    /// (e.g. enqueueing onto an already-busy replica) push nothing.
-    fn touch(&mut self, replica: usize, before_s: f64) {
-        let now = self.replicas[replica].next_event_s();
-        if now.to_bits() != before_s.to_bits() {
-            self.state.queue.push(now, CLASS_STEP, replica);
         }
     }
 
@@ -84,72 +74,62 @@ impl ServeSim {
         let target = self.route();
         self.state.admit(&req, now, target);
         let target = target?;
-        let before = self.replicas[target].next_event_s();
         self.replicas[target].enqueue(req, now);
-        self.touch(target, before);
         Some(target)
     }
 
-    /// See [`Driver::advance_before`]. The clock is left at the last event
-    /// processed; arrivals and faults at `t` win ties against steps. Debug
-    /// builds hold every pop to the linear scan and to the clock.
+    /// See [`Driver::advance_before`]: every step due before `t`, replica by
+    /// replica, each replica's in time order. The clock is left at the last
+    /// step processed; arrivals and faults at `t` win ties against steps.
     pub fn advance_before(&mut self, t: f64) -> DriveOutcome {
-        loop {
-            let due = self.pop_due_step(t);
-            debug_assert_eq!(
-                due,
-                self.scan_next_step().filter(|e| e.1 < t),
-                "heap (left) and scan (right) disagree on the next (replica, time) before {t:?}"
-            );
-            let Some((idx, t_step)) = due else {
-                return DriveOutcome::Completed;
-            };
-            debug_assert!(
-                t_step >= self.state.now_s,
-                "step of replica {idx} at {t_step} is before the clock at {}",
-                self.state.now_s
-            );
-            if !self.state.begin_event() {
-                // Put the still-valid key back so the one-sided heap invariant
-                // holds if the budget is ever raised.
-                self.state.queue.push(t_step, CLASS_STEP, idx);
+        let clock_s = self.state.now_s;
+        for idx in 0..self.replicas.len() {
+            if !self.run_due_steps(idx, clock_s, t) {
                 return self.state.budget_outcome();
             }
-            self.state.now_s = t_step;
-            let replica = &mut self.replicas[idx];
-            replica.on_step_complete(t_step);
-            replica.move_completed_into(&mut self.state.log);
-            // Only the just-stepped replica's key is dirty: re-push it alone
-            // instead of re-deriving the global minimum.
-            self.touch(idx, t_step);
         }
+        self.debug_check_advanced(t);
+        DriveOutcome::Completed
     }
 
-    /// Pops the earliest valid step due strictly before `t`, discarding stale
-    /// keys along the way.
-    fn pop_due_step(&mut self, t: f64) -> Option<(usize, f64)> {
+    /// Completes every step of replica `idx` due strictly before `t`, each
+    /// counted against the event budget; `false` when the budget stopped it.
+    /// Debug builds check that its step times do not decrease from `clock_s`,
+    /// the clock at the last driver input.
+    fn run_due_steps(&mut self, idx: usize, clock_s: f64, t: f64) -> bool {
+        let replica = &mut self.replicas[idx];
+        let mut last_s = clock_s;
         loop {
-            // The heap minimum bounds every live key from below: once it is
-            // not due (or the heap is empty) nothing is, stale or not.
-            let key = self.state.queue.peek().filter(|k| k.time_s() < t)?;
-            self.state.queue.pop();
-            let idx = key.index();
-            if self.replicas[idx].next_event_s().to_bits() == key.time_bits() {
-                return Some((idx, key.time_s()));
+            let t_step = replica.next_event_s();
+            if t_step >= t {
+                return true;
             }
-            hooks::on_sim_stale_event();
+            debug_assert!(
+                t_step >= last_s,
+                "step of replica {idx} at {t_step} is before its last event at {last_s}"
+            );
+            if !self.state.begin_event() {
+                return false;
+            }
+            replica.on_step_complete(t_step);
+            // Moved after each step, so the replica's buffer never holds more
+            // than one step's completions.
+            replica.move_completed_into(&mut self.state.log);
+            self.state.now_s = self.state.now_s.max(t_step);
+            last_s = t_step;
         }
     }
 
-    /// The soonest scheduled step as `(replica, time)` by a scan over every
-    /// replica, the lowest index on ties; `None` while all are idle.
-    fn scan_next_step(&self) -> Option<(usize, f64)> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i, r.next_event_s()))
-            .filter(|e| e.1 < f64::MAX)
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite step times"))
+    /// Postcondition of [`ServeSim::advance_before`]: no replica still has a
+    /// step due before `t` (a down replica schedules none).
+    fn debug_check_advanced(&self, t: f64) {
+        for (idx, r) in self.replicas.iter().enumerate() {
+            debug_assert!(
+                r.next_event_s() >= t,
+                "replica {idx} was skipped: its step at {} is due before {t}",
+                r.next_event_s()
+            );
+        }
     }
 
     /// See [`Driver::run_until_drained`]. Orphans can only be re-delivered by
@@ -163,9 +143,7 @@ impl ServeSim {
             self.state.orphans.push_back(fo);
             return;
         };
-        let before = self.replicas[target].next_event_s();
         self.replicas[target].enqueue_failover(fo, now);
-        self.touch(target, before);
         self.state.requeued += 1;
     }
 
@@ -211,7 +189,10 @@ impl Driver for ServeSim {
     }
 
     fn next_event_s(&self) -> f64 {
-        self.scan_next_step().map_or(f64::MAX, |e| e.1)
+        self.replicas
+            .iter()
+            .map(Replica::next_event_s)
+            .fold(f64::MAX, f64::min)
     }
 
     fn has_work(&self) -> bool {
@@ -230,9 +211,7 @@ impl Driver for ServeSim {
 
     fn restart_replica(&mut self, idx: usize, now: f64) {
         self.advance_now(now);
-        let before = self.replicas[idx].next_event_s();
         self.replicas[idx].restart(now);
-        self.touch(idx, before);
         self.state.restarts += 1;
         while let Some(fo) = self.state.orphans.pop_front() {
             self.deliver_failover(fo, now);
@@ -493,20 +472,20 @@ mod tests {
         );
     }
 
-    /// A dropped re-push leaves a busy replica without its key in the heap;
-    /// the per-pop check against the scan must fail at the next pop.
+    /// A replica left out of the loop still has a step due before `t`; the
+    /// postcondition of `advance_before` must name it.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "heap (left) and scan (right) disagree")]
-    fn a_lost_step_key_fails_the_scan_check_at_the_next_pop() {
+    #[should_panic(expected = "replica 1 was skipped")]
+    fn a_skipped_replica_fails_the_advance_postcondition() {
         let mut sim = ServeSim::new(&qwen7b_config(2));
         for a in arrivals(4.0, 5.0, 3).iter().take(4) {
             sim.advance_before(a.time_s());
             sim.offer(ServeRequest::from_arrival(a));
         }
-        sim.advance_before(sim.state.now_s + 0.2);
-        assert!(Driver::has_work(&sim), "the run must still be going");
-        while sim.state.queue.pop().is_some() {}
-        sim.run_until_drained();
+        assert!(sim.replicas.iter().all(Replica::has_work), "both are busy");
+        let (clock_s, t) = (sim.state.now_s, sim.state.now_s + 0.2);
+        assert!(sim.run_due_steps(0, clock_s, t));
+        sim.debug_check_advanced(t);
     }
 }

@@ -1,8 +1,9 @@
-//! The fault-injecting drive harness shared by the `event_core` and
-//! `report_oracle` suites: either simulator, arrivals merged with timed faults
-//! by the product's own loop (`tlt_serve::drive_schedule`), the whole
-//! flight-recorder stream captured. In debug builds every pop of the run is
-//! checked against the linear next-event scan inside the simulator.
+//! The fault-injecting drive harness shared by the `event_core`,
+//! `report_oracle` and `serve_order_oracle` suites: either simulator,
+//! arrivals merged with timed faults by the product's own loop
+//! (`tlt_serve::drive_schedule`), the whole flight-recorder stream captured.
+//! Debug builds check every pop of a cluster run against the linear
+//! next-event scan, and every `ServeSim` advance against its postcondition.
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;

@@ -1,13 +1,16 @@
-//! Scenarios for the indexed event core: plain serving, disaggregated
-//! clusters with an autoscaler, fault injection, autoscaler churn, corpus
-//! replay and a degenerate all-ties workload. The heap's reference is the
-//! linear next-event scan, which debug builds run inside the simulators at
-//! every pop (`ServeSim::advance_before`, `ClusterSim::run_events`) and assert
-//! equal to the heap's result, so each drive below holds the heap to the scan
-//! event by event; what these tests assert on top is that the run reached the
-//! state it is meant to exercise. Budget exhaustion must be a typed outcome,
-//! reported once.
+//! Scenarios for the two event loops: plain serving, disaggregated clusters
+//! with an autoscaler, fault injection, autoscaler churn, corpus replay and a
+//! degenerate all-ties workload. `ClusterSim`'s heap is checked against the
+//! linear next-event scan, which debug builds run at every pop
+//! (`ClusterSim::run_events`); `ServeSim` runs each replica's due steps in
+//! one loop and debug builds check, after every advance, that no replica was
+//! left with a step due and that each replica's steps came in time order.
+//! What these tests assert on top is that the run reached the state it is
+//! meant to exercise, that each track's event stream is pinned, and that
+//! ServeSim equals the scan-order oracle on the all-ties workload. Budget
+//! exhaustion must be a typed outcome, reported once.
 
+use std::collections::BTreeMap;
 use tlt::obs::{install, uninstall, EventKind, FlightRecorder, ObsEvent, Track};
 use tlt::replay_deployment;
 use tlt_serve::{ClusterSim, DisaggConfig, DriveOutcome, Driver, ServeReport, ServeSim};
@@ -17,6 +20,9 @@ use tlt_workload::{generate_arrivals, ArrivalConfig, RequestArrival};
 #[path = "common/drive.rs"]
 mod drive;
 use drive::{drive, per_track_streams, Fault};
+
+#[path = "common/scan_order.rs"]
+mod scan_order;
 
 fn arrivals_for(seed: u64) -> Vec<RequestArrival> {
     generate_arrivals(&ArrivalConfig::constant(10.0, 8.0, seed).with_prefix(0.5, 128))
@@ -141,10 +147,11 @@ fn corpus_replay_is_bit_identical_across_cores() {
     }
 }
 
-/// The pinned tie-break: replicas completing steps at the *same* instant are
-/// processed in ascending replica order. Identical replicas fed identical work
-/// at t=0 step in lockstep, so every step completion is an N-way tie — any
-/// tie-break drift between the heap and the scan fails the run at that tie.
+/// The all-ties workload: identical replicas fed identical work at t = 0 step
+/// in lockstep, so every step completion is an N-way tie. `ServeSim` runs the
+/// replicas one after another between driver inputs, so each replica's own
+/// steps must come in time order, and every track must equal the scan-order
+/// oracle's, which breaks each tie by ascending replica index.
 #[test]
 fn simultaneous_completions_process_in_replica_order_under_both_cores() {
     let n = 6usize;
@@ -160,42 +167,33 @@ fn simultaneous_completions_process_in_replica_order_under_both_cores() {
         })
         .collect();
     let (_, events) = drive(ServeSim::new(&config), &arrivals, &[]);
+    let tracks = per_track_streams(&events);
 
-    // Check the order directly on the stream: within every run of identical
-    // timestamps, per-replica step events appear in ascending replica index
-    // (first occurrence per replica).
-    let steps: Vec<(u64, u32)> = events
-        .iter()
-        .filter_map(|e| match e.track {
-            Track::Replica(i) if matches!(e.kind, EventKind::Decode | EventKind::SdRound) => {
-                Some((e.ts_s.to_bits(), i))
-            }
-            _ => None,
-        })
-        .collect();
-    assert!(!steps.is_empty());
-    let mut ties_checked = 0usize;
-    let mut i = 0;
-    while i < steps.len() {
-        let ts = steps[i].0;
-        let mut seen = Vec::new();
-        while i < steps.len() && steps[i].0 == ts {
-            if !seen.contains(&steps[i].1) {
-                seen.push(steps[i].1);
-            }
-            i += 1;
-        }
-        if seen.len() > 1 {
-            ties_checked += 1;
-            let mut sorted = seen.clone();
-            sorted.sort_unstable();
-            assert_eq!(seen, sorted, "tied completions processed out of order");
+    let mut step_stamps: BTreeMap<u64, usize> = BTreeMap::new();
+    for (track, events) in &tracks {
+        let Track::Replica(i) = track else { continue };
+        let steps: Vec<f64> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Decode | EventKind::SdRound))
+            .map(|e| e.ts_s)
+            .collect();
+        assert!(
+            steps.windows(2).all(|w| w[0] <= w[1]),
+            "replica {i}: steps out of time order"
+        );
+        for ts in steps {
+            *step_stamps.entry(ts.to_bits()).or_default() += 1;
         }
     }
     assert!(
-        ties_checked > 0,
+        step_stamps.values().any(|&replicas| replicas > 1),
         "the all-ties workload must actually produce simultaneous steps"
     );
+
+    install(FlightRecorder::new(1 << 16));
+    scan_order::run(&config, &[], &arrivals);
+    let oracle = uninstall().expect("recorder installed").events();
+    scan_order::assert_same_tracks(&tracks, &per_track_streams(&oracle), "all ties");
 }
 
 /// Every `Crash` / `Restart` in `events`, as `(kind, timestamp bits)`.
