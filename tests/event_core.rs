@@ -114,19 +114,21 @@ fn disagg_with_autoscaler_and_faults_is_bit_identical_across_cores() {
 #[path = "common/churn.rs"]
 mod churn;
 
+/// A crash/restart of each initial replica of the churn run mid-burst.
+const CHURN_CRASH_RESTART: [(f64, Fault); 4] = [
+    (1.0, Fault::Crash(1)),
+    (3.0, Fault::Restart(1)),
+    (16.0, Fault::Crash(0)),
+    (17.5, Fault::Restart(0)),
+];
+
 /// Autoscaler churn leaves dozens of retired members in both pools; the heap
 /// must still agree with the scan on every event, with and without a
 /// crash/restart of each initial replica mid-burst.
 #[test]
 fn disagg_under_autoscaler_churn_is_bit_identical_across_cores() {
     let trace = churn::trace();
-    let crash_restart = [
-        (1.0, Fault::Crash(1)),
-        (3.0, Fault::Restart(1)),
-        (16.0, Fault::Crash(0)),
-        (17.5, Fault::Restart(0)),
-    ];
-    for faults in [&[][..], &crash_restart[..]] {
+    for faults in [&[][..], &CHURN_CRASH_RESTART[..]] {
         let label = format!("{} faults", faults.len());
         let (report, _) = drive(ClusterSim::new(churn::config()), trace.arrivals(), faults);
         assert_conserved(&report.serve, trace.arrivals().len(), &label);
@@ -136,6 +138,62 @@ fn disagg_under_autoscaler_churn_is_bit_identical_across_cores() {
             report.retires
         );
     }
+}
+
+/// The churn run without and with [`CHURN_CRASH_RESTART`], digested track by
+/// track (not by `seq`) beside its `ClusterReport` with the two fields of the
+/// capacity integral masked: `(events, tracks, FNV of the per-track streams,
+/// FNV of the masked report)`, pinned before `ClusterSim` stopped
+/// interleaving decode steps with its other sources.
+#[test]
+fn disagg_under_autoscaler_churn_pins_every_track_stream() {
+    let trace = churn::trace();
+    let mut pins = Vec::new();
+    for faults in [&[][..], &CHURN_CRASH_RESTART[..]] {
+        let (mut report, events) =
+            drive(ClusterSim::new(churn::config()), trace.arrivals(), faults);
+        report.avg_active_replicas = 0.0;
+        report.goodput_per_replica = 0.0;
+        let tracks = per_track_streams(&events);
+        pins.push((
+            events.len(),
+            tracks.len(),
+            fnv1a(format!("{tracks:?}").as_bytes()),
+            fnv1a(format!("{report:?}").as_bytes()),
+        ));
+    }
+    assert_eq!(
+        pins,
+        vec![
+            (15_853, 40, 0xe1ae_1a6f_9707_5706, 0x9a6d_fe7e_7758_3791),
+            (16_129, 43, 0x67a7_7d69_2932_25ed, 0x6088_2caa_ca9b_f2b5),
+        ]
+    );
+}
+
+/// The 60 req/s point of the disaggregation sweep
+/// (`tlt::run_disagg_comparison`; its monolithic baseline records on tracks
+/// of its own), where handoffs wait for decode capacity and decode replicas
+/// drain: the states in which a decode step changes what the rest of the
+/// cluster sees. Digested as the churn run is, pinned before `ClusterSim`
+/// stopped interleaving decode steps with its other sources.
+#[test]
+fn disagg_comparison_pins_every_track_stream() {
+    install(FlightRecorder::new(1 << 14));
+    let (mut report, _) = tlt::run_disagg_comparison(3, 5, 60.0, 0.6, 768);
+    let events = uninstall().expect("recorder installed").events();
+    report.avg_active_replicas = 0.0;
+    report.goodput_per_replica = 0.0;
+    let tracks = per_track_streams(&events);
+    assert_eq!(
+        (
+            events.len(),
+            tracks.len(),
+            fnv1a(format!("{tracks:?}").as_bytes()),
+            fnv1a(format!("{report:?}").as_bytes()),
+        ),
+        (146_199, 19, 0x1ec4_24be_38f3_aa08, 0x45d6_f2b4_ab0f_3009)
+    );
 }
 
 #[test]
