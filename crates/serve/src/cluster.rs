@@ -28,6 +28,24 @@
 //! function of the configuration and seed, so cluster runs are bit-identical
 //! per seed (the chaos harness double-runs and compares flight-recorder event
 //! streams).
+//!
+//! **Event loop.** Transfer landings, prefill steps and autoscaler ticks are
+//! ordered on the indexed event core ([`EventQueue`]); decode steps are not.
+//! What a decode step changes (its load, its ledger, its completions) is read
+//! only at the next landing, prefill step, tick or driver input, so before the
+//! loop dispatches a heap event at `(T, class)`, or returns at a driver input,
+//! each live decode replica runs in one loop every step whose key
+//! `(time, CLASS_DECODE)` sorts before it: a decode step at `T` runs after a
+//! landing or prefill step at `T` and before a tick at `T`. Two states make a
+//! decode step visible to the rest of the cluster: a handoff waiting in
+//! `pending` (dispatch re-plans after each step) and a draining member (the
+//! first step after it empties retires it). While either holds, decode steps
+//! run one at a time in global `(time, index)` order through the retirement
+//! check and dispatch. Every step counts against the event budget. Reports
+//! and per-track flight-recorder streams are what a global time-ordered loop
+//! gives; only the interleaving of tracks (the recorder's `seq`) differs.
+//! The provisioned-capacity integral is taken where the count changes (a
+//! spawn, a retirement) and at the report, not at every event.
 
 use crate::balancer::{BalancerPolicy, LoadBalancer};
 use crate::config::ServeConfig;
@@ -178,6 +196,12 @@ impl DisaggConfig {
     }
 
     fn validate(&self) {
+        // First, as `Replica::new` does: every later check reads the KV
+        // budget, which a bad `kv_memory_fraction` makes meaningless. Paged
+        // geometry is validated here too, so a pool holds at least one block.
+        if let Err(e) = self.base.validate() {
+            panic!("{e}");
+        }
         assert!(
             self.base.kv_accounting.block_size().is_some(),
             "disaggregated serving requires paged KV accounting (the migration \
@@ -198,13 +222,6 @@ impl DisaggConfig {
                 "initial pool sizes must lie within the autoscale bounds"
             );
         }
-        // Per-replica block geometry must be identical across pools for the
-        // block-table handoff to be meaningful; both pools share `base`, so
-        // only a zero budget can break this.
-        assert!(
-            self.base.kv_block_budget() > 0,
-            "replica KV budget must hold at least one block"
-        );
     }
 }
 
@@ -373,11 +390,23 @@ struct InFlightTransfer {
 }
 
 /// Event classes for deterministic same-time ordering: transfer landings,
-/// then prefill steps, then decode steps, then autoscaler ticks.
+/// then prefill steps, then decode steps, then autoscaler ticks. Decode steps
+/// never enter the heap: their class only ranks them against its keys.
 const CLASS_TRANSFER: u8 = 0;
 const CLASS_PREFILL: u8 = 1;
 const CLASS_DECODE: u8 = 2;
 const CLASS_TICK: u8 = 3;
+
+/// How [`ClusterSim::run_decode_steps`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DecodeRun {
+    /// Every decode step due before the horizon ran.
+    Done,
+    /// A visible step put a transfer landing before the horizon.
+    Interrupted,
+    /// The event budget stopped it.
+    BudgetExhausted,
+}
 
 /// The disaggregated cluster simulator, driven through [`Driver`] like
 /// [`ServeSim`](crate::ServeSim). Faults address replicas by **global fault
@@ -401,7 +430,9 @@ pub struct ClusterSim {
     /// Clock, completion log, orphans (parked while no prefill replica is
     /// up), fault counters and budget.
     state: DriveState,
-    /// Next-event keys of the replicas, the link front and the tick.
+    /// Next-event keys of the prefill replicas, the link front and the tick
+    /// (decode replicas run their due steps before each pop, see the module
+    /// doc).
     queue: EventQueue,
     aborted_transfers: u64,
     scale_ups: u64,
@@ -409,7 +440,9 @@ pub struct ClusterSim {
     retires: u64,
     /// Autoscaler ticks already fired.
     ticks: u64,
-    /// Provisioned-capacity integral: Σ provisioned replicas × dt.
+    /// Provisioned-capacity integral: Σ provisioned replicas × dt, added up to
+    /// `last_account_s` whenever the provisioned count is about to change (a
+    /// spawn, a retirement) and closed by the report.
     replica_seconds: f64,
     last_account_s: f64,
 }
@@ -501,14 +534,6 @@ impl ClusterSim {
         }
     }
 
-    /// Re-pushes decode replica `j`'s key; see [`ClusterSim::touch_prefill`].
-    fn touch_decode(&mut self, j: usize, before_s: f64) {
-        let now = self.decode[j].replica.next_event_s();
-        if now.to_bits() != before_s.to_bits() {
-            self.queue.push(now, CLASS_DECODE, j);
-        }
-    }
-
     /// Pushes the current link-front landing time (called whenever the front
     /// of `in_flight` may have changed; duplicates are discarded lazily).
     fn touch_link(&mut self) {
@@ -541,11 +566,17 @@ impl ClusterSim {
         PoolReplica::new(replica, ready_at_s)
     }
 
-    /// Integrates the provisioned-capacity cost up to `t`.
-    fn account_to(&mut self, t: f64) {
+    /// Provisioned (non-retired) replicas over both pools.
+    fn provisioned(&self) -> usize {
+        self.prefill.provisioned() + self.decode.provisioned()
+    }
+
+    /// Integrates the provisioned-capacity cost up to `t`, at which the count
+    /// of `provisioned` replicas held since the last call is about to change
+    /// (or the report closes the integral).
+    fn account_to(&mut self, t: f64, provisioned: usize) {
         let dt = t - self.last_account_s;
         if dt > 0.0 {
-            let provisioned = self.prefill.provisioned() + self.decode.provisioned();
             self.replica_seconds += dt * provisioned as f64;
             self.last_account_s = t;
         }
@@ -554,7 +585,6 @@ impl ClusterSim {
     /// See [`Driver::offer`]: routes a fresh arrival onto the prefill pool.
     pub fn offer(&mut self, req: ServeRequest) -> Option<usize> {
         let now = self.state.now_s.max(req.arrival_s);
-        self.account_to(now);
         self.state.now_s = now;
         let target = self.route_prefill(&req);
         self.state.admit(&req, now, target);
@@ -697,12 +727,9 @@ impl ClusterSim {
             .complete_outbound(t.entry.source_blocks);
         self.prefill[t.source].replica.kick(now);
         self.touch_prefill(t.source, before);
-        let before = self.decode[t.dest].replica.next_event_s();
-        let dest = t.dest;
         self.decode[t.dest]
             .replica
             .deliver_migrated(t.entry, t.reserved_blocks, now);
-        self.touch_decode(dest, before);
         self.check_retirements(now);
         self.dispatch_pending(now);
     }
@@ -812,9 +839,10 @@ impl ClusterSim {
         }
     }
 
-    /// The next event due by a scan over every source: `(time, class, index)`
-    /// with the deterministic same-time order transfer < prefill step < decode
-    /// step < tick. The heap is held to it at every pop in debug builds.
+    /// The next heap event due by a scan over the heap's sources: `(time,
+    /// class, index)` with the deterministic same-time order transfer <
+    /// prefill step < tick. The heap is held to it at every pop in debug
+    /// builds.
     fn next_event(&self, include_ticks: bool) -> Option<(f64, u8, usize)> {
         let mut best: Option<(f64, u8, usize)> = None;
         let mut consider = |t: f64, class: u8, idx: usize| {
@@ -835,9 +863,6 @@ impl ClusterSim {
         for (i, p) in self.prefill.live() {
             consider(p.replica.next_event_s(), CLASS_PREFILL, i);
         }
-        for (j, p) in self.decode.live() {
-            consider(p.replica.next_event_s(), CLASS_DECODE, j);
-        }
         if include_ticks {
             if let Some(a) = &self.config.autoscale {
                 consider((self.ticks + 1) as f64 * a.interval_s, CLASS_TICK, 0);
@@ -846,8 +871,8 @@ impl ClusterSim {
         best
     }
 
-    /// Processes the event described by a validated `(time, class, index)`
-    /// triple — the single dispatch behind both drive loops.
+    /// Processes the heap event described by a validated `(time, class,
+    /// index)` triple.
     fn dispatch_event(&mut self, et: f64, class: u8, idx: usize) {
         match class {
             CLASS_TRANSFER => self.land_transfer(et),
@@ -860,15 +885,103 @@ impl ClusterSim {
                 self.check_retirements(et);
                 self.dispatch_pending(et);
             }
-            CLASS_DECODE => {
-                let replica = &mut self.decode[idx].replica;
-                replica.on_step_complete(et);
-                replica.move_completed_into(&mut self.state.log);
-                self.touch_decode(idx, et);
-                self.check_retirements(et);
-                self.dispatch_pending(et);
-            }
             _ => self.autoscale_tick(et),
+        }
+    }
+
+    /// Whether a decode step can change what the rest of the cluster sees:
+    /// a waiting handoff is dispatched against decode capacity after every
+    /// step, and a draining member (of either pool: a crash can leave a
+    /// draining prefill replica empty) is retired by the first step after it
+    /// empties. Otherwise the per-step retirement check and dispatch do
+    /// nothing, and no decode step changes this.
+    fn decode_steps_visible(&self) -> bool {
+        !self.pending.is_empty() || self.decode.draining > 0 || self.prefill.draining > 0
+    }
+
+    /// Runs every decode step whose key `(time, CLASS_DECODE)` sorts before
+    /// `horizon`, each counted against the event budget. While decode steps
+    /// are visible ([`ClusterSim::decode_steps_visible`]) they run one at a
+    /// time in global `(time, index)` order through the retirement check and
+    /// dispatch, and one that puts a landing before `horizon` on an idle link
+    /// interrupts the run; otherwise each live decode replica runs its due
+    /// steps in one loop.
+    fn run_decode_steps(&mut self, horizon: (f64, u8)) -> DecodeRun {
+        while self.decode_steps_visible() {
+            let Some((et, j)) = self.next_decode_step(horizon) else {
+                return DecodeRun::Done;
+            };
+            debug_assert!(
+                et >= self.state.now_s,
+                "decode step of replica {j} at {et} is before the clock at {}",
+                self.state.now_s
+            );
+            if !self.state.begin_event() {
+                return DecodeRun::BudgetExhausted;
+            }
+            complete_decode_step(&mut self.decode[j].replica, &mut self.state, et);
+            self.check_retirements(et);
+            self.dispatch_pending(et);
+            let landing = self.in_flight.front().map(|f| (f.finish_s, CLASS_TRANSFER));
+            if landing.is_some_and(|key| key < horizon) {
+                return DecodeRun::Interrupted;
+            }
+        }
+        let clock_s = self.state.now_s;
+        for k in 0..self.decode.live.len() {
+            if !self.run_due_decode_steps(self.decode.live[k], clock_s, horizon) {
+                return DecodeRun::BudgetExhausted;
+            }
+        }
+        self.debug_check_decode_advanced(horizon);
+        DecodeRun::Done
+    }
+
+    /// The earliest decode step due before `horizon` by a scan over the live
+    /// decode members: `(time, index)`, ties to the lowest index.
+    fn next_decode_step(&self, horizon: (f64, u8)) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        for (j, p) in self.decode.live() {
+            let t = p.replica.next_event_s();
+            if (t, CLASS_DECODE) < horizon && best.is_none_or(|(bt, _)| t < bt) {
+                best = Some((t, j));
+            }
+        }
+        best
+    }
+
+    /// Completes every step of decode replica `j` due before `horizon`;
+    /// `false` when the budget stopped it. Debug builds check that its step
+    /// times do not decrease from `clock_s`, the clock when the loop began.
+    fn run_due_decode_steps(&mut self, j: usize, clock_s: f64, horizon: (f64, u8)) -> bool {
+        let replica = &mut self.decode.members[j].replica;
+        let mut last_s = clock_s;
+        loop {
+            let t_step = replica.next_event_s();
+            if (t_step, CLASS_DECODE) >= horizon {
+                return true;
+            }
+            debug_assert!(
+                t_step >= last_s,
+                "step of decode replica {j} at {t_step} is before its last event at {last_s}"
+            );
+            if !self.state.begin_event() {
+                return false;
+            }
+            complete_decode_step(replica, &mut self.state, t_step);
+            last_s = t_step;
+        }
+    }
+
+    /// Postcondition of [`ClusterSim::run_decode_steps`]: no live decode
+    /// replica still has a step due before `horizon`.
+    fn debug_check_decode_advanced(&self, horizon: (f64, u8)) {
+        for (j, p) in self.decode.live() {
+            debug_assert!(
+                (p.replica.next_event_s(), CLASS_DECODE) >= horizon,
+                "decode replica {j} was skipped: its step at {} is due before {horizon:?}",
+                p.replica.next_event_s()
+            );
         }
     }
 
@@ -893,9 +1006,6 @@ impl ClusterSim {
                 }
                 CLASS_PREFILL => {
                     self.prefill[idx].replica.next_event_s().to_bits() == key.time_bits()
-                }
-                CLASS_DECODE => {
-                    self.decode[idx].replica.next_event_s().to_bits() == key.time_bits()
                 }
                 _ => {
                     self.config
@@ -923,9 +1033,12 @@ impl ClusterSim {
     }
 
     /// The one event loop: processes every due event strictly before `t`.
-    /// While draining, autoscaler ticks fire only as long as work remains, so
-    /// the loop terminates. Debug builds hold every pop to the linear scan
-    /// ([`ClusterSim::next_event`]) and to the clock.
+    /// Before a heap event at `(T, class)` is dispatched, and before the loop
+    /// returns at `t`, the decode steps that sort before it run
+    /// ([`ClusterSim::run_decode_steps`]). While draining, autoscaler ticks
+    /// fire only as long as work remains, so the loop terminates. Debug builds
+    /// hold every pop to the linear scan ([`ClusterSim::next_event`]) and to
+    /// the clock.
     fn run_events(&mut self, t: f64, draining: bool) -> DriveOutcome {
         loop {
             let include_ticks = !draining || self.has_work();
@@ -935,9 +1048,27 @@ impl ClusterSim {
                 self.next_event(include_ticks).filter(|e| e.0 < t),
                 "heap (left) and scan (right) disagree on the next (time, class, index) before {t:?}"
             );
+            let horizon = next.map_or((t, CLASS_TRANSFER), |(et, class, _)| (et, class));
+            let decoded = self.run_decode_steps(horizon);
+            if decoded != DecodeRun::Done {
+                // Put the valid key back; an interrupted run pops again.
+                if let Some((et, class, idx)) = next {
+                    self.queue.push(et, class, idx);
+                }
+                if decoded == DecodeRun::BudgetExhausted {
+                    return self.state.budget_outcome();
+                }
+                continue;
+            }
             let Some((et, class, idx)) = next else {
                 return DriveOutcome::Completed;
             };
+            if class == CLASS_TICK && draining && !self.has_work() {
+                // The decode steps before the tick finished the work: the
+                // next pop leaves the tick out.
+                self.queue.push(et, class, idx);
+                continue;
+            }
             debug_assert!(
                 et >= self.state.now_s,
                 "event (class {class}, index {idx}) at {et} is before the clock at {}",
@@ -948,7 +1079,6 @@ impl ClusterSim {
                 self.queue.push(et, class, idx);
                 return self.state.budget_outcome();
             }
-            self.account_to(et);
             self.state.now_s = self.state.now_s.max(et);
             self.dispatch_event(et, class, idx);
         }
@@ -1041,9 +1171,8 @@ impl ClusterSim {
             members.set_draining(i, false);
             let before = members[i].replica.next_event_s();
             members[i].replica.kick(now);
-            match pool {
-                Pool::Prefill => self.touch_prefill(i, before),
-                Pool::Decode => self.touch_decode(i, before),
+            if pool == Pool::Prefill {
+                self.touch_prefill(i, before);
             }
             record(
                 ObsEvent::instant(now, Track::Autoscaler, EventKind::ScaleUp, NO_REQ)
@@ -1052,6 +1181,7 @@ impl ClusterSim {
             return;
         }
         let ready = now + a.spawn_delay_s;
+        self.account_to(now, self.provisioned());
         let index = match pool {
             Pool::Prefill => {
                 let fresh = self.spawn_prefill(self.prefill.members.len(), ready);
@@ -1084,13 +1214,17 @@ impl ClusterSim {
     /// pending or in-flight migration (drain-before-retire). Costs nothing
     /// while no live replica is draining.
     fn check_retirements(&mut self, now: f64) {
+        let provisioned = self.provisioned();
         let (in_flight, pending) = (&self.in_flight, &self.pending);
-        self.retires += self.prefill.retire_drained(Pool::Prefill, now, |i, _| {
+        let retired = self.prefill.retire_drained(Pool::Prefill, now, |i, _| {
             in_flight.iter().any(|t| t.source == i) || pending.iter().any(|(_, s)| *s == i)
-        });
-        self.retires += self
+        }) + self
             .decode
             .retire_drained(Pool::Decode, now, |_, p| p.bound_entries > 0);
+        if retired > 0 {
+            self.account_to(now, provisioned);
+            self.retires += retired;
+        }
         debug_assert!(self.pools_consistent());
     }
 
@@ -1130,7 +1264,7 @@ impl ClusterSim {
             .map(|p| &mut p.replica);
         let log = std::mem::take(&mut self.state.log);
         let serve = ServeReport::from_run(log, replicas, self.config.base.slo);
-        self.account_to(serve.makespan_s.max(self.state.now_s));
+        self.account_to(serve.makespan_s.max(self.state.now_s), self.provisioned());
         let span = self.last_account_s.max(1e-9);
         let avg_active_replicas = self.replica_seconds / span;
         let goodput_per_replica = serve.goodput_rps / avg_active_replicas.max(1e-9);
@@ -1150,6 +1284,15 @@ impl ClusterSim {
             serve,
         }
     }
+}
+
+/// The body of one decode step due at `et`, shared by both paths of
+/// [`ClusterSim::run_decode_steps`]: completions move into the log after each
+/// step, so a replica's buffer never holds more than one step's.
+fn complete_decode_step(replica: &mut Replica, state: &mut DriveState, et: f64) {
+    replica.on_step_complete(et);
+    replica.move_completed_into(&mut state.log);
+    state.now_s = state.now_s.max(et);
 }
 
 impl Driver for ClusterSim {
@@ -1177,12 +1320,8 @@ impl Driver for ClusterSim {
         ClusterSim::advance_before(self, t)
     }
 
-    /// Integrates the provisioned-capacity cost on the way.
     fn advance_now(&mut self, t: f64) {
-        if t > self.state.now_s {
-            self.account_to(t);
-            self.state.now_s = t;
-        }
+        self.state.now_s = self.state.now_s.max(t);
     }
 
     fn offer(&mut self, req: ServeRequest) -> Option<usize> {
@@ -1195,9 +1334,11 @@ impl Driver for ClusterSim {
 
     /// Transfer landing, pool step or (while work remains) autoscaler tick.
     fn next_event_s(&self) -> f64 {
-        self.next_event(self.has_work())
-            .map(|(t, _, _)| t)
-            .unwrap_or(f64::MAX)
+        let heap = self.next_event(self.has_work()).map_or(f64::MAX, |e| e.0);
+        self.decode
+            .live()
+            .map(|(_, p)| p.replica.next_event_s())
+            .fold(heap, f64::min)
     }
 
     fn has_work(&self) -> bool {
@@ -1229,10 +1370,7 @@ impl Driver for ClusterSim {
             self.prefill[idx].replica.restart(now);
             self.touch_prefill(idx, before);
         } else {
-            let j = idx - self.initial_prefill;
-            let before = self.decode[j].replica.next_event_s();
-            self.decode[j].replica.restart(now);
-            self.touch_decode(j, before);
+            self.decode[idx - self.initial_prefill].replica.restart(now);
         }
         while let Some(fo) = self.state.orphans.pop_front() {
             match self.route_prefill(&fo.req) {
@@ -1279,6 +1417,7 @@ pub fn simulate_disagg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServeConfigError;
     use crate::events::drive_schedule;
     use tlt_gpusim::{GpuType, LlmCostModel};
     use tlt_model::ModelSpec;
@@ -1587,6 +1726,23 @@ mod tests {
         DisaggConfig::new(base_config(1), 1, 1).with_autoscale(autoscale);
     }
 
+    /// Every invalid fraction reaches the typed error's message, not a
+    /// panic further down the budget arithmetic.
+    #[test]
+    fn an_invalid_kv_memory_fraction_panics_with_the_typed_error() {
+        for fraction in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let mut base = base_config(1);
+            base.kv_memory_fraction = fraction;
+            let panic = std::panic::catch_unwind(|| DisaggConfig::new(base, 1, 1))
+                .expect_err("an invalid fraction is rejected");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert_eq!(
+                *message,
+                ServeConfigError::KvMemoryFraction(fraction).to_string()
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "paged KV accounting")]
     fn token_accounting_is_rejected() {
@@ -1633,8 +1789,97 @@ mod tests {
         assert!(p0 < wire && wire < p1, "order {p0} / {wire} / {p1}");
     }
 
+    /// A crash empties a draining prefill replica between two events. It
+    /// retires at the first event after the crash, here a decode step: a
+    /// draining member makes decode steps visible even when it is in the
+    /// other pool.
+    #[test]
+    fn a_crashed_draining_prefill_replica_retires_at_the_next_decode_step() {
+        tlt_obs::install(tlt_obs::FlightRecorder::new(1 << 12));
+        let mut sim = ClusterSim::new(DisaggConfig::new(base_config(5), 2, 1));
+        for id in 0..4 {
+            sim.offer(request(id, 0.0, 512, 64));
+        }
+        sim.advance_before(0.2);
+        sim.offer(request(4, 0.2, 512, 64));
+        assert_eq!(sim.offer(request(5, 0.2, 512, 64)), Some(1));
+        sim.scale_down(Pool::Prefill, 1, 0.2);
+        sim.crash_replica(1, 0.2);
+        let decode_s = sim.decode[0].replica.next_event_s();
+        assert!(decode_s < sim.prefill[0].replica.next_event_s());
+        assert_eq!(sim.next_event_s(), decode_s, "a decode step comes first");
+        sim.run_until_drained();
+        let events = tlt_obs::uninstall().expect("installed").events();
+        let retired: Vec<(f64, f64, f64)> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Retire)
+            .map(|e| (e.ts_s, e.a, e.b))
+            .collect();
+        assert_eq!(retired, vec![(decode_s, 1.0, Pool::Prefill.arg())]);
+    }
+
+    /// Lockstep decode replicas while one drains: their steps due at the same
+    /// instant run one at a time in index order (the heap's tie-break), so a
+    /// dispatch after each step sees what the global order gives it.
+    #[test]
+    fn tied_visible_decode_steps_run_in_index_order() {
+        let instant = TransferLinkConfig {
+            bandwidth_gbps: 1e300,
+            latency_s: 0.0,
+        };
+        let config = DisaggConfig::new(base_config(9), 2, 2).with_link(instant);
+        let mut sim = ClusterSim::new(config);
+        tlt_obs::install(tlt_obs::FlightRecorder::new(1 << 12));
+        sim.offer(request(0, 0.0, 512, 16));
+        sim.offer(request(1, 0.0, 512, 16));
+        sim.advance_before(0.1);
+        let next = |sim: &ClusterSim, j: usize| sim.decode[j].replica.next_event_s();
+        assert_eq!(
+            next(&sim, 0),
+            next(&sim, 1),
+            "the decode replicas run in lockstep"
+        );
+        sim.scale_down(Pool::Decode, 1, 0.1);
+        sim.run_until_drained();
+        let events = tlt_obs::uninstall().expect("installed").events();
+        // From the drain on (before it the loops ran replica by replica).
+        let steps: Vec<(u64, u32)> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Decode && e.ts_s + e.dur_s > 0.1)
+            .filter_map(|e| match e.track {
+                Track::DecodeReplica(j) => Some(((e.ts_s + e.dur_s).to_bits(), j)),
+                _ => None,
+            })
+            .collect();
+        assert!(steps.len() >= 4, "{steps:?}");
+        let mut sorted = steps.clone();
+        sorted.sort_unstable();
+        assert_eq!(steps, sorted, "steps in (time, index) order");
+        assert!(steps.windows(2).any(|w| w[0].0 == w[1].0), "ties occur");
+    }
+
+    /// A decode replica left out of the loop still has a step due before the
+    /// horizon; the postcondition of `run_decode_steps` must name it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "decode replica 1 was skipped")]
+    fn a_skipped_decode_replica_fails_the_advance_postcondition() {
+        let mut sim = ClusterSim::new(DisaggConfig::new(base_config(5), 1, 2));
+        for id in 0..4 {
+            sim.offer(request(id, 0.0, 512, 64));
+        }
+        sim.advance_before(0.2);
+        let busy = sim.decode.live().filter(|(_, p)| p.replica.has_work());
+        assert_eq!(busy.count(), 2, "both decode replicas are busy");
+        let clock_s = sim.state.now_s;
+        let horizon = (clock_s + 0.2, CLASS_TRANSFER);
+        assert!(sim.run_due_decode_steps(0, clock_s, horizon));
+        sim.debug_check_decode_advanced(horizon);
+    }
+
     /// A dropped re-push leaves a busy source without its key in the heap;
-    /// the per-pop check against the scan must fail at the next pop.
+    /// the per-pop check against the scan must fail at the next pop. At
+    /// 0.05 s the prefill replica is mid-step (decode steps have no key).
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "heap (left) and scan (right) disagree")]
@@ -1643,7 +1888,7 @@ mod tests {
         for id in 0..4 {
             sim.offer(request(id, 0.0, 512, 64));
         }
-        sim.advance_before(0.2);
+        sim.advance_before(0.05);
         assert!(sim.has_work(), "the run must still be going");
         while sim.queue.pop().is_some() {}
         sim.run_until_drained();

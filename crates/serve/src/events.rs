@@ -1,13 +1,17 @@
 //! The drive protocol both simulators share ([`Driver`], [`DriveState`],
 //! [`drive`], [`drive_schedule`]) and the indexed event core, a
-//! lazy-invalidation binary-heap scheduler that only [`ClusterSim`] uses:
-//! [`ServeSim`]'s replicas interact only at a driver input, so it runs each
-//! replica's due steps in one loop instead. [`ClusterSim`] used to find its
-//! next event with a linear scan over every replica, the transfer link and the
-//! autoscaler tick, O(events × replicas) over a run. The core replaces the scan
-//! with a min-heap of [`EventKey`]s ordered by `(time, class, index)` — the
-//! scan's tie-break — so selection is O(log n) and only the stepped source's
-//! key is re-pushed.
+//! lazy-invalidation binary-heap scheduler that only [`ClusterSim`] uses, and
+//! only for its transfer landings, prefill steps and autoscaler ticks. A
+//! replica's steps stay off the heap wherever nothing else reads them between
+//! two of its keys: [`ServeSim`]'s replicas interact only at a driver input,
+//! so it runs each replica's due steps in one loop; [`ClusterSim`]'s decode
+//! replicas do the same before each heap event it dispatches (stepping one at
+//! a time in time order only while a handoff waits or a member drains).
+//! [`ClusterSim`] used to find its next event with a linear scan over every
+//! replica, the transfer link and the autoscaler tick, O(events × replicas)
+//! over a run. The core replaces the scan with a min-heap of [`EventKey`]s
+//! ordered by `(time, class, index)` — the scan's tie-break — so selection is
+//! O(log n) and only the stepped source's key is re-pushed.
 //!
 //! **Lazy invalidation.** Keys are never removed or updated in place: every
 //! mutation that changes a source's next-event time pushes a fresh key, and a
@@ -29,10 +33,13 @@
 //!
 //! **The scan as a check.** The linear scan survives only as a debug-build
 //! assertion: at every pop [`ClusterSim`] asserts that the heap's result,
-//! `None` included, equals the scan's over its sources, and that the popped
-//! time is not before the clock. Every debug suite that drives a cluster runs
-//! that check; a dropped re-push or a wrong tie-break fails at the first
-//! divergent event, naming its time, class and index.
+//! `None` included, equals the scan's over the heap's sources (link front,
+//! prefill replicas, tick), and that the popped time is not before the clock.
+//! Every debug suite that drives a cluster runs that check; a dropped re-push
+//! or a wrong tie-break fails at the first divergent event, naming its time,
+//! class and index. The decode loops have their own checks: after each run no
+//! live decode replica has a step due before the horizon, and each replica's
+//! step times do not decrease.
 //!
 //! [`ServeSim`]: crate::ServeSim
 //! [`ClusterSim`]: crate::ClusterSim
@@ -248,8 +255,9 @@ impl DriveState {
     /// processed: only such events count (offers and failover deliveries do
     /// not), and the drive stops once `budget` of them have run. Counts the
     /// event and returns `true` when it may run. [`ServeSim`](crate::ServeSim)
-    /// runs its steps replica by replica, so its budget stop falls in replica
-    /// order, not time order.
+    /// runs its steps replica by replica, and [`ClusterSim`](crate::ClusterSim)
+    /// its decode steps between two heap events, so a budget stop falls in
+    /// replica order, not time order.
     pub(crate) fn begin_event(&mut self) -> bool {
         if self.event_budget_exhausted() {
             return false;

@@ -535,7 +535,7 @@ mod tests {
             .sum();
         assert_eq!(
             (log_ratio_sum / sweep.len() as f64).exp(),
-            5.703368601548463
+            5.703368601548445
         );
         let (disagg, mono) = &sweep[1]; // 60 req/s
         assert_eq!(
