@@ -18,7 +18,6 @@ static PREFILL_TOKENS: AtomicU64 = AtomicU64::new(0);
 static SD_ROUNDS: AtomicU64 = AtomicU64::new(0);
 static SD_ACCEPTED_TOKENS: AtomicU64 = AtomicU64::new(0);
 static SIM_EVENTS: AtomicU64 = AtomicU64::new(0);
-static SIM_STALE_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Turn the model counters on.
 pub fn enable() {
@@ -42,7 +41,6 @@ pub fn reset() {
     SD_ROUNDS.store(0, Ordering::Relaxed);
     SD_ACCEPTED_TOKENS.store(0, Ordering::Relaxed);
     SIM_EVENTS.store(0, Ordering::Relaxed);
-    SIM_STALE_EVENTS.store(0, Ordering::Relaxed);
 }
 
 /// One single-token decode step ran.
@@ -73,22 +71,13 @@ pub fn on_sd_round(accepted: usize) {
     SD_ACCEPTED_TOKENS.fetch_add(accepted as u64, Ordering::Relaxed);
 }
 
-/// The event-core scheduler processed one simulation event.
+/// A serving simulator processed one simulation event.
 #[inline]
 pub fn on_sim_event() {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
     SIM_EVENTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The event-core heap popped a stale (lazily invalidated) entry.
-#[inline]
-pub fn on_sim_stale_event() {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    SIM_STALE_EVENTS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Point-in-time copy of the model counters.
@@ -104,7 +93,9 @@ pub struct ModelCounters {
     pub sd_accepted_tokens: u64,
     /// Simulation events processed by the serving simulators.
     pub sim_events: u64,
-    /// Stale heap entries discarded by the lazy-invalidation event queue.
+    /// Always 0: no simulator keeps a scheduler that could discard a stale
+    /// entry. The field stays only because the repo benchmark still reads it
+    /// (as `serve.stale_events`).
     pub sim_stale_events: u64,
 }
 
@@ -127,7 +118,7 @@ pub fn snapshot() -> ModelCounters {
         sd_rounds: SD_ROUNDS.load(Ordering::Relaxed),
         sd_accepted_tokens: SD_ACCEPTED_TOKENS.load(Ordering::Relaxed),
         sim_events: SIM_EVENTS.load(Ordering::Relaxed),
-        sim_stale_events: SIM_STALE_EVENTS.load(Ordering::Relaxed),
+        sim_stale_events: 0,
     }
 }
 

@@ -29,34 +29,37 @@
 //! per seed (the chaos harness double-runs and compares flight-recorder event
 //! streams).
 //!
-//! **Event loop.** Transfer landings, prefill steps and autoscaler ticks are
-//! ordered on the indexed event core ([`EventQueue`]); decode steps are not.
-//! What a decode step changes (its load, its ledger, its completions) is read
-//! only at the next landing, prefill step, tick or driver input, so before the
-//! loop dispatches a heap event at `(T, class)`, or returns at a driver input,
-//! each live decode replica runs in one loop every step whose key
-//! `(time, CLASS_DECODE)` sorts before it: a decode step at `T` runs after a
-//! landing or prefill step at `T` and before a tick at `T`. Two states make a
-//! decode step visible to the rest of the cluster: a handoff waiting in
-//! `pending` (dispatch re-plans after each step) and a draining member (the
-//! first step after it empties retires it). While either holds, decode steps
-//! run one at a time in global `(time, index)` order through the retirement
-//! check and dispatch. Every step counts against the event budget. Reports
-//! and per-track flight-recorder streams are what a global time-ordered loop
-//! gives; only the interleaving of tracks (the recorder's `seq`) differs.
-//! The provisioned-capacity integral is taken where the count changes (a
-//! spawn, a retirement) and at the report, not at every event.
+//! **Event loop.** The next transfer landing, prefill step or autoscaler tick
+//! is found by a linear scan over its few sources (the link front, the live
+//! prefill replicas, the tick) at every event, ordered by `(time, class,
+//! index)`; nothing is cached between events, so no key can go stale. Decode
+//! steps are not scanned: what a decode step changes (its load, its ledger,
+//! its completions) is read only at the next landing, prefill step, tick or
+//! driver input, so before the loop dispatches a scanned event at `(T,
+//! class)`, or returns at a driver input, each live decode replica runs in one
+//! loop every step whose key `(time, CLASS_DECODE)` sorts before it: a decode
+//! step at `T` runs after a landing or prefill step at `T` and before a tick
+//! at `T`. Two states make a decode step visible to the rest of the cluster: a
+//! handoff waiting in `pending` (dispatch re-plans after each step) and a
+//! draining member (the first step after it empties retires it). While either
+//! holds, decode steps run one at a time in global `(time, index)` order
+//! through the retirement check and dispatch. Every step counts against the
+//! event budget. Reports and per-track flight-recorder streams are what a
+//! global time-ordered loop gives; only the interleaving of tracks (the
+//! recorder's `seq`) differs. The provisioned-capacity integral is taken where
+//! the count changes (a spawn, a retirement) and at the report, not at every
+//! event.
 
 use crate::balancer::{BalancerPolicy, LoadBalancer};
 use crate::config::ServeConfig;
-use crate::events::{drive, DriveOutcome, DriveState, Driver, EventKey, EventQueue};
+use crate::events::{drive, DriveOutcome, DriveState, Driver};
 use crate::metrics::ServeReport;
 use crate::replica::{FailoverRequest, MigratedEntry, Replica};
 use crate::request::ServeRequest;
 use crate::transfer::{TransferLink, TransferLinkConfig};
 use serde::Serialize;
 use std::collections::VecDeque;
-use tlt_obs::{hooks, record, EventKind, ObsEvent, Track, NO_REQ};
+use tlt_obs::{record, EventKind, ObsEvent, Track, NO_REQ};
 
 /// Reactive autoscaler parameters. Signals are per-*active*-replica averages
 /// sampled at each tick; one scaling action per pool per tick.
@@ -391,7 +394,7 @@ struct InFlightTransfer {
 
 /// Event classes for deterministic same-time ordering: transfer landings,
 /// then prefill steps, then decode steps, then autoscaler ticks. Decode steps
-/// never enter the heap: their class only ranks them against its keys.
+/// are not scanned: their class only ranks them against the scanned events.
 const CLASS_TRANSFER: u8 = 0;
 const CLASS_PREFILL: u8 = 1;
 const CLASS_DECODE: u8 = 2;
@@ -430,10 +433,6 @@ pub struct ClusterSim {
     /// Clock, completion log, orphans (parked while no prefill replica is
     /// up), fault counters and budget.
     state: DriveState,
-    /// Next-event keys of the prefill replicas, the link front and the tick
-    /// (decode replicas run their due steps before each pop, see the module
-    /// doc).
-    queue: EventQueue,
     aborted_transfers: u64,
     scale_ups: u64,
     scale_downs: u64,
@@ -503,7 +502,6 @@ impl ClusterSim {
             pending: VecDeque::new(),
             fallback: LoadBalancer::new(BalancerPolicy::LeastOutstandingTokens),
             state: DriveState::default(),
-            queue: EventQueue::new(),
             aborted_transfers: 0,
             scale_ups: 0,
             scale_downs: 0,
@@ -521,34 +519,7 @@ impl ClusterSim {
             let fresh = sim.spawn_decode(j, 0.0);
             sim.decode.push(fresh);
         }
-        sim.touch_tick();
         sim
-    }
-
-    /// Re-pushes prefill replica `i`'s key after a mutation that started from
-    /// next-event time `before_s` (unchanged keys push nothing).
-    fn touch_prefill(&mut self, i: usize, before_s: f64) {
-        let now = self.prefill[i].replica.next_event_s();
-        if now.to_bits() != before_s.to_bits() {
-            self.queue.push(now, CLASS_PREFILL, i);
-        }
-    }
-
-    /// Pushes the current link-front landing time (called whenever the front
-    /// of `in_flight` may have changed; duplicates are discarded lazily).
-    fn touch_link(&mut self) {
-        if let Some(t) = self.in_flight.front() {
-            self.queue.push(t.finish_s, CLASS_TRANSFER, 0);
-        }
-    }
-
-    /// Pushes the next autoscaler tick's key (exactly one per fired tick, so
-    /// tick keys are never duplicated).
-    fn touch_tick(&mut self) {
-        if let Some(a) = &self.config.autoscale {
-            self.queue
-                .push((self.ticks + 1) as f64 * a.interval_s, CLASS_TICK, 0);
-        }
     }
 
     fn spawn_prefill(&self, index: usize, ready_at_s: f64) -> PoolReplica {
@@ -589,9 +560,7 @@ impl ClusterSim {
         let target = self.route_prefill(&req);
         self.state.admit(&req, now, target);
         let i = target?;
-        let before = self.prefill[i].replica.next_event_s();
         self.prefill[i].replica.enqueue(req, now);
-        self.touch_prefill(i, before);
         Some(i)
     }
 
@@ -625,9 +594,7 @@ impl ClusterSim {
         match self.route_prefill(&fo.req) {
             Some(i) => {
                 self.state.requeued += 1;
-                let before = self.prefill[i].replica.next_event_s();
                 self.prefill[i].replica.enqueue_failover(fo, now);
-                self.touch_prefill(i, before);
             }
             None => self.state.orphans.push_back(fo),
         }
@@ -645,7 +612,6 @@ impl ClusterSim {
     /// blocks. Strictly FIFO: an infeasible head blocks the queue (KV ordering
     /// is part of the determinism contract).
     fn dispatch_pending(&mut self, now: f64) {
-        let link_was_idle = self.in_flight.is_empty();
         while let Some((entry, _source)) = self.pending.front() {
             let entry = *entry;
             let mut best: Option<(u64, usize, usize)> = None; // (score, dest, blocks)
@@ -680,11 +646,6 @@ impl ClusterSim {
                 finish_s,
             });
         }
-        // The serial link only grows at the back; the front key changes only
-        // when a dispatch lands on a previously idle link.
-        if link_was_idle {
-            self.touch_link();
-        }
     }
 
     /// Takes a transfer that left `in_flight` (landed or aborted) off its
@@ -707,7 +668,6 @@ impl ClusterSim {
     fn land_transfer(&mut self, now: f64) {
         let t = self.in_flight.pop_front().expect("a transfer is due");
         self.unbind(&t);
-        self.touch_link();
         record(
             ObsEvent::span(
                 t.start_s,
@@ -721,12 +681,10 @@ impl ClusterSim {
         // The source stayed up (a source crash aborts its transfers), so its
         // outbound charge releases exactly as the destination's reservation
         // converts into a running footprint.
-        let before = self.prefill[t.source].replica.next_event_s();
         self.prefill[t.source]
             .replica
             .complete_outbound(t.entry.source_blocks);
         self.prefill[t.source].replica.kick(now);
-        self.touch_prefill(t.source, before);
         self.decode[t.dest]
             .replica
             .deliver_migrated(t.entry, t.reserved_blocks, now);
@@ -780,7 +738,6 @@ impl ClusterSim {
             }
         }
         self.in_flight = kept;
-        self.touch_link();
         for fo in failovers {
             self.deliver_failover(fo, now);
         }
@@ -817,7 +774,6 @@ impl ClusterSim {
             }
         }
         self.in_flight = kept;
-        self.touch_link();
         for item in retry.into_iter().rev() {
             self.pending.push_front(item);
         }
@@ -839,10 +795,11 @@ impl ClusterSim {
         }
     }
 
-    /// The next heap event due by a scan over the heap's sources: `(time,
-    /// class, index)` with the deterministic same-time order transfer <
-    /// prefill step < tick. The heap is held to it at every pop in debug
-    /// builds.
+    /// The scheduler: the next scanned event, `(time, class, index)`, by a
+    /// linear scan over the link front, the live prefill replicas and (with
+    /// `include_ticks`) the autoscaler tick, with the deterministic same-time
+    /// order transfer < prefill step < tick and, within a class, the lower
+    /// index first. Decode steps are not scanned (see the module doc).
     fn next_event(&self, include_ticks: bool) -> Option<(f64, u8, usize)> {
         let mut best: Option<(f64, u8, usize)> = None;
         let mut consider = |t: f64, class: u8, idx: usize| {
@@ -871,16 +828,12 @@ impl ClusterSim {
         best
     }
 
-    /// Processes the heap event described by a validated `(time, class,
-    /// index)` triple.
+    /// Processes the scanned event `(time, class, index)`.
     fn dispatch_event(&mut self, et: f64, class: u8, idx: usize) {
         match class {
             CLASS_TRANSFER => self.land_transfer(et),
             CLASS_PREFILL => {
-                let replica = &mut self.prefill[idx].replica;
-                replica.on_step_complete(et);
-                replica.move_completed_into(&mut self.state.log);
-                self.touch_prefill(idx, et);
+                self.state.complete_step(&mut self.prefill[idx].replica, et);
                 self.collect_handoffs(idx);
                 self.check_retirements(et);
                 self.dispatch_pending(et);
@@ -919,7 +872,7 @@ impl ClusterSim {
             if !self.state.begin_event() {
                 return DecodeRun::BudgetExhausted;
             }
-            complete_decode_step(&mut self.decode[j].replica, &mut self.state, et);
+            self.state.complete_step(&mut self.decode[j].replica, et);
             self.check_retirements(et);
             self.dispatch_pending(et);
             let landing = self.in_flight.front().map(|f| (f.finish_s, CLASS_TRANSFER));
@@ -950,27 +903,13 @@ impl ClusterSim {
         best
     }
 
-    /// Completes every step of decode replica `j` due before `horizon`;
-    /// `false` when the budget stopped it. Debug builds check that its step
-    /// times do not decrease from `clock_s`, the clock when the loop began.
+    /// Completes every step of decode replica `j` whose key `(time,
+    /// CLASS_DECODE)` sorts before `horizon` ([`DriveState::run_due_steps`]);
+    /// `false` when the budget stopped it.
     fn run_due_decode_steps(&mut self, j: usize, clock_s: f64, horizon: (f64, u8)) -> bool {
         let replica = &mut self.decode.members[j].replica;
-        let mut last_s = clock_s;
-        loop {
-            let t_step = replica.next_event_s();
-            if (t_step, CLASS_DECODE) >= horizon {
-                return true;
-            }
-            debug_assert!(
-                t_step >= last_s,
-                "step of decode replica {j} at {t_step} is before its last event at {last_s}"
-            );
-            if !self.state.begin_event() {
-                return false;
-            }
-            complete_decode_step(replica, &mut self.state, t_step);
-            last_s = t_step;
-        }
+        let due = |t_step: f64| (t_step, CLASS_DECODE) < horizon;
+        self.state.run_due_steps(replica, clock_s, due)
     }
 
     /// Postcondition of [`ClusterSim::run_decode_steps`]: no live decode
@@ -985,88 +924,30 @@ impl ClusterSim {
         }
     }
 
-    /// Pops the earliest *valid* due event strictly before `t`, discarding
-    /// stale keys along the way. A due-but-suppressed tick (when
-    /// `include_ticks` is false) is stashed and re-pushed on exit so the
-    /// one-sided heap invariant survives drain loops that exclude ticks.
-    fn pop_due_event(&mut self, t: f64, include_ticks: bool) -> Option<(f64, u8, usize)> {
-        let mut deferred_tick: Option<EventKey> = None;
-        let due = loop {
-            let Some(key) = self.queue.peek() else {
-                break None;
-            };
-            if key.time_s() >= t {
-                break None;
-            }
-            let key = self.queue.pop().expect("peeked");
-            let (class, idx) = (key.class(), key.index());
-            let valid = match class {
-                CLASS_TRANSFER => {
-                    self.in_flight.front().map(|f| f.finish_s.to_bits()) == Some(key.time_bits())
-                }
-                CLASS_PREFILL => {
-                    self.prefill[idx].replica.next_event_s().to_bits() == key.time_bits()
-                }
-                _ => {
-                    self.config
-                        .autoscale
-                        .as_ref()
-                        .map(|a| ((self.ticks + 1) as f64 * a.interval_s).to_bits())
-                        == Some(key.time_bits())
-                }
-            };
-            if !valid {
-                hooks::on_sim_stale_event();
-                continue;
-            }
-            if class == CLASS_TICK && !include_ticks {
-                // Tick keys are never duplicated, so one stash slot suffices.
-                deferred_tick = Some(key);
-                continue;
-            }
-            break Some((key.time_s(), class, idx));
-        };
-        if let Some(key) = deferred_tick {
-            self.queue.push_key(key);
-        }
-        due
-    }
-
     /// The one event loop: processes every due event strictly before `t`.
-    /// Before a heap event at `(T, class)` is dispatched, and before the loop
-    /// returns at `t`, the decode steps that sort before it run
-    /// ([`ClusterSim::run_decode_steps`]). While draining, autoscaler ticks
-    /// fire only as long as work remains, so the loop terminates. Debug builds
-    /// hold every pop to the linear scan ([`ClusterSim::next_event`]) and to
-    /// the clock.
+    /// Each pass scans for the next event ([`ClusterSim::next_event`]) and
+    /// first runs the decode steps that sort before it, or before `t` when
+    /// nothing is due ([`ClusterSim::run_decode_steps`]); a decode step that
+    /// put a landing before that horizon sends the loop back to the scan.
+    /// While draining, autoscaler ticks fire only as long as work remains, so
+    /// the loop terminates.
     fn run_events(&mut self, t: f64, draining: bool) -> DriveOutcome {
         loop {
-            let include_ticks = !draining || self.has_work();
-            let next = self.pop_due_event(t, include_ticks);
-            debug_assert_eq!(
-                next,
-                self.next_event(include_ticks).filter(|e| e.0 < t),
-                "heap (left) and scan (right) disagree on the next (time, class, index) before {t:?}"
-            );
+            let next = self
+                .next_event(!draining || self.has_work())
+                .filter(|e| e.0 < t);
             let horizon = next.map_or((t, CLASS_TRANSFER), |(et, class, _)| (et, class));
-            let decoded = self.run_decode_steps(horizon);
-            if decoded != DecodeRun::Done {
-                // Put the valid key back; an interrupted run pops again.
-                if let Some((et, class, idx)) = next {
-                    self.queue.push(et, class, idx);
-                }
-                if decoded == DecodeRun::BudgetExhausted {
-                    return self.state.budget_outcome();
-                }
-                continue;
+            match self.run_decode_steps(horizon) {
+                DecodeRun::Done => {}
+                DecodeRun::Interrupted => continue,
+                DecodeRun::BudgetExhausted => return self.state.budget_outcome(),
             }
             let Some((et, class, idx)) = next else {
                 return DriveOutcome::Completed;
             };
             if class == CLASS_TICK && draining && !self.has_work() {
                 // The decode steps before the tick finished the work: the
-                // next pop leaves the tick out.
-                self.queue.push(et, class, idx);
+                // next scan leaves the tick out.
                 continue;
             }
             debug_assert!(
@@ -1075,8 +956,6 @@ impl ClusterSim {
                 self.state.now_s
             );
             if !self.state.begin_event() {
-                // Put the valid key back and stop.
-                self.queue.push(et, class, idx);
                 return self.state.budget_outcome();
             }
             self.state.now_s = self.state.now_s.max(et);
@@ -1105,7 +984,6 @@ impl ClusterSim {
     /// scale-down drains the highest-index active replica.
     fn autoscale_tick(&mut self, now: f64) {
         self.ticks += 1;
-        self.touch_tick();
         let a = *self.config.autoscale.as_ref().expect("ticks imply config");
 
         // Prefill pool: queue-depth signal.
@@ -1169,11 +1047,7 @@ impl ClusterSim {
         let draining = members.live().find(|(_, p)| p.draining).map(|(i, _)| i);
         if let Some(i) = draining {
             members.set_draining(i, false);
-            let before = members[i].replica.next_event_s();
             members[i].replica.kick(now);
-            if pool == Pool::Prefill {
-                self.touch_prefill(i, before);
-            }
             record(
                 ObsEvent::instant(now, Track::Autoscaler, EventKind::ScaleUp, NO_REQ)
                     .with_args(i as f64, pool.arg()),
@@ -1286,15 +1160,6 @@ impl ClusterSim {
     }
 }
 
-/// The body of one decode step due at `et`, shared by both paths of
-/// [`ClusterSim::run_decode_steps`]: completions move into the log after each
-/// step, so a replica's buffer never holds more than one step's.
-fn complete_decode_step(replica: &mut Replica, state: &mut DriveState, et: f64) {
-    replica.on_step_complete(et);
-    replica.move_completed_into(&mut state.log);
-    state.now_s = state.now_s.max(et);
-}
-
 impl Driver for ClusterSim {
     type Report = ClusterReport;
 
@@ -1334,11 +1199,11 @@ impl Driver for ClusterSim {
 
     /// Transfer landing, pool step or (while work remains) autoscaler tick.
     fn next_event_s(&self) -> f64 {
-        let heap = self.next_event(self.has_work()).map_or(f64::MAX, |e| e.0);
+        let scanned = self.next_event(self.has_work()).map_or(f64::MAX, |e| e.0);
         self.decode
             .live()
             .map(|(_, p)| p.replica.next_event_s())
-            .fold(heap, f64::min)
+            .fold(scanned, f64::min)
     }
 
     fn has_work(&self) -> bool {
@@ -1366,9 +1231,7 @@ impl Driver for ClusterSim {
         self.advance_now(now);
         self.state.restarts += 1;
         if idx < self.initial_prefill {
-            let before = self.prefill[idx].replica.next_event_s();
             self.prefill[idx].replica.restart(now);
-            self.touch_prefill(idx, before);
         } else {
             self.decode[idx - self.initial_prefill].replica.restart(now);
         }
@@ -1376,9 +1239,7 @@ impl Driver for ClusterSim {
             match self.route_prefill(&fo.req) {
                 Some(i) => {
                     self.state.requeued += 1;
-                    let before = self.prefill[i].replica.next_event_s();
                     self.prefill[i].replica.enqueue_failover(fo, now);
-                    self.touch_prefill(i, before);
                 }
                 None => {
                     self.state.orphans.push_front(fo);
@@ -1753,7 +1614,7 @@ mod tests {
     /// Lockstep prefill replicas over a link whose wire time is below an ulp
     /// of the clock: replica 0's handoff lands at the very instant replica
     /// 1's step completes, a tie across event classes that the transfer
-    /// wins. Debug builds hold the heap to the scan at that pop too.
+    /// wins in the scan's `(time, class, index)` order.
     #[test]
     fn an_instant_handoff_lands_before_a_prefill_step_due_at_the_same_instant() {
         let instant = TransferLinkConfig {
@@ -1819,7 +1680,7 @@ mod tests {
     }
 
     /// Lockstep decode replicas while one drains: their steps due at the same
-    /// instant run one at a time in index order (the heap's tie-break), so a
+    /// instant run one at a time in index order (the scan's tie-break), so a
     /// dispatch after each step sees what the global order gives it.
     #[test]
     fn tied_visible_decode_steps_run_in_index_order() {
@@ -1875,22 +1736,5 @@ mod tests {
         let horizon = (clock_s + 0.2, CLASS_TRANSFER);
         assert!(sim.run_due_decode_steps(0, clock_s, horizon));
         sim.debug_check_decode_advanced(horizon);
-    }
-
-    /// A dropped re-push leaves a busy source without its key in the heap;
-    /// the per-pop check against the scan must fail at the next pop. At
-    /// 0.05 s the prefill replica is mid-step (decode steps have no key).
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "heap (left) and scan (right) disagree")]
-    fn a_lost_event_key_fails_the_scan_check_at_the_next_pop() {
-        let mut sim = ClusterSim::new(DisaggConfig::new(base_config(5), 1, 1));
-        for id in 0..4 {
-            sim.offer(request(id, 0.0, 512, 64));
-        }
-        sim.advance_before(0.05);
-        assert!(sim.has_work(), "the run must still be going");
-        while sim.queue.pop().is_some() {}
-        sim.run_until_drained();
     }
 }

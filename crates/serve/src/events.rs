@@ -1,45 +1,30 @@
 //! The drive protocol both simulators share ([`Driver`], [`DriveState`],
-//! [`drive`], [`drive_schedule`]) and the indexed event core, a
-//! lazy-invalidation binary-heap scheduler that only [`ClusterSim`] uses, and
-//! only for its transfer landings, prefill steps and autoscaler ticks. A
-//! replica's steps stay off the heap wherever nothing else reads them between
-//! two of its keys: [`ServeSim`]'s replicas interact only at a driver input,
-//! so it runs each replica's due steps in one loop; [`ClusterSim`]'s decode
-//! replicas do the same before each heap event it dispatches (stepping one at
-//! a time in time order only while a handoff waits or a member drains).
-//! [`ClusterSim`] used to find its next event with a linear scan over every
-//! replica, the transfer link and the autoscaler tick, O(events × replicas)
-//! over a run. The core replaces the scan with a min-heap of [`EventKey`]s
-//! ordered by `(time, class, index)` — the scan's tie-break — so selection is
-//! O(log n) and only the stepped source's key is re-pushed.
+//! [`drive`], [`drive_schedule`]) and the one loop both run a replica's due
+//! steps with.
 //!
-//! **Lazy invalidation.** Keys are never removed or updated in place: every
-//! mutation that changes a source's next-event time pushes a fresh key, and a
-//! popped key is validated against the source's *current* time (compared as
-//! raw f64 bits) — a mismatch means the key is stale and it is discarded. The
-//! invariant is one-sided: every live event source always has its current key
-//! somewhere in the heap; the heap may additionally hold any number of stale
-//! keys. Because a source mutates at most a constant number of times per
-//! processed event (a step completion, an enqueue, a crash/restart, a
-//! dispatch), the heap holds at most O(live sources + events processed since
-//! the last drain) entries and the amortized cost per event is O(log n) —
-//! stale pops are paid for by the push that created them.
+//! **Scheduling.** Neither simulator keeps an event queue. Between two inputs
+//! that reach it, a replica's steps are a pure function of its own state, so
+//! each simulator runs a replica's due steps in one loop: [`ServeSim`]'s
+//! replicas interact only at a driver input, so it runs each replica's steps
+//! due before the input; [`ClusterSim`]'s decode replicas do the same before
+//! each event the rest of the cluster sees (stepping one at a time in time
+//! order only while a handoff waits or a member drains). What that leaves
+//! [`ClusterSim`] to order is a handful of sources — the link front, the live
+//! prefill replicas and the autoscaler tick — and it picks the next with a
+//! linear scan over them at every event, the scan that also answers
+//! [`Driver::next_event_s`]. Ties break by `(time, class, index)`.
 //!
-//! **Determinism.** `f64::to_bits` is order-preserving for non-negative
-//! floats, and every simulated timestamp is non-negative and finite
-//! (`f64::MAX` keys are never pushed), so the integer heap order equals the
-//! float order the scans used — event order, and therefore every metric,
-//! trace, and chaos invariant, is what the scan would produce.
+//! **Determinism.** The scan compares the sources' current times, as the
+//! simulators computed them, so event order is a pure function of the
+//! configuration and the input: no key is cached that could go stale or be
+//! lost, and every metric, trace and chaos invariant follows from that order.
 //!
-//! **The scan as a check.** The linear scan survives only as a debug-build
-//! assertion: at every pop [`ClusterSim`] asserts that the heap's result,
-//! `None` included, equals the scan's over the heap's sources (link front,
-//! prefill replicas, tick), and that the popped time is not before the clock.
-//! Every debug suite that drives a cluster runs that check; a dropped re-push
-//! or a wrong tie-break fails at the first divergent event, naming its time,
-//! class and index. The decode loops have their own checks: after each run no
-//! live decode replica has a step due before the horizon, and each replica's
-//! step times do not decrease.
+//! **Checks.** Debug builds check that a replica's step times do not decrease
+//! within a loop, that after a loop no replica still has a step due before its
+//! horizon, and that [`ClusterSim`] never dispatches an event before its clock.
+//!
+//! [`EventQueue`] is a min-heap of [`EventKey`]s that no simulator uses; the
+//! repo benchmark still times a push and a pop of it.
 //!
 //! [`ServeSim`]: crate::ServeSim
 //! [`ClusterSim`]: crate::ClusterSim
@@ -69,7 +54,7 @@ impl EventKey {
     ///
     /// Panics (debug builds) if `time_s` is negative or not finite — such a
     /// timestamp would break the `to_bits` ordering argument.
-    pub fn new(time_s: f64, class: u8, index: usize) -> Self {
+    fn new(time_s: f64, class: u8, index: usize) -> Self {
         debug_assert!(
             time_s >= 0.0 && time_s.is_finite(),
             "event times must be non-negative and finite, got {time_s}"
@@ -86,25 +71,15 @@ impl EventKey {
         f64::from_bits(self.time_bits)
     }
 
-    /// The due time as raw bits, for exact staleness comparison.
-    pub fn time_bits(&self) -> u64 {
-        self.time_bits
-    }
-
-    /// The event class (same-time ordering rank).
-    pub fn class(&self) -> u8 {
-        self.class
-    }
-
     /// The event source index within its class.
     pub fn index(&self) -> usize {
         self.index
     }
 }
 
-/// Min-heap of [`EventKey`]s with lazy invalidation. Pushing a key whose time
-/// is `f64::MAX` is a no-op (idle sources schedule nothing), so callers can
-/// push a source's `next_event_s()` unconditionally.
+/// Min-heap of [`EventKey`]s. Pushing a key whose time is `f64::MAX` is a
+/// no-op (idle sources schedule nothing), so callers can push a source's
+/// `next_event_s()` unconditionally.
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<EventKey>>,
@@ -123,31 +98,9 @@ impl EventQueue {
         }
     }
 
-    /// Re-schedules an already-built key (used to put back a popped key that
-    /// could not be processed, e.g. on budget exhaustion or tick deferral).
-    pub fn push_key(&mut self, key: EventKey) {
-        self.heap.push(Reverse(key));
-    }
-
-    /// The earliest key, without removing it. May be stale — the caller
-    /// validates after popping.
-    pub fn peek(&self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse(k)| *k)
-    }
-
     /// Removes and returns the earliest key.
     pub fn pop(&mut self) -> Option<EventKey> {
         self.heap.pop().map(|Reverse(k)| k)
-    }
-
-    /// Number of keys currently held, stale ones included.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue holds no keys at all.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -256,7 +209,7 @@ impl DriveState {
     /// not), and the drive stops once `budget` of them have run. Counts the
     /// event and returns `true` when it may run. [`ServeSim`](crate::ServeSim)
     /// runs its steps replica by replica, and [`ClusterSim`](crate::ClusterSim)
-    /// its decode steps between two heap events, so a budget stop falls in
+    /// its decode steps between two scanned events, so a budget stop falls in
     /// replica order, not time order.
     pub(crate) fn begin_event(&mut self) -> bool {
         if self.event_budget_exhausted() {
@@ -265,6 +218,44 @@ impl DriveState {
         self.events += 1;
         hooks::on_sim_event();
         true
+    }
+
+    /// Completes every step of `replica` whose time `due` admits, in time
+    /// order, each counted against the event budget; `false` when the budget
+    /// stopped it. Debug builds check that its step times do not decrease from
+    /// `clock_s`, the clock when the caller's loop began.
+    pub(crate) fn run_due_steps(
+        &mut self,
+        replica: &mut Replica,
+        clock_s: f64,
+        due: impl Fn(f64) -> bool,
+    ) -> bool {
+        let mut last_s = clock_s;
+        loop {
+            let t_step = replica.next_event_s();
+            if !due(t_step) {
+                return true;
+            }
+            debug_assert!(
+                t_step >= last_s,
+                "step of {:?} at {t_step} is before its last event at {last_s}",
+                replica.track()
+            );
+            if !self.begin_event() {
+                return false;
+            }
+            self.complete_step(replica, t_step);
+            last_s = t_step;
+        }
+    }
+
+    /// The body of one replica step due at `t_step`: completions move into
+    /// the log after each step, so a replica's buffer never holds more than
+    /// one step's, and the clock moves up to the step.
+    pub(crate) fn complete_step(&mut self, replica: &mut Replica, t_step: f64) {
+        replica.on_step_complete(t_step);
+        replica.move_completed_into(&mut self.log);
+        self.now_s = self.now_s.max(t_step);
     }
 
     /// The outcome of a drive stopped by [`DriveState::begin_event`], reported
@@ -476,19 +467,15 @@ mod tests {
         q.push(1.0, 1, 1);
         q.push(1.0, 0, 7); // the lower class wins over the lower index
         q.push(f64::MAX, 0, 0); // idle sentinel: dropped
-        let order: Vec<(f64, u8, usize)> = std::iter::from_fn(|| q.pop())
-            .map(|k| (k.time_s(), k.class(), k.index()))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (1.0, 0, 7),
-                (1.0, 1, 1),
-                (1.0, 1, 2),
-                (1.0, 3, 9),
-                (2.0, 0, 0)
-            ]
-        );
+        let order: Vec<EventKey> = std::iter::from_fn(|| q.pop()).collect();
+        let expected = [
+            (1.0, 0, 7),
+            (1.0, 1, 1),
+            (1.0, 1, 2),
+            (1.0, 3, 9),
+            (2.0, 0, 0),
+        ];
+        assert_eq!(order, expected.map(|(t, c, i)| EventKey::new(t, c, i)));
     }
 
     #[test]
@@ -500,18 +487,13 @@ mod tests {
     }
 
     #[test]
-    fn push_key_round_trips_exact_bits() {
+    fn a_pushed_key_pops_with_its_exact_time_and_index() {
         let mut q = EventQueue::new();
         let t = 0.1 + 0.2; // not exactly representable as 0.3
         q.push(t, 2, 7);
         let k = q.pop().unwrap();
-        assert_eq!(k.time_bits(), t.to_bits());
-        q.push_key(k);
-        assert_eq!(q.peek(), Some(k));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
+        assert_eq!((k.time_s().to_bits(), k.index()), (t.to_bits(), 7));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

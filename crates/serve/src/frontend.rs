@@ -92,32 +92,12 @@ impl ServeSim {
         DriveOutcome::Completed
     }
 
-    /// Completes every step of replica `idx` due strictly before `t`, each
-    /// counted against the event budget; `false` when the budget stopped it.
-    /// Debug builds check that its step times do not decrease from `clock_s`,
-    /// the clock at the last driver input.
+    /// Completes every step of replica `idx` due strictly before `t`
+    /// ([`DriveState::run_due_steps`]); `false` when the budget stopped it.
     fn run_due_steps(&mut self, idx: usize, clock_s: f64, t: f64) -> bool {
         let replica = &mut self.replicas[idx];
-        let mut last_s = clock_s;
-        loop {
-            let t_step = replica.next_event_s();
-            if t_step >= t {
-                return true;
-            }
-            debug_assert!(
-                t_step >= last_s,
-                "step of replica {idx} at {t_step} is before its last event at {last_s}"
-            );
-            if !self.state.begin_event() {
-                return false;
-            }
-            replica.on_step_complete(t_step);
-            // Moved after each step, so the replica's buffer never holds more
-            // than one step's completions.
-            replica.move_completed_into(&mut self.state.log);
-            self.state.now_s = self.state.now_s.max(t_step);
-            last_s = t_step;
-        }
+        self.state
+            .run_due_steps(replica, clock_s, |t_step| t_step < t)
     }
 
     /// Postcondition of [`ServeSim::advance_before`]: no replica still has a

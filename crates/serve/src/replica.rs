@@ -376,7 +376,7 @@ impl Replica {
     }
 
     /// The flight-recorder track for this replica.
-    fn track(&self) -> Track {
+    pub(crate) fn track(&self) -> Track {
         self.track_override
             .unwrap_or(Track::Replica(self.index as u32))
     }

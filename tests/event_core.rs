@@ -1,10 +1,11 @@
 //! Scenarios for the two event loops: plain serving, disaggregated clusters
 //! with an autoscaler, fault injection, autoscaler churn, corpus replay and a
-//! degenerate all-ties workload. `ClusterSim`'s heap is checked against the
-//! linear next-event scan, which debug builds run at every pop
-//! (`ClusterSim::run_events`); `ServeSim` runs each replica's due steps in
-//! one loop and debug builds check, after every advance, that no replica was
-//! left with a step due and that each replica's steps came in time order.
+//! degenerate all-ties workload. `ClusterSim` picks each transfer landing,
+//! prefill step and tick by a linear next-event scan (`ClusterSim::run_events`),
+//! and debug builds check that no event is dispatched before the clock; both
+//! simulators run each replica's due steps in one loop and debug builds check,
+//! after every loop, that no replica was left with a step due and that each
+//! replica's steps came in time order.
 //! What these tests assert on top is that the run reached the state it is
 //! meant to exercise, that each track's event stream is pinned, and that
 //! ServeSim equals the scan-order oracle on the all-ties workload. Budget
@@ -122,9 +123,9 @@ const CHURN_CRASH_RESTART: [(f64, Fault); 4] = [
     (17.5, Fault::Restart(0)),
 ];
 
-/// Autoscaler churn leaves dozens of retired members in both pools; the heap
-/// must still agree with the scan on every event, with and without a
-/// crash/restart of each initial replica mid-burst.
+/// Autoscaler churn leaves dozens of retired members in both pools; the scan
+/// must still skip them and each track's stream must hold its pin, with and
+/// without a crash/restart of each initial replica mid-burst.
 #[test]
 fn disagg_under_autoscaler_churn_is_bit_identical_across_cores() {
     let trace = churn::trace();
@@ -323,8 +324,8 @@ fn budget_exhaustion_is_typed_and_reported_once() {
     assert_eq!(events_at_exhaustion(cluster, &arrivals, 40), 40.0);
 }
 
-/// A cluster cut mid-run by its budget: the heap agrees with the scan on every
-/// event up to the cut, and the cut is typed and reported once.
+/// A cluster cut mid-run by its budget: every event up to the cut passes the
+/// debug loop checks, and the cut is typed and reported once.
 #[test]
 fn cluster_budget_exhaustion_is_typed_and_identical_across_cores() {
     let cluster = ClusterSim::new(DisaggConfig::new(replay_deployment(1), 1, 2));

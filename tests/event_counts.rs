@@ -1,6 +1,7 @@
 //! Exact event counts of the two serving drivers: how many events a run
-//! processes, and how many of them were stale heap entries, is a pure function
-//! of the trace and the deployment, so it is pinned — not timed.
+//! processes is a pure function of the trace and the deployment, so it is
+//! pinned — not timed. The stale count beside it reads 0: neither driver keeps
+//! a scheduler whose entries could go stale.
 //!
 //! The hooks are process-wide atomics, so this is the only test in its binary:
 //! nothing else can bump the counters while they are being read.
