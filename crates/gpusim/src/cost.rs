@@ -54,12 +54,64 @@ impl StepBatch {
         KernelWork::new(self.flops, bytes, self.launches)
     }
 
+    /// Memory time of the target pass at mean context `context`; it does not fall
+    /// as the context grows (every operation on the way rounds monotonically).
+    fn memory_s(&self, context: usize) -> f64 {
+        self.work(context).bytes / self.peak_bandwidth
+    }
+
     /// Time of the step at mean context `context`: drafting, the roofline total of
     /// the target pass and its tensor-parallel all-reduces. A pass takes positive
     /// time, so the `0.0` of a step without drafting leaves its bits alone.
     pub fn time(&self, context: usize) -> f64 {
-        let memory_s = self.work(context).bytes / self.peak_bandwidth;
-        self.draft_s + (self.compute_s.max(memory_s) + self.launch_s + self.comm_s)
+        self.draft_s + (self.compute_s.max(self.memory_s(context)) + self.launch_s + self.comm_s)
+    }
+
+    /// The first mean context at which the target pass is memory-bound, by the
+    /// comparison [`time`](Self::time) settles with `max` (memory time above
+    /// compute time; at a tie the two are one value). Every larger context is
+    /// memory-bound too; `usize::MAX` if no context below 2^52 is.
+    pub fn memory_bound_from(&self) -> usize {
+        const NEVER: f64 = (1u64 << 52) as f64;
+        let memory_bound = |context| self.memory_s(context) > self.compute_s;
+        // Solve the line, then step to the boundary the comparison draws:
+        // rounding moves it by a context or two.
+        let line =
+            (self.compute_s * self.peak_bandwidth - self.weight_bytes - self.activation_bytes)
+                * self.tp
+                / self.kv_bytes_per_position;
+        if line >= NEVER {
+            return usize::MAX;
+        }
+        // Saturating: a negative line (or a NaN) is context 0.
+        let mut context = line as usize;
+        while context > 0 && memory_bound(context - 1) {
+            context -= 1;
+        }
+        while !memory_bound(context) {
+            context += 1;
+        }
+        context
+    }
+
+    /// Seconds per position of mean context that a memory-bound step adds.
+    pub fn context_slope(&self) -> f64 {
+        self.kv_bytes_per_position / self.tp / self.peak_bandwidth
+    }
+
+    /// Summed time of `steps` steps, of which the last `memory_steps` are
+    /// memory-bound (see [`memory_bound_from`](Self::memory_bound_from)) at mean
+    /// contexts that sum to `memory_contexts`: every step pays drafting, launches
+    /// and all-reduces, a compute-bound one its compute time and a memory-bound
+    /// one `alpha + beta x context` (weights and activations, then KV per
+    /// position). Equal to the sum of [`time`](Self::time) over the steps up to
+    /// the rounding of a different summation order.
+    pub fn run_time(&self, steps: u64, memory_steps: u64, memory_contexts: u128) -> f64 {
+        let per_step = self.draft_s + self.launch_s + self.comm_s;
+        let alpha = (self.weight_bytes + self.activation_bytes) / self.peak_bandwidth;
+        steps as f64 * per_step
+            + (steps - memory_steps) as f64 * self.compute_s
+            + (memory_steps as f64 * alpha + memory_contexts as f64 * self.context_slope())
     }
 }
 

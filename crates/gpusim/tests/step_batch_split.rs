@@ -74,3 +74,55 @@ fn split_step_times_equal_the_unsplit_formula_bitwise() {
     }
     assert_eq!(compared, 6 * 3 * 4 * 2 * 66 * 5 * 4);
 }
+
+/// The regime boundary is the roofline's: the pass is compute-bound
+/// (`TimeBreakdown::is_compute_bound`) one context below it and memory-bound at
+/// it; and a run's summed time is the sum of the per-step times up to
+/// summation order.
+#[test]
+fn run_time_sums_the_step_times_on_both_sides_of_the_crossover() {
+    let mut crossings = 0;
+    for model in ModelSpec::paper_targets() {
+        for gpu in [GpuType::H100, GpuType::A100] {
+            for tp in [1, 4, 8] {
+                let cost = LlmCostModel::new(model.clone(), gpu.spec(), tp);
+                let drafter = model.eagle_drafter();
+                for batch in [1, 8, 32, 256, 1024] {
+                    for pass in [
+                        cost.decode_batch(batch),
+                        cost.speculative_batch(&drafter, batch, 6, 48),
+                    ] {
+                        let from = pass.memory_bound_from();
+                        if from == usize::MAX {
+                            continue;
+                        }
+                        let bound = |context| {
+                            estimate_time(pass.work(context), &cost.gpu, cost.mode)
+                                .is_compute_bound()
+                        };
+                        assert!(!bound(from), "{from}");
+                        if from > 0 {
+                            assert!(bound(from - 1), "{from}");
+                            // Compute-bound steps all take one time.
+                            assert_eq!(pass.time(from - 1).to_bits(), pass.time(0).to_bits());
+                        }
+                        // Contexts `from - 40 .. from + 60`, one a step.
+                        let start = from.saturating_sub(40);
+                        crossings += usize::from(start < from);
+                        let (mut sum, mut memory_steps, mut contexts) = (0.0, 0u64, 0u128);
+                        for (steps, context) in (start..from + 60).enumerate() {
+                            sum += pass.time(context);
+                            if context >= from {
+                                memory_steps += 1;
+                                contexts += context as u128;
+                            }
+                            let run = pass.run_time(steps as u64 + 1, memory_steps, contexts);
+                            assert!(((run - sum) / sum).abs() < 1e-14, "{run} vs {sum}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(crossings > 20, "{crossings} runs crossed over");
+}

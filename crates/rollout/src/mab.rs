@@ -235,6 +235,16 @@ impl BegMabSelector {
         (best.expect("non-empty candidate set").0, true)
     }
 
+    /// Counts `times` more selections for the last batch size, as that many
+    /// [`select_arm`](Self::select_arm) calls would when its bucket has one arm.
+    pub(crate) fn repeat_lone_selection(&mut self, times: u64) {
+        debug_assert!(
+            self.last_batch.2.is_some(),
+            "a shared bucket draws per step"
+        );
+        self.selections += times;
+    }
+
     /// Number of selections and explorations performed.
     pub fn stats(&self) -> (u64, u64) {
         (self.selections, self.explorations)

@@ -132,6 +132,17 @@ impl AdaptiveSdManager {
         Some((drafter, arm, learns))
     }
 
+    /// Counts `times` more decisions like the last one, which did not learn
+    /// (vanilla when `speculative` is false): what as many
+    /// [`decide_arm`](Self::decide_arm) calls at the same load would count.
+    pub(crate) fn repeat_decision(&mut self, times: u64, speculative: bool) {
+        self.decisions += times;
+        if speculative {
+            self.speculative_decisions += times;
+            self.selector.repeat_lone_selection(times);
+        }
+    }
+
     /// Feeds back the outcome of a speculative step so the tuner can adapt.
     pub fn record(&mut self, strategy: &SdStrategy, obs: StepObservation) {
         self.selector.record(strategy, obs);

@@ -8,6 +8,16 @@
 //! drafter's [`AcceptanceProfile`], so the engine reproduces the paper's throughput
 //! tables (2, 4), the hyperparameter sweeps (Figure 13, Table 1) and the adaptive-SD
 //! case study (Figure 14).
+//!
+//! Between two finishes every step of a rollout is a known function of the batch,
+//! the context and the evaluator's fixed-point carry, unless the SD tuner learns
+//! from it, which no [`SdMode`] makes it do. The engine therefore advances a run of
+//! steps per iteration (`SdStepEvaluator::run`): the steps up to the next finish,
+//! cut short at a timeline point or at [`MAX_SIM_STEPS`], whose tokens and time are
+//! closed forms (a floor-sum of the contexts for a fractional accept length). Host
+//! cost is proportional to finishes, timeline points and learning steps, not to
+//! decode steps; times match a per-step sum up to summation order (within 1e-12
+//! relative, held by `tests/sim_engine_oracle.rs`).
 
 use crate::sd_step::{expected_accept_len, SdMode, SdStepEvaluator, SdStepModel};
 use crate::spec::SdStrategy;
@@ -114,19 +124,37 @@ impl RolloutProfile {
     }
 }
 
+/// The safety valve against pathological configurations: a rollout stops once
+/// it has simulated more decode steps than this (at step 20,000,001), finished
+/// or not.
+pub const MAX_SIM_STEPS: u64 = 20_000_000;
+
+/// Simulated seconds between two timeline points of an unchanged batch and SD
+/// state: a step is recorded when the time since the last point exceeds this
+/// (and on every change of the running-request count or of SD activation).
+pub const TIMELINE_INTERVAL_S: f64 = 1.0;
+
 /// Simulates decoding a batch of requests whose response lengths are given.
 ///
-/// Every step is decided, costed and recorded by the [`SdStepEvaluator`] and
-/// commits the same whole number of tokens to every live request, so the live
-/// requests are a suffix of one sorted array and their shared progress is one
-/// integer. Host cost is proportional to the decode steps simulated, not to
-/// steps x requests, and nothing is allocated per step.
+/// Every step commits the same whole number of tokens to every live request, so
+/// the live requests are a suffix of one sorted array and their shared progress
+/// is one integer. Steps advance a run at a time (`SdStepEvaluator::run`): the
+/// steps up to the next finish, cut short at a timeline point or at
+/// [`MAX_SIM_STEPS`], cost and commit in closed form unless their decision
+/// learns, which no [`SdMode`] does (each tuner bucket of its default strategy
+/// set has one arm, so no step draws from the seed either). Host cost is
+/// proportional to finishes, timeline points and learning steps, not to decode
+/// steps, and nothing is allocated per step.
 pub fn simulate_rollout(config: &SimRolloutConfig, response_lengths: &[usize]) -> RolloutProfile {
     simulate_rollout_seeded(config, config.seed, response_lengths)
 }
 
 /// [`simulate_rollout`] with the tuner's exploration drawn from `seed` in place of
 /// `config.seed`, for callers that run one configuration under many seeds.
+///
+/// Under every [`SdMode`] no step learns or draws, so the profile does not
+/// depend on the seed (a test pins this); a tuner with a multi-arm bucket
+/// would make it depend, and would take its steps there one at a time.
 pub fn simulate_rollout_seeded(
     config: &SimRolloutConfig,
     seed: u64,
@@ -144,7 +172,7 @@ pub fn simulate_rollout_seeded(
     let mut evaluator = SdStepEvaluator::new(&config.sd_mode, seed);
 
     let mut time_s = 0.0;
-    let mut timeline = Vec::new();
+    let mut timeline: Vec<TimelinePoint> = Vec::new();
     let mut sd_activation_time = None;
     let mut idle_request_seconds = 0.0;
     let mut accept_len_sum = 0.0;
@@ -156,43 +184,55 @@ pub fn simulate_rollout_seeded(
 
     while head < requests {
         let batch = requests - head;
-        let avg_context = config.prompt_len + generated;
-
-        let step = evaluator.step(&model, batch, batch, avg_context, 1.0);
-        if step.speculative {
-            accept_len_sum += step.accept_len;
-            speculative_steps += 1;
+        let run = evaluator.run(&model, batch, batch, config.prompt_len + generated);
+        // The run ends at the next finish or at the valve (or after its one
+        // step, if it learns)...
+        let limit = run
+            .steps_for(remaining[head] - generated)
+            .min(MAX_SIM_STEPS + 1 - steps)
+            .min(run.max_steps());
+        // ...or at the next timeline point: its first step if the batch or the
+        // SD state changed, else the step after which more than the interval
+        // has passed since the last point.
+        let point = match timeline.last() {
+            Some(p) if p.running_requests == batch && p.sd_active == run.speculative => {
+                let guess = run.steps_within(p.time_s + TIMELINE_INTERVAL_S - time_s);
+                first_step_past(limit, guess, |j| {
+                    time_s + run.time(j) - p.time_s > TIMELINE_INTERVAL_S
+                })
+            }
+            _ => Some(1),
+        };
+        let n = point.unwrap_or(limit);
+        let run_s = run.time(n);
+        if run.speculative {
+            accept_len_sum += run.accept_len * n as f64;
+            speculative_steps += n;
             if sd_activation_time.is_none() {
                 sd_activation_time = Some(time_s);
             }
         }
 
         // Idle accounting: requests already finished wait for the stragglers.
-        idle_request_seconds += head as f64 * step.time_s;
+        idle_request_seconds += head as f64 * run_s;
 
-        generated += step.tokens;
+        generated += run.tokens_after(n);
         while head < requests && remaining[head] <= generated {
             head += 1;
         }
-        time_s += step.time_s;
-        steps += 1;
+        time_s += run_s;
+        steps += n;
+        evaluator.commit(&run, n);
 
-        // Record a timeline point roughly every simulated second of progress (and on
-        // every change of SD activation) to keep profiles compact.
-        let record = timeline.last().is_none_or(|p: &TimelinePoint| {
-            time_s - p.time_s > 1.0
-                || p.sd_active != step.speculative
-                || p.running_requests != batch
-        });
-        if record {
+        // Timeline points keep profiles compact (Figure 14).
+        if point.is_some() {
             timeline.push(TimelinePoint {
                 time_s,
                 running_requests: batch,
-                sd_active: step.speculative,
+                sd_active: run.speculative,
             });
         }
-        // Safety valve against pathological configurations.
-        if steps > 20_000_000 {
+        if steps > MAX_SIM_STEPS {
             break;
         }
     }
@@ -214,13 +254,66 @@ pub fn simulate_rollout_seeded(
     }
 }
 
+/// The first `j` in `1..=limit` with `past(j)`, for a `past` that is false at 0
+/// and stays true once true, or `None` if `past(limit)` is false. Starts at the
+/// step `guess` rounds down to plus one and confirms it against `j - 1` and
+/// `j`; a guess that is off gallops to the answer in O(log) of its error.
+fn first_step_past(limit: u64, guess: f64, past: impl Fn(u64) -> bool) -> Option<u64> {
+    // Saturating: a NaN guess is step 1.
+    let guess = (guess as u64).saturating_add(1).clamp(1, limit);
+    // `past(below)` is false and `past(above)` true.
+    let (mut below, mut above);
+    if past(guess) {
+        above = guess;
+        let mut stride = 1;
+        loop {
+            if above <= stride {
+                below = 0;
+                break;
+            }
+            if past(above - stride) {
+                above -= stride;
+                stride *= 2;
+            } else {
+                below = above - stride;
+                break;
+            }
+        }
+    } else {
+        below = guess;
+        let mut stride = 1;
+        loop {
+            if below == limit {
+                return None;
+            }
+            let probe = below.saturating_add(stride).min(limit);
+            if past(probe) {
+                above = probe;
+                break;
+            }
+            below = probe;
+            stride *= 2;
+        }
+    }
+    while above - below > 1 {
+        let mid = below + (above - below) / 2;
+        if past(mid) {
+            above = mid;
+        } else {
+            below = mid;
+        }
+    }
+    Some(above)
+}
+
 /// Simulates many independent rollouts on the shared worker pool
 /// ([`tlt_model::parallel_map`]), one per response-length group.
 ///
 /// Group `i` runs with `config.seed + i` so every group has an independent,
 /// reproducible exploration stream; profiles are merged back in group order, making
 /// the result identical to a sequential loop over [`simulate_rollout`] with the
-/// same per-group seeds, regardless of worker count.
+/// same per-group seeds, regardless of worker count. No [`SdMode`] explores (see
+/// [`simulate_rollout_seeded`]), so today the seeds do not change a profile.
 pub fn simulate_rollout_batch(
     config: &SimRolloutConfig,
     response_length_groups: &[Vec<usize>],
@@ -485,6 +578,47 @@ mod tests {
             assert_eq!(parallel[i].total_tokens, sequential.total_tokens);
             assert_eq!(parallel[i].timeline.len(), sequential.timeline.len());
         }
+    }
+
+    /// No `SdMode` learns or draws from the seed (every tuner bucket of the
+    /// default strategy set has one arm), so runs advance in closed form; a
+    /// multi-arm default would fail here first.
+    #[test]
+    fn profiles_do_not_depend_on_the_seed_in_any_mode() {
+        let lengths = longtail_lengths(96, 6);
+        let adaptive = |learned_drafter_available| SdMode::Adaptive {
+            config: SdManagerConfig {
+                learned_drafter_available,
+                ..SdManagerConfig::default()
+            },
+        };
+        let modes = [
+            SdMode::Disabled,
+            SdMode::Static {
+                strategy: SdStrategy::default(),
+                threshold: 32,
+            },
+            adaptive(true),
+            adaptive(false),
+        ];
+        for mode in modes {
+            let config = SimRolloutConfig::vanilla(qwen32b_cost()).with_sd_mode(mode);
+            let a = simulate_rollout_seeded(&config, 1, &lengths);
+            let b = simulate_rollout_seeded(&config, 0xDEAD_BEEF, &lengths);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{:?}", config.sd_mode);
+        }
+    }
+
+    /// One 25M-token response stops at the valve, at step 20,000,001.
+    #[test]
+    fn one_long_response_stops_at_the_safety_valve() {
+        let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
+        let profile = simulate_rollout(&SimRolloutConfig::vanilla(cost), &[25_000_000]);
+        assert_eq!(profile.steps, MAX_SIM_STEPS + 1);
+        assert_eq!(profile.steps, 20_000_001);
+        assert_eq!(profile.total_tokens, 25_000_000);
+        let last = profile.timeline.last().expect("timeline points");
+        assert!(last.time_s <= profile.total_time_s);
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! integer part of the exact sum of the accept lengths so far grew, kept as one
 //! fixed-point sum rather than as the engine's carry.
 //! It lives here, test-only and not selectable at run time, so the production
-//! crate carries one engine; the properties below hold the two bit-identical over
-//! SD modes, deployments (model, GPU, tensor-parallel degree, prompt length) and
+//! crate carries one engine. The engine advances a run of steps in closed form,
+//! which sums the same step times in another order: the properties below hold
+//! every count, token total and timeline point's state equal to the oracle's,
+//! and every time and the mean accept length to within [`TOLERANCE`], over SD
+//! modes, deployments (model, GPU, tensor-parallel degree, prompt length) and
 //! acceptance profiles, including the ones whose accept length is an integer.
 
 use proptest::prelude::*;
@@ -25,8 +28,8 @@ use tlt_rollout::{
 };
 use tlt_workload::LengthDistribution;
 
-/// The profile as the oracle was frozen with it: the engine's has since gained
-/// step counts, which the oracle's loop does not report.
+/// The profile as the oracle was frozen with it, plus the step counts its loop
+/// keeps (the engine's profile gained them later).
 struct RolloutProfile {
     total_time_s: f64,
     total_tokens: usize,
@@ -35,6 +38,8 @@ struct RolloutProfile {
     timeline: Vec<TimelinePoint>,
     idle_request_seconds: f64,
     mean_accept_length: f64,
+    steps: u64,
+    speculative_steps: u64,
 }
 
 fn oracle_simulate_rollout(
@@ -182,6 +187,8 @@ fn oracle_simulate_rollout(
         } else {
             accept_len_sum / accept_len_count as f64
         },
+        steps,
+        speculative_steps: accept_len_count as u64,
     }
 }
 
@@ -207,31 +214,65 @@ fn sd_mode(selector: usize) -> SdMode {
     }
 }
 
-fn assert_bit_identical(engine: &tlt_rollout::RolloutProfile, oracle: &RolloutProfile) {
-    assert_eq!(engine.total_time_s.to_bits(), oracle.total_time_s.to_bits());
+/// The largest relative difference allowed between a time (or the mean accept
+/// length) of the engine and the oracle's: the two sum the same step times in
+/// different orders.
+const TOLERANCE: f64 = 1e-12;
+
+/// `|a - b|` relative to the larger magnitude (0 when both are 0).
+fn relative_error(a: f64, b: f64) -> f64 {
+    let scale = a.abs().max(b.abs());
+    if scale == 0.0 {
+        0.0
+    } else {
+        (a - b).abs() / scale
+    }
+}
+
+/// Holds every count, token total and timeline state equal and every time to
+/// [`TOLERANCE`]; returns the largest relative error seen.
+fn assert_close(engine: &tlt_rollout::RolloutProfile, oracle: &RolloutProfile) -> f64 {
     assert_eq!(engine.total_tokens, oracle.total_tokens);
+    assert_eq!(engine.steps, oracle.steps);
+    assert_eq!(engine.speculative_steps, oracle.speculative_steps);
     assert_eq!(
-        engine.throughput_tokens_per_s.to_bits(),
-        oracle.throughput_tokens_per_s.to_bits()
-    );
-    assert_eq!(
-        engine.sd_activation_time_s.map(f64::to_bits),
-        oracle.sd_activation_time_s.map(f64::to_bits)
-    );
-    assert_eq!(
-        engine.idle_request_seconds.to_bits(),
-        oracle.idle_request_seconds.to_bits()
-    );
-    assert_eq!(
-        engine.mean_accept_length.to_bits(),
-        oracle.mean_accept_length.to_bits()
+        engine.sd_activation_time_s.is_some(),
+        oracle.sd_activation_time_s.is_some()
     );
     assert_eq!(engine.timeline.len(), oracle.timeline.len());
-    for (e, o) in engine.timeline.iter().zip(&oracle.timeline) {
-        assert_eq!(e.time_s.to_bits(), o.time_s.to_bits());
-        assert_eq!(e.running_requests, o.running_requests);
-        assert_eq!(e.sd_active, o.sd_active);
+    let mut times = vec![
+        ("total_time_s", engine.total_time_s, oracle.total_time_s),
+        (
+            "throughput_tokens_per_s",
+            engine.throughput_tokens_per_s,
+            oracle.throughput_tokens_per_s,
+        ),
+        (
+            "idle_request_seconds",
+            engine.idle_request_seconds,
+            oracle.idle_request_seconds,
+        ),
+        (
+            "mean_accept_length",
+            engine.mean_accept_length,
+            oracle.mean_accept_length,
+        ),
+    ];
+    if let (Some(e), Some(o)) = (engine.sd_activation_time_s, oracle.sd_activation_time_s) {
+        times.push(("sd_activation_time_s", e, o));
     }
+    for (i, (e, o)) in engine.timeline.iter().zip(&oracle.timeline).enumerate() {
+        assert_eq!(e.running_requests, o.running_requests, "point {i}");
+        assert_eq!(e.sd_active, o.sd_active, "point {i}");
+        times.push(("timeline time_s", e.time_s, o.time_s));
+    }
+    let mut worst = 0.0f64;
+    for (field, e, o) in times {
+        let error = relative_error(e, o);
+        assert!(error <= TOLERANCE, "{field}: {e} vs {o} ({error:e})");
+        worst = worst.max(error);
+    }
+    worst
 }
 
 /// The deployments the engine is held to the oracle on, with the prompt length:
@@ -256,7 +297,13 @@ fn deployment(selector: usize) -> (LlmCostModel, usize) {
 /// carry stays at zero.
 const ACCEPTANCES: usize = 3;
 
-fn check_on(deployment_sel: usize, acceptance: usize, lengths: &[usize], mode: usize, seed: u64) {
+fn check_on(
+    deployment_sel: usize,
+    acceptance: usize,
+    lengths: &[usize],
+    mode: usize,
+    seed: u64,
+) -> f64 {
     let (cost, prompt_len) = deployment(deployment_sel);
     let mut config = SimRolloutConfig::vanilla(cost).with_sd_mode(sd_mode(mode));
     config.seed = seed;
@@ -270,15 +317,20 @@ fn check_on(deployment_sel: usize, acceptance: usize, lengths: &[usize], mode: u
         config.acceptance = AcceptanceProfile::from_measured(vec![rate; 16]);
         config.model_free_acceptance = config.acceptance.clone();
     }
-    assert_bit_identical(
-        &simulate_rollout(&config, lengths),
-        &oracle_simulate_rollout(&config, lengths),
-    );
+    check_config(&config, lengths)
+}
+
+/// Holds the engine to the oracle on `config`; the largest relative error.
+fn check_config(config: &SimRolloutConfig, lengths: &[usize]) -> f64 {
+    assert_close(
+        &simulate_rollout(config, lengths),
+        &oracle_simulate_rollout(config, lengths),
+    )
 }
 
 /// The deployment and acceptance every case ran on before the others were added.
-fn check(lengths: &[usize], mode: usize, seed: u64) {
-    check_on(0, 0, lengths, mode, seed);
+fn check(lengths: &[usize], mode: usize, seed: u64) -> f64 {
+    check_on(0, 0, lengths, mode, seed)
 }
 
 proptest! {
@@ -335,17 +387,19 @@ fn engine_matches_oracle_in_every_mode_on_a_long_tail() {
         .map(|i| 1 + (i * i * 37) % 3000 + if i % 50 == 0 { 5000 } else { 0 })
         .chain([0, 8192, 8192, 1])
         .collect();
+    let mut worst = 0.0f64;
     for mode in 0..6 {
         for seed in [0, 7, 0xDEAD_BEEF] {
-            check(&lengths, mode, seed);
+            worst = worst.max(check(&lengths, mode, seed));
         }
         // Every deployment under every acceptance, pinned the same way.
         for deployment in 0..DEPLOYMENTS {
             for acceptance in 0..ACCEPTANCES {
-                check_on(deployment, acceptance, &lengths, mode, 7);
+                worst = worst.max(check_on(deployment, acceptance, &lengths, mode, 7));
             }
         }
     }
+    eprintln!("largest relative error on the long tail: {worst:e}");
 }
 
 /// `paper_default` scale: worker shares of 16 to 128 responses drawn from its
@@ -361,23 +415,20 @@ fn engine_matches_oracle_at_paper_scale_across_the_vanilla_to_speculative_switch
         max_len: 32_768,
     };
     let mut rng = StdRng::seed_from_u64(2026);
+    let mut worst = 0.0f64;
     for share in [16, 32, 64, 128] {
         let mut lengths = dist.sample_many(share, &mut rng);
         // At least one response at the cap, whatever the draw.
         lengths[share / 2] = 32_768;
         for (deployment, acceptance) in [(1, 0), (1, 1), (3, 0), (4, 2)] {
-            check_on(deployment, acceptance, &lengths, 2, 0);
+            worst = worst.max(check_on(deployment, acceptance, &lengths, 2, 0));
         }
     }
+    eprintln!("largest relative error at paper scale: {worst:e}");
 }
 
-/// An accept length of 1.1 is the `f64` 1.100000000000000088..., so the exact
-/// sum of ten of them is just above 11, while adding them up in `f64` gives
-/// 10.999999999999998. The engine commits the integer part of the exact sum: a
-/// lone request of 11 tokens is done after ten steps, not eleven, and every
-/// request of a long batch finishes where the oracle's does.
-#[test]
-fn engine_commits_the_integer_part_of_the_exact_accept_sum() {
+/// The static one-token strategy whose accept length is 1.1.
+fn accept_one_point_one() -> SimRolloutConfig {
     let (cost, _) = deployment(1);
     let mut config = SimRolloutConfig::vanilla(cost).with_sd_mode(SdMode::Static {
         strategy: SdStrategy {
@@ -388,12 +439,111 @@ fn engine_commits_the_integer_part_of_the_exact_accept_sum() {
         threshold: usize::MAX,
     });
     config.acceptance = AcceptanceProfile::from_measured(vec![0.1]);
+    config
+}
+
+/// An accept length of 1.1 is the `f64` 1.100000000000000088..., so the exact
+/// sum of ten of them is just above 11, while adding them up in `f64` gives
+/// 10.999999999999998. The engine commits the integer part of the exact sum: a
+/// lone request of 11 tokens is done after ten steps, not eleven, and every
+/// request of a long batch finishes where the oracle's does.
+#[test]
+fn engine_commits_the_integer_part_of_the_exact_accept_sum() {
+    let config = accept_one_point_one();
     let lone = simulate_rollout(&config, &[11]);
-    // The accept lengths summed in `f64`, divided by ten.
-    assert_eq!(lone.mean_accept_length, 1.0999999999999999);
     assert_eq!(lone.steps, 10);
+    // The oracle sums the accept lengths in `f64` (1.0999999999999999 after
+    // division by ten); the engine's mean is within rounding of 1.1.
+    let oracle = oracle_simulate_rollout(&config, &[11]);
+    assert_eq!(oracle.mean_accept_length, 1.0999999999999999);
+    assert_close(&lone, &oracle);
     let lengths: Vec<usize> = (0..48).map(|i| 4096 - 61 * i).collect();
     let engine = simulate_rollout(&config, &lengths);
     assert_eq!(engine.steps, 3724, "4096 tokens, 1.1 a step");
-    assert_bit_identical(&engine, &oracle_simulate_rollout(&config, &lengths));
+    assert_close(&engine, &oracle_simulate_rollout(&config, &lengths));
+}
+
+/// At accept length 1.1 a step commits one token, or two when the carried
+/// fraction passes a whole token. Every response here ends on a step of two, so
+/// each run's last step is one on which the carry crosses a token.
+#[test]
+fn engine_matches_oracle_when_the_carry_crosses_a_token_on_a_runs_last_step() {
+    let config = accept_one_point_one();
+    let SdMode::Static { strategy, .. } = config.sd_mode else {
+        unreachable!("a static strategy")
+    };
+    let accept = tlt_rollout::expected_accept_len(&config.acceptance, &strategy);
+    assert_eq!(accept, 1.1);
+    // Tokens committed after `j` steps: the integer part of the exact sum.
+    let units = (accept * 2f64.powi(52)) as u128;
+    let committed = |j: u128| ((j * units) >> 52) as usize;
+    let (ends, lengths): (Vec<u128>, Vec<usize>) = (1..4000)
+        .filter(|&j| committed(j) - committed(j - 1) == 2)
+        .map(|j| (j, committed(j)))
+        .unzip();
+    assert!(lengths.len() > 300, "{} lengths", lengths.len());
+    let engine = simulate_rollout(&config, &lengths);
+    assert_eq!(u128::from(engine.steps), *ends.last().expect("lengths"));
+    assert_close(&engine, &oracle_simulate_rollout(&config, &lengths));
+}
+
+/// A batch whose passes turn from compute- to memory-bound as the context
+/// grows, for vanilla and for speculative steps: the prompt sits 600 positions
+/// below the crossover and every response (all of one length, so the batch never
+/// changes) runs 2,000 tokens, so the crossover falls inside the run.
+#[test]
+fn engine_matches_oracle_where_a_run_crosses_from_compute_to_memory_bound() {
+    let (cost, _) = deployment(0);
+    let strategy = SdStrategy::default();
+    let speculative = SdMode::Static {
+        strategy,
+        threshold: usize::MAX,
+    };
+    let mut worst = 0.0f64;
+    for mode in [SdMode::Disabled, speculative] {
+        let mut config = SimRolloutConfig::vanilla(cost.clone()).with_sd_mode(mode);
+        let pass = |batch| match config.sd_mode {
+            SdMode::Disabled => cost.decode_batch(batch),
+            _ => cost.speculative_batch(
+                &config.drafter,
+                batch,
+                strategy.draft_depth,
+                strategy.tokens_to_verify,
+            ),
+        };
+        let (batch, crossover) = (1..=12)
+            .map(|b| 1 << b)
+            .map(|batch| (batch, pass(batch).memory_bound_from()))
+            .find(|&(_, from)| (700..100_000).contains(&from))
+            .expect("a batch that crosses over");
+        config.prompt_len = crossover - 600;
+        let lengths = vec![2_000; batch];
+        worst = worst.max(check_config(&config, &lengths));
+    }
+    eprintln!("largest relative error across the crossover: {worst:e}");
+}
+
+/// Every request finishes on the first step, in every mode and under every
+/// acceptance: one-token responses, and for always-on speculation with every
+/// draft accepted, responses as long as the first step's commit.
+#[test]
+fn engine_matches_oracle_when_every_request_finishes_on_the_first_step() {
+    for mode in 0..6 {
+        for acceptance in 0..ACCEPTANCES {
+            for lengths in [vec![1], vec![1; 64]] {
+                check_on(0, acceptance, &lengths, mode, 7);
+            }
+        }
+    }
+    let mut config = SimRolloutConfig::vanilla(deployment(0).0).with_sd_mode(sd_mode(3));
+    config.acceptance = AcceptanceProfile::from_measured(vec![1.0; 16]);
+    let SdMode::Static { strategy, .. } = config.sd_mode else {
+        unreachable!("a static strategy")
+    };
+    let first = tlt_rollout::expected_accept_len(&config.acceptance, &strategy) as usize;
+    assert!(first > 2, "{first} tokens on the first step");
+    for lengths in [vec![first; 8], (1..=first).collect()] {
+        assert_eq!(simulate_rollout(&config, &lengths).steps, 1);
+        check_config(&config, &lengths);
+    }
 }

@@ -199,6 +199,9 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
                 if share.is_empty() {
                     continue;
                 }
+                // Per worker, for a tuner that explores; no `SdMode` here has a
+                // bucket of two arms, so no rollout draws from it (pinned in
+                // `sim_engine`'s tests) and each advances in closed-form runs.
                 let seed = config.seed ^ (step as u64) << 8 ^ w as u64;
                 worker_profiles.push(simulate_rollout_seeded(&sim, seed, &share));
             }
