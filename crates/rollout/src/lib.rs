@@ -33,8 +33,8 @@ pub use manager::{AdaptiveSdManager, DrafterChoice, SdDecision, SdManagerConfig}
 pub use ngram::{NgramConfig, NgramDrafter};
 pub use sd_step::{expected_accept_len, SdMode, SdStep, SdStepEvaluator, SdStepModel};
 pub use sim_engine::{
-    fixed_batch_speedup, simulate_rollout, simulate_rollout_batch, simulate_rollout_seeded,
-    single_request_throughput, RolloutProfile, SimRolloutConfig, TimelinePoint,
+    fixed_batch_speedup, simulate_rollout, simulate_rollout_seeded, single_request_throughput,
+    RolloutProfile, SimRolloutConfig, TimelinePoint,
 };
 pub use spec::{
     measure_acceptance, speculative_generate, speculative_generate_with_swap, vanilla_generate,

@@ -12,14 +12,17 @@
 //! Between two finishes every step of a rollout is a known function of the batch,
 //! the context and the evaluator's fixed-point carry, unless the SD tuner learns
 //! from it, which no [`SdMode`] makes it do. The engine therefore advances a run of
-//! steps per iteration (`SdStepEvaluator::run`): the steps up to the next finish,
-//! cut short at a timeline point or at [`MAX_SIM_STEPS`], whose tokens and time are
-//! closed forms (a floor-sum of the contexts for a fractional accept length). Host
-//! cost is proportional to finishes, timeline points and learning steps, not to
-//! decode steps; times match a per-step sum up to summation order (within 1e-12
-//! relative, held by `tests/sim_engine_oracle.rs`).
+//! steps per loop iteration (`SdStepEvaluator::run`): the steps up to the next
+//! finish or to [`MAX_SIM_STEPS`], whose tokens and time are closed forms (a
+//! floor-sum of the contexts for a fractional accept length). The Figure 14
+//! timeline is a side output: [`simulate_rollout`] finds its points inside each
+//! run, [`simulate_rollout_seeded`] records none, and no other field of the
+//! profile depends on it. Host cost is proportional to finishes and learning
+//! steps (plus timeline points, where recorded), not to decode steps; times
+//! match a per-step sum up to summation order (within 1e-12 relative, held by
+//! `tests/sim_engine_oracle.rs`).
 
-use crate::sd_step::{expected_accept_len, SdMode, SdStepEvaluator, SdStepModel};
+use crate::sd_step::{expected_accept_len, SdMode, SdRun, SdStepEvaluator, SdStepModel};
 use crate::spec::SdStrategy;
 use serde::{Deserialize, Serialize};
 use tlt_draft::AcceptanceProfile;
@@ -100,7 +103,8 @@ pub struct RolloutProfile {
     pub throughput_tokens_per_s: f64,
     /// Simulated time at which SD first activated, if it ever did.
     pub sd_activation_time_s: Option<f64>,
-    /// Per-step timeline (downsampled: one point per recorded step).
+    /// Per-step timeline (downsampled: one point per recorded step); empty
+    /// from [`simulate_rollout_seeded`], which records none.
     pub timeline: Vec<TimelinePoint>,
     /// GPU-seconds of idle time accumulated by completed requests waiting for the
     /// longest request (the "under-utilised zone" harvested by the spot trainer).
@@ -111,6 +115,10 @@ pub struct RolloutProfile {
     pub steps: u64,
     /// Decode steps that ran speculative decoding.
     pub speculative_steps: u64,
+    /// Runs the engine advanced, one loop iteration each: one per step on
+    /// which requests finish, one per learning step, and the run the safety
+    /// valve stops. The timeline never adds one.
+    pub runs: u64,
 }
 
 impl RolloutProfile {
@@ -132,25 +140,33 @@ pub const MAX_SIM_STEPS: u64 = 20_000_000;
 /// Simulated seconds between two timeline points of an unchanged batch and SD
 /// state: a step is recorded when the time since the last point exceeds this
 /// (and on every change of the running-request count or of SD activation).
+/// It shapes only [`RolloutProfile::timeline`]: the points are found inside a
+/// run, so no step, count or time of a profile depends on it.
 pub const TIMELINE_INTERVAL_S: f64 = 1.0;
 
-/// Simulates decoding a batch of requests whose response lengths are given.
+/// Simulates decoding a batch of requests whose response lengths are given,
+/// recording the Figure 14 timeline.
 ///
 /// Every step commits the same whole number of tokens to every live request, so
 /// the live requests are a suffix of one sorted array and their shared progress
 /// is one integer. Steps advance a run at a time (`SdStepEvaluator::run`): the
-/// steps up to the next finish, cut short at a timeline point or at
-/// [`MAX_SIM_STEPS`], cost and commit in closed form unless their decision
-/// learns, which no [`SdMode`] does (each tuner bucket of its default strategy
-/// set has one arm, so no step draws from the seed either). Host cost is
-/// proportional to finishes, timeline points and learning steps, not to decode
+/// steps up to the next finish or to [`MAX_SIM_STEPS`] cost and commit in
+/// closed form unless their decision learns, which no [`SdMode`] does (each
+/// tuner bucket of its default strategy set has one arm, so no step draws from
+/// the seed either). The timeline's points are searched for inside each run and
+/// never end one, so every field but `timeline` equals what
+/// [`simulate_rollout_seeded`] returns at `config.seed`. Host cost is
+/// proportional to finishes, learning steps and timeline points, not to decode
 /// steps, and nothing is allocated per step.
 pub fn simulate_rollout(config: &SimRolloutConfig, response_lengths: &[usize]) -> RolloutProfile {
-    simulate_rollout_seeded(config, config.seed, response_lengths)
+    simulate(config, config.seed, response_lengths, true)
 }
 
-/// [`simulate_rollout`] with the tuner's exploration drawn from `seed` in place of
-/// `config.seed`, for callers that run one configuration under many seeds.
+/// [`simulate_rollout`] without the timeline (`timeline` is empty) and with
+/// the tuner's exploration drawn from `seed` in place of `config.seed`, for
+/// callers that run one configuration under many seeds and read only the
+/// totals: `run_experiment` is one, and drops the timeline. Host cost is one
+/// loop iteration per run ([`RolloutProfile::runs`]).
 ///
 /// Under every [`SdMode`] no step learns or draws, so the profile does not
 /// depend on the seed (a test pins this); a tuner with a multi-arm bucket
@@ -159,6 +175,18 @@ pub fn simulate_rollout_seeded(
     config: &SimRolloutConfig,
     seed: u64,
     response_lengths: &[usize],
+) -> RolloutProfile {
+    simulate(config, seed, response_lengths, false)
+}
+
+/// The engine behind both public entry points: one iteration per run, from
+/// one finish to the next (or to the valve, or over one learning step). The
+/// timeline, when wanted, is a side output of each run.
+fn simulate(
+    config: &SimRolloutConfig,
+    seed: u64,
+    response_lengths: &[usize],
+    record_timeline: bool,
 ) -> RolloutProfile {
     assert!(!response_lengths.is_empty(), "need at least one request");
     let requests = response_lengths.len();
@@ -178,6 +206,7 @@ pub fn simulate_rollout_seeded(
     let mut accept_len_sum = 0.0;
     let mut speculative_steps = 0u64;
     let mut steps = 0u64;
+    let mut runs = 0u64;
 
     // Prompt prefill for the whole batch.
     time_s += config.cost.prefill_time(requests, config.prompt_len);
@@ -186,24 +215,14 @@ pub fn simulate_rollout_seeded(
         let batch = requests - head;
         let run = evaluator.run(&model, batch, batch, config.prompt_len + generated);
         // The run ends at the next finish or at the valve (or after its one
-        // step, if it learns)...
-        let limit = run
+        // step, if it learns).
+        let n = run
             .steps_for(remaining[head] - generated)
             .min(MAX_SIM_STEPS + 1 - steps)
             .min(run.max_steps());
-        // ...or at the next timeline point: its first step if the batch or the
-        // SD state changed, else the step after which more than the interval
-        // has passed since the last point.
-        let point = match timeline.last() {
-            Some(p) if p.running_requests == batch && p.sd_active == run.speculative => {
-                let guess = run.steps_within(p.time_s + TIMELINE_INTERVAL_S - time_s);
-                first_step_past(limit, guess, |j| {
-                    time_s + run.time(j) - p.time_s > TIMELINE_INTERVAL_S
-                })
-            }
-            _ => Some(1),
-        };
-        let n = point.unwrap_or(limit);
+        if record_timeline {
+            record_points(&mut timeline, &run, n, batch, time_s);
+        }
         let run_s = run.time(n);
         if run.speculative {
             accept_len_sum += run.accept_len * n as f64;
@@ -222,16 +241,8 @@ pub fn simulate_rollout_seeded(
         }
         time_s += run_s;
         steps += n;
+        runs += 1;
         evaluator.commit(&run, n);
-
-        // Timeline points keep profiles compact (Figure 14).
-        if point.is_some() {
-            timeline.push(TimelinePoint {
-                time_s,
-                running_requests: batch,
-                sd_active: run.speculative,
-            });
-        }
         if steps > MAX_SIM_STEPS {
             break;
         }
@@ -251,6 +262,45 @@ pub fn simulate_rollout_seeded(
         },
         steps,
         speculative_steps,
+        runs,
+    }
+}
+
+/// Appends the timeline points (Figure 14) that fall inside a run of `steps`
+/// steps of a `batch` that starts at `start_s`: its first step if the batch or
+/// the SD state changed since the last point, then every step after which more
+/// than [`TIMELINE_INTERVAL_S`] has passed since the last point. A point after
+/// step `j` is at `start_s + run.time(j)`.
+fn record_points(
+    timeline: &mut Vec<TimelinePoint>,
+    run: &SdRun,
+    steps: u64,
+    batch: usize,
+    start_s: f64,
+) {
+    let point = |j| TimelinePoint {
+        time_s: start_s + run.time(j),
+        running_requests: batch,
+        sd_active: run.speculative,
+    };
+    let mut last_s = match timeline.last() {
+        Some(p) if p.running_requests == batch && p.sd_active == run.speculative => p.time_s,
+        _ => {
+            let first = point(1);
+            timeline.push(first);
+            first.time_s
+        }
+    };
+    loop {
+        let guess = run.steps_within(last_s + TIMELINE_INTERVAL_S - start_s);
+        let Some(j) = first_step_past(steps, guess, |j| {
+            start_s + run.time(j) - last_s > TIMELINE_INTERVAL_S
+        }) else {
+            break;
+        };
+        let next = point(j);
+        timeline.push(next);
+        last_s = next.time_s;
     }
 }
 
@@ -306,24 +356,6 @@ fn first_step_past(limit: u64, guess: f64, past: impl Fn(u64) -> bool) -> Option
     Some(above)
 }
 
-/// Simulates many independent rollouts on the shared worker pool
-/// ([`tlt_model::parallel_map`]), one per response-length group.
-///
-/// Group `i` runs with `config.seed + i` so every group has an independent,
-/// reproducible exploration stream; profiles are merged back in group order, making
-/// the result identical to a sequential loop over [`simulate_rollout`] with the
-/// same per-group seeds, regardless of worker count. No [`SdMode`] explores (see
-/// [`simulate_rollout_seeded`]), so today the seeds do not change a profile.
-pub fn simulate_rollout_batch(
-    config: &SimRolloutConfig,
-    response_length_groups: &[Vec<usize>],
-) -> Vec<RolloutProfile> {
-    let groups: Vec<&[usize]> = response_length_groups.iter().map(Vec::as_slice).collect();
-    tlt_model::parallel_map(groups, |i, lengths| {
-        simulate_rollout_seeded(config, config.seed.wrapping_add(i as u64), lengths)
-    })
-}
-
 /// Speedup of speculative decoding over vanilla decoding at a *fixed* batch size,
 /// reproducing the grid of Table 4 / Figure 13(b): every request in the batch decodes
 /// the same number of tokens, with and without SD.
@@ -373,8 +405,8 @@ pub fn single_request_throughput(
         sd_mode: SdMode::Disabled,
         ..config_sd.clone()
     };
-    let with_sd = simulate_rollout(&config_sd, &[response_len]);
-    let without_sd = simulate_rollout(&config_vanilla, &[response_len]);
+    let with_sd = simulate_rollout_seeded(&config_sd, 0, &[response_len]);
+    let without_sd = simulate_rollout_seeded(&config_vanilla, 0, &[response_len]);
     (
         with_sd.throughput_tokens_per_s,
         without_sd.throughput_tokens_per_s,
@@ -562,24 +594,6 @@ mod tests {
         assert_eq!(a.timeline.len(), b.timeline.len());
     }
 
-    #[test]
-    fn batch_simulation_matches_sequential_per_group_seeds() {
-        let cost = qwen32b_cost();
-        let config = SimRolloutConfig::vanilla(cost).with_sd_mode(SdMode::Adaptive {
-            config: SdManagerConfig::default(),
-        });
-        let groups: Vec<Vec<usize>> = (0..4).map(|i| longtail_lengths(16, 10 + i)).collect();
-        let parallel = simulate_rollout_batch(&config, &groups);
-        assert_eq!(parallel.len(), groups.len());
-        for (i, group) in groups.iter().enumerate() {
-            let sequential =
-                simulate_rollout_seeded(&config, config.seed.wrapping_add(i as u64), group);
-            assert_eq!(parallel[i].total_time_s, sequential.total_time_s);
-            assert_eq!(parallel[i].total_tokens, sequential.total_tokens);
-            assert_eq!(parallel[i].timeline.len(), sequential.timeline.len());
-        }
-    }
-
     /// No `SdMode` learns or draws from the seed (every tuner bucket of the
     /// default strategy set has one arm), so runs advance in closed form; a
     /// multi-arm default would fail here first.
@@ -603,10 +617,89 @@ mod tests {
         ];
         for mode in modes {
             let config = SimRolloutConfig::vanilla(qwen32b_cost()).with_sd_mode(mode);
-            let a = simulate_rollout_seeded(&config, 1, &lengths);
-            let b = simulate_rollout_seeded(&config, 0xDEAD_BEEF, &lengths);
+            let a = simulate(&config, 1, &lengths, true);
+            let b = simulate(&config, 0xDEAD_BEEF, &lengths, true);
+            assert!(!a.timeline.is_empty());
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{:?}", config.sd_mode);
         }
+    }
+
+    /// Recording the timeline never cuts a run: with and without it, every
+    /// other field is `{:?}`-equal, bit for bit, in every mode, on ties, on
+    /// all-equal lengths, across the compute/memory crossover and at the valve.
+    #[test]
+    fn the_timeline_is_a_pure_side_output() {
+        let adaptive = |learned_drafter_available| SdMode::Adaptive {
+            config: SdManagerConfig {
+                learned_drafter_available,
+                ..SdManagerConfig::default()
+            },
+        };
+        let always_on = SdMode::Static {
+            strategy: SdStrategy::default(),
+            threshold: usize::MAX,
+        };
+        let modes = [
+            SdMode::Disabled,
+            SdMode::Static {
+                strategy: SdStrategy::default(),
+                threshold: 32,
+            },
+            always_on.clone(),
+            adaptive(true),
+            adaptive(false),
+        ];
+        let tied: Vec<usize> = (0..96).map(|i| [700, 1500, 1500, 6000][i % 4]).collect();
+        let length_sets = [longtail_lengths(96, 7), tied, vec![3000; 48]];
+        let check = |config: &SimRolloutConfig, lengths: &[usize]| {
+            let mut with = simulate(config, config.seed, lengths, true);
+            let without = simulate(config, config.seed, lengths, false);
+            assert!(!with.timeline.is_empty());
+            assert!(without.timeline.is_empty());
+            with.timeline.clear();
+            assert_eq!(
+                format!("{with:?}"),
+                format!("{without:?}"),
+                "{:?} on {} requests",
+                config.sd_mode,
+                lengths.len()
+            );
+        };
+        for mode in &modes {
+            let config = SimRolloutConfig::vanilla(qwen32b_cost()).with_sd_mode(mode.clone());
+            for lengths in &length_sets {
+                check(&config, lengths);
+            }
+        }
+        // The prompt 600 positions below the first memory-bound context of a
+        // vanilla and of a speculative pass, so the crossover falls in a run.
+        let cost = LlmCostModel::new(ModelSpec::qwen2_5_7b(), GpuType::H100.spec(), 1);
+        for mode in [SdMode::Disabled, always_on] {
+            let mut config = SimRolloutConfig::vanilla(cost.clone()).with_sd_mode(mode);
+            let strategy = SdStrategy::default();
+            let (batch, crossover) = (1..=12)
+                .map(|b| 1usize << b)
+                .map(|batch| {
+                    let pass = match config.sd_mode {
+                        SdMode::Disabled => cost.decode_batch(batch),
+                        _ => cost.speculative_batch(
+                            &config.drafter,
+                            batch,
+                            strategy.draft_depth,
+                            strategy.tokens_to_verify,
+                        ),
+                    };
+                    (batch, pass.memory_bound_from())
+                })
+                .find(|&(_, from)| (700..100_000).contains(&from))
+                .expect("a batch that crosses over");
+            config.prompt_len = crossover - 600;
+            check(&config, &vec![2_000; batch]);
+        }
+        // One response the valve stops, 20,000,001 steps in one run.
+        let valve = SimRolloutConfig::vanilla(cost);
+        check(&valve, &[25_000_000]);
+        assert_eq!(simulate(&valve, 0, &[25_000_000], false).runs, 1);
     }
 
     /// One 25M-token response stops at the valve, at step 20,000,001.

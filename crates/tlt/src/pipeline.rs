@@ -85,6 +85,9 @@ pub struct ExperimentResult {
     pub decode_steps: u64,
     /// Decode steps that ran speculative decoding.
     pub speculative_steps: u64,
+    /// Runs of decode steps the rollout engine advanced, one loop iteration
+    /// each (`RolloutProfile::runs`): what its host time follows.
+    pub runs: u64,
 }
 
 impl ExperimentResult {
@@ -132,6 +135,9 @@ fn sd_mode_for(system: SystemKind, config: &ExperimentConfig) -> SdMode {
 }
 
 /// Simulates `config.num_steps` RL steps of `system` and returns aggregate results.
+///
+/// Every worker's rollout goes through [`simulate_rollout_seeded`], which
+/// records no Figure 14 timeline: nothing here reads one.
 pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> ExperimentResult {
     let cluster = config.cluster;
     let gpu = cluster.gpu_spec();
@@ -167,7 +173,7 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
     let mut idle_acc = 0.0;
     let mut accept_acc = 0.0;
     let mut accept_count = 0usize;
-    let (mut decode_steps, mut speculative_steps) = (0, 0);
+    let (mut decode_steps, mut speculative_steps, mut runs) = (0, 0, 0);
     let mut wave_lengths: Vec<usize> = Vec::new();
     let mut share: Vec<usize> = Vec::new();
     let mut worker_profiles: Vec<RolloutProfile> = Vec::with_capacity(rollout_workers);
@@ -201,7 +207,8 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
                 }
                 // Per worker, for a tuner that explores; no `SdMode` here has a
                 // bucket of two arms, so no rollout draws from it (pinned in
-                // `sim_engine`'s tests) and each advances in closed-form runs.
+                // `sim_engine`'s tests) and each advances in closed-form runs,
+                // one per finish, with no timeline.
                 let seed = config.seed ^ (step as u64) << 8 ^ w as u64;
                 worker_profiles.push(simulate_rollout_seeded(&sim, seed, &share));
             }
@@ -217,6 +224,7 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
                 accept_count += 1;
                 decode_steps += p.steps;
                 speculative_steps += p.speculative_steps;
+                runs += p.runs;
             }
         }
         idle_acc += idle_gpu_seconds;
@@ -269,6 +277,7 @@ pub fn run_experiment(system: SystemKind, config: &ExperimentConfig) -> Experime
         },
         decode_steps,
         speculative_steps,
+        runs,
     }
 }
 

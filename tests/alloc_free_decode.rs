@@ -305,6 +305,34 @@ fn simulated_rollout_allocations_do_not_grow_with_step_count() {
     );
 }
 
+/// Without a timeline (what `run_experiment` calls) the engine allocates only
+/// its sorted lengths and the evaluator's memo: the same number of times at
+/// eight times the steps, and fewer times than the timeline-recording path.
+#[test]
+fn simulated_rollout_without_a_timeline_allocates_less_and_not_per_step() {
+    use tlt_rollout::{simulate_rollout, simulate_rollout_seeded, SimRolloutConfig};
+
+    let config = SimRolloutConfig::vanilla(qwen7b_cost()).with_sd_mode(adaptive_sd());
+    let short: Vec<usize> = (0..64).map(|i| 300 + (i * 37) % 1500).collect();
+    let long: Vec<usize> = short.iter().map(|&l| l * 8).collect();
+    let seeded = |lengths: &[usize]| {
+        allocations_during(|| simulate_rollout_seeded(&config, config.seed, lengths))
+    };
+    let (short_allocs, short_profile) = seeded(&short);
+    let (long_allocs, long_profile) = seeded(&long);
+    assert!(short_profile.timeline.is_empty() && long_profile.timeline.is_empty());
+    assert!(long_profile.steps > 4 * short_profile.steps);
+    assert_eq!(
+        long_allocs, short_allocs,
+        "rollout allocations must not depend on the number of simulated steps"
+    );
+    let (recording_allocs, _) = allocations_during(|| simulate_rollout(&config, &short));
+    assert!(
+        short_allocs < recording_allocs,
+        "{short_allocs} allocations without the timeline, {recording_allocs} with it"
+    );
+}
+
 /// The SD-step evaluator sizes its memo and the tuner's reward windows at
 /// construction: deciding, costing and recording a step is allocation-free in
 /// every batch bucket, warm or not. With the default set (one arm per bucket,

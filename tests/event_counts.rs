@@ -84,20 +84,21 @@ fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
     hooks::disable();
 }
 
-/// Host time of the timing-level rollout engine is proportional to the decode
-/// steps it simulates, so the counts are pinned where a wall-clock floor would
-/// stand: `(decode_steps, speculative_steps)` per system, one RL step per row as
-/// the benchmark's `paper_sim` runs it, on the `qwen2_5_7b / H100 / tp 2` row of
-/// the Figure 11 grid and summed over its eight rows (what a rep's
-/// `tlt.run_experiment_s.*` is divided by to give ns per simulated step).
-/// Touches no hook, so it may run beside the test above.
+/// The work of the timing-level rollout engine, pinned where a wall-clock
+/// floor would stand: `(decode_steps, speculative_steps)` per system, one RL
+/// step per row as the benchmark's `paper_sim` runs it, on the
+/// `qwen2_5_7b / H100 / tp 2` row of the Figure 11 grid and summed over its
+/// eight rows (what a rep's `tlt.run_experiment_s.*` is divided by to give ns
+/// per simulated step), and the runs it advances them in, one loop iteration
+/// each, which its host time follows. Touches no hook, so it may run beside
+/// the test above.
 #[test]
 fn figure11_grid_simulates_a_pinned_number_of_decode_steps() {
     use tlt::{run_experiment, ExperimentConfig, SystemKind};
     use tlt_gpusim::{ClusterConfig, GpuType};
     use tlt_model::ModelSpec;
 
-    let mut rows = Vec::new();
+    let (mut rows, mut runs) = (Vec::new(), [0u64; 4]);
     for gpu_type in [GpuType::H100, GpuType::A100] {
         for model in ModelSpec::paper_targets() {
             // The tensor-parallel rule of `experiments -- fig11`.
@@ -114,10 +115,11 @@ fn figure11_grid_simulates_a_pinned_number_of_decode_steps() {
             let mut config = ExperimentConfig::paper_default(model, cluster);
             config.num_steps = 1;
             // Open-R1, VeRL, TLT-Base, TLT.
-            rows.push(SystemKind::all().map(|system| {
-                let result = run_experiment(system, &config);
-                (result.decode_steps, result.speculative_steps)
-            }));
+            let results = SystemKind::all().map(|system| run_experiment(system, &config));
+            for (total, result) in runs.iter_mut().zip(&results) {
+                *total += result.runs;
+            }
+            rows.push(results.map(|result| (result.decode_steps, result.speculative_steps)));
         }
     }
     assert_eq!(
@@ -145,5 +147,12 @@ fn figure11_grid_simulates_a_pinned_number_of_decode_steps() {
             (326_354, 303_038),
         ],
         "summed over the eight rows"
+    );
+    // 16,252 engine loop iterations a rep: a run ends only where a request
+    // finishes, never at a timeline point, since `run_experiment` records none.
+    assert_eq!(
+        runs,
+        [4_092, 4_076, 4_066, 4_018],
+        "runs over the eight rows"
     );
 }
