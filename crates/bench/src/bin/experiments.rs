@@ -67,17 +67,31 @@ const EXPERIMENTS: &[&str] = &[
     "fig14", "fig15", "table6", "fig16", "fig17", "table7", "table8", "serving",
 ];
 
+/// Prints the usage line and exits with status 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: experiments [--quick] [--json <path>] [--prefix-share <0..1>] [--disagg] \
+         [--trace-out <path>] [--metrics] [--trace <path>] [--stream] [--rate-scale <f>] \
+         [--write-corpus <dir>] [--write-million <path>] [all | chaos | replay | {}]",
+        EXPERIMENTS.join(" | ")
+    );
+    std::process::exit(2);
+}
+
+/// The value of a path-valued `flag`: the next argument, unless it is missing
+/// or another flag, which is an error naming the `noun` the flag requires.
+fn path_value(args: &mut impl Iterator<Item = String>, flag: &str, noun: &str) -> String {
+    match args.next() {
+        Some(path) if !path.starts_with("--") => path,
+        _ => {
+            eprintln!("error: {flag} requires {noun}");
+            usage();
+        }
+    }
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let usage = || {
-        eprintln!(
-            "usage: experiments [--quick] [--json <path>] [--prefix-share <0..1>] [--disagg] \
-             [--trace-out <path>] [--metrics] [--trace <path>] [--stream] [--rate-scale <f>] \
-             [--write-corpus <dir>] [--write-million <path>] [all | chaos | replay | {}]",
-            EXPERIMENTS.join(" | ")
-        );
-        std::process::exit(2);
-    };
     // Extract value-carrying flags before selector parsing so their values are
     // not mistaken for experiment names.
     let mut args: Vec<String> = Vec::new();
@@ -96,31 +110,13 @@ fn main() {
         if arg == "--disagg" {
             disagg = true;
         } else if arg == "--trace" {
-            match iter.next() {
-                Some(path) if !path.starts_with("--") => replay_trace = Some(path),
-                _ => {
-                    eprintln!("error: --trace requires a path");
-                    usage();
-                }
-            }
+            replay_trace = Some(path_value(&mut iter, &arg, "a path"));
         } else if arg == "--write-corpus" {
-            match iter.next() {
-                Some(dir) if !dir.starts_with("--") => write_corpus = Some(dir),
-                _ => {
-                    eprintln!("error: --write-corpus requires a directory");
-                    usage();
-                }
-            }
+            write_corpus = Some(path_value(&mut iter, &arg, "a directory"));
         } else if arg == "--stream" {
             stream = true;
         } else if arg == "--write-million" {
-            match iter.next() {
-                Some(path) if !path.starts_with("--") => write_million = Some(path),
-                _ => {
-                    eprintln!("error: --write-million requires a path");
-                    usage();
-                }
-            }
+            write_million = Some(path_value(&mut iter, &arg, "a path"));
         } else if arg == "--rate-scale" {
             match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(v) if v.is_finite() && v > 0.0 => rate_scale = Some(v),
@@ -130,23 +126,11 @@ fn main() {
                 }
             }
         } else if arg == "--trace-out" {
-            match iter.next() {
-                Some(path) if !path.starts_with("--") => trace_out = Some(path),
-                _ => {
-                    eprintln!("error: --trace-out requires a path");
-                    usage();
-                }
-            }
+            trace_out = Some(path_value(&mut iter, &arg, "a path"));
         } else if arg == "--metrics" {
             metrics = true;
         } else if arg == "--json" {
-            match iter.next() {
-                Some(path) if !path.starts_with("--") => json_path = Some(path),
-                _ => {
-                    eprintln!("error: --json requires a path");
-                    usage();
-                }
-            }
+            json_path = Some(path_value(&mut iter, &arg, "a path"));
         } else if arg == "--prefix-share" {
             match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(v) if (0.0..=1.0).contains(&v) => prefix_share = v,

@@ -5,9 +5,25 @@
 //! first eligible worker sets up the session, later idle workers join), and halts
 //! training immediately when rollout completes or new rollout work arrives.
 
-use crate::bus::{CoordinatorCommand, MessageBus};
 use crate::worker::{WorkerEvent, WorkerState};
 use serde::{Deserialize, Serialize};
+
+/// Command sent from the coordinator to a worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CoordinatorCommand {
+    /// Begin drafter spot-training; the flag says whether this worker is the
+    /// session leader (sets up the training session others join).
+    StartTraining {
+        /// Whether this worker sets up the session (leader election winner).
+        leader: bool,
+    },
+    /// Preempt any ongoing drafter training and release the GPUs for rollout.
+    PreemptTraining,
+    /// Begin serving rollout for a new RL step.
+    StartRollout,
+    /// Graceful shutdown at the end of training.
+    Shutdown,
+}
 
 /// Coordinator policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -288,19 +304,6 @@ impl Coordinator {
         }
         commands
     }
-
-    /// Drains events from a [`MessageBus`], handles them, and pushes the resulting
-    /// commands back onto the bus. Returns the number of events processed.
-    pub fn pump(&mut self, bus: &MessageBus, now_s: f64) -> usize {
-        let events = bus.drain_events();
-        let count = events.len();
-        for event in events {
-            for (worker, command) in self.handle_event(event, now_s) {
-                bus.send_command(worker, command);
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -508,20 +511,6 @@ mod tests {
             vec![(1, CoordinatorCommand::StartTraining { leader: false })]
         );
         assert_eq!(coord.training_session().unwrap().members, vec![0, 1]);
-    }
-
-    #[test]
-    fn pump_routes_commands_through_the_bus() {
-        let (bus, endpoints) = MessageBus::new(2);
-        let mut coord = Coordinator::new(2, CoordinatorConfig::default());
-        bus.inject_event(idle_event(1, 5.0));
-        let processed = coord.pump(&bus, 5.0);
-        assert_eq!(processed, 1);
-        assert_eq!(
-            endpoints[1].try_recv_command(),
-            Some(CoordinatorCommand::StartTraining { leader: true })
-        );
-        assert_eq!(endpoints[0].try_recv_command(), None);
     }
 
     #[test]

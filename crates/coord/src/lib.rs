@@ -6,8 +6,9 @@
 //! request/reply) tracks the state of every rollout worker, promotes idle workers to
 //! drafter training once enough of them have drained, elects a training leader, and
 //! preempts training the moment rollout needs the GPUs back. This crate reproduces
-//! that protocol with an in-process message bus (crossbeam channels) so it can be
-//! driven deterministically by the simulations and exercised concurrently in tests.
+//! that protocol as a state machine: each worker event goes in through
+//! [`Coordinator::handle_event`], which returns the commands to deliver, so the
+//! simulations drive it deterministically with no transport in between.
 //!
 //! ```
 //! use tlt_coord::{Coordinator, CoordinatorConfig, WorkerEvent, WorkerState};
@@ -23,10 +24,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bus;
 pub mod coordinator;
 pub mod worker;
 
-pub use bus::{CoordinatorCommand, MessageBus, WorkerEndpoint};
-pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorStats, TrainingSession};
+pub use coordinator::{
+    Coordinator, CoordinatorCommand, CoordinatorConfig, CoordinatorStats, TrainingSession,
+};
 pub use worker::{WorkerEvent, WorkerState};

@@ -23,24 +23,26 @@
 //!
 //! A decode step costs O(1), and a change to the batch costs what changed,
 //! not a pass per member. Every decode step, vanilla or speculative, commits
-//! the same whole number of tokens to every running sequence, so while
-//! nothing is queued the replica is in a **run** (`Run`): completing a step
-//! of `n` tokens is `lag += n` on one scalar, and the next step's inputs come
-//! from sums the run carries. The run survives the batch changing under it:
-//! - entries still owed their first token are stamped by the run's next
-//!   completed step (`Run::unstamped`, a tail of the batch);
-//! - on the step that finishes entries, the finishers leave in admission
-//!   order and come off the sums, in one light pass;
-//! - a landed migration joins at a step boundary, pushed last, its
-//!   `generated` stored relative to the lag.
+//! the same whole number of tokens to every running sequence, so the running
+//! batch is always a **run** (`Run`): each entry's `generated` is stored
+//! relative to the run's `lag`, completing a step of `n` tokens is `lag += n`
+//! on one scalar, and the next step's inputs come from sums the run keeps.
+//! Every change to the batch goes through them:
+//! - an admission or a landed migration joins with `Run::enter`, pushed last;
+//! - a preemption victim or a finisher leaves with `Run::leave`, which
+//!   writes the lag back into its `generated`; the walk that removes it
+//!   recounts what the survivors owe and which of them are unstamped;
+//! - entries still owed their first token are stamped by the next completed
+//!   decode step (`Run::unstamped`, a tail of the batch), entries whose
+//!   prefill is in flight by that prefill (`prefill_pending`, a tail too);
+//! - a crash, or a prefill-pool handoff, adds the lag to each entry as it
+//!   drains.
 //!
-//! `settle()` writes `lag` into the entries and ends the run. Only four
-//! things end it: a step boundary with `queue` non-empty (the admission
-//! path), (under optimistic admission) a batch that stopped fitting, a batch
-//! that empties, and [`Replica::crash`]. The `&self` readers
-//! ([`Replica::load`], [`Replica::kv_pool_leaked`], [`Replica::plan_inbound`])
-//! read the sums instead, and what conservative admission reserves is a sum
-//! kept at every change to the batch (`Replica::held`).
+//! So a step boundary visits entries only to evict them, to clear a
+//! prefill's `prefill_pending` flags, or to remove finishers. The `&self`
+//! readers ([`Replica::load`], [`Replica::kv_pool_leaked`],
+//! [`Replica::plan_inbound`]) read the sums, and what conservative admission
+//! reserves is a sum kept at every change to the batch (`Replica::held`).
 
 use crate::balancer::ReplicaLoad;
 use crate::config::{KvAccounting, ServeConfig};
@@ -123,7 +125,8 @@ pub struct MigratedEntry {
 #[derive(Debug, Clone)]
 struct RunningEntry {
     req: ServeRequest,
-    /// Output tokens produced; inside a run, less the run's lag (wrapping).
+    /// Output tokens produced, less the run's lag (wrapping) while in the
+    /// batch; a landed migration holds its actual count until it joins.
     generated: usize,
     first_token_s: Option<f64>,
     admitted_s: f64,
@@ -138,18 +141,19 @@ struct RunningEntry {
 }
 
 impl RunningEntry {
-    /// Current KV footprint in tokens (per-sequence attention context).
-    fn kv_tokens(&self) -> usize {
-        self.req.prompt_len + self.generated
+    /// KV footprint in tokens (per-sequence attention context) at the run's
+    /// `lag`.
+    fn kv_tokens(&self, lag: usize) -> usize {
+        self.req.prompt_len + self.generated.wrapping_add(lag)
     }
 
-    /// Tokens this entry stores privately (everything beyond the shared
-    /// full-block prefix).
-    fn private_tokens(&self) -> usize {
-        self.kv_tokens() - self.shared_tokens
+    /// Tokens this entry stores privately at `lag` (everything beyond the
+    /// shared full-block prefix).
+    fn private_tokens(&self, lag: usize) -> usize {
+        self.kv_tokens(lag) - self.shared_tokens
     }
 
-    /// Tokens still owed; inside a run, plus the run's lag.
+    /// Tokens still owed, plus the run's lag: the lag at which it finishes.
     fn remaining(&self) -> usize {
         self.req.output_len.wrapping_sub(self.generated)
     }
@@ -198,61 +202,102 @@ struct PendingStep {
     duration_s: f64,
 }
 
-/// A run of decode steps (module header): the tokens not yet written into the
-/// entries, and the batch's sums with them.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The running batch as a run of decode steps (module header): the tokens
+/// not yet written into the entries, and the batch's sums with them.
+#[derive(Debug, Clone, PartialEq)]
 struct Run {
     /// Tokens every entry has produced beyond its `generated`.
     lag: usize,
     /// The `lag` at which the next entry finishes.
     to_finish: usize,
+    /// KV tokens, a shared prefix counted once per referencing entry: the
+    /// per-sequence attention context the cost model sees.
     kv_tokens: usize,
+    /// Private (unshared) blocks the batch occupies.
     private_blocks: usize,
     /// Decode tokens the batch still owes (its share of [`Replica::load`]).
     outstanding: u64,
+    /// Prompt tokens of the entries whose prefill is in flight (their share
+    /// of [`Replica::load`]).
+    pending_prompt: u64,
     /// Entries by `(private_tokens - lag) % block_size`.
     residues: Vec<u32>,
     /// The residue class that gains a block on the next step.
     boundary: usize,
     /// Entries at the batch's end, from the first one still owed its first
-    /// token: the next completed step stamps them.
+    /// token: the next completed decode step stamps them.
     unstamped: usize,
 }
 
 impl Run {
-    /// Empties the sums for a run over `block_size`-token blocks.
-    fn reset(&mut self, block_size: usize) {
-        let mut residues = std::mem::take(&mut self.residues);
-        residues.clear();
-        residues.resize(block_size, 0);
-        *self = Run {
+    /// Empty sums over `block_size`-token blocks.
+    fn new(block_size: usize) -> Self {
+        Run {
+            lag: 0,
             to_finish: usize::MAX,
+            kv_tokens: 0,
+            private_blocks: 0,
+            outstanding: 0,
+            pending_prompt: 0,
+            residues: vec![0; block_size],
+            boundary: 0,
+            unstamped: 0,
+        }
+    }
+
+    /// Empties the sums of a drained batch, keeping the table.
+    fn clear(&mut self) {
+        let mut residues = std::mem::take(&mut self.residues);
+        residues.fill(0);
+        *self = Run {
             residues,
-            ..Run::default()
+            ..Run::new(0)
         };
     }
 
-    /// Adds `entry`, with its actual `generated`, to the sums, and stores
-    /// its `generated` relative to the lag (a write-back is one add).
+    /// Adds `entry`, about to be pushed last with its actual `generated`, to
+    /// the sums, and stores its `generated` relative to the lag.
     fn enter(&mut self, entry: &mut RunningEntry, ledger: &BlockLedger) {
-        self.kv_tokens += entry.kv_tokens();
-        self.outstanding += entry.remaining() as u64;
-        let private = entry.private_tokens();
+        entry.generated = entry.generated.wrapping_sub(self.lag);
+        self.kv_tokens += entry.kv_tokens(self.lag);
+        let private = entry.private_tokens(self.lag);
         self.private_blocks += ledger.blocks_for(private);
         self.residues[(private + self.boundary) % ledger.block_size()] += 1;
-        entry.generated = entry.generated.wrapping_sub(self.lag);
-        self.to_finish = self.to_finish.min(entry.remaining());
+        if entry.prefill_pending {
+            self.pending_prompt += entry.req.prompt_len as u64;
+        }
+        self.count(entry);
     }
 
-    /// Takes a finished entry off the sums, its `generated` written back
-    /// unclamped: the tokens `enter` and `advance` added for it, including
-    /// what the finishing step committed past its end. The finish walk
-    /// recounts `outstanding`.
-    fn leave(&mut self, entry: &RunningEntry, ledger: &BlockLedger) {
-        self.kv_tokens -= entry.kv_tokens();
-        let private = entry.private_tokens();
+    /// Takes `entry` off the sums and writes the lag back into its
+    /// `generated`, unclamped: a finisher keeps what the finishing step
+    /// committed past its end. The walk that removes it counts the
+    /// survivors back in.
+    fn leave(&mut self, entry: &mut RunningEntry, ledger: &BlockLedger) {
+        self.kv_tokens -= entry.kv_tokens(self.lag);
+        let private = entry.private_tokens(self.lag);
         self.private_blocks -= ledger.blocks_for(private);
         self.residues[(private + self.boundary) % ledger.block_size()] -= 1;
+        if entry.prefill_pending {
+            self.pending_prompt -= entry.req.prompt_len as u64;
+        }
+        entry.generated = entry.generated.wrapping_add(self.lag);
+    }
+
+    /// Forgets what the batch owes and where its unstamped tail starts, for
+    /// a walk that removes entries to count the survivors back in.
+    fn uncount(&mut self) {
+        (self.to_finish, self.outstanding, self.unstamped) = (usize::MAX, 0, 0);
+    }
+
+    /// Counts `entry`, the batch's last so far, into what the batch owes and
+    /// into its unstamped tail.
+    fn count(&mut self, entry: &RunningEntry) {
+        self.to_finish = self.to_finish.min(entry.remaining());
+        self.outstanding += (entry.remaining() - self.lag) as u64;
+        if self.unstamped > 0 || entry.first_token_s.is_none() {
+            self.unstamped += 1;
+        }
     }
 
     /// Commits `n` tokens to each of the `batch` entries; returns whether the
@@ -290,11 +335,10 @@ pub struct Replica {
     queue: VecDeque<QueuedEntry>,
     running: Vec<RunningEntry>,
     step: Option<PendingStep>,
-    /// The sums of the run in progress when `in_run`, else a buffer kept for
-    /// the next one. Boxed so that a released replica holds a word.
+    /// The running batch's sums (module header), boxed when the first entry
+    /// joins, so that a replica that never ran one, or was released, holds a
+    /// word.
     run: Option<Box<Run>>,
-    /// Whether the in-flight step is carried by `run` (module header).
-    in_run: bool,
     /// What the running batch reserves under conservative admission, each
     /// entry's `RunningEntry::reservation` summed, kept at every change to
     /// the batch.
@@ -358,7 +402,6 @@ impl Replica {
             running: Vec::new(),
             step: None,
             run: None,
-            in_run: false,
             held: 0,
             entry_visits: 0,
             admit_seq: 0,
@@ -423,7 +466,6 @@ impl Replica {
     /// credit (already-delivered tokens are not re-produced; a survivor
     /// recomputes their KV in one prefill, exactly like a preemption restore).
     pub fn crash(&mut self, now: f64) -> Vec<FailoverRequest> {
-        self.settle();
         self.up = false;
         self.step = None;
         self.metrics.crashes += 1;
@@ -435,14 +477,18 @@ impl Replica {
         // footprints and the resident prefix cache alike — is freed.
         self.ledger.reset();
         let mut drained = Vec::with_capacity(self.running.len() + self.queue.len());
+        let lag = self.run.as_deref().map_or(0, |run| run.lag);
         for entry in self.running.drain(..) {
             drained.push(FailoverRequest {
                 req: entry.req,
-                generated: entry.generated,
+                generated: entry.generated.wrapping_add(lag),
                 first_token_s: entry.first_token_s,
                 admitted_s: Some(entry.admitted_s),
                 preemptions: entry.preemptions + 1,
             });
+        }
+        if let Some(run) = self.run.as_deref_mut() {
+            run.clear();
         }
         self.held = 0;
         for entry in self.queue.drain(..) {
@@ -527,50 +573,31 @@ impl Replica {
 
     /// Load snapshot for the balancer.
     pub fn load(&self) -> ReplicaLoad {
-        if self.prefill_only {
-            // A prefill-pool replica only owes prefill compute: the decode
-            // tokens belong to whichever decode replica the sequence lands on.
-            let queued: u64 = self.queue.iter().map(|e| e.prefill_tokens() as u64).sum();
-            let running: u64 = self
-                .running
-                .iter()
-                .filter(|e| e.prefill_pending)
-                .map(|e| e.req.prompt_len as u64)
-                .sum();
-            return ReplicaLoad {
-                queued: self.queue.len(),
-                running: self.running.len(),
-                outstanding_tokens: queued + running,
-            };
-        }
-        let queued_tokens: u64 = self
+        // A prefill-pool replica only owes prefill compute: the decode tokens
+        // belong to whichever decode replica the sequence lands on.
+        let decodes = !self.prefill_only;
+        let queued: u64 = self
             .queue
             .iter()
             .map(|e| {
-                // Work still owed: the (re)prefill plus the decode tokens not yet
-                // produced (preempted entries keep their `generated` credit).
-                (e.prefill_tokens() + e.req.output_len.saturating_sub(e.generated)) as u64
+                // Work still owed: the (re)prefill plus the decode tokens not
+                // yet produced (preempted entries keep their `generated`
+                // credit).
+                let decode = if decodes {
+                    e.req.output_len.saturating_sub(e.generated)
+                } else {
+                    0
+                };
+                (e.prefill_tokens() + decode) as u64
             })
             .sum();
-        let running_tokens: u64 = if let Some(run) = self.active_run() {
-            run.outstanding
-        } else {
-            self.running
-                .iter()
-                .map(|e| {
-                    let prefill = if e.prefill_pending {
-                        e.req.prompt_len
-                    } else {
-                        0
-                    };
-                    (prefill + e.remaining()) as u64
-                })
-                .sum()
-        };
+        let running = self.run.as_deref().map_or(0, |run| {
+            run.pending_prompt + if decodes { run.outstanding } else { 0 }
+        });
         ReplicaLoad {
             queued: self.queue.len(),
             running: self.running.len(),
-            outstanding_tokens: queued_tokens + running_tokens,
+            outstanding_tokens: queued + running,
         }
     }
 
@@ -607,6 +634,7 @@ impl Replica {
         self.metrics.busy_s += step.duration_s;
         let track = self.track();
         let batch = self.running.len();
+        let run = self.run.as_deref_mut().expect("a step has a batch");
         match step.work {
             StepWork::Prefill => {
                 record(
@@ -619,42 +647,51 @@ impl Replica {
                     )
                     .with_args(batch as f64, self.queue.len() as f64),
                 );
-                self.entry_visits += batch as u64;
-                let prefill_only = self.prefill_only;
-                for entry in &mut self.running {
-                    if entry.prefill_pending {
-                        entry.prefill_pending = false;
-                        // A prefill-pool replica never produces an output
-                        // token: the first token arrives on the decode side,
-                        // after the migration.
-                        if !prefill_only && entry.first_token_s.is_none() {
-                            entry.first_token_s = Some(now);
-                        }
-                    }
-                }
                 if self.prefill_only {
                     // Every running entry has now completed its prefill: hand
                     // the whole batch off for migration. The shared-prefix
                     // reference drops (the blocks stay resident as the
                     // affinity cache) and the private footprint converts into
-                    // an outbound charge held until the transfer lands.
+                    // an outbound charge held until the transfer lands. A
+                    // prefill-pool replica never produces an output token:
+                    // the first token arrives on the decode side, after the
+                    // migration.
+                    self.entry_visits += batch as u64;
                     for entry in self.running.drain(..) {
                         if entry.shared_tokens > 0 {
                             self.ledger.release_shared(entry.req.prefix_id);
                         }
-                        let source_blocks = self.ledger.blocks_for(entry.private_tokens());
+                        let source_blocks = self.ledger.blocks_for(entry.private_tokens(run.lag));
                         self.ledger.begin_outbound(source_blocks);
                         self.metrics.migrations_out += 1;
                         self.handoffs.push(MigratedEntry {
                             req: entry.req,
-                            generated: entry.generated,
+                            generated: entry.generated.wrapping_add(run.lag),
                             admitted_s: entry.admitted_s,
                             preemptions: entry.preemptions,
                             source_blocks,
-                            wire_blocks: self.ledger.blocks_for(entry.kv_tokens()),
+                            wire_blocks: self.ledger.blocks_for(entry.kv_tokens(run.lag)),
                         });
                     }
+                    run.clear();
                     self.held = 0;
+                } else {
+                    // The prefilled entries are the batch's tail (admission
+                    // pushes them last) and all now hold their first token.
+                    let mut cleared = 0;
+                    for entry in self.running.iter_mut().rev() {
+                        if !entry.prefill_pending {
+                            break;
+                        }
+                        entry.prefill_pending = false;
+                        entry.first_token_s.get_or_insert(now);
+                        cleared += 1;
+                    }
+                    self.entry_visits += cleared as u64;
+                    run.pending_prompt = 0;
+                    if run.unstamped <= cleared {
+                        run.unstamped = 0;
+                    }
                 }
             }
             StepWork::Decode {
@@ -676,104 +713,75 @@ impl Replica {
                     )
                     .with_args(batch as f64, tokens as f64),
                 );
-                if self.in_run {
-                    let run = self.run.as_deref_mut().expect("a run has its sums");
-                    let carried = run.advance(batch, tokens);
-                    self.entry_visits += run.unstamped as u64;
-                    for entry in &mut self.running[batch - run.unstamped..] {
-                        entry.first_token_s.get_or_insert(now);
-                    }
-                    run.unstamped = 0;
-                    if carried {
-                        return self.start_step(now);
-                    }
+                let carried = run.advance(batch, tokens);
+                // Migrated entries skip the local prefill, so their first
+                // token is produced by their first decode commit here.
+                self.entry_visits += run.unstamped as u64;
+                for entry in &mut self.running[batch - run.unstamped..] {
+                    entry.first_token_s.get_or_insert(now);
                 }
-                self.entry_visits += batch as u64;
-                // Single in-order pass: a walked step commits here (a carried
-                // one is in the run's sums already), finished entries drain
-                // straight into the completed log (in admission order) and
-                // survivors keep their batch order. Finished entries drop
-                // their shared-prefix reference; the blocks stay resident for
-                // future admissions until pool pressure reclaims them.
-                let replica_index = self.index;
-                let max_output = self.config.max_output_tokens;
-                let in_run = self.in_run;
-                let mut run = self.run.as_deref_mut().filter(|_| in_run);
-                let lag = run.as_ref().map_or(0, |run| run.lag);
-                let (mut to_finish, mut outstanding) = (usize::MAX, 0);
-                let completed = &mut self.completed;
-                let metrics = &mut self.metrics;
-                let ledger = &mut self.ledger;
-                let held = &mut self.held;
-                self.running.retain_mut(|entry| {
-                    if run.is_none() {
-                        entry.generated += tokens.min(entry.remaining());
-                    }
-                    // Migrated entries skip the local prefill, so their first
-                    // token is produced by their first decode commit here.
-                    let first_token_s = *entry.first_token_s.get_or_insert(now);
-                    if entry.remaining() > lag {
-                        to_finish = to_finish.min(entry.remaining());
-                        outstanding += (entry.remaining() - lag) as u64;
-                        return true;
-                    }
-                    entry.generated = entry.generated.wrapping_add(lag);
-                    if let Some(run) = run.as_deref_mut() {
-                        run.leave(entry, ledger);
-                    }
-                    *held -= entry.reservation(ledger, max_output);
-                    metrics.completed += 1;
-                    record(
-                        ObsEvent::instant(now, track, EventKind::Completion, entry.req.id)
-                            .with_args(entry.req.output_len as f64, now - entry.req.arrival_s),
-                    );
-                    if entry.shared_tokens > 0 {
-                        ledger.release_shared(entry.req.prefix_id);
-                    }
-                    completed.push(CompletedRequest {
-                        id: entry.req.id,
-                        replica: replica_index,
-                        arrival_s: entry.req.arrival_s,
-                        admitted_s: entry.admitted_s,
-                        first_token_s,
-                        finish_s: now,
-                        prompt_len: entry.req.prompt_len,
-                        output_len: entry.req.output_len,
-                        preemptions: entry.preemptions,
-                    });
-                    false
-                });
-                if let Some(run) = run {
-                    (run.to_finish, run.outstanding) = (to_finish, outstanding);
+                run.unstamped = 0;
+                if !carried {
+                    self.remove_finishers(now);
                 }
-                self.in_run &= !self.running.is_empty();
-                self.check_sums();
             }
         }
         self.start_step(now);
     }
 
-    /// The running batch in one pass: its KV tokens (counting shared
-    /// prefixes once per referencing entry — the per-sequence attention
-    /// context the cost model sees) and the private blocks they occupy.
-    fn batch_footprint(&self) -> (usize, usize) {
-        self.running.iter().fold((0, 0), |(tokens, blocks), e| {
-            (
-                tokens + e.kv_tokens(),
-                blocks + self.ledger.blocks_for(e.private_tokens()),
-            )
-        })
+    /// The walk of a decode step that finishes somebody: finished entries
+    /// leave the run and drain straight into the completed log (in admission
+    /// order), survivors keep their batch order and are counted back in.
+    /// Finished entries drop their shared-prefix reference; the blocks stay
+    /// resident for future admissions until pool pressure reclaims them.
+    fn remove_finishers(&mut self, now: f64) {
+        self.entry_visits += self.running.len() as u64;
+        let track = self.track();
+        let replica_index = self.index;
+        let max_output = self.config.max_output_tokens;
+        let run = self
+            .run
+            .as_deref_mut()
+            .expect("a decoding batch has its run");
+        let lag = run.lag;
+        run.uncount();
+        let completed = &mut self.completed;
+        let metrics = &mut self.metrics;
+        let ledger = &mut self.ledger;
+        let held = &mut self.held;
+        self.running.retain_mut(|entry| {
+            if entry.remaining() > lag {
+                run.count(entry);
+                return true;
+            }
+            run.leave(entry, ledger);
+            *held -= entry.reservation(ledger, max_output);
+            metrics.completed += 1;
+            record(
+                ObsEvent::instant(now, track, EventKind::Completion, entry.req.id)
+                    .with_args(entry.req.output_len as f64, now - entry.req.arrival_s),
+            );
+            if entry.shared_tokens > 0 {
+                ledger.release_shared(entry.req.prefix_id);
+            }
+            completed.push(CompletedRequest {
+                id: entry.req.id,
+                replica: replica_index,
+                arrival_s: entry.req.arrival_s,
+                admitted_s: entry.admitted_s,
+                first_token_s: entry.first_token_s.expect("the step stamped the batch"),
+                finish_s: now,
+                prompt_len: entry.req.prompt_len,
+                output_len: entry.req.output_len,
+                preemptions: entry.preemptions,
+            });
+            false
+        });
     }
 
     /// Actual private (unshared) blocks the running batch occupies.
     fn private_blocks_in_use(&self) -> usize {
-        if let Some(run) = self.active_run() {
-            return run.private_blocks;
-        }
-        self.running
-            .iter()
-            .map(|e| self.ledger.blocks_for(e.private_tokens()))
-            .sum()
+        self.run.as_deref().map_or(0, |run| run.private_blocks)
     }
 
     /// Full-block tokens of `req`'s shared prefix (partial blocks stay
@@ -886,9 +894,6 @@ impl Replica {
             // pass over the batch's reservations.
             return (0, 0);
         }
-        if self.reserves_footprint() {
-            self.entry_visits += self.running.len() as u64;
-        }
         let mut reserved = self.reserved();
         let mut prefill_tokens = 0usize;
         let mut cached_tokens = 0usize;
@@ -957,8 +962,7 @@ impl Replica {
                 admit_seq: self.admit_seq,
                 shared_tokens: shared,
             };
-            self.held += entry.reservation(&self.ledger, self.config.max_output_tokens);
-            self.running.push(entry);
+            self.join(entry);
             self.admit_seq += 1;
         }
         (prefill_tokens, cached_tokens)
@@ -967,12 +971,10 @@ impl Replica {
     /// Evicts most-recently-admitted requests back to the queue front until the
     /// actual KV footprint fits the budget again (optimistic admission only).
     ///
-    /// Victims are chosen in a single pass — indices sorted once by descending
-    /// admission sequence — instead of an O(n) max scan per eviction, and removed
-    /// with one order-preserving retain pass. Eviction order (most recently
-    /// admitted first) and the resulting queue-front order (victims ascending by
-    /// admission sequence, ahead of everything already queued) are pinned by the
-    /// `preemption_evicts_most_recent_first` test.
+    /// The batch is in admission order, so the victims come off its end and
+    /// the survivors keep their order; pushing each victim to the queue front
+    /// leaves the front ascending by admission sequence, ahead of everything
+    /// already queued (pinned by `preemption_evicts_most_recent_first`).
     fn preempt_until_fitting(&mut self, now: f64) {
         // The fitting check runs in blocks against the ledger. Unreferenced
         // prefix-cache groups stay resident until there is actual pressure;
@@ -987,68 +989,32 @@ impl Replica {
         if charged <= budget || self.running.len() <= 1 {
             return;
         }
-        // Remaining running references per shared group: evicting a group's
-        // last referencing victim frees the group's blocks too (reclaimed by
-        // the trailing sweep), so the loop credits them and stops earlier.
-        let mut group_refs: Vec<(u64, usize)> = Vec::new();
-        for e in self.running.iter().filter(|e| e.shared_tokens > 0) {
-            match group_refs.iter_mut().find(|(id, _)| *id == e.req.prefix_id) {
-                Some((_, refs)) => *refs += 1,
-                None => group_refs.push((e.req.prefix_id, 1)),
-            }
-        }
-        let mut order: Vec<usize> = (0..self.running.len()).collect();
-        order.sort_unstable_by_key(|&i| std::cmp::Reverse(self.running[i].admit_seq));
-        let mut evicted = vec![false; self.running.len()];
-        let mut evicted_count = 0usize;
-        for &i in &order {
-            if charged <= budget || self.running.len() - evicted_count <= 1 {
-                break;
-            }
-            let victim = &self.running[i];
-            charged -= self.ledger.blocks_for(victim.private_tokens());
+        self.entry_visits += self.running.len() as u64;
+        let track = self.track();
+        let run = self.run.as_deref_mut().expect("a batch has its run");
+        while charged > budget && self.running.len() > 1 {
+            let mut victim = self.running.pop().expect("a batch of two or more");
+            charged -= self.ledger.blocks_for(victim.private_tokens(run.lag));
             if victim.shared_tokens > 0 {
-                if let Some((_, refs)) = group_refs
-                    .iter_mut()
-                    .find(|(id, _)| *id == victim.req.prefix_id)
-                {
-                    *refs -= 1;
-                    if *refs == 0 {
-                        charged = charged
-                            .saturating_sub(self.ledger.resident_blocks_of(victim.req.prefix_id));
-                    }
+                // Evicting a group's last referencing entry frees the group's
+                // blocks too (reclaimed by the trailing sweep), so the loop
+                // credits them and stops earlier.
+                let id = victim.req.prefix_id;
+                self.ledger.release_shared(id);
+                let orphaned = self.ledger.shared_groups().iter().find(|g| g.id == id);
+                if let Some(group) = orphaned.filter(|g| g.refs == 0) {
+                    charged = charged.saturating_sub(group.blocks);
                 }
             }
-            evicted[i] = true;
-            evicted_count += 1;
-        }
-        if evicted_count == 0 {
-            return;
-        }
-        // One pass rebuilds the surviving batch in order; victims move (no
-        // clones) into slots addressed by their original index. The first
-        // `evicted_count` entries of `order` are exactly the victims in eviction
-        // order (most recently admitted first), so pushing them to the queue
-        // front in that sequence leaves the front ascending by admission order.
-        let mut slots: Vec<Option<RunningEntry>> = self.running.drain(..).map(Some).collect();
-        for (slot, &was_evicted) in slots.iter_mut().zip(evicted.iter()) {
-            if !was_evicted {
-                self.running.push(slot.take().expect("unconsumed slot"));
-            }
-        }
-        for &i in &order[..evicted_count] {
-            let victim = slots[i].take().expect("victim slot");
+            run.leave(&mut victim, &self.ledger);
             self.held -= victim.reservation(&self.ledger, self.config.max_output_tokens);
             self.metrics.preemptions += 1;
             record(ObsEvent::instant(
                 now,
-                self.track(),
+                track,
                 EventKind::Preemption,
                 victim.req.id,
             ));
-            if victim.shared_tokens > 0 {
-                self.ledger.release_shared(victim.req.prefix_id);
-            }
             self.queue.push_front(QueuedEntry {
                 req: victim.req,
                 generated: victim.generated,
@@ -1057,111 +1023,46 @@ impl Replica {
                 preemptions: victim.preemptions + 1,
             });
         }
+        run.uncount();
+        for entry in &self.running {
+            run.count(entry);
+        }
         // Eviction may have orphaned a shared group; if the batch still does
         // not fit, reclaim those blocks too.
         self.ledger.evict_unreferenced();
     }
 
-    /// The walked half of a step boundary: joins, preemption and admission,
-    /// then a recount. Returns the admitted set's `(novel, cached)` prompt
-    /// tokens and the batch's footprint.
-    fn rebuild_batch(&mut self, now: f64) -> ((usize, usize), (usize, usize)) {
-        self.settle();
-        self.merge_arriving();
-        if self.config.preemption {
-            self.entry_visits += self.running.len() as u64;
-            self.preempt_until_fitting(now);
-        }
-        let admitted = self.try_admit(now);
-        self.check_sums();
-        self.entry_visits += self.running.len() as u64;
-        (admitted, self.batch_footprint())
+    /// Pushes `entry`, with its actual `generated`, onto the batch's end: it
+    /// enters the run (boxed when the first entry joins) and the kept
+    /// reservation.
+    fn join(&mut self, mut entry: RunningEntry) {
+        let run = self
+            .run
+            .get_or_insert_with(|| Box::new(Run::new(self.ledger.block_size())));
+        run.enter(&mut entry, &self.ledger);
+        self.held += entry.reservation(&self.ledger, self.config.max_output_tokens);
+        self.running.push(entry);
     }
 
     /// Landed migrations join the batch at a step boundary, pushed last
     /// (their `admit_seq` is the newest, so the batch stays in admission
-    /// order), and join the run if one is in progress. The inbound
-    /// reservation converts into a regular private footprint (picked up by
-    /// `sync_private` in `start_step`) the moment the entry starts decoding.
+    /// order). The inbound reservation converts into a regular private
+    /// footprint (picked up by `sync_private` in `start_step`) the moment the
+    /// entry starts decoding.
     fn merge_arriving(&mut self) {
-        if self.arriving.is_empty() {
-            return;
-        }
-        let in_run = self.in_run;
-        let mut run = self.run.as_deref_mut().filter(|_| in_run);
-        for (mut entry, reserved) in self.arriving.drain(..) {
+        // Taken out while `join` borrows the replica; the buffer goes back.
+        let mut arriving = std::mem::take(&mut self.arriving);
+        for (entry, reserved) in arriving.drain(..) {
             self.ledger.commit_inbound(reserved);
-            self.held += entry.reservation(&self.ledger, self.config.max_output_tokens);
-            if let Some(run) = run.as_deref_mut() {
-                if run.unstamped > 0 || entry.first_token_s.is_none() {
-                    run.unstamped += 1;
-                }
-                run.enter(&mut entry, &self.ledger);
-            }
-            self.running.push(entry);
+            self.join(entry);
         }
-        self.check_sums();
-    }
-
-    /// The run in progress, if any.
-    fn active_run(&self) -> Option<&Run> {
-        self.run.as_deref().filter(|_| self.in_run)
-    }
-
-    /// The batch's `(KV tokens, private blocks)` from the run's sums, if the
-    /// run survives this step boundary: nobody is queued and, under
-    /// optimistic admission, the batch grown by the landed migrations (they
-    /// join it here) still fits (the check `preempt_until_fitting` opens
-    /// with).
-    fn carried_footprint(&mut self) -> Option<(usize, usize)> {
-        if !self.in_run || !self.queue.is_empty() {
-            return None;
-        }
-        self.merge_arriving();
-        let run = self.active_run()?;
-        let fits = !self.config.preemption || self.blocks_in_use() <= self.ledger.capacity_blocks();
-        fits.then_some((run.kv_tokens, run.private_blocks))
-    }
-
-    /// Begins a run on the decode step just scheduled.
-    fn begin_run(&mut self) {
-        let run = self.run.get_or_insert_with(Box::default);
-        run.reset(self.ledger.block_size());
-        let batch = self.running.len();
-        for (i, entry) in self.running.iter_mut().enumerate() {
-            if run.unstamped == 0 && entry.first_token_s.is_none() {
-                run.unstamped = batch - i;
-            }
-            // At lag 0 the entry's `generated` stays as it is.
-            run.enter(entry, &self.ledger);
-        }
-        self.entry_visits += batch as u64;
-        self.in_run = true;
-        self.check_sums();
-    }
-
-    /// Ends the run in progress, if any. The check is all a walked step pays,
-    /// so it stays apart from the loop (small enough to inline everywhere).
-    fn settle(&mut self) {
-        if self.in_run {
-            self.write_back_run();
-        }
-    }
-
-    /// Writes the run's `lag` into the entries and ends the run.
-    fn write_back_run(&mut self) {
-        self.check_sums();
-        let lag = self.run.as_deref().expect("a run has its sums").lag;
-        self.in_run = false;
-        self.entry_visits += self.running.len() as u64;
-        for e in &mut self.running {
-            e.generated = e.generated.wrapping_add(lag);
-        }
+        self.arriving = arriving;
     }
 
     /// Under `debug_assertions`, recounts what the replica keeps about its
-    /// batch: the conservative reservation and, in a run, every sum, the
-    /// stamped head of the batch and the next finish.
+    /// batch: the conservative reservation and every sum of the run. Checks
+    /// too that the batch is in admission order (eviction pops its end) with
+    /// the entries whose prefill is in flight at its tail.
     fn check_sums(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -1173,32 +1074,77 @@ impl Replica {
             .map(|e| e.reservation(&self.ledger, max_output))
             .sum();
         assert_eq!(self.held, held, "kept reservation");
-        let Some(run) = self.active_run() else {
+        assert!(
+            self.running
+                .windows(2)
+                .all(|w| w[0].admit_seq < w[1].admit_seq),
+            "the batch is in admission order"
+        );
+        assert!(
+            self.running
+                .iter()
+                .skip_while(|e| !e.prefill_pending)
+                .all(|e| e.prefill_pending),
+            "pending prefills are the batch's tail"
+        );
+        let Some(run) = self.run.as_deref() else {
+            assert!(self.running.is_empty(), "a batch has its run");
             return;
         };
-        let mut recount = Run::default();
-        recount.reset(run.residues.len());
-        (recount.lag, recount.boundary, recount.unstamped) = (run.lag, run.boundary, run.unstamped);
-        for e in &self.running {
-            let mut actual = e.clone();
-            actual.generated = actual.generated.wrapping_add(run.lag);
-            recount.enter(&mut actual, &self.ledger);
-        }
-        assert_eq!(*run, recount, "run sums");
-        let head = self.running.len() - run.unstamped;
-        assert!(self.running[..head]
+        // Recounted apart from `Run::enter`, and without allocating: the
+        // allocation tests step replicas in debug builds too.
+        let (batch, lag) = (&self.running, run.lag);
+        let kv_tokens: usize = batch.iter().map(|e| e.kv_tokens(lag)).sum();
+        assert_eq!(run.kv_tokens, kv_tokens, "KV tokens");
+        let private_blocks: usize = batch
             .iter()
-            .all(|e| e.first_token_s.is_some()));
+            .map(|e| self.ledger.blocks_for(e.private_tokens(lag)))
+            .sum();
+        assert_eq!(run.private_blocks, private_blocks, "private blocks");
+        let owed: u64 = batch.iter().map(|e| (e.remaining() - lag) as u64).sum();
+        assert_eq!(run.outstanding, owed, "outstanding tokens");
+        let pending: u64 = batch
+            .iter()
+            .filter(|e| e.prefill_pending)
+            .map(|e| e.req.prompt_len as u64)
+            .sum();
+        assert_eq!(run.pending_prompt, pending, "pending prompt tokens");
+        let next_finish = batch.iter().map(RunningEntry::remaining).min();
+        assert_eq!(
+            run.to_finish,
+            next_finish.unwrap_or(usize::MAX),
+            "next finish"
+        );
+        let stamped = batch
+            .iter()
+            .take_while(|e| e.first_token_s.is_some())
+            .count();
+        assert_eq!(run.unstamped, batch.len() - stamped, "unstamped tail");
+        let block_size = self.ledger.block_size();
+        for (class, &members) in run.residues.iter().enumerate() {
+            let recount = batch
+                .iter()
+                .filter(|e| (e.private_tokens(lag) + run.boundary) % block_size == class)
+                .count();
+            assert_eq!(members as usize, recount, "residue class {class}");
+        }
     }
 
-    /// Chooses and schedules the next step at time `now` (idle if no work).
+    /// Chooses and schedules the next step at time `now` (idle if no work):
+    /// landed migrations join, victims leave and queued requests are
+    /// admitted, each through the run's sums.
     fn start_step(&mut self, now: f64) {
         debug_assert!(self.step.is_none());
-        let carried = self.carried_footprint();
-        let ((prefill_tokens, cached_tokens), (kv_in_use, private_blocks)) = match carried {
-            Some(footprint) => ((0, 0), footprint),
-            None => self.rebuild_batch(now),
-        };
+        self.merge_arriving();
+        if self.config.preemption {
+            self.preempt_until_fitting(now);
+        }
+        let (prefill_tokens, cached_tokens) = self.try_admit(now);
+        self.check_sums();
+        let (kv_in_use, private_blocks) = self
+            .run
+            .as_deref()
+            .map_or((0, 0), |run| (run.kv_tokens, run.private_blocks));
         let metrics = &mut self.metrics;
         metrics.peak_running = metrics.peak_running.max(self.running.len());
         metrics.peak_kv_tokens = metrics.peak_kv_tokens.max(kv_in_use);
@@ -1238,9 +1184,6 @@ impl Replica {
             .step(&model, live_load, batch, avg_context, self.slow_factor);
 
         self.metrics.decode_steps += 1;
-        if carried.is_none() && self.queue.is_empty() {
-            self.begin_run();
-        }
         if step.speculative {
             self.metrics.sd_steps += 1;
             self.metrics.accept_len_sum += step.accept_len;
@@ -1311,8 +1254,10 @@ impl Replica {
         self.metrics.peak_kv_tokens
     }
 
-    /// Running entries the step path has visited, a full pass over the batch
-    /// at a time: the exact host-cost proxy `tests/event_counts.rs` pins.
+    /// Running entries the step path has visited (evictions and finishes
+    /// walk the batch, a prefill its admitted tail, a decode step its
+    /// unstamped tail): the exact host-cost proxy `tests/event_counts.rs`
+    /// pins.
     #[doc(hidden)]
     pub fn entry_visits(&self) -> u64 {
         self.entry_visits
@@ -1682,9 +1627,7 @@ mod tests {
                 admit_seq: seq,
                 shared_tokens: 0,
             };
-            // The kept reservation a real admission would add.
-            replica.held += entry.reservation(&replica.ledger, replica.config.max_output_tokens);
-            replica.running.push(entry);
+            replica.join(entry);
         }
         // 4 x 1000 KV tokens against a 3000 budget: exactly one eviction, and it
         // must be the most recently admitted entry.
@@ -1792,9 +1735,7 @@ mod tests {
                 admit_seq: seq,
                 shared_tokens: 0,
             };
-            // The kept reservation a real admission would add.
-            replica.held += entry.reservation(&replica.ledger, replica.config.max_output_tokens);
-            replica.running.push(entry);
+            replica.join(entry);
         }
         replica.preempt_until_fitting(0.0);
         assert_eq!(replica.running.len(), 1);
@@ -2268,29 +2209,60 @@ mod tests {
         }
     }
 
-    /// Everything a driver can observe of twin replicas is equal.
-    fn assert_twins_agree(a: &mut Replica, b: &mut Replica, now: f64, what: &str) {
-        assert_eq!(
-            a.next_event_s().to_bits(),
-            b.next_event_s().to_bits(),
-            "{what}"
-        );
-        assert_eq!(a.load(), b.load(), "{what}");
-        assert_eq!(a.take_completed(), b.take_completed(), "{what}");
-        assert_eq!(a.kv_pool_check(), Ok(()), "{what}");
-        assert_eq!(b.kv_pool_check(), Ok(()), "{what}");
-        assert_eq!(a.kv_pool_leaked(), b.kv_pool_leaked(), "{what}");
-        assert_eq!(a.stats(now), b.stats(now), "{what}");
-        assert_eq!(a.dropped_ids(), b.dropped_ids(), "{what}");
+    /// `cfg` with a 3,000-token KV pool, so that admission and preemption
+    /// bind.
+    fn with_a_3000_token_pool(mut cfg: ServeConfig) -> ServeConfig {
+        cfg.kv_memory_fraction = (cfg.cost.model.weight_bytes()
+            + 3_000.5 * cfg.cost.model.kv_bytes_per_token())
+            / cfg.cost.gpu.memory_bytes();
+        assert_eq!(cfg.kv_token_budget(), 3_000);
+        cfg
     }
 
-    /// Steps `a` carried: all of them, and those that changed the batch.
+    #[test]
+    fn decode_steps_behind_a_blocked_queue_visit_no_entry() {
+        // Conservative admission over a full pool: two requests run and a
+        // third waits for a reservation no step frees. A decode step that
+        // finishes nobody is carried by the run's sums, queue or not.
+        let mut cfg = with_a_3000_token_pool(config());
+        cfg.max_output_tokens = 256;
+        let mut replica = Replica::new(&cfg, 0);
+        for id in 0..3 {
+            // 1,256 tokens reserved each: two fit, the third does not.
+            replica.enqueue(request(id, 0.0, 1_000, 200), 0.0);
+        }
+        // The first request's prefill, then the second's.
+        for _ in 0..2 {
+            let t = replica.next_event_s();
+            replica.on_step_complete(t);
+        }
+        assert!(matches!(
+            replica.step,
+            Some(PendingStep {
+                work: StepWork::Decode { .. },
+                ..
+            })
+        ));
+        assert_eq!((replica.running.len(), replica.queue.len()), (2, 1));
+        let (visits, steps) = (replica.entry_visits(), replica.metrics().decode_steps());
+        for _ in 0..100 {
+            let t = replica.next_event_s();
+            replica.on_step_complete(t);
+        }
+        assert_eq!(replica.metrics().decode_steps(), steps + 100);
+        assert_eq!(replica.queue.len(), 1, "the third request still waits");
+        assert!(replica.take_completed().is_empty());
+        assert_eq!(replica.entry_visits(), visits);
+    }
+
+    /// What a replica's decode steps covered: all of them, and those that
+    /// changed the batch.
     #[derive(Debug, Default)]
-    struct Carried {
+    struct Coverage {
         steps: usize,
         /// Speculative ones.
         speculative: usize,
-        /// Followed by landed migrations joining the run.
+        /// Followed by landed migrations joining the batch.
         joins: usize,
         /// Stamping somebody's first token.
         first_tokens: usize,
@@ -2298,20 +2270,53 @@ mod tests {
         finishes: usize,
     }
 
-    /// Feeds twin replicas one random op sequence; `b` settles before every
-    /// step completion, so it never carries a step (nor a join, which needs
-    /// a run at the boundary). Returns the steps `a` carried and its final
+    /// Checks `r` after an op: its pool is consistent, its kept sums equal a
+    /// recount (debug builds), and every offered request (`offered[id]`) is
+    /// in exactly one place: queued, running, arriving, handed off, completed
+    /// (`done[id]` counts the completions collected so far), dropped, or
+    /// drained by a crash and not yet re-offered (`drained`).
+    fn check_replica(
+        r: &mut Replica,
+        offered: &[bool],
+        done: &mut [u32],
+        drained: &[FailoverRequest],
+        what: &str,
+    ) {
+        for c in r.take_completed() {
+            done[c.id as usize] += 1;
+        }
+        assert_eq!(r.kv_pool_check(), Ok(()), "{what}");
+        r.check_sums();
+        let mut seen = done.to_vec();
+        let held = r.queue.iter().map(|e| e.req.id);
+        let held = held.chain(r.running.iter().map(|e| e.req.id));
+        let held = held.chain(r.arriving.iter().map(|(e, _)| e.req.id));
+        let held = held.chain(r.handoffs.iter().map(|m| m.req.id));
+        let held = held.chain(r.dropped_ids.iter().copied());
+        for id in held.chain(drained.iter().map(|f| f.req.id)) {
+            seen[id as usize] += 1;
+        }
+        for (id, (&offered, &seen)) in offered.iter().zip(&seen).enumerate() {
+            assert_eq!(seen, u32::from(offered), "{what}: request {id}");
+        }
+    }
+
+    /// Feeds one replica a random op sequence and checks it after every op
+    /// (`check_replica`). Returns what its decode steps covered and its final
     /// accounting.
-    fn run_twins(cfg: &ServeConfig, seed: u64) -> (Carried, ReplicaStats) {
-        let (mut a, mut b) = (Replica::new(cfg, 0), Replica::new(cfg, 0));
+    fn drive_ops(cfg: &ServeConfig, seed: u64) -> (Coverage, ReplicaStats) {
+        const OPS: usize = 4_000;
+        let mut r = Replica::new(cfg, 0);
         let mut rng = OpRng(seed);
         let (mut now, mut next_id) = (0.0f64, 0u64);
-        let mut carried = Carried::default();
+        let mut coverage = Coverage::default();
         let mut failovers: Vec<FailoverRequest> = Vec::new();
-        for op in 0..4_000 {
+        // By request id; an op makes at most one request.
+        let (mut offered, mut done) = (vec![false; OPS + 1], vec![0u32; OPS + 1]);
+        for op in 0..OPS {
             let roll = rng.below(100);
             // Ops land between the last event and the next, as a driver's do.
-            let t = match a.next_event_s() {
+            let t = match r.next_event_s() {
                 next if next < f64::MAX => now + (next - now) * (rng.below(4) as f64 / 4.0),
                 _ => now + 0.01,
             };
@@ -2334,46 +2339,37 @@ mod tests {
                 0..=59 => {
                     // A quiet stretch: up to eight steps with nothing between.
                     for _ in 0..=rng.below(8) {
-                        if a.next_event_s() == f64::MAX {
+                        if r.next_event_s() == f64::MAX {
                             break;
                         }
-                        now = a.next_event_s();
-                        if let Some(run) = a.active_run() {
-                            let Some(PendingStep {
-                                work:
-                                    StepWork::Decode {
-                                        tokens,
-                                        speculative,
-                                    },
-                                ..
-                            }) = a.step
-                            else {
-                                unreachable!("a run carries decode steps")
-                            };
-                            carried.steps += 1;
-                            carried.speculative += usize::from(speculative);
-                            carried.finishes +=
+                        now = r.next_event_s();
+                        if let Some(PendingStep {
+                            work:
+                                StepWork::Decode {
+                                    tokens,
+                                    speculative,
+                                },
+                            ..
+                        }) = r.step
+                        {
+                            let run = r.run.as_deref().expect("a decoding batch has its run");
+                            coverage.steps += 1;
+                            coverage.speculative += usize::from(speculative);
+                            coverage.finishes +=
                                 usize::from(run.lag + tokens as usize >= run.to_finish);
-                            carried.first_tokens += usize::from(run.unstamped > 0);
-                            let joining = !a.arriving.is_empty();
-                            a.on_step_complete(now);
-                            // A run begun at this boundary would be at lag 0.
-                            let carries = a.active_run().is_some_and(|run| run.lag > 0);
-                            carried.joins += usize::from(joining && carries);
-                        } else {
-                            a.on_step_complete(now);
+                            coverage.first_tokens += usize::from(run.unstamped > 0);
+                            coverage.joins += usize::from(!r.arriving.is_empty());
                         }
-                        b.settle();
-                        b.on_step_complete(now);
-                        assert_twins_agree(&mut a, &mut b, now, &what);
+                        r.on_step_complete(now);
+                        check_replica(&mut r, &offered, &mut done, &failovers, &what);
                     }
                 }
                 60..=74 => {
                     let req = fresh(&mut rng);
-                    a.enqueue(req, t);
-                    b.enqueue(req, t);
+                    offered[req.id as usize] = true;
+                    r.enqueue(req, t);
                 }
-                75..=82 if a.is_up() => {
+                75..=82 if r.is_up() => {
                     let req = fresh(&mut rng);
                     let entry = MigratedEntry {
                         req,
@@ -2383,32 +2379,23 @@ mod tests {
                         source_blocks: 0,
                         wire_blocks: 0,
                     };
-                    let plan = a.plan_inbound(&entry, 0);
-                    assert_eq!(plan, b.plan_inbound(&entry, 0), "{what}");
-                    if let Some(blocks) = plan {
-                        for r in [&mut a, &mut b] {
-                            r.reserve_inbound(blocks);
-                            // One reservation in four is an aborted transfer.
-                            if roll == 75 {
-                                r.cancel_inbound(blocks);
-                            } else {
-                                r.deliver_migrated(entry, blocks, t);
-                            }
+                    if let Some(blocks) = r.plan_inbound(&entry, 0) {
+                        r.reserve_inbound(blocks);
+                        // One reservation in four is an aborted transfer.
+                        if roll == 75 {
+                            r.cancel_inbound(blocks);
+                        } else {
+                            offered[req.id as usize] = true;
+                            r.deliver_migrated(entry, blocks, t);
                         }
                     }
                 }
-                83..=84 if a.is_up() => {
-                    let drained = a.crash(t);
-                    assert_eq!(drained, b.crash(t), "{what}");
-                    failovers.extend(drained);
-                }
-                85..=88 if !a.is_up() => {
-                    a.restart(t);
-                    b.restart(t);
-                }
+                83..=84 if r.is_up() => failovers.extend(r.crash(t)),
+                85..=88 if !r.is_up() => r.restart(t),
                 89..=93 => {
                     let fo = failovers.pop().unwrap_or_else(|| {
                         let req = fresh(&mut rng);
+                        offered[req.id as usize] = true;
                         FailoverRequest {
                             req,
                             generated: rng.below(req.output_len),
@@ -2417,29 +2404,21 @@ mod tests {
                             preemptions: 1,
                         }
                     });
-                    a.enqueue_failover(fo, t);
-                    b.enqueue_failover(fo, t);
+                    r.enqueue_failover(fo, t);
                 }
-                94..=96 => {
-                    let factor = [1.0, 1.5, 3.0][rng.below(3)];
-                    a.set_slow_factor(factor);
-                    b.set_slow_factor(factor);
-                }
-                _ => {
-                    a.kick(t);
-                    b.kick(t);
-                }
+                94..=96 => r.set_slow_factor([1.0, 1.5, 3.0][rng.below(3)]),
+                _ => r.kick(t),
             }
-            assert_twins_agree(&mut a, &mut b, now.max(t), &what);
+            check_replica(&mut r, &offered, &mut done, &failovers, &what);
         }
-        (carried, a.stats(now))
+        (coverage, r.stats(now))
     }
 
     #[test]
-    fn a_replica_that_never_runs_is_indistinguishable_at_every_op() {
-        // Both twins execute the same code, so what is compared is a step,
-        // vanilla or speculative, carried by the run's sums (through joins,
-        // first tokens and finishes) against the same step walked.
+    fn a_replica_conserves_requests_and_sums_at_every_op() {
+        // Every decode step, vanilla or speculative, is carried by the run's
+        // sums, through joins, first tokens, finishes, preemptions and
+        // crashes; debug builds recount the sums after every op.
         use tlt_rollout::SdManagerConfig;
         let accountings = [
             KvAccounting::Tokens,
@@ -2457,30 +2436,25 @@ mod tests {
         for (i, kv_accounting) in accountings.into_iter().enumerate() {
             for preemption in [false, true] {
                 for sd_mode in [SdMode::Disabled, adaptive.clone()] {
-                    let mut cfg = config().with_sd_mode(sd_mode.clone());
-                    // A 3,000-token pool: admission and preemption bind.
-                    cfg.kv_memory_fraction = (cfg.cost.model.weight_bytes()
-                        + 3_000.5 * cfg.cost.model.kv_bytes_per_token())
-                        / cfg.cost.gpu.memory_bytes();
+                    let mut cfg = with_a_3000_token_pool(config().with_sd_mode(sd_mode.clone()));
                     cfg.max_output_tokens = 256;
                     cfg.max_running_requests = 12;
                     cfg.preemption = preemption;
                     cfg.kv_accounting = kv_accounting;
-                    assert_eq!(cfg.kv_token_budget(), 3_000);
                     let seed = (i * 8 + usize::from(preemption) * 4) as u64
                         + u64::from(sd_mode == SdMode::Disabled);
-                    let (carried, stats) = run_twins(&cfg, seed);
+                    let (coverage, stats) = drive_ops(&cfg, seed);
                     let cell = format!("{kv_accounting:?} {preemption} {sd_mode:?}");
-                    assert!(carried.steps > 500, "{cell}: {carried:?}");
+                    assert!(coverage.steps > 500, "{cell}: {coverage:?}");
                     assert_eq!(
-                        carried.speculative > 0,
+                        coverage.speculative > 0,
                         sd_mode != SdMode::Disabled,
                         "{cell}"
                     );
-                    assert!(carried.finishes >= 10, "{cell}: {carried:?}");
+                    assert!(coverage.finishes >= 10, "{cell}: {coverage:?}");
                     // Only a migrated entry reaches a decode step unstamped.
-                    assert!(carried.joins >= 2, "{cell}: {carried:?}");
-                    assert!(carried.first_tokens >= 2, "{cell}: {carried:?}");
+                    assert!(coverage.joins >= 2, "{cell}: {coverage:?}");
+                    assert!(coverage.first_tokens >= 2, "{cell}: {coverage:?}");
                     assert_eq!(stats.preemptions > 0, preemption, "{cell}");
                     assert!(stats.crashes > 0 && stats.failovers > 0, "{cell}");
                 }

@@ -27,8 +27,9 @@ fn replay_counting<D: Driver>(trace: &Trace, mut sim: D) -> (D::Report, (u64, u6
 }
 
 /// Beside the event counts, `(decode_steps, entry_visits)`: a replica counts
-/// every full pass its step path makes over the running batch (`+=
-/// running.len()`), which is what a decode step cost before a run of vanilla
+/// every running entry its step path visits (an eviction or finish walk
+/// counts the batch, a prefill its admitted tail, a decode step its
+/// unstamped tail), which is what a decode step cost before a run of vanilla
 /// steps over an unchanged batch was carried as one scalar. The same counter
 /// on 6cdd719 read 35,944 visits on the chat replay (every one of its steps is
 /// speculative, so no run ever begins and nothing changes), 282,690 on the
@@ -42,7 +43,9 @@ fn replay_counting<D: Driver>(trace: &Trace, mut sim: D) -> (D::Report, (u64, u6
 /// speculative step commits whole tokens, a run carries it too: the chat
 /// replay costs 3,001 visits and the adaptive churn run 9,477 (the event and
 /// step counts moved with the commits, 15,612 -> 15,638 and 12,956 ->
-/// 12,998 events).
+/// 12,998 events). Once the batch was a run always (no walked step, and a
+/// prefill visiting only its admitted tail), they cost 1,049 (chat), 8,623
+/// (adaptive churn) and 8,317 (SD-off churn), every other count unchanged.
 #[test]
 fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/chat.tltr");
@@ -60,7 +63,7 @@ fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
     );
     assert_eq!(
         steps,
-        (15_171, 3_001),
+        (15_171, 1_049),
         "ServeSim, chat corpus on 4 replicas"
     );
 
@@ -74,13 +77,13 @@ fn corpus_replay_and_churn_run_process_a_pinned_number_of_events() {
         (12_998, 0),
         "ClusterSim, churn run"
     );
-    assert_eq!(steps, (11_723, 9_477), "ClusterSim, churn run");
+    assert_eq!(steps, (11_723, 8_623), "ClusterSim, churn run");
 
     let mut sd_off = churn::config();
     sd_off.base.sd_mode = tlt_rollout::SdMode::Disabled;
     let (report, steps) = replay_counting(&churn::trace(), ClusterSim::new(sd_off));
     assert_eq!(report.serve.completed.len(), 768);
-    assert_eq!(steps, (106_704, 9_183), "ClusterSim, churn run with SD off");
+    assert_eq!(steps, (106_704, 8_317), "ClusterSim, churn run with SD off");
     hooks::disable();
 }
 
