@@ -70,17 +70,6 @@ impl LoadBalancer {
         self.policy
     }
 
-    /// Picks the replica index for the next request. Ties are broken by the lowest
-    /// index so routing is deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is empty.
-    pub fn pick(&mut self, loads: &[ReplicaLoad]) -> usize {
-        self.pick_among(loads.len(), loads.iter().copied().enumerate())
-            .expect("need at least one replica")
-    }
-
     /// Picks among the eligible replicas only, given as `(index, load)` pairs
     /// in ascending index order out of a fleet of `replicas`: a replica that is
     /// not listed (crashed, draining, still warming up) is invisible to this
@@ -135,35 +124,39 @@ mod tests {
         }
     }
 
+    /// Picks among every replica of `loads`, all eligible.
+    fn pick_all(lb: &mut LoadBalancer, loads: &[ReplicaLoad]) -> Option<usize> {
+        lb.pick_among(loads.len(), loads.iter().copied().enumerate())
+    }
+
     #[test]
     fn round_robin_cycles() {
         let mut lb = LoadBalancer::new(BalancerPolicy::RoundRobin);
         let loads = vec![ReplicaLoad::default(); 3];
         assert_eq!(
-            (0..6).map(|_| lb.pick(&loads)).collect::<Vec<_>>(),
-            vec![0, 1, 2, 0, 1, 2]
+            (0..6)
+                .map(|_| pick_all(&mut lb, &loads))
+                .collect::<Vec<_>>(),
+            [0, 1, 2, 0, 1, 2].map(Some)
         );
     }
 
     #[test]
     fn jsq_picks_fewest_requests_with_low_index_ties() {
         let mut lb = LoadBalancer::new(BalancerPolicy::JoinShortestQueue);
-        assert_eq!(lb.pick(&[load(2, 2, 0), load(0, 3, 0), load(4, 0, 0)]), 1);
+        let loads = [load(2, 2, 0), load(0, 3, 0), load(4, 0, 0)];
+        assert_eq!(pick_all(&mut lb, &loads), Some(1));
         // Tie between 0 and 2 resolves to 0.
-        assert_eq!(lb.pick(&[load(1, 1, 0), load(2, 1, 0), load(0, 2, 0)]), 0);
+        let loads = [load(1, 1, 0), load(2, 1, 0), load(0, 2, 0)];
+        assert_eq!(pick_all(&mut lb, &loads), Some(0));
     }
 
     #[test]
     fn least_outstanding_tokens_ignores_request_counts() {
         let mut lb = LoadBalancer::new(BalancerPolicy::LeastOutstandingTokens);
         // Replica 1 has many small requests; replica 0 one huge request.
-        assert_eq!(lb.pick(&[load(0, 1, 50_000), load(5, 5, 2_000)]), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one replica")]
-    fn empty_loads_panic() {
-        LoadBalancer::new(BalancerPolicy::RoundRobin).pick(&[]);
+        let loads = [load(0, 1, 50_000), load(5, 5, 2_000)];
+        assert_eq!(pick_all(&mut lb, &loads), Some(1));
     }
 
     #[test]
@@ -175,8 +168,8 @@ mod tests {
         let up = [(0, loads[0]), (2, loads[2])];
         let picks: Vec<Option<usize>> = (0..4).map(|_| rr.pick_among(3, up)).collect();
         assert_eq!(picks, vec![Some(0), Some(2), Some(0), Some(2)]);
-        let resumed: Vec<usize> = (0..3).map(|_| rr.pick(&loads)).collect();
-        assert_eq!(resumed, vec![0, 1, 2], "restart rejoins the rotation");
+        let resumed: Vec<Option<usize>> = (0..3).map(|_| pick_all(&mut rr, &loads)).collect();
+        assert_eq!(resumed, [0, 1, 2].map(Some), "restart rejoins the rotation");
 
         // Load-based policies take their minimum over the listed pairs only.
         let mut jsq = LoadBalancer::new(BalancerPolicy::JoinShortestQueue);
@@ -220,9 +213,10 @@ mod tests {
     #[test]
     fn nothing_eligible_picks_nothing_and_keeps_the_cursor() {
         let mut rr = LoadBalancer::new(BalancerPolicy::RoundRobin);
-        assert_eq!(rr.pick(&[ReplicaLoad::default(); 2]), 0);
+        let loads = [ReplicaLoad::default(); 2];
+        assert_eq!(pick_all(&mut rr, &loads), Some(0));
         assert_eq!(rr.pick_among(2, []), None);
-        assert_eq!(rr.pick(&[ReplicaLoad::default(); 2]), 1);
+        assert_eq!(pick_all(&mut rr, &loads), Some(1));
         for policy in BalancerPolicy::all() {
             assert_eq!(LoadBalancer::new(policy).pick_among(4, []), None);
         }

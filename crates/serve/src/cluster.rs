@@ -29,26 +29,26 @@
 //! per seed (the chaos harness double-runs and compares flight-recorder event
 //! streams).
 //!
-//! **Event loop.** The next transfer landing, prefill step or autoscaler tick
-//! is found by a linear scan over its few sources (the link front, the live
-//! prefill replicas, the tick) at every event, ordered by `(time, class,
-//! index)`; nothing is cached between events, so no key can go stale. Decode
-//! steps are not scanned: what a decode step changes (its load, its ledger,
-//! its completions) is read only at the next landing, prefill step, tick or
-//! driver input, so before the loop dispatches a scanned event at `(T,
-//! class)`, or returns at a driver input, each live decode replica runs in one
-//! loop every step whose key `(time, CLASS_DECODE)` sorts before it: a decode
-//! step at `T` runs after a landing or prefill step at `T` and before a tick
-//! at `T`. Two states make a decode step visible to the rest of the cluster: a
-//! handoff waiting in `pending` (dispatch re-plans after each step) and a
-//! draining member (the first step after it empties retires it). While either
-//! holds, decode steps run one at a time in global `(time, index)` order
-//! through the retirement check and dispatch. Every step counts against the
-//! event budget. Reports and per-track flight-recorder streams are what a
-//! global time-ordered loop gives; only the interleaving of tracks (the
-//! recorder's `seq`) differs. The provisioned-capacity integral is taken where
-//! the count changes (a spawn, a retirement) and at the report, not at every
-//! event.
+//! **Event loop.** One scheduler picks every event the rest of the cluster
+//! can see: a linear scan over its few sources (the link front, the live
+//! prefill replicas, the tick and, while decode steps are visible, the live
+//! decode replicas) at every event, ordered by `(time, class, index)`;
+//! nothing is cached between events, so no key can go stale. Two states make
+//! a decode step visible: a handoff waiting in `pending` (dispatch re-plans
+//! after each step) and a draining member (the first step after it empties
+//! retires it). While either holds, decode steps are one class of the scan,
+//! each dispatched through the retirement check and dispatch. Otherwise what
+//! a decode step changes (its load, its ledger, its completions) is read only
+//! at the next landing, prefill step, tick or driver input, so before the
+//! loop dispatches a scanned event at `(T, class)`, or returns at a driver
+//! input, each live decode replica runs in one loop every step whose key
+//! `(time, CLASS_DECODE)` sorts before it. Either way a decode step at `T`
+//! runs after a landing or prefill step at `T` and before a tick at `T`.
+//! Every step counts against the event budget. Reports and per-track
+//! flight-recorder streams are what a global time-ordered loop gives; only
+//! the interleaving of tracks (the recorder's `seq`) differs. The
+//! provisioned-capacity integral is taken where the count changes (a spawn,
+//! a retirement) and at the report, not at every event.
 
 use crate::balancer::{BalancerPolicy, LoadBalancer};
 use crate::config::ServeConfig;
@@ -394,22 +394,11 @@ struct InFlightTransfer {
 
 /// Event classes for deterministic same-time ordering: transfer landings,
 /// then prefill steps, then decode steps, then autoscaler ticks. Decode steps
-/// are not scanned: their class only ranks them against the scanned events.
+/// are scanned only while visible; the bulk loops rank them by their class.
 const CLASS_TRANSFER: u8 = 0;
 const CLASS_PREFILL: u8 = 1;
 const CLASS_DECODE: u8 = 2;
 const CLASS_TICK: u8 = 3;
-
-/// How [`ClusterSim::run_decode_steps`] ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DecodeRun {
-    /// Every decode step due before the horizon ran.
-    Done,
-    /// A visible step put a transfer landing before the horizon.
-    Interrupted,
-    /// The event budget stopped it.
-    BudgetExhausted,
-}
 
 /// The disaggregated cluster simulator, driven through [`Driver`] like
 /// [`ServeSim`](crate::ServeSim). Faults address replicas by **global fault
@@ -701,43 +690,24 @@ impl ClusterSim {
         self.state.crashes += 1;
         let mut failovers = self.prefill[i].replica.crash(now);
         // Pending handoffs whose KV died with the source.
-        let mut kept = VecDeque::with_capacity(self.pending.len());
-        for (entry, source) in std::mem::take(&mut self.pending) {
-            if source == i {
-                failovers.push(Self::migration_failover(entry));
-            } else {
-                kept.push_back((entry, source));
-            }
-        }
+        let (dead, kept): (VecDeque<_>, _) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|&(_, source)| source == i);
         self.pending = kept;
+        failovers.extend(
+            dead.into_iter()
+                .map(|(entry, _)| Self::migration_failover(entry)),
+        );
         // In-flight transfers from the dead source: release the destination's
         // reservation and re-queue the request.
-        let mut kept = VecDeque::with_capacity(self.in_flight.len());
-        for t in std::mem::take(&mut self.in_flight) {
-            if t.source == i {
-                self.unbind(&t);
-                self.aborted_transfers += 1;
-                self.link.note_abort();
-                record(
-                    ObsEvent::instant(
-                        now,
-                        Track::TransferLink,
-                        EventKind::TransferAbort,
-                        t.entry.req.id,
-                    )
-                    .with_args(t.entry.wire_blocks as f64, 0.0),
-                );
-                if self.decode[t.dest].replica.is_up() {
-                    self.decode[t.dest]
-                        .replica
-                        .cancel_inbound(t.reserved_blocks);
-                }
-                failovers.push(Self::migration_failover(t.entry));
-            } else {
-                kept.push_back(t);
+        for t in self.abort_transfers(Pool::Prefill, now, |t| t.source == i) {
+            if self.decode[t.dest].replica.is_up() {
+                self.decode[t.dest]
+                    .replica
+                    .cancel_inbound(t.reserved_blocks);
             }
+            failovers.push(Self::migration_failover(t.entry));
         }
-        self.in_flight = kept;
         for fo in failovers {
             self.deliver_failover(fo, now);
         }
@@ -752,35 +722,44 @@ impl ClusterSim {
     fn crash_decode(&mut self, j: usize, now: f64) {
         self.state.crashes += 1;
         let failovers = self.decode[j].replica.crash(now);
-        let mut retry: Vec<(MigratedEntry, usize)> = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.in_flight.len());
-        for t in std::mem::take(&mut self.in_flight) {
-            if t.dest == j {
-                self.unbind(&t);
-                self.aborted_transfers += 1;
-                self.link.note_abort();
-                record(
-                    ObsEvent::instant(
-                        now,
-                        Track::TransferLink,
-                        EventKind::TransferAbort,
-                        t.entry.req.id,
-                    )
-                    .with_args(t.entry.wire_blocks as f64, 1.0),
-                );
-                retry.push((t.entry, t.source));
-            } else {
-                kept.push_back(t);
-            }
-        }
-        self.in_flight = kept;
-        for item in retry.into_iter().rev() {
-            self.pending.push_front(item);
+        let aborted = self.abort_transfers(Pool::Decode, now, |t| t.dest == j);
+        for t in aborted.into_iter().rev() {
+            self.pending.push_front((t.entry, t.source));
         }
         for fo in failovers {
             self.deliver_failover(fo, now);
         }
         self.dispatch_pending(now);
+    }
+
+    /// Takes every in-flight transfer `hit` selects off the wire, in landing
+    /// order: each is unbound from its destination, counted, and recorded as
+    /// an abort with the crashed `pool` as its arg.
+    fn abort_transfers(
+        &mut self,
+        pool: Pool,
+        now: f64,
+        hit: impl Fn(&InFlightTransfer) -> bool,
+    ) -> VecDeque<InFlightTransfer> {
+        let (aborted, kept): (VecDeque<_>, _) = std::mem::take(&mut self.in_flight)
+            .into_iter()
+            .partition(hit);
+        self.in_flight = kept;
+        for t in &aborted {
+            self.unbind(t);
+            self.aborted_transfers += 1;
+            self.link.note_abort();
+            record(
+                ObsEvent::instant(
+                    now,
+                    Track::TransferLink,
+                    EventKind::TransferAbort,
+                    t.entry.req.id,
+                )
+                .with_args(t.entry.wire_blocks as f64, pool.arg()),
+            );
+        }
+        aborted
     }
 
     /// A migration whose KV was lost: back through prefill, with the
@@ -795,12 +774,12 @@ impl ClusterSim {
         }
     }
 
-    /// The scheduler: the next scanned event, `(time, class, index)`, by a
-    /// linear scan over the link front, the live prefill replicas and (with
-    /// `include_ticks`) the autoscaler tick, with the deterministic same-time
-    /// order transfer < prefill step < tick and, within a class, the lower
-    /// index first. Decode steps are not scanned (see the module doc).
-    fn next_event(&self, include_ticks: bool) -> Option<(f64, u8, usize)> {
+    /// The scheduler: the next event, `(time, class, index)`, by a linear scan
+    /// over the link front, the live prefill replicas, (with `include_decode`)
+    /// the live decode replicas and (with `include_ticks`) the autoscaler
+    /// tick, with the deterministic same-time order transfer < prefill step <
+    /// decode step < tick and, within a class, the lower index first.
+    fn next_event(&self, include_ticks: bool, include_decode: bool) -> Option<(f64, u8, usize)> {
         let mut best: Option<(f64, u8, usize)> = None;
         let mut consider = |t: f64, class: u8, idx: usize| {
             if t == f64::MAX {
@@ -820,6 +799,11 @@ impl ClusterSim {
         for (i, p) in self.prefill.live() {
             consider(p.replica.next_event_s(), CLASS_PREFILL, i);
         }
+        if include_decode {
+            for (j, p) in self.decode.live() {
+                consider(p.replica.next_event_s(), CLASS_DECODE, j);
+            }
+        }
         if include_ticks {
             if let Some(a) = &self.config.autoscale {
                 consider((self.ticks + 1) as f64 * a.interval_s, CLASS_TICK, 0);
@@ -838,6 +822,11 @@ impl ClusterSim {
                 self.check_retirements(et);
                 self.dispatch_pending(et);
             }
+            CLASS_DECODE => {
+                self.state.complete_step(&mut self.decode[idx].replica, et);
+                self.check_retirements(et);
+                self.dispatch_pending(et);
+            }
             _ => self.autoscale_tick(et),
         }
     }
@@ -852,64 +841,22 @@ impl ClusterSim {
         !self.pending.is_empty() || self.decode.draining > 0 || self.prefill.draining > 0
     }
 
-    /// Runs every decode step whose key `(time, CLASS_DECODE)` sorts before
-    /// `horizon`, each counted against the event budget. While decode steps
-    /// are visible ([`ClusterSim::decode_steps_visible`]) they run one at a
-    /// time in global `(time, index)` order through the retirement check and
-    /// dispatch, and one that puts a landing before `horizon` on an idle link
-    /// interrupts the run; otherwise each live decode replica runs its due
-    /// steps in one loop.
-    fn run_decode_steps(&mut self, horizon: (f64, u8)) -> DecodeRun {
-        while self.decode_steps_visible() {
-            let Some((et, j)) = self.next_decode_step(horizon) else {
-                return DecodeRun::Done;
-            };
-            debug_assert!(
-                et >= self.state.now_s,
-                "decode step of replica {j} at {et} is before the clock at {}",
-                self.state.now_s
-            );
-            if !self.state.begin_event() {
-                return DecodeRun::BudgetExhausted;
-            }
-            self.state.complete_step(&mut self.decode[j].replica, et);
-            self.check_retirements(et);
-            self.dispatch_pending(et);
-            let landing = self.in_flight.front().map(|f| (f.finish_s, CLASS_TRANSFER));
-            if landing.is_some_and(|key| key < horizon) {
-                return DecodeRun::Interrupted;
-            }
-        }
+    /// The bulk decode loops, run while no decode step is visible
+    /// ([`ClusterSim::decode_steps_visible`]): each live decode replica runs
+    /// every step whose key `(time, CLASS_DECODE)` sorts before `horizon` in
+    /// one loop, each counted against the event budget. `false` when the
+    /// budget stopped it.
+    fn run_decode_steps(&mut self, horizon: (f64, u8)) -> bool {
         let clock_s = self.state.now_s;
         for k in 0..self.decode.live.len() {
-            if !self.run_due_decode_steps(self.decode.live[k], clock_s, horizon) {
-                return DecodeRun::BudgetExhausted;
+            let replica = &mut self.decode.members[self.decode.live[k]].replica;
+            let due = |t_step: f64| (t_step, CLASS_DECODE) < horizon;
+            if !self.state.run_due_steps(replica, clock_s, due) {
+                return false;
             }
         }
         self.debug_check_decode_advanced(horizon);
-        DecodeRun::Done
-    }
-
-    /// The earliest decode step due before `horizon` by a scan over the live
-    /// decode members: `(time, index)`, ties to the lowest index.
-    fn next_decode_step(&self, horizon: (f64, u8)) -> Option<(f64, usize)> {
-        let mut best: Option<(f64, usize)> = None;
-        for (j, p) in self.decode.live() {
-            let t = p.replica.next_event_s();
-            if (t, CLASS_DECODE) < horizon && best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, j));
-            }
-        }
-        best
-    }
-
-    /// Completes every step of decode replica `j` whose key `(time,
-    /// CLASS_DECODE)` sorts before `horizon` ([`DriveState::run_due_steps`]);
-    /// `false` when the budget stopped it.
-    fn run_due_decode_steps(&mut self, j: usize, clock_s: f64, horizon: (f64, u8)) -> bool {
-        let replica = &mut self.decode.members[j].replica;
-        let due = |t_step: f64| (t_step, CLASS_DECODE) < horizon;
-        self.state.run_due_steps(replica, clock_s, due)
+        true
     }
 
     /// Postcondition of [`ClusterSim::run_decode_steps`]: no live decode
@@ -925,22 +872,20 @@ impl ClusterSim {
     }
 
     /// The one event loop: processes every due event strictly before `t`.
-    /// Each pass scans for the next event ([`ClusterSim::next_event`]) and
-    /// first runs the decode steps that sort before it, or before `t` when
-    /// nothing is due ([`ClusterSim::run_decode_steps`]); a decode step that
-    /// put a landing before that horizon sends the loop back to the scan.
-    /// While draining, autoscaler ticks fire only as long as work remains, so
-    /// the loop terminates.
+    /// Each pass scans for the next event ([`ClusterSim::next_event`]), decode
+    /// steps included while they are visible; otherwise it first runs the
+    /// decode steps that sort before that event, or before `t` when nothing is
+    /// due ([`ClusterSim::run_decode_steps`]). While draining, autoscaler ticks
+    /// fire only as long as work remains, so the loop terminates.
     fn run_events(&mut self, t: f64, draining: bool) -> DriveOutcome {
         loop {
+            let visible = self.decode_steps_visible();
             let next = self
-                .next_event(!draining || self.has_work())
+                .next_event(!draining || self.has_work(), visible)
                 .filter(|e| e.0 < t);
             let horizon = next.map_or((t, CLASS_TRANSFER), |(et, class, _)| (et, class));
-            match self.run_decode_steps(horizon) {
-                DecodeRun::Done => {}
-                DecodeRun::Interrupted => continue,
-                DecodeRun::BudgetExhausted => return self.state.budget_outcome(),
+            if !visible && !self.run_decode_steps(horizon) {
+                return self.state.budget_outcome();
             }
             let Some((et, class, idx)) = next else {
                 return DriveOutcome::Completed;
@@ -1123,11 +1068,6 @@ impl ClusterSim {
             && self.decode.is_consistent()
     }
 
-    /// Migrations abandoned mid-wire by crashes.
-    pub fn aborted_transfers(&self) -> u64 {
-        self.aborted_transfers
-    }
-
     /// Final report over both pools (SLO from the base config), built around
     /// the completion log as [`ServeSim::into_report`](crate::ServeSim::into_report)
     /// is: one 72-byte record per completed request is what the run retained.
@@ -1185,10 +1125,6 @@ impl Driver for ClusterSim {
         ClusterSim::advance_before(self, t)
     }
 
-    fn advance_now(&mut self, t: f64) {
-        self.state.now_s = self.state.now_s.max(t);
-    }
-
     fn offer(&mut self, req: ServeRequest) -> Option<usize> {
         ClusterSim::offer(self, req)
     }
@@ -1199,11 +1135,8 @@ impl Driver for ClusterSim {
 
     /// Transfer landing, pool step or (while work remains) autoscaler tick.
     fn next_event_s(&self) -> f64 {
-        let scanned = self.next_event(self.has_work()).map_or(f64::MAX, |e| e.0);
-        self.decode
-            .live()
-            .map(|(_, p)| p.replica.next_event_s())
-            .fold(scanned, f64::min)
+        self.next_event(self.has_work(), true)
+            .map_or(f64::MAX, |e| e.0)
     }
 
     fn has_work(&self) -> bool {
@@ -1235,17 +1168,8 @@ impl Driver for ClusterSim {
         } else {
             self.decode[idx - self.initial_prefill].replica.restart(now);
         }
-        while let Some(fo) = self.state.orphans.pop_front() {
-            match self.route_prefill(&fo.req) {
-                Some(i) => {
-                    self.state.requeued += 1;
-                    self.prefill[i].replica.enqueue_failover(fo, now);
-                }
-                None => {
-                    self.state.orphans.push_front(fo);
-                    break;
-                }
-            }
+        for fo in std::mem::take(&mut self.state.orphans) {
+            self.deliver_failover(fo, now);
         }
         self.dispatch_pending(now);
     }
@@ -1407,9 +1331,9 @@ mod tests {
         assert_eq!(sim.in_flight.len(), 1, "transfer must be in flight");
         sim.crash_replica(0, 0.3); // the source (least-tokens routing picks 0)
         sim.run_until_drained();
-        assert_eq!(sim.aborted_transfers(), 1);
         assert_eq!(sim.kv_pool_leaked(), 0);
         let report = sim.into_report();
+        assert_eq!(report.aborted_transfers, 1);
         assert_eq!(
             report.serve.completed.len(),
             1,
@@ -1435,9 +1359,9 @@ mod tests {
         assert_eq!(sim.pending.len(), 1, "entry back at the dispatch front");
         sim.restart_replica(1, 0.6); // retry dispatches on restart
         sim.run_until_drained();
-        assert_eq!(sim.aborted_transfers(), 1);
         assert_eq!(sim.kv_pool_leaked(), 0);
         let report = sim.into_report();
+        assert_eq!(report.aborted_transfers, 1);
         assert_eq!(report.serve.completed.len(), 1);
         assert_eq!(
             report.serve.completed[0].preemptions, 0,
@@ -1680,7 +1604,7 @@ mod tests {
     }
 
     /// Lockstep decode replicas while one drains: their steps due at the same
-    /// instant run one at a time in index order (the scan's tie-break), so a
+    /// instant are scanned and run in index order (the scan's tie-break), so a
     /// dispatch after each step sees what the global order gives it.
     #[test]
     fn tied_visible_decode_steps_run_in_index_order() {
@@ -1734,7 +1658,78 @@ mod tests {
         assert_eq!(busy.count(), 2, "both decode replicas are busy");
         let clock_s = sim.state.now_s;
         let horizon = (clock_s + 0.2, CLASS_TRANSFER);
-        assert!(sim.run_due_decode_steps(0, clock_s, horizon));
+        let replica = &mut sim.decode.members[0].replica;
+        let due = |t_step: f64| (t_step, CLASS_DECODE) < horizon;
+        assert!(sim.state.run_due_steps(replica, clock_s, due));
         sim.debug_check_decode_advanced(horizon);
+    }
+
+    /// Driver inputs that change nothing (no-op actions between arrivals)
+    /// only split the run at more instants: with the autoscaler growing and
+    /// draining both pools, the report and every track's event stream equal
+    /// the plain drive's, whatever the spacing of the split points.
+    #[test]
+    fn extra_driver_inputs_do_not_change_a_cluster_run() {
+        let autoscale = AutoscaleConfig {
+            interval_s: 1.0,
+            min_prefill: 1,
+            max_prefill: 3,
+            min_decode: 1,
+            max_decode: 4,
+            prefill_queue_high: 2.0,
+            prefill_queue_low: 0.5,
+            decode_tokens_high: 6_000.0,
+            decode_tokens_low: 1_500.0,
+            spawn_delay_s: 0.5,
+        };
+        let config = DisaggConfig::new(base_config(3), 1, 1).with_autoscale(autoscale);
+        let arrivals =
+            generate_arrivals(&ArrivalConfig::constant(60.0, 30.0, 3).with_prefix(0.6, 512));
+        let last_arrival_s = arrivals.last().expect("arrivals").time_s();
+        let run = |split_s: Option<f64>| {
+            tlt_obs::install(tlt_obs::FlightRecorder::new(1 << 16));
+            let report = match split_s {
+                None => simulate_disagg(config.clone(), &arrivals),
+                Some(dt) => {
+                    // Not past the last arrival: ticks on an idle cluster
+                    // fire before a later input but not in a drain.
+                    let splits: Vec<(f64, ())> = (1..)
+                        .map(|k| (k as f64 * dt, ()))
+                        .take_while(|&(t, _)| t <= last_arrival_s)
+                        .collect();
+                    let mut sim = ClusterSim::new(config.clone());
+                    let outcome =
+                        drive_schedule(&mut sim, &arrivals, &splits, |_, _, _| {}, |_, _| {});
+                    assert_eq!(outcome, DriveOutcome::Completed);
+                    sim.into_report()
+                }
+            };
+            let mut tracks: std::collections::BTreeMap<Track, Vec<ObsEvent>> = Default::default();
+            for e in tlt_obs::uninstall().expect("installed").events() {
+                tracks
+                    .entry(e.track)
+                    .or_default()
+                    .push(ObsEvent { seq: 0, ..e });
+            }
+            (format!("{report:?}"), format!("{tracks:?}"), report)
+        };
+        let (report, streams, plain) = run(None);
+        assert!(
+            plain.scale_ups > 0 && plain.scale_downs > 0,
+            "the autoscaler must act (ups {}, downs {})",
+            plain.scale_ups,
+            plain.scale_downs
+        );
+        for dt in [0.37, 0.013, 1.0] {
+            let (split_report, split_streams, _) = run(Some(dt));
+            assert!(
+                split_report == report,
+                "report differs with inputs every {dt} s"
+            );
+            assert!(
+                split_streams == streams,
+                "event streams differ with inputs every {dt} s"
+            );
+        }
     }
 }

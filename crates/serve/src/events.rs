@@ -6,13 +6,13 @@
 //! that reach it, a replica's steps are a pure function of its own state, so
 //! each simulator runs a replica's due steps in one loop: [`ServeSim`]'s
 //! replicas interact only at a driver input, so it runs each replica's steps
-//! due before the input; [`ClusterSim`]'s decode replicas do the same before
-//! each event the rest of the cluster sees (stepping one at a time in time
-//! order only while a handoff waits or a member drains). What that leaves
-//! [`ClusterSim`] to order is a handful of sources — the link front, the live
-//! prefill replicas and the autoscaler tick — and it picks the next with a
-//! linear scan over them at every event, the scan that also answers
-//! [`Driver::next_event_s`]. Ties break by `(time, class, index)`.
+//! due before the input. [`ClusterSim`] picks every event the rest of the
+//! cluster can see by one linear scan over a handful of sources (the link
+//! front, the live prefill replicas, the autoscaler tick and, while a handoff
+//! waits or a member drains, the live decode replicas), the scan that also
+//! answers [`Driver::next_event_s`]; while no decode step is visible its
+//! decode replicas run their steps due before each scanned event in one loop
+//! each. Ties break by `(time, class, index)`.
 //!
 //! **Determinism.** The scan compares the sources' current times, as the
 //! simulators computed them, so event order is a pure function of the
@@ -209,8 +209,8 @@ impl DriveState {
     /// not), and the drive stops once `budget` of them have run. Counts the
     /// event and returns `true` when it may run. [`ServeSim`](crate::ServeSim)
     /// runs its steps replica by replica, and [`ClusterSim`](crate::ClusterSim)
-    /// its decode steps between two scanned events, so a budget stop falls in
-    /// replica order, not time order.
+    /// its bulk decode steps between two scanned events, so a budget stop
+    /// there falls in replica order, not time order.
     pub(crate) fn begin_event(&mut self) -> bool {
         if self.event_budget_exhausted() {
             return false;
@@ -325,7 +325,10 @@ pub trait Driver {
 
     /// Moves the clock to `t` without processing events (the caller guarantees
     /// none lies in between), so that what is applied next is stamped `t`.
-    fn advance_now(&mut self, t: f64);
+    fn advance_now(&mut self, t: f64) {
+        let state = self.state_mut();
+        state.now_s = state.now_s.max(t);
+    }
 
     /// Routes one arrival (offered in non-decreasing arrival order, after
     /// advancing to it). Returns the replica it went to, `None` when it was

@@ -156,10 +156,6 @@ impl Driver for ServeSim {
         ServeSim::advance_before(self, t)
     }
 
-    fn advance_now(&mut self, t: f64) {
-        self.state.now_s = self.state.now_s.max(t);
-    }
-
     fn offer(&mut self, req: ServeRequest) -> Option<usize> {
         ServeSim::offer(self, req)
     }
@@ -193,7 +189,7 @@ impl Driver for ServeSim {
         self.advance_now(now);
         self.replicas[idx].restart(now);
         self.state.restarts += 1;
-        while let Some(fo) = self.state.orphans.pop_front() {
+        for fo in std::mem::take(&mut self.state.orphans) {
             self.deliver_failover(fo, now);
         }
     }

@@ -68,14 +68,9 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarises a sample; all-zero when empty.
-    pub fn from_values(values: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = values.to_vec();
-        Self::from_unsorted_mut(&mut sorted)
-    }
-
     /// Summarises a sample by sorting it in place (no copy): every percentile is
     /// read from the same sorted buffer, so the series is sorted exactly once.
+    /// All-zero when empty.
     pub fn from_unsorted_mut(values: &mut [f64]) -> Self {
         if values.is_empty() {
             return LatencySummary::default();
@@ -402,20 +397,18 @@ mod tests {
         // p50/p95/p99 of a summary must equal the individually computed
         // percentiles, and from_unsorted_mut must not copy (it sorts in place).
         let values: Vec<f64> = (0..57).map(|i| ((i * 37) % 57) as f64 * 0.1).collect();
-        let summary = LatencySummary::from_values(&values);
+        let mut in_place = values.clone();
+        let summary = LatencySummary::from_unsorted_mut(&mut in_place);
         assert_eq!(summary.p50_s, percentile_f64(&values, 50.0));
         assert_eq!(summary.p95_s, percentile_f64(&values, 95.0));
         assert_eq!(summary.p99_s, percentile_f64(&values, 99.0));
-        let mut in_place = values.clone();
-        let summary2 = LatencySummary::from_unsorted_mut(&mut in_place);
-        assert_eq!(summary, summary2);
         assert!(in_place.windows(2).all(|w| w[0] <= w[1]), "sorted in place");
     }
 
     #[test]
     fn latency_summary_orders_percentiles() {
-        let values: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = LatencySummary::from_values(&values);
+        let mut values: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        let s = LatencySummary::from_unsorted_mut(&mut values);
         assert!(s.p50_s < s.p95_s && s.p95_s < s.p99_s && s.p99_s <= s.max_s);
         assert!((s.mean_s - 50.5).abs() < 1e-9);
     }
@@ -515,7 +508,7 @@ mod tests {
 
     #[test]
     fn summary_of_single_element_collapses_every_field() {
-        let s = LatencySummary::from_values(&[3.25]);
+        let s = LatencySummary::from_unsorted_mut(&mut [3.25]);
         assert_eq!(s.p50_s, 3.25);
         assert_eq!(s.p95_s, 3.25);
         assert_eq!(s.p99_s, 3.25);
@@ -525,7 +518,7 @@ mod tests {
 
     #[test]
     fn summary_of_two_elements_is_consistent() {
-        let s = LatencySummary::from_values(&[2.0, 4.0]);
+        let s = LatencySummary::from_unsorted_mut(&mut [4.0, 2.0]);
         assert!((s.p50_s - 3.0).abs() < 1e-12);
         assert!((s.p95_s - 3.9).abs() < 1e-12);
         assert!((s.p99_s - 3.98).abs() < 1e-12);

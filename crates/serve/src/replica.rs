@@ -1206,11 +1206,6 @@ impl Replica {
         });
     }
 
-    /// Drains the completed-request records accumulated so far.
-    pub fn take_completed(&mut self) -> Vec<CompletedRequest> {
-        std::mem::take(&mut self.completed)
-    }
-
     /// Moves the records accumulated so far to the end of `log`, keeping this
     /// replica's buffer for its next step. The simulation drivers call this
     /// after every [`Replica::on_step_complete`], so a completion is written
@@ -1514,6 +1509,14 @@ mod tests {
         now
     }
 
+    /// The completed-request records accumulated so far, moved out as a
+    /// driver moves them into its log.
+    fn take_log(replica: &mut Replica) -> Vec<CompletedRequest> {
+        let mut log = Vec::new();
+        replica.move_completed_into(&mut log);
+        log
+    }
+
     #[test]
     #[should_panic(expected = "paged KV block size must be non-zero")]
     fn a_zero_block_size_set_through_the_pub_field_panics_at_construction() {
@@ -1527,7 +1530,7 @@ mod tests {
         let mut replica = Replica::new(&config(), 0);
         replica.enqueue(request(0, 0.0, 512, 16), 0.0);
         let end = drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 1);
         let r = completed[0];
         assert_eq!(r.output_len, 16);
@@ -1547,7 +1550,7 @@ mod tests {
         replica.on_step_complete(t1);
         replica.enqueue(request(1, t1, 512, 8), t1);
         drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 2);
         let second = completed.iter().find(|r| r.id == 1).expect("request 1");
         assert!(second.ttft_s() > 0.0);
@@ -1573,7 +1576,7 @@ mod tests {
         // After the first admission round, at most `fit` requests run at once.
         assert!(replica.running.len() <= fit);
         drain(&mut replica);
-        assert_eq!(replica.take_completed().len(), fit + 8);
+        assert_eq!(take_log(&mut replica).len(), fit + 8);
         assert!(replica.metrics().peak_running() <= fit);
     }
 
@@ -1585,7 +1588,7 @@ mod tests {
         // Asks for far more tokens than the cap allows.
         replica.enqueue(request(0, 0.0, 128, 10_000), 0.0);
         drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].output_len, 32);
         assert!(replica.peak_kv_tokens() <= 128 + 32);
@@ -1603,7 +1606,7 @@ mod tests {
         replica.enqueue(request(1, 0.0, 512, 4), 0.0);
         drain(&mut replica);
         assert_eq!(replica.dropped(), 1);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].id, 1);
     }
@@ -1664,7 +1667,7 @@ mod tests {
             replica.enqueue(request(i, 0.0, 1_024, 16_384), 0.0);
         }
         drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(
             completed.len(),
             n as usize,
@@ -1708,7 +1711,7 @@ mod tests {
         let mut replica = Replica::new(&config(), 0);
         replica.enqueue(request(0, 0.0, 0, 0), 0.0);
         drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].prompt_len, 1);
         assert_eq!(completed[0].output_len, 1);
@@ -1768,7 +1771,7 @@ mod tests {
             "restart kicks the queued work"
         );
         drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 1);
         assert!(completed[0].admitted_s >= 1.0);
     }
@@ -1808,7 +1811,7 @@ mod tests {
             survivor.enqueue_failover(fo, t3 + 0.001);
         }
         drain(&mut survivor);
-        let completed = survivor.take_completed();
+        let completed = take_log(&mut survivor);
         assert_eq!(completed.len(), 2);
         for (r, expected_first) in completed.iter().zip(first_tokens) {
             assert_eq!(
@@ -1865,7 +1868,7 @@ mod tests {
         drain(&mut replica);
         assert_eq!(replica.dropped(), 1);
         assert_eq!(replica.dropped_ids(), &[0]);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].id, 1);
         assert!(replica.peak_kv_tokens() <= budget);
@@ -1909,7 +1912,7 @@ mod tests {
                 replica.enqueue(req, 0.0);
             }
             drain(&mut replica);
-            assert_eq!(replica.take_completed().len(), n as usize);
+            assert_eq!(take_log(&mut replica).len(), n as usize);
             assert!(
                 replica.peak_kv_blocks() <= replica.kv_block_budget(),
                 "pool exceeded: {} > {}",
@@ -1942,7 +1945,7 @@ mod tests {
         replica.enqueue(prefixed_request(0, 1024, 1024, 4), 0.0);
         let t_first_prefill = replica.next_event_s();
         drain(&mut replica);
-        let cold = replica.take_completed();
+        let cold = take_log(&mut replica);
         assert_eq!(cold.len(), 1);
 
         // Same replica, same prompt shape: the prefix is now resident.
@@ -1950,7 +1953,7 @@ mod tests {
         replica.enqueue(prefixed_request(1, 1024, 1024, 4), arrive);
         let warm_prefill = replica.next_event_s() - arrive;
         drain(&mut replica);
-        let warm = replica.take_completed();
+        let warm = take_log(&mut replica);
         assert_eq!(warm.len(), 1);
         assert!(
             warm_prefill < (t_first_prefill - 0.0) * 0.5,
@@ -1972,7 +1975,7 @@ mod tests {
         let mut replica = Replica::new(&cfg, 0);
         replica.enqueue(prefixed_request(0, 256, 256, 4), 0.0);
         drain(&mut replica);
-        assert_eq!(replica.take_completed().len(), 1);
+        assert_eq!(take_log(&mut replica).len(), 1);
         assert_eq!(
             replica.pool_stats().expect("paged").in_use_blocks,
             16,
@@ -1981,7 +1984,7 @@ mod tests {
 
         replica.enqueue(prefixed_request(1, 768, 768, 4), 100.0);
         drain(&mut replica);
-        assert_eq!(replica.take_completed().len(), 1);
+        assert_eq!(take_log(&mut replica).len(), 1);
         // Only the resident 256 tokens were reusable; the 512-token extension
         // was computed by the second request's own prefill.
         let expected_hit = 256.0 / (256.0 + 768.0);
@@ -2034,7 +2037,7 @@ mod tests {
             replica.enqueue(req, 0.0);
         }
         drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), n as usize, "all requests finish");
         assert!(
             replica.metrics().preemptions() > 0,
@@ -2081,7 +2084,7 @@ mod tests {
                 }
             }
             let end = drain(&mut replica);
-            (end, replica.take_completed())
+            (end, take_log(&mut replica))
         };
         let (end_a, completed_a) = run();
         let (end_b, completed_b) = run();
@@ -2131,7 +2134,28 @@ mod tests {
         assert_eq!((load.running, load.queued), (2, 0));
         drain(&mut replica);
         assert_eq!(replica.kv_pool_leaked(), 0);
-        assert_eq!(replica.take_completed().len(), 2);
+        assert_eq!(take_log(&mut replica).len(), 2);
+    }
+
+    /// While a prefill is in flight the replica owes its prompt: a prefill-pool
+    /// replica reports exactly the prompt's tokens (prefix-affinity routing's
+    /// fallback reads this), a mono replica the prompt plus the decode tokens
+    /// still owed.
+    #[test]
+    fn load_counts_the_prompt_of_a_prefill_in_flight() {
+        let cfg = config().with_paged_kv(16);
+        for (prefill_only, owed) in [(true, 256), (false, 256 + 64)] {
+            let mut replica = Replica::new(&cfg, 0);
+            replica.set_prefill_only(prefill_only);
+            replica.enqueue(request(0, 0.0, 256, 64), 0.0);
+            assert!(
+                replica.next_event_s().is_finite(),
+                "the prefill is in flight"
+            );
+            let load = replica.load();
+            assert_eq!((load.running, load.queued), (1, 0));
+            assert_eq!(load.outstanding_tokens, owed, "prefill_only {prefill_only}");
+        }
     }
 
     #[test]
@@ -2153,7 +2177,7 @@ mod tests {
         // lands; completing the transfer frees it.
         let stats = replica.pool_stats().expect("paged");
         assert_eq!(stats.in_use_blocks, m.source_blocks);
-        assert!(replica.take_completed().is_empty(), "prefill never decodes");
+        assert!(take_log(&mut replica).is_empty(), "prefill never decodes");
         replica.complete_outbound(m.source_blocks);
         assert_eq!(replica.pool_stats().expect("paged").in_use_blocks, 0);
         assert_eq!(replica.kv_pool_leaked(), 0);
@@ -2178,7 +2202,7 @@ mod tests {
         let t1 = replica.next_event_s();
         assert!(t1.is_finite());
         let end = drain(&mut replica);
-        let completed = replica.take_completed();
+        let completed = take_log(&mut replica);
         assert_eq!(completed.len(), 1);
         let r = &completed[0];
         assert_eq!(r.preemptions, 0);
@@ -2251,7 +2275,7 @@ mod tests {
         }
         assert_eq!(replica.metrics().decode_steps(), steps + 100);
         assert_eq!(replica.queue.len(), 1, "the third request still waits");
-        assert!(replica.take_completed().is_empty());
+        assert!(take_log(&mut replica).is_empty());
         assert_eq!(replica.entry_visits(), visits);
     }
 
@@ -2282,7 +2306,7 @@ mod tests {
         drained: &[FailoverRequest],
         what: &str,
     ) {
-        for c in r.take_completed() {
+        for c in take_log(r) {
             done[c.id as usize] += 1;
         }
         assert_eq!(r.kv_pool_check(), Ok(()), "{what}");
