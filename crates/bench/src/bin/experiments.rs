@@ -36,10 +36,7 @@ use tlt::{
     TokenExperimentConfig,
 };
 use tlt_bench::report::{Report, Table};
-use tlt_bench::setups::{
-    adaptive_acceptance, e2e_config, eagle_drafter_of, paper_testbed, qwen32b_h100_tp4, qwen7b_on,
-    Scale,
-};
+use tlt_bench::setups::{e2e_config, qwen32b_h100_tp4, qwen7b_on, Scale};
 use tlt_draft::{
     packing_stats, AcceptanceProfile, CheckpointMode, CheckpointStore, DataBuffer,
     DataBufferConfig, DrafterTrainer, FeatureSource, TrainerConfig, TrainingSample,
@@ -320,7 +317,11 @@ fn fig1(scale: Scale, report: &mut Report) {
         stats.underutilized_fraction()
     );
 
-    let config = e2e_config(ModelSpec::qwen2_5_7b(), paper_testbed(), scale);
+    let config = e2e_config(
+        ModelSpec::qwen2_5_7b(),
+        ClusterConfig::dgx_h100_testbed(),
+        scale,
+    );
     let verl = run_experiment(SystemKind::Verl, &config);
     let ours = run_experiment(SystemKind::Tlt, &config);
     let mut t = Table::new(
@@ -376,7 +377,7 @@ fn fig11(scale: Scale, report: &mut Report) {
     for gpu in [GpuType::H100, GpuType::A100] {
         let cluster = ClusterConfig {
             gpu_type: gpu,
-            ..paper_testbed()
+            ..ClusterConfig::dgx_h100_testbed()
         };
         let mut t = Table::new(
             &format!(
@@ -471,8 +472,8 @@ fn fig12(scale: Scale, report: &mut Report) {
 /// Figure 13: accept length and speedup vs draft depth and tokens-to-verify.
 fn fig13(report: &mut Report) {
     let cost = qwen32b_h100_tp4();
-    let drafter = eagle_drafter_of(&cost);
-    let acceptance = adaptive_acceptance();
+    let drafter = cost.model.eagle_drafter();
+    let acceptance = AcceptanceProfile::adaptive_drafter();
     let mut t = Table::new(
         "Figure 13 — effect of SD hyperparameters (Qwen-32B, TP=4, bs=1, topK=8)",
         &[
@@ -505,8 +506,8 @@ fn fig13(report: &mut Report) {
 /// Table 1: effect of topK.
 fn table1(report: &mut Report) {
     let cost = qwen32b_h100_tp4();
-    let drafter = eagle_drafter_of(&cost);
-    let acceptance = adaptive_acceptance();
+    let drafter = cost.model.eagle_drafter();
+    let acceptance = AcceptanceProfile::adaptive_drafter();
     let mut t = Table::new(
         "Table 1 — effect of topK (depth=12, verify=64, bs=1)",
         &["topK", "accept length", "speedup"],
@@ -541,9 +542,15 @@ fn table2(report: &mut Report) {
     };
     for gpu in GpuType::table2_set() {
         let cost = qwen7b_on(gpu);
-        let drafter = eagle_drafter_of(&cost);
-        let (with_sd, without) =
-            single_request_throughput(&cost, &drafter, &adaptive_acceptance(), strategy, 256, 4096);
+        let drafter = cost.model.eagle_drafter();
+        let (with_sd, without) = single_request_throughput(
+            &cost,
+            &drafter,
+            &AcceptanceProfile::adaptive_drafter(),
+            strategy,
+            256,
+            4096,
+        );
         t.add_row(vec![
             gpu.spec().name.to_string(),
             format!("{with_sd:.0}"),
@@ -590,8 +597,8 @@ fn table3(scale: Scale, report: &mut Report) {
 /// Table 4: SD speedup vs batch size and tokens-to-verify.
 fn table4(report: &mut Report) {
     let cost = qwen32b_h100_tp4();
-    let drafter = eagle_drafter_of(&cost);
-    let acceptance = adaptive_acceptance();
+    let drafter = cost.model.eagle_drafter();
+    let acceptance = AcceptanceProfile::adaptive_drafter();
     let mut t = Table::new(
         "Table 4 — SD speedup vs batch size (Qwen-32B, TP=4, depth=10, topK=8)",
         &[
@@ -1025,7 +1032,7 @@ fn table7(scale: Scale, report: &mut Report) {
     };
 
     let cost = qwen7b_on(GpuType::H100);
-    let drafter_spec = eagle_drafter_of(&cost);
+    let drafter_spec = cost.model.eagle_drafter();
     let mut t = Table::new(
         "Table 7 — drafter training strategies (Qwen-7B cost model + tiny-model acceptance)",
         &[
@@ -1051,10 +1058,7 @@ fn table7(scale: Scale, report: &mut Report) {
         TrainingStrategy::Eagle,
     ];
     for strategy in strategies {
-        let config = TrainerConfig {
-            strategy,
-            ..TrainerConfig::default()
-        };
+        let config = TrainerConfig { strategy };
         let mut trainer = DrafterTrainer::new(&target, config, 82);
         let samples = make_samples(strategy.feature_source(), &mut rng, &mut task_gen);
         let refs: Vec<&TrainingSample> = samples.iter().collect();
@@ -1184,7 +1188,6 @@ fn table8(scale: Scale, report: &mut Report) {
             &target,
             TrainerConfig {
                 strategy: base_strategy,
-                ..TrainerConfig::default()
             },
             92,
         );
@@ -1197,7 +1200,6 @@ fn table8(scale: Scale, report: &mut Report) {
             &target,
             TrainerConfig {
                 strategy: base_strategy,
-                ..TrainerConfig::default()
             },
             92,
         );
@@ -1208,7 +1210,6 @@ fn table8(scale: Scale, report: &mut Report) {
             osd.drafter.clone(),
             TrainerConfig {
                 strategy: TrainingStrategy::Osd,
-                ..TrainerConfig::default()
             },
         );
         for _ in 0..iters / 2 {

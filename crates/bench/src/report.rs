@@ -26,11 +26,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -177,6 +172,5 @@ mod tests {
         assert!(rendered.contains("Demo"));
         assert!(rendered.contains("long header"));
         assert!(rendered.contains("zzzz"));
-        assert_eq!(t.num_rows(), 2);
     }
 }

@@ -1,9 +1,8 @@
 //! Experiment setups of the `experiments` binary.
 
 use tlt::ExperimentConfig;
-use tlt_draft::AcceptanceProfile;
 use tlt_gpusim::{ClusterConfig, GpuType, LlmCostModel};
-use tlt_model::{DraftModelSpec, ModelSpec};
+use tlt_model::ModelSpec;
 use tlt_workload::LengthDistribution;
 
 /// Scale knob for the experiments: `Full` mirrors the paper's setting, `Quick` runs
@@ -37,16 +36,6 @@ pub fn qwen7b_on(gpu: GpuType) -> LlmCostModel {
     LlmCostModel::new(ModelSpec::qwen2_5_7b(), gpu.spec(), 1)
 }
 
-/// EAGLE drafter for a given cost model's target.
-pub fn eagle_drafter_of(cost: &LlmCostModel) -> DraftModelSpec {
-    cost.model.eagle_drafter()
-}
-
-/// The adaptive-drafter acceptance profile used throughout the timing experiments.
-pub fn adaptive_acceptance() -> AcceptanceProfile {
-    AcceptanceProfile::adaptive_drafter()
-}
-
 /// End-to-end configuration for one model on a cluster, at the requested scale.
 pub fn e2e_config(model: ModelSpec, cluster: ClusterConfig, scale: Scale) -> ExperimentConfig {
     let base = ExperimentConfig::paper_default(model, cluster);
@@ -65,11 +54,6 @@ pub fn e2e_config(model: ModelSpec, cluster: ClusterConfig, scale: Scale) -> Exp
     }
 }
 
-/// The 8-node DGX-H100 testbed of the paper.
-pub fn paper_testbed() -> ClusterConfig {
-    ClusterConfig::dgx_h100_testbed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,8 +67,9 @@ mod tests {
     #[test]
     fn setups_build() {
         let cost = qwen32b_h100_tp4();
-        assert!(eagle_drafter_of(&cost).params > 0.0);
-        let cfg = e2e_config(ModelSpec::qwen2_5_7b(), paper_testbed(), Scale::Quick);
+        assert!(cost.model.eagle_drafter().params > 0.0);
+        let cluster = ClusterConfig::dgx_h100_testbed();
+        let cfg = e2e_config(ModelSpec::qwen2_5_7b(), cluster, Scale::Quick);
         assert!(cfg.requests_per_step() > 0);
     }
 }

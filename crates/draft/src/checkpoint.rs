@@ -137,17 +137,6 @@ pub fn serialize_full(drafter: &DraftModel, target: &TinyLm) -> Bytes {
     buf.freeze()
 }
 
-/// Restores the trainable drafter state from [`serialize_trainable`] output into an
-/// existing drafter (shapes must match).
-///
-/// # Panics
-///
-/// Panics on malformed data; production paths should validate first via
-/// [`try_restore_trainable`].
-pub fn restore_trainable(drafter: &mut DraftModel, data: &[u8]) {
-    try_restore_trainable(drafter, data).expect("valid trainable checkpoint");
-}
-
 /// Why a checkpoint was rejected by validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckpointError {
@@ -575,7 +564,7 @@ mod tests {
         drafter.version = 42;
         let data = serialize_trainable(&drafter);
         let mut restored = DraftModel::new(&target, FeatureSource::LastLayer, 99);
-        restore_trainable(&mut restored, &data);
+        try_restore_trainable(&mut restored, &data).expect("a valid checkpoint");
         assert_eq!(restored.version, 42);
         assert_eq!(restored.fusion.weight, drafter.fusion.weight);
         assert_eq!(restored.layer, drafter.layer);

@@ -29,8 +29,8 @@ pub mod trainer;
 
 pub use acceptance::AcceptanceProfile;
 pub use checkpoint::{
-    restore_trainable, serialize_trainable, try_restore_trainable, validate_trainable,
-    CheckpointError, CheckpointMode, CheckpointReport, CheckpointStore, DrafterVault, SwapOutcome,
+    serialize_trainable, try_restore_trainable, validate_trainable, CheckpointError,
+    CheckpointMode, CheckpointReport, CheckpointStore, DrafterVault, SwapOutcome,
 };
 pub use data_buffer::{DataBuffer, DataBufferConfig, TrainingSample};
 pub use model::{DraftGrads, DraftModel, DraftScratch, DraftState, FeatureSource, Linear};

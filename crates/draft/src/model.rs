@@ -103,7 +103,7 @@ pub struct DraftModel {
 
 /// Recorded intermediates for one drafter training forward pass.
 #[derive(Debug)]
-pub struct DraftTrainCache {
+pub(crate) struct DraftTrainCache {
     fusion_input: Mat,
     fused: Mat,
     layer_cache: LayerTrainCache,
@@ -138,7 +138,7 @@ pub struct DraftState {
     last_feature: Vec<f32>,
     /// KV entries `0..committed` were primed from committed target features and
     /// stay valid across speculative rounds; entries beyond it come from
-    /// [`DraftModel::draft_step`] calls and are rolled back by
+    /// [`DraftModel::draft_step_into`] calls and are rolled back by
     /// [`DraftModel::resume_draft`].
     committed: usize,
 }
@@ -226,14 +226,9 @@ impl DraftModel {
     /// Initialises incremental drafting state from the target's features over the
     /// committed prefix. `features` holds one row per prefix position (in the
     /// drafter's feature source width) and `tokens` the prefix tokens (same length).
-    pub fn begin_draft(&self, target: &TinyLm, features: &Mat, tokens: &[TokenId]) -> DraftState {
-        let mut scratch = DraftScratch::new(target, self.feature_source);
-        self.begin_draft_with(target, features, tokens, &mut scratch)
-    }
-
-    /// [`DraftModel::begin_draft`] with caller-provided scratch buffers: the prefix
-    /// fusion inputs, fused activations, and layer temporaries are all built in
-    /// `scratch`, so per-round allocations are limited to the drafting state itself.
+    /// The prefix fusion inputs, fused activations, and layer temporaries are all
+    /// built in `scratch`, so per-round allocations are limited to the drafting
+    /// state itself.
     pub fn begin_draft_with(
         &self,
         target: &TinyLm,
@@ -267,7 +262,7 @@ impl DraftModel {
     /// are per-position functions of their fusion input, so they are bit-identical
     /// to a full re-prime), and only the newly committed positions are appended.
     ///
-    /// Equivalent to — but much cheaper than — calling [`DraftModel::begin_draft`]
+    /// Equivalent to — but much cheaper than — calling [`DraftModel::begin_draft_with`]
     /// from scratch each speculative round.
     pub fn resume_draft(
         &self,
@@ -334,20 +329,8 @@ impl DraftModel {
     }
 
     /// Performs one incremental draft step: consumes the last committed/drafted token
-    /// and returns the draft logits for the *next* token (updating internal state).
-    pub fn draft_step(
-        &self,
-        target: &TinyLm,
-        state: &mut DraftState,
-        last_token: TokenId,
-    ) -> Vec<f32> {
-        let mut scratch = DraftScratch::new(target, self.feature_source);
-        self.draft_step_into(target, state, last_token, &mut scratch)
-            .to_vec()
-    }
-
-    /// Allocation-free draft step: identical numerics to [`DraftModel::draft_step`],
-    /// returning the logits row held in `scratch`.
+    /// and returns the draft logits for the *next* token (updating internal state),
+    /// as the logits row held in `scratch`.
     pub fn draft_step_into<'s>(
         &self,
         target: &TinyLm,
@@ -391,7 +374,7 @@ impl DraftModel {
     /// Full-sequence training forward pass over fusion inputs built with
     /// [`DraftModel::build_fusion_input`]. Returns drafter features and logits with
     /// the caches needed for [`DraftModel::backward`].
-    pub fn forward_train(&self, target: &TinyLm, fusion_input: &Mat) -> DraftTrainCache {
+    pub(crate) fn forward_train(&self, target: &TinyLm, fusion_input: &Mat) -> DraftTrainCache {
         let fused = self.fusion.forward(fusion_input);
         let (features, layer_cache) = self.layer.forward_train(&fused);
         // Same computation as `target.project_hidden`, but the norm cache is kept
@@ -411,7 +394,7 @@ impl DraftModel {
 
     /// Backward pass given the gradient with respect to the drafter output features
     /// (already combining CE-through-head and feature-alignment terms).
-    pub fn backward(&self, cache: &DraftTrainCache, d_features: &Mat) -> DraftGrads {
+    pub(crate) fn backward(&self, cache: &DraftTrainCache, d_features: &Mat) -> DraftGrads {
         let (d_fused, layer_grads) = self.layer.backward(&cache.layer_cache, d_features);
         let (_d_input, d_fusion) = self.fusion.backward(&cache.fusion_input, &d_fused);
         // `_d_input` would flow into the frozen target features/embeddings; they are
@@ -426,7 +409,7 @@ impl DraftModel {
 
     /// Propagates the gradient of a loss on the drafter *logits* back to the drafter
     /// *features*, through the target's frozen final norm and LM head.
-    pub fn logits_grad_to_features(
+    pub(crate) fn logits_grad_to_features(
         &self,
         target: &TinyLm,
         cache: &DraftTrainCache,
@@ -515,12 +498,13 @@ mod tests {
         let tokens: Vec<TokenId> = vec![1, 2, 3, 4, 5];
         let (out, _) = t.prefill(&tokens, true);
         let features = FeatureSource::LastLayer.extract(&out.layer_outputs.unwrap());
-        let mut state = d.begin_draft(&t, &features, &tokens);
-        let logits = d.draft_step(&t, &mut state, *tokens.last().unwrap());
+        let mut scratch = DraftScratch::new(&t, d.feature_source);
+        let mut state = d.begin_draft_with(&t, &features, &tokens, &mut scratch);
+        let logits = d.draft_step_into(&t, &mut state, *tokens.last().unwrap(), &mut scratch);
         assert_eq!(logits.len(), t.config.vocab_size);
         assert!(logits.iter().all(|v| v.is_finite()));
         // A second step keeps working (autoregressive in feature space).
-        let logits2 = d.draft_step(&t, &mut state, 3);
+        let logits2 = d.draft_step_into(&t, &mut state, 3, &mut scratch);
         assert_eq!(logits2.len(), t.config.vocab_size);
     }
 
@@ -531,8 +515,9 @@ mod tests {
         let tokens: Vec<TokenId> = vec![2, 4, 6];
         let (out, _) = t.prefill(&tokens, true);
         let features = FeatureSource::MultiLayer.extract(&out.layer_outputs.unwrap());
-        let mut state = d.begin_draft(&t, &features, &tokens);
-        let logits = d.draft_step(&t, &mut state, 6);
+        let mut scratch = DraftScratch::new(&t, d.feature_source);
+        let mut state = d.begin_draft_with(&t, &features, &tokens, &mut scratch);
+        let logits = d.draft_step_into(&t, &mut state, 6, &mut scratch);
         assert_eq!(logits.len(), t.config.vocab_size);
     }
 
@@ -583,6 +568,7 @@ mod tests {
     fn empty_prefix_rejected() {
         let t = target();
         let d = DraftModel::new(&t, FeatureSource::LastLayer, 0);
-        let _ = d.begin_draft(&t, &Mat::zeros(0, t.config.hidden), &[]);
+        let mut scratch = DraftScratch::new(&t, d.feature_source);
+        let _ = d.begin_draft_with(&t, &Mat::zeros(0, t.config.hidden), &[], &mut scratch);
     }
 }

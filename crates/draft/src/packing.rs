@@ -19,13 +19,6 @@ pub struct PackingPlan {
     pub max_tokens: usize,
 }
 
-impl PackingPlan {
-    /// Number of packed buffers.
-    pub fn num_packs(&self) -> usize {
-        self.packs.len()
-    }
-}
-
 /// Efficiency comparison between padded batching and sequence packing, matching the
 /// quantities behind Figure 17(b).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -147,7 +140,7 @@ mod tests {
     fn oversized_sequences_get_their_own_pack() {
         let lengths = vec![10_000, 20];
         let plan = pack_sequences(&lengths, 512);
-        assert_eq!(plan.num_packs(), 1.max(plan.num_packs()));
+        assert!(!plan.packs.is_empty());
         assert!(plan.packs.iter().any(|p| p.contains(&0)));
     }
 
@@ -177,7 +170,7 @@ mod tests {
         let stats = packing_stats(&[], 8, 512);
         assert_eq!(stats.real_tokens, 0);
         assert_eq!(stats.speedup(), 1.0);
-        assert_eq!(pack_sequences(&[], 512).num_packs(), 0);
+        assert!(pack_sequences(&[], 512).packs.is_empty());
     }
 
     #[test]

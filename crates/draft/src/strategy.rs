@@ -36,15 +36,6 @@ pub enum TrainingStrategy {
 }
 
 impl TrainingStrategy {
-    /// The strategies compared in the paper's Table 7.
-    pub fn table7_set() -> [TrainingStrategy; 3] {
-        [
-            TrainingStrategy::Hass { ttt_steps: 3 },
-            TrainingStrategy::Eagle3 { ttt_steps: 7 },
-            TrainingStrategy::Eagle,
-        ]
-    }
-
     /// Display name matching the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -121,10 +112,11 @@ mod tests {
     #[test]
     fn table7_costs_match_paper_ordering() {
         // Paper Table 7: HASS = 3x, Eagle-3 = 7x, Eagle = 1x.
-        let [hass, eagle3, eagle] = TrainingStrategy::table7_set();
+        let hass = TrainingStrategy::Hass { ttt_steps: 3 };
         assert_eq!(hass.relative_training_cost(), 3.0);
+        let eagle3 = TrainingStrategy::Eagle3 { ttt_steps: 7 };
         assert_eq!(eagle3.relative_training_cost(), 7.0);
-        assert_eq!(eagle.relative_training_cost(), 1.0);
+        assert_eq!(TrainingStrategy::Eagle.relative_training_cost(), 1.0);
     }
 
     #[test]

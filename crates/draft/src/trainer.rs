@@ -14,29 +14,19 @@ use serde::{Deserialize, Serialize};
 use tlt_model::ops::{cross_entropy, smooth_l1, top_k_accuracy_multi};
 use tlt_model::{Adam, AdamConfig, Mat, TinyLm};
 
-/// Configuration of the drafter trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Global-norm threshold the batch gradient is clipped to before the update.
+const GRAD_CLIP: f32 = 1.0;
+
+/// Maximum training positions consumed from one sample per iteration (long
+/// sequences are truncated to bound iteration latency).
+const MAX_POSITIONS_PER_SAMPLE: usize = 256;
+
+/// Configuration of the drafter trainer. The optimizer is Adam with
+/// [`AdamConfig::drafter`].
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TrainerConfig {
     /// Training strategy (EAGLE by default).
     pub strategy: TrainingStrategy,
-    /// Adam hyperparameters.
-    pub adam: AdamConfig,
-    /// Global-norm gradient clipping threshold (`0` disables clipping).
-    pub grad_clip: f32,
-    /// Maximum training positions consumed from one sample per iteration (long
-    /// sequences are truncated to bound iteration latency).
-    pub max_positions_per_sample: usize,
-}
-
-impl Default for TrainerConfig {
-    fn default() -> Self {
-        TrainerConfig {
-            strategy: TrainingStrategy::default(),
-            adam: AdamConfig::drafter(),
-            grad_clip: 1.0,
-            max_positions_per_sample: 256,
-        }
-    }
 }
 
 /// Metrics of one training iteration.
@@ -76,7 +66,7 @@ impl DrafterTrainer {
         DrafterTrainer {
             drafter,
             config,
-            adam: Adam::new(config.adam),
+            adam: Adam::new(AdamConfig::drafter()),
             iteration: 0,
             history: Vec::new(),
         }
@@ -87,7 +77,7 @@ impl DrafterTrainer {
         DrafterTrainer {
             drafter,
             config,
-            adam: Adam::new(config.adam),
+            adam: Adam::new(AdamConfig::drafter()),
             iteration: 0,
             history: Vec::new(),
         }
@@ -111,7 +101,7 @@ impl DrafterTrainer {
     fn sample_positions(&self, sample: &TrainingSample) -> usize {
         sample
             .num_training_positions()
-            .min(self.config.max_positions_per_sample)
+            .min(MAX_POSITIONS_PER_SAMPLE)
     }
 
     /// Builds `(fusion_input, target_tokens, next_features)` for one sample: position
@@ -319,14 +309,7 @@ impl DrafterTrainer {
             grads.fusion.scale_assign(scale);
             grads.layer.scale(scale);
         }
-        if self.config.grad_clip > 0.0 {
-            let norm = grads.global_norm();
-            if norm > self.config.grad_clip {
-                let scale = self.config.grad_clip / norm;
-                grads.fusion.scale_assign(scale);
-                grads.layer.scale(scale);
-            }
-        }
+        clip_global_norm(&mut grads);
 
         self.adam.begin_step();
         self.adam.update_mat(
@@ -354,10 +337,21 @@ impl DrafterTrainer {
     }
 }
 
+/// Scales `grads` down to global norm [`GRAD_CLIP`] when it is above it.
+fn clip_global_norm(grads: &mut DraftGrads) {
+    let norm = grads.global_norm();
+    if norm > GRAD_CLIP {
+        let scale = GRAD_CLIP / norm;
+        grads.fusion.scale_assign(scale);
+        grads.layer.scale(scale);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data_buffer::TrainingSample;
+    use crate::model::FeatureSource;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tlt_model::{ModelConfig, TokenId};
@@ -423,7 +417,6 @@ mod tests {
         let target = TinyLm::new(ModelConfig::micro(), 23);
         let config = TrainerConfig {
             strategy: TrainingStrategy::Hass { ttt_steps: 3 },
-            ..TrainerConfig::default()
         };
         let mut trainer = DrafterTrainer::new(&target, config, 5);
         let samples = make_samples(&target, config.strategy, 3);
@@ -438,7 +431,6 @@ mod tests {
         let target = TinyLm::new(ModelConfig::micro(), 24);
         let config = TrainerConfig {
             strategy: TrainingStrategy::Eagle3 { ttt_steps: 2 },
-            ..TrainerConfig::default()
         };
         let mut trainer = DrafterTrainer::new(&target, config, 6);
         let samples = make_samples(&target, config.strategy, 3);
@@ -453,7 +445,6 @@ mod tests {
         let target = TinyLm::new(ModelConfig::micro(), 25);
         let config = TrainerConfig {
             strategy: TrainingStrategy::Osd,
-            ..TrainerConfig::default()
         };
         let mut trainer = DrafterTrainer::new(&target, config, 7);
         let samples = make_samples(&target, config.strategy, 3);
@@ -481,5 +472,51 @@ mod tests {
         let v0 = trainer.drafter.version;
         trainer.train_iteration(&target, &refs);
         assert!(trainer.drafter.version > v0);
+    }
+
+    #[test]
+    fn a_gradient_above_norm_one_is_applied_at_norm_one() {
+        let target = TinyLm::new(ModelConfig::tiny(), 27);
+        let mut trainer = DrafterTrainer::new(&target, TrainerConfig::default(), 9);
+        let samples = make_samples(&target, TrainingStrategy::Eagle, 1);
+        let (mut grads, ..) = trainer.grads_for_sample(&target, &samples[0]).unwrap();
+        let raw_norm = grads.global_norm();
+        assert!(raw_norm > 5.0 * GRAD_CLIP, "raw norm {raw_norm}");
+        clip_global_norm(&mut grads);
+        assert!((grads.global_norm() - 1.0).abs() < 1e-5);
+
+        // One iteration on that one-sample batch is one Adam step on the
+        // clipped gradient, bit for bit.
+        let mut expected = trainer.drafter.clone();
+        let mut adam = Adam::new(AdamConfig::drafter());
+        adam.begin_step();
+        adam.update_mat("drafter.fusion", &mut expected.fusion.weight, &grads.fusion);
+        adam.update_decoder_layer("drafter.layer", &mut expected.layer, &grads.layer);
+        trainer.train_iteration(&target, &[&samples[0]]).unwrap();
+        assert_eq!(trainer.drafter.fusion.weight, expected.fusion.weight);
+        assert_eq!(trainer.drafter.layer, expected.layer);
+
+        // A gradient far above the threshold keeps its direction.
+        let mut big = grads.clone();
+        big.fusion.scale_assign(1e3);
+        big.layer.scale(1e3);
+        clip_global_norm(&mut big);
+        assert!((big.global_norm() - 1.0).abs() < 1e-5);
+        for (b, g) in big.fusion.as_slice().iter().zip(grads.fusion.as_slice()) {
+            assert!((b - g).abs() <= 1e-5 * g.abs().max(1e-3));
+        }
+    }
+
+    #[test]
+    fn a_sample_longer_than_256_positions_trains_256() {
+        let target = TinyLm::new(ModelConfig::tiny(), 28);
+        let mut trainer = DrafterTrainer::new(&target, TrainerConfig::default(), 10);
+        let tokens: Vec<TokenId> = (0..300).map(|i| (i * 7 % 50) as TokenId).collect();
+        let sample =
+            TrainingSample::from_rollout(&target, FeatureSource::LastLayer, &tokens, 290, 0, 0);
+        assert_eq!(sample.num_training_positions(), 298);
+        let metrics = trainer.train_iteration(&target, &[&sample]).unwrap();
+        assert_eq!(metrics.positions, MAX_POSITIONS_PER_SAMPLE);
+        assert_eq!(metrics.positions, 256);
     }
 }

@@ -85,11 +85,6 @@ impl ClusterConfig {
         self.total_gpus() / self.tp
     }
 
-    /// Worker identifiers.
-    pub fn worker_ids(&self) -> Vec<WorkerId> {
-        (0..self.num_workers()).map(WorkerId).collect()
-    }
-
     /// GPU specification of this cluster's GPUs.
     pub fn gpu_spec(&self) -> GpuSpec {
         self.gpu_type.spec()
@@ -170,11 +165,6 @@ pub struct MemoryEstimate {
 }
 
 impl MemoryEstimate {
-    /// Required memory in GiB.
-    pub fn required_gb(&self) -> f64 {
-        self.required_bytes / (1024.0 * 1024.0 * 1024.0)
-    }
-
     /// Whether the job fits.
     pub fn fits(&self) -> bool {
         self.required_bytes <= self.capacity_bytes
@@ -190,7 +180,6 @@ mod tests {
         let c = ClusterConfig::dgx_h100_testbed();
         assert_eq!(c.total_gpus(), 64);
         assert_eq!(c.num_workers(), 16);
-        assert_eq!(c.worker_ids().len(), 16);
         assert!(c.validate().is_ok());
     }
 
@@ -232,7 +221,7 @@ mod tests {
         assert!(est.rollout_weight_bytes > 0.0);
         assert!(est.kv_bytes > 0.0);
         assert!(est.activation_bytes > 0.0);
-        assert!(est.required_gb() > 1.0);
+        assert!(est.required_bytes > 0.0);
     }
 
     #[test]

@@ -144,12 +144,6 @@ impl LlmCostModel {
         }
     }
 
-    /// Uses eager (non-CUDAGraph) execution.
-    pub fn with_eager_mode(mut self) -> Self {
-        self.mode = ExecutionMode::eager();
-        self
-    }
-
     /// Weight bytes resident per GPU.
     pub fn weight_bytes_per_gpu(&self) -> f64 {
         self.model.weight_bytes() / self.tp as f64
@@ -363,17 +357,6 @@ impl LlmCostModel {
         estimate_time(work, &self.gpu, mode).total_s
     }
 
-    /// Time to broadcast updated drafter weights to rollout workers.
-    pub fn drafter_weight_update_time(&self, drafter: &DraftModelSpec) -> f64 {
-        let bw = if self.gpu.nvlink_gbps > 0.0 {
-            self.gpu.nvlink_gbps * 1e9
-        } else {
-            // PCIe fallback.
-            25.0 * 1e9
-        };
-        drafter.weight_bytes() / bw
-    }
-
     /// Persistent memory required to capture a CUDAGraph that executes `tokens`
     /// token positions for a batch of `batch` sequences of the *target* model.
     pub fn graph_capture_bytes(&self, batch: usize, tokens_per_seq: usize) -> f64 {
@@ -556,13 +539,6 @@ mod tests {
             .sum();
         let gb = total / 1e9;
         assert!((3.0..15.0).contains(&gb), "single-strategy pool = {gb} GB");
-    }
-
-    #[test]
-    fn drafter_weight_update_is_subsecond() {
-        let cost = qwen32b_h100_tp4();
-        let drafter = cost.model.eagle_drafter();
-        assert!(cost.drafter_weight_update_time(&drafter) < 1.0);
     }
 
     #[test]

@@ -80,16 +80,6 @@ impl Default for ExecutionMode {
     }
 }
 
-impl ExecutionMode {
-    /// Eager (non-captured) execution.
-    pub fn eager() -> Self {
-        ExecutionMode {
-            cuda_graph: false,
-            ..ExecutionMode::default()
-        }
-    }
-}
-
 /// Breakdown of a roofline time estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TimeBreakdown {
@@ -174,8 +164,13 @@ mod tests {
     fn cuda_graph_removes_per_kernel_launch_overhead() {
         let gpu = GpuType::H100.spec();
         let work = KernelWork::new(1e9, 1e7, 500.0);
-        let eager = estimate_time(work, &gpu, ExecutionMode::eager());
-        let graphed = estimate_time(work, &gpu, ExecutionMode::default());
+        let graphed = ExecutionMode::default();
+        let eager_mode = ExecutionMode {
+            cuda_graph: false,
+            ..graphed
+        };
+        let eager = estimate_time(work, &gpu, eager_mode);
+        let graphed = estimate_time(work, &gpu, graphed);
         assert!(eager.launch_s > graphed.launch_s * 2.0);
         assert!(eager.total_s > graphed.total_s);
     }

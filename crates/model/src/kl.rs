@@ -2,25 +2,12 @@
 //!
 //! GRPO regularises the policy toward a frozen reference model with a KL penalty.
 //! The paper follows the common practice (Schulman's approximations) of estimating
-//! the per-token KL from the log-probabilities of the *sampled* token only, because
-//! materialising full distributions for every position of a 32K-token rollout is
-//! too expensive. Both the exact full-distribution KL and the sampled estimators
-//! are provided here so tests can check the estimators against the exact value.
+//! the per-token KL from the log-probabilities of the *sampled* token only. This
+//! reproduction's vocabulary is small enough to use the exact full-distribution
+//! KL instead, so this module holds that KL and its gradient with respect to the
+//! policy logits; no sampled estimator is provided.
 
-use crate::mathx;
 use crate::ops::exp_shifted_in_place;
-use serde::{Deserialize, Serialize};
-
-/// Which per-token KL estimator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KlEstimator {
-    /// `k1 = logp - logq` (unbiased, high variance, can be negative).
-    K1,
-    /// `k2 = 0.5 * (logp - logq)^2` (biased, low variance, non-negative).
-    K2,
-    /// `k3 = (r - 1) - log r` with `r = q/p` (unbiased, non-negative in expectation).
-    K3,
-}
 
 /// Exact KL divergence `KL(p || q)` between two discrete distributions.
 ///
@@ -38,44 +25,6 @@ pub fn kl_divergence(p: &[f32], q: &[f32]) -> f64 {
         kl += pi as f64 * ((pi as f64).ln() - (qi as f64).ln());
     }
     kl.max(0.0)
-}
-
-/// Per-token KL estimate from the log-probabilities of the *sampled* token under
-/// the policy (`logp`) and the reference model (`logq`).
-pub fn sampled_kl(logp: f32, logq: f32, estimator: KlEstimator) -> f32 {
-    match estimator {
-        KlEstimator::K1 => logp - logq,
-        KlEstimator::K2 => 0.5 * (logp - logq).powi(2),
-        KlEstimator::K3 => {
-            let log_ratio = logq - logp;
-            (mathx::exp(log_ratio) - 1.0) - log_ratio
-        }
-    }
-}
-
-/// Mean per-token KL estimate over a response, given aligned per-token
-/// log-probabilities under the policy and the reference model.
-///
-/// Returns `0.0` for empty inputs.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn mean_sampled_kl(policy_logps: &[f32], ref_logps: &[f32], estimator: KlEstimator) -> f32 {
-    assert_eq!(
-        policy_logps.len(),
-        ref_logps.len(),
-        "log-probability length mismatch"
-    );
-    if policy_logps.is_empty() {
-        return 0.0;
-    }
-    let sum: f32 = policy_logps
-        .iter()
-        .zip(ref_logps.iter())
-        .map(|(&lp, &lq)| sampled_kl(lp, lq, estimator))
-        .sum();
-    sum / policy_logps.len() as f32
 }
 
 /// Gradient of the exact `KL(p || q)` with respect to the policy logits, where
@@ -176,46 +125,6 @@ mod tests {
         let p = [0.9f32, 0.1];
         let q = [0.5f32, 0.5];
         assert!((kl_divergence(&p, &q) - kl_divergence(&q, &p)).abs() > 1e-3);
-    }
-
-    #[test]
-    fn k2_and_k3_are_non_negative() {
-        for (lp, lq) in [(-1.0f32, -2.0f32), (-2.0, -1.0), (-0.5, -0.5)] {
-            assert!(sampled_kl(lp, lq, KlEstimator::K2) >= 0.0);
-            assert!(sampled_kl(lp, lq, KlEstimator::K3) >= -1e-6);
-        }
-    }
-
-    #[test]
-    fn k1_estimator_unbiased_in_expectation() {
-        // E_{x~p}[log p(x) - log q(x)] == KL(p || q); check by exhaustive expectation.
-        let p = [0.6f32, 0.3, 0.1];
-        let q = [0.2f32, 0.5, 0.3];
-        let exact = kl_divergence(&p, &q);
-        let estimate: f64 = p
-            .iter()
-            .zip(q.iter())
-            .map(|(&pi, &qi)| pi as f64 * sampled_kl(pi.ln(), qi.ln(), KlEstimator::K1) as f64)
-            .sum();
-        assert!((exact - estimate).abs() < 1e-6);
-    }
-
-    #[test]
-    fn k3_estimator_unbiased_in_expectation() {
-        let p = [0.5f32, 0.25, 0.25];
-        let q = [0.25f32, 0.5, 0.25];
-        let exact = kl_divergence(&p, &q);
-        let estimate: f64 = p
-            .iter()
-            .zip(q.iter())
-            .map(|(&pi, &qi)| pi as f64 * sampled_kl(pi.ln(), qi.ln(), KlEstimator::K3) as f64)
-            .sum();
-        assert!((exact - estimate).abs() < 1e-4);
-    }
-
-    #[test]
-    fn mean_sampled_kl_empty_is_zero() {
-        assert_eq!(mean_sampled_kl(&[], &[], KlEstimator::K3), 0.0);
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl LayerKvCache {
     pub fn memory_bytes(&self) -> usize {
         (self.keys.len() + self.values.len()) * std::mem::size_of::<f32>()
     }
-
-    /// Positions the cache can hold before its key buffer reallocates — what
-    /// [`LayerKvCache::reserve`] actually obtained.
-    pub fn capacity_positions(&self) -> usize {
-        self.keys.capacity() / self.hidden.max(1)
-    }
 }
 
 impl KvStore for LayerKvCache {
@@ -202,11 +196,6 @@ impl KvCache {
     /// Immutable access to the cache of `layer`.
     pub fn layer(&self, layer: usize) -> &LayerKvCache {
         &self.layers[layer]
-    }
-
-    /// Mutable access to the cache of `layer`.
-    pub fn layer_mut(&mut self, layer: usize) -> &mut LayerKvCache {
-        &mut self.layers[layer]
     }
 
     /// Pre-allocates every layer cache for `total_positions` positions.
@@ -295,8 +284,12 @@ mod tests {
     #[test]
     fn full_cache_tracks_all_layers() {
         let mut cache = KvCache::new(4, 2);
+        let (key, value) = (
+            Mat::from_vec(1, 2, vec![1.0, 2.0]),
+            Mat::from_vec(1, 2, vec![3.0, 4.0]),
+        );
         for layer in 0..4 {
-            cache.layer_mut(layer).append(&[1.0, 2.0], &[3.0, 4.0]);
+            cache.kv_append(layer, &key, &value);
         }
         assert_eq!(cache.seq_len(), 1);
         assert_eq!(cache.num_layers(), 4);

@@ -103,21 +103,6 @@ pub struct DecoderLayerGrads {
 }
 
 impl DecoderLayerGrads {
-    /// Creates a zero-filled gradient container matching `layer`.
-    pub fn zeros_like(layer: &DecoderLayer) -> Self {
-        DecoderLayerGrads {
-            attn_norm: vec![0.0; layer.attn_norm.len()],
-            wq: Mat::zeros(layer.wq.rows(), layer.wq.cols()),
-            wk: Mat::zeros(layer.wk.rows(), layer.wk.cols()),
-            wv: Mat::zeros(layer.wv.rows(), layer.wv.cols()),
-            wo: Mat::zeros(layer.wo.rows(), layer.wo.cols()),
-            mlp_norm: vec![0.0; layer.mlp_norm.len()],
-            w_gate: Mat::zeros(layer.w_gate.rows(), layer.w_gate.cols()),
-            w_up: Mat::zeros(layer.w_up.rows(), layer.w_up.cols()),
-            w_down: Mat::zeros(layer.w_down.rows(), layer.w_down.cols()),
-        }
-    }
-
     /// Accumulates `other` into `self`.
     pub fn accumulate(&mut self, other: &DecoderLayerGrads) {
         for (a, b) in self.attn_norm.iter_mut().zip(&other.attn_norm) {
@@ -191,16 +176,6 @@ pub struct LayerTrainCache {
     attn_concat: Mat,
     mlp_norm_cache: RmsNormCache,
     mlp_cache: SwiGluCache,
-}
-
-impl LayerTrainCache {
-    /// Recorded probability that position `query` attends to `key <= query` in
-    /// `head`.
-    pub fn attention_prob(&self, head: usize, query: usize, key: usize) -> f32 {
-        assert!(key <= query, "attention is causal");
-        let heads = self.attn_probs.len() / attention::kept_len(self.q.rows(), 1);
-        self.attn_probs[attention::kept_len(query, heads) + key * heads + head]
-    }
 }
 
 impl DecoderLayer {
@@ -680,8 +655,7 @@ mod tests {
         let d_out = Mat::random_uniform(2, 8, 1.0, &mut rng);
         let (_, cache) = layer.forward_train(&input);
         let (_, g) = layer.backward(&cache, &d_out);
-        let mut acc = DecoderLayerGrads::zeros_like(&layer);
-        acc.accumulate(&g);
+        let mut acc = g.clone();
         acc.accumulate(&g);
         acc.scale(0.5);
         for (a, b) in acc.wq.as_slice().iter().zip(g.wq.as_slice()) {

@@ -49,7 +49,7 @@ pub mod tensor;
 pub mod transformer;
 pub mod workspace;
 
-pub use kl::{kl_divergence, mean_sampled_kl, KlEstimator};
+pub use kl::kl_divergence;
 pub use kv_cache::{KvCache, KvStore, LayerKvCache};
 pub use layers::{DecoderLayer, DecoderLayerGrads, LayerConfig};
 pub use optim::{Adam, AdamConfig};

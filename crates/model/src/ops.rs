@@ -11,17 +11,6 @@ use crate::tensor::Mat;
 /// Numerical epsilon used by RMSNorm.
 pub const RMS_EPS: f32 = 1e-5;
 
-/// Row-wise softmax of a matrix of logits.
-///
-/// Numerically stabilised by subtracting the per-row maximum.
-pub fn softmax_rows(logits: &Mat) -> Mat {
-    let mut out = logits.clone();
-    for r in 0..out.rows() {
-        softmax_in_place(out.row_mut(r));
-    }
-    out
-}
-
 /// `max(m, v)` as one compare-select, which vectorises to a single max
 /// instruction; `f32::max`'s NaN rule costs a compare and a blend more and
 /// measured twice as slow in the max passes. A NaN `v` is skipped either way.
@@ -97,30 +86,6 @@ fn log_sum_exp(row: &[f32], scratch: &mut [f32]) -> f32 {
     scratch.copy_from_slice(row);
     let (max, sum) = exp_shifted_in_place(scratch);
     sum.ln() + max
-}
-
-/// Backward pass for a row-wise softmax.
-///
-/// Given `probs = softmax(logits)` and upstream gradient `d_probs`, returns
-/// `d_logits` using the Jacobian-vector product
-/// `dL/dz_j = p_j * (dL/dp_j - sum_k p_k dL/dp_k)`.
-pub fn softmax_backward_rows(probs: &Mat, d_probs: &Mat) -> Mat {
-    assert_eq!(
-        probs.shape(),
-        d_probs.shape(),
-        "softmax backward shape mismatch"
-    );
-    let mut out = Mat::zeros(probs.rows(), probs.cols());
-    for r in 0..probs.rows() {
-        let p = probs.row(r);
-        let dp = d_probs.row(r);
-        let inner: f32 = p.iter().zip(dp.iter()).map(|(&a, &b)| a * b).sum();
-        let o = out.row_mut(r);
-        for i in 0..p.len() {
-            o[i] = p[i] * (dp[i] - inner);
-        }
-    }
-    out
 }
 
 /// SiLU (swish) activation: `x * sigmoid(x)`.
@@ -385,17 +350,11 @@ pub fn smooth_l1(pred: &Mat, target: &Mat) -> (f32, Mat) {
     (loss / n, grad)
 }
 
-/// Top-k accuracy of logits rows against integer targets.
+/// Top-k accuracy of logits rows against integer targets, at several `k`
+/// values in a single pass over the logits.
 ///
-/// Returns the fraction of rows whose target token is within the `k` highest logits.
-pub fn top_k_accuracy(logits: &Mat, targets: &[usize], k: usize) -> f64 {
-    top_k_accuracy_multi(logits, targets, &[k])[0]
-}
-
-/// Top-k accuracy at several `k` values in a single pass over the logits.
-///
-/// Returns one fraction per entry of `ks`, identical to calling
-/// [`top_k_accuracy`] once per `k` but with the per-row rank computed once.
+/// Returns one fraction per entry of `ks`: the fraction of rows whose target
+/// token is within the `k` highest logits.
 pub fn top_k_accuracy_multi(logits: &Mat, targets: &[usize], ks: &[usize]) -> Vec<f64> {
     assert_eq!(targets.len(), logits.rows(), "target length mismatch");
     if logits.rows() == 0 {
@@ -489,17 +448,6 @@ pub(crate) mod tests {
                 "finite diff mismatch at {idx}: numeric={numeric}, analytic={a}"
             );
         }
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let logits = Mat::from_rows(&[&[1.0, 2.0, 3.0], &[-1.0, 0.0, 1.0]]);
-        let p = softmax_rows(&logits);
-        for r in 0..p.rows() {
-            let s: f32 = p.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-6);
-        }
-        assert!(p.get(0, 2) > p.get(0, 1));
     }
 
     #[test]
@@ -607,14 +555,13 @@ pub(crate) mod tests {
         let a = Mat::from_rows(&[&[1.0, -2.0, 3.0]]);
         let (loss, grad) = smooth_l1(&a, &a);
         assert_eq!(loss, 0.0);
-        assert_eq!(grad.max_abs(), 0.0);
+        assert!(grad.as_slice().iter().all(|&g| g == 0.0));
     }
 
     #[test]
     fn top_k_accuracy_basic() {
         let logits = Mat::from_rows(&[&[5.0, 1.0, 0.0], &[0.0, 1.0, 5.0]]);
-        assert_eq!(top_k_accuracy(&logits, &[0, 0], 1), 0.5);
-        assert_eq!(top_k_accuracy(&logits, &[0, 0], 3), 1.0);
+        assert_eq!(top_k_accuracy_multi(&logits, &[0, 0], &[1, 3]), [0.5, 1.0]);
     }
 
     #[test]
@@ -631,23 +578,5 @@ pub(crate) mod tests {
         let mut buf = [9.0f32; 4];
         log_softmax_into(&row, &mut buf);
         assert_eq!(buf.to_vec(), log_softmax(&row));
-    }
-
-    #[test]
-    fn softmax_backward_rows_matches_finite_difference() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let logits = Mat::random_uniform(2, 4, 1.0, &mut rng);
-        let d_probs = Mat::random_uniform(2, 4, 1.0, &mut rng);
-        let probs = softmax_rows(&logits);
-        let d_logits = softmax_backward_rows(&probs, &d_probs);
-        let loss = |m: &Mat| {
-            let p = softmax_rows(m);
-            p.as_slice()
-                .iter()
-                .zip(d_probs.as_slice())
-                .map(|(a, b)| a * b)
-                .sum::<f32>()
-        };
-        finite_diff_check(&logits, &d_logits, loss, 1e-2);
     }
 }

@@ -180,14 +180,6 @@ impl Adam {
             &grads.w_down,
         );
     }
-
-    /// Approximate memory footprint of the optimizer state in bytes.
-    pub fn state_bytes(&self) -> usize {
-        self.moments
-            .values()
-            .map(|p| (p.m.len() + p.v.len()) * std::mem::size_of::<f32>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +242,8 @@ mod tests {
             &mut rng,
         );
         let before = layer.clone();
-        let mut grads = DecoderLayerGrads::zeros_like(&layer);
+        let (_, cache) = layer.forward_train(&Mat::zeros(2, 8));
+        let (_, mut grads) = layer.backward(&cache, &Mat::zeros(2, 8));
         // Non-zero gradient everywhere.
         for v in grads.attn_norm.iter_mut() {
             *v = 1.0;
@@ -277,7 +270,6 @@ mod tests {
         assert_ne!(before.wq, layer.wq);
         assert_ne!(before.w_down, layer.w_down);
         assert_ne!(before.attn_norm, layer.attn_norm);
-        assert!(adam.state_bytes() > 0);
     }
 
     #[test]

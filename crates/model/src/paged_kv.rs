@@ -168,19 +168,9 @@ impl BlockLedger {
         self.outbound_blocks -= blocks;
     }
 
-    /// Blocks still free.
-    pub fn free_blocks(&self) -> usize {
-        self.capacity_blocks.saturating_sub(self.in_use_blocks())
-    }
-
     /// High-water mark of charged blocks.
     pub fn peak_in_use_blocks(&self) -> usize {
         self.peak_in_use
-    }
-
-    /// Whether prefix `id` is resident (its blocks already charged).
-    pub fn is_resident(&self, id: u64) -> bool {
-        self.shared.iter().any(|g| g.id == id)
     }
 
     /// Blocks of prefix `id` currently resident (0 when absent). Only this
@@ -366,7 +356,6 @@ mod tests {
         assert_eq!(l.shared_blocks(), 8, "charged once");
         l.sync_private(10);
         assert_eq!(l.in_use_blocks(), 18);
-        assert_eq!(l.free_blocks(), 46);
         assert!(l.check_conservation(2).is_ok());
         assert!(l.check_conservation(1).is_err());
 
@@ -398,7 +387,7 @@ mod tests {
         l.sync_private(9);
         l.reset();
         assert_eq!(l.in_use_blocks(), 0);
-        assert!(!l.is_resident(7));
+        assert_eq!(l.resident_blocks_of(7), 0);
         assert_eq!(l.peak_in_use_blocks(), 13, "peak survives the crash");
     }
 
@@ -409,7 +398,6 @@ mod tests {
         l.reserve_inbound(6);
         assert_eq!(l.inbound_blocks(), 6);
         assert_eq!(l.in_use_blocks(), 10, "reservation is charged immediately");
-        assert_eq!(l.free_blocks(), 22);
         assert_eq!(
             l.leaked_blocks(),
             10,

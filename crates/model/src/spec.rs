@@ -122,23 +122,6 @@ impl ModelSpec {
         ]
     }
 
-    /// Looks a spec up by its paper short-name (case-insensitive substring match).
-    pub fn by_name(name: &str) -> Option<ModelSpec> {
-        let lower = name.to_ascii_lowercase();
-        let all = [
-            ModelSpec::qwen2_5_7b(),
-            ModelSpec::deepseek_r1_7b(),
-            ModelSpec::qwen2_5_32b(),
-            ModelSpec::llama3_70b(),
-            ModelSpec::llama3_8b(),
-            ModelSpec::qwen2_5_0_5b(),
-        ];
-        all.into_iter().find(|s| {
-            s.name.to_ascii_lowercase().contains(&lower)
-                || lower.contains(&s.name.to_ascii_lowercase())
-        })
-    }
-
     /// Head dimension.
     pub fn head_dim(&self) -> usize {
         self.hidden / self.num_heads
@@ -270,16 +253,6 @@ mod tests {
         // 8 KV heads * 128 head_dim * 2 (K and V) * 32 layers * 2 bytes = 256 KiB/token.
         let expected = 2.0 * 32.0 * (8 * 128) as f64 * 2.0;
         assert!((spec.kv_bytes_per_token() - expected).abs() < 1.0);
-    }
-
-    #[test]
-    fn lookup_by_name_matches_paper_labels() {
-        assert_eq!(
-            ModelSpec::by_name("Qwen2.5-32B").unwrap().name,
-            "Qwen2.5-32B"
-        );
-        assert!(ModelSpec::by_name("DeepSeek").is_some());
-        assert!(ModelSpec::by_name("no-such-model").is_none());
     }
 
     #[test]

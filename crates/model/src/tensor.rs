@@ -201,21 +201,6 @@ impl Mat {
         }
     }
 
-    /// Stacks matrices vertically (all must share the same column count).
-    pub fn vstack(parts: &[&Mat]) -> Mat {
-        if parts.is_empty() {
-            return Mat::zeros(0, 0);
-        }
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            assert_eq!(p.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&p.data);
-        }
-        Mat { rows, cols, data }
-    }
-
     /// Concatenates matrices horizontally (all must share the same row count).
     pub fn hconcat(parts: &[&Mat]) -> Mat {
         if parts.is_empty() {
@@ -407,12 +392,6 @@ impl Mat {
         }
     }
 
-    /// Copies `other` into `self` (shapes must match).
-    pub fn copy_from(&mut self, other: &Mat) {
-        assert_eq!(self.shape(), other.shape(), "copy_from shape mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Resizes the matrix to `rows x cols`, reusing the existing buffer.
     ///
     /// Contents become unspecified (callers are expected to overwrite them). No
@@ -480,16 +459,6 @@ impl Mat {
         out
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Mat) -> Mat {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let mut out = self.clone();
-        for (o, &b) in out.data.iter_mut().zip(other.data.iter()) {
-            *o *= b;
-        }
-        out
-    }
-
     /// Returns `self * scalar`.
     pub fn scale(&self, scalar: f32) -> Mat {
         let mut out = self.clone();
@@ -506,35 +475,12 @@ impl Mat {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Sum of absolute values (L1 norm of the flattened matrix).
-    pub fn l1_norm(&self) -> f32 {
-        self.data.iter().map(|v| v.abs()).sum()
-    }
-
     /// Mean of all elements. Returns `0.0` for an empty matrix.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
             0.0
         } else {
             self.data.iter().sum::<f32>() / self.data.len() as f32
-        }
-    }
-
-    /// Maximum absolute element. Returns `0.0` for an empty matrix.
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |acc, v| acc.max(v.abs()))
-    }
-
-    /// Clips every element into `[-limit, limit]`.
-    pub fn clip(&mut self, limit: f32) {
-        assert!(limit >= 0.0, "clip limit must be non-negative");
-        for v in &mut self.data {
-            *v = v.clamp(-limit, limit);
         }
     }
 }
@@ -775,18 +721,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     reduce8(&acc, tail)
 }
 
-/// In-place `a += alpha * b` over slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(a: &mut [f32], b: &[f32], alpha: f32) {
-    assert_eq!(a.len(), b.len(), "axpy length mismatch");
-    for (x, &y) in a.iter_mut().zip(b.iter()) {
-        *x += alpha * y;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,9 +796,6 @@ mod tests {
         let h = Mat::hconcat(&[&a, &b]);
         assert_eq!(h.shape(), (2, 2));
         assert_eq!(h.row(0), &[1.0, 3.0]);
-        let v = Mat::vstack(&[&a, &b]);
-        assert_eq!(v.shape(), (4, 1));
-        assert_eq!(v.get(3, 0), 4.0);
     }
 
     #[test]
@@ -878,17 +809,7 @@ mod tests {
     #[test]
     fn norms_and_stats() {
         let m = Mat::from_rows(&[&[3.0, -4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
-        assert!((m.l1_norm() - 7.0).abs() < 1e-6);
         assert!((m.mean() + 0.5).abs() < 1e-6);
-        assert!((m.max_abs() - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_bounds_values() {
-        let mut m = Mat::from_rows(&[&[10.0, -10.0, 0.5]]);
-        m.clip(1.0);
-        assert_eq!(m.row(0), &[1.0, -1.0, 0.5]);
     }
 
     #[test]
@@ -896,9 +817,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0];
         assert!((dot(&a, &b) - 32.0).abs() < 1e-6);
-        let mut c = [1.0, 1.0, 1.0];
-        axpy(&mut c, &b, 2.0);
-        assert_eq!(c, [9.0, 11.0, 13.0]);
     }
 
     #[test]

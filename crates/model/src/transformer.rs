@@ -510,8 +510,6 @@ mod tests {
         let (full, _) = model.prefill(&tokens, false);
 
         let mut cache = model.new_cache();
-        // Reserved for the whole context window, so decode never reallocates.
-        assert!(cache.layer(0).capacity_positions() >= model.config.max_seq_len);
         let mut last_logits = Vec::new();
         for &t in &tokens {
             let out = model.forward(&[t], &mut cache, false);

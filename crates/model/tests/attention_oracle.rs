@@ -373,17 +373,6 @@ fn check_training(layer: &DecoderLayer, t: usize, seed: u64) {
     let (out, cache) = layer.forward_train(&input);
     let (oracle_out, oracle_cache) = oracle_forward_train(layer, &input);
     assert_bits("train forward", out.as_slice(), oracle_out.as_slice());
-    for (h, probs) in oracle_cache.attn_probs.iter().enumerate() {
-        for i in 0..t {
-            for j in 0..=i {
-                assert_eq!(
-                    cache.attention_prob(h, i, j).to_bits(),
-                    probs.get(i, j).to_bits(),
-                    "kept probability of head {h}, query {i}, key {j}"
-                );
-            }
-        }
-    }
 
     let d_out = random_mat(t, cfg.hidden, seed + 5);
     let (d_input, grads) = layer.backward(&cache, &d_out);

@@ -99,17 +99,6 @@ pub struct ModelCounters {
     pub sim_stale_events: u64,
 }
 
-impl ModelCounters {
-    /// Mean accepted tokens per speculative round, or 0 with no rounds.
-    pub fn mean_accept_per_round(&self) -> f64 {
-        if self.sd_rounds == 0 {
-            0.0
-        } else {
-            self.sd_accepted_tokens as f64 / self.sd_rounds as f64
-        }
-    }
-}
-
 /// Read all counters.
 pub fn snapshot() -> ModelCounters {
     ModelCounters {
@@ -149,17 +138,5 @@ mod tests {
         assert_eq!(after.prefill_tokens - base.prefill_tokens, 64);
         assert_eq!(after.sd_rounds - base.sd_rounds, 1);
         assert_eq!(after.sd_accepted_tokens - base.sd_accepted_tokens, 3);
-    }
-
-    #[test]
-    fn mean_accept_per_round_handles_zero_rounds() {
-        let c = ModelCounters::default();
-        assert_eq!(c.mean_accept_per_round(), 0.0);
-        let c = ModelCounters {
-            sd_rounds: 4,
-            sd_accepted_tokens: 10,
-            ..ModelCounters::default()
-        };
-        assert_eq!(c.mean_accept_per_round(), 2.5);
     }
 }

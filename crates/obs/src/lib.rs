@@ -35,7 +35,5 @@ pub mod trace;
 
 pub use event::{EventKind, ObsEvent, Track, NO_REQ};
 pub use json::JsonValue;
-pub use recorder::{
-    install, record, recording_enabled, uninstall, FlightRecorder, DEFAULT_CAPACITY_PER_TRACK,
-};
+pub use recorder::{install, record, uninstall, FlightRecorder, DEFAULT_CAPACITY_PER_TRACK};
 pub use trace::{chrome_trace, chrome_trace_sections, render_postmortem};

@@ -92,15 +92,6 @@ impl FlightRecorder {
         all
     }
 
-    /// Retained events for one track, oldest first.
-    pub fn track_events(&self, track: Track) -> Vec<ObsEvent> {
-        self.rings
-            .iter()
-            .find(|(t, _)| *t == track)
-            .map(|(_, ring)| ring.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Tracks that have recorded at least one event, in first-seen order.
     pub fn tracks(&self) -> Vec<Track> {
         self.rings.iter().map(|(t, _)| *t).collect()
@@ -113,12 +104,6 @@ static INSTALLED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static CURRENT: RefCell<Option<FlightRecorder>> = const { RefCell::new(None) };
-}
-
-/// True if any thread currently has a recorder installed. A cheap pre-check;
-/// the per-thread slot still decides whether an event is captured.
-pub fn recording_enabled() -> bool {
-    INSTALLED.load(Ordering::Relaxed) != 0
 }
 
 /// Install `recorder` on the current thread, returning the previous one.
@@ -172,7 +157,7 @@ mod tests {
         for i in 0..7 {
             rec.record(ev(i as f64, Track::Replica(0), i));
         }
-        let kept = rec.track_events(Track::Replica(0));
+        let kept = rec.events();
         assert_eq!(kept.len(), 3);
         assert_eq!(
             kept.iter().map(|e| e.req).collect::<Vec<_>>(),
@@ -193,14 +178,12 @@ mod tests {
         let all = rec.events();
         assert_eq!(all.iter().map(|e| e.req).collect::<Vec<_>>(), vec![2, 3, 4]);
         assert!(all.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(rec.track_events(Track::Replica(0)).len(), 1);
     }
 
     #[test]
     fn install_record_uninstall_round_trip() {
         assert!(uninstall().is_none());
         install(FlightRecorder::new(8));
-        assert!(recording_enabled());
         record(ev(0.5, Track::Coordinator, NO_REQ));
         let rec = uninstall().expect("recorder was installed");
         assert_eq!(rec.len(), 1);

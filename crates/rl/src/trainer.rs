@@ -77,8 +77,8 @@ pub struct StepMetrics {
     pub mean_reward: f64,
     /// Mean per-token KL divergence from the reference model. The tiny substrate
     /// materialises full next-token distributions during the update anyway, so this
-    /// is the *exact* KL; production systems report a sampled estimate instead
-    /// (see [`tlt_model::kl`] for the k1/k2/k3 estimators and their trade-offs).
+    /// is the *exact* KL ([`tlt_model::kl`]); production systems report a sampled
+    /// estimate instead.
     pub mean_kl: f64,
     /// Mean response length in tokens.
     pub mean_response_len: f64,

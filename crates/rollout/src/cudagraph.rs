@@ -192,27 +192,6 @@ impl CudaGraphPool {
     pub fn num_graphs(&self) -> usize {
         self.graphs.len()
     }
-
-    /// Picks the strategy this pool would use for a live batch of `batch` sequences:
-    /// the strategy whose assigned bucket range contains the batch (larger batches map
-    /// to strategies verifying fewer tokens).
-    pub fn strategy_for_batch(&self, batch: usize) -> SdStrategy {
-        match self.mode {
-            CaptureMode::SingleStrategy => self.strategies[0],
-            _ => {
-                let assignments = Self::bucket_assignment(&self.strategies, &self.buckets);
-                for (strategy, assigned) in self.strategies.iter().zip(&assignments) {
-                    if let (Some(&lo), Some(&hi)) = (assigned.first(), assigned.last()) {
-                        if batch >= lo && batch <= hi {
-                            return *strategy;
-                        }
-                    }
-                }
-                // Batches beyond the largest bucket use the shallowest strategy.
-                *self.strategies.last().expect("non-empty strategies")
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,12 +289,19 @@ mod tests {
         );
         // Small batches get deep verification, large batches shallow verification
         // (Table 4's observation that larger batches should verify fewer tokens).
-        let small = pool.strategy_for_batch(1);
-        let large = pool.strategy_for_batch(128);
-        assert!(small.tokens_to_verify > large.tokens_to_verify);
-        // Batches beyond the largest bucket still resolve.
-        let huge = pool.strategy_for_batch(512);
-        assert_eq!(huge.tokens_to_verify, large.tokens_to_verify);
+        let verified_at = |bucket: usize| {
+            let graphs = pool.graphs.iter().filter(|g| !g.for_drafter);
+            graphs
+                .filter(|g| g.batch_bucket == bucket)
+                .map(|g| g.tokens_per_seq)
+                .collect::<Vec<_>>()
+        };
+        let (small, large) = (verified_at(1), verified_at(128));
+        assert_eq!(small.len(), 1);
+        assert_eq!(large.len(), 1);
+        assert!(small[0] > large[0]);
+        assert_eq!(small[0], pool.strategies[0].tokens_to_verify);
+        assert_eq!(large[0], pool.strategies.last().unwrap().tokens_to_verify);
     }
 
     #[test]
@@ -329,8 +315,16 @@ mod tests {
             &cost,
             &drafter,
         );
-        assert_eq!(pool.strategy_for_batch(1), SdStrategy::default());
-        assert_eq!(pool.strategy_for_batch(64), SdStrategy::default());
+        let s = SdStrategy::default();
+        assert_eq!(pool.num_graphs(), 2 * default_batch_buckets().len());
+        for g in &pool.graphs {
+            let want = if g.for_drafter {
+                s.top_k
+            } else {
+                s.tokens_to_verify
+            };
+            assert_eq!(g.tokens_per_seq, want);
+        }
     }
 
     #[test]

@@ -65,8 +65,6 @@ impl Default for SdManagerConfig {
 pub struct AdaptiveSdManager {
     config: SdManagerConfig,
     pub(crate) selector: BegMabSelector,
-    decisions: u64,
-    speculative_decisions: u64,
 }
 
 impl AdaptiveSdManager {
@@ -78,12 +76,7 @@ impl AdaptiveSdManager {
     /// Creates a manager whose tuner is `selector` (a caller's strategy set;
     /// `config.mab` is then unused).
     pub fn with_selector(config: SdManagerConfig, selector: BegMabSelector) -> Self {
-        AdaptiveSdManager {
-            config,
-            selector,
-            decisions: 0,
-            speculative_decisions: 0,
-        }
+        AdaptiveSdManager { config, selector }
     }
 
     /// Current configuration.
@@ -116,7 +109,6 @@ impl AdaptiveSdManager {
         running_requests: usize,
         rng: &mut R,
     ) -> Option<(DrafterChoice, usize, bool)> {
-        self.decisions += 1;
         if running_requests == 0 || running_requests > self.config.elastic_threshold {
             return None;
         }
@@ -128,33 +120,19 @@ impl AdaptiveSdManager {
             return None;
         };
         let (arm, learns) = self.selector.select_arm(running_requests, rng);
-        self.speculative_decisions += 1;
         Some((drafter, arm, learns))
     }
 
-    /// Counts `times` more decisions like the last one, which did not learn
-    /// (vanilla when `speculative` is false): what as many
-    /// [`decide_arm`](Self::decide_arm) calls at the same load would count.
-    pub(crate) fn repeat_decision(&mut self, times: u64, speculative: bool) {
-        self.decisions += times;
-        if speculative {
-            self.speculative_decisions += times;
-            self.selector.repeat_lone_selection(times);
-        }
+    /// Counts `times` more speculative decisions like the last one, which did
+    /// not learn: what as many [`decide_arm`](Self::decide_arm) calls at the
+    /// same load would count.
+    pub(crate) fn repeat_decision(&mut self, times: u64) {
+        self.selector.repeat_lone_selection(times);
     }
 
     /// Feeds back the outcome of a speculative step so the tuner can adapt.
     pub fn record(&mut self, strategy: &SdStrategy, obs: StepObservation) {
         self.selector.record(strategy, obs);
-    }
-
-    /// Fraction of decisions that enabled speculative decoding.
-    pub fn speculative_fraction(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.speculative_decisions as f64 / self.decisions as f64
-        }
     }
 
     /// Access to the underlying tuner (for inspection in experiments).
@@ -214,7 +192,6 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(manager.decide(4, &mut rng), SdDecision::Vanilla);
-        assert_eq!(manager.speculative_fraction(), 0.0);
     }
 
     #[test]

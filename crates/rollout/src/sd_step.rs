@@ -30,7 +30,7 @@
 //! one whole token, `units = 2^52` from a zero carry), and the time of `j` steps
 //! is [`StepBatch::run_time`] over the compute- and memory-bound steps, whose
 //! contexts sum as a floor-sum. `SdStepEvaluator::commit` then advances the
-//! carry and the decision counters as that many [`SdStepEvaluator::step`] calls
+//! carry and the tuner's selection counts as that many [`SdStepEvaluator::step`] calls
 //! would; a learning decision's run is one step, costed and recorded as `step`
 //! does.
 
@@ -407,8 +407,8 @@ impl SdStepEvaluator {
     }
 
     /// Commits the first `steps` steps of `run` (the evaluator's last
-    /// [`run`](Self::run)): the carry and the decision counters advance, and the
-    /// tuner records, exactly as `steps` calls of [`step`](Self::step) would.
+    /// [`run`](Self::run)): the carry and the tuner's selection counts advance,
+    /// and the tuner records, exactly as `steps` calls of [`step`](Self::step) would.
     ///
     /// # Panics
     ///
@@ -416,14 +416,11 @@ impl SdStepEvaluator {
     pub(crate) fn commit(&mut self, run: &SdRun, steps: u64) {
         assert!((1..=run.max_steps()).contains(&steps), "{steps} steps");
         if !run.speculative {
-            if let Policy::Adaptive(manager) = &mut self.policy {
-                manager.repeat_decision(steps - 1, false);
-            }
             return;
         }
         self.carry = ((run.carry as u128 + steps as u128 * run.units as u128) as u64) & CARRY_MASK;
         match (&mut self.policy, run.learner) {
-            (Policy::Adaptive(manager), None) => manager.repeat_decision(steps - 1, true),
+            (Policy::Adaptive(manager), None) => manager.repeat_decision(steps - 1),
             (_, Some(arm)) => self.learn(arm, run.accept_len, run.cost.batch, run.time(1)),
             _ => {}
         }

@@ -97,8 +97,6 @@ pub struct ServeConfig {
     pub kv_memory_fraction: f64,
     /// Hard cap on concurrently running requests per replica.
     pub max_running_requests: usize,
-    /// Maximum prompt tokens packed into one prefill step (chunking bound).
-    pub max_prefill_tokens: usize,
     /// Upper bound on output tokens per request; conservative admission reserves
     /// KV space for this worst case.
     pub max_output_tokens: usize,
@@ -135,7 +133,6 @@ impl ServeConfig {
             sd_mode: SdMode::Disabled,
             kv_memory_fraction: 0.9,
             max_running_requests: 256,
-            max_prefill_tokens: 8192,
             max_output_tokens: 4096,
             preemption: false,
             kv_accounting: KvAccounting::Tokens,
@@ -154,12 +151,6 @@ impl ServeConfig {
     /// Same configuration with a different balancer policy.
     pub fn with_balancer(mut self, balancer: BalancerPolicy) -> Self {
         self.balancer = balancer;
-        self
-    }
-
-    /// Same configuration with optimistic admission + preemption enabled.
-    pub fn with_preemption(mut self) -> Self {
-        self.preemption = true;
         self
     }
 

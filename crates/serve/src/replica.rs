@@ -49,9 +49,14 @@ use crate::config::{KvAccounting, ServeConfig};
 use crate::metrics::{ReplicaMetrics, ReplicaStats};
 use crate::request::{CompletedRequest, ServeRequest};
 use std::collections::VecDeque;
-use tlt_model::paged_kv::{BlockLedger, PoolStats};
+use tlt_model::paged_kv::BlockLedger;
 use tlt_obs::{record, EventKind, ObsEvent, Track, NO_REQ};
 use tlt_rollout::{SdMode, SdStepEvaluator, SdStepModel};
+
+/// Maximum prompt tokens packed into one prefill step (the chunking bound): a
+/// step admits queued prompts until the next one would exceed it, but always
+/// admits at least one.
+const MAX_PREFILL_TOKENS: usize = 8192;
 
 /// A request waiting in the admission queue (possibly preempted mid-decode).
 #[derive(Debug, Clone)]
@@ -930,7 +935,7 @@ impl Replica {
                 } => (cached, private_blocks, shared_blocks),
             };
             let chunk = front.prefill_tokens() - entry_cached;
-            if admitted > 0 && prefill_tokens + chunk > self.config.max_prefill_tokens {
+            if admitted > 0 && prefill_tokens + chunk > MAX_PREFILL_TOKENS {
                 break;
             }
             let entry = self.queue.pop_front().expect("front exists");
@@ -1280,11 +1285,6 @@ impl Replica {
         self.pool().map_or(0, BlockLedger::peak_in_use_blocks)
     }
 
-    /// Pool accounting snapshot under paged accounting.
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool().map(BlockLedger::stats)
-    }
-
     /// Fraction of admitted prompt tokens served from resident prefix blocks.
     pub fn prefix_hit_rate(&self) -> f64 {
         let m = &self.metrics;
@@ -1617,7 +1617,13 @@ mod tests {
         // sequence, survivors keep their batch order, and the queue front holds
         // the victims in ascending admission order (so the earliest-admitted
         // victim is re-admitted first).
-        let mut replica = Replica::new(&config().with_preemption(), 0);
+        let mut replica = Replica::new(
+            &ServeConfig {
+                preemption: true,
+                ..config()
+            },
+            0,
+        );
         replica.ledger = BlockLedger::new(1, 3_000);
         for (seq, id) in [(0u64, 10u64), (1, 11), (2, 12), (3, 13)] {
             let entry = RunningEntry {
@@ -1655,7 +1661,8 @@ mod tests {
 
     #[test]
     fn preemption_evicts_and_resumes_under_kv_pressure() {
-        let mut cfg = config().with_preemption();
+        let mut cfg = config();
+        cfg.preemption = true;
         cfg.kv_memory_fraction = 0.25;
         // Optimistic admission: everything fits at prompt size, but decoding to
         // 16K tokens each must overflow the budget and trigger evictions.
@@ -1725,7 +1732,13 @@ mod tests {
         // pending must go back to the queue with no first-token timestamp (it
         // never produced one) and its original admission time preserved, so it
         // re-prefills from scratch on re-admission.
-        let mut replica = Replica::new(&config().with_preemption(), 0);
+        let mut replica = Replica::new(
+            &ServeConfig {
+                preemption: true,
+                ..config()
+            },
+            0,
+        );
         replica.ledger = BlockLedger::new(1, 1_500);
         for (seq, id) in [(0u64, 20u64), (1, 21)] {
             let entry = RunningEntry {
@@ -1858,7 +1871,8 @@ mod tests {
         // Regression: under optimistic admission a request whose prompt fits but
         // whose full footprint exceeds the entire budget used to be admitted and
         // then grow past the KV budget with nothing left to preempt.
-        let mut cfg = config().with_preemption();
+        let mut cfg = config();
+        cfg.preemption = true;
         cfg.kv_memory_fraction = 0.25;
         cfg.max_output_tokens = usize::MAX >> 1;
         let budget = cfg.kv_token_budget();
@@ -1977,7 +1991,7 @@ mod tests {
         drain(&mut replica);
         assert_eq!(take_log(&mut replica).len(), 1);
         assert_eq!(
-            replica.pool_stats().expect("paged").in_use_blocks,
+            replica.ledger.in_use_blocks(),
             16,
             "short prefix leaves 16 blocks resident"
         );
@@ -1994,7 +2008,7 @@ mod tests {
             replica.prefix_hit_rate()
         );
         assert_eq!(
-            replica.pool_stats().expect("paged").in_use_blocks,
+            replica.ledger.in_use_blocks(),
             48,
             "the group grew to the longer prefix"
         );
@@ -2006,12 +2020,13 @@ mod tests {
         // Regression: the resident prefix cache is reclaimed only under
         // actual pool pressure — an idle, nearly empty replica must not wipe
         // it at every step start just because preemption is enabled.
-        let cfg = config().with_preemption().with_paged_kv(16);
+        let mut cfg = config().with_paged_kv(16);
+        cfg.preemption = true;
         let mut replica = Replica::new(&cfg, 0);
         replica.enqueue(prefixed_request(0, 256, 256, 4), 0.0);
         drain(&mut replica);
         assert_eq!(
-            replica.pool_stats().expect("paged").in_use_blocks,
+            replica.ledger.in_use_blocks(),
             16,
             "group stays resident with no pressure"
         );
@@ -2025,7 +2040,8 @@ mod tests {
 
     #[test]
     fn paged_preemption_under_pressure_completes_everything_within_the_pool() {
-        let mut cfg = config().with_preemption().with_paged_kv(16);
+        let mut cfg = config().with_paged_kv(16);
+        cfg.preemption = true;
         cfg.kv_memory_fraction = 0.25;
         cfg.max_output_tokens = 16_384;
         let budget = cfg.kv_block_budget();
@@ -2056,11 +2072,11 @@ mod tests {
         replica.enqueue(prefixed_request(1, 1024, 1024, 64), 0.0);
         let t = replica.next_event_s();
         replica.on_step_complete(t);
-        assert!(replica.pool_stats().expect("paged").in_use_blocks > 0);
+        assert!(replica.ledger.in_use_blocks() > 0);
         let drained = replica.crash(t + 0.01);
         assert_eq!(drained.len(), 2);
         assert_eq!(
-            replica.pool_stats().expect("paged").in_use_blocks,
+            replica.ledger.in_use_blocks(),
             0,
             "crash frees private and resident blocks alike"
         );
@@ -2099,7 +2115,8 @@ mod tests {
         // admission planner, so a landing mid-step can never over-commit the
         // pool. Before the fix, `plan_paged_admission` ignored the inbound
         // charge and handed the same blocks to a queued request.
-        let cfg = config().with_paged_kv(16).with_preemption();
+        let mut cfg = config().with_paged_kv(16);
+        cfg.preemption = true;
         let mut replica = Replica::new(&cfg, 0);
         let budget = replica.kv_block_budget();
         assert!(budget > 8, "test needs a few blocks of headroom");
@@ -2175,11 +2192,10 @@ mod tests {
         assert_eq!(m.source_blocks, m.wire_blocks, "no shared prefix");
         // The handed-off KV stays charged as outbound until the wire copy
         // lands; completing the transfer frees it.
-        let stats = replica.pool_stats().expect("paged");
-        assert_eq!(stats.in_use_blocks, m.source_blocks);
+        assert_eq!(replica.ledger.in_use_blocks(), m.source_blocks);
         assert!(take_log(&mut replica).is_empty(), "prefill never decodes");
         replica.complete_outbound(m.source_blocks);
-        assert_eq!(replica.pool_stats().expect("paged").in_use_blocks, 0);
+        assert_eq!(replica.ledger.in_use_blocks(), 0);
         assert_eq!(replica.kv_pool_leaked(), 0);
     }
 

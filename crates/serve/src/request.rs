@@ -75,11 +75,6 @@ impl CompletedRequest {
     pub fn e2e_s(&self) -> f64 {
         self.finish_s - self.arrival_s
     }
-
-    /// Time spent waiting in the admission queue before prefill started.
-    pub fn queueing_s(&self) -> f64 {
-        self.admitted_s - self.arrival_s
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,6 @@ mod tests {
         assert!((r.ttft_s() - 1.0).abs() < 1e-12);
         assert!((r.tpot_s() - 1.0).abs() < 1e-12);
         assert!((r.e2e_s() - 5.0).abs() < 1e-12);
-        assert!((r.queueing_s() - 0.5).abs() < 1e-12);
     }
 
     #[test]

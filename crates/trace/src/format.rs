@@ -221,26 +221,11 @@ impl Trace {
         self.sd_accepts = Some(accepts);
     }
 
-    /// Builder form of [`Trace::set_sd_accepts`].
-    pub fn with_sd_accepts(mut self, accepts: Vec<u8>) -> Self {
-        self.set_sd_accepts(accepts);
-        self
-    }
-
     /// The same trace without its SD section (transforms drop it because the
     /// recorded accept stream no longer corresponds to the edited workload).
     pub fn without_sd(&self) -> Self {
         Trace {
             sd_accepts: None,
-            ..self.clone()
-        }
-    }
-
-    /// A copy with a different workload name (used by the transforms).
-    pub fn renamed(&self, name: &str) -> Self {
-        assert!(name.len() <= 255, "trace name must fit in 255 bytes");
-        Trace {
-            name: name.to_string(),
             ..self.clone()
         }
     }
@@ -425,7 +410,8 @@ pub(crate) mod tests {
 
     #[test]
     fn sd_bitstream_round_trips() {
-        let trace = sample_trace(false).with_sd_accepts(vec![1, 2, 63, 1, 5, 4, 4, 4]);
+        let mut trace = sample_trace(false);
+        trace.set_sd_accepts(vec![1, 2, 63, 1, 5, 4, 4, 4]);
         let decoded = Trace::from_bytes(&trace.to_bytes()).unwrap();
         assert_eq!(decoded.sd_accepts(), trace.sd_accepts());
         assert_eq!(decoded, trace);
@@ -564,7 +550,8 @@ pub(crate) mod tests {
 
     #[test]
     fn stats_sections_add_up() {
-        let trace = sample_trace(true).with_sd_accepts(vec![3; 100]);
+        let mut trace = sample_trace(true);
+        trace.set_sd_accepts(vec![3; 100]);
         let stats = trace.stats();
         assert_eq!(
             stats.header_bytes + stats.request_bytes + stats.sd_bytes + 8,

@@ -634,9 +634,9 @@ mod tests {
             })
             .collect();
         let sd = vec![2, 63, 1, 4];
-        let bytes = Trace::from_arrivals("sample", 1_000, &arrivals)
-            .with_sd_accepts(sd.clone())
-            .to_bytes();
+        let mut trace = Trace::from_arrivals("sample", 1_000, &arrivals);
+        trace.set_sd_accepts(sd.clone());
+        let bytes = trace.to_bytes();
         for capacity in [0, 16, 17, 61, 4096] {
             let mut reader = TraceReader::open_with_capacity(&bytes[..], capacity).unwrap();
             assert_eq!(reader.name(), "sample");

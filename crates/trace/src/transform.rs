@@ -134,9 +134,14 @@ mod tests {
     use tlt_workload::{generate_arrivals, ArrivalConfig};
 
     fn base() -> Trace {
+        let mut trace = named("base");
+        trace.set_sd_accepts(vec![2; 10]);
+        trace
+    }
+
+    fn named(name: &str) -> Trace {
         let config = ArrivalConfig::constant(10.0, 60.0, 5).with_prefix(0.4, 64);
-        Trace::from_arrivals("base", 1_000_000, &generate_arrivals(&config))
-            .with_sd_accepts(vec![2; 10])
+        Trace::from_arrivals(name, 1_000_000, &generate_arrivals(&config))
     }
 
     #[test]
@@ -208,7 +213,7 @@ mod tests {
     #[test]
     fn transforms_accept_every_name_and_factor_tltr_allows() {
         let long = "é".repeat(127) + "a"; // 255 bytes
-        let t = base().renamed(&long);
+        let t = named(&long);
         for derived in [
             t.rate_scaled(2.0),
             t.storm_injected(10.0, 5.0, 40.0, 1),

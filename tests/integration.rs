@@ -83,14 +83,23 @@ fn cudagraph_pool_strategies_are_consistent_with_the_mab_buckets() {
         &cost,
         &drafter,
     );
-    // The pool serves every batch size the engine can see, and deeper verification is
-    // reserved for smaller batches.
-    let mut last_verify = usize::MAX;
-    for batch in [1usize, 4, 16, 64, 256] {
-        let strategy = pool.strategy_for_batch(batch);
-        assert!(strategy.tokens_to_verify <= last_verify);
-        last_verify = strategy.tokens_to_verify;
+    // The pool captures a target graph for every batch bucket the engine can see,
+    // and deeper verification is reserved for smaller batches: target graphs'
+    // tokens per sequence never increase as the bucket grows.
+    let mut targets: Vec<(usize, usize)> = pool
+        .graphs
+        .iter()
+        .filter(|g| !g.for_drafter)
+        .map(|g| (g.batch_bucket, g.tokens_per_seq))
+        .collect();
+    targets.sort_unstable_by_key(|&(bucket, tokens)| (bucket, std::cmp::Reverse(tokens)));
+    let mut buckets: Vec<usize> = targets.iter().map(|&(bucket, _)| bucket).collect();
+    buckets.dedup();
+    assert_eq!(buckets, default_batch_buckets());
+    for pair in targets.windows(2) {
+        assert!(pair[1].1 <= pair[0].1, "{targets:?}");
     }
+    assert!(targets[0].1 > targets[targets.len() - 1].1);
 }
 
 #[test]

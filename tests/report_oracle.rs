@@ -254,7 +254,8 @@ fn churn_cluster_reports_match_the_reference() {
 /// a straggler slows one of them.
 #[test]
 fn serving_reports_with_ties_preemption_and_faults_match_the_reference() {
-    let mut config = replay_deployment(4).with_preemption();
+    let mut config = replay_deployment(4);
+    config.preemption = true;
     // About 16.5k KV tokens per replica: enough to run, too few not to preempt.
     config.kv_memory_fraction = 0.188;
     let burst = (0..16u64).rev().map(|id| RequestArrival {
