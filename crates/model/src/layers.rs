@@ -170,8 +170,8 @@ pub struct LayerTrainCache {
     k: Mat,
     v: Mat,
     /// Causal part of the attention probabilities, as kept by
-    /// [`attention::forward`]: row `i` holds `(i + 1) * num_heads` entries
-    /// indexed `key * num_heads + head`, rows back to back.
+    /// [`attention::forward`]: one block per tile of query rows, blocks back
+    /// to back, each indexed `(key * num_heads + head) * tile + row`.
     attn_probs: Vec<f32>,
     attn_concat: Mat,
     mlp_norm_cache: RmsNormCache,
@@ -221,10 +221,11 @@ impl DecoderLayer {
     /// [`LayerScratch`] (or a full `DecodeWorkspace`) and call the `_into`
     /// variant directly.
     pub fn forward_cached<K: KvStore>(&self, new_hidden: &Mat, kv: &mut K, layer: usize) -> Mat {
+        let rows = new_hidden.rows();
         let mut scratch = LayerScratch::new(
             self.config.hidden,
             self.config.ffn_hidden,
-            kv.kv_len(layer) + new_hidden.rows(),
+            attention::scratch_len(rows, kv.kv_len(layer) + rows, self.config.num_heads),
         );
         let mut out = Mat::zeros(new_hidden.rows(), self.config.hidden);
         self.forward_cached_into(new_hidden, kv, layer, &mut scratch, &mut out);
@@ -248,7 +249,10 @@ impl DecoderLayer {
         let cfg = &self.config;
         let past = kv.kv_len(layer);
         let n_new = new_hidden.rows();
-        scratch.prepare(n_new, (past + n_new) * cfg.num_heads);
+        scratch.prepare(
+            n_new,
+            attention::scratch_len(n_new, past + n_new, cfg.num_heads),
+        );
         out.set_rows(n_new, cfg.hidden);
 
         rmsnorm_into(new_hidden, &self.attn_norm, &mut scratch.normed);

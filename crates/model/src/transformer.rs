@@ -8,6 +8,7 @@
 //! staleness after policy updates, drafter recovery under continued training — are
 //! produced by this model rather than being hard-coded.
 
+use crate::attention;
 use crate::kv_cache::{KvCache, KvStore, LayerKvCache};
 use crate::layers::{DecoderLayer, DecoderLayerGrads, LayerConfig, LayerTrainCache};
 use crate::ops::{rmsnorm_backward, rmsnorm_forward, RmsNormCache};
@@ -302,7 +303,7 @@ impl TinyLm {
         let mut scratch = LayerScratch::new(
             config.hidden,
             config.ffn_hidden,
-            positions * config.num_heads,
+            attention::scratch_len(hidden.rows(), positions, config.num_heads),
         );
         let mut next = Mat::zeros(0, config.hidden);
         for (idx, layer) in layers.iter().enumerate() {

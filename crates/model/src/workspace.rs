@@ -11,6 +11,7 @@
 //! `DecoderLayer::forward_cached`) share the same code path, so their outputs are
 //! bit-identical — using a workspace is purely a performance decision.
 
+use crate::attention;
 use crate::tensor::Mat;
 use crate::transformer::ModelConfig;
 
@@ -41,8 +42,9 @@ pub struct LayerScratch {
 
 impl LayerScratch {
     /// Creates scratch for layers of width `hidden` / `ffn_hidden` with room for
-    /// `max_score_slots` attention-score entries (`num_heads * max context length`)
-    /// before any reallocation.
+    /// `max_score_slots` attention-score entries before any reallocation:
+    /// `num_heads * max context length` for one-row steps, times the attention
+    /// kernel's tile of query rows for blocks of several.
     pub fn new(hidden: usize, ffn_hidden: usize, max_score_slots: usize) -> Self {
         LayerScratch {
             normed: Mat::zeros(0, hidden),
@@ -105,8 +107,9 @@ pub struct DecodeWorkspace {
 
 impl DecodeWorkspace {
     /// Creates a workspace for models with `config`'s geometry. The attention
-    /// score buffer is pre-sized to `config.max_seq_len`, so no forward pass
-    /// within the model's context window ever grows it.
+    /// score buffer is pre-sized to a tile of query rows over
+    /// `config.max_seq_len` keys, so no forward pass within the model's context
+    /// window ever grows it.
     pub fn new(config: &ModelConfig) -> Self {
         DecodeWorkspace {
             hidden: Mat::zeros(0, config.hidden),
@@ -116,7 +119,7 @@ impl DecodeWorkspace {
             scratch: LayerScratch::new(
                 config.hidden,
                 config.ffn_hidden,
-                config.max_seq_len * config.num_heads,
+                attention::scratch_len(config.max_seq_len, config.max_seq_len, config.num_heads),
             ),
             hidden_dim: config.hidden,
             vocab: config.vocab_size,
@@ -174,9 +177,14 @@ mod tests {
     fn scores_presized_to_full_context() {
         let config = ModelConfig::micro();
         let ws = DecodeWorkspace::new(&config);
+        let (len, heads) = (config.max_seq_len, config.num_heads);
         assert_eq!(
             ws.scratch.scores.len(),
-            config.max_seq_len * config.num_heads
+            attention::scratch_len(len, len, heads)
         );
+        // Room for every verification block up to the full context.
+        for rows in 1..=len {
+            assert!(attention::scratch_len(rows, len, heads) <= ws.scratch.scores.len());
+        }
     }
 }

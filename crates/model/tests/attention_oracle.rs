@@ -435,3 +435,66 @@ fn full_context_and_zero_gradients_are_bit_identical_to_the_oracle() {
     assert_bits("d_wk", grads.wk.as_slice(), oracle_grads.wk.as_slice());
     assert_bits("d_wv", grads.wv.as_slice(), oracle_grads.wv.as_slice());
 }
+
+/// Query rows that share one key pass in the kernel (`TILE` in `attention.rs`).
+const TILE: usize = 8;
+
+/// A layer of `heads` heads of `head_dim` lanes each.
+fn layer_with(head_dim: usize, heads: usize, seed: u64) -> DecoderLayer {
+    let hidden = head_dim * heads;
+    let config = LayerConfig {
+        hidden,
+        num_heads: heads,
+        ffn_hidden: hidden * 2,
+    };
+    DecoderLayer::random(config, &mut StdRng::seed_from_u64(seed))
+}
+
+/// Blocks of one row, a tile less one, a tile, a tile and one, and two tiles
+/// and one, over no past, one position and 37, at head widths 4, 6 (through
+/// `dot`'s tail), 8 (the transposed score kernel) and 16, and five heads (a
+/// block of four and a single one): cached blocks, the training forward and
+/// the backward pass.
+#[test]
+fn tile_boundaries_are_bit_identical_to_the_oracle() {
+    for (head_dim, heads) in [(4, 4), (6, 2), (8, 4), (8, 5), (16, 2)] {
+        let seed = (head_dim * 10 + heads) as u64;
+        let layer = layer_with(head_dim, heads, seed);
+        let width = layer.config.hidden;
+        for rows in [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1] {
+            for past in [0, 1, 37] {
+                let keys = random_mat(past, width, seed + 1);
+                let values = random_mat(past, width, seed + 2);
+                let block = random_mat(rows, width, seed + 3);
+                let run = |oracle| {
+                    let mut kv = LayerKvCache::new(width);
+                    run_block(&layer, &mut kv, (&keys, &values), &block, oracle)
+                };
+                let label = format!("head_dim {head_dim} x {heads}, past {past}, rows {rows}");
+                assert_bits(&label, run(false).as_slice(), run(true).as_slice());
+            }
+            check_training(&layer, rows, seed);
+        }
+    }
+}
+
+/// Verification blocks one after another on one cache and one scratch, as a
+/// speculative round runs them: a stale tile block from the longer block
+/// before must not reach a shorter one.
+#[test]
+fn successive_blocks_on_one_scratch_are_bit_identical_to_the_oracle() {
+    let layer = layer_with(8, 4, 11);
+    let width = layer.config.hidden;
+    let (mut kv, mut oracle_kv) = (LayerKvCache::new(width), LayerKvCache::new(width));
+    let mut scratch = LayerScratch::new(width, layer.config.ffn_hidden, 0);
+    let mut out = Mat::zeros(0, width);
+    for (step, rows) in [TILE + 3, 5, 1, 2 * TILE + 1, 3, TILE]
+        .into_iter()
+        .enumerate()
+    {
+        let block = random_mat(rows, width, 100 + step as u64);
+        layer.forward_cached_into(&block, &mut kv, 0, &mut scratch, &mut out);
+        let oracle = oracle_forward_cached(&layer, &block, &mut oracle_kv, 0);
+        assert_bits(&format!("block {step}"), out.as_slice(), oracle.as_slice());
+    }
+}

@@ -48,12 +48,6 @@ pub struct CapturedGraph {
 /// A planned pool of captured CUDAGraphs.
 #[derive(Debug, Clone, Serialize)]
 pub struct CudaGraphPool {
-    /// Capture policy used to build the pool.
-    pub mode: CaptureMode,
-    /// Batch-size buckets, ascending.
-    pub buckets: Vec<usize>,
-    /// The strategies the pool serves (largest `tokens_to_verify` first).
-    pub strategies: Vec<SdStrategy>,
     /// All captured graphs.
     pub graphs: Vec<CapturedGraph>,
 }
@@ -145,12 +139,7 @@ impl CudaGraphPool {
                 }
             }
         }
-        CudaGraphPool {
-            mode,
-            buckets: buckets.to_vec(),
-            strategies: sorted_strategies,
-            graphs,
-        }
+        CudaGraphPool { graphs }
     }
 
     /// Splits the bucket list into contiguous ranges, one per strategy (strategies are
@@ -278,7 +267,11 @@ mod tests {
     #[test]
     fn strategy_selection_matches_bucket_ranges() {
         let (cost, drafter) = setup();
+        // Already in descending `tokens_to_verify` order, as `plan` sorts them.
         let strategies = SdStrategy::default_set();
+        assert!(strategies
+            .windows(2)
+            .all(|w| w[0].tokens_to_verify >= w[1].tokens_to_verify));
         let buckets = default_batch_buckets();
         let pool = CudaGraphPool::plan(
             CaptureMode::Bucketed,
@@ -300,8 +293,8 @@ mod tests {
         assert_eq!(small.len(), 1);
         assert_eq!(large.len(), 1);
         assert!(small[0] > large[0]);
-        assert_eq!(small[0], pool.strategies[0].tokens_to_verify);
-        assert_eq!(large[0], pool.strategies.last().unwrap().tokens_to_verify);
+        assert_eq!(small[0], strategies[0].tokens_to_verify);
+        assert_eq!(large[0], strategies.last().unwrap().tokens_to_verify);
     }
 
     #[test]
