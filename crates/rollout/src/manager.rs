@@ -5,6 +5,7 @@
 //! an elastic threshold (default 32), (b) which drafter to use — the learned adaptive
 //! drafter when one is available and warm, otherwise the model-free n-gram fallback,
 //! and (c) which SD strategy to run — delegated to the BEG-MAB tuner.
+//! The model-free drafter (TLT-Base) is timing-level only; [`crate::spec`] says why.
 
 use crate::mab::{BegMabConfig, BegMabSelector, StepObservation};
 use crate::spec::SdStrategy;
@@ -16,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub enum DrafterChoice {
     /// The learned adaptive (EAGLE-style) drafter.
     Learned,
-    /// The model-free n-gram drafter (fallback / TLT-Base).
+    /// The model-free n-gram drafter (fallback / TLT-Base); timing level only.
     ModelFree,
 }
 

@@ -1,18 +1,21 @@
 //! Token-level speculative decoding with lossless verification.
 //!
-//! This module runs real speculative decoding against the tiny target model: the
-//! drafter (learned EAGLE-style or model-free n-gram) proposes a chain of tokens,
-//! the target verifies them in one forward pass, and the standard rejection-sampling
-//! rule (Leviathan et al.) accepts a prefix and resamples at the first mismatch —
-//! guaranteeing that the output distribution is *identical* to vanilla decoding,
-//! which is the paper's core "lossless" requirement.
+//! This module runs real speculative decoding against the tiny target model: a
+//! learned EAGLE-style drafter proposes a chain of tokens, the target verifies
+//! them in one forward pass, and the standard rejection-sampling rule (Leviathan
+//! et al.) accepts a prefix and resamples at the first mismatch — guaranteeing
+//! that the output distribution is *identical* to vanilla decoding, which is the
+//! paper's core "lossless" requirement.
 //!
 //! Tree drafting and batched verification are modelled analytically for the
 //! timing-level simulations (see `tlt_draft::AcceptanceProfile` and
 //! [`crate::sim_engine`]); the token-level engine here uses chain drafting, which is
 //! sufficient to measure acceptance behaviour and to property-test losslessness.
+//!
+//! TLT-Base's model-free n-gram drafter is timing-level only (its `AcceptanceProfile`,
+//! [`crate::DrafterChoice::ModelFree`]): on the random-init tiny model an n-gram drafter
+//! fed each group's earlier responses kept a mean accept length of 1.000-1.014.
 
-use crate::ngram::NgramDrafter;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlt_draft::{DraftModel, DraftScratch, DraftState, FeatureSource};
@@ -22,13 +25,15 @@ use tlt_model::{
 };
 
 /// A speculative-decoding configuration tuple — the "arm" of the BEG-MAB tuner.
+/// The token-level engine drafts a chain of `draft_depth` tokens; the timing-level
+/// acceptance and cost models read all three fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SdStrategy {
     /// Number of sequential drafter steps per speculative round.
     pub draft_depth: usize,
-    /// Tree top-K (branching factor) used by tree drafting.
+    /// Tree top-K (branching factor) of tree drafting; timing-level models only.
     pub top_k: usize,
-    /// Number of drafted tree tokens submitted to the target for verification.
+    /// Drafted tree tokens the target verifies; timing-level models only.
     pub tokens_to_verify: usize,
 }
 
@@ -71,13 +76,12 @@ impl Default for SdStrategy {
     }
 }
 
-/// Which drafter proposes tokens.
+/// Which drafter proposes tokens. One variant, because TLT-Base's model-free
+/// drafter is modelled at the timing level only (see the module doc).
 #[derive(Debug)]
 pub enum SpecDrafter<'a> {
     /// Learned EAGLE-style drafter (must use [`FeatureSource::LastLayer`]).
     Learned(&'a DraftModel),
-    /// Model-free n-gram retrieval drafter.
-    ModelFree(&'a NgramDrafter),
 }
 
 /// Outcome of generating one response.
@@ -128,47 +132,15 @@ pub fn vanilla_generate<R: Rng>(
     let mut cache = target.new_cache();
     let mut ws = DecodeWorkspace::new(&target.config);
     target.forward_into(prompt, &mut cache, &mut ws);
-    let prompt_logits = ws.logits().row(ws.logits().rows() - 1).to_vec();
-    vanilla_continue(
-        target,
-        &mut cache,
-        &mut ws,
-        &prompt_logits,
-        max_new,
-        params,
-        eos,
-        rng,
-    )
-}
-
-/// The decode loop of [`vanilla_generate`], continuing from a cache that
-/// already holds the prompt KV. `prompt_logits` is the logits row of the
-/// prompt's final position (where the first sample comes from).
-#[allow(clippy::too_many_arguments)]
-fn vanilla_continue<K: KvStore, R: Rng>(
-    target: &TinyLm,
-    cache: &mut K,
-    ws: &mut DecodeWorkspace,
-    prompt_logits: &[f32],
-    max_new: usize,
-    params: SamplingParams,
-    eos: Option<TokenId>,
-    rng: &mut R,
-) -> GenerationResult {
     let mut probs = Vec::with_capacity(target.config.vocab_size);
     let mut tokens = Vec::new();
     let mut trunk = Mat::zeros(0, target.config.hidden);
-    let mut steps = 0usize;
     for i in 0..max_new {
-        if i == 0 {
-            probs_from_logits_into(prompt_logits, params, &mut probs);
-        } else {
-            let last_row = ws.logits().rows() - 1;
-            probs_from_logits_into(ws.logits().row(last_row), params, &mut probs);
-        }
+        // The last logits row: the prompt's final position, then each decoded token.
+        let last_row = ws.logits().rows() - 1;
+        probs_from_logits_into(ws.logits().row(last_row), params, &mut probs);
         let next = sample_from_probs(&probs, rng) as TokenId;
         tokens.push(next);
-        steps += 1;
         // The last token's logits are never sampled from, so it is not decoded.
         if Some(next) == eos
             || i + 1 == max_new
@@ -176,12 +148,12 @@ fn vanilla_continue<K: KvStore, R: Rng>(
         {
             break;
         }
-        target.decode_step(next, cache, ws);
+        target.decode_step(next, &mut cache, &mut ws);
         trunk.extend_rows_range(ws.trunk_out(), 0, 1);
     }
     GenerationResult {
+        target_steps: tokens.len(), // the prefill, then one decode step per token
         tokens,
-        target_steps: steps,
         accept_lengths: Vec::new(),
         position_attempts: Vec::new(),
         position_accepted: Vec::new(),
@@ -194,8 +166,8 @@ fn vanilla_continue<K: KvStore, R: Rng>(
 ///
 /// # Panics
 ///
-/// Panics if the prompt is empty or a learned drafter with a multi-layer feature
-/// source is supplied (the token-level engine supports last-layer drafters).
+/// Panics if the prompt is empty or the drafter has a multi-layer feature source
+/// (the token-level engine supports last-layer drafters).
 // The argument list deliberately mirrors `vanilla_generate` plus the SD knobs, so
 // call sites can switch between the two generators mechanically.
 #[allow(clippy::too_many_arguments)]
@@ -233,7 +205,7 @@ pub fn speculative_generate<R: Rng>(
 ///
 /// # Panics
 ///
-/// Panics if the prompt or schedule is empty, or if any learned drafter uses a
+/// Panics if the prompt or schedule is empty, or if any drafter uses a
 /// multi-layer feature source.
 #[allow(clippy::too_many_arguments)]
 pub fn speculative_generate_with_swap<R: Rng>(
@@ -252,13 +224,12 @@ pub fn speculative_generate_with_swap<R: Rng>(
         "schedule must name at least one drafter"
     );
     for (_, drafter) in schedule {
-        if let SpecDrafter::Learned(model) = drafter {
-            assert_eq!(
-                model.feature_source,
-                FeatureSource::LastLayer,
-                "token-level engine requires a last-layer drafter"
-            );
-        }
+        let SpecDrafter::Learned(model) = drafter;
+        assert_eq!(
+            model.feature_source,
+            FeatureSource::LastLayer,
+            "token-level engine requires a last-layer drafter"
+        );
     }
     let depth = strategy.draft_depth.max(1);
 
@@ -273,56 +244,22 @@ pub fn speculative_generate_with_swap<R: Rng>(
         target.config.hidden,
     );
     features.extend_rows_range(ws.last_hidden(), 0, ws.last_hidden().rows());
-    let prompt_logits = ws.logits().row(ws.logits().rows() - 1).to_vec();
-    speculative_continue(
-        target,
-        schedule,
-        prompt,
-        max_new,
-        strategy,
-        params,
-        eos,
-        rng,
-        &mut cache,
-        &mut ws,
-        features,
-        &prompt_logits,
-    )
-}
 
-/// The speculative rounds of [`speculative_generate_with_swap`], continuing
-/// from a cache that already holds the prompt KV, the target's last-layer
-/// `features` for every cached position, and the logits row of the prompt's
-/// final position.
-#[allow(clippy::too_many_arguments)]
-fn speculative_continue<K: KvStore, R: Rng>(
-    target: &TinyLm,
-    schedule: &[(usize, &SpecDrafter<'_>)],
-    prompt: &[TokenId],
-    max_new: usize,
-    strategy: SdStrategy,
-    params: SamplingParams,
-    eos: Option<TokenId>,
-    rng: &mut R,
-    cache: &mut K,
-    ws: &mut DecodeWorkspace,
-    mut features: Mat,
-    prompt_logits: &[f32],
-) -> GenerationResult {
-    let depth = strategy.draft_depth.max(1);
-    // Per-segment drafter bookkeeping: the scratch and incremental KV state are
-    // rebuilt whenever the active drafter changes (a swapped-in drafter primes
-    // its own KV from the committed features on its first round).
+    // Per-segment drafter bookkeeping: the incremental KV state is rebuilt
+    // whenever the active drafter changes (a swapped-in drafter primes its own
+    // KV from the committed features on its first round). Every drafter is
+    // last-layer, so one scratch fits them all.
     let mut segment = 0usize;
     let mut rounds_in_segment = 0usize;
-    let mut draft_scratch: Option<DraftScratch> = None;
+    let mut draft_scratch = DraftScratch::new(target, FeatureSource::LastLayer);
     let mut draft_state: Option<DraftState> = None;
+    // Committed tokens, one per row of `features`.
     let mut all_tokens: Vec<TokenId> = prompt.to_vec();
 
     // Sample the first generated token from the prompt's final distribution; it
     // becomes the "pending" token (committed but not yet in the target KV cache).
     let mut probs = Vec::with_capacity(target.config.vocab_size);
-    probs_from_logits_into(prompt_logits, params, &mut probs);
+    probs_from_logits_into(ws.logits().row(ws.logits().rows() - 1), params, &mut probs);
     let mut pending: TokenId = sample_from_probs(&probs, rng) as TokenId;
     let mut generated: Vec<TokenId> = vec![pending];
     let mut trunk = Mat::zeros(0, target.config.hidden);
@@ -342,9 +279,8 @@ fn speculative_continue<K: KvStore, R: Rng>(
             segment += 1;
             rounds_in_segment = 0;
             draft_state = None;
-            draft_scratch = None;
         }
-        let drafter = schedule[segment].1;
+        let SpecDrafter::Learned(model) = schedule[segment].1;
         rounds_in_segment += 1;
         // Budget left, bounded by the model's positional table.
         let room = target
@@ -362,53 +298,27 @@ fn speculative_continue<K: KvStore, R: Rng>(
 
         // --- Drafting stage ---
         draft_tokens.clear();
-        match drafter {
-            SpecDrafter::Learned(model) => {
-                let scratch = draft_scratch
-                    .get_or_insert_with(|| DraftScratch::new(target, model.feature_source));
-                all_tokens.push(pending);
-                let state = match draft_state.as_mut() {
-                    Some(state) => {
-                        // Re-prime only the newly committed positions; KV entries
-                        // for older positions are bit-identical across rounds.
-                        model.resume_draft(
-                            target,
-                            &features,
-                            &all_tokens[..features.rows()],
-                            state,
-                            scratch,
-                        );
-                        state
-                    }
-                    None => draft_state.insert(model.begin_draft_with(
-                        target,
-                        &features,
-                        &all_tokens[..features.rows()],
-                        scratch,
-                    )),
-                };
-                all_tokens.pop();
-                let mut last = pending;
-                for dist in draft_dists.iter_mut().take(draft_len) {
-                    let logits = model.draft_step_into(target, state, last, scratch);
-                    probs_from_logits_into(logits, params, dist);
-                    let tok = sample_from_probs(dist, rng) as TokenId;
-                    draft_tokens.push(tok);
-                    last = tok;
-                }
+        let state = match draft_state.as_mut() {
+            Some(state) => {
+                // Re-prime only the newly committed positions; KV entries for
+                // older positions are bit-identical across rounds.
+                model.resume_draft(target, &features, &all_tokens, state, &mut draft_scratch);
+                state
             }
-            SpecDrafter::ModelFree(ngram) => {
-                all_tokens.push(pending);
-                let proposed = ngram.draft(&all_tokens);
-                all_tokens.pop();
-                for (d, tok) in proposed.into_iter().take(draft_len).enumerate() {
-                    let one_hot = &mut draft_dists[d];
-                    one_hot.clear();
-                    one_hot.resize(target.config.vocab_size, 0.0);
-                    one_hot[tok as usize] = 1.0;
-                    draft_tokens.push(tok);
-                }
-            }
+            None => draft_state.insert(model.begin_draft_with(
+                target,
+                &features,
+                &all_tokens,
+                &mut draft_scratch,
+            )),
+        };
+        let mut last = pending;
+        for dist in draft_dists.iter_mut().take(draft_len) {
+            let logits = model.draft_step_into(target, state, last, &mut draft_scratch);
+            probs_from_logits_into(logits, params, dist);
+            let tok = sample_from_probs(dist, rng) as TokenId;
+            draft_tokens.push(tok);
+            last = tok;
         }
 
         // --- Verification stage: target processes [pending, d_1, ..., d_k] at once ---
@@ -416,7 +326,7 @@ fn speculative_continue<K: KvStore, R: Rng>(
         block.push(pending);
         block.extend_from_slice(&draft_tokens);
         let pre_verify_len = cache.kv_seq_len();
-        target.forward_into(&block, cache, ws);
+        target.forward_into(&block, &mut cache, &mut ws);
         target_steps += 1;
 
         // Accept/reject drafted tokens with lossless rejection sampling.
@@ -586,34 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_model_free_output_identical_to_vanilla() {
-        let (target, _) = setup();
-        let params = SamplingParams::greedy();
-        let prompt: Vec<TokenId> = vec![3, 1, 4, 1];
-        let mut rng = StdRng::seed_from_u64(0);
-        let vanilla = vanilla_generate(&target, &prompt, 20, params, None, &mut rng);
-        // Let the n-gram drafter observe the vanilla output so it drafts aggressively.
-        let mut ngram = NgramDrafter::new(crate::ngram::NgramConfig::default());
-        let mut observed = prompt.clone();
-        observed.extend_from_slice(&vanilla.tokens);
-        ngram.observe(&observed);
-        let mut rng = StdRng::seed_from_u64(1);
-        let spec = speculative_generate(
-            &target,
-            &SpecDrafter::ModelFree(&ngram),
-            &prompt,
-            20,
-            SdStrategy::default(),
-            params,
-            None,
-            &mut rng,
-        );
-        assert_eq!(spec.tokens, vanilla.tokens);
-        // And the drafter actually helped: fewer target steps than tokens generated.
-        assert!(spec.target_steps < vanilla.target_steps);
-    }
-
-    #[test]
     fn speculative_uses_fewer_target_steps_than_vanilla() {
         let (target, drafter) = setup();
         let params = SamplingParams::greedy();
@@ -645,24 +527,19 @@ mod tests {
     fn drafter_swap_mid_generation_is_bit_lossless_under_greedy() {
         // The chaos-harness guarantee: swapping the drafter between speculative
         // rounds (checkpoint adoption or last-good fallback) must not change a
-        // single output token. Exercise learned->learned and learned->ngram
-        // swaps at several swap points.
+        // single output token. Exercise learned->learned swaps at several swap
+        // points.
         let (target, drafter_a) = setup();
         let drafter_b = DraftModel::new(&target, FeatureSource::LastLayer, 77);
-        let mut ngram = NgramDrafter::new(crate::ngram::NgramConfig::default());
-        ngram.observe(&[1, 5, 9, 2, 4, 1, 5, 9]);
         let params = SamplingParams::greedy();
         let prompt: Vec<TokenId> = vec![1, 5, 9, 2];
         let mut rng = StdRng::seed_from_u64(0);
         let vanilla = vanilla_generate(&target, &prompt, 28, params, None, &mut rng);
         let spec_a = SpecDrafter::Learned(&drafter_a);
         let spec_b = SpecDrafter::Learned(&drafter_b);
-        let spec_n = SpecDrafter::ModelFree(&ngram);
         let schedules: Vec<Vec<(usize, &SpecDrafter)>> = vec![
             vec![(2, &spec_a), (usize::MAX, &spec_b)],
             vec![(1, &spec_a), (1, &spec_b), (usize::MAX, &spec_a)],
-            vec![(2, &spec_a), (usize::MAX, &spec_n)],
-            vec![(1, &spec_n), (usize::MAX, &spec_a)],
         ];
         for (i, schedule) in schedules.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(1);

@@ -5,11 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tlt_draft::{DraftModel, FeatureSource};
+use tlt_draft::{DraftModel, DrafterTrainer, FeatureSource, TrainerConfig, TrainingSample};
 use tlt_model::{ModelConfig, SamplingParams, TinyLm, TokenId};
 use tlt_rollout::{
     speculative_generate, speculative_generate_with_swap, vanilla_generate, GenerationResult,
-    NgramConfig, NgramDrafter, SdStrategy, SpecDrafter,
+    SdStrategy, SpecDrafter,
 };
 
 const SAMPLED: SamplingParams = SamplingParams {
@@ -145,18 +145,28 @@ fn speculative_trunk_is_the_recomputed_trunk_through_rejections_and_greedy() {
 
 #[test]
 fn speculative_trunk_drops_the_rows_an_eos_inside_a_block_cut_off() {
-    // An n-gram drafter that has seen the greedy continuation drafts it whole,
-    // so an EOS placed inside it lands among a round's accepted drafts.
+    // A drafter trained on the greedy continuation drafts long runs of it, so
+    // an EOS placed inside it lands among a round's accepted drafts.
     let (target, _) = setup();
     let p = prompt(4, 4);
     let greedy = SamplingParams::greedy();
     let mut rng = StdRng::seed_from_u64(0);
     let vanilla = vanilla_generate(&target, &p, 30, greedy, None, &mut rng);
-    let mut ngram = NgramDrafter::new(NgramConfig::default());
-    let mut observed = p.clone();
-    observed.extend_from_slice(&vanilla.tokens);
-    ngram.observe(&observed);
-    let spec = SpecDrafter::ModelFree(&ngram);
+    let mut sequence = p.clone();
+    sequence.extend_from_slice(&vanilla.tokens);
+    let sample = TrainingSample::from_rollout(
+        &target,
+        FeatureSource::LastLayer,
+        &sequence,
+        vanilla.tokens.len(),
+        0,
+        0,
+    );
+    let mut trainer = DrafterTrainer::new(&target, TrainerConfig::default(), 8);
+    for _ in 0..20 {
+        trainer.train_iteration(&target, &[&sample]);
+    }
+    let spec = SpecDrafter::Learned(&trainer.drafter);
     let mut cut_inside_a_block = 0;
     for eos_at in 1..vanilla.tokens.len() {
         let eos = vanilla.tokens[eos_at];

@@ -15,7 +15,8 @@ pub enum SystemKind {
     /// decoding.
     Verl,
     /// TLT-Base: TLT's rollout engine with the model-free n-gram drafter only
-    /// (no adaptive drafter training).
+    /// (no adaptive drafter training). Timing level only: on the random-init tiny
+    /// model an n-gram drafter kept a mean accept length of 1.000-1.014.
     TltBase,
     /// Full TLT: adaptive drafter (spot-trained) + adaptive rollout engine.
     Tlt,

@@ -21,14 +21,14 @@ use std::path::{Path, PathBuf};
 /// Public functions that only tests call, kept on purpose: `"name: reason"`.
 const KEPT: &[&str] = &[
     // A ROADMAP item names the caller that will use them.
-    "decode_work: ROADMAP 3: the counted-work test holds a decode step to it",
-    "verify_work: ROADMAP 3: the counted-work test holds a verify to it",
-    "arithmetic_intensity: ROADMAP 3-4: roofline position of counted work",
-    "is_compute_bound: ROADMAP 3-4: roofline position of counted work",
-    "ridge_intensity: ROADMAP 3-4: roofline position of counted work",
-    "achieved_tflops: ROADMAP 4(b): predicted against measured host throughput",
-    "with_manager: ROADMAP 7(c): a caller's multi-arm set reaches the evaluator",
-    "set_learned_drafter_available: ROADMAP 6(c): the drafter's cold start",
+    "decode_work: ROADMAP 5: the counted-work test holds a decode step to it",
+    "verify_work: ROADMAP 5: the counted-work test holds a verify to it",
+    "arithmetic_intensity: ROADMAP 5-6: roofline position of counted work",
+    "is_compute_bound: ROADMAP 5-6: roofline position of counted work",
+    "ridge_intensity: ROADMAP 5-6: roofline position of counted work",
+    "achieved_tflops: ROADMAP 6(b): predicted against measured host throughput",
+    "with_manager: ROADMAP 10(c): a caller's multi-arm set reaches the evaluator",
+    "set_learned_drafter_available: ROADMAP 7(c): the drafter's cold start",
     // Tests compare the product against them, or check it with them.
     "expected_requests: arrival tests check generated counts against it",
     "percentile_f64: metrics tests check the latency summaries against it",
@@ -53,7 +53,6 @@ const KEPT: &[&str] = &[
     "from_measured: sim_engine_oracle builds acceptance profiles with it",
     "storm_injected: trace_replay builds its storm workload with it",
     "forced_violation: chaos tests check that a violation dumps a postmortem",
-    "observe: the only way to fill an NgramDrafter, which only tests build",
     "eye: tensor tests build the identity with it",
     "from_rows: tensor and ops tests build literal matrices with it",
 ];

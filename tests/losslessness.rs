@@ -7,8 +7,7 @@ use rand::SeedableRng;
 use tlt_draft::{DraftModel, FeatureSource};
 use tlt_model::{ModelConfig, SamplingParams, TinyLm};
 use tlt_rollout::{
-    speculative_generate, speculative_generate_with_swap, vanilla_generate, NgramConfig,
-    NgramDrafter, SdStrategy, SpecDrafter,
+    speculative_generate, speculative_generate_with_swap, vanilla_generate, SdStrategy, SpecDrafter,
 };
 use tlt_workload::TaskGenerator;
 
@@ -37,33 +36,6 @@ proptest! {
             &prompt,
             max_new,
             strategy,
-            params,
-            None,
-            &mut rng,
-        );
-        prop_assert_eq!(spec.tokens, vanilla.tokens);
-    }
-
-    /// The same holds for the model-free n-gram drafter, whatever it has observed.
-    #[test]
-    fn greedy_model_free_equals_vanilla(
-        prompt in proptest::collection::vec(0u32..32, 2..6),
-        observed in proptest::collection::vec(0u32..32, 8..64),
-        max_new in 1usize..32,
-    ) {
-        let target = TinyLm::new(ModelConfig::micro(), 999);
-        let mut ngram = NgramDrafter::new(NgramConfig::default());
-        ngram.observe(&observed);
-        let params = SamplingParams::greedy();
-        let mut rng = StdRng::seed_from_u64(0);
-        let vanilla = vanilla_generate(&target, &prompt, max_new, params, None, &mut rng);
-        let mut rng = StdRng::seed_from_u64(1);
-        let spec = speculative_generate(
-            &target,
-            &SpecDrafter::ModelFree(&ngram),
-            &prompt,
-            max_new,
-            SdStrategy::default(),
             params,
             None,
             &mut rng,
