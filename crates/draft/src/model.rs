@@ -132,6 +132,10 @@ impl DraftGrads {
 }
 
 /// Incremental drafting state (feature-space KV cache plus last feature).
+///
+/// Created empty by [`DraftState::new`]; [`DraftModel::resume_draft`] brings it
+/// to the committed prefix at the start of every speculative round, and
+/// [`DraftModel::draft_step_into`] drafts on from there.
 #[derive(Debug, Clone)]
 pub struct DraftState {
     kv: LayerKvCache,
@@ -143,11 +147,26 @@ pub struct DraftState {
     committed: usize,
 }
 
+impl DraftState {
+    /// An empty drafting state for a drafter of `target`, its KV reserved for
+    /// the target's whole positional table.
+    pub fn new(target: &TinyLm) -> Self {
+        let hidden = target.config.hidden;
+        let mut kv = LayerKvCache::new(hidden);
+        kv.reserve(target.config.max_seq_len);
+        DraftState {
+            kv,
+            last_feature: Vec::with_capacity(hidden),
+            committed: 0,
+        }
+    }
+}
+
 /// Reusable scratch buffers for incremental drafting.
 ///
 /// Holds the fusion input, fused activations, drafter feature, and projection
 /// temporaries plus a [`LayerScratch`] for the drafter's decoder layer. Create one
-/// per generation loop and pass it to [`DraftModel::begin_draft_with`] /
+/// per generation loop and pass it to [`DraftModel::resume_draft`] /
 /// [`DraftModel::draft_step_into`]; steady-state draft steps then perform no heap
 /// allocation.
 #[derive(Debug, Clone)]
@@ -161,12 +180,11 @@ pub struct DraftScratch {
 }
 
 impl DraftScratch {
-    /// Creates scratch for drafting against `target` with the given feature source.
-    pub fn new(target: &TinyLm, feature_source: FeatureSource) -> Self {
+    /// Creates scratch for drafting against `target` (last-layer features).
+    pub fn new(target: &TinyLm) -> Self {
         let hidden = target.config.hidden;
-        let in_dim = hidden * feature_source.width_multiplier() + hidden;
         DraftScratch {
-            input: Mat::zeros(0, in_dim),
+            input: Mat::zeros(0, 2 * hidden),
             fused: Mat::zeros(0, hidden),
             feature: Mat::zeros(0, hidden),
             normed: Mat::zeros(0, hidden),
@@ -223,47 +241,22 @@ impl DraftModel {
         out
     }
 
-    /// Initialises incremental drafting state from the target's features over the
-    /// committed prefix. `features` holds one row per prefix position (in the
-    /// drafter's feature source width) and `tokens` the prefix tokens (same length).
-    /// The prefix fusion inputs, fused activations, and layer temporaries are all
-    /// built in `scratch`, so per-round allocations are limited to the drafting
-    /// state itself.
-    pub fn begin_draft_with(
-        &self,
-        target: &TinyLm,
-        features: &Mat,
-        tokens: &[TokenId],
-        scratch: &mut DraftScratch,
-    ) -> DraftState {
-        assert_eq!(
-            features.rows(),
-            tokens.len(),
-            "feature/token length mismatch"
-        );
-        assert!(!tokens.is_empty(), "cannot draft from an empty prefix");
-        let hidden = target.config.hidden;
-        let fwidth = hidden * self.feature_source.width_multiplier();
-        assert_eq!(features.cols(), fwidth, "feature width mismatch");
-        let mut kv = LayerKvCache::new(hidden);
-        kv.reserve(target.config.max_seq_len);
-        let mut state = DraftState {
-            kv,
-            last_feature: features.row(features.rows() - 1).to_vec(),
-            committed: 0,
-        };
-        self.prime_kv_range(target, features, tokens, &mut state, scratch, 0);
-        state
-    }
-
-    /// Rolls existing drafting state forward to a longer committed prefix:
-    /// speculative KV entries from the previous round's draft steps are rolled
+    /// Brings `state` to the committed prefix: `features` holds the target's
+    /// last-layer feature at every committed position and `tokens` the committed
+    /// tokens (same length).
+    ///
+    /// Speculative KV entries from the previous round's draft steps are rolled
     /// back, entries already primed from committed features are kept (keys/values
     /// are per-position functions of their fusion input, so they are bit-identical
-    /// to a full re-prime), and only the newly committed positions are appended.
+    /// to a full re-prime), and only the newly committed positions are appended;
+    /// a fresh [`DraftState::new`] is primed over the whole prefix. The fusion
+    /// inputs and layer temporaries live in `scratch`.
     ///
-    /// Equivalent to — but much cheaper than — calling [`DraftModel::begin_draft_with`]
-    /// from scratch each speculative round.
+    /// # Panics
+    ///
+    /// Panics if the drafter is not a [`FeatureSource::LastLayer`] drafter, if the
+    /// prefix is empty or its features and tokens disagree, or if `state` is ahead
+    /// of the prefix.
     pub fn resume_draft(
         &self,
         target: &TinyLm,
@@ -273,59 +266,51 @@ impl DraftModel {
         scratch: &mut DraftScratch,
     ) {
         assert_eq!(
+            self.feature_source,
+            FeatureSource::LastLayer,
+            "token-level engine requires a last-layer drafter"
+        );
+        assert_eq!(
             features.rows(),
             tokens.len(),
             "feature/token length mismatch"
         );
         assert!(!tokens.is_empty(), "cannot draft from an empty prefix");
+        assert_eq!(
+            features.cols(),
+            target.config.hidden,
+            "feature width mismatch"
+        );
         assert!(
             state.committed < features.rows(),
             "drafting state is ahead of the committed prefix"
         );
         state.kv.truncate(state.committed);
-        let from = state.committed;
-        self.prime_kv_range(target, features, tokens, state, scratch, from);
+        // Prime committed positions `committed..rows-1`, each pairing `feature[t]`
+        // with `token[t+1]`. The layer output of a primed position is never
+        // consumed, so only keys/values are computed ([`DecoderLayer::append_kv`]).
+        let hidden = target.config.hidden;
+        let (from, until) = (state.committed, features.rows() - 1);
+        if until > from {
+            let count = until - from;
+            scratch.input.set_rows(count, 2 * hidden);
+            for t in 0..count {
+                let row = scratch.input.row_mut(t);
+                row[..hidden].copy_from_slice(features.row(from + t));
+                row[hidden..].copy_from_slice(target.embedding.row(tokens[from + t + 1] as usize));
+            }
+            scratch.fused.set_rows(count, hidden);
+            scratch
+                .input
+                .matmul_into(&self.fusion.weight, &mut scratch.fused);
+            self.layer
+                .append_kv(&scratch.fused, &mut state.kv, &mut scratch.layer);
+        }
+        state.committed = until;
         state.last_feature.clear();
         state
             .last_feature
             .extend_from_slice(features.row(features.rows() - 1));
-    }
-
-    /// Appends drafter KV entries for committed positions `from..rows-1` (each
-    /// pairing `feature[t]` with `token[t+1]`); the layer output for primed
-    /// positions is never consumed, so only keys/values are computed
-    /// ([`DecoderLayer::append_kv`]).
-    fn prime_kv_range(
-        &self,
-        target: &TinyLm,
-        features: &Mat,
-        tokens: &[TokenId],
-        state: &mut DraftState,
-        scratch: &mut DraftScratch,
-        from: usize,
-    ) {
-        let hidden = target.config.hidden;
-        let fwidth = hidden * self.feature_source.width_multiplier();
-        // `resume_draft` guarantees from <= rows - 1.
-        let until = features.rows() - 1;
-        if until == from {
-            state.committed = until;
-            return;
-        }
-        let count = until - from;
-        scratch.input.set_rows(count, fwidth + hidden);
-        for t in 0..count {
-            let row = scratch.input.row_mut(t);
-            row[..fwidth].copy_from_slice(features.row(from + t));
-            row[fwidth..].copy_from_slice(target.embedding.row(tokens[from + t + 1] as usize));
-        }
-        scratch.fused.set_rows(count, hidden);
-        scratch
-            .input
-            .matmul_into(&self.fusion.weight, &mut scratch.fused);
-        self.layer
-            .append_kv(&scratch.fused, &mut state.kv, 0, &mut scratch.layer);
-        state.committed = until;
     }
 
     /// Performs one incremental draft step: consumes the last committed/drafted token
@@ -339,12 +324,11 @@ impl DraftModel {
         scratch: &'s mut DraftScratch,
     ) -> &'s [f32] {
         let hidden = target.config.hidden;
-        let fwidth = hidden * self.feature_source.width_multiplier();
-        scratch.input.set_rows(1, fwidth + hidden);
+        scratch.input.set_rows(1, 2 * hidden);
         {
             let row = scratch.input.row_mut(0);
-            row[..fwidth].copy_from_slice(&state.last_feature);
-            row[fwidth..].copy_from_slice(target.embedding.row(last_token as usize));
+            row[..hidden].copy_from_slice(&state.last_feature);
+            row[hidden..].copy_from_slice(target.embedding.row(last_token as usize));
         }
         scratch.fused.set_rows(1, hidden);
         scratch
@@ -353,15 +337,11 @@ impl DraftModel {
         self.layer.forward_cached_into(
             &scratch.fused,
             &mut state.kv,
-            0,
             &mut scratch.layer,
             &mut scratch.feature,
         );
-        // The drafter's own feature becomes the context for the next draft step. For
-        // the multi-layer source the drafter feature stands in for all three slots.
-        for chunk in state.last_feature.chunks_mut(hidden) {
-            chunk.copy_from_slice(scratch.feature.row(0));
-        }
+        // The drafter's own feature becomes the context for the next draft step.
+        state.last_feature.copy_from_slice(scratch.feature.row(0));
         scratch.normed.set_rows(1, hidden);
         tlt_model::ops::rmsnorm_into(&scratch.feature, &target.final_norm, &mut scratch.normed);
         scratch.logits.set_rows(1, target.config.vocab_size);
@@ -423,13 +403,6 @@ impl DraftModel {
         d_features
     }
 
-    /// Applies an SGD update (used in tests; the trainer uses Adam).
-    pub fn apply_sgd(&mut self, grads: &DraftGrads, lr: f32) {
-        self.fusion.weight.add_scaled(&grads.fusion, -lr);
-        self.layer.apply_sgd(&grads.layer, lr);
-        self.version += 1;
-    }
-
     /// Marks the drafter as updated (bumps the version counter).
     pub fn bump_version(&mut self) {
         self.version += 1;
@@ -443,6 +416,13 @@ mod tests {
 
     fn target() -> TinyLm {
         TinyLm::new(ModelConfig::micro(), 7)
+    }
+
+    /// One plain SGD step on the drafter (the trainer uses Adam).
+    fn apply_sgd(d: &mut DraftModel, grads: &DraftGrads, lr: f32) {
+        d.fusion.weight.add_scaled(&grads.fusion, -lr);
+        d.layer.apply_sgd(&grads.layer, lr);
+        d.version += 1;
     }
 
     #[test]
@@ -498,8 +478,9 @@ mod tests {
         let tokens: Vec<TokenId> = vec![1, 2, 3, 4, 5];
         let (out, _) = t.prefill(&tokens, true);
         let features = FeatureSource::LastLayer.extract(&out.layer_outputs.unwrap());
-        let mut scratch = DraftScratch::new(&t, d.feature_source);
-        let mut state = d.begin_draft_with(&t, &features, &tokens, &mut scratch);
+        let mut scratch = DraftScratch::new(&t);
+        let mut state = DraftState::new(&t);
+        d.resume_draft(&t, &features, &tokens, &mut state, &mut scratch);
         let logits = d.draft_step_into(&t, &mut state, *tokens.last().unwrap(), &mut scratch);
         assert_eq!(logits.len(), t.config.vocab_size);
         assert!(logits.iter().all(|v| v.is_finite()));
@@ -509,16 +490,55 @@ mod tests {
     }
 
     #[test]
-    fn multi_layer_drafter_also_drafts() {
+    fn a_state_resumed_over_growing_prefixes_drafts_like_a_fresh_one() {
+        // `resume_draft` keeps the KV entries primed in earlier rounds and rolls
+        // back the draft steps' speculative ones; the next draft logits must be
+        // those of a state synced once over the final prefix, bit for bit.
+        let t = target();
+        let d = DraftModel::new(&t, FeatureSource::LastLayer, 3);
+        let tokens: Vec<TokenId> = vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8];
+        let (out, _) = t.prefill(&tokens, false);
+        let prefix = |n: usize| (out.last_hidden.slice_rows(0, n), &tokens[..n]);
+
+        let mut scratch = DraftScratch::new(&t);
+        let mut resumed = DraftState::new(&t);
+        for (round, n) in [1, 2, 5, 6, 9].into_iter().enumerate() {
+            let (features, toks) = prefix(n);
+            d.resume_draft(&t, &features, toks, &mut resumed, &mut scratch);
+            for step in 0..=round as u32 {
+                let _ = d.draft_step_into(&t, &mut resumed, 7 + step, &mut scratch);
+            }
+        }
+        let (features, toks) = prefix(tokens.len());
+        d.resume_draft(&t, &features, toks, &mut resumed, &mut scratch);
+        let mut fresh = DraftState::new(&t);
+        let mut fresh_scratch = DraftScratch::new(&t);
+        d.resume_draft(&t, &features, toks, &mut fresh, &mut fresh_scratch);
+
+        for last in [8, 2, 11] {
+            let a = d.draft_step_into(&t, &mut resumed, last, &mut scratch);
+            let b = d.draft_step_into(&t, &mut fresh, last, &mut fresh_scratch);
+            let bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "draft logits after token {last}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "token-level engine requires a last-layer drafter")]
+    fn multi_layer_drafter_is_rejected() {
         let t = target();
         let d = DraftModel::new(&t, FeatureSource::MultiLayer, 0);
         let tokens: Vec<TokenId> = vec![2, 4, 6];
         let (out, _) = t.prefill(&tokens, true);
         let features = FeatureSource::MultiLayer.extract(&out.layer_outputs.unwrap());
-        let mut scratch = DraftScratch::new(&t, d.feature_source);
-        let mut state = d.begin_draft_with(&t, &features, &tokens, &mut scratch);
-        let logits = d.draft_step_into(&t, &mut state, 6, &mut scratch);
-        assert_eq!(logits.len(), t.config.vocab_size);
+        let mut state = DraftState::new(&t);
+        d.resume_draft(
+            &t,
+            &features,
+            &tokens,
+            &mut state,
+            &mut DraftScratch::new(&t),
+        );
     }
 
     #[test]
@@ -544,7 +564,7 @@ mod tests {
             let (_, d_logits) = tlt_model::ops::cross_entropy(&cache.logits, &targets);
             let d_features = d.logits_grad_to_features(&t, &cache, &d_logits);
             let grads = d.backward(&cache, &d_features);
-            d.apply_sgd(&grads, 0.1);
+            apply_sgd(&mut d, &grads, 0.1);
         }
         let after = loss_of(&d);
         assert!(
@@ -568,7 +588,8 @@ mod tests {
     fn empty_prefix_rejected() {
         let t = target();
         let d = DraftModel::new(&t, FeatureSource::LastLayer, 0);
-        let mut scratch = DraftScratch::new(&t, d.feature_source);
-        let _ = d.begin_draft_with(&t, &Mat::zeros(0, t.config.hidden), &[], &mut scratch);
+        let mut state = DraftState::new(&t);
+        let features = Mat::zeros(0, t.config.hidden);
+        d.resume_draft(&t, &features, &[], &mut state, &mut DraftScratch::new(&t));
     }
 }

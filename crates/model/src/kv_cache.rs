@@ -1,32 +1,13 @@
 //! Key/value cache used for incremental (autoregressive) decoding.
 //!
-//! Speculative decoding appends keys/values for drafted tokens during verification
-//! and must be able to roll back the entries of rejected tokens, so the cache
-//! exposes [`LayerKvCache::truncate`] in addition to append.
+//! [`LayerKvCache`] holds one decoder layer's rows; [`KvCache`] is one of them
+//! per layer of the target model, and the drafter keeps a bare
+//! [`LayerKvCache`] for its single layer. A decoder layer reads and appends its
+//! own [`LayerKvCache`] (`DecoderLayer::forward_cached_into`). Speculative
+//! decoding appends keys/values for drafted tokens during verification and
+//! rolls back the entries of rejected tokens with [`KvCache::truncate`].
 
 use crate::tensor::Mat;
-
-/// Backend-neutral KV storage interface the model decodes through.
-///
-/// Two stores implement it: the target model's [`KvCache`] (one contiguous
-/// `Vec` per layer) and a bare [`LayerKvCache`] as a single-layer store (layer
-/// index 0), which is how the drafter's own KV runs through the shared layer
-/// kernels. Rows are always read in position order (`kv_key(layer, 0..len)`).
-pub trait KvStore {
-    /// Positions cached across every layer (the sequence length).
-    fn kv_seq_len(&self) -> usize;
-    /// Positions cached for `layer` (equal to [`KvStore::kv_seq_len`] between
-    /// forward passes; lower layers lead during a pass).
-    fn kv_len(&self, layer: usize) -> usize;
-    /// Appends one key/value row per new position to `layer`.
-    fn kv_append(&mut self, layer: usize, keys: &Mat, values: &Mat);
-    /// Key row of `layer` at position `idx`.
-    fn kv_key(&self, layer: usize, idx: usize) -> &[f32];
-    /// Value row of `layer` at position `idx`.
-    fn kv_value(&self, layer: usize, idx: usize) -> &[f32];
-    /// Rolls every layer back to `new_len` positions.
-    fn kv_truncate(&mut self, new_len: usize);
-}
 
 /// Per-layer key/value cache holding one row per cached position.
 #[derive(Debug, Clone, Default)]
@@ -58,24 +39,6 @@ impl LayerKvCache {
         self.len == 0
     }
 
-    /// Hidden dimension of cached vectors.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Appends a key/value row pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows do not have length `hidden`.
-    pub fn append(&mut self, key: &[f32], value: &[f32]) {
-        assert_eq!(key.len(), self.hidden, "key length mismatch");
-        assert_eq!(value.len(), self.hidden, "value length mismatch");
-        self.keys.extend_from_slice(key);
-        self.values.extend_from_slice(value);
-        self.len += 1;
-    }
-
     /// Appends every row of the given key/value matrices in one copy per buffer
     /// (no per-row re-copy).
     ///
@@ -104,11 +67,13 @@ impl LayerKvCache {
     }
 
     /// Key row at position `idx`.
+    #[inline]
     pub fn key(&self, idx: usize) -> &[f32] {
         &self.keys[idx * self.hidden..(idx + 1) * self.hidden]
     }
 
     /// Value row at position `idx`.
+    #[inline]
     pub fn value(&self, idx: usize) -> &[f32] {
         &self.values[idx * self.hidden..(idx + 1) * self.hidden]
     }
@@ -122,50 +87,6 @@ impl LayerKvCache {
         self.keys.truncate(new_len * self.hidden);
         self.values.truncate(new_len * self.hidden);
         self.len = new_len;
-    }
-
-    /// Removes all cached entries.
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.values.clear();
-        self.len = 0;
-    }
-
-    /// Approximate memory footprint of the cache in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        (self.keys.len() + self.values.len()) * std::mem::size_of::<f32>()
-    }
-}
-
-impl KvStore for LayerKvCache {
-    fn kv_seq_len(&self) -> usize {
-        self.len
-    }
-
-    fn kv_len(&self, layer: usize) -> usize {
-        debug_assert_eq!(layer, 0, "LayerKvCache is a single-layer store");
-        self.len
-    }
-
-    fn kv_append(&mut self, layer: usize, keys: &Mat, values: &Mat) {
-        debug_assert_eq!(layer, 0, "LayerKvCache is a single-layer store");
-        self.append_rows(keys, values);
-    }
-
-    #[inline]
-    fn kv_key(&self, layer: usize, idx: usize) -> &[f32] {
-        debug_assert_eq!(layer, 0, "LayerKvCache is a single-layer store");
-        self.key(idx)
-    }
-
-    #[inline]
-    fn kv_value(&self, layer: usize, idx: usize) -> &[f32] {
-        debug_assert_eq!(layer, 0, "LayerKvCache is a single-layer store");
-        self.value(idx)
-    }
-
-    fn kv_truncate(&mut self, new_len: usize) {
-        self.truncate(new_len);
     }
 }
 
@@ -183,19 +104,14 @@ impl KvCache {
         }
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Sequence length currently cached (taken from the first layer).
     pub fn seq_len(&self) -> usize {
         self.layers.first().map_or(0, LayerKvCache::len)
     }
 
-    /// Immutable access to the cache of `layer`.
-    pub fn layer(&self, layer: usize) -> &LayerKvCache {
-        &self.layers[layer]
+    /// The per-layer caches, in layer order.
+    pub(crate) fn layers_mut(&mut self) -> &mut [LayerKvCache] {
+        &mut self.layers
     }
 
     /// Pre-allocates every layer cache for `total_positions` positions.
@@ -211,57 +127,26 @@ impl KvCache {
             layer.truncate(new_len);
         }
     }
-
-    /// Clears every layer cache.
-    pub fn clear(&mut self) {
-        for layer in &mut self.layers {
-            layer.clear();
-        }
-    }
-
-    /// Total memory footprint across layers in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.layers.iter().map(LayerKvCache::memory_bytes).sum()
-    }
-}
-
-impl KvStore for KvCache {
-    fn kv_seq_len(&self) -> usize {
-        self.seq_len()
-    }
-
-    fn kv_len(&self, layer: usize) -> usize {
-        self.layers[layer].len()
-    }
-
-    fn kv_append(&mut self, layer: usize, keys: &Mat, values: &Mat) {
-        self.layers[layer].append_rows(keys, values);
-    }
-
-    #[inline]
-    fn kv_key(&self, layer: usize, idx: usize) -> &[f32] {
-        self.layers[layer].key(idx)
-    }
-
-    #[inline]
-    fn kv_value(&self, layer: usize, idx: usize) -> &[f32] {
-        self.layers[layer].value(idx)
-    }
-
-    fn kv_truncate(&mut self, new_len: usize) {
-        self.truncate(new_len);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One key/value row pair of width `w`, each entry `k` / `v`.
+    fn row(w: usize, k: f32, v: f32) -> (Mat, Mat) {
+        (
+            Mat::from_vec(1, w, vec![k; w]),
+            Mat::from_vec(1, w, vec![v; w]),
+        )
+    }
+
     #[test]
     fn append_and_read_back() {
         let mut cache = LayerKvCache::new(3);
-        cache.append(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]);
-        cache.append(&[7.0, 8.0, 9.0], &[1.0, 1.0, 1.0]);
+        let keys = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 7.0, 8.0, 9.0]);
+        let values = Mat::from_vec(2, 3, vec![4.0, 5.0, 6.0, 1.0, 1.0, 1.0]);
+        cache.append_rows(&keys, &values);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.key(1), &[7.0, 8.0, 9.0]);
         assert_eq!(cache.value(0), &[4.0, 5.0, 6.0]);
@@ -271,11 +156,12 @@ mod tests {
     fn truncate_rolls_back_entries() {
         let mut cache = LayerKvCache::new(2);
         for i in 0..5 {
-            cache.append(&[i as f32, 0.0], &[0.0, i as f32]);
+            let (k, v) = row(2, i as f32, -(i as f32));
+            cache.append_rows(&k, &v);
         }
         cache.truncate(2);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.key(1), &[1.0, 0.0]);
+        assert_eq!(cache.key(1), &[1.0, 1.0]);
         // truncating to a larger size is a no-op
         cache.truncate(10);
         assert_eq!(cache.len(), 2);
@@ -284,31 +170,21 @@ mod tests {
     #[test]
     fn full_cache_tracks_all_layers() {
         let mut cache = KvCache::new(4, 2);
-        let (key, value) = (
-            Mat::from_vec(1, 2, vec![1.0, 2.0]),
-            Mat::from_vec(1, 2, vec![3.0, 4.0]),
-        );
-        for layer in 0..4 {
-            cache.kv_append(layer, &key, &value);
+        let (key, value) = row(2, 1.0, 3.0);
+        for layer in cache.layers_mut() {
+            layer.append_rows(&key, &value);
         }
         assert_eq!(cache.seq_len(), 1);
-        assert_eq!(cache.num_layers(), 4);
         cache.truncate(0);
         assert_eq!(cache.seq_len(), 0);
-        assert_eq!(cache.memory_bytes(), 0);
-    }
-
-    #[test]
-    fn memory_bytes_counts_keys_and_values() {
-        let mut cache = LayerKvCache::new(4);
-        cache.append(&[0.0; 4], &[0.0; 4]);
-        assert_eq!(cache.memory_bytes(), 2 * 4 * 4);
+        assert!(cache.layers_mut().iter().all(LayerKvCache::is_empty));
     }
 
     #[test]
     #[should_panic(expected = "key length mismatch")]
     fn append_wrong_width_panics() {
         let mut cache = LayerKvCache::new(3);
-        cache.append(&[1.0], &[1.0, 2.0, 3.0]);
+        let (_, value) = row(3, 0.0, 1.0);
+        cache.append_rows(&Mat::from_vec(1, 1, vec![1.0]), &value);
     }
 }

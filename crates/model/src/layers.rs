@@ -3,16 +3,16 @@
 //!
 //! Two execution modes are provided:
 //!
-//! * [`DecoderLayer::forward_cached`] — incremental decoding against a
-//!   [`KvStore`] (the target's cache or the drafter's own), used by the rollout
-//!   engines (supports multi-token inputs so speculative verification can score
-//!   a whole drafted block in one call).
+//! * [`DecoderLayer::forward_cached`] — incremental decoding against the
+//!   layer's own [`LayerKvCache`] (one of the target's [`crate::KvCache`], or
+//!   the drafter's), used by the rollout engines (supports multi-token inputs so
+//!   speculative verification can score a whole drafted block in one call).
 //! * [`DecoderLayer::forward_train`] / [`DecoderLayer::backward`] — full-sequence
 //!   causal forward with recorded intermediates and an exact manual backward pass,
 //!   used by drafter training and the last-layer policy-gradient update.
 
 use crate::attention;
-use crate::kv_cache::KvStore;
+use crate::kv_cache::LayerKvCache;
 use crate::ops::{
     rmsnorm_backward, rmsnorm_forward, rmsnorm_into, silu, swiglu_backward, swiglu_forward,
     RmsNormCache, SwiGluCache,
@@ -213,41 +213,37 @@ impl DecoderLayer {
     }
 
     /// Incremental forward pass over `new_hidden` (one row per new position),
-    /// attending to everything already cached for `layer` in `kv` plus the new
-    /// positions causally. Keys/values for the new positions are appended.
+    /// attending to everything already cached in `kv` plus the new positions
+    /// causally. Keys/values for the new positions are appended.
     ///
     /// Convenience wrapper over [`DecoderLayer::forward_cached_into`] that
     /// allocates a fresh scratch and output; hot loops should hold a
     /// [`LayerScratch`] (or a full `DecodeWorkspace`) and call the `_into`
     /// variant directly.
-    pub fn forward_cached<K: KvStore>(&self, new_hidden: &Mat, kv: &mut K, layer: usize) -> Mat {
+    pub fn forward_cached(&self, new_hidden: &Mat, kv: &mut LayerKvCache) -> Mat {
         let rows = new_hidden.rows();
         let mut scratch = LayerScratch::new(
             self.config.hidden,
             self.config.ffn_hidden,
-            attention::scratch_len(rows, kv.kv_len(layer) + rows, self.config.num_heads),
+            attention::scratch_len(rows, kv.len() + rows, self.config.num_heads),
         );
         let mut out = Mat::zeros(new_hidden.rows(), self.config.hidden);
-        self.forward_cached_into(new_hidden, kv, layer, &mut scratch, &mut out);
+        self.forward_cached_into(new_hidden, kv, &mut scratch, &mut out);
         out
     }
 
     /// Allocation-free incremental forward pass: identical numerics to
     /// [`DecoderLayer::forward_cached`], with every temporary taken from
     /// `scratch` and the result written into `out` (resized in place).
-    ///
-    /// Generic over the [`KvStore`]: the target's [`crate::KvCache`] and the
-    /// drafter's single-layer [`crate::LayerKvCache`] run the same kernel.
-    pub fn forward_cached_into<K: KvStore>(
+    pub fn forward_cached_into(
         &self,
         new_hidden: &Mat,
-        kv: &mut K,
-        layer: usize,
+        kv: &mut LayerKvCache,
         scratch: &mut LayerScratch,
         out: &mut Mat,
     ) {
         let cfg = &self.config;
-        let past = kv.kv_len(layer);
+        let past = kv.len();
         let n_new = new_hidden.rows();
         scratch.prepare(
             n_new,
@@ -259,13 +255,13 @@ impl DecoderLayer {
         scratch.normed.matmul_into(&self.wq, &mut scratch.q);
         scratch.normed.matmul_into(&self.wk, &mut scratch.k);
         scratch.normed.matmul_into(&self.wv, &mut scratch.v);
-        kv.kv_append(layer, &scratch.k, &scratch.v);
+        kv.append_rows(&scratch.k, &scratch.v);
 
         let kv = &*kv;
         attention::forward(
             &scratch.q,
-            |j| kv.kv_key(layer, j),
-            |j| kv.kv_value(layer, j),
+            |j| kv.key(j),
+            |j| kv.value(j),
             past,
             cfg.num_heads,
             &mut scratch.scores,
@@ -297,27 +293,21 @@ impl DecoderLayer {
         scratch.resid1.add_into(&scratch.mlp_out, out);
     }
 
-    /// Computes and appends only the key/value rows for `new_hidden` to the
-    /// store, skipping the query projection, attention, and MLP entirely.
+    /// Computes and appends only the key/value rows for `new_hidden` to `kv`,
+    /// skipping the query projection, attention, and MLP entirely.
     ///
     /// Keys and values are per-position functions of the input (`rmsnorm(x) @ wk`
     /// / `@ wv`), so the appended rows are bit-identical to what a full
     /// [`DecoderLayer::forward_cached_into`] pass would cache. Used by the drafter
     /// to prime its context KV from target features, where the layer *output* for
     /// those positions is never consumed.
-    pub fn append_kv<K: KvStore>(
-        &self,
-        new_hidden: &Mat,
-        kv: &mut K,
-        layer: usize,
-        scratch: &mut LayerScratch,
-    ) {
+    pub fn append_kv(&self, new_hidden: &Mat, kv: &mut LayerKvCache, scratch: &mut LayerScratch) {
         let n_new = new_hidden.rows();
         scratch.prepare(n_new, 0);
         rmsnorm_into(new_hidden, &self.attn_norm, &mut scratch.normed);
         scratch.normed.matmul_into(&self.wk, &mut scratch.k);
         scratch.normed.matmul_into(&self.wv, &mut scratch.v);
-        kv.kv_append(layer, &scratch.k, &scratch.v);
+        kv.append_rows(&scratch.k, &scratch.v);
     }
 
     /// Full-sequence causal forward pass that records all intermediates needed by
@@ -455,7 +445,6 @@ impl DecoderLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv_cache::LayerKvCache;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -510,7 +499,7 @@ mod tests {
         let mut rows = Vec::new();
         for i in 0..seq.rows() {
             let step = seq.slice_rows(i, i + 1);
-            let out = layer.forward_cached(&step, &mut cache, 0);
+            let out = layer.forward_cached(&step, &mut cache);
             rows.push(out);
         }
         for (i, row) in rows.iter().enumerate() {
@@ -531,14 +520,14 @@ mod tests {
 
         let mut cache_a = LayerKvCache::new(8);
         let prefix = seq.slice_rows(0, 3);
-        let _ = layer.forward_cached(&prefix, &mut cache_a, 0);
+        let _ = layer.forward_cached(&prefix, &mut cache_a);
         let block = seq.slice_rows(3, 6);
-        let block_out = layer.forward_cached(&block, &mut cache_a, 0);
+        let block_out = layer.forward_cached(&block, &mut cache_a);
 
         let mut cache_b = LayerKvCache::new(8);
         let mut singles = Vec::new();
         for i in 0..6 {
-            let out = layer.forward_cached(&seq.slice_rows(i, i + 1), &mut cache_b, 0);
+            let out = layer.forward_cached(&seq.slice_rows(i, i + 1), &mut cache_b);
             singles.push(out);
         }
         for i in 0..3 {

@@ -50,7 +50,7 @@ pub mod transformer;
 pub mod workspace;
 
 pub use kl::kl_divergence;
-pub use kv_cache::{KvCache, KvStore, LayerKvCache};
+pub use kv_cache::{KvCache, LayerKvCache};
 pub use layers::{DecoderLayer, DecoderLayerGrads, LayerConfig};
 pub use optim::{Adam, AdamConfig};
 pub use paged_kv::{BlockLedger, PoolStats, SharedGroup};

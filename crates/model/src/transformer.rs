@@ -9,7 +9,7 @@
 //! produced by this model rather than being hard-coded.
 
 use crate::attention;
-use crate::kv_cache::{KvCache, KvStore, LayerKvCache};
+use crate::kv_cache::{KvCache, LayerKvCache};
 use crate::layers::{DecoderLayer, DecoderLayerGrads, LayerConfig, LayerTrainCache};
 use crate::ops::{rmsnorm_backward, rmsnorm_forward, RmsNormCache};
 use crate::tensor::Mat;
@@ -263,17 +263,17 @@ impl TinyLm {
 
     /// Runs the model over `tokens` (new positions), using and extending `cache`.
     ///
-    /// The cache determines the starting position: `cache.kv_seq_len()` positions
+    /// The cache determines the starting position: `cache.seq_len()` positions
     /// are assumed to have been processed already. When `collect_hidden` is true
     /// the per-layer outputs are returned (needed to build drafter training
     /// features).
-    pub fn forward<K: KvStore>(
+    pub fn forward(
         &self,
         tokens: &[TokenId],
-        cache: &mut K,
+        cache: &mut KvCache,
         collect_hidden: bool,
     ) -> ForwardOutput {
-        let hidden = self.embed(tokens, cache.kv_seq_len());
+        let hidden = self.embed(tokens, cache.seq_len());
         let mut layer_outputs = collect_hidden.then(|| vec![hidden.clone()]);
         let last_hidden = self.run_layers(&self.layers, hidden, cache, |out| {
             if let Some(outs) = layer_outputs.as_mut() {
@@ -289,25 +289,27 @@ impl TinyLm {
     }
 
     /// Runs `hidden` (one row per new position) through `layers` — a prefix of
-    /// this model's layers — over `cache`, on one scratch; `each` sees every
-    /// layer's output. Returns the last output.
-    fn run_layers<K: KvStore>(
+    /// this model's layers, one [`LayerKvCache`] of `cache` each — on one
+    /// scratch; `each` sees every layer's output. Returns the last output.
+    fn run_layers(
         &self,
         layers: &[DecoderLayer],
         mut hidden: Mat,
-        cache: &mut K,
+        cache: &mut KvCache,
         mut each: impl FnMut(&Mat),
     ) -> Mat {
         let config = &self.config;
-        let positions = cache.kv_seq_len() + hidden.rows();
+        let positions = cache.seq_len() + hidden.rows();
         let mut scratch = LayerScratch::new(
             config.hidden,
             config.ffn_hidden,
             attention::scratch_len(hidden.rows(), positions, config.num_heads),
         );
         let mut next = Mat::zeros(0, config.hidden);
-        for (idx, layer) in layers.iter().enumerate() {
-            layer.forward_cached_into(&hidden, cache, idx, &mut scratch, &mut next);
+        let kvs = cache.layers_mut();
+        assert_eq!(kvs.len(), layers.len(), "one layer cache per layer");
+        for (layer, kv) in layers.iter().zip(kvs) {
+            layer.forward_cached_into(&hidden, kv, &mut scratch, &mut next);
             each(&next);
             std::mem::swap(&mut hidden, &mut next);
         }
@@ -320,17 +322,14 @@ impl TinyLm {
     /// but every temporary lives in `ws`: after the call `ws.logits()` holds the
     /// logits for the new positions and `ws.last_hidden()` the last-layer hidden
     /// states. Keys/values for the new positions are appended to `cache`.
-    pub fn forward_into<K: KvStore>(
-        &self,
-        tokens: &[TokenId],
-        cache: &mut K,
-        ws: &mut DecodeWorkspace,
-    ) {
-        let start_pos = cache.kv_seq_len();
+    pub fn forward_into(&self, tokens: &[TokenId], cache: &mut KvCache, ws: &mut DecodeWorkspace) {
+        let start_pos = cache.seq_len();
         ws.prepare(tokens.len());
         self.embed_into(tokens, start_pos, &mut ws.hidden);
-        for (idx, layer) in self.layers.iter().enumerate() {
-            layer.forward_cached_into(&ws.hidden, cache, idx, &mut ws.scratch, &mut ws.next_hidden);
+        let kvs = cache.layers_mut();
+        assert_eq!(kvs.len(), self.layers.len(), "one layer cache per layer");
+        for (layer, kv) in self.layers.iter().zip(kvs) {
+            layer.forward_cached_into(&ws.hidden, kv, &mut ws.scratch, &mut ws.next_hidden);
             std::mem::swap(&mut ws.hidden, &mut ws.next_hidden);
         }
         crate::ops::rmsnorm_into(&ws.hidden, &self.final_norm, &mut ws.norm_out);
@@ -339,10 +338,10 @@ impl TinyLm {
 
     /// Zero-allocation single-token decode step: forwards `token` through the
     /// model and returns the logits row (`1 x vocab`) held in the workspace.
-    pub fn decode_step<'ws, K: KvStore>(
+    pub fn decode_step<'ws>(
         &self,
         token: TokenId,
-        cache: &mut K,
+        cache: &mut KvCache,
         ws: &'ws mut DecodeWorkspace,
     ) -> &'ws Mat {
         tlt_obs::hooks::on_decode_step();
@@ -412,7 +411,7 @@ impl TinyLm {
         let last = self.layers.last().expect("at least one layer");
         let mut kv = LayerKvCache::new(self.config.hidden);
         kv.reserve(trunk.rows());
-        self.project_hidden(&last.forward_cached(trunk, &mut kv, 0))
+        self.project_hidden(&last.forward_cached(trunk, &mut kv))
     }
 
     /// The trainable tail (last layer → final norm → LM head) over the trunk

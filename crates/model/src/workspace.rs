@@ -8,8 +8,10 @@
 //! suite in `tests/alloc_free_decode.rs`).
 //!
 //! The workspace kernels and the allocating convenience API (`TinyLm::forward`,
-//! `DecoderLayer::forward_cached`) share the same code path, so their outputs are
-//! bit-identical — using a workspace is purely a performance decision.
+//! `DecoderLayer::forward_cached`) share the same code path and the same caches
+//! (a [`crate::KvCache`] for the model, a [`crate::LayerKvCache`] per layer), so
+//! their outputs are bit-identical — using a workspace is purely a performance
+//! decision.
 
 use crate::attention;
 use crate::tensor::Mat;

@@ -18,24 +18,19 @@ use tlt_model::ops::{
     swiglu_forward, RmsNormCache, SwiGluCache,
 };
 use tlt_model::tensor::dot;
-use tlt_model::{DecoderLayer, KvStore, LayerKvCache, LayerScratch, Mat};
+use tlt_model::{DecoderLayer, LayerKvCache, LayerScratch, Mat};
 
 /// The previous `forward_cached_into`, allocating its temporaries.
-fn oracle_forward_cached<K: KvStore>(
-    layer: &DecoderLayer,
-    new_hidden: &Mat,
-    kv: &mut K,
-    idx: usize,
-) -> Mat {
+fn oracle_forward_cached(layer: &DecoderLayer, new_hidden: &Mat, kv: &mut LayerKvCache) -> Mat {
     let cfg = &layer.config;
-    let past = kv.kv_len(idx);
+    let past = kv.len();
     let n_new = new_hidden.rows();
     let mut normed = Mat::zeros(n_new, cfg.hidden);
     rmsnorm_into(new_hidden, &layer.attn_norm, &mut normed);
     let q = normed.matmul(&layer.wq);
     let k = normed.matmul(&layer.wk);
     let v = normed.matmul(&layer.wv);
-    kv.kv_append(idx, &k, &v);
+    kv.append_rows(&k, &v);
 
     let head_dim = cfg.head_dim();
     let scale = 1.0 / (head_dim as f32).sqrt();
@@ -46,7 +41,7 @@ fn oracle_forward_cached<K: KvStore>(
         let q_row = q.row(i);
         let scores = &mut scores[..visible * cfg.num_heads];
         for j in 0..visible {
-            let k_row = kv.kv_key(idx, j);
+            let k_row = kv.key(j);
             for (h, (qs, ks)) in q_row
                 .chunks_exact(head_dim)
                 .zip(k_row.chunks_exact(head_dim))
@@ -60,7 +55,7 @@ fn oracle_forward_cached<K: KvStore>(
         }
         let out_row = attn_out.row_mut(i);
         for j in 0..visible {
-            let v_row = kv.kv_value(idx, j);
+            let v_row = kv.value(j);
             for (h, (os, vs)) in out_row
                 .chunks_exact_mut(head_dim)
                 .zip(v_row.chunks_exact(head_dim))
@@ -305,23 +300,23 @@ fn assert_bits(label: &str, new: &[f32], oracle: &[f32]) {
 /// Appends the `past` rows to `kv`, then runs `block` through the oracle or
 /// through the kernel (from an undersized scratch: growing it is part of the
 /// path).
-fn run_block<K: KvStore>(
+fn run_block(
     layer: &DecoderLayer,
-    kv: &mut K,
+    kv: &mut LayerKvCache,
     past: (&Mat, &Mat),
     block: &Mat,
     oracle: bool,
 ) -> Mat {
     if past.0.rows() > 0 {
-        kv.kv_append(0, past.0, past.1);
+        kv.append_rows(past.0, past.1);
     }
     if oracle {
-        return oracle_forward_cached(layer, block, kv, 0);
+        return oracle_forward_cached(layer, block, kv);
     }
     let cfg = &layer.config;
     let mut scratch = LayerScratch::new(cfg.hidden, cfg.ffn_hidden, 0);
     let mut out = Mat::zeros(0, cfg.hidden);
-    layer.forward_cached_into(block, kv, 0, &mut scratch, &mut out);
+    layer.forward_cached_into(block, kv, &mut scratch, &mut out);
     out
 }
 
@@ -493,8 +488,8 @@ fn successive_blocks_on_one_scratch_are_bit_identical_to_the_oracle() {
         .enumerate()
     {
         let block = random_mat(rows, width, 100 + step as u64);
-        layer.forward_cached_into(&block, &mut kv, 0, &mut scratch, &mut out);
-        let oracle = oracle_forward_cached(&layer, &block, &mut oracle_kv, 0);
+        layer.forward_cached_into(&block, &mut kv, &mut scratch, &mut out);
+        let oracle = oracle_forward_cached(&layer, &block, &mut oracle_kv);
         assert_bits(&format!("block {step}"), out.as_slice(), oracle.as_slice());
     }
 }

@@ -18,15 +18,15 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use tlt_draft::{DraftModel, DraftScratch, DraftState, FeatureSource};
+use tlt_draft::{DraftModel, DraftScratch, DraftState};
 use tlt_model::{
-    probs_from_logits_into, sample_from_probs, sample_from_residual, DecodeWorkspace, KvStore, Mat,
+    probs_from_logits_into, sample_from_probs, sample_from_residual, DecodeWorkspace, Mat,
     SamplingParams, TinyLm, TokenId,
 };
 
 /// A speculative-decoding configuration tuple — the "arm" of the BEG-MAB tuner.
-/// The token-level engine drafts a chain of `draft_depth` tokens; the timing-level
-/// acceptance and cost models read all three fields.
+/// The token-level engine drafts a chain of `draft_depth` tokens (at least one);
+/// the timing-level acceptance and cost models read all three fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SdStrategy {
     /// Number of sequential drafter steps per speculative round.
@@ -80,7 +80,9 @@ impl Default for SdStrategy {
 /// drafter is modelled at the timing level only (see the module doc).
 #[derive(Debug)]
 pub enum SpecDrafter<'a> {
-    /// Learned EAGLE-style drafter (must use [`FeatureSource::LastLayer`]).
+    /// Learned EAGLE-style drafter (must use
+    /// [`tlt_draft::FeatureSource::LastLayer`]; [`DraftModel::resume_draft`]
+    /// rejects any other).
     Learned(&'a DraftModel),
 }
 
@@ -142,9 +144,7 @@ pub fn vanilla_generate<R: Rng>(
         let next = sample_from_probs(&probs, rng) as TokenId;
         tokens.push(next);
         // The last token's logits are never sampled from, so it is not decoded.
-        if Some(next) == eos
-            || i + 1 == max_new
-            || cache.kv_seq_len() + 1 >= target.config.max_seq_len
+        if Some(next) == eos || i + 1 == max_new || cache.seq_len() + 1 >= target.config.max_seq_len
         {
             break;
         }
@@ -167,7 +167,7 @@ pub fn vanilla_generate<R: Rng>(
 /// # Panics
 ///
 /// Panics if the prompt is empty or the drafter has a multi-layer feature source
-/// (the token-level engine supports last-layer drafters).
+/// (the token-level engine supports last-layer drafters) and drafts a round.
 // The argument list deliberately mirrors `vanilla_generate` plus the SD knobs, so
 // call sites can switch between the two generators mechanically.
 #[allow(clippy::too_many_arguments)]
@@ -198,15 +198,16 @@ pub fn speculative_generate<R: Rng>(
 /// for its round budget, then the next takes over (the final drafter runs to
 /// completion regardless of its budget). This is the hot-swap path the chaos
 /// harness exercises: a checkpoint swap (or a fallback to the last good drafter)
-/// between speculative rounds. The swap resets only the *drafter's* KV state;
-/// the target-side verification is untouched, so the rejection-sampling rule
-/// keeps the output distribution bit-identical to vanilla decoding no matter
-/// when — or how often — the drafter changes.
+/// between speculative rounds. The swap empties only the *drafter's* state, which
+/// the incoming drafter re-primes from the committed features; the target-side
+/// verification is untouched, so the rejection-sampling rule keeps the output
+/// distribution bit-identical to vanilla decoding no matter when — or how
+/// often — the drafter changes.
 ///
 /// # Panics
 ///
-/// Panics if the prompt or schedule is empty, or if any drafter uses a
-/// multi-layer feature source.
+/// Panics if the prompt or schedule is empty, or if a drafter that drafts a
+/// round has a multi-layer feature source ([`DraftModel::resume_draft`]).
 #[allow(clippy::too_many_arguments)]
 pub fn speculative_generate_with_swap<R: Rng>(
     target: &TinyLm,
@@ -223,15 +224,7 @@ pub fn speculative_generate_with_swap<R: Rng>(
         !schedule.is_empty(),
         "schedule must name at least one drafter"
     );
-    for (_, drafter) in schedule {
-        let SpecDrafter::Learned(model) = drafter;
-        assert_eq!(
-            model.feature_source,
-            FeatureSource::LastLayer,
-            "token-level engine requires a last-layer drafter"
-        );
-    }
-    let depth = strategy.draft_depth.max(1);
+    let depth = chain_depth(strategy);
 
     let mut cache = target.new_cache();
     let mut ws = DecodeWorkspace::new(&target.config);
@@ -245,14 +238,14 @@ pub fn speculative_generate_with_swap<R: Rng>(
     );
     features.extend_rows_range(ws.last_hidden(), 0, ws.last_hidden().rows());
 
-    // Per-segment drafter bookkeeping: the incremental KV state is rebuilt
-    // whenever the active drafter changes (a swapped-in drafter primes its own
-    // KV from the committed features on its first round). Every drafter is
-    // last-layer, so one scratch fits them all.
+    // Per-segment drafter bookkeeping: the drafting state starts empty and is
+    // emptied whenever the active drafter changes, so the drafter in charge
+    // primes its own KV from the committed features on its first round. Every
+    // drafter is last-layer, so one scratch fits them all.
     let mut segment = 0usize;
     let mut rounds_in_segment = 0usize;
-    let mut draft_scratch = DraftScratch::new(target, FeatureSource::LastLayer);
-    let mut draft_state: Option<DraftState> = None;
+    let mut draft_scratch = DraftScratch::new(target);
+    let mut draft_state = DraftState::new(target);
     // Committed tokens, one per row of `features`.
     let mut all_tokens: Vec<TokenId> = prompt.to_vec();
 
@@ -274,11 +267,11 @@ pub fn speculative_generate_with_swap<R: Rng>(
 
     while generated.len() < max_new && Some(pending) != eos {
         // Hot-swap point: once the active segment's round budget is spent, the
-        // next drafter takes over with a fresh drafter-side KV state.
+        // next drafter takes over with an empty drafter-side state.
         if segment + 1 < schedule.len() && rounds_in_segment >= schedule[segment].0 {
             segment += 1;
             rounds_in_segment = 0;
-            draft_state = None;
+            draft_state = DraftState::new(target);
         }
         let SpecDrafter::Learned(model) = schedule[segment].1;
         rounds_in_segment += 1;
@@ -286,7 +279,7 @@ pub fn speculative_generate_with_swap<R: Rng>(
         let room = target
             .config
             .max_seq_len
-            .saturating_sub(cache.kv_seq_len() + 1)
+            .saturating_sub(cache.seq_len() + 1)
             .min(max_new - generated.len());
         if room == 0 {
             break;
@@ -297,24 +290,19 @@ pub fn speculative_generate_with_swap<R: Rng>(
         }
 
         // --- Drafting stage ---
+        // Prime only the newly committed positions; KV entries for older
+        // positions are bit-identical across rounds.
         draft_tokens.clear();
-        let state = match draft_state.as_mut() {
-            Some(state) => {
-                // Re-prime only the newly committed positions; KV entries for
-                // older positions are bit-identical across rounds.
-                model.resume_draft(target, &features, &all_tokens, state, &mut draft_scratch);
-                state
-            }
-            None => draft_state.insert(model.begin_draft_with(
-                target,
-                &features,
-                &all_tokens,
-                &mut draft_scratch,
-            )),
-        };
+        model.resume_draft(
+            target,
+            &features,
+            &all_tokens,
+            &mut draft_state,
+            &mut draft_scratch,
+        );
         let mut last = pending;
         for dist in draft_dists.iter_mut().take(draft_len) {
-            let logits = model.draft_step_into(target, state, last, &mut draft_scratch);
+            let logits = model.draft_step_into(target, &mut draft_state, last, &mut draft_scratch);
             probs_from_logits_into(logits, params, dist);
             let tok = sample_from_probs(dist, rng) as TokenId;
             draft_tokens.push(tok);
@@ -325,7 +313,7 @@ pub fn speculative_generate_with_swap<R: Rng>(
         block.clear();
         block.push(pending);
         block.extend_from_slice(&draft_tokens);
-        let pre_verify_len = cache.kv_seq_len();
+        let pre_verify_len = cache.seq_len();
         target.forward_into(&block, &mut cache, &mut ws);
         target_steps += 1;
 
@@ -367,7 +355,7 @@ pub fn speculative_generate_with_swap<R: Rng>(
         // Commit: pending + accepted drafted tokens enter the sequence; roll the KV
         // cache back past the rejected suffix.
         let committed_in_block = 1 + accepted;
-        cache.kv_truncate(pre_verify_len + committed_in_block);
+        cache.truncate(pre_verify_len + committed_in_block);
         all_tokens.push(pending);
         all_tokens.extend_from_slice(&draft_tokens[..accepted]);
         features.extend_rows_range(ws.last_hidden(), 0, committed_in_block);
@@ -418,6 +406,12 @@ pub fn speculative_generate_with_swap<R: Rng>(
     }
 }
 
+/// Tokens the engine drafts per speculative round under `strategy`: its
+/// `draft_depth`, and at least one.
+fn chain_depth(strategy: SdStrategy) -> usize {
+    strategy.draft_depth.max(1)
+}
+
 /// Measures per-position acceptance rates of a drafter against a target over a set of
 /// prompts, returning one rate per drafted position (Figure 16 / Table 6 measurements).
 pub fn measure_acceptance<R: Rng>(
@@ -429,17 +423,18 @@ pub fn measure_acceptance<R: Rng>(
     params: SamplingParams,
     rng: &mut R,
 ) -> (Vec<f64>, f64) {
-    let mut attempts = vec![0usize; strategy.draft_depth];
-    let mut accepted = vec![0usize; strategy.draft_depth];
+    let depth = chain_depth(strategy);
+    let mut attempts = vec![0usize; depth];
+    let mut accepted = vec![0usize; depth];
     let mut accept_len_sum = 0.0;
     let mut accept_len_count = 0usize;
     for prompt in prompts {
         let result = speculative_generate(
             target, drafter, prompt, max_new, strategy, params, None, rng,
         );
-        for i in 0..strategy.draft_depth {
-            attempts[i] += result.position_attempts.get(i).copied().unwrap_or(0);
-            accepted[i] += result.position_accepted.get(i).copied().unwrap_or(0);
+        for i in 0..depth {
+            attempts[i] += result.position_attempts[i];
+            accepted[i] += result.position_accepted[i];
         }
         accept_len_sum += result.accept_lengths.iter().sum::<usize>() as f64;
         accept_len_count += result.accept_lengths.len();
@@ -462,6 +457,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tlt_draft::FeatureSource;
     use tlt_model::ModelConfig;
 
     fn setup() -> (TinyLm, DraftModel) {
@@ -725,6 +721,35 @@ mod tests {
             trained_accept > untrained_accept,
             "training should raise accept length: {untrained_accept:.2} -> {trained_accept:.2}"
         );
+    }
+
+    #[test]
+    fn depth_zero_measures_the_one_position_the_engine_drafts() {
+        // The engine drafts at least one token a round, so depth 0 measures
+        // position 0, exactly as depth 1 does.
+        let (target, drafter) = setup();
+        let prompts: Vec<Vec<TokenId>> = (0..3u32).map(|i| vec![i + 1, 2, 3]).collect();
+        let measure = |draft_depth| {
+            let strategy = SdStrategy {
+                draft_depth,
+                top_k: 1,
+                tokens_to_verify: 1,
+            };
+            let mut rng = StdRng::seed_from_u64(5);
+            let spec = SpecDrafter::Learned(&drafter);
+            measure_acceptance(
+                &target,
+                &spec,
+                &prompts,
+                12,
+                strategy,
+                SamplingParams::greedy(),
+                &mut rng,
+            )
+        };
+        let (rates, accept) = measure(0);
+        assert_eq!(rates.len(), 1);
+        assert_eq!((rates, accept), measure(1));
     }
 
     #[test]

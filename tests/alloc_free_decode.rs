@@ -494,22 +494,20 @@ fn warm_serve_sim_offer_allocates_nothing_per_arrival() {
 /// a decode step: nothing is allocated once the block shape has been seen.
 #[test]
 fn steady_state_verify_blocks_allocate_nothing() {
-    use tlt_model::KvStore;
-
     let model = TinyLm::new(ModelConfig::tiny(), 45);
     let mut cache = model.new_cache();
     let mut ws = DecodeWorkspace::new(&model.config);
     model.forward_into(&[3, 1, 4, 1, 5, 9, 2, 6], &mut cache, &mut ws);
     let block = [7u32, 1, 8, 2, 8];
     model.forward_into(&block, &mut cache, &mut ws);
-    cache.kv_truncate(10);
+    cache.truncate(10);
 
     let (allocs, ()) = allocations_during(|| {
         for _ in 0..32 {
             let before = cache.seq_len();
             model.forward_into(&block, &mut cache, &mut ws);
             assert_eq!(ws.logits().rows(), block.len());
-            cache.kv_truncate(before + 2);
+            cache.truncate(before + 2);
         }
     });
     assert_eq!(allocs, 0, "steady-state verify blocks must not allocate");
@@ -519,14 +517,15 @@ fn steady_state_verify_blocks_allocate_nothing() {
 /// `DraftScratch`; after the first step it allocates nothing.
 #[test]
 fn steady_state_draft_steps_allocate_nothing() {
-    use tlt_draft::{DraftModel, DraftScratch, FeatureSource};
+    use tlt_draft::{DraftModel, DraftScratch, DraftState, FeatureSource};
 
     let model = TinyLm::new(ModelConfig::tiny(), 46);
     let drafter = DraftModel::new(&model, FeatureSource::LastLayer, 47);
     let tokens = [3u32, 1, 4, 1, 5, 9];
     let (out, _) = model.prefill(&tokens, false);
-    let mut scratch = DraftScratch::new(&model, drafter.feature_source);
-    let mut state = drafter.begin_draft_with(&model, &out.last_hidden, &tokens, &mut scratch);
+    let mut scratch = DraftScratch::new(&model);
+    let mut state = DraftState::new(&model);
+    drafter.resume_draft(&model, &out.last_hidden, &tokens, &mut state, &mut scratch);
     let _ = drafter.draft_step_into(&model, &mut state, 2, &mut scratch);
 
     let (allocs, ()) = allocations_during(|| {
@@ -546,8 +545,8 @@ fn steady_state_draft_steps_allocate_nothing() {
 #[test]
 fn warm_speculative_round_ending_in_a_rejection_allocates_nothing() {
     use rand::Rng;
-    use tlt_draft::{DraftModel, DraftScratch, FeatureSource};
-    use tlt_model::{sample_from_residual, KvStore};
+    use tlt_draft::{DraftModel, DraftScratch, DraftState, FeatureSource};
+    use tlt_model::sample_from_residual;
 
     let model = TinyLm::new(ModelConfig::tiny(), 49);
     let drafter = DraftModel::new(&model, FeatureSource::LastLayer, 50);
@@ -559,8 +558,8 @@ fn warm_speculative_round_ending_in_a_rejection_allocates_nothing() {
     let mut ws = DecodeWorkspace::new(&model.config);
     model.forward_into(&prompt, &mut cache, &mut ws);
     let features = ws.last_hidden().clone();
-    let mut scratch = DraftScratch::new(&model, drafter.feature_source);
-    let mut state = drafter.begin_draft_with(&model, &features, &prompt, &mut scratch);
+    let mut scratch = DraftScratch::new(&model);
+    let mut state = DraftState::new(&model);
     let mut probs = Vec::new();
     let mut draft_dists = vec![Vec::new(); 5];
     let mut block = Vec::new();
@@ -576,7 +575,7 @@ fn warm_speculative_round_ending_in_a_rejection_allocates_nothing() {
             probs_from_logits_into(logits, params, dist);
             block.push(sample_from_probs(dist, rng) as u32);
         }
-        let committed = cache.kv_seq_len();
+        let committed = cache.seq_len();
         model.forward_into(&block, &mut cache, &mut ws);
         let mut rejected = false;
         for (i, (&tok, q)) in block[1..].iter().zip(&draft_dists).enumerate() {
@@ -588,7 +587,7 @@ fn warm_speculative_round_ending_in_a_rejection_allocates_nothing() {
                 break;
             }
         }
-        cache.kv_truncate(committed);
+        cache.truncate(committed);
         rejected
     };
     let mut rng = StdRng::seed_from_u64(8);
